@@ -12,7 +12,6 @@ from .core import (
     PostKind,
     RunConfig,
     popularity_composite,
-    reshares,
 )
 from .engine import EventLog, WorldState, initialize, recount_counters, run, step
 from .harness import (

@@ -105,15 +105,11 @@ class PopularityCounters:
 
     @property
     def reshares(self) -> int:
+        """Combined redistribution count: reposts plus quotes, reported as one number."""
         return self.reposts + self.quotes
 
     def copy(self) -> "PopularityCounters":
         return PopularityCounters(self.likes, self.reposts, self.quotes)
-
-
-def reshares(counters: PopularityCounters) -> int:
-    """Combined redistribution count: reposts plus quotes, reported as one number."""
-    return counters.reposts + counters.quotes
 
 
 def popularity_composite(likes: int, reshares: int) -> float:
@@ -188,7 +184,7 @@ class RunConfig:
     recency_decay: float = 0.01
     w_recency: float = 0.7
     w_relevance: float = 0.3
-    history_window: int = 8
+    history_window: int = 8  # engagements a policy sees; the engine's per-agent deque bound
 
     def __post_init__(self) -> None:
         if not 0.0 < self.activation_p < 1.0:
@@ -201,3 +197,5 @@ class RunConfig:
             raise ConfigurationError("recency and relevance weights must sum to 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        if self.history_window < 1:
+            raise ConfigurationError(f"history_window must be at least 1, got {self.history_window}")

@@ -7,6 +7,11 @@ from earlier agents in the same timestep), one decision, one exposure
 record per feed slot, and any resulting repost/quote enters the post pool
 immediately.
 
+Feed ranking reads array state that WorldState keeps next to its post list:
+per-post creation times and author rows, a follow matrix, and an agents x
+posts relevance matrix filled one column per new post and reallocated at
+twice its width when full (see WorldState).
+
 Randomness comes from counter-keyed substreams of the run seed: one stream
 per timestep for activations, one per (timestep, agent) for decisions.
 Replays of the same (config, population, corpus, policy fixtures) produce
@@ -34,7 +39,7 @@ from .core import (
 )
 from .policy import DecisionContext, Policy, decide
 from .population import AgentProfile, FollowGraph
-from .recommender import content_tokens, keyword_relevance, select_feed
+from .recommender import content_tokens, select_feed
 
 _STREAM_ACTIVATION = 1
 _STREAM_DECISION = 2
@@ -68,11 +73,29 @@ class EventLog:
 
 
 class WorldState:
-    """Mutable run state: post store, counters, per-agent memory, caches."""
+    """Mutable run state: post store, counters, per-agent memory, ranking arrays.
+
+    Feed ranking reads numpy state kept alongside ``posts``. Agents are rows,
+    in profile order (``rows`` maps agent id to row); posts are columns, by id:
+
+    * creation time and author row (``author_rows``): one int64 per post;
+    * ``follows``: agents x agents bool, ``follows[r, c]`` when row r follows row c;
+    * an agents x posts float64 relevance matrix holding the Jaccard overlap
+      of each agent's keywords with each post's tokens. ``new_post`` fills
+      the post's column once: a post with its source's content copies the
+      source's column, any other post is scored against every agent in one
+      step from an agents x keyword-vocabulary incidence matrix.
+
+    Post columns are allocated with spare capacity; when they run out, every
+    post-indexed array is reallocated at twice its size, so adding a post
+    costs amortized O(agents) and the relevance matrix takes O(agents x posts)
+    memory.
+    """
+
+    _INITIAL_CAPACITY = 256
 
     def __init__(self, profiles: Sequence[AgentProfile], graph: FollowGraph, config: RunConfig):
         self.profiles: dict[int, AgentProfile] = {p.id: p for p in profiles}
-        self.follow_sets: dict[int, frozenset[int]] = {p.id: graph.follows_of(p.id) for p in profiles}
         self.posts: list[Post] = []
         self.engaged: dict[int, set[int]] = {p.id: set() for p in profiles}
         self.history: dict[int, deque] = {
@@ -82,16 +105,36 @@ class WorldState:
         self._decay = config.recency_decay
         self._w_rec = config.w_recency
         self._w_rel = config.w_relevance
-        self._tokens: list[frozenset[str]] = []
-        self._keywords: dict[int, frozenset[str]] = {
-            p.id: frozenset(k.lower() for k in p.keywords) for p in profiles
-        }
-        self._relevance: dict[tuple[int, int], float] = {}
-        self._recency: list[float] = [1.0]
+        self._recency = np.ones(1)  # recency[age] = exp(-decay * age), grown on demand
+        self._t_min = self._t_max = 0  # range of created_at over all posts
+
+        self.rows: dict[int, int] = {agent: r for r, agent in enumerate(self.profiles)}
+        n = len(self.rows)
+        self.follows = np.zeros((n, n), dtype=bool)
+        vocab: dict[str, int] = {}
+        keyword_cols = []
+        for agent, r in self.rows.items():
+            self.follows[r, [self.rows[f] for f in graph.follows_of(agent) if f in self.rows]] = True
+            keyword_cols.append({vocab.setdefault(k.lower(), len(vocab)) for k in self.profiles[agent].keywords})
+        self._vocab = vocab
+        self._keywords = np.zeros((n, len(vocab)), dtype=np.int64)
+        for r, cols in enumerate(keyword_cols):
+            self._keywords[r, list(cols)] = 1
+        self._n_keywords = self._keywords.sum(axis=1)
+
+        cap = self._INITIAL_CAPACITY
+        self._created_at = np.zeros(cap, dtype=np.int64)
+        self._author_rows = np.zeros(cap, dtype=np.int64)
+        self._rel = np.zeros((n, cap))
+
+    @property
+    def author_rows(self) -> np.ndarray:
+        return self._author_rows[: len(self.posts)]
 
     def new_post(self, author: int, content: str, kind: PostKind, source: int | None, t: int) -> Post:
+        pid = len(self.posts)
         post = Post(
-            id=len(self.posts),
+            id=pid,
             author=author,
             content=content,
             kind=kind,
@@ -99,21 +142,54 @@ class WorldState:
             created_at=t,
             counters=PopularityCounters(),
         )
+        if author not in self.rows:
+            raise ValueError(f"post author {author} is not an agent of this world")
+        if pid == self._rel.shape[1]:
+            self._grow()
+        self._created_at[pid] = t
+        self._author_rows[pid] = self.rows[author]
+        if source is not None and content == self.posts[source].content:
+            self._rel[:, pid] = self._rel[:, source]  # reposts: same tokens, same relevance
+        else:
+            self._rel[:, pid] = self._relevance_column(content_tokens(content))
+        self._t_min = min(self._t_min, t) if pid else t
+        self._t_max = max(self._t_max, t) if pid else t
         self.posts.append(post)
-        self._tokens.append(content_tokens(content))
         return post
 
-    def rank_score(self, agent: int, post: Post) -> float:
-        """Recency/relevance ranking score; relevance memoized per (agent, post)."""
-        age = self.now - post.created_at
-        while len(self._recency) <= age:
-            self._recency.append(math.exp(-self._decay * len(self._recency)))
-        key = (agent, post.id)
-        rel = self._relevance.get(key)
-        if rel is None:
-            rel = keyword_relevance(self._tokens[post.id], self._keywords[agent])
-            self._relevance[key] = rel
-        return self._w_rec * self._recency[age] + self._w_rel * rel
+    def _relevance_column(self, tokens: frozenset[str]) -> np.ndarray:
+        """keyword_relevance(tokens, keywords) for every agent, with the same int/int division."""
+        idx = [self._vocab[w] for w in tokens if w in self._vocab]
+        if not idx:
+            return np.zeros(len(self.rows))
+        inter = self._keywords[:, idx].sum(axis=1)
+        union = len(tokens) + self._n_keywords - inter
+        return np.where(inter > 0, inter / union, 0.0)
+
+    def _grow(self) -> None:
+        cap = 2 * self._rel.shape[1]
+        for name in ("_created_at", "_author_rows", "_rel"):
+            old = getattr(self, name)
+            new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
+            new[..., : old.shape[-1]] = old
+            setattr(self, name, new)
+
+    def scores(self, row: int) -> np.ndarray:
+        """Ranking score of every post for the agent in ``row`` at ``now``.
+
+        Element for element this is score_post: ``w_recency * exp(-decay *
+        age) + w_relevance * jaccard``, evaluated in the same order on the
+        same float64 values, so it equals the scalar definition bit for bit.
+        """
+        if self.posts and self.now < self._t_max:
+            raise ValueError(f"post created in the future (t={self._t_max} > now={self.now})")
+        need = self.now - self._t_min + 1
+        if len(self._recency) < need:
+            size = max(need, 2 * len(self._recency))
+            self._recency = np.array([math.exp(-self._decay * age) for age in range(size)])
+        n = len(self.posts)
+        ages = self.now - self._created_at[:n]
+        return self._w_rec * self._recency[ages] + self._w_rel * self._rel[row, :n]
 
     def state_digest(self) -> str:
         import hashlib

@@ -139,6 +139,11 @@ class ExperimentPlan:
     w_relevance: float = 0.3
     history_window: int = 8
 
+    def __post_init__(self) -> None:
+        # Every cell shares these run parameters, so one RunConfig checks them
+        # all before any cell runs.
+        self.cell_config(ALL_LOADS[0], ALL_NORMS[0], 0)
+
     def cells(self) -> list[tuple[LoadLevel, NormRegime, int]]:
         return [
             (load, norm, rep)

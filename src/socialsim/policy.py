@@ -40,8 +40,6 @@ from .stats import N_COLUMNS, design_row
 
 log = logging.getLogger(__name__)
 
-HISTORY_WINDOW = 8
-
 
 @dataclass(slots=True, frozen=True)
 class DecisionContext:
@@ -51,10 +49,6 @@ class DecisionContext:
     profile: AgentProfile
     history: tuple[tuple[ActionKind, int, int], ...]  # (action, post, timestep)
     regime: NormRegime
-
-    def __post_init__(self) -> None:
-        if len(self.history) > HISTORY_WINDOW:
-            raise ValueError(f"history window is {HISTORY_WINDOW}, got {len(self.history)}")
 
 
 @dataclass(slots=True, frozen=True)

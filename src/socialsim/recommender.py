@@ -6,6 +6,15 @@ a viewing agent, the followed pool is every eligible post authored by a
 followee and the algorithmic pool is every other eligible post. Labeling by
 authorship keeps the partition reconstructable from persisted logs plus the
 population file.
+
+A feed is one pass of array work over the world's state, not a loop over
+posts. The score vector ``w_recency * recency[now - created_at] +
+w_relevance * relevance[agent]`` multiplies and adds in the same order as
+score_post, on the same float64 values, so each element equals the scalar
+score bit for bit. An eligibility mask (not the agent's own post, not
+engaged) is split by the follow matrix into the followed and algorithmic
+pools; each pool's top k comes from ``np.partition`` to cut the candidates
+and ``np.lexsort`` on (-score, id), so ties break by ascending post id.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .core import LoadLevel, Post, RunConfig
 
@@ -79,34 +90,34 @@ def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunCon
     by the agent and not previously engaged by the agent. Ties break by
     ascending post id; the result is deterministic in the world state.
     """
-    followees = world.follow_sets.get(agent, frozenset())
-    engaged = world.engaged.get(agent, ())
-    now = world.now
+    row = world.rows[agent]
+    score = world.scores(row)
+    authors = world.author_rows
+    eligible = authors != row
+    engaged = world.engaged.get(agent)
+    if engaged:
+        ids = np.fromiter(engaged, dtype=np.int64, count=len(engaged))
+        eligible[ids[(ids >= 0) & (ids < len(eligible))]] = False
+    followed = world.follows[row, authors]
 
-    followed_pool: list[tuple[float, int]] = []
-    algo_pool: list[tuple[float, int]] = []
-    for post in world.posts:
-        if post.author == agent or post.id in engaged:
-            continue
-        s = world.rank_score(agent, post)
-        if post.author in followees:
-            followed_pool.append((-s, post.id))
-        else:
-            algo_pool.append((-s, post.id))
+    followed_ids = _top(score, eligible & followed, load.followed_count)
+    shortfall = load.followed_count - len(followed_ids)
+    algo_ids = _top(score, eligible & ~followed, load.algorithmic_count + shortfall)
 
-    followed_pool.sort()
-    algo_pool.sort()
-
-    n_followed = min(load.followed_count, len(followed_pool))
-    shortfall = load.followed_count - n_followed
-    n_algo = min(load.algorithmic_count + shortfall, len(algo_pool))
-
-    entries: list[FeedEntry] = []
-    for _, pid in followed_pool[:n_followed]:
-        entries.append(_entry(world, pid, FOLLOWED))
-    for _, pid in algo_pool[:n_algo]:
-        entries.append(_entry(world, pid, ALGORITHMIC))
+    entries = [_entry(world, pid, FOLLOWED) for pid in followed_ids.tolist()]
+    entries += [_entry(world, pid, ALGORITHMIC) for pid in algo_ids.tolist()]
     return entries
+
+
+def _top(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the k highest-scoring posts in mask, best first, ties by ascending id."""
+    ids = np.flatnonzero(mask)
+    neg = -score[ids]
+    if 0 < k < len(ids):
+        # Keep only candidates that can reach the top k, ties at the cut included.
+        keep = neg <= np.partition(neg, k - 1)[k - 1]
+        ids, neg = ids[keep], neg[keep]
+    return ids[np.lexsort((ids, neg))[:k]]
 
 
 def _entry(world: "WorldState", pid: int, slot: str) -> FeedEntry:

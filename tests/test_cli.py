@@ -71,6 +71,13 @@ class TestSimulate:
         assert len(logs) == 1
         assert logs[0].name == "high_repost_dominant_r0.jsonl"
 
+    def test_invalid_plan_value_exits_2_before_any_cell(self, plan_file, tmp_path):
+        bad = tmp_path / "bad_window.json"
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), "history_window": 0}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2
 

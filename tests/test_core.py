@@ -14,7 +14,6 @@ from socialsim.core import (
     PostKind,
     RunConfig,
     popularity_composite,
-    reshares,
 )
 
 
@@ -51,13 +50,13 @@ class TestPopularityComposite:
 
 class TestReshares:
     def test_definition(self):
-        assert reshares(PopularityCounters(likes=5, reposts=2, quotes=1)) == 3
-        assert reshares(PopularityCounters()) == 0
-        assert reshares(PopularityCounters(likes=10, reposts=0, quotes=4)) == 4
+        assert PopularityCounters(likes=5, reposts=2, quotes=1).reshares == 3
+        assert PopularityCounters().reshares == 0
+        assert PopularityCounters(likes=10, reposts=0, quotes=4).reshares == 4
 
     def test_property_matches_function(self):
         c = PopularityCounters(likes=7, reposts=3, quotes=9)
-        assert c.reshares == reshares(c) == 12
+        assert c.reshares == c.reposts + c.quotes == 12
 
 
 class TestConditions:
@@ -131,6 +130,12 @@ class TestRunConfig:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigurationError):
             self._cfg(w_recency=0.7, w_relevance=0.4)
+
+    def test_history_window_must_be_positive(self):
+        assert self._cfg(history_window=1).history_window == 1
+        for window in (0, -3):
+            with pytest.raises(ConfigurationError):
+                self._cfg(history_window=window)
 
     def test_positive_timesteps(self):
         with pytest.raises(ConfigurationError):

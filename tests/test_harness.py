@@ -1,9 +1,18 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from socialsim.core import ActionKind, ExposureRecord, LoadLevel, NormRegime, PostCreation, PostKind
+from socialsim.core import (
+    ActionKind,
+    ConfigurationError,
+    ExposureRecord,
+    LoadLevel,
+    NormRegime,
+    PostCreation,
+    PostKind,
+)
 from socialsim.harness import (
     ALL_LOADS,
     ALL_NORMS,
@@ -92,6 +101,12 @@ class TestPlan:
         assert cfg.load is LoadLevel.HIGH and cfg.norm is NormRegime.REPOST_DOMINANT
         assert cfg.seed == cell_seed(77, LoadLevel.HIGH, NormRegime.REPOST_DOMINANT, 0)
 
+    def test_invalid_run_parameters_rejected_at_plan_time(self):
+        obj = _tiny_plan().to_obj()
+        for key, value in (("history_window", 0), ("activation_p", 1.5), ("timesteps", 0)):
+            with pytest.raises(ConfigurationError):
+                ExperimentPlan.from_obj({**obj, key: value})
+
 
 class TestRunExperiment:
     def test_twelve_logs_and_manifest(self, small_inputs, tmp_path):
@@ -155,6 +170,18 @@ class TestRunExperiment:
         assert loaded_manifest == manifest
         rows_by_manifest = {c["file"].removesuffix(".jsonl"): c["rows"] for c in manifest["cells"]}
         assert {k: len(v) for k, v in per_cell.items()} == rows_by_manifest
+
+    def test_history_window_longer_than_eight(self, small_inputs, tmp_path):
+        # Regression: a policy-side constant once capped histories at 8, so every
+        # cell of a window-12 plan failed once an agent engaged a ninth time.
+        profiles, graph, corpus = small_inputs
+        plan = _tiny_plan(policy=ScriptedSpec(intents=[("like", 0)]), timesteps=16, activation_p=0.9, history_window=12)
+        manifest = run_experiment(plan, profiles, graph, corpus, tmp_path)
+        assert [c["status"] for c in manifest["cells"]] == ["ok"] * 12
+        _, per_cell = load_experiment(tmp_path)
+        for records in per_cell.values():
+            likes = Counter(r.agent for r in records if isinstance(r, ExposureRecord) and r.action is ActionKind.LIKE)
+            assert max(likes.values()) > 8
 
     def test_parallel_equals_serial(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs

@@ -318,12 +318,3 @@ class TestPolicySpecs:
             build_policy(LlmSpec(endpoint="", transport="live"), LoadLevel.LOW, NormRegime.NO_NORM)
         with pytest.raises(Exception):
             build_policy(LlmSpec(transport="fixtures", fixture_path=None), LoadLevel.LOW, NormRegime.NO_NORM)
-
-    def test_history_window_enforced(self):
-        with pytest.raises(ValueError):
-            DecisionContext(
-                feed=(),
-                profile=tiny_profiles()[0],
-                history=tuple((ActionKind.LIKE, i, i) for i in range(9)),
-                regime=NormRegime.NO_NORM,
-            )

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialsim.core import LoadLevel, NormRegime, PostKind, RunConfig
 from socialsim.engine import WorldState
@@ -15,6 +17,7 @@ from socialsim.recommender import (
 )
 
 from conftest import tiny_graph, tiny_profiles
+from reference_feed import reference_select_feed
 
 
 def _config(load=LoadLevel.LOWEST, **kw):
@@ -56,13 +59,35 @@ class TestScorePost:
         assert score_post(post, profile, now=10) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.7833861926, abs=1e-9)
 
-    def test_matches_world_rank_score(self):
+    def test_world_scores_equal_score_post(self):
+        # 300 posts outgrow the world's initial post capacity, so columns
+        # written before and after a reallocation are both compared.
         cfg = _config()
         profiles = tiny_profiles()
         world = _world(profiles, tiny_graph(), cfg)
-        post = _post(world, 1, "kw0 extra words")
+        for i in range(300):
+            if i % 7 == 3:
+                source = world.posts[i // 2]
+                world.new_post(i % 5, source.content, PostKind.REPOST, source.id, i // 4)
+            elif i % 7 == 5:
+                source = world.posts[i // 3]
+                world.new_post(i % 5, f"KW{i % 5} says // {source.content}", PostKind.QUOTE, source.id, i // 4)
+            else:
+                world.new_post(i % 5, f"Kw{i % 3} kw{i % 5} word{i % 11} extra", PostKind.SEED, None, i // 4)
+        world.now = 90
+        for profile in profiles:
+            scores = world.scores(world.rows[profile.id])
+            assert len(scores) == 300
+            assert scores.tolist() == [score_post(post, profile, now=90) for post in world.posts]
+
+    def test_world_rejects_future_posts_and_unknown_authors(self):
+        world = _world(tiny_profiles(), tiny_graph(), _config())
+        _post(world, 1, "alpha", t=5)
         world.now = 4
-        assert world.rank_score(0, post) == pytest.approx(score_post(post, profiles[0], now=4))
+        with pytest.raises(ValueError):
+            world.scores(0)
+        with pytest.raises(ValueError):
+            _post(world, 99, "no such agent")
 
     def test_relevance_is_jaccard(self):
         assert keyword_relevance(frozenset("ab"), frozenset("bc")) == pytest.approx(1 / 3)
@@ -167,3 +192,52 @@ class TestSelectFeed:
 class TestRealizedCount:
     def test_empty_feed(self):
         assert realized_algorithmic_count([]) == 0
+
+
+_WORDS = ["alpha", "Alpha", "BETA", "beta", "Gamma", "delta", "EPS", "kw0", "Kw1"]
+
+
+@st.composite
+def _random_worlds(draw):
+    """Small worlds: mixed-case keywords and content, reposts and quotes, engaged sets, any now."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
+    profiles = [
+        AgentProfile(a, f"u{a}", frozenset(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4))), False, False)
+        for a in ids
+    ]
+    graph = FollowGraph({a: draw(st.sets(st.sampled_from(ids))) - {a} for a in ids})
+    w_recency = draw(st.floats(0.0, 1.0))
+    cfg = _config(
+        n_agents=len(ids),
+        recency_decay=draw(st.floats(0.0, 0.5)),
+        w_recency=w_recency,
+        w_relevance=1.0 - w_recency,
+    )
+    world = _world(profiles, graph, cfg)
+    for _ in range(draw(st.integers(0, 45))):
+        author = draw(st.sampled_from(ids))
+        t = draw(st.integers(0, 30))
+        kind = draw(st.sampled_from(PostKind)) if world.posts else PostKind.SEED
+        if kind is PostKind.SEED:
+            content = " ".join(draw(st.lists(st.sampled_from(_WORDS + ["other", "WORDS"]), max_size=6)))
+            post = world.new_post(author, content, kind, None, t)
+        else:
+            source = world.posts[draw(st.integers(0, len(world.posts) - 1))]
+            content = source.content if kind is PostKind.REPOST else f"{draw(st.sampled_from(_WORDS))} // {source.content}"
+            post = world.new_post(author, content, kind, source.id, t)
+        post.counters.likes = draw(st.integers(0, 3))
+        post.counters.quotes = draw(st.integers(0, 2))
+    for a in ids:
+        world.engaged[a].update(draw(st.sets(st.integers(0, len(world.posts) + 2), max_size=6)))
+    world.now = draw(st.integers(max((p.created_at for p in world.posts), default=0), 300))
+    return world, graph, cfg
+
+
+class TestSelectFeedMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_random_worlds())
+    def test_identical_feeds(self, case):
+        world, graph, cfg = case
+        for agent in world.profiles:
+            for load in LoadLevel:
+                assert select_feed(agent, world, load, cfg) == reference_select_feed(agent, world, graph, load, cfg)
