@@ -3,6 +3,7 @@ harness and a two-stage (threshold + allocation) logistic analysis pipeline."""
 
 from .core import (
     ActionKind,
+    CellLog,
     ExposureRecord,
     LoadLevel,
     NormRegime,

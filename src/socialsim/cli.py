@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures
-from .core import ConfigurationError, FormatError, LoadLevel, NormRegime
+from .core import CellLog, ConfigurationError, FormatError, LoadLevel, NormRegime
 from .harness import (
     ExperimentPlan,
     descriptive_shares,
@@ -151,10 +151,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not (logs_dir / "manifest.json").exists():
         print(f"error: no manifest.json under {logs_dir}", file=sys.stderr)
         return 1
-    manifest, per_cell = load_experiment(logs_dir)
-    records = [r for cell in sorted(per_cell) for r in per_cell[cell]]
-    exposures = [r for r in records if hasattr(r, "action")]
-    if not exposures:
+    _, per_cell = load_experiment(logs_dir)
+    log = CellLog.concat(per_cell[cell] for cell in sorted(per_cell))
+    if not len(log.exposures):
         print("error: logs contain no exposure records", file=sys.stderr)
         return 1
 
@@ -167,7 +166,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     metrics_rows = []
     if args.stage in ("threshold", "both"):
-        X, names, y = build_design_matrix(exposures, "threshold")
+        X, names, y = build_design_matrix(log, "threshold")
         model = fit_binary_logistic(X, y, terms=names)
         write_coefficient_csv(model, out / "threshold_coefficients.csv")
         save_model(model, out / "threshold_model.json")
@@ -175,7 +174,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"threshold: n={model.n_obs} k={model.k} converged={model.converged} mcfadden={model.metrics.mcfadden:.3f}")
     if args.stage in ("allocation", "both"):
         try:
-            X, names, y = build_design_matrix(exposures, "allocation")
+            X, names, y = build_design_matrix(log, "allocation")
         except ValueError:
             print("error: no engaged records; allocation stage cannot be fitted", file=sys.stderr)
             return 1

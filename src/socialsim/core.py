@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
+
+import numpy as np
 
 AgentId = int
 PostId = int
@@ -169,6 +172,199 @@ class PostCreation:
     author: AgentId
     source: PostId | None
     t: int
+
+
+# ---------------------------------------------------------------------------
+# Columnar event log
+# ---------------------------------------------------------------------------
+
+# Code tables of the enum columns: code i stands for the i-th member.
+LOADS = tuple(LoadLevel)
+NORMS = tuple(NormRegime)
+ACTIONS = tuple(ActionKind)
+POST_KINDS = tuple(PostKind)
+
+# Field names of each row kind, in record field order.
+EXPOSURE_KEYS = ("run", "load", "norm", "t", "agent", "post", "likes", "reshares", "action")
+CREATION_KEYS = ("kind", "post", "author", "source", "t")
+
+_CODES = {
+    key: {member.value: i for i, member in enumerate(members)}
+    for key, members in (("load", LOADS), ("norm", NORMS), ("action", ACTIONS), ("kind", POST_KINDS))
+}
+
+
+def _int_column(values: list, key: str) -> np.ndarray:
+    try:
+        col = np.array(values, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        col = None
+    if col is None or col.shape != (len(values),):
+        raise FormatError(f"{key} must be an integer")
+    return col
+
+
+def _code_column(values: list, key: str) -> np.ndarray:
+    table = _CODES[key]
+    try:
+        return np.array([table[v] for v in values], dtype=np.int8)
+    except (KeyError, TypeError):
+        bad = next(v for v in values if not isinstance(v, str) or v not in table)
+        raise FormatError(f"unknown {key} {bad!r}") from None
+
+
+def _columns(values: dict[str, list], keys: tuple[str, ...]) -> dict[str, np.ndarray]:
+    return {k: (_code_column if k in _CODES else _int_column)(values[k], k) for k in keys}
+
+
+@dataclass(frozen=True, eq=False)
+class ExposureColumns:
+    """Exposure rows in log order, one array per field of ExposureRecord.
+
+    run, t, agent, post, likes and reshares are int64; load, norm and action
+    are int8 codes into LOADS, NORMS and ACTIONS.
+    """
+
+    run: np.ndarray
+    load: np.ndarray
+    norm: np.ndarray
+    t: np.ndarray
+    agent: np.ndarray
+    post: np.ndarray
+    likes: np.ndarray
+    reshares: np.ndarray
+    action: np.ndarray
+
+    @classmethod
+    def from_lists(cls, values: dict[str, list]) -> "ExposureColumns":
+        """Columns from one list per key of EXPOSURE_KEYS; enum fields by value string.
+
+        Raises FormatError on a non-integer, an unknown enum value or a
+        counter outside [0, 2**62).
+        """
+        cols = _columns(values, EXPOSURE_KEYS)
+        for key in ("likes", "reshares"):
+            if cols[key].size and cols[key].min() < 0:
+                raise FormatError(f"negative {key} count")
+            if cols[key].size and cols[key].max() >= 2**62:  # so likes + reshares fits in an int64
+                raise FormatError(f"{key} count too large")
+        return cls(**cols)
+
+    def __len__(self) -> int:
+        return self.run.size
+
+
+@dataclass(frozen=True, eq=False)
+class CreationColumns:
+    """Post-creation rows in log order: post, author, t and source as int64
+    (source -1 for none), kind as an int8 code into POST_KINDS."""
+
+    kind: np.ndarray
+    post: np.ndarray
+    author: np.ndarray
+    source: np.ndarray
+    t: np.ndarray
+
+    @classmethod
+    def from_lists(cls, values: dict[str, list]) -> "CreationColumns":
+        """Columns from one list per key of CREATION_KEYS; source None for none."""
+        values = {**values, "source": [-1 if v is None else v for v in values["source"]]}
+        return cls(**_columns(values, CREATION_KEYS))
+
+    def __len__(self) -> int:
+        return self.post.size
+
+
+@dataclass(frozen=True, eq=False)
+class CellLog:
+    """One cell's event log as columns.
+
+    ``is_exposure`` has one entry per row of the log, in log order: the k-th
+    True row is ``exposures`` row k, the k-th False row is ``creations`` row
+    k. ``len()`` counts all rows, as a manifest's ``rows`` does.
+    """
+
+    exposures: ExposureColumns
+    creations: CreationColumns
+    is_exposure: np.ndarray
+
+    def __len__(self) -> int:
+        return self.is_exposure.size
+
+    @classmethod
+    def from_records(cls, records: Iterable[ExposureRecord | PostCreation]) -> "CellLog":
+        """The columns of an interleaved record list (an EventLog, or records built by hand)."""
+        records = list(records)
+        is_exposure = [isinstance(r, ExposureRecord) for r in records]
+        exposures = [r for r, e in zip(records, is_exposure) if e]
+        creations = [r for r, e in zip(records, is_exposure) if not e]
+
+        def fields(rows: list, keys: tuple[str, ...]) -> dict[str, list]:
+            return {
+                k: [getattr(r, k).value for r in rows] if k in _CODES else [getattr(r, k) for r in rows]
+                for k in keys
+            }
+
+        return cls(
+            ExposureColumns.from_lists(fields(exposures, EXPOSURE_KEYS)),
+            CreationColumns.from_lists(fields(creations, CREATION_KEYS)),
+            np.array(is_exposure, dtype=bool),
+        )
+
+    @classmethod
+    def concat(cls, logs: Iterable["CellLog"]) -> "CellLog":
+        """The rows of several logs, one log after the other.
+
+        Post ids are per cell, so run ``creation_of`` and the load audit on
+        each cell's own log, not on a concatenation.
+        """
+        logs = list(logs) or [cls.from_records([])]
+
+        def joined(part: str, keys: tuple[str, ...]) -> dict[str, np.ndarray]:
+            return {k: np.concatenate([getattr(getattr(log, part), k) for log in logs]) for k in keys}
+
+        return cls(
+            ExposureColumns(**joined("exposures", EXPOSURE_KEYS)),
+            CreationColumns(**joined("creations", CREATION_KEYS)),
+            np.concatenate([log.is_exposure for log in logs]),
+        )
+
+    def records(self) -> list[ExposureRecord | PostCreation]:
+        """The interleaved ExposureRecord/PostCreation list the columns hold."""
+        e, c = self.exposures, self.creations
+        exposures = iter(
+            [
+                ExposureRecord(run, LOADS[load], NORMS[norm], t, agent, post, likes, reshares, ACTIONS[action])
+                for run, load, norm, t, agent, post, likes, reshares, action in zip(
+                    *(getattr(e, k).tolist() for k in EXPOSURE_KEYS)
+                )
+            ]
+        )
+        creations = iter(
+            [
+                PostCreation(post=post, kind=POST_KINDS[kind], author=author, source=None if source < 0 else source, t=t)
+                for kind, post, author, source, t in zip(*(getattr(c, k).tolist() for k in CREATION_KEYS))
+            ]
+        )
+        return [next(exposures) if row else next(creations) for row in self.is_exposure.tolist()]
+
+    def creation_of(self) -> np.ndarray:
+        """Per exposure row, the index of its post's creation row, -1 if no earlier row creates it.
+
+        A post created more than once maps to its first creation.
+        """
+        created, shown = self.creations.post, self.exposures.post
+        if created.size == 0:
+            return np.full(shown.size, -1, dtype=np.int64)
+        order = np.argsort(created, kind="stable")
+        idx = order[np.minimum(np.searchsorted(created[order], shown), created.size - 1)]
+        earlier = np.flatnonzero(~self.is_exposure)[idx] < np.flatnonzero(self.is_exposure)
+        return np.where((created[idx] == shown) & earlier, idx, -1)
+
+
+def as_cell_log(records: CellLog | Iterable[ExposureRecord | PostCreation]) -> CellLog:
+    """A CellLog as it is; a record list through CellLog.from_records."""
+    return records if isinstance(records, CellLog) else CellLog.from_records(records)
 
 
 @dataclass

@@ -5,7 +5,9 @@ seed derived by stable hashing so plans are reproducible across machines
 and Python processes. Logs are persisted as JSON Lines (one record per
 line) so every audit in this module can be recomputed by an external
 reader of the artifact directory, and the manifest carries SHA-256 digests
-of everything written.
+of everything written. This module owns that log format: ``write_log``
+writes records, ``read_log`` parses a file straight into the numpy columns
+of a ``CellLog``, and the audits below compute from those columns.
 """
 
 from __future__ import annotations
@@ -17,14 +19,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
-    ActionKind,
+    ACTIONS,
+    CREATION_KEYS,
+    EXPOSURE_KEYS,
+    CellLog,
+    ConfigurationError,
+    CreationColumns,
+    ExposureColumns,
     ExposureRecord,
+    FormatError,
     LoadLevel,
     NormRegime,
     PostCreation,
-    PostKind,
     RunConfig,
+    as_cell_log,
 )
 from .engine import EventLog, run
 from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj, policy_spec_to_obj
@@ -47,72 +58,115 @@ ALL_NORMS = (NormRegime.NO_NORM, NormRegime.LIKE_DOMINANT, NormRegime.REPOST_DOM
 # ---------------------------------------------------------------------------
 
 
-def record_to_obj(record: ExposureRecord | PostCreation) -> dict:
-    if isinstance(record, ExposureRecord):
-        return {
-            "run": record.run,
-            "load": record.load.value,
-            "norm": record.norm.value,
-            "t": record.t,
-            "agent": record.agent,
-            "post": record.post,
-            "likes": record.likes,
-            "reshares": record.reshares,
-            "action": record.action.value,
-        }
-    return {
-        "kind": record.kind.value,
-        "post": record.post,
-        "author": record.author,
-        "source": record.source,
-        "t": record.t,
-    }
-
-
-def obj_to_record(obj: Mapping) -> ExposureRecord | PostCreation:
-    if "action" in obj:
-        return ExposureRecord(
-            run=int(obj["run"]),
-            load=LoadLevel(obj["load"]),
-            norm=NormRegime(obj["norm"]),
-            t=int(obj["t"]),
-            agent=int(obj["agent"]),
-            post=int(obj["post"]),
-            likes=int(obj["likes"]),
-            reshares=int(obj["reshares"]),
-            action=ActionKind(obj["action"]),
-        )
-    return PostCreation(
-        post=int(obj["post"]),
-        kind=PostKind(obj["kind"]),
-        author=int(obj["author"]),
-        source=obj["source"] if obj["source"] is None else int(obj["source"]),
-        t=int(obj["t"]),
-    )
-
-
 def log_to_lines(records: Iterable[ExposureRecord | PostCreation]) -> list[str]:
-    return [json.dumps(record_to_obj(r), separators=(",", ":"), ensure_ascii=False) for r in records]
+    """One compact JSON object per record, keys in EXPOSURE_KEYS or CREATION_KEYS order."""
+    lines = []
+    for r in records:
+        if isinstance(r, ExposureRecord):
+            lines.append(
+                f'{{"run":{r.run},"load":"{r.load.value}","norm":"{r.norm.value}","t":{r.t},'
+                f'"agent":{r.agent},"post":{r.post},"likes":{r.likes},"reshares":{r.reshares},'
+                f'"action":"{r.action.value}"}}'
+            )
+        else:
+            source = "null" if r.source is None else r.source
+            lines.append(f'{{"kind":"{r.kind.value}","post":{r.post},"author":{r.author},"source":{source},"t":{r.t}}}')
+    return lines
+
+
+def _log_bytes(records: Iterable[ExposureRecord | PostCreation]) -> bytes:
+    return ("\n".join(log_to_lines(records)) + "\n").encode("utf-8")
 
 
 def write_log(records: Iterable[ExposureRecord | PostCreation], path: str | Path) -> str:
     """Write a JSONL log and return its SHA-256 digest."""
-    payload = ("\n".join(log_to_lines(records)) + "\n").encode("utf-8")
+    payload = _log_bytes(records)
     Path(path).write_bytes(payload)
     return hashlib.sha256(payload).hexdigest()
 
 
-def read_log(path: str | Path) -> list[ExposureRecord | PostCreation]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(obj_to_record(json.loads(line)))
-    return records
+def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
+    """Parse a JSONL event log into columns.
+
+    Each non-blank line is one JSON object, with its keys in any order and
+    any spacing; a line with an "action" key is an exposure row, any other a
+    post-creation row. With ``sha256`` given (a manifest's digest), the
+    file's bytes must have that digest. Raises FormatError naming the file,
+    and the 1-based line for a bad row: invalid JSON, a missing key, an
+    unknown enum value, a non-integer, a counter outside [0, 2**62), an
+    exposure of a post no earlier row creates, or a post created twice.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
+        raise FormatError(f"{path}: SHA-256 differs from the manifest's {sha256}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    lines = text.splitlines()
+    rows = list(filter(str.strip, lines))  # blank lines are skipped
+    try:
+        objs = json.loads("[" + ",".join(rows) + "]")
+        if len(objs) != len(rows):  # a line held more or less than one value
+            raise FormatError("row count")
+        log = _log_from_objs(objs)
+        if (log.creation_of() < 0).any() or np.unique(log.creations.post).size != len(log.creations):
+            raise FormatError("creation rows")
+    except (ValueError, RecursionError):  # JSONDecodeError and FormatError included
+        raise _locate_error(path, lines) from None
+    return log
+
+
+def _log_from_objs(objs: list) -> CellLog:
+    """Columns of parsed log rows; FormatError on a row that is not a valid record."""
+    if not set(map(type, objs)) <= {dict}:
+        raise FormatError("not a JSON object")
+    is_exposure = ["action" in o for o in objs]
+    exposures = [o for o, e in zip(objs, is_exposure) if e]
+    creations = [o for o, e in zip(objs, is_exposure) if not e]
+    return CellLog(
+        ExposureColumns.from_lists({k: _values(exposures, k) for k in EXPOSURE_KEYS}),
+        CreationColumns.from_lists({k: _values(creations, k) for k in CREATION_KEYS}),
+        np.array(is_exposure, dtype=bool),
+    )
+
+
+def _values(objs: list[dict], key: str) -> list:
+    try:
+        return [o[key] for o in objs]
+    except KeyError:
+        raise FormatError(f"missing key {key!r}") from None
+
+
+def _locate_error(path: Path, lines: list[str]) -> FormatError:
+    """Re-read the log one line at a time and name its first bad line."""
+    created: set[int] = set()
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            row = _log_from_objs([json.loads(line)])
+            if row.is_exposure[0]:
+                post = int(row.exposures.post[0])
+                if post not in created:
+                    raise FormatError(f"exposure of post {post} before any row creates it")
+            else:
+                post = int(row.creations.post[0])
+                if post in created:
+                    raise FormatError(f"post {post} created twice")
+                created.add(post)
+        except FormatError as e:
+            return FormatError(f"{path}, line {number}: {e}")
+        except json.JSONDecodeError as e:
+            return FormatError(f"{path}, line {number}: invalid JSON ({e.msg} at column {e.colno})")
+        except RecursionError:
+            return FormatError(f"{path}, line {number}: invalid JSON (nested too deeply)")
+    return FormatError(f"{path}: malformed log")
 
 
 def log_digest(records: Iterable[ExposureRecord | PostCreation]) -> str:
-    payload = ("\n".join(log_to_lines(records)) + "\n").encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(_log_bytes(records)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +194,8 @@ class ExperimentPlan:
     history_window: int = 8
 
     def __post_init__(self) -> None:
+        if self.replications < 1:
+            raise ConfigurationError(f"replications must be at least 1, got {self.replications}")
         # Every cell shares these run parameters, so one RunConfig checks them
         # all before any cell runs.
         self.cell_config(ALL_LOADS[0], ALL_NORMS[0], 0)
@@ -291,16 +347,20 @@ def run_experiment(
     return manifest
 
 
-def load_experiment(out_dir: str | Path) -> tuple[dict, dict[str, list]]:
-    """Read a persisted experiment: (manifest, records per completed cell)."""
+def load_experiment(out_dir: str | Path) -> tuple[dict, dict[str, CellLog]]:
+    """Read a persisted experiment: (manifest, log of each completed cell).
+
+    Each log must have the SHA-256 digest its manifest entry records.
+    """
     out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        cells = [(c["file"], c["sha256"]) for c in manifest["cells"] if c.get("status") == "ok"]
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise FormatError(f"{out / 'manifest.json'}: not a valid manifest ({type(e).__name__}: {e})") from None
     per_cell = {}
-    for cell in manifest["cells"]:
-        if cell.get("status") != "ok":
-            continue
-        name = cell["file"].removesuffix(".jsonl")
-        per_cell[name] = read_log(out / "logs" / cell["file"])
+    for file, sha256 in cells:
+        per_cell[file.removesuffix(".jsonl")] = read_log(out / "logs" / file, sha256=sha256)
     return manifest, per_cell
 
 
@@ -321,39 +381,42 @@ class LoadAudit:
 
 
 def realized_load_audit(
-    records: Iterable[ExposureRecord | PostCreation],
+    records: CellLog | Iterable[ExposureRecord | PostCreation],
     follows_of: Mapping[int, frozenset[int]] | FollowGraph,
 ) -> LoadAudit:
     """Recompute per-activation algorithmic counts from a log and the graph.
 
     A feed slot is algorithmic exactly when the post's author is not one of
     the viewer's followees; authorship comes from the log's creation records,
-    so the audit needs no engine state.
+    so the audit needs no engine state. An activation is one (t, agent) pair.
     """
-    if isinstance(follows_of, FollowGraph):
-        graph = follows_of
-        follows = {a: graph.follows_of(a) for a in graph.agents()}
-    else:
-        follows = follows_of
-
-    authors: dict[int, int] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for r in records:
-        if isinstance(r, PostCreation):
-            authors[r.post] = r.author
-        else:
-            key = (r.t, r.agent)
-            author = authors[r.post]
-            algo = author not in follows.get(r.agent, frozenset())
-            counts[key] = counts.get(key, 0) + (1 if algo else 0)
-    if not counts:
+    log = as_cell_log(records)
+    e = log.exposures
+    if len(e) == 0:
         return LoadAudit(n_activations=0, mean=None, min=None, max=None, flagged=True)
-    values = list(counts.values())
+    created = log.creation_of()
+    if (created < 0).any():
+        raise ValueError(f"post {e.post[created < 0][0]} is shown before any row creates it")
+    author = log.creations.author[created]
+
+    if isinstance(follows_of, FollowGraph):
+        pairs = follows_of.edges()
+    else:
+        pairs = [(a, b) for a, followees in follows_of.items() for b in followees]
+    # Agent ids and times as dense indices, so that a pair of them codes into
+    # one int64 without overflow: (viewer, author) for the follow test, and
+    # (t, agent) for the activation.
+    ids = np.unique(np.concatenate([e.agent, author, np.array(pairs, dtype=np.int64).ravel()]), return_inverse=True)[1]
+    n, width = len(e), ids.max() + 1
+    viewer, owner, follows = ids[:n], ids[n : 2 * n], ids[2 * n :].reshape(-1, 2)
+    followed = np.isin(viewer * width + owner, follows[:, 0] * width + follows[:, 1])
+    activation = np.unique(np.unique(e.t, return_inverse=True)[1] * width + viewer, return_inverse=True)[1]
+    counts = np.bincount(activation[~followed], minlength=activation.max() + 1)
     return LoadAudit(
-        n_activations=len(values),
-        mean=sum(values) / len(values),
-        min=min(values),
-        max=max(values),
+        n_activations=counts.size,
+        mean=int(counts.sum()) / counts.size,
+        min=int(counts.min()),
+        max=int(counts.max()),
     )
 
 
@@ -366,19 +429,16 @@ class CellShares:
     shares: dict[str, float]
 
 
-def descriptive_shares(records: Iterable[ExposureRecord | PostCreation]) -> CellShares:
-    counts = {a.value: 0 for a in ActionKind}
-    n = 0
-    for r in records:
-        if isinstance(r, ExposureRecord):
-            counts[r.action.value] += 1
-            n += 1
+def descriptive_shares(records: CellLog | Iterable[ExposureRecord | PostCreation]) -> CellShares:
+    actions = as_cell_log(records).exposures.action
+    n = actions.size
+    counts = {a.value: int(c) for a, c in zip(ACTIONS, np.bincount(actions, minlength=len(ACTIONS)))}
     shares = {k: (v / n if n else 0.0) for k, v in counts.items()}
     return CellShares(n_records=n, counts=counts, shares=shares)
 
 
 def experiment_report(
-    per_cell: Mapping[str, list],
+    per_cell: Mapping[str, CellLog | list],
     follows_of: Mapping[int, frozenset[int]] | FollowGraph,
 ) -> dict[str, dict]:
     """Both audits for every cell, keyed by cell name."""

@@ -24,15 +24,18 @@ from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp
-from scipy.stats import norm as _norm
+from scipy.special import expit, logsumexp, ndtr
 
 from .core import (
+    ACTIONS,
+    LOADS,
+    NORMS,
     ActionKind,
+    CellLog,
     ExposureRecord,
     LoadLevel,
     NormRegime,
-    popularity_composite,
+    as_cell_log,
 )
 
 # ---------------------------------------------------------------------------
@@ -46,6 +49,10 @@ _NORM_SHORT = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT
 
 ALLOCATION_ACTIONS = (ActionKind.LIKE, ActionKind.REPOST, ActionKind.QUOTE)
 ALLOCATION_EQUATIONS = ("repost_vs_like", "quote_vs_like")
+
+# Per action code (ACTIONS order): engaged or not, and the allocation outcome (-1 for a read).
+_ENGAGED = np.array([a.is_engagement for a in ACTIONS])
+_ALLOCATION_Y = np.array([ALLOCATION_ACTIONS.index(a) if a.is_engagement else -1 for a in ACTIONS], dtype=np.int64)
 
 
 def design_columns() -> list[str]:
@@ -83,38 +90,34 @@ def design_row(composite: float, load: LoadLevel, norm: NormRegime) -> np.ndarra
 
 
 def build_design_matrix(
-    records: Iterable[ExposureRecord],
+    records: CellLog | Iterable[ExposureRecord],
     stage: Literal["threshold", "allocation"],
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Assemble (X, column names, y) from exposure records.
+    """Assemble (X, column names, y) from a log's exposure rows.
 
-    Threshold stage: every record, y = 1 for any engagement.
-    Allocation stage: engaged records only, y in {0: like, 1: repost, 2: quote}.
+    Threshold stage: every row, y = 1 for any engagement.
+    Allocation stage: engaged rows only, y in {0: like, 1: repost, 2: quote}.
     """
-    comp: list[float] = []
-    loads: list[LoadLevel] = []
-    norms: list[NormRegime] = []
-    ys: list[int] = []
-    for r in records:
-        if stage == "allocation":
-            if not r.action.is_engagement:
-                continue
-            ys.append(ALLOCATION_ACTIONS.index(r.action))
-        else:
-            ys.append(1 if r.action.is_engagement else 0)
-        comp.append(popularity_composite(r.likes, r.reshares))
-        loads.append(r.load)
-        norms.append(r.norm)
-    if not ys:
+    e = as_cell_log(records).exposures
+    total = e.likes + e.reshares
+    if stage == "allocation":
+        rows = _ENGAGED[e.action]
+        load, norm, total, y = e.load[rows], e.norm[rows], total[rows], _ALLOCATION_Y[e.action[rows]]
+    else:
+        load, norm, y = e.load, e.norm, _ENGAGED[e.action].astype(np.int64)
+    n = y.size
+    if not n:
         raise ValueError(f"no usable records for stage {stage!r}")
 
-    n = len(ys)
-    c = np.asarray(comp, dtype=np.float64)
+    # popularity_composite per distinct likes + reshares; math.log1p, not
+    # np.log1p, whose results can differ in the last bit
+    distinct, inverse = np.unique(total, return_inverse=True)
+    c = np.asarray([math.log1p(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
     X = np.zeros((n, N_COLUMNS), dtype=np.float64)
     X[:, 0] = 1.0
     X[:, 1] = c
-    load_cols = {lv: np.fromiter((1.0 if l is lv else 0.0 for l in loads), dtype=np.float64, count=n) for lv in _LOAD_DUMMIES}
-    norm_cols = {nr: np.fromiter((1.0 if m is nr else 0.0 for m in norms), dtype=np.float64, count=n) for nr in _NORM_DUMMIES}
+    load_cols = {lv: (load == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
+    norm_cols = {nr: (norm == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
     j = 2
     for lv in _LOAD_DUMMIES:
         X[:, j] = load_cols[lv]
@@ -137,7 +140,7 @@ def build_design_matrix(
             X[:, j] = c * load_cols[lv] * norm_cols[nr]
             j += 1
     assert j == N_COLUMNS
-    return X, list(DESIGN_COLUMNS), np.asarray(ys, dtype=np.int64)
+    return X, list(DESIGN_COLUMNS), y
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ class FittedModel:
     def p_values(self) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.abs(self.coef / self.se)
-        return 2.0 * _norm.sf(z)
+        return 2.0 * ndtr(-z)
 
     def coefficient_rows(self) -> list[dict]:
         """Flat per-coefficient rows: term, B, SE, OR, p, converged."""
@@ -771,7 +774,7 @@ def table_consistency_check(
         or_ok = abs(exp_b - or_) <= max(rel_tol * or_, abs_tol)
         wald_ok = True
         if p == "<.001":
-            wald_ok = 2.0 * _norm.sf(abs(b / se)) < 0.001
+            wald_ok = 2.0 * ndtr(-abs(b / se)) < 0.001
         rows.append(
             {
                 "table": table,

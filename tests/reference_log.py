@@ -1,0 +1,164 @@
+"""Reference event-log code: the record-based paths the columnar ones must match.
+
+Records go to and from plain dicts, one ``json.dumps``/``json.loads`` per
+line, and the design, the load audit and the action shares are computed by
+a loop over ExposureRecord/PostCreation objects. Nothing here reads a
+CellLog or any numpy column.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Iterable, Mapping
+
+import numpy as np
+
+from socialsim.core import (
+    ActionKind,
+    ExposureRecord,
+    LoadLevel,
+    NormRegime,
+    PostCreation,
+    PostKind,
+    popularity_composite,
+)
+from socialsim.harness import CellShares, LoadAudit
+from socialsim.population import FollowGraph
+from socialsim.stats import ALLOCATION_ACTIONS, DESIGN_COLUMNS, N_COLUMNS, _LOAD_DUMMIES, _NORM_DUMMIES
+
+
+def record_to_obj(record: ExposureRecord | PostCreation) -> dict:
+    if isinstance(record, ExposureRecord):
+        return {
+            "run": record.run,
+            "load": record.load.value,
+            "norm": record.norm.value,
+            "t": record.t,
+            "agent": record.agent,
+            "post": record.post,
+            "likes": record.likes,
+            "reshares": record.reshares,
+            "action": record.action.value,
+        }
+    return {
+        "kind": record.kind.value,
+        "post": record.post,
+        "author": record.author,
+        "source": record.source,
+        "t": record.t,
+    }
+
+
+def obj_to_record(obj: Mapping) -> ExposureRecord | PostCreation:
+    if "action" in obj:
+        return ExposureRecord(
+            run=int(obj["run"]),
+            load=LoadLevel(obj["load"]),
+            norm=NormRegime(obj["norm"]),
+            t=int(obj["t"]),
+            agent=int(obj["agent"]),
+            post=int(obj["post"]),
+            likes=int(obj["likes"]),
+            reshares=int(obj["reshares"]),
+            action=ActionKind(obj["action"]),
+        )
+    return PostCreation(
+        post=int(obj["post"]),
+        kind=PostKind(obj["kind"]),
+        author=int(obj["author"]),
+        source=obj["source"] if obj["source"] is None else int(obj["source"]),
+        t=int(obj["t"]),
+    )
+
+
+def reference_log_to_lines(records: Iterable[ExposureRecord | PostCreation]) -> list[str]:
+    return [json.dumps(record_to_obj(r), separators=(",", ":"), ensure_ascii=False) for r in records]
+
+
+def reference_read_log(path: str | Path) -> list[ExposureRecord | PostCreation]:
+    records = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            records.append(obj_to_record(json.loads(line)))
+    return records
+
+
+def reference_build_design_matrix(records: Iterable[ExposureRecord], stage: str):
+    comp, loads, norms, ys = [], [], [], []
+    for r in records:
+        if stage == "allocation":
+            if not r.action.is_engagement:
+                continue
+            ys.append(ALLOCATION_ACTIONS.index(r.action))
+        else:
+            ys.append(1 if r.action.is_engagement else 0)
+        comp.append(popularity_composite(r.likes, r.reshares))
+        loads.append(r.load)
+        norms.append(r.norm)
+    if not ys:
+        raise ValueError(f"no usable records for stage {stage!r}")
+
+    n = len(ys)
+    c = np.asarray(comp, dtype=np.float64)
+    X = np.zeros((n, N_COLUMNS), dtype=np.float64)
+    X[:, 0] = 1.0
+    X[:, 1] = c
+    load_cols = {lv: np.fromiter((1.0 if l is lv else 0.0 for l in loads), dtype=np.float64, count=n) for lv in _LOAD_DUMMIES}
+    norm_cols = {nr: np.fromiter((1.0 if m is nr else 0.0 for m in norms), dtype=np.float64, count=n) for nr in _NORM_DUMMIES}
+    j = 2
+    for lv in _LOAD_DUMMIES:
+        X[:, j] = load_cols[lv]
+        j += 1
+    for nr in _NORM_DUMMIES:
+        X[:, j] = norm_cols[nr]
+        j += 1
+    for lv in _LOAD_DUMMIES:
+        X[:, j] = c * load_cols[lv]
+        j += 1
+    for nr in _NORM_DUMMIES:
+        X[:, j] = c * norm_cols[nr]
+        j += 1
+    for nr in _NORM_DUMMIES:
+        for lv in _LOAD_DUMMIES:
+            X[:, j] = load_cols[lv] * norm_cols[nr]
+            j += 1
+    for nr in _NORM_DUMMIES:
+        for lv in _LOAD_DUMMIES:
+            X[:, j] = c * load_cols[lv] * norm_cols[nr]
+            j += 1
+    return X, list(DESIGN_COLUMNS), np.asarray(ys, dtype=np.int64)
+
+
+def reference_realized_load_audit(
+    records: Iterable[ExposureRecord | PostCreation],
+    follows_of: Mapping[int, frozenset[int]] | FollowGraph,
+) -> LoadAudit:
+    if isinstance(follows_of, FollowGraph):
+        follows = {a: follows_of.follows_of(a) for a in follows_of.agents()}
+    else:
+        follows = follows_of
+    authors: dict[int, int] = {}
+    counts: dict[tuple[int, int], int] = {}
+    for r in records:
+        if isinstance(r, PostCreation):
+            authors[r.post] = r.author
+        else:
+            key = (r.t, r.agent)
+            algo = authors[r.post] not in follows.get(r.agent, frozenset())
+            counts[key] = counts.get(key, 0) + (1 if algo else 0)
+    if not counts:
+        return LoadAudit(n_activations=0, mean=None, min=None, max=None, flagged=True)
+    values = list(counts.values())
+    return LoadAudit(n_activations=len(values), mean=sum(values) / len(values), min=min(values), max=max(values))
+
+
+def reference_descriptive_shares(records: Iterable[ExposureRecord | PostCreation]) -> CellShares:
+    counts = {a.value: 0 for a in ActionKind}
+    n = 0
+    for r in records:
+        if isinstance(r, ExposureRecord):
+            counts[r.action.value] += 1
+            n += 1
+    shares = {k: (v / n if n else 0.0) for k, v in counts.items()}
+    return CellShares(n_records=n, counts=counts, shares=shares)

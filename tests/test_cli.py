@@ -78,6 +78,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("replications", [0, -2])
+    def test_non_positive_replications_exit_2_before_any_cell(self, plan_file, tmp_path, replications):
+        bad = tmp_path / "no_reps.json"
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), "replications": replications}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2
 
@@ -124,6 +132,61 @@ class TestAnalyze:
                 total = sum(float(row[a]) for a in ("read", "like", "repost", "quote"))
                 # file values carry six decimals, so allow their rounding error
                 assert total == pytest.approx(1.0, abs=2e-6)
+
+
+def _corrupt_first_exposure(run_dir: Path, edit, *, update_manifest: bool = True) -> tuple[str, int]:
+    """Rewrite the first exposure row of the first cell's log; returns (file name, 1-based line)."""
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    cell = manifest["cells"][0]
+    path = run_dir / "logs" / cell["file"]
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"action"' in line)
+    lines[i] = edit(json.loads(lines[i]))
+    payload = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(payload)
+    if update_manifest:
+        cell["sha256"] = hashlib.sha256(payload).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+    return cell["file"], i + 1
+
+
+class TestAnalyzeMalformedLogs:
+    """A bad log makes analyze exit 2 with one line on stderr naming the file (and the line)."""
+
+    def _analyze(self, run_dir, tmp_path, capsys) -> tuple[int, list[str]]:
+        capsys.readouterr()
+        rc = main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis")])
+        return rc, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda obj: json.dumps(obj)[:-1], id="invalid_json"),
+            pytest.param(lambda obj: json.dumps({k: v for k, v in obj.items() if k != "likes"}), id="missing_key"),
+            pytest.param(lambda obj: json.dumps({**obj, "action": "destroy"}), id="unknown_value"),
+            pytest.param(lambda obj: json.dumps({**obj, "reshares": -1}), id="negative_counter"),
+            pytest.param(lambda obj: json.dumps({**obj, "post": 10**9}), id="uncreated_post"),
+        ],
+    )
+    def test_bad_row_exits_2(self, run_dir, tmp_path, capsys, edit):
+        name, line = _corrupt_first_exposure(run_dir, edit)
+        rc, err = self._analyze(run_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and name in err[0] and f"line {line}:" in err[0]
+
+    @pytest.mark.parametrize("manifest", ['{"cells": [', '{"cells": [{"status": "ok", "file": "x.jsonl"}]}', "[]"])
+    def test_bad_manifest_exits_2(self, run_dir, tmp_path, capsys, manifest):
+        (run_dir / "manifest.json").write_text(manifest)
+        rc, err = self._analyze(run_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and "manifest.json: not a valid manifest" in err[0]
+
+    def test_digest_mismatch_exits_2(self, run_dir, tmp_path, capsys):
+        name, _ = _corrupt_first_exposure(run_dir, lambda obj: json.dumps({**obj, "likes": obj["likes"] + 1}), update_manifest=False)
+        rc, err = self._analyze(run_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and name in err[0] and "SHA-256" in err[0]
 
 
 class TestReport:

@@ -1,0 +1,167 @@
+"""The columnar event-log path against the record-based reference in reference_log.py."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_log import (
+    record_to_obj,
+    reference_build_design_matrix,
+    reference_descriptive_shares,
+    reference_log_to_lines,
+    reference_read_log,
+    reference_realized_load_audit,
+)
+from socialsim.core import (
+    CREATION_KEYS,
+    EXPOSURE_KEYS,
+    ActionKind,
+    CellLog,
+    ExposureRecord,
+    LoadLevel,
+    NormRegime,
+    PostCreation,
+    PostKind,
+    RunConfig,
+)
+from socialsim.engine import run
+from socialsim.harness import descriptive_shares, log_to_lines, read_log, realized_load_audit, write_log
+from socialsim.policy import build_policy, mock_policy_spec
+from socialsim.stats import build_design_matrix
+
+# Heavy-tailed counters: mostly small, sometimes huge.
+COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.sampled_from([10**k for k in range(10)]))
+SEPARATORS = [(",", ":"), (", ", ": "), (" , ", " :  "), (",\t", ":")]
+
+
+@st.composite
+def cell_logs(draw):
+    """An interleaved record list whose exposures only show posts created earlier."""
+    n_agents = draw(st.integers(1, 6))
+    engagements = draw(st.booleans())  # False: a cell with no engagements
+    first_post = draw(st.integers(0, 1000))
+    posts: list[int] = []
+    records = []
+    for _ in range(draw(st.integers(0, 40))):
+        if not posts or draw(st.integers(0, 3)) == 0:
+            kind = PostKind.SEED if not posts else draw(st.sampled_from(list(PostKind)))
+            post = first_post + len(posts)
+            records.append(
+                PostCreation(
+                    post=post,
+                    kind=kind,
+                    author=draw(st.integers(0, n_agents - 1)),
+                    source=None if kind is PostKind.SEED else draw(st.sampled_from(posts)),
+                    t=draw(st.integers(0, 500)),
+                )
+            )
+            posts.append(post)
+        else:
+            records.append(
+                ExposureRecord(
+                    run=draw(st.integers(0, 2**63 - 1)),
+                    load=draw(st.sampled_from(list(LoadLevel))),
+                    norm=draw(st.sampled_from(list(NormRegime))),
+                    t=draw(st.integers(0, 5)),
+                    agent=draw(st.integers(0, n_agents - 1)),
+                    post=draw(st.sampled_from(posts)),
+                    likes=draw(COUNTS),
+                    reshares=draw(COUNTS),
+                    action=draw(st.sampled_from(list(ActionKind))) if engagements else ActionKind.READ,
+                )
+            )
+    follows = {
+        a: frozenset(draw(st.sets(st.integers(0, n_agents - 1).filter(lambda b, a=a: b != a))))
+        for a in range(n_agents)
+    }
+    return records, follows
+
+
+def render(records, data) -> str:
+    """The log as JSONL with shuffled keys, varied spacing and stray blank lines."""
+    lines = []
+    for r in records:
+        obj = record_to_obj(r)
+        keys = data.draw(st.permutations(list(obj)))
+        pad = data.draw(st.sampled_from(["", " ", "\t"]))
+        text = json.dumps({k: obj[k] for k in keys}, separators=data.draw(st.sampled_from(SEPARATORS)))
+        lines.append(pad + text + pad)
+        if data.draw(st.integers(0, 9)) == 0:
+            lines.append(data.draw(st.sampled_from(["", "  "])))
+    return "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+
+
+def _read(text: str) -> tuple[CellLog, list]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cell.jsonl"
+        path.write_text(text, encoding="utf-8")
+        return read_log(path), reference_read_log(path)
+
+
+def _assert_same_design(log: CellLog, exposures: list[ExposureRecord]) -> None:
+    for stage in ("threshold", "allocation"):
+        try:
+            X_ref, names_ref, y_ref = reference_build_design_matrix(exposures, stage)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_design_matrix(log, stage)
+            continue
+        X, names, y = build_design_matrix(log, stage)
+        assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+        assert names == names_ref
+        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=cell_logs(), data=st.data())
+def test_columnar_path_matches_reference(cell, data):
+    records, follows = cell
+    log, reference = _read(render(records, data))
+    assert reference == records
+    assert len(log) == len(records)
+    assert log.records() == records
+    _assert_same_design(log, [r for r in records if isinstance(r, ExposureRecord)])
+    assert realized_load_audit(log, follows) == reference_realized_load_audit(records, follows)
+    assert descriptive_shares(log) == reference_descriptive_shares(records)
+    assert log_to_lines(records) == reference_log_to_lines(records)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cells=st.lists(cell_logs(), min_size=0, max_size=3))
+def test_concatenated_design_matches_reference(cells):
+    logs = [CellLog.from_records(records) for records, _ in cells]
+    exposures = [r for records, _ in cells for r in records if isinstance(r, ExposureRecord)]
+    joined = CellLog.concat(logs)
+    assert len(joined) == sum(len(records) for records, _ in cells)
+    assert joined.records() == [r for records, _ in cells for r in records]
+    _assert_same_design(joined, exposures)
+
+
+def test_read_log_equals_from_records_of_an_engine_run(small_population, small_corpus, tmp_path):
+    profiles, graph = small_population
+    cfg = RunConfig(seed=3, load=LoadLevel.MEDIUM, norm=NormRegime.REPOST_DOMINANT, n_agents=40, timesteps=40, activation_p=0.2)
+    records = run(cfg, build_policy(mock_policy_spec(), cfg.load, cfg.norm), profiles, graph, small_corpus).records
+    write_log(records, tmp_path / "cell.jsonl")
+    read, built = read_log(tmp_path / "cell.jsonl"), CellLog.from_records(records)
+    assert np.array_equal(read.is_exposure, built.is_exposure)
+    for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
+        for k in keys:
+            a, b = getattr(getattr(read, part), k), getattr(getattr(built, part), k)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (part, k)
+    assert len(read.creations) > 0 and len(read.exposures) > 0
+
+
+def test_empty_log(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n")
+    log = read_log(path)
+    assert len(log) == 0 and log.records() == []
+    assert realized_load_audit(log, {}).flagged
+    assert descriptive_shares(log).n_records == 0
+    with pytest.raises(ValueError):
+        build_design_matrix(log, "threshold")

@@ -8,6 +8,7 @@ from socialsim.core import (
     ActionKind,
     ConfigurationError,
     ExposureRecord,
+    FormatError,
     LoadLevel,
     NormRegime,
     PostCreation,
@@ -70,8 +71,7 @@ class TestLogSerialization:
         ]
         path = tmp_path / "log.jsonl"
         digest = write_log(records, path)
-        loaded = read_log(path)
-        assert loaded == records
+        assert read_log(path).records() == records
         assert digest == log_digest(records)
 
     def test_jsonl_keys(self, tmp_path):
@@ -85,6 +85,62 @@ class TestLogSerialization:
         write_log(records, path)
         obj = json.loads(path.read_text().splitlines()[0])
         assert list(obj) == ["run", "load", "norm", "t", "agent", "post", "likes", "reshares", "action"]
+
+
+_SEED_ROW = '{"kind":"seed","post":0,"author":1,"source":null,"t":0}'
+_READ_ROW = '{"run":1,"load":"low","norm":"no_norm","t":2,"agent":0,"post":0,"likes":1,"reshares":0,"action":"read"}'
+
+
+def _exposure_row(**changes) -> str:
+    obj = {**json.loads(_READ_ROW), **changes}
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+class TestReadLogErrors:
+    """A bad row raises FormatError naming the file and its 1-based line (blank lines count)."""
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ('{"run":1,"load":"low"', "invalid JSON"),
+            ("[1, 2]", "not a JSON object"),
+            (_exposure_row(likes=None), "missing key 'likes'"),
+            ('{"kind":"seed","post":5,"author":1,"t":0}', "missing key 'source'"),
+            (_exposure_row(load="enormous"), "unknown load 'enormous'"),
+            (_exposure_row(norm="loud"), "unknown norm 'loud'"),
+            (_exposure_row(action="destroy"), "unknown action 'destroy'"),
+            ('{"kind":"boost","post":5,"author":1,"source":null,"t":0}', "unknown kind 'boost'"),
+            (_exposure_row(likes=-1), "negative likes count"),
+            (_exposure_row(reshares=-4), "negative reshares count"),
+            (_exposure_row(likes=2**62), "likes count too large"),
+            (_exposure_row(agent="x"), "agent must be an integer"),
+            (_exposure_row(post=7), "exposure of post 7 before any row creates it"),
+            (_SEED_ROW, "post 0 created twice"),
+        ],
+    )
+    def test_bad_row_named_by_line(self, tmp_path, bad, reason):
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join([_SEED_ROW, "", _READ_ROW, bad, _READ_ROW]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value).startswith(f"{path}, line 4: {reason}")
+        assert "\n" not in str(exc.value)
+
+    def test_exposure_before_its_creation_row(self, tmp_path):
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join([_READ_ROW, _SEED_ROW]) + "\n")
+        with pytest.raises(FormatError, match="line 1: exposure of post 0"):
+            read_log(path)
+
+    def test_digest_mismatch_names_the_cell(self, small_inputs, tmp_path):
+        profiles, graph, corpus = small_inputs
+        manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
+        load_experiment(tmp_path)  # intact logs pass the digest check
+        cell = manifest["cells"][3]["file"]
+        path = tmp_path / "logs" / cell
+        path.write_bytes(path.read_bytes().replace(b'"likes":0', b'"likes":1', 1))
+        with pytest.raises(FormatError, match=f"{cell}: SHA-256 differs"):
+            load_experiment(tmp_path)
 
 
 class TestPlan:
@@ -106,6 +162,11 @@ class TestPlan:
         for key, value in (("history_window", 0), ("activation_p", 1.5), ("timesteps", 0)):
             with pytest.raises(ConfigurationError):
                 ExperimentPlan.from_obj({**obj, key: value})
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_replications_must_be_positive(self, replications):
+        with pytest.raises(ConfigurationError, match="replications"):
+            ExperimentPlan.from_obj({**_tiny_plan().to_obj(), "replications": replications})
 
 
 class TestRunExperiment:
@@ -130,7 +191,7 @@ class TestRunExperiment:
         profiles, graph, corpus = small_inputs
         manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
         for cell in manifest["cells"]:
-            assert log_digest(read_log(tmp_path / "logs" / cell["file"])) == cell["sha256"]
+            assert log_digest(read_log(tmp_path / "logs" / cell["file"]).records()) == cell["sha256"]
 
     def test_cell_filter(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
@@ -179,8 +240,8 @@ class TestRunExperiment:
         manifest = run_experiment(plan, profiles, graph, corpus, tmp_path)
         assert [c["status"] for c in manifest["cells"]] == ["ok"] * 12
         _, per_cell = load_experiment(tmp_path)
-        for records in per_cell.values():
-            likes = Counter(r.agent for r in records if isinstance(r, ExposureRecord) and r.action is ActionKind.LIKE)
+        for log in per_cell.values():
+            likes = Counter(r.agent for r in log.records() if isinstance(r, ExposureRecord) and r.action is ActionKind.LIKE)
             assert max(likes.values()) > 8
 
     def test_parallel_equals_serial(self, small_inputs, tmp_path):

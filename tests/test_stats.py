@@ -339,6 +339,34 @@ class TestOddsRatiosAndPValues:
         )
         assert m.p_values()[0, 0] == pytest.approx(0.05, abs=1e-3)
 
+    def test_p_values_equal_normal_survival_function(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(8)
+        coef = np.concatenate([rng.standard_cauchy(5000), [0.0, 1.0, -1.0, np.inf, np.nan, 0.0]])
+        se = np.concatenate([rng.uniform(0.01, 3.0, 5000), [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
+        m = FittedModel(
+            stage="threshold", terms=[f"x{j}" for j in range(coef.size)], equations=["engage"],
+            coef=coef.reshape(1, -1), se=se.reshape(1, -1), cov=np.eye(coef.size),
+            ll_full=-1.0, ll_null=-2.0, k_null=1, n_obs=10, n_iter=1, converged=True,
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = 2.0 * norm.sf(np.abs(coef / se))
+        assert np.array_equal(m.p_values()[0], want, equal_nan=True)
+
+    def test_cli_import_skips_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import socialsim
+
+        src = str(Path(socialsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, socialsim.cli; sys.exit(2 if 'scipy.stats' in sys.modules else 0)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 class TestTableConsistency:
     def test_all_rows_pass(self):
