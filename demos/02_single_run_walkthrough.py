@@ -4,8 +4,9 @@ Each run is a 480-step day at 3 minutes per step; here we use 120 steps and
 80 agents so the script finishes in about a second. Agents activate with
 fixed probability, get a feed of 3 followed posts plus an algorithmic batch
 sized by the load condition, and either read everything or engage exactly
-one post. Every feed slot becomes one exposure record carrying the
-popularity counts the agent actually saw.
+one post. Every feed slot becomes one exposure row carrying the
+popularity counts the agent actually saw; the run returns them as numpy
+columns (a CellLog).
 """
 
 from collections import Counter
@@ -17,14 +18,15 @@ from socialsim import (
     RunConfig,
     build_policy,
     build_prompt,
+    descriptive_shares,
     generate_population,
     generate_seed_corpus,
+    initialize,
     mock_policy_spec,
     recount_counters,
     run,
     select_feed,
 )
-from socialsim.engine import EventLog, initialize
 
 profiles, graph = generate_population(80, seed=3)
 corpus = generate_seed_corpus(seed=3, size=50)
@@ -38,13 +40,12 @@ cfg = RunConfig(
 )
 
 # peek at what an activated agent would see before running anything
-world = initialize(profiles, graph, corpus, cfg, EventLog())
+world = initialize(profiles, graph, corpus, cfg)
 feed = select_feed(21, world, cfg.load, cfg)
 print(f"agent 21's feed under {cfg.load.value} load: {len(feed)} posts "
-      f"({sum(e.slot == 'followed' for e in feed)} followed + "
-      f"{sum(e.slot == 'algorithmic' for e in feed)} algorithmic)")
+      f"({feed.n_followed} followed + {len(feed) - feed.n_followed} algorithmic)")
 
-context = DecisionContext(feed=tuple(feed), profile=world.profiles[21], history=(), regime=cfg.norm)
+context = DecisionContext(feed=feed, profile=world.profiles[21], history=(), regime=cfg.norm)
 prompt = build_prompt(context)
 print("\nprompt an LLM-backed policy would receive (first 5 lines):")
 for line in prompt.splitlines()[:5]:
@@ -53,17 +54,16 @@ for line in prompt.splitlines()[:5]:
 # now the actual run, with the offline parametric policy
 policy = build_policy(mock_policy_spec(), cfg.load, cfg.norm)
 log = run(cfg, policy, profiles, graph, corpus)
-exposures = log.exposures()
-actions = Counter(r.action.value for r in exposures)
-print(f"\nrun complete: {len(exposures)} exposure records, "
-      f"{len({(r.t, r.agent) for r in exposures})} activations")
-print(f"action mix: {dict(actions)}")
+e = log.exposures  # one numpy array per field; action holds codes, 0 = read
+print(f"\nrun complete: {len(e)} exposure rows, "
+      f"{len(set(zip(e.t.tolist(), e.agent.tolist())))} activations")
+print(f"action mix: {descriptive_shares(log).counts}")
 
-popular = Counter(r.post for r in exposures if r.action.is_engagement).most_common(3)
+popular = Counter(e.post[e.action != 0].tolist()).most_common(3)
 print("most-engaged posts:", popular)
 
 # the log alone reconstructs every counter (the engine's bookkeeping oracle)
-recount = recount_counters(log.records)
+recount = recount_counters(log.records())
 total = sum(c.likes + c.reshares for c in recount.values())
 print(f"cumulative engagement recounted from the log: {total}")
 print(f"new posts created by reshares: {len(recount) - 50}")

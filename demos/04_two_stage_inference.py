@@ -11,6 +11,7 @@ acceptance suite does the same at full scale with tighter bookkeeping.
 import numpy as np
 
 from socialsim import (
+    CellLog,
     ParametricLogitSpec,
     RunConfig,
     build_design_matrix,
@@ -44,17 +45,18 @@ spec = ParametricLogitSpec(
 profiles, graph = generate_population(200, seed=9)
 corpus = generate_seed_corpus(seed=9)
 
-exposures = []
+cells = []
 for load in ALL_LOADS:
     for norm in ALL_NORMS:
         cfg = RunConfig(seed=cell_seed(71, load, norm, 0), load=load, norm=norm,
                         n_agents=200, timesteps=240, activation_p=0.02)
         policy = build_policy(spec, load, norm)
-        exposures.extend(run(cfg, policy, profiles, graph, corpus).exposures())
+        cells.append(run(cfg, policy, profiles, graph, corpus))
+log = CellLog.concat(cells)
 
-print(f"simulated {len(exposures)} exposure rows across 12 cells")
+print(f"simulated {len(log.exposures)} exposure rows across 12 cells")
 
-X, terms, y = build_design_matrix(exposures, "threshold")
+X, terms, y = build_design_matrix(log, "threshold")
 threshold_fit = fit_binary_logistic(X, y, terms=terms)
 m = threshold_fit.metrics
 print(f"\nthreshold model: n={threshold_fit.n_obs}, converged={threshold_fit.converged}, "
@@ -64,7 +66,7 @@ for j, term in enumerate(terms[:7]):
     print(f"{term:<24} {threshold_true[term]:>7.2f} {threshold_fit.coef[0, j]:>7.2f} "
           f"{threshold_fit.se[0, j]:>6.3f} {np.exp(threshold_fit.coef[0, j]):>7.3f}")
 
-Xa, terms_a, ya = build_design_matrix(exposures, "allocation")
+Xa, terms_a, ya = build_design_matrix(log, "allocation")
 allocation_fit = fit_multinomial_logistic(Xa, ya, terms=terms_a)
 print(f"\nallocation model: n={allocation_fit.n_obs} engaged rows, converged={allocation_fit.converged}")
 for e, eq in enumerate(allocation_fit.equations):

@@ -14,7 +14,7 @@ from .core import (
     RunConfig,
     popularity_composite,
 )
-from .engine import EventLog, WorldState, initialize, recount_counters, run, step
+from .engine import LogBuilder, WorldState, initialize, recount_counters, run, step
 from .harness import (
     ExperimentPlan,
     cell_seed,
@@ -51,7 +51,7 @@ from .population import (
     save_population,
     top_influencers,
 )
-from .recommender import FeedEntry, realized_algorithmic_count, score_post, select_feed
+from .recommender import Feed, FeedEntry, realized_algorithmic_count, score_post, select_feed
 from .stats import (
     FittedModel,
     Scenario,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -100,7 +100,11 @@ class PostKind(Enum):
 
 @dataclass(slots=True)
 class PopularityCounters:
-    """Cumulative engagement tallies for one post. Mutated only by the engine."""
+    """One post's cumulative engagement tallies, as a snapshot.
+
+    The engine keeps the live tallies in WorldState's per-post arrays;
+    ``WorldState.counters`` and ``recount_counters`` return these.
+    """
 
     likes: int = 0
     reposts: int = 0
@@ -110,9 +114,6 @@ class PopularityCounters:
     def reshares(self) -> int:
         """Combined redistribution count: reposts plus quotes, reported as one number."""
         return self.reposts + self.quotes
-
-    def copy(self) -> "PopularityCounters":
-        return PopularityCounters(self.likes, self.reposts, self.quotes)
 
 
 def popularity_composite(likes: int, reshares: int) -> float:
@@ -135,7 +136,6 @@ class Post:
     kind: PostKind
     source_link: PostId | None
     created_at: int
-    counters: PopularityCounters = field(default_factory=PopularityCounters)
 
     def __post_init__(self) -> None:
         if self.kind is PostKind.SEED and self.source_link is not None:
@@ -293,7 +293,7 @@ class CellLog:
 
     @classmethod
     def from_records(cls, records: Iterable[ExposureRecord | PostCreation]) -> "CellLog":
-        """The columns of an interleaved record list (an EventLog, or records built by hand)."""
+        """The columns of an interleaved ExposureRecord/PostCreation list."""
         records = list(records)
         is_exposure = [isinstance(r, ExposureRecord) for r in records]
         exposures = [r for r, e in zip(records, is_exposure) if e]

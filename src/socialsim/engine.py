@@ -4,8 +4,13 @@ Each timestep draws one activation Bernoulli per agent, then processes the
 activated agents sequentially in ascending id order. Every activated agent
 gets a feed built against the current world state (so it sees all updates
 from earlier agents in the same timestep), one decision, one exposure
-record per feed slot, and any resulting repost/quote enters the post pool
+row per feed slot, and any resulting repost/quote enters the post pool
 immediately.
+
+The log is columnar from end to end: a feed is a few arrays (``Feed``), each
+activation appends them to a ``LogBuilder`` as one block of exposure rows,
+and ``run`` returns the finished ``CellLog``. No object is built per feed
+slot unless a policy iterates the feed (scripted and LLM policies do).
 
 Feed ranking reads array state that WorldState keeps next to its post list:
 per-post creation times and author rows, a follow matrix, and an agents x
@@ -22,14 +27,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (
+    ACTIONS,
+    LOADS,
+    NORMS,
+    POST_KINDS,
     ActionKind,
+    CellLog,
     ConfigurationError,
+    CreationColumns,
+    ExposureColumns,
     ExposureRecord,
     PopularityCounters,
     Post,
@@ -39,7 +50,7 @@ from .core import (
 )
 from .policy import DecisionContext, Policy, decide
 from .population import AgentProfile, FollowGraph
-from .recommender import content_tokens, select_feed
+from .recommender import Feed, content_tokens, select_feed
 
 _STREAM_ACTIVATION = 1
 _STREAM_DECISION = 2
@@ -50,26 +61,102 @@ def substream(seed: int, stream: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream, *keys)))
 
 
-@dataclass
-class EventLog:
-    """Append-only run log: exposure rows interleaved with post creations."""
+_ACTION_CODES = {a: i for i, a in enumerate(ACTIONS)}
+_KIND_CODES = {k: i for i, k in enumerate(POST_KINDS)}
 
-    records: list[ExposureRecord | PostCreation] = field(default_factory=list)
 
-    def append(self, record: ExposureRecord | PostCreation) -> None:
-        self.records.append(record)
+class LogBuilder:
+    """The write side of one run's CellLog, plus the run's deterministic counts.
 
-    def exposures(self) -> list[ExposureRecord]:
-        return [r for r in self.records if isinstance(r, ExposureRecord)]
+    Each activation appends its feed's columns as one block of exposure rows
+    (all read until ``engagement`` marks one); post creations are rows
+    between the blocks, in the order they happen. ``finish`` joins the
+    blocks into a CellLog. The counts are:
 
-    def creations(self) -> list[PostCreation]:
-        return [r for r in self.records if isinstance(r, PostCreation)]
+    * ``activations``: agents activated, whether or not their feed was empty;
+    * ``empty_feeds``: activations whose feed had no post (they log no row);
+    * ``backfilled_slots``: algorithmic slots beyond the load's quota, i.e. the
+      followed-pool shortfall filled from the algorithmic pool.
+    """
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def __init__(self, config: RunConfig):
+        self._config = config
+        self._algorithmic_count = config.load.algorithmic_count
+        self._posts: list[np.ndarray] = []  # per activation block
+        self._likes: list[np.ndarray] = []
+        self._reshares: list[np.ndarray] = []
+        self._block_t: list[int] = []
+        self._block_agent: list[int] = []
+        self._engaged_rows: list[int] = []
+        self._engaged_codes: list[int] = []
+        self._creations: list[tuple[int, int, int, int, int]] = []  # CREATION_KEYS order, source -1 for none
+        self._segments: list[int] = []  # per event in log order: block size, or 0 for a creation row
+        self._n_exposures = 0
+        self.activations = 0
+        self.empty_feeds = 0
+        self.backfilled_slots = 0
 
-    def __iter__(self):
-        return iter(self.records)
+    def creation(self, kind: PostKind, post: int, author: int, source: int | None, t: int) -> None:
+        self._creations.append((_KIND_CODES[kind], post, author, -1 if source is None else source, t))
+        self._segments.append(0)
+
+    def activation(self, t: int, agent: int, feed: Feed) -> int:
+        """Count one activation and log its feed as read rows; returns the block's first exposure row."""
+        start = self._n_exposures
+        self.activations += 1
+        n = len(feed)
+        if not n:
+            self.empty_feeds += 1
+            return start
+        self.backfilled_slots += max(0, n - feed.n_followed - self._algorithmic_count)
+        self._posts.append(feed.posts)
+        self._likes.append(feed.likes)
+        self._reshares.append(feed.reshares)
+        self._block_t.append(t)
+        self._block_agent.append(agent)
+        self._segments.append(n)
+        self._n_exposures += n
+        return start
+
+    def engagement(self, row: int, action: ActionKind) -> None:
+        """Set the action of exposure row ``row`` (read until now)."""
+        self._engaged_rows.append(row)
+        self._engaged_codes.append(_ACTION_CODES[action])
+
+    def counts(self) -> dict[str, int]:
+        return {
+            "activations": self.activations,
+            "empty_feeds": self.empty_feeds,
+            "backfilled_slots": self.backfilled_slots,
+        }
+
+    def finish(self) -> CellLog:
+        cfg, n = self._config, self._n_exposures
+        segments = np.array(self._segments, dtype=np.int64)
+        sizes = segments[segments > 0]
+
+        def joined(blocks: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+
+        action = np.zeros(n, dtype=np.int8)
+        action[self._engaged_rows] = self._engaged_codes
+        exposures = ExposureColumns(
+            run=np.full(n, cfg.seed, dtype=np.int64),
+            load=np.full(n, LOADS.index(cfg.load), dtype=np.int8),
+            norm=np.full(n, NORMS.index(cfg.norm), dtype=np.int8),
+            t=np.repeat(np.array(self._block_t, dtype=np.int64), sizes),
+            agent=np.repeat(np.array(self._block_agent, dtype=np.int64), sizes),
+            post=joined(self._posts),
+            likes=joined(self._likes),
+            reshares=joined(self._reshares),
+            action=action,
+        )
+        rows = np.array(self._creations, dtype=np.int64).reshape(-1, 5)
+        creations = CreationColumns(
+            kind=rows[:, 0].astype(np.int8), post=rows[:, 1], author=rows[:, 2], source=rows[:, 3], t=rows[:, 4]
+        )
+        is_exposure = np.repeat(segments > 0, np.maximum(segments, 1))
+        return CellLog(exposures, creations, is_exposure)
 
 
 class WorldState:
@@ -79,6 +166,8 @@ class WorldState:
     in profile order (``rows`` maps agent id to row); posts are columns, by id:
 
     * creation time and author row (``author_rows``): one int64 per post;
+    * ``likes``, ``reposts`` and ``quotes``: one int64 per post, the only copy
+      of the engagement counters (``counters`` gives one post's snapshot);
     * ``follows``: agents x agents bool, ``follows[r, c]`` when row r follows row c;
     * an agents x posts float64 relevance matrix holding the Jaccard overlap
       of each agent's keywords with each post's tokens. ``new_post`` fills
@@ -108,6 +197,7 @@ class WorldState:
         self._recency = np.ones(1)  # recency[age] = exp(-decay * age), grown on demand
         self._t_min = self._t_max = 0  # range of created_at over all posts
 
+        self.agent_ids = np.array(sorted(self.profiles), dtype=np.int64)  # activation order
         self.rows: dict[int, int] = {agent: r for r, agent in enumerate(self.profiles)}
         n = len(self.rows)
         self.follows = np.zeros((n, n), dtype=bool)
@@ -125,11 +215,33 @@ class WorldState:
         cap = self._INITIAL_CAPACITY
         self._created_at = np.zeros(cap, dtype=np.int64)
         self._author_rows = np.zeros(cap, dtype=np.int64)
+        self._likes = np.zeros(cap, dtype=np.int64)
+        self._reposts = np.zeros(cap, dtype=np.int64)
+        self._quotes = np.zeros(cap, dtype=np.int64)
         self._rel = np.zeros((n, cap))
 
     @property
     def author_rows(self) -> np.ndarray:
         return self._author_rows[: len(self.posts)]
+
+    # Views of the first len(posts) entries: writing to one writes the counter.
+    @property
+    def likes(self) -> np.ndarray:
+        return self._likes[: len(self.posts)]
+
+    @property
+    def reposts(self) -> np.ndarray:
+        return self._reposts[: len(self.posts)]
+
+    @property
+    def quotes(self) -> np.ndarray:
+        return self._quotes[: len(self.posts)]
+
+    def counters(self, post: int) -> PopularityCounters:
+        """Snapshot of one post's counters."""
+        if not 0 <= post < len(self.posts):
+            raise IndexError(f"no post {post}")
+        return PopularityCounters(int(self._likes[post]), int(self._reposts[post]), int(self._quotes[post]))
 
     def new_post(self, author: int, content: str, kind: PostKind, source: int | None, t: int) -> Post:
         pid = len(self.posts)
@@ -140,7 +252,6 @@ class WorldState:
             kind=kind,
             source_link=source,
             created_at=t,
-            counters=PopularityCounters(),
         )
         if author not in self.rows:
             raise ValueError(f"post author {author} is not an agent of this world")
@@ -168,7 +279,7 @@ class WorldState:
 
     def _grow(self) -> None:
         cap = 2 * self._rel.shape[1]
-        for name in ("_created_at", "_author_rows", "_rel"):
+        for name in ("_created_at", "_author_rows", "_likes", "_reposts", "_quotes", "_rel"):
             old = getattr(self, name)
             new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
             new[..., : old.shape[-1]] = old
@@ -197,9 +308,10 @@ class WorldState:
 
         payload = json.dumps(
             [
-                (p.id, p.author, p.kind.value, p.source_link, p.created_at,
-                 p.counters.likes, p.counters.reposts, p.counters.quotes)
-                for p in self.posts
+                (p.id, p.author, p.kind.value, p.source_link, p.created_at, likes, reposts, quotes)
+                for p, likes, reposts, quotes in zip(
+                    self.posts, self.likes.tolist(), self.reposts.tolist(), self.quotes.tolist()
+                )
             ]
         ).encode()
         return hashlib.sha256(payload).hexdigest()
@@ -210,7 +322,7 @@ def initialize(
     graph: FollowGraph,
     corpus: Sequence[str],
     config: RunConfig,
-    log: EventLog | None = None,
+    log: LogBuilder | None = None,
 ) -> WorldState:
     """Seed the world: corpus posts at t=0, authored round-robin by influencers.
 
@@ -228,63 +340,46 @@ def initialize(
         author = influencers[i % len(influencers)]
         post = world.new_post(author, body, PostKind.SEED, None, 0)
         if log is not None:
-            log.append(PostCreation(post=post.id, kind=PostKind.SEED, author=author, source=None, t=0))
+            log.creation(PostKind.SEED, post.id, author, None, 0)
     return world
 
 
-def step(world: WorldState, t: int, config: RunConfig, policy: Policy, log: EventLog) -> None:
+def step(world: WorldState, t: int, config: RunConfig, policy: Policy, log: LogBuilder) -> None:
     """Advance one timestep: activate, build feeds, decide, apply, log."""
     world.now = t
-    agent_ids = sorted(world.profiles)
-    draws = substream(config.seed, _STREAM_ACTIVATION, t).random(len(agent_ids))
-    for agent, u in zip(agent_ids, draws):
-        if u >= config.activation_p:
-            continue
+    draws = substream(config.seed, _STREAM_ACTIVATION, t).random(len(world.agent_ids))
+    for agent in world.agent_ids[draws < config.activation_p].tolist():
         feed = select_feed(agent, world, config.load, config)
+        start = log.activation(t, agent, feed)
         if not feed:
             continue  # nothing to read, nothing to log
         context = DecisionContext(
-            feed=tuple(feed),
+            feed=feed,
             profile=world.profiles[agent],
             history=tuple(world.history[agent]),
             regime=config.norm,
         )
         rng = substream(config.seed, _STREAM_DECISION, t, agent)
         decision = decide(policy, context, rng)
-        target = decision.target if decision.action.is_engagement else None
-        for entry in feed:
-            action = decision.action if entry.post == target else ActionKind.READ
-            log.append(
-                ExposureRecord(
-                    run=config.seed,
-                    load=config.load,
-                    norm=config.norm,
-                    t=t,
-                    agent=agent,
-                    post=entry.post,
-                    likes=entry.likes,
-                    reshares=entry.reshares,
-                    action=action,
-                )
-            )
-        if target is None:
+        if not decision.action.is_engagement:
             continue
+        log.engagement(start + feed.position(decision.target), decision.action)
         _apply_engagement(world, agent, decision, t, log)
 
 
-def _apply_engagement(world: WorldState, agent: int, decision, t: int, log: EventLog) -> None:
+def _apply_engagement(world: WorldState, agent: int, decision, t: int, log: LogBuilder) -> None:
     source = world.posts[decision.target]
     if decision.action is ActionKind.LIKE:
-        source.counters.likes += 1
+        world.likes[source.id] += 1
     elif decision.action is ActionKind.REPOST:
-        source.counters.reposts += 1
+        world.reposts[source.id] += 1
         post = world.new_post(agent, source.content, PostKind.REPOST, source.id, t)
-        log.append(PostCreation(post=post.id, kind=PostKind.REPOST, author=agent, source=source.id, t=t))
+        log.creation(PostKind.REPOST, post.id, agent, source.id, t)
     elif decision.action is ActionKind.QUOTE:
-        source.counters.quotes += 1
+        world.quotes[source.id] += 1
         content = f"{decision.commentary} // {source.content}"
         post = world.new_post(agent, content, PostKind.QUOTE, source.id, t)
-        log.append(PostCreation(post=post.id, kind=PostKind.QUOTE, author=agent, source=source.id, t=t))
+        log.creation(PostKind.QUOTE, post.id, agent, source.id, t)
     world.engaged[agent].add(decision.target)
     world.history[agent].append((decision.action, decision.target, t))
 
@@ -295,17 +390,21 @@ def run(
     profiles: Sequence[AgentProfile],
     graph: FollowGraph,
     corpus: Sequence[str],
-) -> EventLog:
-    """Initialize and execute all timesteps; returns the complete event log."""
+    log: LogBuilder | None = None,
+) -> CellLog:
+    """Initialize and execute all timesteps; returns the complete event log.
+
+    Pass a LogBuilder to read the run's counts from it afterwards.
+    """
     if len(profiles) != config.n_agents:
         raise ConfigurationError(
             f"config expects {config.n_agents} agents but population has {len(profiles)}"
         )
-    log = EventLog()
+    log = LogBuilder(config) if log is None else log
     world = initialize(profiles, graph, corpus, config, log)
     for t in range(config.timesteps):
         step(world, t, config, policy, log)
-    return log
+    return log.finish()
 
 
 def recount_counters(records: Iterable[ExposureRecord | PostCreation]) -> dict[int, PopularityCounters]:

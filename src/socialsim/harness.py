@@ -6,8 +6,9 @@ and Python processes. Logs are persisted as JSON Lines (one record per
 line) so every audit in this module can be recomputed by an external
 reader of the artifact directory, and the manifest carries SHA-256 digests
 of everything written. This module owns that log format: ``write_log``
-writes records, ``read_log`` parses a file straight into the numpy columns
-of a ``CellLog``, and the audits below compute from those columns.
+formats the columns of a ``CellLog`` a chunk of rows at a time, ``read_log``
+parses a file straight into those columns, and the audits below compute
+from them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .core import (
     ACTIONS,
     CREATION_KEYS,
     EXPOSURE_KEYS,
+    LOADS,
+    NORMS,
+    POST_KINDS,
     CellLog,
     ConfigurationError,
     CreationColumns,
@@ -37,7 +41,7 @@ from .core import (
     RunConfig,
     as_cell_log,
 )
-from .engine import EventLog, run
+from .engine import LogBuilder, run
 from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj, policy_spec_to_obj
 from .population import (
     AgentProfile,
@@ -58,31 +62,61 @@ ALL_NORMS = (NormRegime.NO_NORM, NormRegime.LIKE_DOMINANT, NormRegime.REPOST_DOM
 # ---------------------------------------------------------------------------
 
 
-def log_to_lines(records: Iterable[ExposureRecord | PostCreation]) -> list[str]:
-    """One compact JSON object per record, keys in EXPOSURE_KEYS or CREATION_KEYS order."""
-    lines = []
-    for r in records:
-        if isinstance(r, ExposureRecord):
-            lines.append(
-                f'{{"run":{r.run},"load":"{r.load.value}","norm":"{r.norm.value}","t":{r.t},'
-                f'"agent":{r.agent},"post":{r.post},"likes":{r.likes},"reshares":{r.reshares},'
-                f'"action":"{r.action.value}"}}'
-            )
-        else:
-            source = "null" if r.source is None else r.source
-            lines.append(f'{{"kind":"{r.kind.value}","post":{r.post},"author":{r.author},"source":{source},"t":{r.t}}}')
-    return lines
+_LOAD_TEXT = [m.value for m in LOADS]
+_NORM_TEXT = [m.value for m in NORMS]
+_ACTION_TEXT = [m.value for m in ACTIONS]
+_KIND_TEXT = [m.value for m in POST_KINDS]
+_CHUNK_ROWS = 1 << 16
 
 
-def _log_bytes(records: Iterable[ExposureRecord | PostCreation]) -> bytes:
-    return ("\n".join(log_to_lines(records)) + "\n").encode("utf-8")
+def _exposure_lines(e: ExposureColumns, lo: int, hi: int) -> list[str]:
+    L, N, A = _LOAD_TEXT, _NORM_TEXT, _ACTION_TEXT
+    return [
+        f'{{"run":{run},"load":"{L[load]}","norm":"{N[norm]}","t":{t},"agent":{agent},"post":{post},'
+        f'"likes":{likes},"reshares":{reshares},"action":"{A[action]}"}}'
+        for run, load, norm, t, agent, post, likes, reshares, action in zip(
+            *(getattr(e, k)[lo:hi].tolist() for k in EXPOSURE_KEYS)
+        )
+    ]
 
 
-def write_log(records: Iterable[ExposureRecord | PostCreation], path: str | Path) -> str:
-    """Write a JSONL log and return its SHA-256 digest."""
-    payload = _log_bytes(records)
-    Path(path).write_bytes(payload)
-    return hashlib.sha256(payload).hexdigest()
+def _creation_lines(c: CreationColumns, lo: int, hi: int) -> list[str]:
+    return [
+        f'{{"kind":"{_KIND_TEXT[kind]}","post":{post},"author":{author},'
+        f'"source":{"null" if source < 0 else source},"t":{t}}}'
+        for kind, post, author, source, t in zip(*(getattr(c, k)[lo:hi].tolist() for k in CREATION_KEYS))
+    ]
+
+
+def _log_chunks(log: CellLog, rows: int = _CHUNK_ROWS) -> Iterator[bytes]:
+    """The JSONL bytes of a log, ``rows`` rows at a time.
+
+    One compact JSON object per row, keys in EXPOSURE_KEYS or CREATION_KEYS
+    order, each line ending in a newline; a log with no rows is one newline.
+    """
+    if not len(log):
+        yield b"\n"
+        return
+    e_at = c_at = 0
+    for lo in range(0, len(log), rows):
+        is_exposure = log.is_exposure[lo : lo + rows]
+        n_e = int(np.count_nonzero(is_exposure))
+        n_c = is_exposure.size - n_e
+        lines = np.empty(is_exposure.size, dtype=object)
+        lines[is_exposure] = _exposure_lines(log.exposures, e_at, e_at + n_e)
+        lines[~is_exposure] = _creation_lines(log.creations, c_at, c_at + n_c)
+        e_at, c_at = e_at + n_e, c_at + n_c
+        yield ("\n".join(lines.tolist()) + "\n").encode("utf-8")
+
+
+def write_log(records: CellLog | Iterable[ExposureRecord | PostCreation], path: str | Path) -> str:
+    """Write a JSONL log and return its SHA-256 digest, hashing each chunk as it is written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in _log_chunks(as_cell_log(records)):
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
 
 
 def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
@@ -165,8 +199,12 @@ def _locate_error(path: Path, lines: list[str]) -> FormatError:
     return FormatError(f"{path}: malformed log")
 
 
-def log_digest(records: Iterable[ExposureRecord | PostCreation]) -> str:
-    return hashlib.sha256(_log_bytes(records)).hexdigest()
+def log_digest(records: CellLog | Iterable[ExposureRecord | PostCreation]) -> str:
+    """The SHA-256 digest write_log would return for these rows."""
+    digest = hashlib.sha256()
+    for chunk in _log_chunks(as_cell_log(records)):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +216,24 @@ def cell_seed(base_seed: int, load: LoadLevel, norm: NormRegime, replication: in
     """Stable 63-bit cell seed derived from the plan's base seed."""
     key = f"{base_seed}|{load.value}|{norm.value}|{replication}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
+
+
+# Config keys of `simulate` that are not plan fields: inputs and their seeds.
+CLI_KEYS = frozenset({"population", "corpus", "population_seed", "corpus_seed"})
+
+
+def _integer(obj: Mapping, key: str, default: int | None = None) -> int:
+    """obj[key] as an int, or ``default`` when the key is absent (KeyError without one).
+
+    An integral float such as 480.0 is accepted; anything else that is not an
+    int (2.9, "3", true) raises ConfigurationError naming the key.
+    """
+    if key not in obj and default is not None:
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ConfigurationError(f"plan key {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -238,17 +294,27 @@ class ExperimentPlan:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "ExperimentPlan":
+        """A plan from its JSON object; ConfigurationError names an unknown key or a non-integer count.
+
+        The keys the simulate command reads itself (CLI_KEYS) are allowed too.
+        """
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - CLI_KEYS)
+        if unknown:
+            raise ConfigurationError(f"unknown plan key {unknown[0]!r}")
+        for key in ("population_seed", "corpus_seed"):
+            if key in obj:
+                _integer(obj, key)
         return cls(
-            base_seed=int(obj["base_seed"]),
+            base_seed=_integer(obj, "base_seed"),
             policy=policy_spec_from_obj(obj.get("policy", {"kind": "mock"})),
-            replications=int(obj.get("replications", 1)),
-            n_agents=int(obj.get("n_agents", 558)),
-            timesteps=int(obj.get("timesteps", 480)),
+            replications=_integer(obj, "replications", 1),
+            n_agents=_integer(obj, "n_agents", 558),
+            timesteps=_integer(obj, "timesteps", 480),
             activation_p=float(obj.get("activation_p", 0.01)),
             recency_decay=float(obj.get("recency_decay", 0.01)),
             w_recency=float(obj.get("w_recency", 0.7)),
             w_relevance=float(obj.get("w_relevance", 0.3)),
-            history_window=int(obj.get("history_window", 8)),
+            history_window=_integer(obj, "history_window", 8),
         )
 
 
@@ -266,8 +332,9 @@ def _run_cell(args: tuple) -> dict:
     config = plan.cell_config(load, norm, rep)
     policy = build_policy(plan.policy, load, norm, api_key=api_key)
     try:
-        log = run(config, policy, profiles, graph, corpus)
-        digest = write_log(log.records, log_path)
+        builder = LogBuilder(config)
+        log = run(config, policy, profiles, graph, corpus, builder)
+        digest = write_log(log, log_path)
         return {
             "load": load.value,
             "norm": norm.value,
@@ -275,8 +342,9 @@ def _run_cell(args: tuple) -> dict:
             "seed": config.seed,
             "file": Path(log_path).name,
             "sha256": digest,
-            "rows": len(log.records),
+            "rows": len(log),
             "status": "ok",
+            **builder.counts(),
         }
     except Exception as e:  # noqa: BLE001 - partial failures are recorded, not fatal
         return {

@@ -35,7 +35,7 @@ from .core import (
     popularity_composite,
 )
 from .population import AgentProfile
-from .recommender import FeedEntry
+from .recommender import Feed, FeedEntry
 from .stats import N_COLUMNS, design_row
 
 log = logging.getLogger(__name__)
@@ -43,12 +43,19 @@ log = logging.getLogger(__name__)
 
 @dataclass(slots=True, frozen=True)
 class DecisionContext:
-    """Everything a policy may condition on for one activation."""
+    """Everything a policy may condition on for one activation.
 
-    feed: tuple[FeedEntry, ...]
+    ``feed`` is a Feed; a sequence of FeedEntry is turned into one.
+    """
+
+    feed: Feed
     profile: AgentProfile
     history: tuple[tuple[ActionKind, int, int], ...]  # (action, post, timestep)
     regime: NormRegime
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.feed, Feed):
+            object.__setattr__(self, "feed", Feed.from_entries(self.feed))
 
 
 @dataclass(slots=True, frozen=True)
@@ -95,8 +102,7 @@ def decide(policy: Policy, context: DecisionContext, rng: np.random.Generator) -
         log.warning("policy transport failed, degrading to read-only: %s", e)
         return Decision.read_all()
     if decision.action.is_engagement:
-        feed_ids = {e.post for e in context.feed}
-        if decision.target not in feed_ids:
+        if context.feed.position(decision.target) is None:
             log.warning("policy targeted post %s outside the feed, degrading to read-only", decision.target)
             return Decision.read_all()
     return decision
@@ -160,7 +166,13 @@ class ParametricLogitPolicy:
 
     Within one condition cell the linear predictor is affine in the
     composite, so both stages reduce to precomputed (offset, slope) pairs.
+    The threshold probability depends only on likes + reshares, so decide
+    reads it from a table indexed by that total, filled on demand by
+    engage_probability: one numpy pass per feed, with the same floats as a
+    per-post loop.
     """
+
+    _TABLE_LIMIT = 1 << 22  # totals from here up are computed per post, not tabled
 
     def __init__(
         self,
@@ -183,6 +195,7 @@ class ParametricLogitPolicy:
         self._thr_slope = float(x1 @ t) - self._thr_offset
         self._alloc_offset = a @ x0  # (2,)
         self._alloc_slope = a @ x1 - self._alloc_offset
+        self._p_table = np.full(64, -1.0)  # engage probability by likes + reshares; -1 = not yet computed
 
     def engage_probability(self, composite: float) -> float:
         eta = self._thr_offset + self._thr_slope * composite
@@ -200,18 +213,40 @@ class ParametricLogitPolicy:
         z = el + er + eq
         return el / z, er / z, eq / z
 
+    def engage_probabilities(self, totals: np.ndarray) -> np.ndarray:
+        """engage_probability(log1p(total)) for each element of an int64 array of likes + reshares."""
+        try:
+            p = self._p_table[totals]
+        except IndexError:
+            top = int(totals.max())
+            if top >= self._TABLE_LIMIT:
+                return np.array([self.engage_probability(math.log1p(v)) for v in totals.tolist()])
+            table = np.full(min(max(top + 1, 2 * self._p_table.size), self._TABLE_LIMIT), -1.0)
+            table[: self._p_table.size] = self._p_table
+            self._p_table = table
+            p = table[totals]
+        missing = p < 0  # NaN (from a NaN coefficient) counts as computed
+        if missing.any():
+            for v in np.unique(totals[missing]).tolist():
+                self._p_table[v] = self.engage_probability(math.log1p(v))
+            p = self._p_table[totals]
+        return p
+
     def decide(self, context: DecisionContext, rng: np.random.Generator) -> Decision:
-        draws = rng.random(len(context.feed))
-        best: tuple[float, int] | None = None
-        for entry, u in zip(context.feed, draws):
-            p = self.engage_probability(popularity_composite(entry.likes, entry.reshares))
-            if u < p and (best is None or u > best[0]):
-                best = (float(u), entry.post)
-        if best is None:
+        feed = context.feed
+        if not len(feed):
             return Decision.read_all()
-        target = best[1]
-        entry = next(e for e in context.feed if e.post == target)
-        p_like, p_repost, _ = self.allocation_probabilities(popularity_composite(entry.likes, entry.reshares))
+        draws = rng.random(len(feed))
+        # The engaged post is the passing one with the highest draw; argmax
+        # takes the first of equal draws, as a strict > in a loop would.
+        passing = np.where(draws < self.engage_probabilities(feed.likes + feed.reshares), draws, -1.0)
+        i = int(passing.argmax())
+        if passing[i] < 0:
+            return Decision.read_all()
+        target = int(feed.posts[i])
+        p_like, p_repost, _ = self.allocation_probabilities(
+            popularity_composite(int(feed.likes[i]), int(feed.reshares[i]))
+        )
         v = rng.random()
         if v < p_like:
             return Decision(action=ActionKind.LIKE, target=target)

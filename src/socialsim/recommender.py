@@ -15,13 +15,17 @@ score bit for bit. An eligibility mask (not the agent's own post, not
 engaged) is split by the follow matrix into the followed and algorithmic
 pools; each pool's top k comes from ``np.partition`` to cut the candidates
 and ``np.lexsort`` on (-score, id), so ties break by ascending post id.
+
+The feed itself stays columnar (``Feed``): post ids and the popularity
+snapshot as arrays. FeedEntry objects are built only for code that iterates
+or indexes a feed, such as scripted policies and LLM prompts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +48,65 @@ class FeedEntry:
     reshares: int
     slot: str  # FOLLOWED or ALGORITHMIC
     content: str = ""
+
+
+class Feed:
+    """One activation's feed as columns, best first within each pool.
+
+    ``posts``, ``likes`` and ``reshares`` are int64 arrays with one element
+    per slot: the post id and its likes and reposts + quotes when the feed
+    was built. The first ``n_followed`` slots are followed, the rest
+    algorithmic. Iterating or indexing yields FeedEntry objects, built on
+    demand from the columns and the post store.
+    """
+
+    __slots__ = ("posts", "likes", "reshares", "n_followed", "_store", "_entries")
+
+    def __init__(
+        self,
+        posts: np.ndarray,
+        likes: np.ndarray,
+        reshares: np.ndarray,
+        n_followed: int,
+        store: Sequence[Post],
+    ):
+        self.posts = posts
+        self.likes = likes
+        self.reshares = reshares
+        self.n_followed = n_followed
+        self._store = store  # post id -> Post, for the content of built entries
+        self._entries: tuple[FeedEntry, ...] | None = None
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[FeedEntry]) -> "Feed":
+        """A feed of hand-built entries; iterating or indexing it yields those same entries."""
+        entries = tuple(entries)
+        columns = [np.array([getattr(e, k) for e in entries], dtype=np.int64) for k in ("post", "likes", "reshares")]
+        if any(col.size and col.min() < 0 for col in columns[1:]):
+            raise ValueError("engagement counts must be non-negative")
+        n_followed = next((i for i, e in enumerate(entries) if e.slot != FOLLOWED), len(entries))
+        feed = cls(*columns, n_followed, ())
+        feed._entries = entries
+        return feed
+
+    def __len__(self) -> int:
+        return self.posts.size
+
+    def __getitem__(self, i: int) -> FeedEntry:
+        if self._entries is not None:
+            return self._entries[i]
+        i = range(len(self))[i]  # negative indexes count from the end; IndexError past it
+        post = int(self.posts[i])
+        slot = FOLLOWED if i < self.n_followed else ALGORITHMIC
+        return FeedEntry(post, int(self.likes[i]), int(self.reshares[i]), slot, self._store[post].content)
+
+    def __iter__(self) -> Iterator[FeedEntry]:
+        return (self[i] for i in range(len(self)))
+
+    def position(self, post: int) -> int | None:
+        """Index of the slot showing ``post``, None if the feed does not show it."""
+        ids = self.posts.tolist()
+        return ids.index(post) if post in ids else None
 
 
 def content_tokens(text: str) -> frozenset[str]:
@@ -80,7 +143,7 @@ def score_post(
     return w_recency * math.exp(-decay * age) + w_relevance * rel
 
 
-def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunConfig) -> list[FeedEntry]:
+def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunConfig) -> Feed:
     """Build the agent's feed for the current timestep.
 
     Up to 3 highest-scoring eligible followee posts, then up to
@@ -89,6 +152,7 @@ def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunCon
     total stays on target when supply allows. Eligible means: not authored
     by the agent and not previously engaged by the agent. Ties break by
     ascending post id; the result is deterministic in the world state.
+    The likes and reshares are copies of the world's counters at this call.
     """
     row = world.rows[agent]
     score = world.scores(row)
@@ -104,9 +168,8 @@ def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunCon
     shortfall = load.followed_count - len(followed_ids)
     algo_ids = _top(score, eligible & ~followed, load.algorithmic_count + shortfall)
 
-    entries = [_entry(world, pid, FOLLOWED) for pid in followed_ids.tolist()]
-    entries += [_entry(world, pid, ALGORITHMIC) for pid in algo_ids.tolist()]
-    return entries
+    ids = np.concatenate((followed_ids, algo_ids))
+    return Feed(ids, world.likes[ids], world.reposts[ids] + world.quotes[ids], followed_ids.size, world.posts)
 
 
 def _top(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
@@ -120,12 +183,6 @@ def _top(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
     return ids[np.lexsort((ids, neg))[:k]]
 
 
-def _entry(world: "WorldState", pid: int, slot: str) -> FeedEntry:
-    post = world.posts[pid]
-    c = post.counters
-    return FeedEntry(post=pid, likes=c.likes, reshares=c.reshares, slot=slot, content=post.content)
-
-
-def realized_algorithmic_count(feed: list[FeedEntry]) -> int:
+def realized_algorithmic_count(feed: Iterable[FeedEntry]) -> int:
     """Number of algorithmic slots actually delivered, backfill included."""
     return sum(1 for e in feed if e.slot == ALGORITHMIC)

@@ -1,0 +1,110 @@
+"""Reference engine: the record-based step/run the columnar engine must match.
+
+Each activation builds its feed as a list of FeedEntry objects with the
+per-post loop of reference_feed.py, asks the policy for a decision (a
+parametric policy through the per-entry loop below), and appends one
+ExposureRecord per feed slot and one PostCreation per new post. Counters
+are the world's arrays, read through ``world.counters`` and incremented one
+post at a time. Nothing here builds or reads a Feed's columns, a
+LogBuilder or a CellLog.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from socialsim.core import ActionKind, ExposureRecord, PostCreation, PostKind, RunConfig, popularity_composite
+from socialsim.engine import _STREAM_ACTIVATION, _STREAM_DECISION, initialize, substream
+from socialsim.policy import Decision, DecisionContext, ParametricLogitPolicy, decide
+from socialsim.population import FollowGraph
+
+from reference_feed import reference_select_feed
+
+
+def reference_parametric_decide(
+    policy: ParametricLogitPolicy, feed: list, rng: np.random.Generator
+) -> Decision:
+    """ParametricLogitPolicy.decide as a loop over FeedEntry objects."""
+    draws = rng.random(len(feed))
+    best: tuple[float, int] | None = None
+    for entry, u in zip(feed, draws):
+        p = policy.engage_probability(popularity_composite(entry.likes, entry.reshares))
+        if u < p and (best is None or u > best[0]):
+            best = (float(u), entry.post)
+    if best is None:
+        return Decision.read_all()
+    target = best[1]
+    entry = next(e for e in feed if e.post == target)
+    p_like, p_repost, _ = policy.allocation_probabilities(popularity_composite(entry.likes, entry.reshares))
+    v = rng.random()
+    if v < p_like:
+        return Decision(action=ActionKind.LIKE, target=target)
+    if v < p_like + p_repost:
+        return Decision(action=ActionKind.REPOST, target=target)
+    return Decision(action=ActionKind.QUOTE, target=target, commentary=f"worth a closer look at post {target}")
+
+
+def reference_step(world, t: int, config: RunConfig, policy, graph: FollowGraph, records: list) -> None:
+    world.now = t
+    agent_ids = sorted(world.profiles)
+    draws = substream(config.seed, _STREAM_ACTIVATION, t).random(len(agent_ids))
+    for agent, u in zip(agent_ids, draws):
+        if u >= config.activation_p:
+            continue
+        feed = reference_select_feed(agent, world, graph, config.load, config)
+        if not feed:
+            continue
+        rng = substream(config.seed, _STREAM_DECISION, t, agent)
+        if isinstance(policy, ParametricLogitPolicy):
+            decision = reference_parametric_decide(policy, feed, rng)
+        else:
+            context = DecisionContext(
+                feed=tuple(feed), profile=world.profiles[agent], history=tuple(world.history[agent]), regime=config.norm
+            )
+            decision = decide(policy, context, rng)
+        target = decision.target if decision.action.is_engagement else None
+        for entry in feed:
+            action = decision.action if entry.post == target else ActionKind.READ
+            records.append(
+                ExposureRecord(
+                    run=config.seed,
+                    load=config.load,
+                    norm=config.norm,
+                    t=t,
+                    agent=agent,
+                    post=entry.post,
+                    likes=entry.likes,
+                    reshares=entry.reshares,
+                    action=action,
+                )
+            )
+        if target is not None:
+            _reference_apply(world, agent, decision, t, records)
+
+
+def _reference_apply(world, agent: int, decision: Decision, t: int, records: list) -> None:
+    source = world.posts[decision.target]
+    if decision.action is ActionKind.LIKE:
+        world.likes[source.id] += 1
+    elif decision.action is ActionKind.REPOST:
+        world.reposts[source.id] += 1
+        post = world.new_post(agent, source.content, PostKind.REPOST, source.id, t)
+        records.append(PostCreation(post=post.id, kind=PostKind.REPOST, author=agent, source=source.id, t=t))
+    elif decision.action is ActionKind.QUOTE:
+        world.quotes[source.id] += 1
+        content = f"{decision.commentary} // {source.content}"
+        post = world.new_post(agent, content, PostKind.QUOTE, source.id, t)
+        records.append(PostCreation(post=post.id, kind=PostKind.QUOTE, author=agent, source=source.id, t=t))
+    world.engaged[agent].add(decision.target)
+    world.history[agent].append((decision.action, decision.target, t))
+
+
+def reference_run(config: RunConfig, policy, profiles, graph: FollowGraph, corpus) -> list:
+    """The interleaved ExposureRecord/PostCreation list of one run."""
+    world = initialize(profiles, graph, corpus, config)
+    records: list = [
+        PostCreation(post=p.id, kind=PostKind.SEED, author=p.author, source=None, t=0) for p in world.posts
+    ]
+    for t in range(config.timesteps):
+        reference_step(world, t, config, policy, graph, records)
+    return records

@@ -3,8 +3,8 @@
 Every eligible post is scored with the scalar score_post, each pool is
 sorted by (-score, post id), and the followed quota with its algorithmic
 backfill is applied as in select_feed's contract. It reads only the post
-list, the engaged sets, the profiles and the follow graph, none of the
-world's ranking arrays.
+list, the engaged sets, the profiles, the follow graph and each shown
+post's counters (``world.counters``), none of the world's ranking arrays.
 """
 
 from __future__ import annotations
@@ -46,14 +46,14 @@ def reference_select_feed(
     entries = []
     for pool, n, slot in ((followed_pool, n_followed, FOLLOWED), (algo_pool, n_algo, ALGORITHMIC)):
         for _, pid in pool[:n]:
-            post = world.posts[pid]
+            counters = world.counters(pid)
             entries.append(
                 FeedEntry(
                     post=pid,
-                    likes=post.counters.likes,
-                    reshares=post.counters.reshares,
+                    likes=counters.likes,
+                    reshares=counters.reshares,
                     slot=slot,
-                    content=post.content,
+                    content=world.posts[pid].content,
                 )
             )
     return entries

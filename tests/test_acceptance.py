@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 
 import socialsim as ss
-from socialsim.core import ActionKind, LoadLevel, NormRegime, RunConfig
-from socialsim.engine import EventLog, initialize, recount_counters, step, substream
+from socialsim.core import ActionKind, CellLog, LoadLevel, NormRegime, RunConfig
+from socialsim.engine import LogBuilder, initialize, recount_counters, step, substream
 from socialsim.harness import (
     ALL_LOADS,
     ALL_NORMS,
     ExperimentPlan,
     cell_seed,
     descriptive_shares,
-    log_to_lines,
     realized_load_audit,
     run_experiment,
 )
@@ -108,10 +107,9 @@ def recovery_experiment():
             policy = build_policy(spec, load, norm)
             per_cell[(load, norm)] = ss.run(cfg, policy, profiles, graph, corpus)
     elapsed = time.perf_counter() - t0
-    exposures = [r for log in per_cell.values() for r in log.exposures()]
     return {
         "per_cell": per_cell,
-        "exposures": exposures,
+        "log": CellLog.concat(per_cell.values()),
         "follows": follows,
         "threshold_true": threshold_true,
         "allocation_true": allocation_true,
@@ -166,12 +164,12 @@ def test_c03_threshold_design_has_23_predictors():
 
 def test_c04_coefficient_recovery(recovery_experiment):
     ex = recovery_experiment
-    assert len(ex["exposures"]) >= 200_000
+    assert len(ex["log"].exposures) >= 200_000
 
     t0 = time.perf_counter()
-    X, names, y = build_design_matrix(ex["exposures"], "threshold")
+    X, names, y = build_design_matrix(ex["log"], "threshold")
     mt = fit_binary_logistic(X, y, terms=names)
-    Xa, names_a, ya = build_design_matrix(ex["exposures"], "allocation")
+    Xa, names_a, ya = build_design_matrix(ex["log"], "allocation")
     ma = fit_multinomial_logistic(Xa, ya, terms=names_a)
     fit_seconds = time.perf_counter() - t0
 
@@ -186,7 +184,7 @@ def test_c04_coefficient_recovery(recovery_experiment):
     total = ex["sim_seconds"] + fit_seconds
     assert total < 180.0, f"recovery took {total:.0f}s"
     _ok(4, "both stages recover known coefficients",
-        f"{len(ex['exposures'])} rows, {len(ya)} engaged, {total:.0f}s total")
+        f"{len(ex['log'].exposures)} rows, {len(ya)} engaged, {total:.0f}s total")
 
 
 def test_c05_closed_form_intercepts():
@@ -238,20 +236,17 @@ def test_c07_engine_conservation_oracle():
     corpus = generate_seed_corpus(seed=POPULATION_SEED)
     cfg = RunConfig(seed=424242, load=LoadLevel.MEDIUM, norm=NormRegime.LIKE_DOMINANT)
     policy = build_policy(mock_policy_spec(), cfg.load, cfg.norm)
-    log = EventLog()
+    log = LogBuilder(cfg)
     world = initialize(profiles, graph, corpus, cfg, log)
     for t in range(cfg.timesteps):
         step(world, t, cfg, policy, log)
+    log = log.finish()
 
-    recounted = recount_counters(log.records)
+    recounted = recount_counters(log.records())
     assert len(recounted) == len(world.posts)
     for post in world.posts:
-        c = recounted[post.id]
-        assert (c.likes, c.reposts, c.quotes) == (
-            post.counters.likes, post.counters.reposts, post.counters.quotes,
-        ), f"post {post.id} counters diverge from log recount"
-        assert post.counters.reshares == post.counters.reposts + post.counters.quotes
-    engaged = sum(1 for r in log.exposures() if r.action.is_engagement)
+        assert recounted[post.id] == world.counters(post.id), f"post {post.id} counters diverge from log recount"
+    engaged = int(np.count_nonzero(log.exposures.action))  # code 0 is read
     _ok(7, "558x480 mock run: counters equal brute-force log recounts",
         f"{len(world.posts)} posts, {engaged} engagements")
 
@@ -261,7 +256,7 @@ def test_c08_activation_statistics(recovery_experiment):
     sigma = math.sqrt(558 * 480 * 0.01 * 0.99)
     assert abs(mean - 2678.4) < 1e-9
     for (load, norm), log in recovery_experiment["per_cell"].items():
-        activations = len({(r.t, r.agent) for r in log.exposures()})
+        activations = len(set(zip(log.exposures.t.tolist(), log.exposures.agent.tolist())))
         assert abs(activations - mean) <= 4 * sigma, f"{load.value}/{norm.value}: {activations}"
     _ok(8, "per-cell activations within binomial 4-sigma band", f"mean {mean:.1f}, sigma {sigma:.1f}")
 
@@ -270,7 +265,7 @@ def test_c09_realized_load_audit(recovery_experiment):
     follows = recovery_experiment["follows"]
     details = []
     for (load, norm), log in recovery_experiment["per_cell"].items():
-        audit = realized_load_audit(log.records, follows)
+        audit = realized_load_audit(log, follows)
         target = load.algorithmic_count
         assert not audit.flagged
         assert abs(audit.mean - target) <= 0.5, f"{load.value}/{norm.value}: mean {audit.mean}"
@@ -371,7 +366,7 @@ TINY_TRACE_FIXTURE = [
 ]
 
 
-def test_c11_tiny_trace_matches_hand_written_fixture():
+def test_c11_tiny_trace_matches_hand_written_fixture(tmp_path):
     profiles = [
         AgentProfile(0, "ua", frozenset(["kw0"]), True, True),
         AgentProfile(1, "ub", frozenset(["kw1"]), True, True),
@@ -387,7 +382,8 @@ def test_c11_tiny_trace_matches_hand_written_fixture():
     )
     policy = ScriptedPolicy([("like", 0), "read", ("quote", 1, "hot take"), ("repost", 0)])
     log = ss.run(cfg, policy, profiles, graph, corpus)
-    lines = log_to_lines(log.records)
+    ss.write_log(log, tmp_path / "trace.jsonl")
+    lines = (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()
     assert lines == TINY_TRACE_FIXTURE
     _ok(11, "5-agent 10-step trace equals the hand-written fixture", f"{len(lines)} lines")
 
@@ -442,7 +438,7 @@ def test_c13_live_llm_reduced_run():
     )
     policy = build_policy(spec, cfg.load, cfg.norm, api_key=os.environ.get("SOCIALSIM_LLM_API_KEY"))
     log = ss.run(cfg, policy, profiles, graph, corpus)
-    shares = descriptive_shares(log.records)
+    shares = descriptive_shares(log)
     read_share = shares.shares["read"]
     print(f"live read share: {read_share:.3f}; reported reference band [0.731, 0.980] (not asserted)")
     assert 0.5 <= read_share < 1.0

@@ -86,6 +86,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [{"timestep": 3, "replicatons": 2}, {"timesteps": 2.9}])
+    def test_misspelled_key_or_fractional_count_exits_2_before_any_cell(self, plan_file, tmp_path, capsys, edit):
+        # Regression: these ran 480 steps and 1 replication, or 2 steps, and exited 0.
+        bad = tmp_path / "bad_keys.json"
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), **edit}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"'{sorted(edit)[0]}'" in capsys.readouterr().err
+
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2
 

@@ -30,7 +30,7 @@ from socialsim.core import (
     RunConfig,
 )
 from socialsim.engine import run
-from socialsim.harness import descriptive_shares, log_to_lines, read_log, realized_load_audit, write_log
+from socialsim.harness import _log_chunks, descriptive_shares, read_log, realized_load_audit, write_log
 from socialsim.policy import build_policy, mock_policy_spec
 from socialsim.stats import build_design_matrix
 
@@ -96,6 +96,14 @@ def render(records, data) -> str:
     return "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
 
 
+def _written(records) -> str:
+    """The text write_log writes for these records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cell.jsonl"
+        write_log(records, path)
+        return path.read_text(encoding="utf-8")
+
+
 def _read(text: str) -> tuple[CellLog, list]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cell.jsonl"
@@ -128,7 +136,16 @@ def test_columnar_path_matches_reference(cell, data):
     _assert_same_design(log, [r for r in records if isinstance(r, ExposureRecord)])
     assert realized_load_audit(log, follows) == reference_realized_load_audit(records, follows)
     assert descriptive_shares(log) == reference_descriptive_shares(records)
-    assert log_to_lines(records) == reference_log_to_lines(records)
+    assert _written(records) == ("".join(line + "\n" for line in reference_log_to_lines(records)) or "\n")
+    assert _written(log) == _written(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell=cell_logs(), rows=st.integers(1, 9))
+def test_writer_chunks_join_to_the_reference(cell, rows):
+    records, _ = cell
+    expected = "".join(line + "\n" for line in reference_log_to_lines(records)) or "\n"
+    assert b"".join(_log_chunks(CellLog.from_records(records), rows)).decode("utf-8") == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -145,14 +162,15 @@ def test_concatenated_design_matches_reference(cells):
 def test_read_log_equals_from_records_of_an_engine_run(small_population, small_corpus, tmp_path):
     profiles, graph = small_population
     cfg = RunConfig(seed=3, load=LoadLevel.MEDIUM, norm=NormRegime.REPOST_DOMINANT, n_agents=40, timesteps=40, activation_p=0.2)
-    records = run(cfg, build_policy(mock_policy_spec(), cfg.load, cfg.norm), profiles, graph, small_corpus).records
-    write_log(records, tmp_path / "cell.jsonl")
-    read, built = read_log(tmp_path / "cell.jsonl"), CellLog.from_records(records)
-    assert np.array_equal(read.is_exposure, built.is_exposure)
-    for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
-        for k in keys:
-            a, b = getattr(getattr(read, part), k), getattr(getattr(built, part), k)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (part, k)
+    log = run(cfg, build_policy(mock_policy_spec(), cfg.load, cfg.norm), profiles, graph, small_corpus)
+    write_log(log, tmp_path / "cell.jsonl")
+    read = read_log(tmp_path / "cell.jsonl")
+    for built in (log, CellLog.from_records(log.records())):
+        assert np.array_equal(read.is_exposure, built.is_exposure)
+        for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
+            for k in keys:
+                a, b = getattr(getattr(read, part), k), getattr(getattr(built, part), k)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (part, k)
     assert len(read.creations) > 0 and len(read.exposures) > 0
 
 

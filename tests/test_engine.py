@@ -14,7 +14,7 @@ from socialsim.core import (
     PostKind,
     RunConfig,
 )
-from socialsim.engine import EventLog, initialize, recount_counters, run, step, substream
+from socialsim.engine import LogBuilder, initialize, recount_counters, run, step, substream
 from socialsim.harness import log_digest
 from socialsim.policy import ScriptedPolicy
 from socialsim.population import generate_population, generate_seed_corpus
@@ -32,13 +32,20 @@ def _corpus(n=4):
     return [f"body {i} words" for i in range(n)]
 
 
+def _exposures(records):
+    return [r for r in records if isinstance(r, ExposureRecord)]
+
+
+def _creations(records):
+    return [r for r in records if isinstance(r, PostCreation)]
+
+
 class TestInitialize:
     def test_round_robin_authorship_over_influencers(self, small_population):
         profiles, graph = small_population
         corpus = generate_seed_corpus(seed=1)  # 50 posts
         cfg = _config(n_agents=40)
-        log = EventLog()
-        world = initialize(profiles, graph, corpus, cfg, log)
+        world = initialize(profiles, graph, corpus, cfg, LogBuilder(cfg))
         assert len(world.posts) == 50
         influencers = sorted(p.id for p in profiles if p.influencer)
         authored = Counter(p.author for p in world.posts)
@@ -50,7 +57,7 @@ class TestInitialize:
     def test_all_counters_zero(self):
         world = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
         assert all(
-            (p.counters.likes, p.counters.reposts, p.counters.quotes) == (0, 0, 0) for p in world.posts
+            (c.likes, c.reposts, c.quotes) == (0, 0, 0) for c in map(world.counters, range(len(world.posts)))
         )
         assert all(p.created_at == 0 for p in world.posts)
 
@@ -69,9 +76,9 @@ class TestInitialize:
             initialize(tiny_profiles(), tiny_graph(), [], _config())
 
     def test_seed_creation_records_logged(self):
-        log = EventLog()
+        log = LogBuilder(_config())
         initialize(tiny_profiles(), tiny_graph(), _corpus(3), _config(), log)
-        creations = log.creations()
+        creations = _creations(log.finish().records())
         assert [c.post for c in creations] == [0, 1, 2]
         assert all(c.kind is PostKind.SEED and c.t == 0 and c.source is None for c in creations)
 
@@ -79,18 +86,18 @@ class TestInitialize:
 class TestStepEffects:
     def _world_and_log(self, policy_intents, p=0.999999, timesteps=1):
         cfg = _config(activation_p=p, timesteps=timesteps)
-        log = EventLog()
+        log = LogBuilder(cfg)
         world = initialize(tiny_profiles(), tiny_graph(), _corpus(), cfg, log)
         policy = ScriptedPolicy(policy_intents)
         for t in range(timesteps):
             step(world, t, cfg, policy, log)
-        return world, log
+        return world, log.finish().records()
 
     def test_like_increments_exactly_one_counter(self):
         world, _ = self._world_and_log([("like", 0), "read", "read", "read", "read"])
-        likes = [(p.id, p.counters.likes) for p in world.posts if p.counters.likes]
+        likes = [(pid, n) for pid, n in enumerate(world.likes.tolist()) if n]
         assert len(likes) == 1 and likes[0][1] == 1
-        assert sum(p.counters.reposts + p.counters.quotes for p in world.posts) == 0
+        assert world.reposts.sum() + world.quotes.sum() == 0
 
     def test_quote_creates_post_with_source(self):
         world, log = self._world_and_log(["read", ("quote", 0, "my two cents"), "read", "read", "read"])
@@ -99,10 +106,10 @@ class TestStepEffects:
         q = quotes[0]
         assert q.source_link is not None
         source = world.posts[q.source_link]
-        assert source.counters.quotes == 1
+        assert world.counters(source.id).quotes == 1
         assert "my two cents" in q.content and source.content in q.content
         assert q.created_at == 0
-        creation = [c for c in log.creations() if c.kind is PostKind.QUOTE]
+        creation = [c for c in _creations(log) if c.kind is PostKind.QUOTE]
         assert len(creation) == 1 and creation[0].source == q.source_link
 
     def test_repost_copies_content(self):
@@ -111,13 +118,13 @@ class TestStepEffects:
         assert len(reposts) == 1
         r = reposts[0]
         assert r.content == world.posts[r.source_link].content
-        assert world.posts[r.source_link].counters.reposts == 1
+        assert world.counters(r.source_link).reposts == 1
 
     def test_new_posts_visible_later_in_same_timestep(self):
         # every agent activates; agent 0 reposts, higher-id agents can then see it
         world, log = self._world_and_log([("repost", 0), "read", "read", "read", "read"])
         new_post = next(p for p in world.posts if p.kind is PostKind.REPOST)
-        seen_by = {r.agent for r in log.exposures() if r.post == new_post.id}
+        seen_by = {r.agent for r in _exposures(log) if r.post == new_post.id}
         assert seen_by  # at least one later agent was shown the brand-new repost
         assert all(a > new_post.author for a in seen_by)
 
@@ -135,11 +142,11 @@ def medium_run(small_population):
     corpus = generate_seed_corpus(seed=2, size=20)
     cfg = _config(n_agents=40, timesteps=150, activation_p=0.05, seed=17, load=LoadLevel.LOW)
     policy = ScriptedPolicy([("like", 0), "read", ("quote", 1, "hm"), ("repost", 0), "read"])
-    log = EventLog()
+    log = LogBuilder(cfg)
     world = initialize(profiles, graph, corpus, cfg, log)
     for t in range(cfg.timesteps):
         step(world, t, cfg, policy, log)
-    return world, log, cfg
+    return world, log.finish().records(), cfg
 
 
 class TestRunProperties:
@@ -149,22 +156,16 @@ class TestRunProperties:
         corpus = generate_seed_corpus(seed=2, size=20)
         cfg = _config(n_agents=40, timesteps=60, activation_p=0.05, seed=17)
         policy_factory = lambda: ScriptedPolicy([("like", 0), "read"])
-        d1 = log_digest(run(cfg, policy_factory(), profiles, graph, corpus).records)
-        d2 = log_digest(run(cfg, policy_factory(), profiles, graph, corpus).records)
+        d1 = log_digest(run(cfg, policy_factory(), profiles, graph, corpus))
+        d2 = log_digest(run(cfg, policy_factory(), profiles, graph, corpus))
         assert d1 == d2
 
     def test_counters_match_brute_force_recount(self, medium_run):
         world, log, _ = medium_run
-        recounted = recount_counters(log.records)
+        recounted = recount_counters(log)
         assert len(recounted) == len(world.posts)
         for post in world.posts:
-            c = recounted[post.id]
-            assert (c.likes, c.reposts, c.quotes) == (
-                post.counters.likes,
-                post.counters.reposts,
-                post.counters.quotes,
-            )
-            assert c.reshares == c.reposts + c.quotes
+            assert recounted[post.id] == world.counters(post.id)
 
     def test_snapshot_causality(self, medium_run):
         # replaying the log in order reproduces each exposure's snapshot
@@ -181,7 +182,7 @@ class TestRunProperties:
                 elif r.action in (ActionKind.REPOST, ActionKind.QUOTE):
                     reshares[r.post] += 1
 
-        for r in log.records:
+        for r in log:
             if isinstance(r, PostCreation):
                 continue
             key = (r.t, r.agent)
@@ -197,7 +198,7 @@ class TestRunProperties:
     def test_one_engagement_per_activation(self, medium_run):
         _, log, _ = medium_run
         per_activation = defaultdict(int)
-        for r in log.exposures():
+        for r in _exposures(log):
             if r.action.is_engagement:
                 per_activation[(r.t, r.agent)] += 1
         assert all(v == 1 for v in per_activation.values())
@@ -205,29 +206,29 @@ class TestRunProperties:
     def test_no_agent_twice_per_timestep(self, medium_run):
         _, log, _ = medium_run
         positions = defaultdict(set)
-        for r in log.exposures():
+        for r in _exposures(log):
             positions[(r.t, r.agent)].add(r.post)
         # within one activation, each post appears once (no duplicated agent block)
         for (t, agent), posts in positions.items():
-            rows = [r for r in log.exposures() if r.t == t and r.agent == agent]
+            rows = [r for r in _exposures(log) if r.t == t and r.agent == agent]
             assert len(rows) == len(posts)
 
     def test_post_count_identity(self, medium_run):
         world, log, _ = medium_run
-        n_reposts = sum(1 for r in log.exposures() if r.action is ActionKind.REPOST)
-        n_quotes = sum(1 for r in log.exposures() if r.action is ActionKind.QUOTE)
+        n_reposts = sum(1 for r in _exposures(log) if r.action is ActionKind.REPOST)
+        n_quotes = sum(1 for r in _exposures(log) if r.action is ActionKind.QUOTE)
         assert len(world.posts) == 20 + n_reposts + n_quotes
 
     def test_rows_bounded_by_condition_total(self, medium_run):
         _, log, cfg = medium_run
-        per_activation = Counter((r.t, r.agent) for r in log.exposures())
+        per_activation = Counter((r.t, r.agent) for r in _exposures(log))
         assert max(per_activation.values()) <= cfg.load.total
 
     def test_feeds_never_contain_own_or_engaged_posts(self, medium_run):
         world, log, _ = medium_run
         authors = {p.id: p.author for p in world.posts}
         engaged_before = defaultdict(set)
-        for r in log.exposures():
+        for r in _exposures(log):
             assert authors[r.post] != r.agent
             assert r.post not in engaged_before[r.agent]
             if r.action.is_engagement:
@@ -238,7 +239,7 @@ class TestRunProperties:
         corpus = generate_seed_corpus(seed=2, size=20)
         cfg = _config(n_agents=40, timesteps=200, activation_p=0.05, seed=23)
         log = run(cfg, ScriptedPolicy(["read"]), profiles, graph, corpus)
-        activations = len({(r.t, r.agent) for r in log.exposures()})
+        activations = len({(r.t, r.agent) for r in _exposures(log.records())})
         n_draws = 40 * 200
         mean = n_draws * 0.05
         sigma = math.sqrt(n_draws * 0.05 * 0.95)

@@ -29,7 +29,8 @@ from socialsim.harness import (
     run_experiment,
     write_log,
 )
-from socialsim.policy import ScriptedSpec, mock_policy_spec
+from socialsim.engine import LogBuilder, run
+from socialsim.policy import ScriptedSpec, build_policy, mock_policy_spec
 from socialsim.population import generate_population, generate_seed_corpus
 
 
@@ -168,6 +169,23 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match="replications"):
             ExperimentPlan.from_obj({**_tiny_plan().to_obj(), "replications": replications})
 
+    @pytest.mark.parametrize("key", ["timestep", "replicatons", "seed"])
+    def test_unknown_key_rejected(self, key):
+        # Regression: a misspelled key was ignored, so its default ran instead.
+        with pytest.raises(ConfigurationError, match=f"unknown plan key '{key}'"):
+            ExperimentPlan.from_obj({**_tiny_plan().to_obj(), key: 3})
+
+    @pytest.mark.parametrize("key", ["timesteps", "replications", "n_agents", "history_window", "base_seed", "corpus_seed"])
+    @pytest.mark.parametrize("value", [2.9, "3", True, None])
+    def test_non_integer_count_rejected(self, key, value):
+        # Regression: int() cut 2.9 timesteps to 2.
+        with pytest.raises(ConfigurationError, match=f"plan key '{key}' must be an integer"):
+            ExperimentPlan.from_obj({**_tiny_plan().to_obj(), key: value})
+
+    def test_simulate_input_keys_and_integral_floats_accepted(self):
+        obj = {**_tiny_plan().to_obj(), "timesteps": 30.0, "population": "pop.jsonl", "corpus": "c.jsonl", "population_seed": 4, "corpus_seed": 5}
+        assert ExperimentPlan.from_obj(obj).to_obj() == _tiny_plan().to_obj()
+
 
 class TestRunExperiment:
     def test_twelve_logs_and_manifest(self, small_inputs, tmp_path):
@@ -208,10 +226,10 @@ class TestRunExperiment:
 
         real_run = harness_mod.run
 
-        def flaky_run(config, policy, profiles, graph, corpus):
+        def flaky_run(config, *args):
             if config.load is LoadLevel.MEDIUM:
                 raise RuntimeError("synthetic cell failure")
-            return real_run(config, policy, profiles, graph, corpus)
+            return real_run(config, *args)
 
         monkeypatch.setattr(harness_mod, "run", flaky_run)
         manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
@@ -243,6 +261,21 @@ class TestRunExperiment:
         for log in per_cell.values():
             likes = Counter(r.agent for r in log.records() if isinstance(r, ExposureRecord) and r.action is ActionKind.LIKE)
             assert max(likes.values()) > 8
+
+    def test_manifest_run_counts(self, small_inputs, tmp_path):
+        profiles, graph, corpus = small_inputs
+        plan = _tiny_plan(timesteps=60, activation_p=0.2)
+        manifest = run_experiment(plan, profiles, graph, corpus, tmp_path)
+        _, per_cell = load_experiment(tmp_path)
+        for cell in manifest["cells"]:
+            load, norm = LoadLevel(cell["load"]), NormRegime(cell["norm"])
+            builder = LogBuilder(plan.cell_config(load, norm, cell["replication"]))
+            run(plan.cell_config(load, norm, cell["replication"]), build_policy(plan.policy, load, norm), profiles, graph, corpus, builder)
+            assert {k: cell[k] for k in ("activations", "empty_feeds", "backfilled_slots")} == builder.counts()
+            # Every activation with a non-empty feed logs a block of rows.
+            e = per_cell[cell["file"].removesuffix(".jsonl")].exposures
+            assert cell["activations"] - cell["empty_feeds"] == len(set(zip(e.t.tolist(), e.agent.tolist())))
+        assert sum(c["backfilled_slots"] for c in manifest["cells"]) > 0
 
     def test_parallel_equals_serial(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
