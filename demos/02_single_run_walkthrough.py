@@ -11,7 +11,10 @@ columns (a CellLog).
 
 from collections import Counter
 
+import numpy as np
+
 from socialsim import (
+    ActionKind,
     DecisionContext,
     LoadLevel,
     NormRegime,
@@ -23,7 +26,6 @@ from socialsim import (
     generate_seed_corpus,
     initialize,
     mock_policy_spec,
-    recount_counters,
     run,
     select_feed,
 )
@@ -62,8 +64,14 @@ print(f"action mix: {descriptive_shares(log).counts}")
 popular = Counter(e.post[e.action != 0].tolist()).most_common(3)
 print("most-engaged posts:", popular)
 
-# the log alone reconstructs every counter (the engine's bookkeeping oracle)
-recount = recount_counters(log.records())
-total = sum(c.likes + c.reshares for c in recount.values())
+# the log alone reconstructs every counter: per engagement kind, a bincount
+# of the post ids on the rows with that action (post ids run 0..n-1 per run)
+n_posts = len(log.creations)
+recount = {
+    kind.value: np.bincount(e.post[e.action == code], minlength=n_posts)
+    for code, kind in enumerate(ActionKind)
+    if kind.is_engagement
+}
+total = sum(int(counts.sum()) for counts in recount.values())
 print(f"cumulative engagement recounted from the log: {total}")
-print(f"new posts created by reshares: {len(recount) - 50}")
+print(f"new posts created by reshares: {n_posts - 50}")

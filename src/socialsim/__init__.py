@@ -4,17 +4,15 @@ harness and a two-stage (threshold + allocation) logistic analysis pipeline."""
 from .core import (
     ActionKind,
     CellLog,
-    ExposureRecord,
     LoadLevel,
     NormRegime,
     PopularityCounters,
     Post,
-    PostCreation,
     PostKind,
     RunConfig,
     popularity_composite,
 )
-from .engine import LogBuilder, WorldState, initialize, recount_counters, run, step
+from .engine import LogBuilder, WorldState, initialize, run, step
 from .harness import (
     ExperimentPlan,
     cell_seed,
@@ -51,7 +49,7 @@ from .population import (
     save_population,
     top_influencers,
 )
-from .recommender import Feed, FeedEntry, realized_algorithmic_count, score_post, select_feed
+from .recommender import Feed, FeedEntry, select_feed
 from .stats import (
     FittedModel,
     Scenario,

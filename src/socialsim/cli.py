@@ -24,7 +24,7 @@ from .harness import (
     realized_load_audit,
     run_experiment,
 )
-from .policy import mock_policy_spec, policy_spec_from_obj
+from .policy import mock_policy_spec
 from .population import (
     generate_population,
     generate_seed_corpus,
@@ -103,8 +103,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             plan.base_seed = args.seed
         if args.policy == "mock":
             plan.policy = mock_policy_spec()
-        elif args.policy is not None:
-            plan.policy = policy_spec_from_obj({"kind": args.policy})
 
         if cfg.get("population"):
             profiles, graph = load_population(_resolve(config_path, cfg["population"]))

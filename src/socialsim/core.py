@@ -1,4 +1,4 @@
-"""Shared domain types: actions, experimental conditions, posts, and log records."""
+"""Shared domain types: actions, experimental conditions, posts, and the columnar event log."""
 
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ class PopularityCounters:
     """One post's cumulative engagement tallies, as a snapshot.
 
     The engine keeps the live tallies in WorldState's per-post arrays;
-    ``WorldState.counters`` and ``recount_counters`` return these.
+    ``WorldState.counters`` returns these.
     """
 
     likes: int = 0
@@ -144,36 +144,6 @@ class Post:
             raise ValueError(f"{self.kind.value} posts require a source link")
 
 
-@dataclass(slots=True, frozen=True)
-class ExposureRecord:
-    """One agent x post x activation observation; the regression row unit.
-
-    The likes/reshares snapshot is taken when the feed is built, strictly
-    before the focal decision is applied to the world.
-    """
-
-    run: RunId
-    load: LoadLevel
-    norm: NormRegime
-    t: int
-    agent: AgentId
-    post: PostId
-    likes: int
-    reshares: int
-    action: ActionKind
-
-
-@dataclass(slots=True, frozen=True)
-class PostCreation:
-    """Log record for a post entering the world (seed injection or redistribution)."""
-
-    post: PostId
-    kind: PostKind
-    author: AgentId
-    source: PostId | None
-    t: int
-
-
 # ---------------------------------------------------------------------------
 # Columnar event log
 # ---------------------------------------------------------------------------
@@ -184,7 +154,7 @@ NORMS = tuple(NormRegime)
 ACTIONS = tuple(ActionKind)
 POST_KINDS = tuple(PostKind)
 
-# Field names of each row kind, in record field order.
+# Keys of each row kind, in the order a log line writes them.
 EXPOSURE_KEYS = ("run", "load", "norm", "t", "agent", "post", "likes", "reshares", "action")
 CREATION_KEYS = ("kind", "post", "author", "source", "t")
 
@@ -219,7 +189,7 @@ def _columns(values: dict[str, list], keys: tuple[str, ...]) -> dict[str, np.nda
 
 @dataclass(frozen=True, eq=False)
 class ExposureColumns:
-    """Exposure rows in log order, one array per field of ExposureRecord.
+    """Exposure rows in log order, one array per key of EXPOSURE_KEYS.
 
     run, t, agent, post, likes and reshares are int64; load, norm and action
     are int8 codes into LOADS, NORMS and ACTIONS.
@@ -292,33 +262,16 @@ class CellLog:
         return self.is_exposure.size
 
     @classmethod
-    def from_records(cls, records: Iterable[ExposureRecord | PostCreation]) -> "CellLog":
-        """The columns of an interleaved ExposureRecord/PostCreation list."""
-        records = list(records)
-        is_exposure = [isinstance(r, ExposureRecord) for r in records]
-        exposures = [r for r, e in zip(records, is_exposure) if e]
-        creations = [r for r, e in zip(records, is_exposure) if not e]
-
-        def fields(rows: list, keys: tuple[str, ...]) -> dict[str, list]:
-            return {
-                k: [getattr(r, k).value for r in rows] if k in _CODES else [getattr(r, k) for r in rows]
-                for k in keys
-            }
-
-        return cls(
-            ExposureColumns.from_lists(fields(exposures, EXPOSURE_KEYS)),
-            CreationColumns.from_lists(fields(creations, CREATION_KEYS)),
-            np.array(is_exposure, dtype=bool),
-        )
-
-    @classmethod
     def concat(cls, logs: Iterable["CellLog"]) -> "CellLog":
         """The rows of several logs, one log after the other.
 
         Post ids are per cell, so run ``creation_of`` and the load audit on
         each cell's own log, not on a concatenation.
         """
-        logs = list(logs) or [cls.from_records([])]
+        logs = list(logs)
+        if not logs:
+            empty = dict.fromkeys(EXPOSURE_KEYS + CREATION_KEYS, [])
+            return cls(ExposureColumns.from_lists(empty), CreationColumns.from_lists(empty), np.zeros(0, dtype=bool))
 
         def joined(part: str, keys: tuple[str, ...]) -> dict[str, np.ndarray]:
             return {k: np.concatenate([getattr(getattr(log, part), k) for log in logs]) for k in keys}
@@ -328,25 +281,6 @@ class CellLog:
             CreationColumns(**joined("creations", CREATION_KEYS)),
             np.concatenate([log.is_exposure for log in logs]),
         )
-
-    def records(self) -> list[ExposureRecord | PostCreation]:
-        """The interleaved ExposureRecord/PostCreation list the columns hold."""
-        e, c = self.exposures, self.creations
-        exposures = iter(
-            [
-                ExposureRecord(run, LOADS[load], NORMS[norm], t, agent, post, likes, reshares, ACTIONS[action])
-                for run, load, norm, t, agent, post, likes, reshares, action in zip(
-                    *(getattr(e, k).tolist() for k in EXPOSURE_KEYS)
-                )
-            ]
-        )
-        creations = iter(
-            [
-                PostCreation(post=post, kind=POST_KINDS[kind], author=author, source=None if source < 0 else source, t=t)
-                for kind, post, author, source, t in zip(*(getattr(c, k).tolist() for k in CREATION_KEYS))
-            ]
-        )
-        return [next(exposures) if row else next(creations) for row in self.is_exposure.tolist()]
 
     def creation_of(self) -> np.ndarray:
         """Per exposure row, the index of its post's creation row, -1 if no earlier row creates it.
@@ -360,11 +294,6 @@ class CellLog:
         idx = order[np.minimum(np.searchsorted(created[order], shown), created.size - 1)]
         earlier = np.flatnonzero(~self.is_exposure)[idx] < np.flatnonzero(self.is_exposure)
         return np.where((created[idx] == shown) & earlier, idx, -1)
-
-
-def as_cell_log(records: CellLog | Iterable[ExposureRecord | PostCreation]) -> CellLog:
-    """A CellLog as it is; a record list through CellLog.from_records."""
-    return records if isinstance(records, CellLog) else CellLog.from_records(records)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +41,8 @@ from .core import (
     ConfigurationError,
     CreationColumns,
     ExposureColumns,
-    ExposureRecord,
     PopularityCounters,
     Post,
-    PostCreation,
     PostKind,
     RunConfig,
 )
@@ -269,7 +267,11 @@ class WorldState:
         return post
 
     def _relevance_column(self, tokens: frozenset[str]) -> np.ndarray:
-        """keyword_relevance(tokens, keywords) for every agent, with the same int/int division."""
+        """The Jaccard overlap of ``tokens`` with every agent's lower-cased keywords.
+
+        |tokens & keywords| / |tokens | keywords|, an int/int division, and 0.0
+        when the two share no word.
+        """
         idx = [self._vocab[w] for w in tokens if w in self._vocab]
         if not idx:
             return np.zeros(len(self.rows))
@@ -288,9 +290,13 @@ class WorldState:
     def scores(self, row: int) -> np.ndarray:
         """Ranking score of every post for the agent in ``row`` at ``now``.
 
-        Element for element this is score_post: ``w_recency * exp(-decay *
-        age) + w_relevance * jaccard``, evaluated in the same order on the
-        same float64 values, so it equals the scalar definition bit for bit.
+        score = w_recency * exp(-decay * age) + w_relevance * jaccard, where
+        age = now - created_at and jaccard is the overlap of the post's
+        lower-cased whitespace tokens with the agent's lower-cased keywords
+        (see ``_relevance_column``). With weights summing to 1 the score is
+        in [0, 1]. exp comes from ``math.exp`` per integer age, and the
+        multiply and add run in that order on float64 values, so each element
+        is the same float a scalar evaluation of the formula gives.
         """
         if self.posts and self.now < self._t_max:
             raise ValueError(f"post created in the future (t={self._t_max} > now={self.now})")
@@ -406,24 +412,3 @@ def run(
         step(world, t, config, policy, log)
     return log.finish()
 
-
-def recount_counters(records: Iterable[ExposureRecord | PostCreation]) -> dict[int, PopularityCounters]:
-    """Brute-force recount of every post's counters from the log alone.
-
-    Independent oracle for the engine's incremental bookkeeping: likes are
-    like-rows targeting the post, reposts/quotes are the matching engagement
-    rows (equivalently, creation records pointing at it as source).
-    """
-    counters: dict[int, PopularityCounters] = {}
-    for r in records:
-        if isinstance(r, PostCreation):
-            counters.setdefault(r.post, PopularityCounters())
-        elif isinstance(r, ExposureRecord):
-            c = counters.setdefault(r.post, PopularityCounters())
-            if r.action is ActionKind.LIKE:
-                c.likes += 1
-            elif r.action is ActionKind.REPOST:
-                c.reposts += 1
-            elif r.action is ActionKind.QUOTE:
-                c.quotes += 1
-    return counters

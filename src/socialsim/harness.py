@@ -18,7 +18,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,19 +33,17 @@ from .core import (
     ConfigurationError,
     CreationColumns,
     ExposureColumns,
-    ExposureRecord,
     FormatError,
     LoadLevel,
     NormRegime,
-    PostCreation,
     RunConfig,
-    as_cell_log,
 )
 from .engine import LogBuilder, run
 from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj, policy_spec_to_obj
 from .population import (
     AgentProfile,
     FollowGraph,
+    corpus_digest,
     load_corpus,
     load_population,
     population_digest,
@@ -109,11 +107,11 @@ def _log_chunks(log: CellLog, rows: int = _CHUNK_ROWS) -> Iterator[bytes]:
         yield ("\n".join(lines.tolist()) + "\n").encode("utf-8")
 
 
-def write_log(records: CellLog | Iterable[ExposureRecord | PostCreation], path: str | Path) -> str:
+def write_log(log: CellLog, path: str | Path) -> str:
     """Write a JSONL log and return its SHA-256 digest, hashing each chunk as it is written."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for chunk in _log_chunks(as_cell_log(records)):
+        for chunk in _log_chunks(log):
             digest.update(chunk)
             fh.write(chunk)
     return digest.hexdigest()
@@ -199,10 +197,10 @@ def _locate_error(path: Path, lines: list[str]) -> FormatError:
     return FormatError(f"{path}: malformed log")
 
 
-def log_digest(records: CellLog | Iterable[ExposureRecord | PostCreation]) -> str:
-    """The SHA-256 digest write_log would return for these rows."""
+def log_digest(log: CellLog) -> str:
+    """The SHA-256 digest write_log would return for this log."""
     digest = hashlib.sha256()
-    for chunk in _log_chunks(as_cell_log(records)):
+    for chunk in _log_chunks(log):
         digest.update(chunk)
     return digest.hexdigest()
 
@@ -408,7 +406,7 @@ def run_experiment(
     manifest = {
         "plan": plan.to_obj(),
         "population_sha256": population_digest(profiles, graph),
-        "corpus_sha256": hashlib.sha256(("\n".join(corpus)).encode("utf-8")).hexdigest(),
+        "corpus_sha256": corpus_digest(corpus),
         "cells": results,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
@@ -448,17 +446,13 @@ class LoadAudit:
     flagged: bool = False  # empty cell
 
 
-def realized_load_audit(
-    records: CellLog | Iterable[ExposureRecord | PostCreation],
-    follows_of: Mapping[int, frozenset[int]] | FollowGraph,
-) -> LoadAudit:
+def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     """Recompute per-activation algorithmic counts from a log and the graph.
 
     A feed slot is algorithmic exactly when the post's author is not one of
-    the viewer's followees; authorship comes from the log's creation records,
+    the viewer's followees; authorship comes from the log's creation rows,
     so the audit needs no engine state. An activation is one (t, agent) pair.
     """
-    log = as_cell_log(records)
     e = log.exposures
     if len(e) == 0:
         return LoadAudit(n_activations=0, mean=None, min=None, max=None, flagged=True)
@@ -467,14 +461,11 @@ def realized_load_audit(
         raise ValueError(f"post {e.post[created < 0][0]} is shown before any row creates it")
     author = log.creations.author[created]
 
-    if isinstance(follows_of, FollowGraph):
-        pairs = follows_of.edges()
-    else:
-        pairs = [(a, b) for a, followees in follows_of.items() for b in followees]
     # Agent ids and times as dense indices, so that a pair of them codes into
     # one int64 without overflow: (viewer, author) for the follow test, and
     # (t, agent) for the activation.
-    ids = np.unique(np.concatenate([e.agent, author, np.array(pairs, dtype=np.int64).ravel()]), return_inverse=True)[1]
+    pairs = np.array(graph.edges(), dtype=np.int64).ravel()
+    ids = np.unique(np.concatenate([e.agent, author, pairs]), return_inverse=True)[1]
     n, width = len(e), ids.max() + 1
     viewer, owner, follows = ids[:n], ids[n : 2 * n], ids[2 * n :].reshape(-1, 2)
     followed = np.isin(viewer * width + owner, follows[:, 0] * width + follows[:, 1])
@@ -490,32 +481,17 @@ def realized_load_audit(
 
 @dataclass
 class CellShares:
-    """Action shares over all exposure records of one cell."""
+    """Action shares over all exposure rows of one cell."""
 
     n_records: int
     counts: dict[str, int]
     shares: dict[str, float]
 
 
-def descriptive_shares(records: CellLog | Iterable[ExposureRecord | PostCreation]) -> CellShares:
-    actions = as_cell_log(records).exposures.action
+def descriptive_shares(log: CellLog) -> CellShares:
+    actions = log.exposures.action
     n = actions.size
     counts = {a.value: int(c) for a, c in zip(ACTIONS, np.bincount(actions, minlength=len(ACTIONS)))}
     shares = {k: (v / n if n else 0.0) for k, v in counts.items()}
     return CellShares(n_records=n, counts=counts, shares=shares)
 
-
-def experiment_report(
-    per_cell: Mapping[str, CellLog | list],
-    follows_of: Mapping[int, frozenset[int]] | FollowGraph,
-) -> dict[str, dict]:
-    """Both audits for every cell, keyed by cell name."""
-    report = {}
-    for name, records in sorted(per_cell.items()):
-        audit = realized_load_audit(records, follows_of)
-        shares = descriptive_shares(records)
-        report[name] = {
-            "load_audit": audit,
-            "shares": shares,
-        }
-    return report

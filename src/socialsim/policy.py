@@ -21,9 +21,9 @@ import logging
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -124,8 +124,7 @@ class ScriptedPolicy:
     """
 
     def __init__(self, intents: Sequence[Intent]):
-        if not intents:
-            raise ConfigurationError("scripted policy needs at least one intent")
+        _check_intents(intents)
         self.intents = list(intents)
         self._cursor = 0
 
@@ -146,9 +145,31 @@ class ScriptedPolicy:
         return Decision(action=action, target=context.feed[index].post, commentary=commentary)
 
 
+def _check_intents(intents: Sequence[Intent]) -> None:
+    if not isinstance(intents, (list, tuple)) or not intents:
+        raise ConfigurationError(f"policy key 'intents' must be a non-empty list, got {intents!r}")
+
+
 # ---------------------------------------------------------------------------
 # Parametric logistic policy
 # ---------------------------------------------------------------------------
+
+
+def _coefficients(threshold: Sequence[float], allocation: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients as float64 arrays of shape (N_COLUMNS,) and (2, N_COLUMNS).
+
+    ConfigurationError names the policy key whose value is not numbers of that shape.
+    """
+    arrays = []
+    for key, value, shape in (("threshold", threshold, (N_COLUMNS,)), ("allocation", allocation, (2, N_COLUMNS))):
+        try:
+            a = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"policy key {key!r} must be an array of numbers") from None
+        if a.shape != shape:
+            raise ConfigurationError(f"policy key {key!r} must have shape {shape}, got {a.shape}")
+        arrays.append(a)
+    return arrays[0], arrays[1]
 
 
 class ParametricLogitPolicy:
@@ -181,12 +202,7 @@ class ParametricLogitPolicy:
         load: LoadLevel,
         norm: NormRegime,
     ):
-        t = np.asarray(threshold_coef, dtype=np.float64)
-        a = np.asarray(allocation_coef, dtype=np.float64)
-        if t.shape != (N_COLUMNS,):
-            raise ConfigurationError(f"threshold coefficients must have shape ({N_COLUMNS},), got {t.shape}")
-        if a.shape != (2, N_COLUMNS):
-            raise ConfigurationError(f"allocation coefficients must have shape (2, {N_COLUMNS}), got {a.shape}")
+        t, a = _coefficients(threshold_coef, allocation_coef)
         self.threshold_coef = t
         self.allocation_coef = a
         x0 = design_row(0.0, load, norm)
@@ -398,10 +414,7 @@ class FixtureTransport:
 
     def __init__(self, path: str | Path):
         self.responses: dict[str, str] = {}
-        p = Path(path)
-        if not p.exists():
-            raise ConfigurationError(f"fixture file not found: {p}")
-        for line in p.read_text(encoding="utf-8").splitlines():
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
             obj = json.loads(line)
@@ -503,6 +516,9 @@ class LlmPolicy:
 
 # ---------------------------------------------------------------------------
 # Policy configs (serializable; built into live policies per run)
+#
+# Each spec checks its values when it is built, so a plan holding one runs:
+# build_policy raises no configuration error for a spec that exists.
 # ---------------------------------------------------------------------------
 
 
@@ -511,12 +527,18 @@ class ScriptedSpec:
     kind: str = field(default="scripted", init=False)
     intents: list = field(default_factory=lambda: ["read"])
 
+    def __post_init__(self) -> None:
+        _check_intents(self.intents)
+
 
 @dataclass
 class ParametricLogitSpec:
     kind: str = field(default="parametric", init=False)
-    threshold: list[float] = field(default_factory=list)
-    allocation: list[list[float]] = field(default_factory=list)
+    threshold: list[float]
+    allocation: list[list[float]]
+
+    def __post_init__(self) -> None:
+        _coefficients(self.threshold, self.allocation)
 
 
 @dataclass
@@ -529,6 +551,18 @@ class LlmSpec:
     max_retries: int = 3
     transport: str = "live"  # "live" | "fixtures"
     fixture_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.transport == "fixtures":
+            if not self.fixture_path:
+                raise ConfigurationError("fixture transport requires policy key 'fixture_path'")
+            if not Path(self.fixture_path).is_file():
+                raise ConfigurationError(f"fixture file not found: {self.fixture_path}")
+        elif self.transport == "live":
+            if not self.endpoint:
+                raise ConfigurationError("live transport requires policy key 'endpoint'")
+        else:
+            raise ConfigurationError(f"policy key 'transport' must be 'live' or 'fixtures', got {self.transport!r}")
 
 PolicySpec = ScriptedSpec | ParametricLogitSpec | LlmSpec
 
@@ -581,25 +615,39 @@ def policy_spec_to_obj(spec: PolicySpec) -> dict:
     raise ConfigurationError(f"unknown policy spec {spec!r}")
 
 
-def policy_spec_from_obj(obj: dict) -> PolicySpec:
+_SPEC_KINDS = {"scripted": ScriptedSpec, "parametric": ParametricLogitSpec, "llm": LlmSpec}
+_REQUIRED_KEYS = {"scripted": ("intents",), "parametric": ("threshold", "allocation")}
+
+
+def policy_spec_from_obj(obj: Mapping) -> PolicySpec:
+    """A policy spec from a plan's "policy" object.
+
+    ``{"kind": "mock"}`` is the default parametric coefficients. Any other
+    kind takes the fields of its spec as keys: ``scripted`` needs
+    ``intents``, ``parametric`` needs ``threshold`` and ``allocation``, and
+    every ``llm`` key has a default. ConfigurationError names what is wrong:
+    a value that is not an object, an unknown kind, a key the kind does not
+    take, a missing key, or a value the spec's own checks reject.
+    """
+    if not isinstance(obj, Mapping):
+        raise ConfigurationError(f"plan key 'policy' must be an object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "scripted":
-        return ScriptedSpec(intents=[tuple(i) if isinstance(i, list) else i for i in obj["intents"]])
-    if kind in ("parametric", "mock"):
-        if kind == "mock" or "threshold" not in obj:
-            return mock_policy_spec()
-        return ParametricLogitSpec(threshold=obj["threshold"], allocation=obj["allocation"])
-    if kind == "llm":
-        return LlmSpec(
-            endpoint=obj.get("endpoint", ""),
-            model=obj.get("model", "qwen3-8b"),
-            temperature=obj.get("temperature", 0.6),
-            timeout=obj.get("timeout", 30.0),
-            max_retries=obj.get("max_retries", 3),
-            transport=obj.get("transport", "live"),
-            fixture_path=obj.get("fixture_path"),
-        )
-    raise ConfigurationError(f"unknown policy kind {kind!r}")
+    if kind != "mock" and kind not in _SPEC_KINDS:
+        raise ConfigurationError(f"unknown policy kind {kind!r}")
+    spec_type = _SPEC_KINDS.get(kind)
+    keys = {f.name for f in fields(spec_type) if f.init} if spec_type else set()
+    unknown = sorted(set(obj) - keys - {"kind"})
+    if unknown:
+        raise ConfigurationError(f"unknown key {unknown[0]!r} for policy kind {kind!r}")
+    missing = [k for k in _REQUIRED_KEYS.get(kind, ()) if k not in obj]
+    if missing:
+        raise ConfigurationError(f"policy kind {kind!r} requires key {missing[0]!r}")
+    if spec_type is None:
+        return mock_policy_spec()
+    values = {k: v for k, v in obj.items() if k != "kind"}
+    if kind == "scripted" and isinstance(values["intents"], list):
+        values["intents"] = [tuple(i) if isinstance(i, list) else i for i in values["intents"]]
+    return spec_type(**values)
 
 
 def build_policy(
@@ -616,12 +664,8 @@ def build_policy(
         return ParametricLogitPolicy(spec.threshold, spec.allocation, load, norm)
     if isinstance(spec, LlmSpec):
         if spec.transport == "fixtures":
-            if not spec.fixture_path:
-                raise ConfigurationError("fixture transport requires fixture_path")
             transport = FixtureTransport(spec.fixture_path)
         else:
-            if not spec.endpoint:
-                raise ConfigurationError("live transport requires an endpoint")
             transport = HttpTransport(spec.endpoint, api_key=api_key, timeout=spec.timeout)
         return LlmPolicy(transport, model=spec.model, temperature=spec.temperature, max_retries=spec.max_retries)
     raise ConfigurationError(f"unknown policy spec {spec!r}")

@@ -9,9 +9,8 @@ population file.
 
 A feed is one pass of array work over the world's state, not a loop over
 posts. The score vector ``w_recency * recency[now - created_at] +
-w_relevance * relevance[agent]`` multiplies and adds in the same order as
-score_post, on the same float64 values, so each element equals the scalar
-score bit for bit. An eligibility mask (not the agent's own post, not
+w_relevance * relevance[agent]`` comes from ``WorldState.scores``, which
+states the formula. An eligibility mask (not the agent's own post, not
 engaged) is split by the follow matrix into the followed and algorithmic
 pools; each pool's top k comes from ``np.partition`` to cut the candidates
 and ``np.lexsort`` on (-score, id), so ties break by ascending post id.
@@ -23,7 +22,6 @@ or indexes a feed, such as scripted policies and LLM prompts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -33,7 +31,6 @@ from .core import LoadLevel, Post, RunConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import WorldState
-    from .population import AgentProfile
 
 FOLLOWED = "followed"
 ALGORITHMIC = "algorithmic"
@@ -113,36 +110,6 @@ def content_tokens(text: str) -> frozenset[str]:
     return frozenset(text.lower().split())
 
 
-def keyword_relevance(tokens: frozenset[str], keywords: frozenset[str]) -> float:
-    """Jaccard overlap between post tokens and the agent's interest keywords."""
-    if not tokens or not keywords:
-        return 0.0
-    inter = len(tokens & keywords)
-    if inter == 0:
-        return 0.0
-    return inter / len(tokens | keywords)
-
-
-def score_post(
-    post: Post,
-    profile: "AgentProfile",
-    now: int,
-    *,
-    w_recency: float = 0.7,
-    w_relevance: float = 0.3,
-    decay: float = 0.01,
-) -> float:
-    """Ranking score in [0, 1] when the weights sum to 1.
-
-    score = w_recency * exp(-decay * age) + w_relevance * jaccard(tokens, keywords)
-    """
-    age = now - post.created_at
-    if age < 0:
-        raise ValueError(f"post {post.id} created in the future (t={post.created_at} > now={now})")
-    rel = keyword_relevance(content_tokens(post.content), frozenset(k.lower() for k in profile.keywords))
-    return w_recency * math.exp(-decay * age) + w_relevance * rel
-
-
 def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunConfig) -> Feed:
     """Build the agent's feed for the current timestep.
 
@@ -182,7 +149,3 @@ def _top(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
         ids, neg = ids[keep], neg[keep]
     return ids[np.lexsort((ids, neg))[:k]]
 
-
-def realized_algorithmic_count(feed: Iterable[FeedEntry]) -> int:
-    """Number of algorithmic slots actually delivered, backfill included."""
-    return sum(1 for e in feed if e.slot == ALGORITHMIC)

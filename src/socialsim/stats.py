@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy.special import expit, logsumexp, ndtr
@@ -32,10 +32,8 @@ from .core import (
     NORMS,
     ActionKind,
     CellLog,
-    ExposureRecord,
     LoadLevel,
     NormRegime,
-    as_cell_log,
 )
 
 # ---------------------------------------------------------------------------
@@ -90,15 +88,14 @@ def design_row(composite: float, load: LoadLevel, norm: NormRegime) -> np.ndarra
 
 
 def build_design_matrix(
-    records: CellLog | Iterable[ExposureRecord],
-    stage: Literal["threshold", "allocation"],
+    log: CellLog, stage: Literal["threshold", "allocation"]
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Assemble (X, column names, y) from a log's exposure rows.
 
     Threshold stage: every row, y = 1 for any engagement.
     Allocation stage: engaged rows only, y in {0: like, 1: repost, 2: quote}.
     """
-    e = as_cell_log(records).exposures
+    e = log.exposures
     total = e.likes + e.reshares
     if stage == "allocation":
         rows = _ENGAGED[e.action]

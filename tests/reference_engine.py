@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from socialsim.core import ActionKind, ExposureRecord, PostCreation, PostKind, RunConfig, popularity_composite
+from socialsim.core import ActionKind, PostKind, RunConfig, popularity_composite
 from socialsim.engine import _STREAM_ACTIVATION, _STREAM_DECISION, initialize, substream
 from socialsim.policy import Decision, DecisionContext, ParametricLogitPolicy, decide
 from socialsim.population import FollowGraph
 
 from reference_feed import reference_select_feed
+from reference_log import ExposureRecord, PostCreation
 
 
 def reference_parametric_decide(

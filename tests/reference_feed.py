@@ -1,6 +1,7 @@
 """Reference feed builder: the plain per-post loop that select_feed must match.
 
-Every eligible post is scored with the scalar score_post, each pool is
+Every eligible post is scored with the scalar score_post below (the
+one-post definition WorldState.scores must equal bit for bit), each pool is
 sorted by (-score, post id), and the followed quota with its algorithmic
 backfill is applied as in select_feed's contract. It reads only the post
 list, the engaged sets, the profiles, the follow graph and each shown
@@ -9,10 +10,42 @@ post's counters (``world.counters``), none of the world's ranking arrays.
 
 from __future__ import annotations
 
-from socialsim.core import LoadLevel, RunConfig
+import math
+
+from socialsim.core import LoadLevel, Post, RunConfig
 from socialsim.engine import WorldState
-from socialsim.population import FollowGraph
-from socialsim.recommender import ALGORITHMIC, FOLLOWED, FeedEntry, score_post
+from socialsim.population import AgentProfile, FollowGraph
+from socialsim.recommender import ALGORITHMIC, FOLLOWED, FeedEntry, content_tokens
+
+
+def keyword_relevance(tokens: frozenset[str], keywords: frozenset[str]) -> float:
+    """Jaccard overlap between post tokens and the agent's interest keywords."""
+    if not tokens or not keywords:
+        return 0.0
+    inter = len(tokens & keywords)
+    if inter == 0:
+        return 0.0
+    return inter / len(tokens | keywords)
+
+
+def score_post(
+    post: Post,
+    profile: AgentProfile,
+    now: int,
+    *,
+    w_recency: float = 0.7,
+    w_relevance: float = 0.3,
+    decay: float = 0.01,
+) -> float:
+    """Ranking score in [0, 1] when the weights sum to 1.
+
+    score = w_recency * exp(-decay * age) + w_relevance * jaccard(tokens, keywords)
+    """
+    age = now - post.created_at
+    if age < 0:
+        raise ValueError(f"post {post.id} created in the future (t={post.created_at} > now={now})")
+    rel = keyword_relevance(content_tokens(post.content), frozenset(k.lower() for k in profile.keywords))
+    return w_recency * math.exp(-decay * age) + w_relevance * rel
 
 
 def reference_select_feed(

@@ -1,31 +1,134 @@
 """Reference event-log code: the record-based paths the columnar ones must match.
 
-Records go to and from plain dicts, one ``json.dumps``/``json.loads`` per
-line, and the design, the load audit and the action shares are computed by
-a loop over ExposureRecord/PostCreation objects. Nothing here reads a
-CellLog or any numpy column.
+A log here is a list of ExposureRecord/PostCreation objects. Records go to
+and from plain dicts, one ``json.dumps``/``json.loads`` per line, and the
+design, the load audit, the action shares and the counter recount are loops
+over the records. ``log_from_records`` and ``records_of`` convert between
+such a list and a CellLog; nothing else here reads a CellLog or any numpy
+column.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from socialsim.core import (
+    ACTIONS,
+    CREATION_KEYS,
+    EXPOSURE_KEYS,
+    LOADS,
+    NORMS,
+    POST_KINDS,
     ActionKind,
-    ExposureRecord,
+    CellLog,
+    CreationColumns,
+    ExposureColumns,
     LoadLevel,
     NormRegime,
-    PostCreation,
+    PopularityCounters,
     PostKind,
     popularity_composite,
 )
 from socialsim.harness import CellShares, LoadAudit
 from socialsim.population import FollowGraph
 from socialsim.stats import ALLOCATION_ACTIONS, DESIGN_COLUMNS, N_COLUMNS, _LOAD_DUMMIES, _NORM_DUMMIES
+
+
+@dataclass(slots=True, frozen=True)
+class ExposureRecord:
+    """One agent x post x activation observation; the regression row unit.
+
+    The likes/reshares snapshot is taken when the feed is built, strictly
+    before the focal decision is applied to the world.
+    """
+
+    run: int
+    load: LoadLevel
+    norm: NormRegime
+    t: int
+    agent: int
+    post: int
+    likes: int
+    reshares: int
+    action: ActionKind
+
+
+@dataclass(slots=True, frozen=True)
+class PostCreation:
+    """Log record for a post entering the world (seed injection or redistribution)."""
+
+    post: int
+    kind: PostKind
+    author: int
+    source: int | None
+    t: int
+
+
+def log_from_records(records: Iterable[ExposureRecord | PostCreation]) -> CellLog:
+    """The CellLog of an interleaved ExposureRecord/PostCreation list."""
+    records = list(records)
+    is_exposure = [isinstance(r, ExposureRecord) for r in records]
+
+    def fields(rows: list, keys: tuple[str, ...]) -> dict[str, list]:
+        return {k: [_plain(getattr(r, k)) for r in rows] for k in keys}
+
+    return CellLog(
+        ExposureColumns.from_lists(fields([r for r, e in zip(records, is_exposure) if e], EXPOSURE_KEYS)),
+        CreationColumns.from_lists(fields([r for r, e in zip(records, is_exposure) if not e], CREATION_KEYS)),
+        np.array(is_exposure, dtype=bool),
+    )
+
+
+def _plain(value):
+    return value.value if isinstance(value, Enum) else value
+
+
+def records_of(log: CellLog) -> list[ExposureRecord | PostCreation]:
+    """The interleaved ExposureRecord/PostCreation list a CellLog holds."""
+    e, c = log.exposures, log.creations
+    exposures = iter(
+        [
+            ExposureRecord(run, LOADS[load], NORMS[norm], t, agent, post, likes, reshares, ACTIONS[action])
+            for run, load, norm, t, agent, post, likes, reshares, action in zip(
+                *(getattr(e, k).tolist() for k in EXPOSURE_KEYS)
+            )
+        ]
+    )
+    creations = iter(
+        [
+            PostCreation(post=post, kind=POST_KINDS[kind], author=author, source=None if source < 0 else source, t=t)
+            for kind, post, author, source, t in zip(*(getattr(c, k).tolist() for k in CREATION_KEYS))
+        ]
+    )
+    return [next(exposures) if row else next(creations) for row in log.is_exposure.tolist()]
+
+
+def recount_counters(records: Iterable[ExposureRecord | PostCreation]) -> dict[int, PopularityCounters]:
+    """Brute-force recount of every post's counters from the log alone.
+
+    Independent oracle for the engine's incremental bookkeeping: likes are
+    like-rows targeting the post, reposts/quotes are the matching engagement
+    rows (equivalently, creation records pointing at it as source).
+    """
+    counters: dict[int, PopularityCounters] = {}
+    for r in records:
+        if isinstance(r, PostCreation):
+            counters.setdefault(r.post, PopularityCounters())
+        elif isinstance(r, ExposureRecord):
+            c = counters.setdefault(r.post, PopularityCounters())
+            if r.action is ActionKind.LIKE:
+                c.likes += 1
+            elif r.action is ActionKind.REPOST:
+                c.reposts += 1
+            elif r.action is ActionKind.QUOTE:
+                c.quotes += 1
+    return counters
 
 
 def record_to_obj(record: ExposureRecord | PostCreation) -> dict:

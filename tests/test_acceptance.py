@@ -17,7 +17,7 @@ import pytest
 
 import socialsim as ss
 from socialsim.core import ActionKind, CellLog, LoadLevel, NormRegime, RunConfig
-from socialsim.engine import LogBuilder, initialize, recount_counters, step, substream
+from socialsim.engine import LogBuilder, initialize, step, substream
 from socialsim.harness import (
     ALL_LOADS,
     ALL_NORMS,
@@ -55,6 +55,8 @@ from socialsim.stats import (
     multinomial_score,
     table_consistency_check,
 )
+
+from reference_log import ExposureRecord, log_from_records, records_of, recount_counters
 
 POPULATION_SEED = 2026
 RECOVERY_BASE_SEED = 202
@@ -150,12 +152,12 @@ def test_c02_fit_identity_back_solve():
 
 def test_c03_threshold_design_has_23_predictors():
     records = [
-        ss.ExposureRecord(run=1, load=load, norm=norm, t=0, agent=0, post=0, likes=1, reshares=0,
-                          action=ActionKind.READ)
+        ExposureRecord(run=1, load=load, norm=norm, t=0, agent=0, post=0, likes=1, reshares=0,
+                       action=ActionKind.READ)
         for load in LoadLevel
         for norm in NormRegime
     ]
-    X, names, _ = build_design_matrix(records, "threshold")
+    X, names, _ = build_design_matrix(log_from_records(records), "threshold")
     assert X.shape[1] == 24
     assert names[0] == "intercept"
     assert len(names) - 1 == 23
@@ -242,7 +244,7 @@ def test_c07_engine_conservation_oracle():
         step(world, t, cfg, policy, log)
     log = log.finish()
 
-    recounted = recount_counters(log.records())
+    recounted = recount_counters(records_of(log))
     assert len(recounted) == len(world.posts)
     for post in world.posts:
         assert recounted[post.id] == world.counters(post.id), f"post {post.id} counters diverge from log recount"
@@ -265,7 +267,7 @@ def test_c09_realized_load_audit(recovery_experiment):
     follows = recovery_experiment["follows"]
     details = []
     for (load, norm), log in recovery_experiment["per_cell"].items():
-        audit = realized_load_audit(log, follows)
+        audit = realized_load_audit(log, FollowGraph(follows))
         target = load.algorithmic_count
         assert not audit.flagged
         assert abs(audit.mean - target) <= 0.5, f"{load.value}/{norm.value}: mean {audit.mean}"

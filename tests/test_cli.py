@@ -96,6 +96,27 @@ class TestSimulate:
         assert not out.exists()
         assert f"'{sorted(edit)[0]}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "policy, named",
+        [
+            pytest.param({"kind": "parametric", "thresold": [0.0] * 24, "allocation": [[0.0] * 24] * 2}, "unknown key 'thresold'", id="misspelled_key"),
+            pytest.param({"kind": "llm", "modle": "x"}, "unknown key 'modle'", id="llm_misspelled_key"),
+            pytest.param("mock", "'policy' must be an object", id="not_an_object"),
+            pytest.param({"kind": "scripted"}, "requires key 'intents'", id="missing_intents"),
+            pytest.param({"kind": "parametric", "threshold": [0.0, 0.0], "allocation": [[0.0] * 24] * 2}, "key 'threshold' must have shape", id="short_threshold"),
+            pytest.param({"kind": "llm", "transport": "fixtures"}, "requires policy key 'fixture_path'", id="fixtures_without_path"),
+        ],
+    )
+    def test_bad_policy_exits_2_before_writing_anything(self, plan_file, tmp_path, capsys, policy, named):
+        # Regression: the first ran the mock coefficients and exited 0; the others
+        # exited 1 or 2 from inside the run, some after writing the inputs and logs.
+        bad = tmp_path / "bad_policy.json"
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), "policy": policy}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2
 
@@ -128,6 +149,17 @@ class TestAnalyze:
 
     def test_missing_logs_exit_1(self, tmp_path):
         assert main(["analyze", "--logs", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 1
+
+    def test_all_cells_failed_exits_1(self, run_dir, tmp_path, capsys):
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for cell in manifest["cells"]:
+            cell["status"] = "failed"
+            cell["error"] = "RuntimeError: synthetic cell failure"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
+        assert "logs contain no exposure records" in capsys.readouterr().err
 
     def test_descriptive_outputs_exist(self, analysis_dir):
         assert (analysis_dir / "descriptive_shares.csv").exists()

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_engine import reference_parametric_decide, reference_run
-from reference_log import reference_log_to_lines
-from socialsim.core import ExposureRecord, LoadLevel, NormRegime, RunConfig, popularity_composite
+from reference_log import records_of, reference_log_to_lines
+from socialsim.core import LoadLevel, NormRegime, RunConfig, popularity_composite
 from socialsim.engine import LogBuilder, run
 from socialsim.harness import ExperimentPlan, run_experiment, write_log
 from socialsim.policy import (
@@ -88,7 +88,7 @@ class TestRunMatchesReference:
         profiles, graph, corpus, config, factory = case
         log = run(config, factory(), profiles, graph, corpus)
         expected = reference_run(config, factory(), profiles, graph, corpus)
-        assert log.records() == expected
+        assert records_of(log) == expected
         assert _written(log) == "".join(line + "\n" for line in reference_log_to_lines(expected))
 
 
@@ -160,7 +160,6 @@ def test_mock_run_builds_no_record_or_entry(monkeypatch, small_population, small
     def forbidden(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built on the mock-policy path")
 
-    monkeypatch.setattr(ExposureRecord, "__init__", forbidden)
     monkeypatch.setattr(FeedEntry, "__init__", forbidden)
     with pytest.raises(AssertionError):
         FeedEntry(post=0, likes=0, reshares=0, slot="followed")

@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_log import (
+    ExposureRecord,
+    PostCreation,
+    log_from_records,
     record_to_obj,
+    records_of,
     reference_build_design_matrix,
     reference_descriptive_shares,
     reference_log_to_lines,
@@ -22,16 +26,15 @@ from socialsim.core import (
     EXPOSURE_KEYS,
     ActionKind,
     CellLog,
-    ExposureRecord,
     LoadLevel,
     NormRegime,
-    PostCreation,
     PostKind,
     RunConfig,
 )
 from socialsim.engine import run
 from socialsim.harness import _log_chunks, descriptive_shares, read_log, realized_load_audit, write_log
 from socialsim.policy import build_policy, mock_policy_spec
+from socialsim.population import FollowGraph
 from socialsim.stats import build_design_matrix
 
 # Heavy-tailed counters: mostly small, sometimes huge.
@@ -96,11 +99,11 @@ def render(records, data) -> str:
     return "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
 
 
-def _written(records) -> str:
-    """The text write_log writes for these records."""
+def _written(log: CellLog) -> str:
+    """The text write_log writes for this log."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cell.jsonl"
-        write_log(records, path)
+        write_log(log, path)
         return path.read_text(encoding="utf-8")
 
 
@@ -132,12 +135,12 @@ def test_columnar_path_matches_reference(cell, data):
     log, reference = _read(render(records, data))
     assert reference == records
     assert len(log) == len(records)
-    assert log.records() == records
+    assert records_of(log) == records
     _assert_same_design(log, [r for r in records if isinstance(r, ExposureRecord)])
-    assert realized_load_audit(log, follows) == reference_realized_load_audit(records, follows)
+    assert realized_load_audit(log, FollowGraph(follows)) == reference_realized_load_audit(records, follows)
     assert descriptive_shares(log) == reference_descriptive_shares(records)
-    assert _written(records) == ("".join(line + "\n" for line in reference_log_to_lines(records)) or "\n")
-    assert _written(log) == _written(records)
+    assert _written(log_from_records(records)) == ("".join(line + "\n" for line in reference_log_to_lines(records)) or "\n")
+    assert _written(log) == _written(log_from_records(records))
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,17 +148,17 @@ def test_columnar_path_matches_reference(cell, data):
 def test_writer_chunks_join_to_the_reference(cell, rows):
     records, _ = cell
     expected = "".join(line + "\n" for line in reference_log_to_lines(records)) or "\n"
-    assert b"".join(_log_chunks(CellLog.from_records(records), rows)).decode("utf-8") == expected
+    assert b"".join(_log_chunks(log_from_records(records), rows)).decode("utf-8") == expected
 
 
 @settings(max_examples=50, deadline=None)
 @given(cells=st.lists(cell_logs(), min_size=0, max_size=3))
 def test_concatenated_design_matches_reference(cells):
-    logs = [CellLog.from_records(records) for records, _ in cells]
+    logs = [log_from_records(records) for records, _ in cells]
     exposures = [r for records, _ in cells for r in records if isinstance(r, ExposureRecord)]
     joined = CellLog.concat(logs)
     assert len(joined) == sum(len(records) for records, _ in cells)
-    assert joined.records() == [r for records, _ in cells for r in records]
+    assert records_of(joined) == [r for records, _ in cells for r in records]
     _assert_same_design(joined, exposures)
 
 
@@ -165,7 +168,7 @@ def test_read_log_equals_from_records_of_an_engine_run(small_population, small_c
     log = run(cfg, build_policy(mock_policy_spec(), cfg.load, cfg.norm), profiles, graph, small_corpus)
     write_log(log, tmp_path / "cell.jsonl")
     read = read_log(tmp_path / "cell.jsonl")
-    for built in (log, CellLog.from_records(log.records())):
+    for built in (log, log_from_records(records_of(log))):
         assert np.array_equal(read.is_exposure, built.is_exposure)
         for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
             for k in keys:
@@ -178,8 +181,8 @@ def test_empty_log(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("\n")
     log = read_log(path)
-    assert len(log) == 0 and log.records() == []
-    assert realized_load_audit(log, {}).flagged
+    assert len(log) == 0 and records_of(log) == []
+    assert realized_load_audit(log, FollowGraph({})).flagged
     assert descriptive_shares(log).n_records == 0
     with pytest.raises(ValueError):
         build_design_matrix(log, "threshold")

@@ -4,22 +4,14 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from socialsim.core import (
-    ActionKind,
-    ConfigurationError,
-    ExposureRecord,
-    LoadLevel,
-    NormRegime,
-    PostCreation,
-    PostKind,
-    RunConfig,
-)
-from socialsim.engine import LogBuilder, initialize, recount_counters, run, step, substream
+from socialsim.core import ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
+from socialsim.engine import LogBuilder, initialize, run, step, substream
 from socialsim.harness import log_digest
 from socialsim.policy import ScriptedPolicy
 from socialsim.population import generate_population, generate_seed_corpus
 
 from conftest import tiny_graph, tiny_profiles
+from reference_log import ExposureRecord, PostCreation, records_of, recount_counters
 
 
 def _config(**kw):
@@ -78,7 +70,7 @@ class TestInitialize:
     def test_seed_creation_records_logged(self):
         log = LogBuilder(_config())
         initialize(tiny_profiles(), tiny_graph(), _corpus(3), _config(), log)
-        creations = _creations(log.finish().records())
+        creations = _creations(records_of(log.finish()))
         assert [c.post for c in creations] == [0, 1, 2]
         assert all(c.kind is PostKind.SEED and c.t == 0 and c.source is None for c in creations)
 
@@ -91,7 +83,7 @@ class TestStepEffects:
         policy = ScriptedPolicy(policy_intents)
         for t in range(timesteps):
             step(world, t, cfg, policy, log)
-        return world, log.finish().records()
+        return world, records_of(log.finish())
 
     def test_like_increments_exactly_one_counter(self):
         world, _ = self._world_and_log([("like", 0), "read", "read", "read", "read"])
@@ -146,7 +138,7 @@ def medium_run(small_population):
     world = initialize(profiles, graph, corpus, cfg, log)
     for t in range(cfg.timesteps):
         step(world, t, cfg, policy, log)
-    return world, log.finish().records(), cfg
+    return world, records_of(log.finish()), cfg
 
 
 class TestRunProperties:
@@ -239,7 +231,7 @@ class TestRunProperties:
         corpus = generate_seed_corpus(seed=2, size=20)
         cfg = _config(n_agents=40, timesteps=200, activation_p=0.05, seed=23)
         log = run(cfg, ScriptedPolicy(["read"]), profiles, graph, corpus)
-        activations = len({(r.t, r.agent) for r in _exposures(log.records())})
+        activations = len({(r.t, r.agent) for r in _exposures(records_of(log))})
         n_draws = 40 * 200
         mean = n_draws * 0.05
         sigma = math.sqrt(n_draws * 0.05 * 0.95)

@@ -4,16 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from socialsim.core import (
-    ActionKind,
-    ConfigurationError,
-    ExposureRecord,
-    FormatError,
-    LoadLevel,
-    NormRegime,
-    PostCreation,
-    PostKind,
-)
+from socialsim.core import ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind
 from socialsim.harness import (
     ALL_LOADS,
     ALL_NORMS,
@@ -31,7 +22,9 @@ from socialsim.harness import (
 )
 from socialsim.engine import LogBuilder, run
 from socialsim.policy import ScriptedSpec, build_policy, mock_policy_spec
-from socialsim.population import generate_population, generate_seed_corpus
+from socialsim.population import FollowGraph, generate_population, generate_seed_corpus
+
+from reference_log import ExposureRecord, PostCreation, log_from_records, records_of
 
 
 def _tiny_plan(policy=None, **kw):
@@ -71,9 +64,9 @@ class TestLogSerialization:
             ),
         ]
         path = tmp_path / "log.jsonl"
-        digest = write_log(records, path)
-        assert read_log(path).records() == records
-        assert digest == log_digest(records)
+        digest = write_log(log_from_records(records), path)
+        assert records_of(read_log(path)) == records
+        assert digest == log_digest(log_from_records(records))
 
     def test_jsonl_keys(self, tmp_path):
         records = [
@@ -83,7 +76,7 @@ class TestLogSerialization:
             )
         ]
         path = tmp_path / "log.jsonl"
-        write_log(records, path)
+        write_log(log_from_records(records), path)
         obj = json.loads(path.read_text().splitlines()[0])
         assert list(obj) == ["run", "load", "norm", "t", "agent", "post", "likes", "reshares", "action"]
 
@@ -209,7 +202,7 @@ class TestRunExperiment:
         profiles, graph, corpus = small_inputs
         manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
         for cell in manifest["cells"]:
-            assert log_digest(read_log(tmp_path / "logs" / cell["file"]).records()) == cell["sha256"]
+            assert log_digest(log_from_records(records_of(read_log(tmp_path / "logs" / cell["file"])))) == cell["sha256"]
 
     def test_cell_filter(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
@@ -259,7 +252,7 @@ class TestRunExperiment:
         assert [c["status"] for c in manifest["cells"]] == ["ok"] * 12
         _, per_cell = load_experiment(tmp_path)
         for log in per_cell.values():
-            likes = Counter(r.agent for r in log.records() if isinstance(r, ExposureRecord) and r.action is ActionKind.LIKE)
+            likes = Counter(r.agent for r in records_of(log) if isinstance(r, ExposureRecord) and r.action is ActionKind.LIKE)
             assert max(likes.values()) > 8
 
     def test_manifest_run_counts(self, small_inputs, tmp_path):
@@ -299,21 +292,21 @@ class TestAudits:
                            t=3, agent=5, post=p, likes=0, reshares=0, action=ActionKind.READ)
             for p in (0, 1, 2)
         ]
-        return creations + exposures
+        return log_from_records(creations + exposures)
 
     def test_hand_computed_algorithmic_count(self):
-        audit = realized_load_audit(self._hand_records(), {5: frozenset({1})})
+        audit = realized_load_audit(self._hand_records(), FollowGraph({5: frozenset({1})}))
         assert audit.n_activations == 1
         assert audit.mean == audit.min == audit.max == 2  # posts 1 and 2 are non-followee
 
     def test_empty_cell_flagged(self):
-        audit = realized_load_audit([], {})
+        audit = realized_load_audit(log_from_records([]), FollowGraph({}))
         assert audit.flagged and audit.n_activations == 0
 
     def test_single_activation_mean_min_max_agree(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
         records = self._hand_records()
-        audit = realized_load_audit(records, {5: frozenset({1})})
+        audit = realized_load_audit(records, FollowGraph({5: frozenset({1})}))
         assert audit.mean == audit.min == audit.max
 
     def test_shares_sum_to_one(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from socialsim.core import ActionKind, LoadLevel, NormRegime, popularity_composite
+from socialsim.core import ActionKind, ConfigurationError, LoadLevel, NormRegime, popularity_composite
 from socialsim.policy import (
     Decision,
     DecisionContext,
@@ -312,6 +312,43 @@ class TestPolicySpecs:
     def test_build_policy_dispatch(self):
         assert isinstance(build_policy(ScriptedSpec(), LoadLevel.LOW, NormRegime.NO_NORM), ScriptedPolicy)
         assert isinstance(build_policy(mock_policy_spec(), LoadLevel.LOW, NormRegime.NO_NORM), ParametricLogitPolicy)
+
+    def test_mock_kind_gives_the_default_coefficients(self):
+        assert policy_spec_from_obj({"kind": "mock"}) == mock_policy_spec()
+
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            pytest.param("mock", "'policy'", id="not_an_object"),
+            pytest.param({"kind": "greedy"}, "'greedy'", id="unknown_kind"),
+            pytest.param({"kind": "mock", "threshold": [0.0] * N_COLUMNS}, "'threshold'", id="mock_with_a_key"),
+            pytest.param({"kind": "parametric", "thresold": [0.0] * N_COLUMNS, "allocation": [[0.0] * N_COLUMNS] * 2}, "'thresold'", id="misspelled_threshold"),
+            pytest.param({"kind": "parametric", "allocation": [[0.0] * N_COLUMNS] * 2}, "'threshold'", id="missing_threshold"),
+            pytest.param({"kind": "parametric", "threshold": [0.0] * N_COLUMNS}, "'allocation'", id="missing_allocation"),
+            pytest.param({"kind": "parametric", "threshold": [0.0, 0.0], "allocation": [[0.0] * N_COLUMNS] * 2}, "'threshold'", id="short_threshold"),
+            pytest.param({"kind": "parametric", "threshold": [0.0] * N_COLUMNS, "allocation": [[0.0] * N_COLUMNS, [0.0]]}, "'allocation'", id="ragged_allocation"),
+            pytest.param({"kind": "parametric", "threshold": ["a"] * N_COLUMNS, "allocation": [[0.0] * N_COLUMNS] * 2}, "'threshold'", id="text_coefficients"),
+            pytest.param({"kind": "scripted"}, "'intents'", id="missing_intents"),
+            pytest.param({"kind": "scripted", "intents": []}, "'intents'", id="no_intents"),
+            pytest.param({"kind": "scripted", "intents": ["read"], "steps": 3}, "'steps'", id="scripted_unknown_key"),
+            pytest.param({"kind": "llm", "modle": "x", "endpoint": "http://x"}, "'modle'", id="misspelled_model"),
+            pytest.param({"kind": "llm", "model": "x"}, "'endpoint'", id="live_without_endpoint"),
+            pytest.param({"kind": "llm", "transport": "fixtures"}, "'fixture_path'", id="fixtures_without_path"),
+            pytest.param({"kind": "llm", "transport": "replay", "endpoint": "http://x"}, "'transport'", id="unknown_transport"),
+        ],
+    )
+    def test_bad_policy_object_is_rejected_naming_the_key(self, obj, named):
+        # Regression: a misspelled or missing key ran the mock coefficients or the
+        # llm defaults, and shape and transport errors surfaced only once cells ran.
+        with pytest.raises(ConfigurationError, match=named):
+            policy_spec_from_obj(obj)
+
+    def test_fixture_file_must_exist_when_the_spec_is_built(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="fixture file not found"):
+            policy_spec_from_obj({"kind": "llm", "transport": "fixtures", "fixture_path": str(tmp_path / "none.jsonl")})
+        (tmp_path / "fx.jsonl").write_text("")
+        spec = policy_spec_from_obj({"kind": "llm", "transport": "fixtures", "fixture_path": str(tmp_path / "fx.jsonl")})
+        assert isinstance(build_policy(spec, LoadLevel.LOW, NormRegime.NO_NORM), LlmPolicy)
 
     def test_llm_spec_requires_endpoint_or_fixture(self):
         with pytest.raises(Exception):

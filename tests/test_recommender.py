@@ -7,17 +7,10 @@ from hypothesis import strategies as st
 from socialsim.core import LoadLevel, NormRegime, PostKind, RunConfig
 from socialsim.engine import WorldState
 from socialsim.population import AgentProfile, FollowGraph
-from socialsim.recommender import (
-    ALGORITHMIC,
-    FOLLOWED,
-    keyword_relevance,
-    realized_algorithmic_count,
-    score_post,
-    select_feed,
-)
+from socialsim.recommender import ALGORITHMIC, FOLLOWED, Feed, select_feed
 
 from conftest import tiny_graph, tiny_profiles
-from reference_feed import reference_select_feed
+from reference_feed import keyword_relevance, reference_select_feed, score_post
 
 
 def _config(load=LoadLevel.LOWEST, **kw):
@@ -109,7 +102,7 @@ class TestSelectFeed:
         feed = select_feed(4, world, LoadLevel.HIGH, cfg)
         assert len(feed) == 33
         assert sum(1 for e in feed if e.slot == FOLLOWED) == 3
-        assert realized_algorithmic_count(feed) == 30
+        assert len(feed) - feed.n_followed == 30
 
     def test_no_followees_backfills_to_seven(self):
         cfg = _config()
@@ -120,7 +113,7 @@ class TestSelectFeed:
             _post(world, i % 2, f"content {i}")
         feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
         assert len(feed) == 7
-        assert realized_algorithmic_count(feed) == 7
+        assert len(feed) - feed.n_followed == 7
 
     def test_supply_limited_feed(self):
         cfg = _config(load=LoadLevel.MEDIUM)
@@ -192,7 +185,8 @@ class TestSelectFeed:
 
 class TestRealizedCount:
     def test_empty_feed(self):
-        assert realized_algorithmic_count([]) == 0
+        feed = Feed.from_entries([])
+        assert len(feed) - feed.n_followed == 0
 
 
 _WORDS = ["alpha", "Alpha", "BETA", "beta", "Gamma", "delta", "EPS", "kw0", "Kw1"]

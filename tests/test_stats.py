@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from socialsim.core import ActionKind, ExposureRecord, LoadLevel, NormRegime
+from socialsim.core import ActionKind, LoadLevel, NormRegime
 from socialsim.stats import (
     DESIGN_COLUMNS,
     N_COLUMNS,
@@ -32,6 +32,8 @@ from socialsim.stats import (
     REFERENCE_THRESHOLD_FIT,
 )
 
+from reference_log import ExposureRecord, log_from_records
+
 
 def _record(action=ActionKind.READ, likes=0, reshares=0, load=LoadLevel.LOWEST, norm=NormRegime.NO_NORM, t=0, agent=0, post=0):
     return ExposureRecord(run=1, load=load, norm=norm, t=t, agent=agent, post=post, likes=likes, reshares=reshares, action=action)
@@ -39,20 +41,20 @@ def _record(action=ActionKind.READ, likes=0, reshares=0, load=LoadLevel.LOWEST, 
 
 class TestDesignMatrix:
     def test_24_columns_23_predictors(self):
-        X, names, y = build_design_matrix([_record(), _record(action=ActionKind.LIKE)], "threshold")
+        X, names, y = build_design_matrix(log_from_records([_record(), _record(action=ActionKind.LIKE)]), "threshold")
         assert X.shape[1] == N_COLUMNS == 24
         assert names[0] == "intercept"
         assert len(names) - 1 == 23
 
     def test_reference_cell_row_is_intercept_only(self):
-        X, _, _ = build_design_matrix([_record(likes=0, reshares=0)], "threshold")
+        X, _, _ = build_design_matrix(log_from_records([_record(likes=0, reshares=0)]), "threshold")
         expected = np.zeros(24)
         expected[0] = 1.0
         assert np.array_equal(X[0], expected)
 
     def test_three_way_product_column(self):
         r = _record(likes=3, reshares=2, load=LoadLevel.HIGH, norm=NormRegime.REPOST_DOMINANT)
-        X, names, _ = build_design_matrix([r], "threshold")
+        X, names, _ = build_design_matrix(log_from_records([r]), "threshold")
         c = math.log1p(5)
         j = names.index("popularity:high_load:repost_norm")
         assert X[0, j] == pytest.approx(c)
@@ -67,12 +69,12 @@ class TestDesignMatrix:
 
     def test_row_equals_design_row_helper(self):
         r = _record(likes=7, reshares=1, load=LoadLevel.MEDIUM, norm=NormRegime.LIKE_DOMINANT)
-        X, _, _ = build_design_matrix([r], "threshold")
+        X, _, _ = build_design_matrix(log_from_records([r]), "threshold")
         assert np.allclose(X[0], design_row(math.log1p(8), LoadLevel.MEDIUM, NormRegime.LIKE_DOMINANT))
 
     def test_threshold_outcome_coding(self):
         records = [_record(), _record(action=ActionKind.LIKE), _record(action=ActionKind.QUOTE)]
-        _, _, y = build_design_matrix(records, "threshold")
+        _, _, y = build_design_matrix(log_from_records(records), "threshold")
         assert y.tolist() == [0, 1, 1]
 
     def test_allocation_filters_reads(self):
@@ -81,7 +83,7 @@ class TestDesignMatrix:
             _record(action=ActionKind.REPOST),
             _record(action=ActionKind.QUOTE),
         ]
-        X, _, y = build_design_matrix(records, "allocation")
+        X, _, y = build_design_matrix(log_from_records(records), "allocation")
         assert X.shape[0] == 3
         assert y.tolist() == [0, 1, 2]
 
@@ -96,10 +98,10 @@ class TestDesignMatrix:
             )
             for _ in range(100)
         ]
-        X1, n1, _ = build_design_matrix(records, "threshold")
+        X1, n1, _ = build_design_matrix(log_from_records(records), "threshold")
         shuffled = list(records)
         rng.shuffle(shuffled)
-        X2, n2, _ = build_design_matrix(shuffled, "threshold")
+        X2, n2, _ = build_design_matrix(log_from_records(shuffled), "threshold")
         assert n1 == n2 and X1.shape == X2.shape
 
     def test_main_effect_only_roster_has_7_columns(self):
