@@ -10,7 +10,9 @@ from .core import (
     Post,
     PostKind,
     RunConfig,
+    from_obj,
     popularity_composite,
+    to_obj,
 )
 from .engine import LogBuilder, WorldState, initialize, run, step
 from .harness import (

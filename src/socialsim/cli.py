@@ -11,12 +11,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import figures
-from .core import CellLog, ConfigurationError, FormatError, LoadLevel, NormRegime
+from .core import CellLog, ConfigurationError, FormatError, LoadLevel, NormRegime, RunParameters, from_obj
 from .harness import (
     ExperimentPlan,
     descriptive_shares,
@@ -86,6 +87,27 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+@dataclass
+class SimulateInputs:
+    """A simulate config's keys besides the plan's: a file path (relative to the config) for each input,
+    or else the seed to generate it from, by default the plan's base seed."""
+
+    population: str | None = None
+    corpus: str | None = None
+    population_seed: int = None  # type: ignore[assignment]  # absent: the base seed; null is not a seed
+    corpus_seed: int = None  # type: ignore[assignment]
+
+
+def read_config(cfg: object) -> tuple[ExperimentPlan, SimulateInputs]:
+    """The plan and the inputs of a simulate config object, each read by core.from_obj."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config must be a JSON object, got {cfg!r}")
+    input_keys = {f.name for f in fields(SimulateInputs)}
+    plan = from_obj(ExperimentPlan, {k: v for k, v in cfg.items() if k not in input_keys}, "plan key")
+    inputs = from_obj(SimulateInputs, {k: v for k, v in cfg.items() if k in input_keys}, "plan key")
+    return plan, inputs
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     if not config_path.exists():
@@ -98,20 +120,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        plan = ExperimentPlan.from_obj(cfg)
+        plan, inputs = read_config(cfg)
         if args.seed is not None:
             plan.base_seed = args.seed
         if args.policy == "mock":
             plan.policy = mock_policy_spec()
 
-        if cfg.get("population"):
-            profiles, graph = load_population(_resolve(config_path, cfg["population"]))
+        if inputs.population:
+            profiles, graph = load_population(_resolve(config_path, inputs.population))
         else:
-            profiles, graph = generate_population(plan.n_agents, int(cfg.get("population_seed", plan.base_seed)))
-        if cfg.get("corpus"):
-            corpus = load_corpus(_resolve(config_path, cfg["corpus"]))
+            seed = plan.base_seed if inputs.population_seed is None else inputs.population_seed
+            profiles, graph = generate_population(plan.n_agents, seed)
+        if inputs.corpus:
+            corpus = load_corpus(_resolve(config_path, inputs.corpus))
         else:
-            corpus = generate_seed_corpus(int(cfg.get("corpus_seed", plan.base_seed)))
+            corpus = generate_seed_corpus(plan.base_seed if inputs.corpus_seed is None else inputs.corpus_seed)
         if len(profiles) != plan.n_agents:
             raise ConfigurationError(
                 f"plan expects {plan.n_agents} agents but population has {len(profiles)}"
@@ -334,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-population", help="generate a synthetic population file")
-    p.add_argument("--n", type=int, default=558, help="number of agents")
+    p.add_argument("--n", type=int, default=RunParameters.n_agents, help="number of agents")
     p.add_argument("--seed", type=int, required=True, help="generation seed")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_gen_population)

@@ -1,11 +1,13 @@
-"""Shared domain types: actions, experimental conditions, posts, and the columnar event log."""
+"""Shared domain types: actions, experimental conditions, posts, the columnar
+event log, run parameters, and the reader and writer of config objects."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,9 +33,6 @@ class ActionKind(Enum):
     @property
     def is_engagement(self) -> bool:
         return self is not ActionKind.READ
-
-
-ENGAGEMENT_ACTIONS = (ActionKind.LIKE, ActionKind.REPOST, ActionKind.QUOTE)
 
 
 class LoadLevel(Enum):
@@ -297,12 +296,9 @@ class CellLog:
 
 
 @dataclass
-class RunConfig:
-    """Full parameterization of one simulated run."""
+class RunParameters:
+    """The run parameters every cell of a plan shares, with their defaults and ranges."""
 
-    seed: int
-    load: LoadLevel
-    norm: NormRegime
     n_agents: int = 558
     timesteps: int = 480
     activation_p: float = 0.01
@@ -318,9 +314,100 @@ class RunConfig:
             raise ConfigurationError(f"timesteps must be positive, got {self.timesteps}")
         if self.n_agents <= 0:
             raise ConfigurationError(f"n_agents must be positive, got {self.n_agents}")
+        # exp(-recency_decay * age) overflows for a negative decay over a long run.
+        if not 0.0 <= self.recency_decay < math.inf:
+            raise ConfigurationError(f"recency_decay must be finite and non-negative, got {self.recency_decay}")
+        for key in ("w_recency", "w_relevance"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigurationError(f"{key} must be in [0, 1], got {getattr(self, key)}")
         if abs(self.w_recency + self.w_relevance - 1.0) > 1e-9:
             raise ConfigurationError("recency and relevance weights must sum to 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
         if self.history_window < 1:
             raise ConfigurationError(f"history_window must be at least 1, got {self.history_window}")
+
+
+@dataclass(kw_only=True)
+class RunConfig(RunParameters):
+    """Full parameterization of one simulated run: a cell's seed and condition plus the run parameters."""
+
+    seed: int
+    load: LoadLevel
+    norm: NormRegime
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
+
+
+# ---------------------------------------------------------------------------
+# Config objects: one reader and one writer for every config dataclass
+# ---------------------------------------------------------------------------
+
+
+def from_obj(cls: type, obj: Any, what: str) -> Any:
+    """An instance of dataclass ``cls`` from a JSON object of its init fields.
+
+    Each value must have its field's annotated type: an int (an integral
+    float is stored as one), a finite number (kept as given, so 0 stays 0), a
+    string, a list of such, or null where the type admits None; a bool is no
+    number. A field with a ``read`` function in its metadata is read by it.
+    ConfigurationError names the ``what`` (say "plan key") that is unknown,
+    missing without a default, or of the wrong type; then cls checks ranges.
+    """
+    if not isinstance(obj, Mapping):
+        raise ConfigurationError(f"expected a JSON object of {what}s, got {obj!r}")
+    init = [f for f in fields(cls) if f.init]
+    unknown = sorted(set(obj) - {f.name for f in init})
+    if unknown:
+        raise ConfigurationError(f"unknown {what} {unknown[0]!r}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in init:
+        if f.name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigurationError(f"missing {what} {f.name!r}")
+        elif "read" in f.metadata:
+            values[f.name] = f.metadata["read"](obj[f.name])
+        else:
+            try:
+                values[f.name] = _typed(hints[f.name], obj[f.name])
+            except (TypeError, OverflowError):  # OverflowError: an int past the float range
+                raise ConfigurationError(f"{what} {f.name!r} must be {_describe(hints[f.name])}, got {obj[f.name]!r}") from None
+    return cls(**values)
+
+
+def to_obj(value: Any) -> Any:
+    """The JSON value of a config object: a dataclass becomes an object of all its fields, a tuple a list."""
+    if is_dataclass(value):
+        return {f.name: to_obj(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_obj(v) for v in value]
+    return value
+
+
+def _typed(tp: Any, value: Any) -> Any:
+    """``value`` as a value of type ``tp``; TypeError (or OverflowError) when it is not one."""
+    if isinstance(tp, types.UnionType):  # T | None
+        if value is None:
+            return None
+        (tp,) = set(get_args(tp)) - {type(None)}
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if (tp is float and number and math.isfinite(value)) or (tp is str and isinstance(value, str)):
+        return value
+    if get_origin(tp) is list and isinstance(value, list):
+        return [_typed(get_args(tp)[0], v) for v in value]
+    if tp is list and isinstance(value, list):
+        return value
+    raise TypeError(tp)
+
+
+def _describe(tp: Any, plural: bool = False) -> str:
+    if isinstance(tp, types.UnionType):
+        return f"{_describe(*set(get_args(tp)) - {type(None)}, plural)} or null"
+    if get_origin(tp) is list:
+        return ("lists" if plural else "a list") + f" of {_describe(get_args(tp)[0], True)}"
+    names = {int: "an integer", float: "a finite number", str: "a string", list: "a list"}
+    return names[tp][names[tp].index(" ") + 1 :] + "s" if plural else names[tp]

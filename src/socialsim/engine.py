@@ -308,20 +308,6 @@ class WorldState:
         ages = self.now - self._created_at[:n]
         return self._w_rec * self._recency[ages] + self._w_rel * self._rel[row, :n]
 
-    def state_digest(self) -> str:
-        import hashlib
-        import json
-
-        payload = json.dumps(
-            [
-                (p.id, p.author, p.kind.value, p.source_link, p.created_at, likes, reposts, quotes)
-                for p, likes, reposts, quotes in zip(
-                    self.posts, self.likes.tolist(), self.reposts.tolist(), self.quotes.tolist()
-                )
-            ]
-        ).encode()
-        return hashlib.sha256(payload).hexdigest()
-
 
 def initialize(
     profiles: Sequence[AgentProfile],

@@ -17,8 +17,9 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,19 +38,13 @@ from .core import (
     LoadLevel,
     NormRegime,
     RunConfig,
+    RunParameters,
+    to_obj,
 )
 from .engine import LogBuilder, run
-from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj, policy_spec_to_obj
-from .population import (
-    AgentProfile,
-    FollowGraph,
-    corpus_digest,
-    load_corpus,
-    load_population,
-    population_digest,
-    save_corpus,
-    save_population,
-)
+from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj
+from .population import AgentProfile, FollowGraph, corpus_digest, population_digest, save_corpus, save_population
+from .population import load_corpus, load_population  # noqa: F401 - perfbench traces harness.load_population
 
 ALL_LOADS = (LoadLevel.LOWEST, LoadLevel.LOW, LoadLevel.MEDIUM, LoadLevel.HIGH)
 ALL_NORMS = (NormRegime.NO_NORM, NormRegime.LIKE_DOMINANT, NormRegime.REPOST_DOMINANT)
@@ -216,43 +211,20 @@ def cell_seed(base_seed: int, load: LoadLevel, norm: NormRegime, replication: in
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
 
 
-# Config keys of `simulate` that are not plan fields: inputs and their seeds.
-CLI_KEYS = frozenset({"population", "corpus", "population_seed", "corpus_seed"})
+@dataclass(kw_only=True)
+class ExperimentPlan(RunParameters):
+    """A factorial plan: a base seed, a policy and a replication count, plus the
+    run parameters every cell shares. Its JSON object is read by core.from_obj
+    and written by core.to_obj."""
 
-
-def _integer(obj: Mapping, key: str, default: int | None = None) -> int:
-    """obj[key] as an int, or ``default`` when the key is absent (KeyError without one).
-
-    An integral float such as 480.0 is accepted; anything else that is not an
-    int (2.9, "3", true) raises ConfigurationError naming the key.
-    """
-    if key not in obj and default is not None:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
-        raise ConfigurationError(f"plan key {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-@dataclass
-class ExperimentPlan:
     base_seed: int
-    policy: PolicySpec = field(default_factory=mock_policy_spec)
+    policy: PolicySpec = field(default_factory=mock_policy_spec, metadata={"read": policy_spec_from_obj})
     replications: int = 1
-    n_agents: int = 558
-    timesteps: int = 480
-    activation_p: float = 0.01
-    recency_decay: float = 0.01
-    w_recency: float = 0.7
-    w_relevance: float = 0.3
-    history_window: int = 8
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.replications < 1:
             raise ConfigurationError(f"replications must be at least 1, got {self.replications}")
-        # Every cell shares these run parameters, so one RunConfig checks them
-        # all before any cell runs.
-        self.cell_config(ALL_LOADS[0], ALL_NORMS[0], 0)
 
     def cells(self) -> list[tuple[LoadLevel, NormRegime, int]]:
         return [
@@ -267,52 +239,7 @@ class ExperimentPlan:
             seed=cell_seed(self.base_seed, load, norm, replication),
             load=load,
             norm=norm,
-            n_agents=self.n_agents,
-            timesteps=self.timesteps,
-            activation_p=self.activation_p,
-            recency_decay=self.recency_decay,
-            w_recency=self.w_recency,
-            w_relevance=self.w_relevance,
-            history_window=self.history_window,
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "base_seed": self.base_seed,
-            "policy": policy_spec_to_obj(self.policy),
-            "replications": self.replications,
-            "n_agents": self.n_agents,
-            "timesteps": self.timesteps,
-            "activation_p": self.activation_p,
-            "recency_decay": self.recency_decay,
-            "w_recency": self.w_recency,
-            "w_relevance": self.w_relevance,
-            "history_window": self.history_window,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Mapping) -> "ExperimentPlan":
-        """A plan from its JSON object; ConfigurationError names an unknown key or a non-integer count.
-
-        The keys the simulate command reads itself (CLI_KEYS) are allowed too.
-        """
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - CLI_KEYS)
-        if unknown:
-            raise ConfigurationError(f"unknown plan key {unknown[0]!r}")
-        for key in ("population_seed", "corpus_seed"):
-            if key in obj:
-                _integer(obj, key)
-        return cls(
-            base_seed=_integer(obj, "base_seed"),
-            policy=policy_spec_from_obj(obj.get("policy", {"kind": "mock"})),
-            replications=_integer(obj, "replications", 1),
-            n_agents=_integer(obj, "n_agents", 558),
-            timesteps=_integer(obj, "timesteps", 480),
-            activation_p=float(obj.get("activation_p", 0.01)),
-            recency_decay=float(obj.get("recency_decay", 0.01)),
-            w_recency=float(obj.get("w_recency", 0.7)),
-            w_relevance=float(obj.get("w_relevance", 0.3)),
-            history_window=_integer(obj, "history_window", 8),
+            **{f.name: getattr(self, f.name) for f in fields(RunParameters)},
         )
 
 
@@ -320,40 +247,20 @@ def cell_name(load: LoadLevel, norm: NormRegime, replication: int) -> str:
     return f"{load.value}_{norm.value}_r{replication}"
 
 
-def _run_cell(args: tuple) -> dict:
-    """Worker: execute one cell and write its log. Top level for pickling."""
-    plan_obj, load_v, norm_v, rep, pop_path, corpus_path, log_path, api_key = args
-    plan = ExperimentPlan.from_obj(plan_obj)
-    load, norm = LoadLevel(load_v), NormRegime(norm_v)
-    profiles, graph = load_population(pop_path)
-    corpus = load_corpus(corpus_path)
+def _run_cell(plan: ExperimentPlan, profiles: Sequence[AgentProfile], graph: FollowGraph, corpus: Sequence[str],
+              api_key: str | None, cell: tuple[LoadLevel, NormRegime, int], log_path: Path) -> dict:
+    """Run one cell and write its log; returns its manifest entry, "failed" on any error. Top level for pickling."""
+    load, norm, rep = cell
     config = plan.cell_config(load, norm, rep)
-    policy = build_policy(plan.policy, load, norm, api_key=api_key)
+    entry = {"load": load.value, "norm": norm.value, "replication": rep, "seed": config.seed, "file": log_path.name}
     try:
+        policy = build_policy(plan.policy, load, norm, api_key=api_key)
         builder = LogBuilder(config)
         log = run(config, policy, profiles, graph, corpus, builder)
         digest = write_log(log, log_path)
-        return {
-            "load": load.value,
-            "norm": norm.value,
-            "replication": rep,
-            "seed": config.seed,
-            "file": Path(log_path).name,
-            "sha256": digest,
-            "rows": len(log),
-            "status": "ok",
-            **builder.counts(),
-        }
+        return {**entry, "sha256": digest, "rows": len(log), "status": "ok", **builder.counts()}
     except Exception as e:  # noqa: BLE001 - partial failures are recorded, not fatal
-        return {
-            "load": load.value,
-            "norm": norm.value,
-            "replication": rep,
-            "seed": config.seed,
-            "file": Path(log_path).name,
-            "status": "failed",
-            "error": f"{type(e).__name__}: {e}",
-        }
+        return {**entry, "status": "failed", "error": f"{type(e).__name__}: {e}"}
 
 
 def run_experiment(
@@ -374,37 +281,25 @@ def run_experiment(
     """
     out = Path(out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
-    pop_path = out / "population.jsonl"
-    corpus_path = out / "corpus.jsonl"
-    save_population(profiles, graph, pop_path)
-    save_corpus(corpus, corpus_path)
+    save_population(profiles, graph, out / "population.jsonl")
+    save_corpus(corpus, out / "corpus.jsonl")
 
     wanted = plan.cells()
     if cells is not None:
         selected = {(load.value, norm.value) for load, norm in cells}
         wanted = [(l, n, r) for l, n, r in wanted if (l.value, n.value) in selected]
+    log_paths = [out / "logs" / f"{cell_name(*cell)}.jsonl" for cell in wanted]
 
-    jobs = [
-        (
-            plan.to_obj(),
-            load.value,
-            norm.value,
-            rep,
-            str(pop_path),
-            str(corpus_path),
-            str(out / "logs" / f"{cell_name(load, norm, rep)}.jsonl"),
-            api_key,
-        )
-        for load, norm, rep in wanted
-    ]
-    if workers > 1 and len(jobs) > 1:
+    # Every cell runs on the caller's objects; a worker process gets them pickled.
+    run_cell = partial(_run_cell, plan, profiles, graph, corpus, api_key)
+    if workers > 1 and len(wanted) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, jobs))
+            results = list(pool.map(run_cell, wanted, log_paths))
     else:
-        results = [_run_cell(job) for job in jobs]
+        results = list(map(run_cell, wanted, log_paths))
 
     manifest = {
-        "plan": plan.to_obj(),
+        "plan": to_obj(plan),
         "population_sha256": population_digest(profiles, graph),
         "corpus_sha256": corpus_digest(corpus),
         "cells": results,

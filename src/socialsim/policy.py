@@ -21,9 +21,9 @@ import logging
 import math
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .core import (
     ConfigurationError,
     LoadLevel,
     NormRegime,
+    from_obj,
     popularity_composite,
 )
 from .population import AgentProfile
@@ -118,14 +119,14 @@ Intent = str | tuple  # "read" | (action_name, feed_index[, commentary])
 class ScriptedPolicy:
     """Replays a cyclic sequence of intents against whatever feed shows up.
 
-    An intent is "read" or (action, feed_index, [commentary]); the index is
-    resolved against the current feed so scripts stay valid regardless of
-    which posts are shown. Out-of-range indexes fall back to read-only.
+    An intent is "read", (action, feed_index) or ("quote", feed_index,
+    commentary); the index is resolved against the current feed so scripts
+    stay valid regardless of which posts are shown. An index past the feed's
+    end falls back to read-only.
     """
 
     def __init__(self, intents: Sequence[Intent]):
-        _check_intents(intents)
-        self.intents = list(intents)
+        self.intents = _checked_intents(intents)
         self._cursor = 0
 
     def decide(self, context: DecisionContext, rng: np.random.Generator) -> Decision:
@@ -145,9 +146,25 @@ class ScriptedPolicy:
         return Decision(action=action, target=context.feed[index].post, commentary=commentary)
 
 
-def _check_intents(intents: Sequence[Intent]) -> None:
+def _checked_intents(intents: Sequence[Intent]) -> list[Intent]:
+    """The intents, each list made a tuple; ConfigurationError names a value that is not an intent.
+
+    An intent is "read", [action, index] or ["quote", index, commentary]:
+    action is like, repost or quote, index a non-negative int and
+    commentary a non-empty string.
+    """
     if not isinstance(intents, (list, tuple)) or not intents:
         raise ConfigurationError(f"policy key 'intents' must be a non-empty list, got {intents!r}")
+    for intent in intents:
+        if intent != "read" and not (
+            isinstance(intent, (list, tuple)) and len(intent) in (2, 3) and intent[0] in ("like", "repost", "quote")
+            and type(intent[1]) is int and intent[1] >= 0  # not a bool
+            and (len(intent) == 2 or (intent[0] == "quote" and isinstance(intent[2], str) and intent[2] != ""))
+        ):
+            raise ConfigurationError(
+                f"policy key 'intents' holds {intent!r}, which is not \"read\", [action, index] or [\"quote\", index, commentary]"
+            )
+    return [intent if intent == "read" else tuple(intent) for intent in intents]
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +423,30 @@ def request_hash(request: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class FixtureTransport:
-    """Replays recorded responses keyed by request hash (offline tests).
+def read_fixtures(path: str | Path) -> dict[str, str]:
+    """The responses of a fixture file by request hash: JSON Lines of string
+    {"request_hash": ..., "response_text": ...}. ConfigurationError names the file and a bad line."""
+    responses: dict[str, str] = {}
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError):
+            obj = None
+        if not (isinstance(obj, dict) and isinstance(obj.get("request_hash"), str) and isinstance(obj.get("response_text"), str)):
+            raise ConfigurationError(
+                f'fixture file {path}, line {number}: not a JSON object with string "request_hash" and "response_text"'
+            )
+        responses[obj["request_hash"]] = obj["response_text"]
+    return responses
 
-    Fixture files are JSON Lines of {"request_hash": ..., "response_text": ...}.
-    """
+
+class FixtureTransport:
+    """Replays recorded responses keyed by request hash (offline tests); see read_fixtures."""
 
     def __init__(self, path: str | Path):
-        self.responses: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            self.responses[obj["request_hash"]] = obj["response_text"]
+        self.responses = read_fixtures(path)
 
     def complete(self, request: dict) -> str:
         h = request_hash(request)
@@ -456,21 +484,6 @@ class HttpTransport:
             return body["choices"][0]["message"]["content"]
         except Exception as e:  # noqa: BLE001 - any transport problem is retryable
             raise TransportError(str(e)) from e
-
-
-class RecordingTransport:
-    """Wraps a live transport and appends fixture lines for later replay."""
-
-    def __init__(self, inner, path: str | Path):
-        self.inner = inner
-        self.path = Path(path)
-
-    def complete(self, request: dict) -> str:
-        text = self.inner.complete(request)
-        line = json.dumps({"request_hash": request_hash(request), "response_text": text}, ensure_ascii=False)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-        return text
 
 
 class LlmPolicy:
@@ -518,17 +531,18 @@ class LlmPolicy:
 # Policy configs (serializable; built into live policies per run)
 #
 # Each spec checks its values when it is built, so a plan holding one runs:
-# build_policy raises no configuration error for a spec that exists.
+# build_policy raises no configuration error for a spec that exists. A spec's
+# JSON object is its kind plus its init fields, read by core.from_obj.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ScriptedSpec:
     kind: str = field(default="scripted", init=False)
-    intents: list = field(default_factory=lambda: ["read"])
+    intents: list
 
     def __post_init__(self) -> None:
-        _check_intents(self.intents)
+        self.intents = _checked_intents(self.intents)
 
 
 @dataclass
@@ -553,11 +567,16 @@ class LlmSpec:
     fixture_path: str | None = None
 
     def __post_init__(self) -> None:
+        if self.timeout <= 0:
+            raise ConfigurationError(f"policy key 'timeout' must be positive, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ConfigurationError(f"policy key 'max_retries' must be non-negative, got {self.max_retries}")
         if self.transport == "fixtures":
             if not self.fixture_path:
                 raise ConfigurationError("fixture transport requires policy key 'fixture_path'")
             if not Path(self.fixture_path).is_file():
                 raise ConfigurationError(f"fixture file not found: {self.fixture_path}")
+            read_fixtures(self.fixture_path)
         elif self.transport == "live":
             if not self.endpoint:
                 raise ConfigurationError("live transport requires policy key 'endpoint'")
@@ -596,58 +615,27 @@ def mock_policy_spec() -> ParametricLogitSpec:
     return ParametricLogitSpec(threshold=threshold, allocation=allocation)
 
 
-def policy_spec_to_obj(spec: PolicySpec) -> dict:
-    if isinstance(spec, ScriptedSpec):
-        return {"kind": "scripted", "intents": [list(i) if isinstance(i, (list, tuple)) else i for i in spec.intents]}
-    if isinstance(spec, ParametricLogitSpec):
-        return {"kind": "parametric", "threshold": list(spec.threshold), "allocation": [list(r) for r in spec.allocation]}
-    if isinstance(spec, LlmSpec):
-        return {
-            "kind": "llm",
-            "endpoint": spec.endpoint,
-            "model": spec.model,
-            "temperature": spec.temperature,
-            "timeout": spec.timeout,
-            "max_retries": spec.max_retries,
-            "transport": spec.transport,
-            "fixture_path": spec.fixture_path,
-        }
-    raise ConfigurationError(f"unknown policy spec {spec!r}")
+_SPEC_KINDS = {spec.kind: spec for spec in (ScriptedSpec, ParametricLogitSpec, LlmSpec)}
 
 
-_SPEC_KINDS = {"scripted": ScriptedSpec, "parametric": ParametricLogitSpec, "llm": LlmSpec}
-_REQUIRED_KEYS = {"scripted": ("intents",), "parametric": ("threshold", "allocation")}
-
-
-def policy_spec_from_obj(obj: Mapping) -> PolicySpec:
+def policy_spec_from_obj(obj: Any) -> PolicySpec:
     """A policy spec from a plan's "policy" object.
 
-    ``{"kind": "mock"}`` is the default parametric coefficients. Any other
-    kind takes the fields of its spec as keys: ``scripted`` needs
-    ``intents``, ``parametric`` needs ``threshold`` and ``allocation``, and
-    every ``llm`` key has a default. ConfigurationError names what is wrong:
-    a value that is not an object, an unknown kind, a key the kind does not
-    take, a missing key, or a value the spec's own checks reject.
+    ``kind`` selects the spec, and the other keys are its init fields, read by
+    core.from_obj. ``{"kind": "mock"}`` is the default parametric coefficients
+    and takes no other key. ConfigurationError names what is wrong.
     """
     if not isinstance(obj, Mapping):
         raise ConfigurationError(f"plan key 'policy' must be an object, got {obj!r}")
-    kind = obj.get("kind")
-    if kind != "mock" and kind not in _SPEC_KINDS:
-        raise ConfigurationError(f"unknown policy kind {kind!r}")
-    spec_type = _SPEC_KINDS.get(kind)
-    keys = {f.name for f in fields(spec_type) if f.init} if spec_type else set()
-    unknown = sorted(set(obj) - keys - {"kind"})
-    if unknown:
-        raise ConfigurationError(f"unknown key {unknown[0]!r} for policy kind {kind!r}")
-    missing = [k for k in _REQUIRED_KEYS.get(kind, ()) if k not in obj]
-    if missing:
-        raise ConfigurationError(f"policy kind {kind!r} requires key {missing[0]!r}")
-    if spec_type is None:
+    values = dict(obj)
+    kind = values.pop("kind", None)
+    if kind == "mock":
+        if values:
+            raise ConfigurationError(f"unknown policy key {min(values)!r} for kind 'mock'")
         return mock_policy_spec()
-    values = {k: v for k, v in obj.items() if k != "kind"}
-    if kind == "scripted" and isinstance(values["intents"], list):
-        values["intents"] = [tuple(i) if isinstance(i, list) else i for i in values["intents"]]
-    return spec_type(**values)
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
+        raise ConfigurationError(f"unknown policy kind {kind!r}")
+    return from_obj(_SPEC_KINDS[kind], values, "policy key")
 
 
 def build_policy(

@@ -32,7 +32,6 @@ from socialsim.policy import (
     LlmPolicy,
     LlmSpec,
     ParametricLogitSpec,
-    RecordingTransport,
     ScriptedPolicy,
     build_policy,
     mock_policy_spec,
@@ -289,6 +288,21 @@ class _DeterministicResponder:
         if posts and h % 7 == 0:
             return json.dumps({"action": "quote", "post_id": int(posts[0]), "comment": "echoing this"})
         return '{"action": "read"}'
+
+
+class RecordingTransport:
+    """Wraps a live transport and appends fixture lines for later replay."""
+
+    def __init__(self, inner, path):
+        self.inner = inner
+        self.path = path
+
+    def complete(self, request: dict) -> str:
+        text = self.inner.complete(request)
+        line = json.dumps({"request_hash": request_hash(request), "response_text": text}, ensure_ascii=False)
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        return text
 
 
 def test_c10_determinism_with_fixture_transport(tmp_path):

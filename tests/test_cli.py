@@ -99,10 +99,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "policy, named",
         [
-            pytest.param({"kind": "parametric", "thresold": [0.0] * 24, "allocation": [[0.0] * 24] * 2}, "unknown key 'thresold'", id="misspelled_key"),
-            pytest.param({"kind": "llm", "modle": "x"}, "unknown key 'modle'", id="llm_misspelled_key"),
+            pytest.param({"kind": "parametric", "thresold": [0.0] * 24, "allocation": [[0.0] * 24] * 2}, "unknown policy key 'thresold'", id="misspelled_key"),
+            pytest.param({"kind": "llm", "modle": "x"}, "unknown policy key 'modle'", id="llm_misspelled_key"),
             pytest.param("mock", "'policy' must be an object", id="not_an_object"),
-            pytest.param({"kind": "scripted"}, "requires key 'intents'", id="missing_intents"),
+            pytest.param({"kind": "scripted"}, "missing policy key 'intents'", id="missing_intents"),
             pytest.param({"kind": "parametric", "threshold": [0.0, 0.0], "allocation": [[0.0] * 24] * 2}, "key 'threshold' must have shape", id="short_threshold"),
             pytest.param({"kind": "llm", "transport": "fixtures"}, "requires policy key 'fixture_path'", id="fixtures_without_path"),
         ],
@@ -116,6 +116,41 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param({"recency_decay": -2.0, "timesteps": 480}, "recency_decay", id="negative_decay"),
+            pytest.param({"policy": {"kind": "scripted", "intents": [["lik", 0]]}}, "'intents'", id="unknown_action"),
+            pytest.param({"policy": {"kind": "scripted", "intents": [["like", "x"]]}}, "'intents'", id="text_index"),
+            pytest.param({"policy": {"kind": "scripted", "intents": ["reed"]}}, "'intents'", id="misspelled_read"),
+            pytest.param({"policy": {"kind": "llm", "endpoint": "http://x", "max_retries": "3"}}, "'max_retries'", id="text_retries"),
+            pytest.param({"activation_p": "0.2"}, "'activation_p'", id="text_rate"),
+            pytest.param({"w_recency": float("nan")}, "'w_recency'", id="nan_weight"),
+        ],
+    )
+    def test_plan_that_would_fail_at_run_time_exits_2_before_writing_anything(self, plan_file, tmp_path, capsys, edit, named):
+        # Regression: the first four passed validation and failed every cell (exit 1);
+        # the rest were accepted, and the NaN weight ran with NaN ranking scores.
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), **edit}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    def test_bad_fixture_file_exits_2_before_writing_anything(self, plan_file, tmp_path, capsys):
+        # Regression: a fixture line that is not JSON escaped run_experiment from
+        # build_policy (exit 1, traceback) after the inputs and logs/ were written.
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text("not json\n")
+        bad = tmp_path / "bad_fixture.json"
+        policy = {"kind": "llm", "transport": "fixtures", "fixture_path": str(fixture)}
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), "policy": policy}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{fixture}, line 1" in capsys.readouterr().err
 
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2

@@ -1,10 +1,14 @@
 import json
+import math
 from collections import Counter
+from dataclasses import fields
+from typing import get_type_hints
 from pathlib import Path
 
 import pytest
 
-from socialsim.core import ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind
+from socialsim.cli import read_config
+from socialsim.core import ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
 from socialsim.harness import (
     ALL_LOADS,
     ALL_NORMS,
@@ -21,7 +25,7 @@ from socialsim.harness import (
     write_log,
 )
 from socialsim.engine import LogBuilder, run
-from socialsim.policy import ScriptedSpec, build_policy, mock_policy_spec
+from socialsim.policy import LlmSpec, PolicySpec, ScriptedSpec, build_policy, mock_policy_spec
 from socialsim.population import FollowGraph, generate_population, generate_seed_corpus
 
 from reference_log import ExposureRecord, PostCreation, log_from_records, records_of
@@ -144,7 +148,7 @@ class TestPlan:
 
     def test_round_trip(self):
         plan = _tiny_plan(replications=3)
-        assert ExperimentPlan.from_obj(json.loads(json.dumps(plan.to_obj()))).to_obj() == plan.to_obj()
+        assert to_obj(from_obj(ExperimentPlan, json.loads(json.dumps(to_obj(plan))), "plan key")) == to_obj(plan)
 
     def test_cell_config_carries_conditions(self):
         cfg = _tiny_plan().cell_config(LoadLevel.HIGH, NormRegime.REPOST_DOMINANT, 0)
@@ -152,32 +156,84 @@ class TestPlan:
         assert cfg.seed == cell_seed(77, LoadLevel.HIGH, NormRegime.REPOST_DOMINANT, 0)
 
     def test_invalid_run_parameters_rejected_at_plan_time(self):
-        obj = _tiny_plan().to_obj()
-        for key, value in (("history_window", 0), ("activation_p", 1.5), ("timesteps", 0)):
-            with pytest.raises(ConfigurationError):
-                ExperimentPlan.from_obj({**obj, key: value})
+        # Regression: recency_decay -2.0 overflowed in every cell at 480 steps, and a
+        # NaN weight ran with NaN ranking scores.
+        obj = to_obj(_tiny_plan())
+        for key, value in (
+            ("history_window", 0),
+            ("activation_p", 1.5),
+            ("timesteps", 0),
+            ("recency_decay", -2.0),
+            ("recency_decay", math.nan),
+            ("recency_decay", math.inf),
+            ("w_recency", math.nan),
+            ("w_recency", 1.5),
+            ("w_recency", "0.7"),
+        ):
+            with pytest.raises(ConfigurationError, match=key):
+                from_obj(ExperimentPlan, {**obj, key: value}, "plan key")
 
     @pytest.mark.parametrize("replications", [0, -1])
     def test_replications_must_be_positive(self, replications):
         with pytest.raises(ConfigurationError, match="replications"):
-            ExperimentPlan.from_obj({**_tiny_plan().to_obj(), "replications": replications})
+            from_obj(ExperimentPlan, {**to_obj(_tiny_plan()), "replications": replications}, "plan key")
 
     @pytest.mark.parametrize("key", ["timestep", "replicatons", "seed"])
     def test_unknown_key_rejected(self, key):
         # Regression: a misspelled key was ignored, so its default ran instead.
         with pytest.raises(ConfigurationError, match=f"unknown plan key '{key}'"):
-            ExperimentPlan.from_obj({**_tiny_plan().to_obj(), key: 3})
+            read_config({**to_obj(_tiny_plan()), key: 3})
 
     @pytest.mark.parametrize("key", ["timesteps", "replications", "n_agents", "history_window", "base_seed", "corpus_seed"])
     @pytest.mark.parametrize("value", [2.9, "3", True, None])
     def test_non_integer_count_rejected(self, key, value):
         # Regression: int() cut 2.9 timesteps to 2.
         with pytest.raises(ConfigurationError, match=f"plan key '{key}' must be an integer"):
-            ExperimentPlan.from_obj({**_tiny_plan().to_obj(), key: value})
+            read_config({**to_obj(_tiny_plan()), key: value})
 
     def test_simulate_input_keys_and_integral_floats_accepted(self):
-        obj = {**_tiny_plan().to_obj(), "timesteps": 30.0, "population": "pop.jsonl", "corpus": "c.jsonl", "population_seed": 4, "corpus_seed": 5}
-        assert ExperimentPlan.from_obj(obj).to_obj() == _tiny_plan().to_obj()
+        obj = {**to_obj(_tiny_plan()), "timesteps": 30.0, "population": "pop.jsonl", "corpus": "c.jsonl", "population_seed": 4, "corpus_seed": 5}
+        plan, inputs = read_config(obj)
+        assert to_obj(plan) == to_obj(_tiny_plan())
+        assert type(plan.timesteps) is int
+        assert (inputs.population, inputs.corpus, inputs.population_seed, inputs.corpus_seed) == ("pop.jsonl", "c.jsonl", 4, 5)
+
+    def test_required_key_must_be_present(self):
+        with pytest.raises(ConfigurationError, match="missing plan key 'base_seed'"):
+            read_config({"timesteps": 30})
+
+
+# For each key of a plan or an llm policy, values of the wrong JSON type: a
+# string or a bool where a number goes, a number where a string goes, and null
+# where the key takes none.
+_WRONG_BY_TYPE = {
+    int: ["3", True, None, 2.5],
+    float: ["0.5", True, None],
+    str: [3, True, None],
+    str | None: [3, True, ["x"]],
+    PolicySpec: ["mock", 3, None],
+}
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (cls, f.name, value)
+        for cls in (ExperimentPlan, LlmSpec)
+        for f in fields(cls)
+        if f.init
+        for value in _WRONG_BY_TYPE[get_type_hints(cls)[f.name]]
+    ],
+)
+def test_wrongly_typed_value_rejected_naming_the_key(cls, name, value):
+    # Regression: "max_retries": "3" and "activation_p": "0.2" passed plan
+    # validation; the first failed every cell, the second was cast silently.
+    if cls is ExperimentPlan:
+        obj = {"base_seed": 1, name: value}
+    else:
+        obj = {"base_seed": 1, "policy": {"kind": "llm", "endpoint": "http://x", name: value}}
+    with pytest.raises(ConfigurationError, match=f"'{name}'"):
+        read_config(obj)
 
 
 class TestRunExperiment:
@@ -269,6 +325,32 @@ class TestRunExperiment:
             e = per_cell[cell["file"].removesuffix(".jsonl")].exposures
             assert cell["activations"] - cell["empty_feeds"] == len(set(zip(e.t.tolist(), e.agent.tolist())))
         assert sum(c["backfilled_slots"] for c in manifest["cells"]) > 0
+
+    def test_cells_run_on_the_given_objects(self, small_inputs, tmp_path, monkeypatch):
+        # Regression: each cell read back the population and corpus files that
+        # run_experiment had just written.
+        import socialsim.harness as harness_mod
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a cell read its inputs back from disk")
+
+        monkeypatch.setattr(harness_mod, "load_population", no_reading)
+        monkeypatch.setattr(harness_mod, "load_corpus", no_reading)
+        profiles, graph, corpus = small_inputs
+        manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
+        assert [c["status"] for c in manifest["cells"]] == ["ok"] * 12
+
+    def test_policy_build_failure_is_a_failed_cell(self, small_inputs, tmp_path):
+        # Regression: build_policy ran outside the cell's try, so a fixture file
+        # that went bad after plan time escaped run_experiment with a traceback.
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text("")
+        plan = _tiny_plan(policy=LlmSpec(transport="fixtures", fixture_path=str(fixture)))
+        fixture.write_text("not json\n")
+        profiles, graph, corpus = small_inputs
+        manifest = run_experiment(plan, profiles, graph, corpus, tmp_path / "run", cells=[(LoadLevel.LOW, NormRegime.NO_NORM)])
+        (cell,) = manifest["cells"]
+        assert cell["status"] == "failed" and "line 1" in cell["error"]
 
     def test_parallel_equals_serial(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs

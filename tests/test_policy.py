@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from socialsim.core import ActionKind, ConfigurationError, LoadLevel, NormRegime, popularity_composite
+from socialsim.core import ActionKind, ConfigurationError, LoadLevel, NormRegime, popularity_composite, to_obj
 from socialsim.policy import (
     Decision,
     DecisionContext,
@@ -14,7 +15,6 @@ from socialsim.policy import (
     LlmSpec,
     ParametricLogitPolicy,
     ParametricLogitSpec,
-    RecordingTransport,
     ScriptedPolicy,
     ScriptedSpec,
     TransportError,
@@ -24,13 +24,13 @@ from socialsim.policy import (
     mock_policy_spec,
     parse_response,
     policy_spec_from_obj,
-    policy_spec_to_obj,
     request_hash,
 )
 from socialsim.recommender import FeedEntry
 from socialsim.stats import N_COLUMNS
 
 from conftest import tiny_profiles
+from test_acceptance import RecordingTransport
 
 
 def _feed(*entries):
@@ -306,11 +306,11 @@ class TestTransports:
 class TestPolicySpecs:
     def test_round_trip(self):
         for spec in (ScriptedSpec(intents=["read", ("like", 0)]), mock_policy_spec(), LlmSpec(endpoint="http://x", model="q")):
-            obj = policy_spec_to_obj(spec)
-            assert policy_spec_to_obj(policy_spec_from_obj(json.loads(json.dumps(obj)))) == obj
+            obj = to_obj(spec)
+            assert to_obj(policy_spec_from_obj(json.loads(json.dumps(obj)))) == obj
 
     def test_build_policy_dispatch(self):
-        assert isinstance(build_policy(ScriptedSpec(), LoadLevel.LOW, NormRegime.NO_NORM), ScriptedPolicy)
+        assert isinstance(build_policy(ScriptedSpec(intents=["read"]), LoadLevel.LOW, NormRegime.NO_NORM), ScriptedPolicy)
         assert isinstance(build_policy(mock_policy_spec(), LoadLevel.LOW, NormRegime.NO_NORM), ParametricLogitPolicy)
 
     def test_mock_kind_gives_the_default_coefficients(self):
@@ -331,10 +331,21 @@ class TestPolicySpecs:
             pytest.param({"kind": "scripted"}, "'intents'", id="missing_intents"),
             pytest.param({"kind": "scripted", "intents": []}, "'intents'", id="no_intents"),
             pytest.param({"kind": "scripted", "intents": ["read"], "steps": 3}, "'steps'", id="scripted_unknown_key"),
+            pytest.param({"kind": "scripted", "intents": ["reed"]}, "'intents'", id="misspelled_read"),
+            pytest.param({"kind": "scripted", "intents": [["lik", 0]]}, "'intents'", id="unknown_action"),
+            pytest.param({"kind": "scripted", "intents": [["like", "x"]]}, "'intents'", id="text_index"),
+            pytest.param({"kind": "scripted", "intents": [["like", -1]]}, "'intents'", id="negative_index"),
+            pytest.param({"kind": "scripted", "intents": [["like", True]]}, "'intents'", id="bool_index"),
+            pytest.param({"kind": "scripted", "intents": [["read", 0]]}, "'intents'", id="read_with_index"),
+            pytest.param({"kind": "scripted", "intents": [["like", 0, "note"]]}, "'intents'", id="like_with_commentary"),
+            pytest.param({"kind": "scripted", "intents": [["quote", 0, ""]]}, "'intents'", id="empty_commentary"),
+            pytest.param({"kind": "scripted", "intents": "read"}, "'intents'", id="intents_not_a_list"),
             pytest.param({"kind": "llm", "modle": "x", "endpoint": "http://x"}, "'modle'", id="misspelled_model"),
             pytest.param({"kind": "llm", "model": "x"}, "'endpoint'", id="live_without_endpoint"),
             pytest.param({"kind": "llm", "transport": "fixtures"}, "'fixture_path'", id="fixtures_without_path"),
             pytest.param({"kind": "llm", "transport": "replay", "endpoint": "http://x"}, "'transport'", id="unknown_transport"),
+            pytest.param({"kind": "llm", "endpoint": "http://x", "max_retries": -1}, "'max_retries'", id="negative_retries"),
+            pytest.param({"kind": "llm", "endpoint": "http://x", "timeout": 0}, "'timeout'", id="zero_timeout"),
         ],
     )
     def test_bad_policy_object_is_rejected_naming_the_key(self, obj, named):
@@ -342,6 +353,32 @@ class TestPolicySpecs:
         # llm defaults, and shape and transport errors surfaced only once cells ran.
         with pytest.raises(ConfigurationError, match=named):
             policy_spec_from_obj(obj)
+
+    @pytest.mark.parametrize("line", ["not json", "[1, 2]", '{"request_hash": "ab"}', '{"request_hash": 1, "response_text": "x"}'])
+    def test_bad_fixture_line_is_rejected_when_the_spec_is_built(self, tmp_path, line):
+        # Regression: a fixture file with a line that is not a recorded response
+        # passed plan validation, then raised from build_policy in every cell.
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text(json.dumps({"request_hash": "ab", "response_text": "{}"}) + "\n\n" + line + "\n")
+        with pytest.raises(ConfigurationError, match=re.escape(f"{fixture}, line 3")):
+            policy_spec_from_obj({"kind": "llm", "transport": "fixtures", "fixture_path": str(fixture)})
+        with pytest.raises(ConfigurationError, match=re.escape(f"{fixture}, line 3")):
+            FixtureTransport(fixture)
+
+    def test_integral_temperature_keeps_its_request_hash(self, tmp_path):
+        # A fixture recorded with "temperature": 0 hashes the request with the int 0;
+        # a plan read from JSON must send the same request to replay it.
+        context = _context()
+        recorded = LlmPolicy(None, model="m", temperature=0).build_request(context)
+        fixture = tmp_path / "fx.jsonl"
+        reply = '{"action":"repost","post_id":3}'
+        fixture.write_text(json.dumps({"request_hash": request_hash(recorded), "response_text": reply}) + "\n")
+        obj = {"kind": "llm", "model": "m", "temperature": 0, "transport": "fixtures", "fixture_path": str(fixture)}
+        spec = policy_spec_from_obj(json.loads(json.dumps(obj)))
+        assert to_obj(spec)["temperature"] == 0 and type(to_obj(spec)["temperature"]) is int
+        policy = build_policy(spec, LoadLevel.LOW, NormRegime.NO_NORM)
+        assert request_hash(policy.build_request(context)) == request_hash(recorded)
+        assert decide(policy, context, _rng()) == Decision(action=ActionKind.REPOST, target=3)
 
     def test_fixture_file_must_exist_when_the_spec_is_built(self, tmp_path):
         with pytest.raises(ConfigurationError, match="fixture file not found"):
