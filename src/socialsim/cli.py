@@ -25,7 +25,6 @@ from .harness import (
     realized_load_audit,
     run_experiment,
 )
-from .policy import mock_policy_spec
 from .population import (
     generate_population,
     generate_seed_corpus,
@@ -119,12 +118,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: config is not valid JSON: {e}", file=sys.stderr)
         return 2
 
+    if isinstance(cfg, dict):
+        if args.policy == "mock":
+            cfg.pop("policy", None)  # the plan's default policy is the mock
+        policy = cfg.get("policy")
+        fixture_path = policy.get("fixture_path") if isinstance(policy, dict) else None
+        if isinstance(fixture_path, str) and fixture_path:
+            policy["fixture_path"] = str(_resolve(config_path, fixture_path))  # relative to the config, as inputs are
+
     try:
         plan, inputs = read_config(cfg)
         if args.seed is not None:
             plan.base_seed = args.seed
-        if args.policy == "mock":
-            plan.policy = mock_policy_spec()
 
         if inputs.population:
             profiles, graph = load_population(_resolve(config_path, inputs.population))

@@ -1,12 +1,16 @@
 """Shared domain types: actions, experimental conditions, posts, the columnar
-event log, run parameters, and the reader and writer of config objects."""
+event log, run parameters, and the reader and writer of config objects and
+JSON Lines rows."""
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import types
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -341,7 +345,7 @@ class RunConfig(RunParameters):
 
 
 # ---------------------------------------------------------------------------
-# Config objects: one reader and one writer for every config dataclass
+# Config objects and file rows: one reader and one writer for every dataclass
 # ---------------------------------------------------------------------------
 
 
@@ -350,8 +354,9 @@ def from_obj(cls: type, obj: Any, what: str) -> Any:
 
     Each value must have its field's annotated type: an int (an integral
     float is stored as one), a finite number (kept as given, so 0 stays 0), a
-    string, a list of such, or null where the type admits None; a bool is no
-    number. A field with a ``read`` function in its metadata is read by it.
+    string, a bool (only true or false), a list of such, or null where the
+    type admits None; a bool is no number. A field with a ``read`` function
+    in its metadata is read by it.
     ConfigurationError names the ``what`` (say "plan key") that is unknown,
     missing without a default, or of the wrong type; then cls checks ranges.
     """
@@ -361,7 +366,7 @@ def from_obj(cls: type, obj: Any, what: str) -> Any:
     unknown = sorted(set(obj) - {f.name for f in init})
     if unknown:
         raise ConfigurationError(f"unknown {what} {unknown[0]!r}")
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for f in init:
         if f.name not in obj:
@@ -375,6 +380,40 @@ def from_obj(cls: type, obj: Any, what: str) -> Any:
             except (TypeError, OverflowError):  # OverflowError: an int past the float range
                 raise ConfigurationError(f"{what} {f.name!r} must be {_describe(hints[f.name])}, got {obj[f.name]!r}") from None
     return cls(**values)
+
+
+@functools.cache  # resolving the string annotations costs more than reading a row
+def _hints(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def read_rows(path: str | Path, cls: type, what: str) -> list[tuple[int, Any]]:
+    """The rows of a JSON Lines file of ``what`` (say "population"), each read by from_obj as a ``cls``.
+
+    Returns (1-based line number, row) pairs; blank lines are skipped. A
+    missing file, text that is not UTF-8, or a line that is not JSON or not a
+    valid ``cls`` raises FormatError, for a line as "<path>, line <n>: ...".
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise FormatError(f"{what} file not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    rows = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append((number, from_obj(cls, json.loads(line), f"{what} key")))
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}, line {number}: invalid JSON ({e.msg} at column {e.colno})") from None
+        except RecursionError:
+            raise FormatError(f"{path}, line {number}: invalid JSON (nested too deeply)") from None
+        except ValueError as e:  # ConfigurationError from from_obj, or the row's own check
+            raise FormatError(f"{path}, line {number}: {e}") from None
+    return rows
 
 
 def to_obj(value: Any) -> Any:
@@ -392,6 +431,8 @@ def _typed(tp: Any, value: Any) -> Any:
         if value is None:
             return None
         (tp,) = set(get_args(tp)) - {type(None)}
+    if tp is bool and isinstance(value, bool):
+        return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
@@ -409,5 +450,5 @@ def _describe(tp: Any, plural: bool = False) -> str:
         return f"{_describe(*set(get_args(tp)) - {type(None)}, plural)} or null"
     if get_origin(tp) is list:
         return ("lists" if plural else "a list") + f" of {_describe(get_args(tp)[0], True)}"
-    names = {int: "an integer", float: "a finite number", str: "a string", list: "a list"}
+    names = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean", list: "a list"}
     return names[tp][names[tp].index(" ") + 1 :] + "s" if plural else names[tp]

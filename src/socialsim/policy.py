@@ -34,6 +34,7 @@ from .core import (
     NormRegime,
     from_obj,
     popularity_composite,
+    read_rows,
 )
 from .population import AgentProfile
 from .recommender import Feed, FeedEntry
@@ -423,23 +424,18 @@ def request_hash(request: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@dataclass
+class FixtureRow:
+    """One line of a fixture file: a recorded response and the hash of its request."""
+
+    request_hash: str
+    response_text: str
+
+
 def read_fixtures(path: str | Path) -> dict[str, str]:
-    """The responses of a fixture file by request hash: JSON Lines of string
-    {"request_hash": ..., "response_text": ...}. ConfigurationError names the file and a bad line."""
-    responses: dict[str, str] = {}
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError):
-            obj = None
-        if not (isinstance(obj, dict) and isinstance(obj.get("request_hash"), str) and isinstance(obj.get("response_text"), str)):
-            raise ConfigurationError(
-                f'fixture file {path}, line {number}: not a JSON object with string "request_hash" and "response_text"'
-            )
-        responses[obj["request_hash"]] = obj["response_text"]
-    return responses
+    """The responses of a fixture file of FixtureRow lines by request hash (a
+    later line for the same hash wins). FormatError names the file and a bad line."""
+    return {row.request_hash: row.response_text for _, row in read_rows(path, FixtureRow, "fixture")}
 
 
 class FixtureTransport:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AgentId, ConfigurationError, FormatError
+from .core import AgentId, ConfigurationError, FormatError, read_rows, to_obj
 
 N_INFLUENCERS = 8
 SEED_CORPUS_SIZE = 50
@@ -145,16 +145,9 @@ def generate_population(
             follower = int(p) if p < i else int(p) + 1  # skip self
             follows[follower].add(i)
 
-    def _top(k: int) -> list[int]:
-        deg = {a: 0 for a in range(n)}
-        for followees in follows.values():
-            for f in followees:
-                deg[f] += 1
-        return sorted(range(n), key=lambda a: (-deg[a], a))[:k]
-
     # Backbone: everyone follows a couple of high-in-degree accounts. Extra
     # edges only land on the provisional top set, so it stays the top set.
-    candidates = _top(n_influencers)
+    candidates = top_influencers(FollowGraph(follows), n_influencers)
     need = min(min_influencer_follows, n_influencers - 1)
     for i in range(n):
         options = [c for c in candidates if c != i and c not in follows[i]]
@@ -163,7 +156,8 @@ def generate_population(
             pick = options.pop(int(rng.integers(len(options))))
             follows[i].add(pick)
 
-    influencers = set(_top(n_influencers))
+    graph = FollowGraph(follows)
+    influencers = set(top_influencers(graph, n_influencers))
     keyword_counts = rng.integers(3, 7, size=n)
     verified_draws = rng.random(n)
     profiles = []
@@ -178,7 +172,7 @@ def generate_population(
                 influencer=i in influencers,
             )
         )
-    return profiles, FollowGraph(follows)
+    return profiles, graph
 
 
 def generate_seed_corpus(
@@ -223,26 +217,46 @@ def token_count(body: str) -> int:
     return len(body.split())
 
 
-# ---------------------------------------------------------------------------
-# Persistence. Population files are JSON Lines, one object per agent:
-#   {"id": int, "name": str, "keywords": [str], "verified": bool, "follows": [int]}
-# Corpus files are JSON Lines of {"content": str}.
-# The influencer flag is not stored; it is recomputed as top-8 in-degree.
-# ---------------------------------------------------------------------------
+@dataclass
+class PopulationRow:
+    """One line of a population file. The influencer flag is not stored: a
+    loaded population recomputes it as top-8 in-degree."""
+
+    id: AgentId
+    name: str
+    keywords: list[str]
+    verified: bool
+    follows: list[AgentId]
+
+    def __post_init__(self) -> None:
+        if self.id < 0:
+            raise ValueError(f"id must be non-negative, got {self.id}")
+        if not self.keywords:
+            raise ValueError("keywords must be non-empty")
+        if self.id in self.follows:
+            raise ValueError(f"agent {self.id} follows itself")
+
+
+@dataclass
+class CorpusRow:
+    """One line of a corpus file: a seed post body."""
+
+    content: str
+
+    def __post_init__(self) -> None:
+        if not self.content:
+            raise ValueError("content must be non-empty")
+
+
+def _line(row: PopulationRow | CorpusRow) -> str:
+    return json.dumps(to_obj(row), separators=(",", ":"), ensure_ascii=False)
 
 
 def population_to_lines(profiles: Sequence[AgentProfile], graph: FollowGraph) -> list[str]:
-    lines = []
-    for p in sorted(profiles, key=lambda p: p.id):
-        obj = {
-            "id": p.id,
-            "name": p.name,
-            "keywords": sorted(p.keywords),
-            "verified": p.verified,
-            "follows": sorted(graph.follows_of(p.id)),
-        }
-        lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
-    return lines
+    return [
+        _line(PopulationRow(p.id, p.name, sorted(p.keywords), p.verified, sorted(graph.follows_of(p.id))))
+        for p in sorted(profiles, key=lambda p: p.id)
+    ]
 
 
 def save_population(profiles: Sequence[AgentProfile], graph: FollowGraph, path: str | Path) -> None:
@@ -255,62 +269,37 @@ def population_digest(profiles: Sequence[AgentProfile], graph: FollowGraph) -> s
 
 
 def load_population(path: str | Path) -> tuple[list[AgentProfile], FollowGraph]:
-    """Parse a population file, enforcing all structural invariants.
+    """Read a population file of PopulationRow lines (core.read_rows), then
+    check the rules across rows: ids unique, every followee a known id.
 
-    Errors name the offending line. The influencer flag is derived from the
-    loaded graph (top-8 in-degree, ties by smaller id).
+    FormatError names the file and the line. The influencer flag is derived
+    from the loaded graph (top-8 in-degree, ties by smaller id).
     """
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"population file not found: {path}")
-    rows: list[tuple[int, dict]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-        for key in ("id", "name", "keywords", "verified", "follows"):
-            if key not in obj:
-                raise FormatError(f"{path}:{lineno}: missing key {key!r}")
-        if not isinstance(obj["id"], int) or obj["id"] < 0:
-            raise FormatError(f"{path}:{lineno}: id must be a non-negative integer")
-        if obj["id"] in [o["id"] for _, o in rows]:
-            raise FormatError(f"{path}:{lineno}: duplicate agent id {obj['id']}")
-        if obj["id"] in obj["follows"]:
-            raise FormatError(f"{path}:{lineno}: agent {obj['id']} follows itself")
-        if not obj["keywords"]:
-            raise FormatError(f"{path}:{lineno}: keywords must be non-empty")
-        rows.append((lineno, obj))
+    rows = read_rows(path, PopulationRow, "population")
     if not rows:
         raise FormatError(f"{path}: empty population file")
-
-    ids = {obj["id"] for _, obj in rows}
-    for lineno, obj in rows:
-        unknown = set(obj["follows"]) - ids
+    ids: set[AgentId] = set()
+    for number, row in rows:
+        if row.id in ids:
+            raise FormatError(f"{path}, line {number}: duplicate agent id {row.id}")
+        ids.add(row.id)
+    for number, row in rows:
+        unknown = set(row.follows) - ids
         if unknown:
-            raise FormatError(f"{path}:{lineno}: follows reference unknown agent ids {sorted(unknown)}")
+            raise FormatError(f"{path}, line {number}: follows reference unknown agent ids {sorted(unknown)}")
 
-    graph = FollowGraph({obj["id"]: obj["follows"] for _, obj in rows})
+    graph = FollowGraph({row.id: row.follows for _, row in rows})
     influencers = set(top_influencers(graph))
     profiles = [
-        AgentProfile(
-            id=obj["id"],
-            name=str(obj["name"]),
-            keywords=frozenset(str(k) for k in obj["keywords"]),
-            verified=bool(obj["verified"]),
-            influencer=obj["id"] in influencers,
-        )
-        for _, obj in rows
+        AgentProfile(row.id, row.name, frozenset(row.keywords), row.verified, influencer=row.id in influencers)
+        for _, row in rows
     ]
     profiles.sort(key=lambda p: p.id)
     return profiles, graph
 
 
 def save_corpus(bodies: Sequence[str], path: str | Path) -> None:
-    lines = [json.dumps({"content": b}, separators=(",", ":"), ensure_ascii=False) for b in bodies]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(_line(CorpusRow(b)) for b in bodies) + "\n", encoding="utf-8")
 
 
 def corpus_digest(bodies: Sequence[str]) -> str:
@@ -319,33 +308,18 @@ def corpus_digest(bodies: Sequence[str]) -> str:
 
 
 def load_corpus(path: str | Path, *, token_range: tuple[int, int] = TOKEN_RANGE) -> list[str]:
-    """Parse a corpus file. Duplicate bodies are errors; out-of-range token
-    counts only warn, since real corpora may legitimately differ."""
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"corpus file not found: {path}")
-    bodies: list[str] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-        if "content" not in obj or not isinstance(obj["content"], str) or not obj["content"]:
-            raise FormatError(f"{path}:{lineno}: expected a non-empty 'content' string")
-        body = obj["content"]
-        if body in seen:
-            raise FormatError(f"{path}:{lineno}: duplicate post body")
-        seen.add(body)
-        n_tok = token_count(body)
-        if not token_range[0] <= n_tok <= token_range[1]:
-            warnings.warn(
-                f"{path}:{lineno}: token count {n_tok} outside {token_range}",
-                stacklevel=2,
-            )
-        bodies.append(body)
-    if not bodies:
+    """Read a corpus file of CorpusRow lines (core.read_rows). Duplicate bodies
+    are errors; out-of-range token counts only warn, since real corpora may
+    legitimately differ."""
+    rows = read_rows(path, CorpusRow, "corpus")
+    if not rows:
         raise FormatError(f"{path}: empty corpus file")
-    return bodies
+    seen: set[str] = set()
+    for number, row in rows:
+        if row.content in seen:
+            raise FormatError(f"{path}, line {number}: duplicate post body")
+        seen.add(row.content)
+        n_tok = token_count(row.content)
+        if not token_range[0] <= n_tok <= token_range[1]:
+            warnings.warn(f"{path}, line {number}: token count {n_tok} outside {token_range}", stacklevel=2)
+    return [row.content for _, row in rows]

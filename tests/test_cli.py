@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from socialsim.cli import main
+from socialsim.population import generate_population, save_population
 
 
 @pytest.fixture()
@@ -33,6 +34,25 @@ def analysis_dir(run_dir, tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 0
     return out
+
+
+# Population values the reader once took wrongly or failed on with a traceback.
+_BAD_POPULATION_VALUES = [
+    pytest.param("verified", "false", id="verified_text"),
+    pytest.param("keywords", "gpu", id="keywords_text"),
+    pytest.param("name", 5, id="name_number"),
+    pytest.param("keywords", [1, 2], id="keywords_numbers"),
+    pytest.param("id", True, id="id_bool"),
+    pytest.param("follows", 3, id="follows_int"),
+    pytest.param("follows", "1", id="follows_text"),
+]
+
+
+def _edit_population_row(path: Path, key: str, value) -> None:
+    """Set ``key`` of the population file's second row (line 2) to ``value``."""
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value})
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestGenerators:
@@ -152,6 +172,40 @@ class TestSimulate:
         assert not out.exists()
         assert f"{fixture}, line 1" in capsys.readouterr().err
 
+    def test_mock_override_ignores_the_plans_own_policy(self, plan_file, tmp_path):
+        # Regression: the plan's policy was read and checked first, so a missing
+        # fixture file exited 2 even with --policy mock.
+        cfg = {**json.loads(plan_file.read_text()), "policy": {"kind": "llm", "transport": "fixtures", "fixture_path": str(tmp_path / "none.jsonl")}}
+        plan_file.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out), "--policy", "mock", "--cell", "load=low,norm=none"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["plan"]["policy"]["kind"] == "parametric"
+
+    def test_relative_fixture_path_resolves_against_the_config(self, plan_file, tmp_path, monkeypatch):
+        # Regression: it resolved against the working directory, unlike population and corpus.
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "fx.jsonl").write_text("")
+        policy = {"kind": "llm", "model": "m", "max_retries": 0, "transport": "fixtures", "fixture_path": "fx.jsonl"}
+        (sub / "plan.json").write_text(json.dumps({**json.loads(plan_file.read_text()), "policy": policy}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", "sub/plan.json", "--out", "o", "--cell", "load=low,norm=none"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert Path(manifest["plan"]["policy"]["fixture_path"]) == Path("sub") / "fx.jsonl"
+        assert [c["status"] for c in manifest["cells"]] == ["ok"]
+
+    @pytest.mark.parametrize("key, value", _BAD_POPULATION_VALUES)
+    def test_bad_population_row_exits_2_naming_file_line_and_key(self, plan_file, tmp_path, capsys, key, value):
+        population = tmp_path / "pop.jsonl"
+        save_population(*generate_population(40, seed=5), population)
+        _edit_population_row(population, key, value)
+        plan_file.write_text(json.dumps({**json.loads(plan_file.read_text()), "population": str(population)}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{population}, line 2: " in err[0] and f"'{key}'" in err[0]
+
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2
 
@@ -258,6 +312,16 @@ class TestAnalyzeMalformedLogs:
         rc, err = self._analyze(run_dir, tmp_path, capsys)
         assert rc == 2
         assert len(err) == 1 and "manifest.json: not a valid manifest" in err[0]
+
+    @pytest.mark.parametrize("key, value", _BAD_POPULATION_VALUES)
+    def test_bad_population_row_exits_2(self, run_dir, tmp_path, capsys, key, value):
+        # Regression: "follows": 3 escaped as a TypeError traceback; "verified": "false"
+        # and "keywords": "gpu" were analyzed as verified and as three one-letter keywords.
+        population = run_dir / "population.jsonl"
+        _edit_population_row(population, key, value)
+        rc, err = self._analyze(run_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and f"{population}, line 2: " in err[0] and f"'{key}'" in err[0]
 
     def test_digest_mismatch_exits_2(self, run_dir, tmp_path, capsys):
         name, _ = _corrupt_first_exposure(run_dir, lambda obj: json.dumps({**obj, "likes": obj["likes"] + 1}), update_manifest=False)

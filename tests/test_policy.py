@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from socialsim.core import ActionKind, ConfigurationError, LoadLevel, NormRegime, popularity_composite, to_obj
+from socialsim.core import ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, popularity_composite, to_obj
 from socialsim.policy import (
     Decision,
     DecisionContext,
@@ -360,9 +360,9 @@ class TestPolicySpecs:
         # passed plan validation, then raised from build_policy in every cell.
         fixture = tmp_path / "fx.jsonl"
         fixture.write_text(json.dumps({"request_hash": "ab", "response_text": "{}"}) + "\n\n" + line + "\n")
-        with pytest.raises(ConfigurationError, match=re.escape(f"{fixture}, line 3")):
+        with pytest.raises(FormatError, match=re.escape(f"{fixture}, line 3")):
             policy_spec_from_obj({"kind": "llm", "transport": "fixtures", "fixture_path": str(fixture)})
-        with pytest.raises(ConfigurationError, match=re.escape(f"{fixture}, line 3")):
+        with pytest.raises(FormatError, match=re.escape(f"{fixture}, line 3")):
             FixtureTransport(fixture)
 
     def test_integral_temperature_keeps_its_request_hash(self, tmp_path):

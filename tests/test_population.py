@@ -1,9 +1,11 @@
 import json
+import re
 import warnings
 
 import pytest
 
 from socialsim.core import ConfigurationError, FormatError
+from socialsim.policy import read_fixtures
 from socialsim.population import (
     FollowGraph,
     generate_population,
@@ -109,7 +111,7 @@ class TestPopulationIO:
             {"id": 1, "name": "b", "keywords": ["x"], "verified": False, "follows": [1]},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows))
-        with pytest.raises(FormatError, match=r":2:.*follows itself"):
+        with pytest.raises(FormatError, match=r", line 2:.*follows itself"):
             load_population(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -119,7 +121,7 @@ class TestPopulationIO:
             {"id": 0, "name": "b", "keywords": ["x"], "verified": False, "follows": []},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows))
-        with pytest.raises(FormatError, match=r":2:.*duplicate"):
+        with pytest.raises(FormatError, match=r", line 2:.*duplicate"):
             load_population(path)
 
     def test_unknown_followee_rejected(self, tmp_path):
@@ -132,7 +134,7 @@ class TestPopulationIO:
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "pop.jsonl"
         path.write_text('{"id": 0, "name": "a", "keywords": ["x"], "verified": false, "follows": []}\n{broken')
-        with pytest.raises(FormatError, match=":2:"):
+        with pytest.raises(FormatError, match=", line 2:"):
             load_population(path)
 
 
@@ -164,6 +166,90 @@ class TestCorpusIO:
         path.write_text("\n")
         with pytest.raises(FormatError, match="empty"):
             load_corpus(path)
+
+
+_DELETE = object()
+_BODY = " ".join(["tok"] * 200)
+_ROW_FILES = {
+    "population": (load_population, [
+        {"id": 0, "name": "a", "keywords": ["x"], "verified": False, "follows": [1]},
+        {"id": 1, "name": "b", "keywords": ["x", "y"], "verified": True, "follows": [0]},
+    ]),
+    "corpus": (load_corpus, [{"content": _BODY}, {"content": _BODY + " more"}]),
+    "fixture": (read_fixtures, [{"request_hash": "ab", "response_text": "{}"}, {"request_hash": "cd", "response_text": "{}"}]),
+}
+
+
+def _write_rows(tmp_path, kind, key, value):
+    """The file of ``kind`` with line 2's ``key`` set to ``value`` (or deleted); returns (loader, path)."""
+    load, rows = _ROW_FILES[kind]
+    edited = {k: v for k, v in rows[1].items() if k != key}
+    if value is not _DELETE:
+        edited[key] = value
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(rows[0]) + "\n" + json.dumps(edited) + "\n")
+    return load, path
+
+
+class TestRowTypes:
+    """Every input file is read by core.read_rows with the plan rules: a row's keys
+    are its type's fields, each of its annotated type."""
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_FILES))
+    def test_valid_rows_load(self, tmp_path, kind):
+        load, path = _write_rows(tmp_path, kind, "unused", _DELETE)
+        assert len(load(path)) == 2
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            pytest.param("population", "id", True, id="id_bool"),
+            pytest.param("population", "id", "1", id="id_text"),
+            pytest.param("population", "id", 1.5, id="id_fraction"),
+            pytest.param("population", "id", _DELETE, id="id_missing"),
+            pytest.param("population", "name", 5, id="name_number"),
+            pytest.param("population", "name", None, id="name_null"),
+            pytest.param("population", "keywords", "gpu", id="keywords_text"),
+            pytest.param("population", "keywords", [1, 2], id="keywords_numbers"),
+            pytest.param("population", "keywords", 3, id="keywords_int"),
+            pytest.param("population", "verified", "false", id="verified_text"),
+            pytest.param("population", "verified", 0, id="verified_number"),
+            pytest.param("population", "follows", 3, id="follows_int"),
+            pytest.param("population", "follows", "1", id="follows_text"),
+            pytest.param("population", "follows", [True], id="follows_bools"),
+            pytest.param("population", "follows", _DELETE, id="follows_missing"),
+            pytest.param("population", "influencer", True, id="population_unknown_key"),
+            pytest.param("corpus", "content", 5, id="content_number"),
+            pytest.param("corpus", "content", ["x"], id="content_list"),
+            pytest.param("corpus", "content", _DELETE, id="content_missing"),
+            pytest.param("corpus", "body", "x", id="corpus_unknown_key"),
+            pytest.param("fixture", "request_hash", 1, id="hash_number"),
+            pytest.param("fixture", "request_hash", True, id="hash_bool"),
+            pytest.param("fixture", "response_text", ["x"], id="response_list"),
+            pytest.param("fixture", "response_text", _DELETE, id="response_missing"),
+            pytest.param("fixture", "status", 200, id="fixture_unknown_key"),
+        ],
+    )
+    def test_wrongly_typed_value_rejected_naming_file_line_and_key(self, tmp_path, kind, key, value):
+        # Regression: a population row loaded "verified": "false" as True, "gpu" as the
+        # keywords {"g", "p", "u"} and 5 as the name "5"; "follows": 3 raised TypeError.
+        load, path = _write_rows(tmp_path, kind, key, value)
+        with pytest.raises(FormatError, match=re.escape(f"{path}, line 2: ") + f".*'{key}'"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "kind, key, value, named",
+        [
+            pytest.param("population", "id", -1, "non-negative", id="negative_id"),
+            pytest.param("population", "keywords", [], "keywords must be non-empty", id="no_keywords"),
+            pytest.param("population", "follows", [1], "follows itself", id="self_follow"),
+            pytest.param("corpus", "content", "", "content must be non-empty", id="empty_content"),
+        ],
+    )
+    def test_row_rule_rejected_naming_file_and_line(self, tmp_path, kind, key, value, named):
+        load, path = _write_rows(tmp_path, kind, key, value)
+        with pytest.raises(FormatError, match=re.escape(f"{path}, line 2: ") + f".*{named}"):
+            load(path)
 
 
 class TestFollowGraph:
