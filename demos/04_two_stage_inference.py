@@ -23,9 +23,9 @@ from socialsim import (
     run,
 )
 from socialsim.harness import ALL_LOADS, ALL_NORMS, cell_seed
-from socialsim.stats import design_columns
+from socialsim.stats import DESIGN_COLUMNS
 
-names = design_columns()
+names = DESIGN_COLUMNS
 threshold_true = dict.fromkeys(names, 0.0)
 threshold_true.update(
     intercept=-3.9, popularity=0.35,

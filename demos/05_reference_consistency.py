@@ -13,10 +13,11 @@ reported threshold model at a few scenario points.
 import math
 
 from socialsim import LoadLevel, NormRegime
+from socialsim.core import LOADS, NORMS
 from socialsim.stats import (
     REFERENCE_THRESHOLD_FIT,
     REFERENCE_THRESHOLD_TABLE,
-    design_row,
+    design_matrix,
     fit_statistics,
     table_consistency_check,
 )
@@ -43,7 +44,7 @@ beta = [coef[t] for t, *_ in REFERENCE_THRESHOLD_TABLE]
 
 
 def engage_probability(composite, load, norm):
-    eta = float(design_row(composite, load, norm) @ beta)
+    eta = float(design_matrix([composite], LOADS.index(load), NORMS.index(norm))[0] @ beta)
     return 1.0 / (1.0 + math.exp(-eta))
 
 

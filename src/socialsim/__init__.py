@@ -53,11 +53,11 @@ from .population import (
 )
 from .recommender import Feed, FeedEntry, select_feed
 from .stats import (
+    DESIGN_COLUMNS,
     FittedModel,
     Scenario,
     build_design_matrix,
-    design_columns,
-    design_row,
+    design_matrix,
     fit_binary_logistic,
     fit_multinomial_logistic,
     fit_statistics,

@@ -30,6 +30,7 @@ from .population import (
     generate_seed_corpus,
     load_corpus,
     load_population,
+    population_digest,
     save_corpus,
     save_population,
 )
@@ -177,16 +178,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not (logs_dir / "manifest.json").exists():
         print(f"error: no manifest.json under {logs_dir}", file=sys.stderr)
         return 1
-    _, per_cell = load_experiment(logs_dir)
+    manifest, per_cell = load_experiment(logs_dir)
     log = CellLog.concat(per_cell[cell] for cell in sorted(per_cell))
     if not len(log.exposures):
         print("error: logs contain no exposure records", file=sys.stderr)
         return 1
+    population_path = logs_dir / "population.jsonl"
+    profiles, graph = load_population(population_path)
+    recorded = manifest.get("population_sha256")
+    if recorded is not None and population_digest(profiles, graph) != recorded:
+        raise FormatError(f"{population_path}: population digest differs from the manifest's population_sha256 {recorded}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    profiles, graph = load_population(logs_dir / "population.jsonl")
     _write_shares_csv(per_cell, out / "descriptive_shares.csv")
     _write_audit_csv(per_cell, graph, out / "load_audit.csv")
 

@@ -43,7 +43,7 @@ from .core import (
 )
 from .engine import LogBuilder, run
 from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj
-from .population import AgentProfile, FollowGraph, corpus_digest, population_digest, save_corpus, save_population
+from .population import AgentProfile, FollowGraph, corpus_digest, save_corpus, save_population
 from .population import load_corpus, load_population  # noqa: F401 - perfbench traces harness.load_population
 
 ALL_LOADS = (LoadLevel.LOWEST, LoadLevel.LOW, LoadLevel.MEDIUM, LoadLevel.HIGH)
@@ -281,7 +281,7 @@ def run_experiment(
     """
     out = Path(out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
-    save_population(profiles, graph, out / "population.jsonl")
+    population_sha256 = save_population(profiles, graph, out / "population.jsonl")
     save_corpus(corpus, out / "corpus.jsonl")
 
     wanted = plan.cells()
@@ -300,7 +300,7 @@ def run_experiment(
 
     manifest = {
         "plan": to_obj(plan),
-        "population_sha256": population_digest(profiles, graph),
+        "population_sha256": population_sha256,
         "corpus_sha256": corpus_digest(corpus),
         "cells": results,
     }

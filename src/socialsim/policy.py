@@ -28,6 +28,8 @@ from typing import Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from .core import (
+    LOADS,
+    NORMS,
     ActionKind,
     ConfigurationError,
     LoadLevel,
@@ -38,7 +40,7 @@ from .core import (
 )
 from .population import AgentProfile
 from .recommender import Feed, FeedEntry
-from .stats import N_COLUMNS, design_row
+from .stats import N_COLUMNS, design_matrix
 
 log = logging.getLogger(__name__)
 
@@ -223,8 +225,7 @@ class ParametricLogitPolicy:
         t, a = _coefficients(threshold_coef, allocation_coef)
         self.threshold_coef = t
         self.allocation_coef = a
-        x0 = design_row(0.0, load, norm)
-        x1 = design_row(1.0, load, norm)
+        x0, x1 = design_matrix([0.0, 1.0], LOADS.index(load), NORMS.index(norm))
         self._thr_offset = float(x0 @ t)
         self._thr_slope = float(x1 @ t) - self._thr_offset
         self._alloc_offset = a @ x0  # (2,)

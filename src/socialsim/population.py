@@ -21,7 +21,9 @@ import numpy as np
 
 from .core import AgentId, ConfigurationError, FormatError, read_rows, to_obj
 
-N_INFLUENCERS = 8
+N_INFLUENCERS = 8  # agents flagged as influencers: the top in-degree ones
+MIN_INFLUENCER_FOLLOWS = 2  # every generated agent follows at least this many of them
+ZIPF_EXPONENT = 2.5  # of the generated in-degree distribution
 SEED_CORPUS_SIZE = 50
 TOKEN_RANGE = (150, 300)
 
@@ -115,29 +117,22 @@ _VERBS = [
 ]
 
 
-def generate_population(
-    n: int,
-    seed: int,
-    *,
-    exponent: float = 2.5,
-    n_influencers: int = N_INFLUENCERS,
-    min_influencer_follows: int = 2,
-) -> tuple[list[AgentProfile], FollowGraph]:
+def generate_population(n: int, seed: int) -> tuple[list[AgentProfile], FollowGraph]:
     """Generate n agents with a heavy-tailed follow graph.
 
-    In-degrees are drawn from a discrete power law (zipf, configurable
-    exponent, capped at n-1) and followers assigned uniformly at random.
-    Every agent is then guaranteed to follow at least `min_influencer_follows`
-    of the provisional top-in-degree accounts, so followed feeds have ample
+    In-degrees are drawn from a discrete power law (zipf with ZIPF_EXPONENT,
+    capped at n-1) and followers assigned uniformly at random. Every agent is
+    then guaranteed to follow at least MIN_INFLUENCER_FOLLOWS of the
+    provisional top-in-degree accounts, so followed feeds have ample
     supply from the first timestep. The final top-8 in-degree agents are
     flagged as influencers, ties broken by ascending id. Pure function of
     (n, seed).
     """
     if n < 10:
-        raise ConfigurationError(f"population needs at least 10 agents to seat {n_influencers} influencers, got {n}")
+        raise ConfigurationError(f"population needs at least 10 agents to seat {N_INFLUENCERS} influencers, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x506F50)))
 
-    in_deg = np.minimum(rng.zipf(exponent, size=n), n - 1)
+    in_deg = np.minimum(rng.zipf(ZIPF_EXPONENT, size=n), n - 1)
     follows: dict[int, set[int]] = {i: set() for i in range(n)}
     for i in range(n):
         picks = rng.choice(n - 1, size=int(in_deg[i]), replace=False)
@@ -147,17 +142,16 @@ def generate_population(
 
     # Backbone: everyone follows a couple of high-in-degree accounts. Extra
     # edges only land on the provisional top set, so it stays the top set.
-    candidates = top_influencers(FollowGraph(follows), n_influencers)
-    need = min(min_influencer_follows, n_influencers - 1)
+    candidates = top_influencers(FollowGraph(follows))
     for i in range(n):
         options = [c for c in candidates if c != i and c not in follows[i]]
-        missing = need - len(follows[i] & set(candidates))
+        missing = MIN_INFLUENCER_FOLLOWS - len(follows[i] & set(candidates))
         for _ in range(max(missing, 0)):
             pick = options.pop(int(rng.integers(len(options))))
             follows[i].add(pick)
 
     graph = FollowGraph(follows)
-    influencers = set(top_influencers(graph, n_influencers))
+    influencers = set(top_influencers(graph))
     keyword_counts = rng.integers(3, 7, size=n)
     verified_draws = rng.random(n)
     profiles = []
@@ -175,15 +169,10 @@ def generate_population(
     return profiles, graph
 
 
-def generate_seed_corpus(
-    seed: int,
-    *,
-    size: int = SEED_CORPUS_SIZE,
-    token_range: tuple[int, int] = TOKEN_RANGE,
-) -> list[str]:
-    """Generate `size` unique synthetic post bodies of 150-300 whitespace tokens."""
+def generate_seed_corpus(seed: int, *, size: int = SEED_CORPUS_SIZE) -> list[str]:
+    """Generate `size` unique synthetic post bodies of TOKEN_RANGE whitespace tokens."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x436F72)))
-    lo, hi = token_range
+    lo, hi = TOKEN_RANGE
     bodies: list[str] = []
     seen: set[str] = set()
     while len(bodies) < size:
@@ -259,13 +248,20 @@ def population_to_lines(profiles: Sequence[AgentProfile], graph: FollowGraph) ->
     ]
 
 
-def save_population(profiles: Sequence[AgentProfile], graph: FollowGraph, path: str | Path) -> None:
-    Path(path).write_text("\n".join(population_to_lines(profiles, graph)) + "\n", encoding="utf-8")
+def save_population(profiles: Sequence[AgentProfile], graph: FollowGraph, path: str | Path) -> str:
+    """Write the population file; returns its population_digest."""
+    payload = "\n".join(population_to_lines(profiles, graph))
+    Path(path).write_text(payload + "\n", encoding="utf-8")
+    return _sha256(payload)
 
 
 def population_digest(profiles: Sequence[AgentProfile], graph: FollowGraph) -> str:
-    payload = "\n".join(population_to_lines(profiles, graph)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    """SHA-256 of the population file's lines joined by newlines (no final newline)."""
+    return _sha256("\n".join(population_to_lines(profiles, graph)))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def load_population(path: str | Path) -> tuple[list[AgentProfile], FollowGraph]:
@@ -303,11 +299,11 @@ def save_corpus(bodies: Sequence[str], path: str | Path) -> None:
 
 
 def corpus_digest(bodies: Sequence[str]) -> str:
-    payload = "\n".join(bodies).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    """SHA-256 of the post bodies joined by newlines (not of the corpus file's JSON lines)."""
+    return _sha256("\n".join(bodies))
 
 
-def load_corpus(path: str | Path, *, token_range: tuple[int, int] = TOKEN_RANGE) -> list[str]:
+def load_corpus(path: str | Path) -> list[str]:
     """Read a corpus file of CorpusRow lines (core.read_rows). Duplicate bodies
     are errors; out-of-range token counts only warn, since real corpora may
     legitimately differ."""
@@ -320,6 +316,6 @@ def load_corpus(path: str | Path, *, token_range: tuple[int, int] = TOKEN_RANGE)
             raise FormatError(f"{path}, line {number}: duplicate post body")
         seen.add(row.content)
         n_tok = token_count(row.content)
-        if not token_range[0] <= n_tok <= token_range[1]:
-            warnings.warn(f"{path}, line {number}: token count {n_tok} outside {token_range}", stacklevel=2)
+        if not TOKEN_RANGE[0] <= n_tok <= TOKEN_RANGE[1]:
+            warnings.warn(f"{path}, line {number}: token count {n_tok} outside {TOKEN_RANGE}", stacklevel=2)
     return [row.content for _, row in rows]

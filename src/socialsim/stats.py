@@ -19,9 +19,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit, logsumexp, ndtr
@@ -53,38 +55,57 @@ _ENGAGED = np.array([a.is_engagement for a in ACTIONS])
 _ALLOCATION_Y = np.array([ALLOCATION_ACTIONS.index(a) if a.is_engagement else -1 for a in ACTIONS], dtype=np.int64)
 
 
-def design_columns() -> list[str]:
-    """Fixed column order of the 24-column design (intercept first)."""
-    names = ["intercept", "popularity"]
-    names += [f"{lv.value}_load" for lv in _LOAD_DUMMIES]
-    names += [_NORM_SHORT[nr] for nr in _NORM_DUMMIES]
-    names += [f"popularity:{lv.value}_load" for lv in _LOAD_DUMMIES]
-    names += [f"popularity:{_NORM_SHORT[nr]}" for nr in _NORM_DUMMIES]
-    names += [f"{lv.value}_load:{_NORM_SHORT[nr]}" for nr in _NORM_DUMMIES for lv in _LOAD_DUMMIES]
-    names += [
-        f"popularity:{lv.value}_load:{_NORM_SHORT[nr]}"
-        for nr in _NORM_DUMMIES
-        for lv in _LOAD_DUMMIES
-    ]
-    return names
+class _Term(NamedTuple):
+    """One design column: the product of the composite (if `popularity`), a
+    load dummy and a norm dummy, each factor present only if set."""
+
+    popularity: bool
+    load: LoadLevel | None
+    norm: NormRegime | None
+
+    @property
+    def name(self) -> str:
+        parts = ["popularity"] if self.popularity else []
+        parts += [f"{self.load.value}_load"] if self.load is not None else []
+        parts += [_NORM_SHORT[self.norm]] if self.norm is not None else []
+        return ":".join(parts) or "intercept"
 
 
-DESIGN_COLUMNS = design_columns()
+# The 24 design terms in column order: intercept, main effects, two-way and
+# three-way products.
+_TERMS = (
+    [_Term(False, None, None), _Term(True, None, None)]
+    + [_Term(False, lv, None) for lv in _LOAD_DUMMIES]
+    + [_Term(False, None, nr) for nr in _NORM_DUMMIES]
+    + [_Term(True, lv, None) for lv in _LOAD_DUMMIES]
+    + [_Term(True, None, nr) for nr in _NORM_DUMMIES]
+    + [_Term(False, lv, nr) for nr in _NORM_DUMMIES for lv in _LOAD_DUMMIES]
+    + [_Term(True, lv, nr) for nr in _NORM_DUMMIES for lv in _LOAD_DUMMIES]
+)
+DESIGN_COLUMNS = [term.name for term in _TERMS]
 N_COLUMNS = len(DESIGN_COLUMNS)  # 24: intercept + 23 predictors
 
 
-def design_row(composite: float, load: LoadLevel, norm: NormRegime) -> np.ndarray:
-    """One design row for a given popularity composite and condition cell."""
-    load_d = [1.0 if load is lv else 0.0 for lv in _LOAD_DUMMIES]
-    norm_d = [1.0 if norm is nr else 0.0 for nr in _NORM_DUMMIES]
-    row = [1.0, composite]
-    row += load_d
-    row += norm_d
-    row += [composite * d for d in load_d]
-    row += [composite * d for d in norm_d]
-    row += [l * n for n in norm_d for l in load_d]
-    row += [composite * l * n for n in norm_d for l in load_d]
-    return np.asarray(row, dtype=np.float64)
+def design_matrix(
+    composite: np.typing.ArrayLike, load_codes: np.typing.ArrayLike, norm_codes: np.typing.ArrayLike
+) -> np.ndarray:
+    """The (n, N_COLUMNS) design for n composites and their LOADS and NORMS codes.
+
+    A code may also be one integer for every row. Each column multiplies its
+    term's factors left to right (composite, load dummy, norm dummy); a term
+    without factors is the intercept column of ones.
+    """
+    c = np.asarray(composite, dtype=np.float64)
+    load_codes, norm_codes = np.asarray(load_codes), np.asarray(norm_codes)
+    loads = {lv: (load_codes == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
+    norms = {nr: (norm_codes == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
+    X = np.empty((c.size, N_COLUMNS), dtype=np.float64)
+    for j, term in enumerate(_TERMS):
+        factors = [c] if term.popularity else []
+        factors += [loads[term.load]] if term.load is not None else []
+        factors += [norms[term.norm]] if term.norm is not None else []
+        X[:, j] = reduce(operator.mul, factors) if factors else 1.0
+    return X
 
 
 def build_design_matrix(
@@ -110,34 +131,7 @@ def build_design_matrix(
     # np.log1p, whose results can differ in the last bit
     distinct, inverse = np.unique(total, return_inverse=True)
     c = np.asarray([math.log1p(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
-    X = np.zeros((n, N_COLUMNS), dtype=np.float64)
-    X[:, 0] = 1.0
-    X[:, 1] = c
-    load_cols = {lv: (load == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
-    norm_cols = {nr: (norm == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
-    j = 2
-    for lv in _LOAD_DUMMIES:
-        X[:, j] = load_cols[lv]
-        j += 1
-    for nr in _NORM_DUMMIES:
-        X[:, j] = norm_cols[nr]
-        j += 1
-    for lv in _LOAD_DUMMIES:
-        X[:, j] = c * load_cols[lv]
-        j += 1
-    for nr in _NORM_DUMMIES:
-        X[:, j] = c * norm_cols[nr]
-        j += 1
-    for nr in _NORM_DUMMIES:
-        for lv in _LOAD_DUMMIES:
-            X[:, j] = load_cols[lv] * norm_cols[nr]
-            j += 1
-    for nr in _NORM_DUMMIES:
-        for lv in _LOAD_DUMMIES:
-            X[:, j] = c * load_cols[lv] * norm_cols[nr]
-            j += 1
-    assert j == N_COLUMNS
-    return X, list(DESIGN_COLUMNS), y
+    return design_matrix(c, load, norm), list(DESIGN_COLUMNS), y
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +320,29 @@ def write_coefficient_csv(model: FittedModel, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _newton(
-    loglik,
-    score,
-    information,
-    theta0: np.ndarray,
-    *,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    ridge_fallback: float = 1e-6,
-) -> tuple[np.ndarray, float, int, bool, list[str]]:
+# Newton stops once an iteration gains less than _TOL in log-likelihood, or
+# after _MAX_ITER iterations; a singular information matrix gets _RIDGE added
+# to its diagonal, both in a Newton step and for the covariance.
+_MAX_ITER = 100
+_TOL = 1e-8
+_RIDGE = 1e-6
+
+_EQUATIONS = {"threshold": ("engage",), "allocation": ALLOCATION_EQUATIONS}
+
+
+def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray, float, int, bool, list[str]]:
     """Newton ascent with step halving and a ridge retry on singular systems.
 
     For the canonical-link models here the Newton iteration coincides with
     iteratively reweighted least squares. Convergence is declared when the
-    log-likelihood improves by less than `tol` between iterations.
+    log-likelihood improves by less than `_TOL` between iterations.
     """
     theta = theta0.copy()
     diagnostics: list[str] = []
     ll = loglik(theta)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         g = score(theta)
         info = information(theta)
         try:
@@ -355,8 +350,8 @@ def _newton(
             if not np.all(np.isfinite(step)):
                 raise np.linalg.LinAlgError("non-finite step")
         except np.linalg.LinAlgError:
-            diagnostics.append(f"iteration {it}: singular information matrix, ridge {ridge_fallback:g} added")
-            step = np.linalg.solve(info + ridge_fallback * np.eye(info.shape[0]), g)
+            diagnostics.append(f"iteration {it}: singular information matrix, ridge {_RIDGE:g} added")
+            step = np.linalg.solve(info + _RIDGE * np.eye(info.shape[0]), g)
         new_theta = theta + step
         new_ll = loglik(new_theta)
         halvings = 0
@@ -366,170 +361,54 @@ def _newton(
             new_ll = loglik(new_theta)
             halvings += 1
         theta = new_theta
-        if abs(new_ll - ll) < tol:
+        if abs(new_ll - ll) < _TOL:
             ll = new_ll
             converged = True
             break
         ll = new_ll
     if not converged:
-        diagnostics.append(f"no convergence within {max_iter} iterations")
+        diagnostics.append(f"no convergence within {_MAX_ITER} iterations")
     return theta, ll, it, converged, diagnostics
 
 
-def fit_binary_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    terms: Sequence[str] | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-8,
+def _fit(
+    stage: Literal["threshold", "allocation"], X: np.ndarray, y: np.ndarray, terms: Sequence[str] | None,
+    loglik, score, information,
 ) -> FittedModel:
-    """Maximum-likelihood binary logistic fit via IRLS.
+    """Fit one stage and its intercept-only null model by _newton.
 
-    The intercept-only null model is fitted by the same routine. Quasi-
-    separation (any |B| > 15) is reported through `converged=False` plus a
-    diagnostic; estimates are still returned.
+    `loglik(X, y, theta)`, `score(X, y, theta)` and `information(X, theta)`
+    take theta as the stage's coefficient blocks (one per equation) laid end
+    to end; the null model is the same functions on a column of ones.
+    Quasi-separation (any |B| > SEPARATION_BOUND) is reported through
+    `converged=False` plus a diagnostic; estimates are still returned.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise ValueError(f"need at least as many rows as columns, got {X.shape}")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("binary outcome must be coded 0/1")
+    equations = list(_EQUATIONS[stage])
+    n_eq = len(equations)
+    n, k = X.shape
 
-    def info(beta: np.ndarray) -> np.ndarray:
-        p = expit(X @ beta)
-        w = p * (1.0 - p)
-        return X.T @ (w[:, None] * X)
+    def newton(X: np.ndarray):
+        return _newton(
+            lambda t: loglik(X, y, t),
+            lambda t: score(X, y, t),
+            lambda t: information(X, t),
+            np.zeros(n_eq * X.shape[1]),
+        )
 
-    beta, ll_full, it, converged, diags = _newton(
-        lambda b: binary_loglik(X, y, b),
-        lambda b: binary_score(X, y, b),
-        info,
-        np.zeros(X.shape[1]),
-        max_iter=max_iter,
-        tol=tol,
-    )
-
-    ones = np.ones((X.shape[0], 1))
-
-    def null_info(b: np.ndarray) -> np.ndarray:
-        p = expit(ones @ b)
-        return ones.T @ ((p * (1.0 - p))[:, None] * ones)
-
-    _, ll_null, _, _, _ = _newton(
-        lambda b: binary_loglik(ones, y, b),
-        lambda b: binary_score(ones, y, b),
-        null_info,
-        np.zeros(1),
-        max_iter=max_iter,
-        tol=tol,
-    )
-
-    if np.any(np.abs(beta) > SEPARATION_BOUND):
-        worst = int(np.argmax(np.abs(beta)))
+    theta, ll_full, it, converged, diags = newton(X)
+    _, ll_null, _, _, _ = newton(np.ones((n, 1)))
+    if np.any(np.abs(theta) > SEPARATION_BOUND):
+        worst = int(np.argmax(np.abs(theta))) % k
         diags.append(f"possible separation: |B| > {SEPARATION_BOUND:g} at column {worst}")
         converged = False
-
-    cov = _safe_inverse(info(beta), diags)
+    cov = _safe_inverse(information(X, theta), diags)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    terms = list(terms) if terms is not None else [f"x{j}" for j in range(X.shape[1])]
     return FittedModel(
-        stage="threshold",
-        terms=terms,
-        equations=["engage"],
-        coef=beta.reshape(1, -1),
-        se=se.reshape(1, -1),
-        cov=cov,
-        ll_full=ll_full,
-        ll_null=ll_null,
-        k_null=1,
-        n_obs=X.shape[0],
-        n_iter=it,
-        converged=converged,
-        diagnostics=diags,
-        composite_max=float(X[:, 1].max()) if X.shape[1] > 1 else 0.0,
-    )
-
-
-def fit_multinomial_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    terms: Sequence[str] | None = None,
-    n_classes: int = 3,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> FittedModel:
-    """Maximum-likelihood multinomial logistic fit via joint Newton-Raphson.
-
-    Class 0 is the reference outcome; each remaining class gets its own
-    coefficient block. An outcome class absent from the data makes its
-    equation inestimable: the block is returned as NaN with a diagnostic.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if np.any((y < 0) | (y >= n_classes)):
-        raise ValueError(f"outcome codes must lie in [0, {n_classes})")
-    n, k = X.shape
-    n_eq = n_classes - 1
-    counts = np.bincount(y, minlength=n_classes)
-    diags: list[str] = []
-    missing = [c for c in range(n_classes) if counts[c] == 0]
-    estimable = not missing
-    for c in missing:
-        diags.append(f"outcome class {c} has no observations; equation inestimable")
-
-    def unflat(theta: np.ndarray) -> np.ndarray:
-        return theta.reshape(n_eq, k)
-
-    def info(theta: np.ndarray) -> np.ndarray:
-        return _mn_info(X, unflat(theta), n_classes)
-
-    if estimable:
-        theta, ll_full, it, converged, newton_diags = _newton(
-            lambda t: multinomial_loglik(X, y, unflat(t)),
-            lambda t: multinomial_score(X, y, unflat(t)),
-            info,
-            np.zeros(n_eq * k),
-            max_iter=max_iter,
-            tol=tol,
-        )
-        diags.extend(newton_diags)
-        coef = unflat(theta)
-        if np.any(np.abs(coef) > SEPARATION_BOUND):
-            diags.append(f"possible separation: |B| > {SEPARATION_BOUND:g}")
-            converged = False
-        cov = _safe_inverse(info(theta), diags)
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None)).reshape(n_eq, k)
-    else:
-        coef = np.full((n_eq, k), np.nan)
-        se = np.full((n_eq, k), np.nan)
-        cov = np.full((n_eq * k, n_eq * k), np.nan)
-        ll_full = float("nan")
-        it, converged = 0, False
-
-    # Intercept-only null model, same routine.
-    ones = np.ones((n, 1))
-    if estimable:
-        theta0, ll_null, _, _, _ = _newton(
-            lambda t: multinomial_loglik(ones, y, t.reshape(n_eq, 1)),
-            lambda t: multinomial_score(ones, y, t.reshape(n_eq, 1)),
-            lambda t: _mn_info(ones, t.reshape(n_eq, 1), n_classes),
-            np.zeros(n_eq),
-            max_iter=max_iter,
-            tol=tol,
-        )
-    else:
-        ll_null = float("nan")
-
-    terms = list(terms) if terms is not None else [f"x{j}" for j in range(k)]
-    return FittedModel(
-        stage="allocation",
-        terms=terms,
-        equations=list(ALLOCATION_EQUATIONS[:n_eq]) if n_eq == 2 else [f"class{c}_vs_ref" for c in range(1, n_classes)],
-        coef=coef,
-        se=se,
+        stage=stage,
+        terms=_term_names(terms, k),
+        equations=equations,
+        coef=theta.reshape(n_eq, k),
+        se=se.reshape(n_eq, k),
         cov=cov,
         ll_full=ll_full,
         ll_null=ll_null,
@@ -538,28 +417,99 @@ def fit_multinomial_logistic(
         n_iter=it,
         converged=converged,
         diagnostics=diags,
-        composite_max=float(X[:, 1].max()) if k > 1 else 0.0,
+        composite_max=_composite_max(X),
     )
 
 
-def _mn_info(X: np.ndarray, coef: np.ndarray, n_classes: int) -> np.ndarray:
-    n, k = X.shape
-    n_eq = n_classes - 1
+def _term_names(terms: Sequence[str] | None, k: int) -> list[str]:
+    return list(terms) if terms is not None else [f"x{j}" for j in range(k)]
+
+
+def _composite_max(X: np.ndarray) -> float:
+    return float(X[:, 1].max()) if X.shape[1] > 1 else 0.0
+
+
+def fit_binary_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
+    """Maximum-likelihood binary logistic fit via IRLS (see _fit)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < X.shape[1]:
+        raise ValueError(f"need at least as many rows as columns, got {X.shape}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("binary outcome must be coded 0/1")
+    return _fit("threshold", X, y, terms, binary_loglik, binary_score, _binary_info)
+
+
+def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
+    """Maximum-likelihood multinomial logistic fit via joint Newton-Raphson (see _fit).
+
+    Like (code 0) is the reference outcome; repost and quote each get their
+    own coefficient block. An outcome class absent from the data makes its
+    equation inestimable: the model is returned as NaN with a diagnostic.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = len(ALLOCATION_ACTIONS)
+    if np.any((y < 0) | (y >= n_classes)):
+        raise ValueError(f"outcome codes must lie in [0, {n_classes})")
+    missing = np.flatnonzero(np.bincount(y, minlength=n_classes) == 0).tolist()
+    if missing:
+        nan = np.full((len(ALLOCATION_EQUATIONS), X.shape[1]), np.nan)
+        return FittedModel(
+            stage="allocation",
+            terms=_term_names(terms, X.shape[1]),
+            equations=list(ALLOCATION_EQUATIONS),
+            coef=nan,
+            se=nan.copy(),
+            cov=np.full((nan.size, nan.size), np.nan),
+            ll_full=math.nan,
+            ll_null=math.nan,
+            k_null=len(ALLOCATION_EQUATIONS),
+            n_obs=X.shape[0],
+            n_iter=0,
+            converged=False,
+            diagnostics=[f"outcome class {c} has no observations; equation inestimable" for c in missing],
+            composite_max=_composite_max(X),
+        )
+
+    def blocks(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        return theta.reshape(-1, X.shape[1])
+
+    return _fit(
+        "allocation",
+        X,
+        y,
+        terms,
+        lambda X, y, t: multinomial_loglik(X, y, blocks(X, t)),
+        lambda X, y, t: multinomial_score(X, y, blocks(X, t)),
+        lambda X, t: _mn_info(X, blocks(X, t)),
+    )
+
+
+def _binary_info(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    p = expit(X @ beta)
+    w = p * (1.0 - p)
+    return X.T @ (w[:, None] * X)
+
+
+def _mn_info(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    k = X.shape[1]
+    n_eq = coef.shape[0]
     p = multinomial_probs(X, coef)
     out = np.zeros((n_eq * k, n_eq * k))
-    for c in range(1, n_classes):
-        for d in range(1, n_classes):
+    for c in range(1, n_eq + 1):
+        for d in range(1, n_eq + 1):
             w = p[:, c] * ((1.0 if c == d else 0.0) - p[:, d])
             out[(c - 1) * k : c * k, (d - 1) * k : d * k] = X.T @ (w[:, None] * X)
     return out
 
 
-def _safe_inverse(info: np.ndarray, diags: list[str], ridge: float = 1e-6) -> np.ndarray:
+def _safe_inverse(info: np.ndarray, diags: list[str]) -> np.ndarray:
     try:
         return np.linalg.inv(info)
     except np.linalg.LinAlgError:
-        diags.append(f"information matrix singular at optimum; covariance from ridge {ridge:g}")
-        return np.linalg.inv(info + ridge * np.eye(info.shape[0]))
+        diags.append(f"information matrix singular at optimum; covariance from ridge {_RIDGE:g}")
+        return np.linalg.inv(info + _RIDGE * np.eye(info.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +533,10 @@ def predicted_probabilities(model: FittedModel, scenarios: Sequence[Scenario]) -
     """
     rows: list[dict] = []
     k = len(model.terms)
-    for sc in scenarios:
-        x = design_row(sc.composite, sc.load, sc.norm)[:k]
+    xs = design_matrix(
+        [sc.composite for sc in scenarios], [LOADS.index(sc.load) for sc in scenarios], [NORMS.index(sc.norm) for sc in scenarios]
+    )[:, :k]
+    for sc, x in zip(scenarios, xs):
         base = {"composite": sc.composite, "load": sc.load.value, "norm": sc.norm.value}
         if not np.all(np.isfinite(model.coef)):
             if model.stage == "threshold":

@@ -46,7 +46,6 @@ from socialsim.stats import (
     binary_loglik,
     binary_score,
     build_design_matrix,
-    design_columns,
     fit_binary_logistic,
     fit_multinomial_logistic,
     fit_statistics,
@@ -67,7 +66,7 @@ def _ok(n: int, name: str, detail: str = "") -> None:
 
 def recovery_coefficients() -> tuple[list[float], list[list[float]]]:
     """Known two-stage coefficients used as ground truth for recovery."""
-    names = design_columns()
+    names = DESIGN_COLUMNS
     t = dict.fromkeys(names, 0.0)
     t.update(
         intercept=-4.4, popularity=0.30,

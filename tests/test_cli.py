@@ -250,6 +250,25 @@ class TestAnalyze:
         assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
         assert "logs contain no exposure records" in capsys.readouterr().err
 
+    def test_swapped_population_exits_2_naming_the_file(self, run_dir, tmp_path, capsys):
+        # Regression: analyze once audited loads against whatever population file it found.
+        population = run_dir / "population.jsonl"
+        assert main(["gen-population", "--n", "40", "--seed", "99", "--out", str(population)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{population}: " in err[0] and "population_sha256" in err[0]
+        assert not out.exists()
+
+    def test_manifest_without_population_digest_is_not_checked(self, run_dir, tmp_path):
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["population_sha256"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["gen-population", "--n", "40", "--seed", "99", "--out", str(run_dir / "population.jsonl")]) == 0
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis")]) == 0
+
     def test_descriptive_outputs_exist(self, analysis_dir):
         assert (analysis_dir / "descriptive_shares.csv").exists()
         assert (analysis_dir / "load_audit.csv").exists()

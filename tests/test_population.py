@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -93,6 +94,13 @@ class TestPopulationIO:
         assert loaded_profiles == sorted(profiles, key=lambda p: p.id)
         assert loaded_graph == graph
         assert population_digest(profiles, graph) == population_digest(loaded_profiles, loaded_graph)
+
+    def test_save_returns_population_digest(self, tmp_path):
+        profiles, graph = generate_population(60, seed=4)
+        path = tmp_path / "pop.jsonl"
+        assert save_population(profiles, graph, path) == population_digest(profiles, graph)
+        # the digest covers the lines without the file's final newline
+        assert hashlib.sha256(path.read_bytes().removesuffix(b"\n")).hexdigest() == population_digest(profiles, graph)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="not found"):

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from socialsim.core import ActionKind, LoadLevel, NormRegime
+from socialsim.core import LOADS, NORMS, ActionKind, LoadLevel, NormRegime
 from socialsim.stats import (
     DESIGN_COLUMNS,
     N_COLUMNS,
@@ -15,7 +15,7 @@ from socialsim.stats import (
     binary_loglik,
     binary_score,
     build_design_matrix,
-    design_row,
+    design_matrix,
     fit_binary_logistic,
     fit_multinomial_logistic,
     fit_statistics,
@@ -37,6 +37,11 @@ from reference_log import ExposureRecord, log_from_records
 
 def _record(action=ActionKind.READ, likes=0, reshares=0, load=LoadLevel.LOWEST, norm=NormRegime.NO_NORM, t=0, agent=0, post=0):
     return ExposureRecord(run=1, load=load, norm=norm, t=t, agent=agent, post=post, likes=likes, reshares=reshares, action=action)
+
+
+def _design(composites, load, norm):
+    """Design rows for composites in one load x norm cell."""
+    return design_matrix(np.atleast_1d(composites), LOADS.index(load), NORMS.index(norm))
 
 
 class TestDesignMatrix:
@@ -67,10 +72,21 @@ class TestDesignMatrix:
         assert X[0, names.index("low_load")] == 0.0
         assert X[0, names.index("popularity:like_norm")] == 0.0
 
-    def test_row_equals_design_row_helper(self):
-        r = _record(likes=7, reshares=1, load=LoadLevel.MEDIUM, norm=NormRegime.LIKE_DOMINANT)
-        X, _, _ = build_design_matrix(log_from_records([r]), "threshold")
-        assert np.allclose(X[0], design_row(math.log1p(8), LoadLevel.MEDIUM, NormRegime.LIKE_DOMINANT))
+    @pytest.mark.parametrize("load", list(LoadLevel), ids=lambda lv: lv.value)
+    @pytest.mark.parametrize("norm", list(NormRegime), ids=lambda nr: nr.value)
+    def test_each_column_is_the_product_its_name_spells(self, load, norm):
+        # Reordering or mislabelling a design term fails here, in every load x norm cell:
+        # the order is the reported table's, and each column holds what its name spells.
+        records = [_record(likes=likes, reshares=1, load=load, norm=norm) for likes in (0, 7)]
+        X, names, _ = build_design_matrix(log_from_records(records), "threshold")
+        assert names == DESIGN_COLUMNS == [term for term, *_ in REFERENCE_THRESHOLD_TABLE]
+        norm_name = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT: "repost_norm"}.get(norm)
+        for i, r in enumerate(records):
+            assert np.allclose(X[i], _design(math.log1p(r.likes + r.reshares), load, norm)[0])
+            factors = {"popularity": math.log1p(r.likes + r.reshares), f"{load.value}_load": 1.0, norm_name: 1.0}
+            for j, name in enumerate(names):
+                want = 1.0 if name == "intercept" else math.prod(factors.get(part, 0.0) for part in name.split(":"))
+                assert X[i, j] == want, name
 
     def test_threshold_outcome_coding(self):
         records = [_record(), _record(action=ActionKind.LIKE), _record(action=ActionKind.QUOTE)]
@@ -114,9 +130,7 @@ def _simulate_binary(n, beta, seed=0):
     comps = rng.exponential(1.0, size=n)
     loads = rng.integers(0, 4, size=n)
     norms = rng.integers(0, 3, size=n)
-    X = np.stack(
-        [design_row(c, list(LoadLevel)[l], list(NormRegime)[m]) for c, l, m in zip(comps, loads, norms)]
-    )
+    X = design_matrix(comps, loads, norms)
     p = expit(X @ beta)
     y = (rng.random(n) < p).astype(float)
     return X, y
@@ -216,6 +230,15 @@ class TestMultinomialLogistic:
         for e in range(2):
             for j in range(2):
                 assert abs(m.coef[e, j] - B[e, j]) <= max(0.1, 3 * m.se[e, j])
+
+    def test_separation_flagged_naming_the_column(self):
+        x = np.linspace(-2, 2, 90)
+        X = np.column_stack([np.ones(90), x])
+        y = np.repeat([0, 1, 2], 30)  # perfectly ordered by x
+        m = fit_multinomial_logistic(X, y)
+        assert not m.converged
+        assert any(d.startswith("possible separation") and d.endswith("at column 1") for d in m.diagnostics)
+        assert np.all(np.isfinite(m.coef))
 
     def test_empty_category_flagged_inestimable(self):
         X = np.ones((50, 1))
@@ -433,14 +456,14 @@ class TestPrediction:
 
     def test_allocation_probabilities_sum_to_one(self):
         rng = np.random.default_rng(17)
-        X = np.stack([design_row(c, LoadLevel.LOW, NormRegime.NO_NORM) for c in rng.exponential(1, 400)])
+        X = _design(rng.exponential(1, 400), LoadLevel.LOW, NormRegime.NO_NORM)
         y = rng.integers(0, 3, size=400)
         m = fit_multinomial_logistic(X, y, terms=list(DESIGN_COLUMNS))
         rows = predicted_probabilities(m, [Scenario(0.7, LoadLevel.LOW, NormRegime.NO_NORM)])
         assert sum(r["p"] for r in rows) == pytest.approx(1.0, abs=1e-10)
 
     def test_inestimable_equation_flagged(self):
-        X = np.stack([design_row(c, LoadLevel.LOW, NormRegime.NO_NORM) for c in np.linspace(0, 2, 100)])
+        X = _design(np.linspace(0, 2, 100), LoadLevel.LOW, NormRegime.NO_NORM)
         y = np.array([0, 1] * 50)  # no quotes
         m = fit_multinomial_logistic(X, y, terms=list(DESIGN_COLUMNS))
         rows = predicted_probabilities(m, [Scenario(1.0, LoadLevel.LOW, NormRegime.NO_NORM)])
