@@ -6,7 +6,6 @@ from .core import (
     CellLog,
     LoadLevel,
     NormRegime,
-    PopularityCounters,
     Post,
     PostKind,
     RunConfig,
@@ -51,7 +50,7 @@ from .population import (
     save_population,
     top_influencers,
 )
-from .recommender import Feed, FeedEntry, select_feed
+from .recommender import Feed, select_feed
 from .stats import (
     DESIGN_COLUMNS,
     FittedModel,

@@ -197,7 +197,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     metrics_rows = []
     if args.stage in ("threshold", "both"):
         X, names, y = build_design_matrix(log, "threshold")
-        model = fit_binary_logistic(X, y, terms=names)
+        try:
+            model = fit_binary_logistic(X, y, terms=names)
+        except ValueError as e:
+            print(f"error: threshold stage cannot be fitted: {e}", file=sys.stderr)
+            return 1
         write_coefficient_csv(model, out / "threshold_coefficients.csv")
         save_model(model, out / "threshold_model.json")
         metrics_rows.append(_metrics_row(model))
@@ -205,10 +209,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.stage in ("allocation", "both"):
         try:
             X, names, y = build_design_matrix(log, "allocation")
-        except ValueError:
-            print("error: no engaged records; allocation stage cannot be fitted", file=sys.stderr)
+            model = fit_multinomial_logistic(X, y, terms=names)
+        except ValueError as e:
+            print(f"error: allocation stage cannot be fitted: {e}", file=sys.stderr)
             return 1
-        model = fit_multinomial_logistic(X, y, terms=names)
         write_coefficient_csv(model, out / "allocation_coefficients.csv")
         save_model(model, out / "allocation_model.json")
         metrics_rows.append(_metrics_row(model))

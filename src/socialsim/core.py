@@ -101,24 +101,6 @@ class PostKind(Enum):
     QUOTE = "quote"
 
 
-@dataclass(slots=True)
-class PopularityCounters:
-    """One post's cumulative engagement tallies, as a snapshot.
-
-    The engine keeps the live tallies in WorldState's per-post arrays;
-    ``WorldState.counters`` returns these.
-    """
-
-    likes: int = 0
-    reposts: int = 0
-    quotes: int = 0
-
-    @property
-    def reshares(self) -> int:
-        """Combined redistribution count: reposts plus quotes, reported as one number."""
-        return self.reposts + self.quotes
-
-
 def popularity_composite(likes: int, reshares: int) -> float:
     """Single visibility signal for a post: ln(1 + likes + reshares).
 

@@ -10,7 +10,8 @@ immediately.
 The log is columnar from end to end: a feed is a few arrays (``Feed``), each
 activation appends them to a ``LogBuilder`` as one block of exposure rows,
 and ``run`` returns the finished ``CellLog``. No object is built per feed
-slot unless a policy iterates the feed (scripted and LLM policies do).
+slot: policies read the same columns (a scripted policy indexes ``posts``,
+an LLM prompt zips the columns with the posts' text).
 
 Feed ranking reads array state that WorldState keeps next to its post list:
 per-post creation times and author rows, a follow matrix, and an agents x
@@ -41,7 +42,6 @@ from .core import (
     ConfigurationError,
     CreationColumns,
     ExposureColumns,
-    PopularityCounters,
     Post,
     PostKind,
     RunConfig,
@@ -165,7 +165,7 @@ class WorldState:
 
     * creation time and author row (``author_rows``): one int64 per post;
     * ``likes``, ``reposts`` and ``quotes``: one int64 per post, the only copy
-      of the engagement counters (``counters`` gives one post's snapshot);
+      of the engagement counters;
     * ``follows``: agents x agents bool, ``follows[r, c]`` when row r follows row c;
     * an agents x posts float64 relevance matrix holding the Jaccard overlap
       of each agent's keywords with each post's tokens. ``new_post`` fills
@@ -234,12 +234,6 @@ class WorldState:
     @property
     def quotes(self) -> np.ndarray:
         return self._quotes[: len(self.posts)]
-
-    def counters(self, post: int) -> PopularityCounters:
-        """Snapshot of one post's counters."""
-        if not 0 <= post < len(self.posts):
-            raise IndexError(f"no post {post}")
-        return PopularityCounters(int(self._likes[post]), int(self._reposts[post]), int(self._quotes[post]))
 
     def new_post(self, author: int, content: str, kind: PostKind, source: int | None, t: int) -> Post:
         pid = len(self.posts)

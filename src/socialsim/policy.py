@@ -39,7 +39,7 @@ from .core import (
     read_rows,
 )
 from .population import AgentProfile
-from .recommender import Feed, FeedEntry
+from .recommender import Feed
 from .stats import N_COLUMNS, design_matrix
 
 log = logging.getLogger(__name__)
@@ -47,19 +47,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(slots=True, frozen=True)
 class DecisionContext:
-    """Everything a policy may condition on for one activation.
-
-    ``feed`` is a Feed; a sequence of FeedEntry is turned into one.
-    """
+    """Everything a policy may condition on for one activation."""
 
     feed: Feed
     profile: AgentProfile
     history: tuple[tuple[ActionKind, int, int], ...]  # (action, post, timestep)
     regime: NormRegime
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.feed, Feed):
-            object.__setattr__(self, "feed", Feed.from_entries(self.feed))
 
 
 @dataclass(slots=True, frozen=True)
@@ -144,9 +137,7 @@ class ScriptedPolicy:
         action = ActionKind(name)
         if action is ActionKind.QUOTE and commentary is None:
             commentary = "adding a note on this"
-        if action is not ActionKind.QUOTE:
-            commentary = None
-        return Decision(action=action, target=context.feed[index].post, commentary=commentary)
+        return Decision(action=action, target=int(context.feed.posts[index]), commentary=commentary)
 
 
 def _checked_intents(intents: Sequence[Intent]) -> list[Intent]:
@@ -327,8 +318,10 @@ def user_prompt(context: DecisionContext) -> str:
     else:
         lines.append("You have no recent interactions.")
     lines.append("Your feed now:")
-    for entry in context.feed:
-        lines.append(f"[post {entry.post}] (likes: {entry.likes}, reshares: {entry.reshares}) {entry.content}")
+    feed = context.feed
+    slots = zip(feed.posts.tolist(), feed.likes.tolist(), feed.reshares.tolist(), feed.contents())
+    for post, likes, reshares, content in slots:
+        lines.append(f"[post {post}] (likes: {likes}, reshares: {reshares}) {content}")
     return "\n".join(lines)
 
 
@@ -344,7 +337,7 @@ def build_prompt(context: DecisionContext) -> str:
 _ACTION_NAMES = {a.value: a for a in ActionKind}
 
 
-def parse_response(raw: str, feed: Sequence[FeedEntry]) -> Decision:
+def parse_response(raw: str, feed: Feed) -> Decision:
     """Parse arbitrary model output into a valid Decision.
 
     Expects one JSON object with an "action" key; any deviation (no JSON,
@@ -368,7 +361,7 @@ def parse_response(raw: str, feed: Sequence[FeedEntry]) -> Decision:
     if not isinstance(target, int) or isinstance(target, bool):
         log.warning("missing or non-integer post_id in policy response, degrading to read-only")
         return Decision.read_all()
-    if target not in {e.post for e in feed}:
+    if feed.position(target) is None:
         log.warning("post_id %s not in feed, degrading to read-only", target)
         return Decision.read_all()
     commentary = obj.get("comment")

@@ -76,10 +76,6 @@ class FollowGraph:
                 deg[followee] = deg.get(followee, 0) + 1
         return deg
 
-    def digest(self) -> str:
-        payload = json.dumps(self.edges(), separators=(",", ":")).encode()
-        return hashlib.sha256(payload).hexdigest()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FollowGraph) and self._follows == other._follows
 

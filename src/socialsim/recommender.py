@@ -15,15 +15,15 @@ engaged) is split by the follow matrix into the followed and algorithmic
 pools; each pool's top k comes from ``np.partition`` to cut the candidates
 and ``np.lexsort`` on (-score, id), so ties break by ascending post id.
 
-The feed itself stays columnar (``Feed``): post ids and the popularity
-snapshot as arrays. FeedEntry objects are built only for code that iterates
-or indexes a feed, such as scripted policies and LLM prompts.
+The feed is columnar (``Feed``): post ids and the popularity snapshot as
+arrays. Every reader takes the columns: the engine logs them as they are, a
+scripted policy reads ``posts`` at an index, and an LLM prompt zips
+``posts``, ``likes`` and ``reshares`` with ``contents()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -32,20 +32,6 @@ from .core import LoadLevel, Post, RunConfig
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import WorldState
 
-FOLLOWED = "followed"
-ALGORITHMIC = "algorithmic"
-
-
-@dataclass(slots=True, frozen=True)
-class FeedEntry:
-    """One feed slot: the post, its popularity snapshot, and its pool label."""
-
-    post: int
-    likes: int
-    reshares: int
-    slot: str  # FOLLOWED or ALGORITHMIC
-    content: str = ""
-
 
 class Feed:
     """One activation's feed as columns, best first within each pool.
@@ -53,11 +39,10 @@ class Feed:
     ``posts``, ``likes`` and ``reshares`` are int64 arrays with one element
     per slot: the post id and its likes and reposts + quotes when the feed
     was built. The first ``n_followed`` slots are followed, the rest
-    algorithmic. Iterating or indexing yields FeedEntry objects, built on
-    demand from the columns and the post store.
+    algorithmic. ``contents`` reads each slot's text from the post store.
     """
 
-    __slots__ = ("posts", "likes", "reshares", "n_followed", "_store", "_entries")
+    __slots__ = ("posts", "likes", "reshares", "n_followed", "_store")
 
     def __init__(
         self,
@@ -71,34 +56,14 @@ class Feed:
         self.likes = likes
         self.reshares = reshares
         self.n_followed = n_followed
-        self._store = store  # post id -> Post, for the content of built entries
-        self._entries: tuple[FeedEntry, ...] | None = None
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[FeedEntry]) -> "Feed":
-        """A feed of hand-built entries; iterating or indexing it yields those same entries."""
-        entries = tuple(entries)
-        columns = [np.array([getattr(e, k) for e in entries], dtype=np.int64) for k in ("post", "likes", "reshares")]
-        if any(col.size and col.min() < 0 for col in columns[1:]):
-            raise ValueError("engagement counts must be non-negative")
-        n_followed = next((i for i, e in enumerate(entries) if e.slot != FOLLOWED), len(entries))
-        feed = cls(*columns, n_followed, ())
-        feed._entries = entries
-        return feed
+        self._store = store  # post id -> Post
 
     def __len__(self) -> int:
         return self.posts.size
 
-    def __getitem__(self, i: int) -> FeedEntry:
-        if self._entries is not None:
-            return self._entries[i]
-        i = range(len(self))[i]  # negative indexes count from the end; IndexError past it
-        post = int(self.posts[i])
-        slot = FOLLOWED if i < self.n_followed else ALGORITHMIC
-        return FeedEntry(post, int(self.likes[i]), int(self.reshares[i]), slot, self._store[post].content)
-
-    def __iter__(self) -> Iterator[FeedEntry]:
-        return (self[i] for i in range(len(self)))
+    def contents(self) -> list[str]:
+        """The text of each slot's post, in slot order."""
+        return [self._store[post].content for post in self.posts.tolist()]
 
     def position(self, post: int) -> int | None:
         """Index of the slot showing ``post``, None if the feed does not show it."""

@@ -429,12 +429,18 @@ def _composite_max(X: np.ndarray) -> float:
     return float(X[:, 1].max()) if X.shape[1] > 1 else 0.0
 
 
-def fit_binary_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
-    """Maximum-likelihood binary logistic fit via IRLS (see _fit)."""
+def _checked_design(X: np.ndarray) -> np.ndarray:
+    """X as float64; ValueError unless it is 2-D with at least as many rows as columns."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got {X.shape}")
+    return X
+
+
+def fit_binary_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
+    """Maximum-likelihood binary logistic fit via IRLS (see _fit)."""
+    X = _checked_design(X)
+    y = np.asarray(y, dtype=np.float64)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("binary outcome must be coded 0/1")
     return _fit("threshold", X, y, terms, binary_loglik, binary_score, _binary_info)
@@ -447,7 +453,7 @@ def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[st
     own coefficient block. An outcome class absent from the data makes its
     equation inestimable: the model is returned as NaN with a diagnostic.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _checked_design(X)
     y = np.asarray(y, dtype=np.int64)
     n_classes = len(ALLOCATION_ACTIONS)
     if np.any((y < 0) | (y >= n_classes)):

@@ -1,12 +1,13 @@
 """Reference engine: the record-based step/run the columnar engine must match.
 
-Each activation builds its feed as a list of FeedEntry objects with the
+Each activation builds its feed as a list of FeedSlot records with the
 per-post loop of reference_feed.py, asks the policy for a decision (a
-parametric policy through the per-entry loop below), and appends one
+parametric policy through the per-slot loop below), and appends one
 ExposureRecord per feed slot and one PostCreation per new post. Counters
-are the world's arrays, read through ``world.counters`` and incremented one
-post at a time. Nothing here builds or reads a Feed's columns, a
-LogBuilder or a CellLog.
+are the world's arrays, read and incremented one post at a time. Only a
+non-parametric policy gets a Feed, built from the slot list by
+``make_feed``; nothing here reads a Feed's columns, a LogBuilder or a
+CellLog.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from socialsim.engine import _STREAM_ACTIVATION, _STREAM_DECISION, initialize, s
 from socialsim.policy import Decision, DecisionContext, ParametricLogitPolicy, decide
 from socialsim.population import FollowGraph
 
+from conftest import make_feed
 from reference_feed import reference_select_feed
 from reference_log import ExposureRecord, PostCreation
 
@@ -25,18 +27,18 @@ from reference_log import ExposureRecord, PostCreation
 def reference_parametric_decide(
     policy: ParametricLogitPolicy, feed: list, rng: np.random.Generator
 ) -> Decision:
-    """ParametricLogitPolicy.decide as a loop over FeedEntry objects."""
+    """ParametricLogitPolicy.decide as a loop over FeedSlot records."""
     draws = rng.random(len(feed))
     best: tuple[float, int] | None = None
-    for entry, u in zip(feed, draws):
-        p = policy.engage_probability(popularity_composite(entry.likes, entry.reshares))
+    for slot, u in zip(feed, draws):
+        p = policy.engage_probability(popularity_composite(slot.likes, slot.reshares))
         if u < p and (best is None or u > best[0]):
-            best = (float(u), entry.post)
+            best = (float(u), slot.post)
     if best is None:
         return Decision.read_all()
     target = best[1]
-    entry = next(e for e in feed if e.post == target)
-    p_like, p_repost, _ = policy.allocation_probabilities(popularity_composite(entry.likes, entry.reshares))
+    slot = next(s for s in feed if s.post == target)
+    p_like, p_repost, _ = policy.allocation_probabilities(popularity_composite(slot.likes, slot.reshares))
     v = rng.random()
     if v < p_like:
         return Decision(action=ActionKind.LIKE, target=target)
@@ -59,13 +61,20 @@ def reference_step(world, t: int, config: RunConfig, policy, graph: FollowGraph,
         if isinstance(policy, ParametricLogitPolicy):
             decision = reference_parametric_decide(policy, feed, rng)
         else:
+            shown = make_feed(
+                [s.post for s in feed],
+                [s.likes for s in feed],
+                [s.reshares for s in feed],
+                n_followed=sum(s.followed for s in feed),
+                store=world.posts,
+            )
             context = DecisionContext(
-                feed=tuple(feed), profile=world.profiles[agent], history=tuple(world.history[agent]), regime=config.norm
+                feed=shown, profile=world.profiles[agent], history=tuple(world.history[agent]), regime=config.norm
             )
             decision = decide(policy, context, rng)
         target = decision.target if decision.action.is_engagement else None
-        for entry in feed:
-            action = decision.action if entry.post == target else ActionKind.READ
+        for slot in feed:
+            action = decision.action if slot.post == target else ActionKind.READ
             records.append(
                 ExposureRecord(
                     run=config.seed,
@@ -73,9 +82,9 @@ def reference_step(world, t: int, config: RunConfig, policy, graph: FollowGraph,
                     norm=config.norm,
                     t=t,
                     agent=agent,
-                    post=entry.post,
-                    likes=entry.likes,
-                    reshares=entry.reshares,
+                    post=slot.post,
+                    likes=slot.likes,
+                    reshares=slot.reshares,
                     action=action,
                 )
             )

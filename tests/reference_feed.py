@@ -5,17 +5,30 @@ one-post definition WorldState.scores must equal bit for bit), each pool is
 sorted by (-score, post id), and the followed quota with its algorithmic
 backfill is applied as in select_feed's contract. It reads only the post
 list, the engaged sets, the profiles, the follow graph and each shown
-post's counters (``world.counters``), none of the world's ranking arrays.
+post's entries in the world's counter arrays, none of the world's ranking
+arrays. A feed here is a list of FeedSlot records, one per slot.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from socialsim.core import LoadLevel, Post, RunConfig
 from socialsim.engine import WorldState
 from socialsim.population import AgentProfile, FollowGraph
-from socialsim.recommender import ALGORITHMIC, FOLLOWED, FeedEntry, content_tokens
+from socialsim.recommender import content_tokens
+
+
+@dataclass(slots=True, frozen=True)
+class FeedSlot:
+    """One feed slot: the post, its popularity snapshot, its pool and its text."""
+
+    post: int
+    likes: int
+    reshares: int
+    followed: bool  # False: the algorithmic pool
+    content: str
 
 
 def keyword_relevance(tokens: frozenset[str], keywords: frozenset[str]) -> float:
@@ -50,7 +63,7 @@ def score_post(
 
 def reference_select_feed(
     agent: int, world: WorldState, graph: FollowGraph, load: LoadLevel, config: RunConfig
-) -> list[FeedEntry]:
+) -> list[FeedSlot]:
     followees = graph.follows_of(agent)
     engaged = world.engaged.get(agent, ())
     profile = world.profiles[agent]
@@ -76,17 +89,16 @@ def reference_select_feed(
     shortfall = load.followed_count - n_followed
     n_algo = min(load.algorithmic_count + shortfall, len(algo_pool))
 
-    entries = []
-    for pool, n, slot in ((followed_pool, n_followed, FOLLOWED), (algo_pool, n_algo, ALGORITHMIC)):
+    slots = []
+    for pool, n, followed in ((followed_pool, n_followed, True), (algo_pool, n_algo, False)):
         for _, pid in pool[:n]:
-            counters = world.counters(pid)
-            entries.append(
-                FeedEntry(
+            slots.append(
+                FeedSlot(
                     post=pid,
-                    likes=counters.likes,
-                    reshares=counters.reshares,
-                    slot=slot,
+                    likes=int(world.likes[pid]),
+                    reshares=int(world.reposts[pid]) + int(world.quotes[pid]),
+                    followed=followed,
                     content=world.posts[pid].content,
                 )
             )
-    return entries
+    return slots

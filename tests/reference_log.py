@@ -3,9 +3,10 @@
 A log here is a list of ExposureRecord/PostCreation objects. Records go to
 and from plain dicts, one ``json.dumps``/``json.loads`` per line, and the
 design, the load audit, the action shares and the counter recount are loops
-over the records. ``log_from_records`` and ``records_of`` convert between
-such a list and a CellLog; nothing else here reads a CellLog or any numpy
-column.
+over the records. A post's counters are a PopularityCounters record.
+``log_from_records`` and ``records_of`` convert between such a list and a
+CellLog, and ``world_counters`` reads a world's counter arrays into records;
+nothing else here reads a CellLog or any numpy column.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from socialsim.core import (
     ExposureColumns,
     LoadLevel,
     NormRegime,
-    PopularityCounters,
     PostKind,
     popularity_composite,
 )
@@ -57,6 +57,20 @@ class ExposureRecord:
     likes: int
     reshares: int
     action: ActionKind
+
+
+@dataclass(slots=True)
+class PopularityCounters:
+    """One post's cumulative engagement tallies."""
+
+    likes: int = 0
+    reposts: int = 0
+    quotes: int = 0
+
+    @property
+    def reshares(self) -> int:
+        """Combined redistribution count: reposts plus quotes, reported as one number."""
+        return self.reposts + self.quotes
 
 
 @dataclass(slots=True, frozen=True)
@@ -129,6 +143,12 @@ def recount_counters(records: Iterable[ExposureRecord | PostCreation]) -> dict[i
             elif r.action is ActionKind.QUOTE:
                 c.quotes += 1
     return counters
+
+
+def world_counters(world) -> dict[int, PopularityCounters]:
+    """Every post's counters, by post id, as the world's per-post arrays hold them."""
+    columns = (world.likes.tolist(), world.reposts.tolist(), world.quotes.tolist())
+    return {post: PopularityCounters(*counts) for post, counts in enumerate(zip(*columns))}
 
 
 def record_to_obj(record: ExposureRecord | PostCreation) -> dict:

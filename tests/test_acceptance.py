@@ -39,7 +39,6 @@ from socialsim.policy import (
     request_hash,
 )
 from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
-from socialsim.recommender import FeedEntry
 from socialsim.stats import (
     DESIGN_COLUMNS,
     REFERENCE_THRESHOLD_FIT,
@@ -54,7 +53,8 @@ from socialsim.stats import (
     table_consistency_check,
 )
 
-from reference_log import ExposureRecord, log_from_records, records_of, recount_counters
+from conftest import make_feed
+from reference_log import ExposureRecord, log_from_records, records_of, recount_counters, world_counters
 
 POPULATION_SEED = 2026
 RECOVERY_BASE_SEED = 202
@@ -243,9 +243,10 @@ def test_c07_engine_conservation_oracle():
     log = log.finish()
 
     recounted = recount_counters(records_of(log))
+    counters = world_counters(world)
     assert len(recounted) == len(world.posts)
     for post in world.posts:
-        assert recounted[post.id] == world.counters(post.id), f"post {post.id} counters diverge from log recount"
+        assert recounted[post.id] == counters[post.id], f"post {post.id} counters diverge from log recount"
     engaged = int(np.count_nonzero(log.exposures.action))  # code 0 is read
     _ok(7, "558x480 mock run: counters equal brute-force log recounts",
         f"{len(world.posts)} posts, {engaged} engagements")
@@ -404,10 +405,7 @@ def test_c11_tiny_trace_matches_hand_written_fixture(tmp_path):
 
 
 def test_c12_parser_fuzz_never_breaks():
-    feed = (
-        FeedEntry(post=3, likes=0, reshares=0, slot="followed", content="a"),
-        FeedEntry(post=7, likes=2, reshares=1, slot="algorithmic", content="b"),
-    )
+    feed = make_feed([3, 7], [0, 2], [0, 1], n_followed=1)
     rng = random.Random(991)
     alphabet = string.printable + '{}[]":,'
     n = 10_000

@@ -250,6 +250,17 @@ class TestAnalyze:
         assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
         assert "logs contain no exposure records" in capsys.readouterr().err
 
+    def test_fewer_engagements_than_design_columns_exits_1(self, tmp_path, capsys):
+        # 8 engaged rows cannot identify the 24-column allocation design: no model is fitted.
+        plan = tmp_path / "short.json"
+        plan.write_text(json.dumps({"base_seed": 3, "n_agents": 40, "timesteps": 12, "activation_p": 0.05, "policy": {"kind": "mock"}}))
+        runs = tmp_path / "runs"
+        assert main(["simulate", "--config", str(plan), "--out", str(runs), "--cell", "load=low,norm=no_norm"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--logs", str(runs), "--out", str(tmp_path / "analysis")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: allocation stage cannot be fitted: need at least as many rows as columns, got (8, 24)"]
+
     def test_swapped_population_exits_2_naming_the_file(self, run_dir, tmp_path, capsys):
         # Regression: analyze once audited loads against whatever population file it found.
         population = run_dir / "population.jsonl"

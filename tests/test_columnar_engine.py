@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_engine import reference_parametric_decide, reference_run
+from reference_feed import FeedSlot
 from reference_log import records_of, reference_log_to_lines
 from socialsim.core import LoadLevel, NormRegime, RunConfig, popularity_composite
 from socialsim.engine import LogBuilder, run
@@ -24,10 +25,10 @@ from socialsim.policy import (
     mock_policy_spec,
 )
 from socialsim.population import AgentProfile, FollowGraph
-from socialsim.recommender import FeedEntry
+from socialsim.recommender import Feed
 from socialsim.stats import N_COLUMNS
 
-from conftest import tiny_profiles
+from conftest import make_feed, tiny_profiles
 
 _WORDS = ["alpha", "Beta", "gamma", "delta", "eps", "zeta"]
 _COEF = st.floats(-2.0, 2.0, allow_nan=False)
@@ -94,14 +95,14 @@ class TestRunMatchesReference:
 
 @st.composite
 def _feeds(draw):
-    """Entries with distinct post ids and likes + reshares from 0 to 10**6."""
+    """Slots with distinct post ids and likes + reshares from 0 to 10**6."""
     totals = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 40), st.integers(0, 10**6)), min_size=1, max_size=40))
     posts = draw(st.lists(st.integers(0, 10**6), min_size=len(totals), max_size=len(totals), unique=True))
-    entries = []
+    slots = []
     for post, total in zip(posts, totals):
         likes = draw(st.integers(0, total))
-        entries.append(FeedEntry(post=post, likes=likes, reshares=total - likes, slot="algorithmic", content=""))
-    return entries
+        slots.append(FeedSlot(post=post, likes=likes, reshares=total - likes, followed=False, content=""))
+    return slots
 
 
 class _CoarseDraws:
@@ -133,14 +134,15 @@ class TestParametricDecideMatchesLoop:
         policy = ParametricLogitPolicy(threshold, allocation, load, norm)  # one table across the feeds
         make_rng = _CoarseDraws if coarse else np.random.default_rng
         rng, ref_rng = make_rng(seed), make_rng(seed)
-        for entries in feeds:
-            context = DecisionContext(feed=tuple(entries), profile=tiny_profiles()[0], history=(), regime=norm)
-            # The table holds exactly the scalar per-entry probabilities.
-            assert policy.engage_probabilities(context.feed.likes + context.feed.reshares).tolist() == [
-                policy.engage_probability(popularity_composite(e.likes, e.reshares)) for e in entries
+        for slots in feeds:
+            feed = make_feed([s.post for s in slots], [s.likes for s in slots], [s.reshares for s in slots])
+            context = DecisionContext(feed=feed, profile=tiny_profiles()[0], history=(), regime=norm)
+            # The table holds exactly the scalar per-slot probabilities.
+            assert policy.engage_probabilities(feed.likes + feed.reshares).tolist() == [
+                policy.engage_probability(popularity_composite(s.likes, s.reshares)) for s in slots
             ]
             decision = policy.decide(context, rng)
-            assert decision == reference_parametric_decide(policy, entries, ref_rng)
+            assert decision == reference_parametric_decide(policy, slots, ref_rng)
             assert rng.random() == ref_rng.random()  # the same number of draws
             if intercept == 60.0:  # every draw passes: the highest draw's post is engaged
                 assert decision.action.is_engagement
@@ -156,13 +158,13 @@ def test_totals_past_the_table_are_computed_per_post():
     assert policy.engage_probabilities(totals[[1, 4, 0]]).tolist() == [expected[1], expected[4], expected[0]]
 
 
-def test_mock_run_builds_no_record_or_entry(monkeypatch, small_population, small_corpus, tmp_path):
+def test_mock_run_reads_no_post_text(monkeypatch, small_population, small_corpus, tmp_path):
     def forbidden(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built on the mock-policy path")
+        raise AssertionError("a feed's post text read on the mock-policy path")
 
-    monkeypatch.setattr(FeedEntry, "__init__", forbidden)
+    monkeypatch.setattr(Feed, "contents", forbidden)
     with pytest.raises(AssertionError):
-        FeedEntry(post=0, likes=0, reshares=0, slot="followed")
+        make_feed([0], [0], [0]).contents()
 
     profiles, graph = small_population
     cfg = RunConfig(seed=4, load=LoadLevel.HIGH, norm=NormRegime.REPOST_DOMINANT, n_agents=40, timesteps=60, activation_p=0.3)

@@ -9,7 +9,6 @@ from socialsim.core import (
     ConfigurationError,
     LoadLevel,
     NormRegime,
-    PopularityCounters,
     Post,
     PostKind,
     RunConfig,
@@ -46,17 +45,6 @@ class TestPopularityComposite:
 
     def test_non_negative(self):
         assert popularity_composite(0, 1) > 0
-
-
-class TestReshares:
-    def test_definition(self):
-        assert PopularityCounters(likes=5, reposts=2, quotes=1).reshares == 3
-        assert PopularityCounters().reshares == 0
-        assert PopularityCounters(likes=10, reposts=0, quotes=4).reshares == 4
-
-    def test_property_matches_function(self):
-        c = PopularityCounters(likes=7, reposts=3, quotes=9)
-        assert c.reshares == c.reposts + c.quotes == 12
 
 
 class TestConditions:

@@ -11,7 +11,7 @@ from socialsim.policy import ScriptedPolicy
 from socialsim.population import generate_population, generate_seed_corpus
 
 from conftest import tiny_graph, tiny_profiles
-from reference_log import ExposureRecord, PostCreation, records_of, recount_counters
+from reference_log import ExposureRecord, PostCreation, records_of, recount_counters, world_counters
 
 
 def _config(**kw):
@@ -48,9 +48,8 @@ class TestInitialize:
 
     def test_all_counters_zero(self):
         world = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
-        assert all(
-            (c.likes, c.reposts, c.quotes) == (0, 0, 0) for c in map(world.counters, range(len(world.posts)))
-        )
+        assert len(world.likes) == len(world.reposts) == len(world.quotes) == len(world.posts) == 4
+        assert not (world.likes.any() or world.reposts.any() or world.quotes.any())
         assert all(p.created_at == 0 for p in world.posts)
 
     def test_deterministic_state_digest(self):
@@ -100,7 +99,7 @@ class TestStepEffects:
         q = quotes[0]
         assert q.source_link is not None
         source = world.posts[q.source_link]
-        assert world.counters(source.id).quotes == 1
+        assert world.quotes[source.id] == 1
         assert "my two cents" in q.content and source.content in q.content
         assert q.created_at == 0
         creation = [c for c in _creations(log) if c.kind is PostKind.QUOTE]
@@ -112,7 +111,7 @@ class TestStepEffects:
         assert len(reposts) == 1
         r = reposts[0]
         assert r.content == world.posts[r.source_link].content
-        assert world.counters(r.source_link).reposts == 1
+        assert world.reposts[r.source_link] == 1
 
     def test_new_posts_visible_later_in_same_timestep(self):
         # every agent activates; agent 0 reposts, higher-id agents can then see it
@@ -158,8 +157,7 @@ class TestRunProperties:
         world, log, _ = medium_run
         recounted = recount_counters(log)
         assert len(recounted) == len(world.posts)
-        for post in world.posts:
-            assert recounted[post.id] == world.counters(post.id)
+        assert recounted == world_counters(world)
 
     def test_snapshot_causality(self, medium_run):
         # replaying the log in order reproduces each exposure's snapshot

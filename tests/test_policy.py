@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -6,7 +7,17 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from socialsim.core import ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, popularity_composite, to_obj
+from socialsim.core import (
+    ActionKind,
+    ConfigurationError,
+    FormatError,
+    LoadLevel,
+    NormRegime,
+    RunConfig,
+    popularity_composite,
+    to_obj,
+)
+from socialsim.engine import run
 from socialsim.policy import (
     Decision,
     DecisionContext,
@@ -26,18 +37,15 @@ from socialsim.policy import (
     policy_spec_from_obj,
     request_hash,
 )
-from socialsim.recommender import FeedEntry
 from socialsim.stats import N_COLUMNS
 
-from conftest import tiny_profiles
+from conftest import make_feed, tiny_profiles
 from test_acceptance import RecordingTransport
 
 
-def _feed(*entries):
-    out = []
-    for pid, likes, resh in entries:
-        out.append(FeedEntry(post=pid, likes=likes, reshares=resh, slot="algorithmic", content=f"body {pid}"))
-    return tuple(out)
+def _feed(*slots):
+    """An algorithmic-only feed of (post, likes, reshares) slots; post p's text is "body p"."""
+    return make_feed(*zip(*slots)) if slots else make_feed([], [], [])
 
 
 def _context(feed=None, regime=NormRegime.NO_NORM, history=()):
@@ -115,7 +123,8 @@ class TestParametricLogitPolicy:
         # empirical any-engagement rate over 1e5 draws vs 1 - prod(1 - p_i)
         policy = self._policy(intercept=-2.0, pop=0.6)
         context = _context(feed=_feed((1, 0, 0), (2, 3, 2), (3, 10, 5), (4, 1, 0), (5, 0, 2)))
-        ps = [policy.engage_probability(popularity_composite(e.likes, e.reshares)) for e in context.feed]
+        feed = context.feed
+        ps = [policy.engage_probability(popularity_composite(l, r)) for l, r in zip(feed.likes.tolist(), feed.reshares.tolist())]
         closed_form = 1.0 - math.prod(1.0 - p for p in ps)
         n = 100_000
         rng = _rng(7)
@@ -170,7 +179,7 @@ class TestParametricLogitPolicy:
 class TestDecideWrapper:
     def test_empty_feed_reads(self):
         policy = ScriptedPolicy([("like", 0)])
-        context = _context(feed=())
+        context = _context(feed=_feed())
         assert decide(policy, context, _rng()).action is ActionKind.READ
 
     def test_out_of_feed_target_degrades(self):
@@ -226,6 +235,33 @@ class TestPrompts:
         assert "(likes: 2, reshares: 1)" in prompt
         assert "quote post 4 at step 2" in prompt
         assert "body 7" in prompt
+
+
+class _RequestHashing:
+    """A scripted policy that also hashes the LLM request each context would send."""
+
+    def __init__(self, intents):
+        self.scripted = ScriptedPolicy(intents)
+        self.llm = LlmPolicy(None, model="qwen3-8b")
+        self.hashes = []
+
+    def decide(self, context, rng):
+        self.hashes.append(request_hash(self.llm.build_request(context)))
+        return self.scripted.decide(context, rng)
+
+
+class TestRequestBytes:
+    # Request hashes key every recorded fixture file, so any change to the
+    # prompt text or the request layout orphans recorded fixtures.
+    def test_request_hashes_of_a_scripted_run_are_pinned(self, small_population, small_corpus):
+        profiles, graph = small_population
+        policy = _RequestHashing([("quote", 2, "on point"), "read", ("repost", 0), ("like", 5), ("quote", 9)])
+        for load, norm in ((LoadLevel.LOW, NormRegime.LIKE_DOMINANT), (LoadLevel.HIGH, NormRegime.REPOST_DOMINANT)):
+            cfg = RunConfig(seed=21, load=load, norm=norm, n_agents=40, timesteps=30, activation_p=0.2)
+            run(cfg, policy, profiles, graph, small_corpus)
+        assert len(policy.hashes) == 478
+        digest = hashlib.sha256("\n".join(policy.hashes).encode("ascii")).hexdigest()
+        assert digest == "b3532898711fcf3b6778373f50a86039b549fbe7792d786eaadba4e1df5431b6"
 
 
 class TestParseResponse:

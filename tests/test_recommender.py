@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from socialsim.core import LoadLevel, NormRegime, PostKind, RunConfig
 from socialsim.engine import WorldState
 from socialsim.population import AgentProfile, FollowGraph
-from socialsim.recommender import ALGORITHMIC, FOLLOWED, Feed, select_feed
+from socialsim.recommender import Feed, select_feed
 
-from conftest import tiny_graph, tiny_profiles
-from reference_feed import keyword_relevance, reference_select_feed, score_post
+from conftest import make_feed, tiny_graph, tiny_profiles
+from reference_feed import FeedSlot, keyword_relevance, reference_select_feed, score_post
 
 
 def _config(load=LoadLevel.LOWEST, **kw):
@@ -25,6 +25,15 @@ def _world(profiles, graph, config):
 
 def _post(world, author, content, t=0):
     return world.new_post(author, content, PostKind.SEED, None, t)
+
+
+def _slots(feed: Feed) -> list[FeedSlot]:
+    """The feed's columns, slot by slot, as the reference builder's records."""
+    columns = zip(feed.posts.tolist(), feed.likes.tolist(), feed.reshares.tolist(), feed.contents())
+    return [
+        FeedSlot(post, likes, reshares, i < feed.n_followed, content)
+        for i, (post, likes, reshares, content) in enumerate(columns)
+    ]
 
 
 class TestScorePost:
@@ -101,7 +110,7 @@ class TestSelectFeed:
         world, _ = self._seeded_world(80, cfg)
         feed = select_feed(4, world, LoadLevel.HIGH, cfg)
         assert len(feed) == 33
-        assert sum(1 for e in feed if e.slot == FOLLOWED) == 3
+        assert feed.n_followed == 3
         assert len(feed) - feed.n_followed == 30
 
     def test_no_followees_backfills_to_seven(self):
@@ -127,7 +136,7 @@ class TestSelectFeed:
         world.engaged[4].add(3)
         own = world.new_post(4, "mine", PostKind.SEED, None, 0)
         feed = select_feed(4, world, LoadLevel.HIGH, cfg)
-        ids = {e.post for e in feed}
+        ids = set(feed.posts.tolist())
         assert 3 not in ids
         assert own.id not in ids
 
@@ -135,8 +144,8 @@ class TestSelectFeed:
         cfg = _config()
         world, _ = self._seeded_world(8, cfg)  # same created_at, relevance 0
         feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
-        followed = [e.post for e in feed if e.slot == FOLLOWED]
-        algo = [e.post for e in feed if e.slot == ALGORITHMIC]
+        followed = feed.posts[: feed.n_followed].tolist()
+        algo = feed.posts[feed.n_followed :].tolist()
         assert followed == sorted(followed)
         assert algo == sorted(algo)
         assert followed == [1, 3, 5]  # agent 4 follows agent 1, who authored odd posts
@@ -148,8 +157,7 @@ class TestSelectFeed:
         fresh = world.new_post(1, "brand new", PostKind.SEED, None, 5)
         world.now = 5
         feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
-        followed = [e.post for e in feed if e.slot == FOLLOWED]
-        assert followed[0] == fresh.id
+        assert feed.n_followed > 0 and feed.posts[0] == fresh.id
 
     def test_snapshots_taken_at_build_time(self):
         cfg = _config()
@@ -157,11 +165,19 @@ class TestSelectFeed:
         world.likes[1] = 4
         world.quotes[1] = 2
         feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
-        entry = next(e for e in feed if e.post == 1)
-        assert (entry.likes, entry.reshares) == (4, 2)
+        i = feed.position(1)
+        assert (feed.likes[i], feed.reshares[i]) == (4, 2)
         world.likes[1] = 9  # later mutation must not leak in
-        assert entry.likes == 4
-        assert next(e for e in feed if e.post == 1).likes == 4
+        assert feed.likes[i] == 4
+
+    def test_reshares_are_reposts_plus_quotes(self):
+        cfg = _config()
+        world, _ = self._seeded_world(6, cfg)
+        world.likes[1], world.reposts[1], world.quotes[1] = 5, 2, 1
+        world.likes[3], world.reposts[3], world.quotes[3] = 10, 0, 4
+        feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
+        shown = {p: (l, r) for p, l, r in zip(feed.posts.tolist(), feed.likes.tolist(), feed.reshares.tolist())}
+        assert [shown[p] for p in (1, 3, 5)] == [(5, 3), (10, 4), (0, 0)]
 
     def test_feed_never_exceeds_condition_total(self):
         for load in LoadLevel:
@@ -173,19 +189,19 @@ class TestSelectFeed:
     def test_empty_pool_empty_feed(self):
         cfg = _config()
         world = _world(tiny_profiles(), tiny_graph(), cfg)
-        assert list(select_feed(4, world, LoadLevel.LOWEST, cfg)) == []
+        assert len(select_feed(4, world, LoadLevel.LOWEST, cfg)) == 0
 
     def test_deterministic(self):
         cfg = _config(load=LoadLevel.MEDIUM)
         world, _ = self._seeded_world(60, cfg)
         f1 = select_feed(4, world, LoadLevel.MEDIUM, cfg)
         f2 = select_feed(4, world, LoadLevel.MEDIUM, cfg)
-        assert list(f1) == list(f2)
+        assert _slots(f1) == _slots(f2)
 
 
 class TestRealizedCount:
     def test_empty_feed(self):
-        feed = Feed.from_entries([])
+        feed = make_feed([], [], [])
         assert len(feed) - feed.n_followed == 0
 
 
@@ -235,4 +251,4 @@ class TestSelectFeedMatchesReference:
         world, graph, cfg = case
         for agent in world.profiles:
             for load in LoadLevel:
-                assert list(select_feed(agent, world, load, cfg)) == reference_select_feed(agent, world, graph, load, cfg)
+                assert _slots(select_feed(agent, world, load, cfg)) == reference_select_feed(agent, world, graph, load, cfg)
