@@ -6,7 +6,6 @@ from .core import (
     CellLog,
     LoadLevel,
     NormRegime,
-    Post,
     PostKind,
     RunConfig,
     from_obj,

@@ -17,7 +17,19 @@ from pathlib import Path
 import numpy as np
 
 from . import figures
-from .core import CellLog, ConfigurationError, FormatError, LoadLevel, NormRegime, RunParameters, from_obj
+from .core import (
+    ACTIONS,
+    LOADS,
+    NORMS,
+    ActionKind,
+    CellLog,
+    ConfigurationError,
+    FormatError,
+    LoadLevel,
+    NormRegime,
+    RunParameters,
+    from_obj,
+)
 from .harness import (
     ExperimentPlan,
     descriptive_shares,
@@ -189,41 +201,51 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if recorded is not None and population_digest(profiles, graph) != recorded:
         raise FormatError(f"{population_path}: population digest differs from the manifest's population_sha256 {recorded}")
 
+    # Every stage is checked and fitted before anything is written: a failed analysis leaves no output.
+    stages = [stage for stage in ("threshold", "allocation") if args.stage in (stage, "both")]
+    for stage in stages:
+        empty = _empty_cells(log, stage)
+        if empty:
+            print(f"error: {stage} stage cannot be fitted: no rows in cell(s) {', '.join(empty)}", file=sys.stderr)
+            return 1
+    models = []
+    for stage in stages:
+        fit = fit_binary_logistic if stage == "threshold" else fit_multinomial_logistic
+        try:
+            X, names, y = build_design_matrix(log, stage)
+            model = fit(X, y, terms=names)
+        except ValueError as e:
+            print(f"error: {stage} stage cannot be fitted: {e}", file=sys.stderr)
+            return 1
+        models.append(model)
+        fit_line = f" mcfadden={model.metrics.mcfadden:.3f}" if stage == "threshold" else ""
+        print(f"{stage}: n={model.n_obs} k={model.k} converged={model.converged}{fit_line}")
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_shares_csv(per_cell, out / "descriptive_shares.csv")
     _write_audit_csv(per_cell, graph, out / "load_audit.csv")
-
-    metrics_rows = []
-    if args.stage in ("threshold", "both"):
-        X, names, y = build_design_matrix(log, "threshold")
-        try:
-            model = fit_binary_logistic(X, y, terms=names)
-        except ValueError as e:
-            print(f"error: threshold stage cannot be fitted: {e}", file=sys.stderr)
-            return 1
-        write_coefficient_csv(model, out / "threshold_coefficients.csv")
-        save_model(model, out / "threshold_model.json")
-        metrics_rows.append(_metrics_row(model))
-        print(f"threshold: n={model.n_obs} k={model.k} converged={model.converged} mcfadden={model.metrics.mcfadden:.3f}")
-    if args.stage in ("allocation", "both"):
-        try:
-            X, names, y = build_design_matrix(log, "allocation")
-            model = fit_multinomial_logistic(X, y, terms=names)
-        except ValueError as e:
-            print(f"error: allocation stage cannot be fitted: {e}", file=sys.stderr)
-            return 1
-        write_coefficient_csv(model, out / "allocation_coefficients.csv")
-        save_model(model, out / "allocation_model.json")
-        metrics_rows.append(_metrics_row(model))
-        print(f"allocation: n={model.n_obs} k={model.k} converged={model.converged}")
-
+    for model in models:
+        write_coefficient_csv(model, out / f"{model.stage}_coefficients.csv")
+        save_model(model, out / f"{model.stage}_model.json")
     with open(out / "fit_metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["stage", "n", "k", "ll_full", "ll_null", "chi2", "df", "mcfadden", "aic", "converged"])
         writer.writeheader()
-        writer.writerows(metrics_rows)
+        writer.writerows(_metrics_row(model) for model in models)
     print(f"analysis written to {out}")
     return 0
+
+
+def _empty_cells(log: CellLog, stage: str) -> list[str]:
+    """The load/norm cells where ``stage`` has no row (exposures for threshold, engagements for allocation).
+
+    The design's load x norm interactions cannot be fitted without a row in each of the 12 cells.
+    """
+    e = log.exposures
+    rows = e.action != ACTIONS.index(ActionKind.READ) if stage == "allocation" else slice(None)
+    present = np.zeros((len(LOADS), len(NORMS)), dtype=bool)
+    present[e.load[rows], e.norm[rows]] = True
+    return [f"{LOADS[i].value}/{NORMS[j].value}" for i, j in np.argwhere(~present).tolist()]
 
 
 def _metrics_row(model: FittedModel) -> dict:
@@ -270,24 +292,21 @@ def _write_audit_csv(per_cell: dict, graph, path: Path) -> None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     analysis = Path(args.analysis)
+    for name in ("descriptive_shares.csv", "threshold_model.json", "fit_metrics.csv"):
+        if not (analysis / name).exists():
+            print(f"error: missing analysis file: {analysis / name}", file=sys.stderr)
+            return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     shares_path = analysis / "descriptive_shares.csv"
-    if not shares_path.exists():
-        print(f"error: missing analysis file: {shares_path}", file=sys.stderr)
-        return 1
     cells = []
     with open(shares_path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             cells.append((row["cell"], {a: float(row[a]) for a in ("read", "like", "repost", "quote")}))
     (out / "shares_by_condition.svg").write_text(figures.stacked_share_svg(cells), encoding="utf-8")
 
-    model_path = analysis / "threshold_model.json"
-    if not model_path.exists():
-        print(f"error: missing analysis file: {model_path}", file=sys.stderr)
-        return 1
-    model = load_model(model_path)
+    model = load_model(analysis / "threshold_model.json")
     scenarios = _scenario_grid(args.grid, model)
     rows = predicted_probabilities(model, scenarios)
     curves: dict[tuple[str, str], list] = {}

@@ -1,4 +1,4 @@
-"""Shared domain types: actions, experimental conditions, posts, the columnar
+"""Shared domain types: actions, experimental conditions, post kinds, the columnar
 event log, run parameters, and the reader and writer of config objects and
 JSON Lines rows."""
 
@@ -16,7 +16,6 @@ from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
 import numpy as np
 
 AgentId = int
-PostId = int
 RunId = int
 
 
@@ -111,22 +110,6 @@ def popularity_composite(likes: int, reshares: int) -> float:
     if likes < 0 or reshares < 0:
         raise ValueError("engagement counts must be non-negative")
     return math.log1p(likes + reshares)
-
-
-@dataclass(slots=True)
-class Post:
-    id: PostId
-    author: AgentId
-    content: str
-    kind: PostKind
-    source_link: PostId | None
-    created_at: int
-
-    def __post_init__(self) -> None:
-        if self.kind is PostKind.SEED and self.source_link is not None:
-            raise ValueError("seed posts carry no source link")
-        if self.kind is not PostKind.SEED and self.source_link is None:
-            raise ValueError(f"{self.kind.value} posts require a source link")
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ The log is columnar from end to end: a feed is a few arrays (``Feed``), each
 activation appends them to a ``LogBuilder`` as one block of exposure rows,
 and ``run`` returns the finished ``CellLog``. No object is built per feed
 slot: policies read the same columns (a scripted policy indexes ``posts``,
-an LLM prompt zips the columns with the posts' text).
+an LLM prompt zips the columns with the posts' text). A run's creation rows
+are the world's post columns, placed between the blocks when the log is
+finished; nothing else records a post.
 
-Feed ranking reads array state that WorldState keeps next to its post list:
-per-post creation times and author rows, a follow matrix, and an agents x
-posts relevance matrix filled one column per new post and reallocated at
-twice its width when full (see WorldState).
+A post is one entry in each of WorldState's post columns: its text, kind,
+source, creation time and author row. Feed ranking reads those arrays, a
+follow matrix, and an agents x posts relevance matrix filled one column per
+new post and reallocated at twice its width when full (see WorldState).
 
 Randomness comes from counter-keyed substreams of the run seed: one stream
 per timestep for activations, one per (timestep, agent) for decisions.
@@ -42,7 +44,6 @@ from .core import (
     ConfigurationError,
     CreationColumns,
     ExposureColumns,
-    Post,
     PostKind,
     RunConfig,
 )
@@ -67,9 +68,11 @@ class LogBuilder:
     """The write side of one run's CellLog, plus the run's deterministic counts.
 
     Each activation appends its feed's columns as one block of exposure rows
-    (all read until ``engagement`` marks one); post creations are rows
-    between the blocks, in the order they happen. ``finish`` joins the
-    blocks into a CellLog. The counts are:
+    (all read until ``engagement`` marks one) and notes how many posts the
+    world held then. ``finish`` joins the blocks into a CellLog whose creation
+    rows are the world's post columns in id order, the order posts are
+    made: each block follows the posts that existed when it was logged. The
+    counts are:
 
     * ``activations``: agents activated, whether or not their feed was empty;
     * ``empty_feeds``: activations whose feed had no post (they log no row);
@@ -85,20 +88,15 @@ class LogBuilder:
         self._reshares: list[np.ndarray] = []
         self._block_t: list[int] = []
         self._block_agent: list[int] = []
+        self._block_created: list[int] = []  # posts in the world when the block was logged
         self._engaged_rows: list[int] = []
         self._engaged_codes: list[int] = []
-        self._creations: list[tuple[int, int, int, int, int]] = []  # CREATION_KEYS order, source -1 for none
-        self._segments: list[int] = []  # per event in log order: block size, or 0 for a creation row
         self._n_exposures = 0
         self.activations = 0
         self.empty_feeds = 0
         self.backfilled_slots = 0
 
-    def creation(self, kind: PostKind, post: int, author: int, source: int | None, t: int) -> None:
-        self._creations.append((_KIND_CODES[kind], post, author, -1 if source is None else source, t))
-        self._segments.append(0)
-
-    def activation(self, t: int, agent: int, feed: Feed) -> int:
+    def activation(self, world: WorldState, agent: int, feed: Feed) -> int:
         """Count one activation and log its feed as read rows; returns the block's first exposure row."""
         start = self._n_exposures
         self.activations += 1
@@ -110,9 +108,9 @@ class LogBuilder:
         self._posts.append(feed.posts)
         self._likes.append(feed.likes)
         self._reshares.append(feed.reshares)
-        self._block_t.append(t)
+        self._block_t.append(world.now)
         self._block_agent.append(agent)
-        self._segments.append(n)
+        self._block_created.append(len(world.posts))
         self._n_exposures += n
         return start
 
@@ -128,10 +126,9 @@ class LogBuilder:
             "backfilled_slots": self.backfilled_slots,
         }
 
-    def finish(self) -> CellLog:
+    def finish(self, world: WorldState) -> CellLog:
         cfg, n = self._config, self._n_exposures
-        segments = np.array(self._segments, dtype=np.int64)
-        sizes = segments[segments > 0]
+        sizes = np.array([block.size for block in self._posts], dtype=np.int64)
 
         def joined(blocks: list[np.ndarray]) -> np.ndarray:
             return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
@@ -149,21 +146,23 @@ class LogBuilder:
             reshares=joined(self._reshares),
             action=action,
         )
-        rows = np.array(self._creations, dtype=np.int64).reshape(-1, 5)
-        creations = CreationColumns(
-            kind=rows[:, 0].astype(np.int8), post=rows[:, 1], author=rows[:, 2], source=rows[:, 3], t=rows[:, 4]
-        )
-        is_exposure = np.repeat(segments > 0, np.maximum(segments, 1))
+        creations = world.creations()
+        # An exposure row's position: the exposure rows before it plus the creation rows before its block.
+        is_exposure = np.zeros(n + len(creations), dtype=bool)
+        is_exposure[np.arange(n) + np.repeat(np.array(self._block_created, dtype=np.int64), sizes)] = True
         return CellLog(exposures, creations, is_exposure)
 
 
 class WorldState:
-    """Mutable run state: post store, counters, per-agent memory, ranking arrays.
+    """Mutable run state: post columns, counters, per-agent memory, ranking arrays.
 
-    Feed ranking reads numpy state kept alongside ``posts``. Agents are rows,
-    in profile order (``rows`` maps agent id to row); posts are columns, by id:
+    Agents are rows, in profile order (``rows`` maps agent id to row); posts
+    are columns, by id, and these columns are the only record of a post:
 
-    * creation time and author row (``author_rows``): one int64 per post;
+    * ``posts``: the text of each post, a list of str;
+    * kind (an int8 code into POST_KINDS), source (int64, -1 for none),
+      creation time and author row (``author_rows``, int64); ``creations``
+      reads them as a log's creation rows;
     * ``likes``, ``reposts`` and ``quotes``: one int64 per post, the only copy
       of the engagement counters;
     * ``follows``: agents x agents bool, ``follows[r, c]`` when row r follows row c;
@@ -183,7 +182,7 @@ class WorldState:
 
     def __init__(self, profiles: Sequence[AgentProfile], graph: FollowGraph, config: RunConfig):
         self.profiles: dict[int, AgentProfile] = {p.id: p for p in profiles}
-        self.posts: list[Post] = []
+        self.posts: list[str] = []
         self.engaged: dict[int, set[int]] = {p.id: set() for p in profiles}
         self.history: dict[int, deque] = {
             p.id: deque(maxlen=config.history_window) for p in profiles
@@ -213,6 +212,8 @@ class WorldState:
         cap = self._INITIAL_CAPACITY
         self._created_at = np.zeros(cap, dtype=np.int64)
         self._author_rows = np.zeros(cap, dtype=np.int64)
+        self._kinds = np.zeros(cap, dtype=np.int8)
+        self._sources = np.zeros(cap, dtype=np.int64)
         self._likes = np.zeros(cap, dtype=np.int64)
         self._reposts = np.zeros(cap, dtype=np.int64)
         self._quotes = np.zeros(cap, dtype=np.int64)
@@ -235,30 +236,44 @@ class WorldState:
     def quotes(self) -> np.ndarray:
         return self._quotes[: len(self.posts)]
 
-    def new_post(self, author: int, content: str, kind: PostKind, source: int | None, t: int) -> Post:
-        pid = len(self.posts)
-        post = Post(
-            id=pid,
-            author=author,
-            content=content,
-            kind=kind,
-            source_link=source,
-            created_at=t,
+    def creations(self) -> CreationColumns:
+        """Every post's creation row, by id; authors as agent ids.
+
+        The columns are views: a post's entries never change once written.
+        """
+        n = len(self.posts)
+        agents = np.fromiter(self.rows, dtype=np.int64, count=len(self.rows))  # by row: profile order
+        return CreationColumns(
+            kind=self._kinds[:n],
+            post=np.arange(n, dtype=np.int64),
+            author=agents[self._author_rows[:n]],
+            source=self._sources[:n],
+            t=self._created_at[:n],
         )
+
+    def new_post(self, author: int, content: str, kind: PostKind, source: int | None, t: int) -> int:
+        """Add a post and return its id. A seed post has no source; a repost or quote has one."""
+        if kind is PostKind.SEED and source is not None:
+            raise ValueError("seed posts carry no source link")
+        if kind is not PostKind.SEED and source is None:
+            raise ValueError(f"{kind.value} posts require a source link")
         if author not in self.rows:
             raise ValueError(f"post author {author} is not an agent of this world")
+        pid = len(self.posts)
         if pid == self._rel.shape[1]:
             self._grow()
         self._created_at[pid] = t
         self._author_rows[pid] = self.rows[author]
-        if source is not None and content == self.posts[source].content:
+        self._kinds[pid] = _KIND_CODES[kind]
+        self._sources[pid] = -1 if source is None else source
+        if source is not None and content == self.posts[source]:
             self._rel[:, pid] = self._rel[:, source]  # reposts: same tokens, same relevance
         else:
             self._rel[:, pid] = self._relevance_column(content_tokens(content))
         self._t_min = min(self._t_min, t) if pid else t
         self._t_max = max(self._t_max, t) if pid else t
-        self.posts.append(post)
-        return post
+        self.posts.append(content)
+        return pid
 
     def _relevance_column(self, tokens: frozenset[str]) -> np.ndarray:
         """The Jaccard overlap of ``tokens`` with every agent's lower-cased keywords.
@@ -275,7 +290,7 @@ class WorldState:
 
     def _grow(self) -> None:
         cap = 2 * self._rel.shape[1]
-        for name in ("_created_at", "_author_rows", "_likes", "_reposts", "_quotes", "_rel"):
+        for name in ("_created_at", "_author_rows", "_kinds", "_sources", "_likes", "_reposts", "_quotes", "_rel"):
             old = getattr(self, name)
             new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
             new[..., : old.shape[-1]] = old
@@ -308,7 +323,6 @@ def initialize(
     graph: FollowGraph,
     corpus: Sequence[str],
     config: RunConfig,
-    log: LogBuilder | None = None,
 ) -> WorldState:
     """Seed the world: corpus posts at t=0, authored round-robin by influencers.
 
@@ -323,10 +337,7 @@ def initialize(
         raise ConfigurationError("population has no influencers to author seed posts")
     world = WorldState(profiles, graph, config)
     for i, body in enumerate(corpus):
-        author = influencers[i % len(influencers)]
-        post = world.new_post(author, body, PostKind.SEED, None, 0)
-        if log is not None:
-            log.creation(PostKind.SEED, post.id, author, None, 0)
+        world.new_post(influencers[i % len(influencers)], body, PostKind.SEED, None, 0)
     return world
 
 
@@ -336,7 +347,7 @@ def step(world: WorldState, t: int, config: RunConfig, policy: Policy, log: LogB
     draws = substream(config.seed, _STREAM_ACTIVATION, t).random(len(world.agent_ids))
     for agent in world.agent_ids[draws < config.activation_p].tolist():
         feed = select_feed(agent, world, config.load, config)
-        start = log.activation(t, agent, feed)
+        start = log.activation(world, agent, feed)
         if not feed:
             continue  # nothing to read, nothing to log
         context = DecisionContext(
@@ -350,22 +361,19 @@ def step(world: WorldState, t: int, config: RunConfig, policy: Policy, log: LogB
         if not decision.action.is_engagement:
             continue
         log.engagement(start + feed.position(decision.target), decision.action)
-        _apply_engagement(world, agent, decision, t, log)
+        _apply_engagement(world, agent, decision, t)
 
 
-def _apply_engagement(world: WorldState, agent: int, decision, t: int, log: LogBuilder) -> None:
-    source = world.posts[decision.target]
+def _apply_engagement(world: WorldState, agent: int, decision, t: int) -> None:
+    target = decision.target
     if decision.action is ActionKind.LIKE:
-        world.likes[source.id] += 1
+        world.likes[target] += 1
     elif decision.action is ActionKind.REPOST:
-        world.reposts[source.id] += 1
-        post = world.new_post(agent, source.content, PostKind.REPOST, source.id, t)
-        log.creation(PostKind.REPOST, post.id, agent, source.id, t)
+        world.reposts[target] += 1
+        world.new_post(agent, world.posts[target], PostKind.REPOST, target, t)
     elif decision.action is ActionKind.QUOTE:
-        world.quotes[source.id] += 1
-        content = f"{decision.commentary} // {source.content}"
-        post = world.new_post(agent, content, PostKind.QUOTE, source.id, t)
-        log.creation(PostKind.QUOTE, post.id, agent, source.id, t)
+        world.quotes[target] += 1
+        world.new_post(agent, f"{decision.commentary} // {world.posts[target]}", PostKind.QUOTE, target, t)
     world.engaged[agent].add(decision.target)
     world.history[agent].append((decision.action, decision.target, t))
 
@@ -387,8 +395,8 @@ def run(
             f"config expects {config.n_agents} agents but population has {len(profiles)}"
         )
     log = LogBuilder(config) if log is None else log
-    world = initialize(profiles, graph, corpus, config, log)
+    world = initialize(profiles, graph, corpus, config)
     for t in range(config.timesteps):
         step(world, t, config, policy, log)
-    return log.finish()
+    return log.finish(world)
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import LoadLevel, Post, RunConfig
+from .core import LoadLevel, RunConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import WorldState
@@ -50,20 +50,20 @@ class Feed:
         likes: np.ndarray,
         reshares: np.ndarray,
         n_followed: int,
-        store: Sequence[Post],
+        store: Sequence[str],
     ):
         self.posts = posts
         self.likes = likes
         self.reshares = reshares
         self.n_followed = n_followed
-        self._store = store  # post id -> Post
+        self._store = store  # post id -> text
 
     def __len__(self) -> int:
         return self.posts.size
 
     def contents(self) -> list[str]:
         """The text of each slot's post, in slot order."""
-        return [self._store[post].content for post in self.posts.tolist()]
+        return [self._store[post] for post in self.posts.tolist()]
 
     def position(self, post: int) -> int | None:
         """Index of the slot showing ``post``, None if the feed does not show it."""

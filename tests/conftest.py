@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from socialsim.core import Post, PostKind
 from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
 from socialsim.recommender import Feed
 
@@ -34,10 +33,10 @@ def tiny_graph():
 def make_feed(posts, likes, reshares, *, n_followed=0, store=None) -> Feed:
     """A hand-built Feed from per-slot values, followed slots first.
 
-    ``store`` maps a post id to its Post (a world's post list does); by
-    default each shown post is a seed post whose text is "body <id>".
+    ``store`` maps a post id to its text (a world's post list does); by
+    default each shown post's text is "body <id>".
     """
     posts = np.asarray(posts, dtype=np.int64)
     if store is None:
-        store = {p: Post(p, 0, f"body {p}", PostKind.SEED, None, 0) for p in posts.tolist()}
+        store = {p: f"body {p}" for p in posts.tolist()}
     return Feed(posts, np.asarray(likes, dtype=np.int64), np.asarray(reshares, dtype=np.int64), n_followed, store)

@@ -93,27 +93,33 @@ def reference_step(world, t: int, config: RunConfig, policy, graph: FollowGraph,
 
 
 def _reference_apply(world, agent: int, decision: Decision, t: int, records: list) -> None:
-    source = world.posts[decision.target]
+    source = decision.target
     if decision.action is ActionKind.LIKE:
-        world.likes[source.id] += 1
+        world.likes[source] += 1
     elif decision.action is ActionKind.REPOST:
-        world.reposts[source.id] += 1
-        post = world.new_post(agent, source.content, PostKind.REPOST, source.id, t)
-        records.append(PostCreation(post=post.id, kind=PostKind.REPOST, author=agent, source=source.id, t=t))
+        world.reposts[source] += 1
+        post = world.new_post(agent, world.posts[source], PostKind.REPOST, source, t)
+        records.append(PostCreation(post=post, kind=PostKind.REPOST, author=agent, source=source, t=t))
     elif decision.action is ActionKind.QUOTE:
-        world.quotes[source.id] += 1
-        content = f"{decision.commentary} // {source.content}"
-        post = world.new_post(agent, content, PostKind.QUOTE, source.id, t)
-        records.append(PostCreation(post=post.id, kind=PostKind.QUOTE, author=agent, source=source.id, t=t))
+        world.quotes[source] += 1
+        content = f"{decision.commentary} // {world.posts[source]}"
+        post = world.new_post(agent, content, PostKind.QUOTE, source, t)
+        records.append(PostCreation(post=post, kind=PostKind.QUOTE, author=agent, source=source, t=t))
     world.engaged[agent].add(decision.target)
     world.history[agent].append((decision.action, decision.target, t))
 
 
 def reference_run(config: RunConfig, policy, profiles, graph: FollowGraph, corpus) -> list:
-    """The interleaved ExposureRecord/PostCreation list of one run."""
+    """The interleaved ExposureRecord/PostCreation list of one run.
+
+    The seed rows come from the corpus and the influencers in ascending id
+    order, each post authored round-robin, as initialize's contract states.
+    """
     world = initialize(profiles, graph, corpus, config)
+    influencers = sorted(p.id for p in profiles if p.influencer)
     records: list = [
-        PostCreation(post=p.id, kind=PostKind.SEED, author=p.author, source=None, t=0) for p in world.posts
+        PostCreation(post=i, kind=PostKind.SEED, author=influencers[i % len(influencers)], source=None, t=0)
+        for i in range(len(corpus))
     ]
     for t in range(config.timesteps):
         reference_step(world, t, config, policy, graph, records)

@@ -3,10 +3,11 @@
 Every eligible post is scored with the scalar score_post below (the
 one-post definition WorldState.scores must equal bit for bit), each pool is
 sorted by (-score, post id), and the followed quota with its algorithmic
-backfill is applied as in select_feed's contract. It reads only the post
-list, the engaged sets, the profiles, the follow graph and each shown
-post's entries in the world's counter arrays, none of the world's ranking
-arrays. A feed here is a list of FeedSlot records, one per slot.
+backfill is applied as in select_feed's contract. It reads only the posts
+(as PostRecords from ``world_posts``), the engaged sets, the profiles, the
+follow graph and each shown post's entries in the world's counter arrays,
+none of the world's ranking arrays. A feed here is a list of FeedSlot
+records, one per slot.
 """
 
 from __future__ import annotations
@@ -14,10 +15,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from socialsim.core import LoadLevel, Post, RunConfig
+from socialsim.core import POST_KINDS, LoadLevel, PostKind, RunConfig
 from socialsim.engine import WorldState
 from socialsim.population import AgentProfile, FollowGraph
 from socialsim.recommender import content_tokens
+
+
+@dataclass(slots=True, frozen=True)
+class PostRecord:
+    """One post: the entries of its id in the world's post columns."""
+
+    id: int
+    author: int
+    content: str
+    kind: PostKind
+    source: int | None
+    created_at: int
+
+
+def world_posts(world: WorldState) -> list[PostRecord]:
+    """Every post, by id, as ``world.creations()`` and the text list ``world.posts`` hold it."""
+    c = world.creations()
+    columns = (c.post.tolist(), c.author.tolist(), world.posts, c.kind.tolist(), c.source.tolist(), c.t.tolist())
+    return [
+        PostRecord(post, author, content, POST_KINDS[kind], None if source < 0 else source, t)
+        for post, author, content, kind, source, t in zip(*columns, strict=True)
+    ]
 
 
 @dataclass(slots=True, frozen=True)
@@ -42,7 +65,7 @@ def keyword_relevance(tokens: frozenset[str], keywords: frozenset[str]) -> float
 
 
 def score_post(
-    post: Post,
+    post: PostRecord,
     profile: AgentProfile,
     now: int,
     *,
@@ -70,7 +93,8 @@ def reference_select_feed(
 
     followed_pool: list[tuple[float, int]] = []
     algo_pool: list[tuple[float, int]] = []
-    for post in world.posts:
+    posts = world_posts(world)
+    for post in posts:
         if post.author == agent or post.id in engaged:
             continue
         s = score_post(
@@ -98,7 +122,7 @@ def reference_select_feed(
                     likes=int(world.likes[pid]),
                     reshares=int(world.reposts[pid]) + int(world.quotes[pid]),
                     followed=followed,
-                    content=world.posts[pid].content,
+                    content=posts[pid].content,
                 )
             )
     return slots

@@ -237,16 +237,16 @@ def test_c07_engine_conservation_oracle():
     cfg = RunConfig(seed=424242, load=LoadLevel.MEDIUM, norm=NormRegime.LIKE_DOMINANT)
     policy = build_policy(mock_policy_spec(), cfg.load, cfg.norm)
     log = LogBuilder(cfg)
-    world = initialize(profiles, graph, corpus, cfg, log)
+    world = initialize(profiles, graph, corpus, cfg)
     for t in range(cfg.timesteps):
         step(world, t, cfg, policy, log)
-    log = log.finish()
+    log = log.finish(world)
 
     recounted = recount_counters(records_of(log))
     counters = world_counters(world)
     assert len(recounted) == len(world.posts)
-    for post in world.posts:
-        assert recounted[post.id] == counters[post.id], f"post {post.id} counters diverge from log recount"
+    for post in range(len(world.posts)):
+        assert recounted[post] == counters[post], f"post {post} counters diverge from log recount"
     engaged = int(np.count_nonzero(log.exposures.action))  # code 0 is read
     _ok(7, "558x480 mock run: counters equal brute-force log recounts",
         f"{len(world.posts)} posts, {engaged} engagements")

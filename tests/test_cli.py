@@ -1,10 +1,14 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import socialsim.cli as cli
 from socialsim.cli import main
+from socialsim.core import CellLog, ExposureColumns, LoadLevel, NormRegime
 from socialsim.population import generate_population, save_population
 
 
@@ -53,6 +57,13 @@ def _edit_population_row(path: Path, key: str, value) -> None:
     lines = path.read_text().splitlines()
     lines[1] = json.dumps({**json.loads(lines[1]), key: value})
     path.write_text("\n".join(lines) + "\n")
+
+
+# The 11 cells a run of the low/no_norm cell alone leaves empty, in LOADS x NORMS order.
+_ALL_BUT_LOW_NO_NORM = ", ".join(
+    f"{load.value}/{norm.value}" for load in LoadLevel for norm in NormRegime
+    if (load, norm) != (LoadLevel.LOW, NormRegime.NO_NORM)
+)
 
 
 class TestGenerators:
@@ -251,7 +262,7 @@ class TestAnalyze:
         assert "logs contain no exposure records" in capsys.readouterr().err
 
     def test_fewer_engagements_than_design_columns_exits_1(self, tmp_path, capsys):
-        # 8 engaged rows cannot identify the 24-column allocation design: no model is fitted.
+        # 8 engaged rows in one cell cannot identify the 24-column design: no model is fitted.
         plan = tmp_path / "short.json"
         plan.write_text(json.dumps({"base_seed": 3, "n_agents": 40, "timesteps": 12, "activation_p": 0.05, "policy": {"kind": "mock"}}))
         runs = tmp_path / "runs"
@@ -259,7 +270,50 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--logs", str(runs), "--out", str(tmp_path / "analysis")]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: allocation stage cannot be fitted: need at least as many rows as columns, got (8, 24)"]
+        assert err == [f"error: threshold stage cannot be fitted: no rows in cell(s) {_ALL_BUT_LOW_NO_NORM}"]
+
+    def test_one_cell_run_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # Regression: the fit of a one-cell run "converged" with standard errors of 1000,
+        # and analyze and report both exited 0.
+        plan = tmp_path / "dense.json"
+        plan.write_text(json.dumps({"base_seed": 3, "n_agents": 40, "timesteps": 60, "activation_p": 0.5, "policy": {"kind": "mock"}}))
+        runs = tmp_path / "runs"
+        assert main(["simulate", "--config", str(plan), "--out", str(runs), "--cell", "load=low,norm=no_norm"]) == 0
+        for stage in ("both", "threshold", "allocation"):
+            capsys.readouterr()
+            out = tmp_path / f"analysis_{stage}"
+            assert main(["analyze", "--logs", str(runs), "--out", str(out), "--stage", stage]) == 1
+            first = "allocation" if stage == "allocation" else "threshold"
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {first} stage cannot be fitted: no rows in cell(s) {_ALL_BUT_LOW_NO_NORM}"
+            ]
+            assert not out.exists()
+
+    def test_allocation_needs_an_engagement_in_every_cell(self):
+        # Exposures in all 12 cells; engagements (action 1, like) in all but the last two.
+        cells = [(load, norm) for load in range(4) for norm in range(3)]
+        n = len(cells)
+        exposures = ExposureColumns.from_lists({
+            "run": [0] * n, "t": [0] * n, "agent": [0] * n, "post": [0] * n, "likes": [0] * n, "reshares": [0] * n,
+            "load": [list(LoadLevel)[load].value for load, _ in cells],
+            "norm": [list(NormRegime)[norm].value for _, norm in cells],
+            "action": ["like"] * (n - 2) + ["read"] * 2,
+        })
+        log = CellLog(exposures, CellLog.concat([]).creations, np.ones(n, dtype=bool))
+        assert cli._empty_cells(log, "threshold") == []
+        assert cli._empty_cells(log, "allocation") == ["high/like_dominant", "high/repost_dominant"]
+
+    def test_a_failed_fit_writes_nothing(self, run_dir, tmp_path, capsys, monkeypatch):
+        # Regression: the shares, the audit and the threshold outputs were written before the allocation fit failed.
+        def fail(*args, **kwargs):
+            raise ValueError("synthetic fit failure")
+
+        monkeypatch.setattr(cli, "fit_multinomial_logistic", fail)
+        out = tmp_path / "analysis"
+        capsys.readouterr()
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: allocation stage cannot be fitted: synthetic fit failure"]
+        assert not out.exists()
 
     def test_swapped_population_exits_2_naming_the_file(self, run_dir, tmp_path, capsys):
         # Regression: analyze once audited loads against whatever population file it found.
@@ -395,6 +449,17 @@ class TestReport:
         assert len(heights) == 12
         for total in heights.values():
             assert total == pytest.approx(270.0, abs=0.1)  # plot height: full bar
+
+    def test_missing_fit_metrics_exits_1(self, analysis_dir, tmp_path, capsys):
+        # Regression: a report was written from an analysis without its fit metrics.
+        partial = tmp_path / "partial"
+        shutil.copytree(analysis_dir, partial)
+        (partial / "fit_metrics.csv").unlink()
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert main(["report", "--analysis", str(partial), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: missing analysis file: {partial / 'fit_metrics.csv'}"]
+        assert not out.exists()
 
     def test_missing_analysis_file_named(self, tmp_path, capsys):
         out = tmp_path / "report"

@@ -28,7 +28,7 @@ from socialsim.population import AgentProfile, FollowGraph
 from socialsim.recommender import Feed
 from socialsim.stats import N_COLUMNS
 
-from conftest import make_feed, tiny_profiles
+from conftest import make_feed, tiny_graph, tiny_profiles
 
 _WORDS = ["alpha", "Beta", "gamma", "delta", "eps", "zeta"]
 _COEF = st.floats(-2.0, 2.0, allow_nan=False)
@@ -83,14 +83,37 @@ def _runs(draw):
 
 
 class TestRunMatchesReference:
-    @settings(max_examples=150, deadline=None)
-    @given(case=_runs())
-    def test_records_and_bytes(self, case):
-        profiles, graph, corpus, config, factory = case
+    @staticmethod
+    def _matches(profiles, graph, corpus, config, factory):
         log = run(config, factory(), profiles, graph, corpus)
         expected = reference_run(config, factory(), profiles, graph, corpus)
         assert records_of(log) == expected
         assert _written(log) == "".join(line + "\n" for line in reference_log_to_lines(expected))
+        return log
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_runs())
+    def test_records_and_bytes(self, case):
+        self._matches(*case)
+
+    def _tiny(self, activation_p, intents):
+        config = RunConfig(
+            seed=3, load=LoadLevel.LOWEST, norm=NormRegime.NO_NORM, n_agents=5, timesteps=1, activation_p=activation_p
+        )
+        return tiny_profiles(), tiny_graph(), [f"post {i} body" for i in range(6)], config, lambda: ScriptedPolicy(intents)
+
+    def test_no_activation_logs_seed_rows_only(self):
+        log = self._matches(*self._tiny(1e-12, [("like", 0)]))
+        assert len(log.exposures) == 0 and len(log.creations) == len(log) == 6
+
+    def test_repost_by_the_last_activation_logs_a_creation_row_last(self):
+        # Every agent activates once; the fifth and last one reposts.
+        log = self._matches(*self._tiny(0.999999, ["read"] * 4 + [("repost", 0)]))
+        agents = log.exposures.agent.tolist()
+        assert agents == sorted(agents) and set(agents) == set(range(5))
+        assert not log.is_exposure[-1] and log.is_exposure[-2]
+        first_of_last_block = agents.index(4)
+        assert len(log.creations) == 7 and log.creations.source[-1] == log.exposures.post[first_of_last_block]
 
 
 @st.composite

@@ -9,11 +9,13 @@ from socialsim.core import (
     ConfigurationError,
     LoadLevel,
     NormRegime,
-    Post,
     PostKind,
     RunConfig,
     popularity_composite,
 )
+from socialsim.engine import WorldState
+
+from conftest import tiny_graph, tiny_profiles
 
 
 class TestPopularityComposite:
@@ -86,14 +88,27 @@ class TestActionKind:
 
 
 class TestPost:
+    """WorldState.new_post checks a post's kind against its source."""
+
+    def _world(self):
+        cfg = RunConfig(seed=1, load=LoadLevel.LOWEST, norm=NormRegime.NO_NORM, n_agents=5)
+        world = WorldState(tiny_profiles(), tiny_graph(), cfg)
+        world.new_post(0, "x", PostKind.SEED, None, 0)
+        return world
+
     def test_seed_post_has_no_source(self):
-        with pytest.raises(ValueError):
-            Post(0, 1, "x", PostKind.SEED, source_link=3, created_at=0)
+        world = self._world()
+        with pytest.raises(ValueError, match="seed posts carry no source link"):
+            world.new_post(1, "x", PostKind.SEED, 0, 0)
+        assert world.posts == ["x"]
 
     def test_repost_requires_source(self):
-        with pytest.raises(ValueError):
-            Post(0, 1, "x", PostKind.REPOST, source_link=None, created_at=0)
-        Post(0, 1, "x", PostKind.REPOST, source_link=5, created_at=2)
+        world = self._world()
+        for kind in (PostKind.REPOST, PostKind.QUOTE):
+            with pytest.raises(ValueError, match=f"{kind.value} posts require a source link"):
+                world.new_post(1, "x", kind, None, 0)
+        assert world.posts == ["x"]
+        assert world.new_post(1, "x", PostKind.REPOST, 0, 2) == 1
 
 
 class TestRunConfig:

@@ -4,13 +4,14 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from socialsim.core import ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
+from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
 from socialsim.engine import LogBuilder, initialize, run, step, substream
 from socialsim.harness import log_digest
 from socialsim.policy import ScriptedPolicy
 from socialsim.population import generate_population, generate_seed_corpus
 
 from conftest import tiny_graph, tiny_profiles
+from reference_feed import world_posts
 from reference_log import ExposureRecord, PostCreation, records_of, recount_counters, world_counters
 
 
@@ -37,10 +38,10 @@ class TestInitialize:
         profiles, graph = small_population
         corpus = generate_seed_corpus(seed=1)  # 50 posts
         cfg = _config(n_agents=40)
-        world = initialize(profiles, graph, corpus, cfg, LogBuilder(cfg))
+        world = initialize(profiles, graph, corpus, cfg)
         assert len(world.posts) == 50
         influencers = sorted(p.id for p in profiles if p.influencer)
-        authored = Counter(p.author for p in world.posts)
+        authored = Counter(p.author for p in world_posts(world))
         assert set(authored) == set(influencers)
         # 50 = 8*6 + 2: the first two influencers author 7, the rest 6
         assert sorted(authored.values()) == [6] * 6 + [7] * 2
@@ -50,12 +51,12 @@ class TestInitialize:
         world = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
         assert len(world.likes) == len(world.reposts) == len(world.quotes) == len(world.posts) == 4
         assert not (world.likes.any() or world.reposts.any() or world.quotes.any())
-        assert all(p.created_at == 0 for p in world.posts)
+        assert all(p.created_at == 0 for p in world_posts(world))
 
     def test_deterministic_state_digest(self):
         w1 = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
         w2 = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
-        assert w1.posts == w2.posts
+        assert world_posts(w1) == world_posts(w2)
         for counter in ("likes", "reposts", "quotes"):
             assert np.array_equal(getattr(w1, counter), getattr(w2, counter))
 
@@ -70,21 +71,33 @@ class TestInitialize:
 
     def test_seed_creation_records_logged(self):
         log = LogBuilder(_config())
-        initialize(tiny_profiles(), tiny_graph(), _corpus(3), _config(), log)
-        creations = _creations(records_of(log.finish()))
+        world = initialize(tiny_profiles(), tiny_graph(), _corpus(3), _config())
+        creations = _creations(records_of(log.finish(world)))
         assert [c.post for c in creations] == [0, 1, 2]
         assert all(c.kind is PostKind.SEED and c.t == 0 and c.source is None for c in creations)
+
+
+    def test_creations_name_authors_by_agent_id(self):
+        # Profiles in descending id order: row r holds agent 4 - r.
+        world = initialize(tiny_profiles()[::-1], tiny_graph(), _corpus(3), _config())
+        world.new_post(3, world.posts[1], PostKind.REPOST, 1, 2)
+        c = world.creations()
+        assert c.post.tolist() == [0, 1, 2, 3]
+        assert c.author.tolist() == [0, 1, 0, 3]
+        assert [POST_KINDS[k] for k in c.kind.tolist()] == [PostKind.SEED] * 3 + [PostKind.REPOST]
+        assert c.source.tolist() == [-1, -1, -1, 1]
+        assert c.t.tolist() == [0, 0, 0, 2]
 
 
 class TestStepEffects:
     def _world_and_log(self, policy_intents, p=0.999999, timesteps=1):
         cfg = _config(activation_p=p, timesteps=timesteps)
         log = LogBuilder(cfg)
-        world = initialize(tiny_profiles(), tiny_graph(), _corpus(), cfg, log)
+        world = initialize(tiny_profiles(), tiny_graph(), _corpus(), cfg)
         policy = ScriptedPolicy(policy_intents)
         for t in range(timesteps):
             step(world, t, cfg, policy, log)
-        return world, records_of(log.finish())
+        return world, records_of(log.finish(world))
 
     def test_like_increments_exactly_one_counter(self):
         world, _ = self._world_and_log([("like", 0), "read", "read", "read", "read"])
@@ -94,29 +107,31 @@ class TestStepEffects:
 
     def test_quote_creates_post_with_source(self):
         world, log = self._world_and_log(["read", ("quote", 0, "my two cents"), "read", "read", "read"])
-        quotes = [p for p in world.posts if p.kind is PostKind.QUOTE]
+        posts = world_posts(world)
+        quotes = [p for p in posts if p.kind is PostKind.QUOTE]
         assert len(quotes) == 1
         q = quotes[0]
-        assert q.source_link is not None
-        source = world.posts[q.source_link]
+        assert q.source is not None
+        source = posts[q.source]
         assert world.quotes[source.id] == 1
         assert "my two cents" in q.content and source.content in q.content
         assert q.created_at == 0
         creation = [c for c in _creations(log) if c.kind is PostKind.QUOTE]
-        assert len(creation) == 1 and creation[0].source == q.source_link
+        assert len(creation) == 1 and creation[0].source == q.source
 
     def test_repost_copies_content(self):
         world, _ = self._world_and_log(["read", "read", ("repost", 0), "read", "read"])
-        reposts = [p for p in world.posts if p.kind is PostKind.REPOST]
+        posts = world_posts(world)
+        reposts = [p for p in posts if p.kind is PostKind.REPOST]
         assert len(reposts) == 1
         r = reposts[0]
-        assert r.content == world.posts[r.source_link].content
-        assert world.reposts[r.source_link] == 1
+        assert r.content == posts[r.source].content
+        assert world.reposts[r.source] == 1
 
     def test_new_posts_visible_later_in_same_timestep(self):
         # every agent activates; agent 0 reposts, higher-id agents can then see it
         world, log = self._world_and_log([("repost", 0), "read", "read", "read", "read"])
-        new_post = next(p for p in world.posts if p.kind is PostKind.REPOST)
+        new_post = next(p for p in world_posts(world) if p.kind is PostKind.REPOST)
         seen_by = {r.agent for r in _exposures(log) if r.post == new_post.id}
         assert seen_by  # at least one later agent was shown the brand-new repost
         assert all(a > new_post.author for a in seen_by)
@@ -136,10 +151,10 @@ def medium_run(small_population):
     cfg = _config(n_agents=40, timesteps=150, activation_p=0.05, seed=17, load=LoadLevel.LOW)
     policy = ScriptedPolicy([("like", 0), "read", ("quote", 1, "hm"), ("repost", 0), "read"])
     log = LogBuilder(cfg)
-    world = initialize(profiles, graph, corpus, cfg, log)
+    world = initialize(profiles, graph, corpus, cfg)
     for t in range(cfg.timesteps):
         step(world, t, cfg, policy, log)
-    return world, records_of(log.finish()), cfg
+    return world, records_of(log.finish(world)), cfg
 
 
 class TestRunProperties:
@@ -218,7 +233,7 @@ class TestRunProperties:
 
     def test_feeds_never_contain_own_or_engaged_posts(self, medium_run):
         world, log, _ = medium_run
-        authors = {p.id: p.author for p in world.posts}
+        authors = {p.id: p.author for p in world_posts(world)}
         engaged_before = defaultdict(set)
         for r in _exposures(log):
             assert authors[r.post] != r.agent

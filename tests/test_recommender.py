@@ -10,7 +10,7 @@ from socialsim.population import AgentProfile, FollowGraph
 from socialsim.recommender import Feed, select_feed
 
 from conftest import make_feed, tiny_graph, tiny_profiles
-from reference_feed import FeedSlot, keyword_relevance, reference_select_feed, score_post
+from reference_feed import FeedSlot, keyword_relevance, reference_select_feed, score_post, world_posts
 
 
 def _config(load=LoadLevel.LOWEST, **kw):
@@ -24,7 +24,9 @@ def _world(profiles, graph, config):
 
 
 def _post(world, author, content, t=0):
-    return world.new_post(author, content, PostKind.SEED, None, t)
+    """A new seed post; returns its PostRecord."""
+    post = world.new_post(author, content, PostKind.SEED, None, t)
+    return world_posts(world)[post]
 
 
 def _slots(feed: Feed) -> list[FeedSlot]:
@@ -69,18 +71,16 @@ class TestScorePost:
         world = _world(profiles, tiny_graph(), cfg)
         for i in range(300):
             if i % 7 == 3:
-                source = world.posts[i // 2]
-                world.new_post(i % 5, source.content, PostKind.REPOST, source.id, i // 4)
+                world.new_post(i % 5, world.posts[i // 2], PostKind.REPOST, i // 2, i // 4)
             elif i % 7 == 5:
-                source = world.posts[i // 3]
-                world.new_post(i % 5, f"KW{i % 5} says // {source.content}", PostKind.QUOTE, source.id, i // 4)
+                world.new_post(i % 5, f"KW{i % 5} says // {world.posts[i // 3]}", PostKind.QUOTE, i // 3, i // 4)
             else:
                 world.new_post(i % 5, f"Kw{i % 3} kw{i % 5} word{i % 11} extra", PostKind.SEED, None, i // 4)
         world.now = 90
         for profile in profiles:
             scores = world.scores(world.rows[profile.id])
             assert len(scores) == 300
-            assert scores.tolist() == [score_post(post, profile, now=90) for post in world.posts]
+            assert scores.tolist() == [score_post(post, profile, now=90) for post in world_posts(world)]
 
     def test_world_rejects_future_posts_and_unknown_authors(self):
         world = _world(tiny_profiles(), tiny_graph(), _config())
@@ -138,7 +138,7 @@ class TestSelectFeed:
         feed = select_feed(4, world, LoadLevel.HIGH, cfg)
         ids = set(feed.posts.tolist())
         assert 3 not in ids
-        assert own.id not in ids
+        assert own not in ids
 
     def test_tie_break_ascending_post_id(self):
         cfg = _config()
@@ -157,7 +157,7 @@ class TestSelectFeed:
         fresh = world.new_post(1, "brand new", PostKind.SEED, None, 5)
         world.now = 5
         feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
-        assert feed.n_followed > 0 and feed.posts[0] == fresh.id
+        assert feed.n_followed > 0 and feed.posts[0] == fresh
 
     def test_snapshots_taken_at_build_time(self):
         cfg = _config()
@@ -233,14 +233,15 @@ def _random_worlds(draw):
             content = " ".join(draw(st.lists(st.sampled_from(_WORDS + ["other", "WORDS"]), max_size=6)))
             post = world.new_post(author, content, kind, None, t)
         else:
-            source = world.posts[draw(st.integers(0, len(world.posts) - 1))]
-            content = source.content if kind is PostKind.REPOST else f"{draw(st.sampled_from(_WORDS))} // {source.content}"
-            post = world.new_post(author, content, kind, source.id, t)
-        world.likes[post.id] = draw(st.integers(0, 3))
-        world.quotes[post.id] = draw(st.integers(0, 2))
+            source = draw(st.integers(0, len(world.posts) - 1))
+            text = world.posts[source]
+            content = text if kind is PostKind.REPOST else f"{draw(st.sampled_from(_WORDS))} // {text}"
+            post = world.new_post(author, content, kind, source, t)
+        world.likes[post] = draw(st.integers(0, 3))
+        world.quotes[post] = draw(st.integers(0, 2))
     for a in ids:
         world.engaged[a].update(draw(st.sets(st.integers(0, len(world.posts) + 2), max_size=6)))
-    world.now = draw(st.integers(max((p.created_at for p in world.posts), default=0), 300))
+    world.now = draw(st.integers(max((p.created_at for p in world_posts(world)), default=0), 300))
     return world, graph, cfg
 
 
