@@ -22,7 +22,8 @@ from socialsim import (
     generate_seed_corpus,
     run,
 )
-from socialsim.harness import ALL_LOADS, ALL_NORMS, cell_seed
+from socialsim.core import LOADS, NORMS
+from socialsim.harness import cell_seed
 from socialsim.stats import DESIGN_COLUMNS
 
 names = DESIGN_COLUMNS
@@ -46,8 +47,8 @@ profiles, graph = generate_population(200, seed=9)
 corpus = generate_seed_corpus(seed=9)
 
 cells = []
-for load in ALL_LOADS:
-    for norm in ALL_NORMS:
+for load in LOADS:
+    for norm in NORMS:
         cfg = RunConfig(seed=cell_seed(71, load, norm, 0), load=load, norm=norm,
                         n_agents=200, timesteps=240, activation_p=0.02)
         policy = build_policy(spec, load, norm)

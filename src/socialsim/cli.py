@@ -290,77 +290,56 @@ def _write_audit_csv(per_cell: dict, graph, path: Path) -> None:
             )
 
 
+# The curve figures: the stage whose model draws it, the rows' action (none for p(engage)), file, title and y label.
+_CURVE_FIGURES = [("threshold", None, "threshold_probability_curves.svg", "Predicted engagement probability by popularity signal", "p(engage)")]
+_CURVE_FIGURES += [
+    ("allocation", a, f"allocation_{a}_curves.svg", f"Predicted probability of {a} among engagements", f"p({a} | engage)")
+    for a in ("like", "repost", "quote")
+]
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     analysis = Path(args.analysis)
     for name in ("descriptive_shares.csv", "threshold_model.json", "fit_metrics.csv"):
         if not (analysis / name).exists():
             print(f"error: missing analysis file: {analysis / name}", file=sys.stderr)
             return 1
+
+    # Every input is read and every file rendered before --out is created: a bad grid or model file writes nothing.
+    models = [load_model(path) for path in (analysis / "threshold_model.json", analysis / "allocation_model.json") if path.exists()]
+    grid = read_scenario_csv(args.grid) if args.grid else None
+    with open(analysis / "descriptive_shares.csv", newline="", encoding="utf-8") as fh:
+        cells = [(row["cell"], {a: float(row[a]) for a in ("read", "like", "repost", "quote")}) for row in csv.DictReader(fh)]
+    files = {"shares_by_condition.svg": figures.stacked_share_svg(cells)}
+
+    rows = {model.stage: predicted_probabilities(model, grid or _default_grid(model)) for model in models}
+    for stage, action, name, title, y_label in _CURVE_FIGURES:
+        if stage not in rows:
+            continue
+        curves: dict[tuple[str, str], list] = {}
+        for r in rows[stage]:
+            if r.get("action") == action:
+                curves.setdefault((r["load"], r["norm"]), []).append((r["composite"], r["p"], r["lo"], r["hi"]))
+        files[name] = figures.probability_curves_svg(curves, title=title, y_label=y_label)
+    files["report.md"] = _markdown_report(analysis, sorted(files))
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    shares_path = analysis / "descriptive_shares.csv"
-    cells = []
-    with open(shares_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cells.append((row["cell"], {a: float(row[a]) for a in ("read", "like", "repost", "quote")}))
-    (out / "shares_by_condition.svg").write_text(figures.stacked_share_svg(cells), encoding="utf-8")
-
-    model = load_model(analysis / "threshold_model.json")
-    scenarios = _scenario_grid(args.grid, model)
-    rows = predicted_probabilities(model, scenarios)
-    curves: dict[tuple[str, str], list] = {}
-    for r in rows:
-        curves.setdefault((r["load"], r["norm"]), []).append((r["composite"], r["p"], r["lo"], r["hi"]))
-    (out / "threshold_probability_curves.svg").write_text(
-        figures.probability_curves_svg(curves), encoding="utf-8"
-    )
-
-    alloc_path = analysis / "allocation_model.json"
-    alloc_rows = None
-    if alloc_path.exists():
-        alloc_model = load_model(alloc_path)
-        alloc_rows = predicted_probabilities(alloc_model, _scenario_grid(args.grid, alloc_model))
-        for action in ("like", "repost", "quote"):
-            action_curves: dict[tuple[str, str], list] = {}
-            for r in alloc_rows:
-                if r["action"] != action:
-                    continue
-                action_curves.setdefault((r["load"], r["norm"]), []).append(
-                    (r["composite"], r["p"], r["lo"], r["hi"])
-                )
-            svg = figures.probability_curves_svg(
-                action_curves,
-                title=f"Predicted probability of {action} among engagements",
-                y_label=f"p({action} | engage)",
-            )
-            (out / f"allocation_{action}_curves.svg").write_text(svg, encoding="utf-8")
-
-    _write_markdown_report(analysis, out, cells)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
     print(f"report written to {out}")
     return 0
 
 
-def _scenario_grid(grid_path: str | None, model: FittedModel) -> list[Scenario]:
-    if grid_path:
-        return read_scenario_csv(grid_path)
-    cmax = max(model.composite_max, 1.0)
-    grid = np.linspace(0.0, cmax, 41)
-    return [
-        Scenario(composite=float(c), load=load, norm=norm)
-        for load in LoadLevel
-        for norm in NormRegime
-        for c in grid
-    ]
+def _default_grid(model: FittedModel) -> list[Scenario]:
+    """41 composites from 0 to the model's largest (at least 1) in each load x norm cell."""
+    grid = np.linspace(0.0, max(model.composite_max, 1.0), 41)
+    return [Scenario(composite=float(c), load=load, norm=norm) for load in LOADS for norm in NORMS for c in grid]
 
 
-def _write_markdown_report(analysis: Path, out: Path, cells: list) -> None:
-    lines = ["# Simulation analysis report", ""]
-    lines.append("## Figures")
-    lines.append("")
-    for svg in sorted(out.glob("*.svg")):
-        lines.append(f"![{svg.stem}]({svg.name})")
-    lines.append("")
+def _markdown_report(analysis: Path, svg_names: list[str]) -> str:
+    lines = ["# Simulation analysis report", "", "## Figures", ""]
+    lines += [f"![{Path(name).stem}]({name})" for name in svg_names] + [""]
     for name, title in [
         ("fit_metrics.csv", "Model fit"),
         ("threshold_coefficients.csv", "Threshold model coefficients"),
@@ -381,7 +360,7 @@ def _write_markdown_report(analysis: Path, out: Path, cells: list) -> None:
             for row in rows[1:]:
                 lines.append("| " + " | ".join(row) + " |")
         lines.append("")
-    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

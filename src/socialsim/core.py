@@ -352,6 +352,17 @@ def _hints(cls: type) -> dict[str, Any]:
     return get_type_hints(cls)
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file of ``what``; FormatError if it is missing or not UTF-8."""
+    path = Path(path)
+    if not path.is_file():
+        raise FormatError(f"{what} file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def read_rows(path: str | Path, cls: type, what: str) -> list[tuple[int, Any]]:
     """The rows of a JSON Lines file of ``what`` (say "population"), each read by from_obj as a ``cls``.
 
@@ -359,15 +370,8 @@ def read_rows(path: str | Path, cls: type, what: str) -> list[tuple[int, Any]]:
     missing file, text that is not UTF-8, or a line that is not JSON or not a
     valid ``cls`` raises FormatError, for a line as "<path>, line <n>: ...".
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"{what} file not found: {path}")
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     rows = []
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(read_text(path, what).splitlines(), 1):
         if not line.strip():
             continue
         try:

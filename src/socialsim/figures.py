@@ -87,9 +87,8 @@ def stacked_share_svg(cells: Sequence[tuple[str, Mapping[str, float]]], *, title
 def probability_curves_svg(
     curves: Mapping[tuple[str, str], Sequence[tuple[float, float, float, float]]],
     *,
-    title: str = "Predicted engagement probability by popularity signal",
-    x_label: str = "popularity composite",
-    y_label: str = "p(engage)",
+    title: str,
+    y_label: str,
 ) -> str:
     """One polyline per (load, norm) with a translucent 95% band behind it.
 
@@ -117,7 +116,7 @@ def probability_curves_svg(
         parts.append(f'<line x1="{left}" y1="{_fmt(y)}" x2="{width - right}" y2="{_fmt(y)}" stroke="#eeeeee"/>')
         parts.append(f'<text x="{left - 8}" y="{_fmt(y + 4)}" text-anchor="end">{frac:.2f}</text>')
     parts.append(
-        f'<text x="{_fmt(left + plot_w / 2)}" y="{height - 12}" text-anchor="middle">{x_label}</text>'
+        f'<text x="{_fmt(left + plot_w / 2)}" y="{height - 12}" text-anchor="middle">popularity composite</text>'
     )
     parts.append(
         f'<text x="16" y="{_fmt(top + plot_h / 2)}" text-anchor="middle" '

@@ -46,9 +46,6 @@ from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from
 from .population import AgentProfile, FollowGraph, corpus_digest, save_corpus, save_population
 from .population import load_corpus, load_population  # noqa: F401 - perfbench traces harness.load_population
 
-ALL_LOADS = (LoadLevel.LOWEST, LoadLevel.LOW, LoadLevel.MEDIUM, LoadLevel.HIGH)
-ALL_NORMS = (NormRegime.NO_NORM, NormRegime.LIKE_DOMINANT, NormRegime.REPOST_DOMINANT)
-
 
 # ---------------------------------------------------------------------------
 # Log serialization (JSON Lines)
@@ -229,8 +226,8 @@ class ExperimentPlan(RunParameters):
     def cells(self) -> list[tuple[LoadLevel, NormRegime, int]]:
         return [
             (load, norm, rep)
-            for load in ALL_LOADS
-            for norm in ALL_NORMS
+            for load in LOADS
+            for norm in NORMS
             for rep in range(self.replications)
         ]
 

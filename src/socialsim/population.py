@@ -167,6 +167,8 @@ def generate_population(n: int, seed: int) -> tuple[list[AgentProfile], FollowGr
 
 def generate_seed_corpus(seed: int, *, size: int = SEED_CORPUS_SIZE) -> list[str]:
     """Generate `size` unique synthetic post bodies of TOKEN_RANGE whitespace tokens."""
+    if size < 1:
+        raise ConfigurationError(f"corpus size must be at least 1, got {size}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x436F72)))
     lo, hi = TOKEN_RANGE
     bodies: list[str] = []

@@ -34,8 +34,10 @@ from .core import (
     NORMS,
     ActionKind,
     CellLog,
+    FormatError,
     LoadLevel,
     NormRegime,
+    read_text,
 )
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,13 @@ class FittedModel:
     diagnostics: list[str] = field(default_factory=list)
     composite_max: float = 0.0
 
+    def __post_init__(self) -> None:
+        n_eq, k = len(self.equations), len(self.terms)
+        if self.stage not in _EQUATIONS or self.equations != list(_EQUATIONS[self.stage]):
+            raise ValueError(f"stage and equations must be one of {_EQUATIONS}, got {self.stage!r} and {self.equations}")
+        if not self.coef.shape == self.se.shape == (n_eq, k) or self.cov.shape != (n_eq * k, n_eq * k):
+            raise ValueError(f"coef, se and cov of shapes {self.coef.shape}, {self.se.shape} and {self.cov.shape} do not fit {k} terms")
+
     @property
     def k(self) -> int:
         return int(self.coef.size)
@@ -294,8 +303,8 @@ class FittedModel:
             n_obs=int(obj["n_obs"]),
             n_iter=int(obj["n_iter"]),
             converged=bool(obj["converged"]),
-            diagnostics=list(obj.get("diagnostics", [])),
-            composite_max=float(obj.get("composite_max", 0.0)),
+            diagnostics=list(obj["diagnostics"]),
+            composite_max=float(obj["composite_max"]),
         )
 
 
@@ -304,7 +313,14 @@ def save_model(model: FittedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FittedModel:
-    return FittedModel.from_json_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The model `save_model` wrote to ``path``; FormatError naming the file if it is not one."""
+    text = read_text(path, "model")
+    try:
+        return FittedModel.from_json_obj(json.loads(text))
+    except KeyError as e:
+        raise FormatError(f"{path}: missing key {e}") from None
+    except (ValueError, TypeError) as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def write_coefficient_csv(model: FittedModel, path: str | Path) -> None:
@@ -530,66 +546,66 @@ class Scenario:
     norm: NormRegime
 
 
-def predicted_probabilities(model: FittedModel, scenarios: Sequence[Scenario]) -> list[dict]:
-    """Predicted probabilities with 95% delta-method bands per scenario.
+# The multinomial_probs column each stage reports per scenario, with the row's action key (none for p(engage)).
+_REPORTED = {
+    "threshold": ((1, {}),),
+    "allocation": tuple((a, {"action": action.value}) for a, action in enumerate(ALLOCATION_ACTIONS)),
+}
 
-    Threshold models yield one row per scenario; allocation models yield one
-    row per scenario and action (probabilities summing to 1). Scenarios that
-    touch an inestimable equation are flagged instead of silently dropped.
+
+def predicted_probabilities(model: FittedModel, scenarios: Sequence[Scenario]) -> list[dict]:
+    """Predicted probabilities with 95% delta-method bands per scenario, both stages in one array pass.
+
+    A binary logit is the two-class baseline-category logit, so P = multinomial_probs serves both: a
+    threshold model yields one row per scenario, p(engage) = P[:, 1]; an allocation model one row per
+    scenario and action, in ALLOCATION_ACTIONS order. The band is p +- 1.96 sd clipped to [0, 1], its
+    variance d'Vd with dP_a/deta_c = P_a (1[a=c] - P_c). A model with a non-finite coefficient (an
+    inestimable equation) gives NaN rows through the same arithmetic, flagged.
     """
-    rows: list[dict] = []
-    k = len(model.terms)
-    xs = design_matrix(
+    n_eq, k = model.coef.shape
+    X = design_matrix(
         [sc.composite for sc in scenarios], [LOADS.index(sc.load) for sc in scenarios], [NORMS.index(sc.norm) for sc in scenarios]
     )[:, :k]
-    for sc, x in zip(scenarios, xs):
-        base = {"composite": sc.composite, "load": sc.load.value, "norm": sc.norm.value}
-        if not np.all(np.isfinite(model.coef)):
-            if model.stage == "threshold":
-                rows.append({**base, "p": float("nan"), "lo": float("nan"), "hi": float("nan"), "flagged": True})
-            else:
-                for a in ALLOCATION_ACTIONS:
-                    rows.append({**base, "action": a.value, "p": float("nan"), "lo": float("nan"), "hi": float("nan"), "flagged": True})
-            continue
-        if model.stage == "threshold":
-            eta = float(x @ model.coef[0])
-            se_eta = math.sqrt(max(float(x @ model.cov @ x), 0.0))
-            p = float(expit(eta))
-            half = 1.96 * p * (1.0 - p) * se_eta
-            rows.append({**base, "p": p, "lo": max(p - half, 0.0), "hi": min(p + half, 1.0), "flagged": False})
-        else:
-            n_eq = model.coef.shape[0]
-            eta = model.coef @ x
-            full = np.concatenate([[0.0], eta])
-            full -= full.max()
-            e = np.exp(full)
-            probs = e / e.sum()
-            for a_idx, action in enumerate(ALLOCATION_ACTIONS):
-                grad = np.zeros(n_eq * k)
-                for c in range(1, n_eq + 1):
-                    dpd_eta = probs[a_idx] * ((1.0 if a_idx == c else 0.0) - probs[c])
-                    grad[(c - 1) * k : c * k] = dpd_eta * x
-                var = float(grad @ model.cov @ grad)
-                half = 1.96 * math.sqrt(max(var, 0.0))
-                p = float(probs[a_idx])
-                rows.append(
-                    {**base, "action": action.value, "p": p, "lo": max(p - half, 0.0), "hi": min(p + half, 1.0), "flagged": False}
-                )
-    return rows
+    P = multinomial_probs(X, model.coef)
+    D = P[:, :, None] * (np.eye(n_eq + 1)[:, 1:] - P[:, None, 1:])  # (scenarios, classes, equations)
+    # x'V_cd x per scenario and equation pair: memory O(scenarios x terms), whatever the grid size
+    Q = np.einsum("sj,cjdl,sl->scd", X, model.cov.reshape(n_eq, k, n_eq, k), X)
+    half = 1.96 * np.sqrt(np.maximum(np.einsum("sac,scd,sad->sa", D, Q, D), 0.0))
+    p, lo, hi = P.tolist(), np.maximum(P - half, 0.0).tolist(), np.minimum(P + half, 1.0).tolist()
+    flagged = not np.all(np.isfinite(model.coef))
+    return [
+        {"composite": sc.composite, "load": sc.load.value, "norm": sc.norm.value, **label,
+         "p": p[s][a], "lo": lo[s][a], "hi": hi[s][a], "flagged": flagged}
+        for s, sc in enumerate(scenarios)
+        for a, label in _REPORTED[model.stage]
+    ]
 
 
 def read_scenario_csv(path: str | Path) -> list[Scenario]:
-    """Scenario grid CSV with columns composite, load, norm."""
+    """Scenario grid CSV: a header naming the columns composite, load and norm, in any order, then one
+    row per scenario: a finite composite >= 0, a LoadLevel value and a NormRegime value.
+
+    A missing file, a bad header, a bad row or no row raises FormatError, for
+    a row as "<path>, line <n>: ..."; blank lines are skipped.
+    """
+    reader = csv.reader(read_text(path, "scenario grid").splitlines())
+    header = next(reader, [])
+    if sorted(header) != ["composite", "load", "norm"]:
+        raise FormatError(f"{path}, line 1: header must name the columns composite, load and norm, got {header}")
     scenarios = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            scenarios.append(
-                Scenario(
-                    composite=float(row["composite"]),
-                    load=LoadLevel(row["load"].strip().lower()),
-                    norm=NormRegime(row["norm"].strip().lower()),
-                )
-            )
+    for row in filter(None, reader):
+        try:
+            if len(row) != 3:
+                raise ValueError(f"expected 3 fields, got {len(row)}")
+            values = dict(zip(header, row))
+            composite = float(values["composite"])
+            if not 0.0 <= composite < math.inf:
+                raise ValueError(f"composite must be a finite number >= 0, got {values['composite']!r}")
+            scenarios.append(Scenario(composite, LoadLevel(values["load"]), NormRegime(values["norm"])))
+        except ValueError as e:
+            raise FormatError(f"{path}, line {reader.line_num}: {e}") from None
+    if not scenarios:
+        raise FormatError(f"{path}: no scenario rows")
     return scenarios
 
 

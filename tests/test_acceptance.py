@@ -16,11 +16,9 @@ import numpy as np
 import pytest
 
 import socialsim as ss
-from socialsim.core import ActionKind, CellLog, LoadLevel, NormRegime, RunConfig
+from socialsim.core import LOADS, NORMS, ActionKind, CellLog, LoadLevel, NormRegime, RunConfig
 from socialsim.engine import LogBuilder, initialize, step, substream
 from socialsim.harness import (
-    ALL_LOADS,
-    ALL_NORMS,
     ExperimentPlan,
     cell_seed,
     descriptive_shares,
@@ -101,8 +99,8 @@ def recovery_experiment():
 
     t0 = time.perf_counter()
     per_cell = {}
-    for load in ALL_LOADS:
-        for norm in ALL_NORMS:
+    for load in LOADS:
+        for norm in NORMS:
             cfg = RunConfig(seed=cell_seed(RECOVERY_BASE_SEED, load, norm, 0), load=load, norm=norm)
             policy = build_policy(spec, load, norm)
             per_cell[(load, norm)] = ss.run(cfg, policy, profiles, graph, corpus)
@@ -312,8 +310,8 @@ def test_c10_determinism_with_fixture_transport(tmp_path):
 
     # record pass: drive every cell once against the deterministic responder
     record_plan = ExperimentPlan(base_seed=55, n_agents=40, timesteps=25, activation_p=0.05)
-    for load in ALL_LOADS:
-        for norm in ALL_NORMS:
+    for load in LOADS:
+        for norm in NORMS:
             cfg = record_plan.cell_config(load, norm, 0)
             policy = LlmPolicy(RecordingTransport(_DeterministicResponder(), fixture_path), model="offline-test")
             ss.run(cfg, policy, profiles, graph, corpus)

@@ -10,6 +10,9 @@ import socialsim.cli as cli
 from socialsim.cli import main
 from socialsim.core import CellLog, ExposureColumns, LoadLevel, NormRegime
 from socialsim.population import generate_population, save_population
+from socialsim.stats import load_model
+
+from reference_prediction import reference_predicted_probabilities
 
 
 @pytest.fixture()
@@ -81,6 +84,14 @@ class TestGenerators:
         from socialsim.population import load_corpus
 
         assert len(load_corpus(out)) == 10
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_gen_corpus_without_posts_exits_2_and_writes_nothing(self, tmp_path, capsys, size):
+        # Regression: --size 0 exited 0 and wrote a corpus file that load_corpus rejects as empty.
+        out = tmp_path / "corpus.jsonl"
+        assert main(["gen-corpus", "--seed", "3", "--size", size, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: corpus size must be at least 1, got {size}"]
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -477,6 +488,90 @@ class TestReport:
         assert main(["report", "--analysis", str(analysis_dir), "--out", str(out), "--grid", str(grid)]) == 0
         svg = (out / "threshold_probability_curves.svg").read_text()
         assert svg.count('class="curve"') == 2
+
+    def test_curves_equal_those_of_the_per_scenario_oracle(self, plan_file, tmp_path, monkeypatch):
+        # The one array pass draws byte-identical figures to the per-stage loop it replaced, on a
+        # scripted run whose two fits both converge. (The mock run's allocation fit is separated:
+        # its bands are rounding noise in either path.)
+        plan = json.loads(plan_file.read_text())
+        plan["policy"] = {"kind": "scripted", "intents": ["read", ["like", 0], ["repost", 1], ["like", 2], ["quote", 0], ["like", 1], ["repost", 0]]}
+        plan_file.write_text(json.dumps(plan))
+        assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "runs")]) == 0
+        assert main(["analyze", "--logs", str(tmp_path / "runs"), "--out", str(tmp_path / "analysis")]) == 0
+        analysis = str(tmp_path / "analysis")
+        assert all(load_model(tmp_path / "analysis" / f"{stage}_model.json").converged for stage in ("threshold", "allocation"))
+        assert main(["report", "--analysis", analysis, "--out", str(tmp_path / "new")]) == 0
+        monkeypatch.setattr(cli, "predicted_probabilities", reference_predicted_probabilities)
+        assert main(["report", "--analysis", analysis, "--out", str(tmp_path / "oracle")]) == 0
+        names = sorted(path.name for path in (tmp_path / "new").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "oracle").iterdir())
+        assert len([n for n in names if n.endswith("_curves.svg")]) == 4
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes(), name
+
+
+# Grids that once ended report in a traceback after --out held shares_by_condition.svg.
+_BAD_GRIDS = [
+    pytest.param("composite,load,norm\n0.5,high,no_norm\n1.0,bogus,no_norm\n", 3, "bogus", id="unknown_load"),
+    pytest.param("composite,load\n0.5,high\n", 1, "header", id="missing_norm_column"),
+    pytest.param("composite,load,norm\nx,high,no_norm\n", 2, "'x'", id="composite_text"),
+    pytest.param("composite,load,norm\n-0.5,high,no_norm\n", 2, "'-0.5'", id="composite_negative"),
+    pytest.param("composite,load,norm\ninf,high,no_norm\n", 2, "'inf'", id="composite_infinite"),
+    pytest.param("composite,load,norm\n0.5,HIGH,no_norm\n", 2, "HIGH", id="load_not_canonical"),
+    pytest.param("composite,load,norm\n0.5,high,none\n", 2, "none", id="norm_alias"),
+    pytest.param("composite,load,norm\n0.5,high\n", 2, "expected 3 fields", id="short_row"),
+]
+
+
+class TestReportWritesAllOrNothing:
+    def _report(self, analysis_dir, tmp_path, capsys, *extra) -> tuple[int, list[str], Path]:
+        out = tmp_path / "report"
+        capsys.readouterr()
+        rc = main(["report", "--analysis", str(analysis_dir), "--out", str(out), *extra])
+        return rc, capsys.readouterr().err.splitlines(), out
+
+    @pytest.mark.parametrize("text, line, named", _BAD_GRIDS)
+    def test_bad_grid_exits_2_naming_file_and_line(self, analysis_dir, tmp_path, capsys, text, line, named):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        rc, err, out = self._report(analysis_dir, tmp_path, capsys, "--grid", str(grid))
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {grid}, line {line}: ") and named in err[0]
+        assert not out.exists()
+
+    def test_grid_without_rows_exits_2(self, analysis_dir, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("composite,load,norm\n\n")
+        rc, err, out = self._report(analysis_dir, tmp_path, capsys, "--grid", str(grid))
+        assert (rc, err) == (2, [f"error: {grid}: no scenario rows"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["threshold", "allocation"])
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda obj: {**obj, "coef": "x"}, "could not convert", id="coef_text"),
+            pytest.param(lambda obj: {k: v for k, v in obj.items() if k != "diagnostics"}, "missing key 'diagnostics'", id="no_diagnostics"),
+            pytest.param(lambda obj: {k: v for k, v in obj.items() if k != "composite_max"}, "missing key 'composite_max'", id="no_composite_max"),
+            pytest.param(lambda obj: {**obj, "coef": [row[:-1] for row in obj["coef"]]}, "do not fit 24 terms", id="coef_short"),
+            pytest.param(lambda obj: {**obj, "stage": "engagement"}, "'engagement'", id="unknown_stage"),
+            pytest.param(lambda obj: [obj], "list indices", id="not_an_object"),
+        ],
+    )
+    def test_bad_model_file_exits_2_naming_the_file(self, analysis_dir, tmp_path, capsys, stage, edit, named):
+        path = analysis_dir / f"{stage}_model.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        rc, err, out = self._report(analysis_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and named in err[0]
+        assert not out.exists()
+
+    def test_model_file_not_json_exits_2(self, analysis_dir, tmp_path, capsys):
+        path = analysis_dir / "allocation_model.json"
+        path.write_text("{")
+        rc, err, out = self._report(analysis_dir, tmp_path, capsys)
+        assert rc == 2 and len(err) == 1 and err[0].startswith(f"error: {path}: ")
+        assert not out.exists()
 
 
 class TestHelp:

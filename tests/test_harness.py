@@ -8,10 +8,8 @@ from pathlib import Path
 import pytest
 
 from socialsim.cli import read_config
-from socialsim.core import ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
+from socialsim.core import LOADS, NORMS, ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
 from socialsim.harness import (
-    ALL_LOADS,
-    ALL_NORMS,
     CellShares,
     ExperimentPlan,
     cell_name,
@@ -46,7 +44,7 @@ def small_inputs():
 
 class TestCellSeeds:
     def test_pairwise_distinct(self):
-        seeds = {cell_seed(1, load, norm, rep) for load in ALL_LOADS for norm in ALL_NORMS for rep in range(3)}
+        seeds = {cell_seed(1, load, norm, rep) for load in LOADS for norm in NORMS for rep in range(3)}
         assert len(seeds) == 36
 
     def test_stable_across_processes(self):
@@ -145,6 +143,12 @@ class TestPlan:
     def test_twelve_cells_per_replication(self):
         assert len(_tiny_plan().cells()) == 12
         assert len(_tiny_plan(replications=2).cells()) == 24
+
+    def test_cells_run_load_major_in_code_order(self):
+        # The order fixes each cell's position in the manifest; it is the LOADS x NORMS code order.
+        assert _tiny_plan(replications=2).cells() == [(lv, nr, rep) for lv in LOADS for nr in NORMS for rep in range(2)]
+        assert [lv.value for lv in LOADS] == ["lowest", "low", "medium", "high"]
+        assert [nr.value for nr in NORMS] == ["no_norm", "like_dominant", "repost_dominant"]
 
     def test_round_trip(self):
         plan = _tiny_plan(replications=3)

@@ -84,6 +84,11 @@ class TestSeedCorpus:
         assert generate_seed_corpus(seed=1) == generate_seed_corpus(seed=1)
         assert generate_seed_corpus(seed=1) != generate_seed_corpus(seed=2)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_no_posts_is_a_configuration_error(self, size):
+        with pytest.raises(ConfigurationError, match=f"corpus size must be at least 1, got {size}"):
+            generate_seed_corpus(seed=1, size=size)
+
 
 class TestPopulationIO:
     def test_round_trip(self, tmp_path):

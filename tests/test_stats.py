@@ -4,11 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from socialsim.core import LOADS, NORMS, ActionKind, LoadLevel, NormRegime
+from socialsim.core import LOADS, NORMS, ActionKind, FormatError, LoadLevel, NormRegime
 from socialsim.stats import (
+    ALLOCATION_EQUATIONS,
     DESIGN_COLUMNS,
     N_COLUMNS,
     FittedModel,
@@ -34,6 +37,7 @@ from socialsim.stats import (
 )
 
 from reference_log import ExposureRecord, log_from_records
+from reference_prediction import reference_predicted_probabilities
 
 
 def _record(action=ActionKind.READ, likes=0, reshares=0, load=LoadLevel.LOWEST, norm=NormRegime.NO_NORM, t=0, agent=0, post=0):
@@ -476,6 +480,64 @@ class TestPrediction:
         assert all(r["flagged"] for r in rows)
 
 
+def _assert_rows_match(rows, want, tol):
+    """Same keys in the same order, equal labels and flags, p/lo/hi within ``tol`` and NaN where NaN."""
+    assert len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert list(got) == list(ref)
+        for key, value in ref.items():
+            if key in ("p", "lo", "hi"):
+                assert math.isnan(got[key]) == math.isnan(value), (key, got, ref)
+                assert math.isnan(value) or abs(got[key] - value) <= tol, (key, got, ref)
+            else:
+                assert got[key] == value and type(got[key]) is type(value), (key, got, ref)
+
+
+class TestPredictionMatchesPerScenarioOracle:
+    """The one array pass equals the per-stage, per-scenario loop it replaced (tests/reference_prediction.py)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, N_COLUMNS - 1),
+        stage=st.sampled_from(["threshold", "allocation"]),
+        absent_class=st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_small_fitted_models(self, seed, k, stage, absent_class):
+        rng = np.random.default_rng(seed)
+        n = 400
+        X = design_matrix(rng.exponential(1.0, n), rng.integers(0, 4, n), rng.integers(0, 3, n))[:, :k]
+        terms = DESIGN_COLUMNS[:k]
+        if stage == "threshold":
+            model = fit_binary_logistic(X, (rng.random(n) < expit(X @ rng.normal(0, 0.3, k))).astype(float), terms=terms)
+        else:
+            classes = [c for c in range(3) if c != absent_class]
+            model = fit_multinomial_logistic(X, rng.choice(classes, n), terms=terms)
+            assert np.all(np.isnan(model.coef)) == (absent_class is not None)
+        # A separated fit's covariance is rounding noise (condition numbers near 1e11), in either path.
+        assume(model.converged or absent_class is not None)
+        scenarios = [
+            Scenario(float(c), LOADS[i], NORMS[j])
+            for c, i, j in zip(rng.exponential(1.5, 30), rng.integers(0, 4, 30), rng.integers(0, 3, 30))
+        ] + [Scenario(0.0, LoadLevel.LOWEST, NormRegime.NO_NORM)]
+        _assert_rows_match(predicted_probabilities(model, scenarios), reference_predicted_probabilities(model, scenarios), 1e-12)
+
+    def test_full_design_on_the_default_grid(self):
+        X, y = _simulate_binary(4000, np.concatenate([[-1.0, 0.6], np.zeros(22)]), seed=5)
+        rng = np.random.default_rng(6)
+        models = [
+            fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS)),
+            fit_multinomial_logistic(X, rng.integers(0, 3, X.shape[0]), terms=list(DESIGN_COLUMNS)),
+        ]
+        grid = [Scenario(float(c), load, norm) for load in LOADS for norm in NORMS for c in np.linspace(0.0, 3.0, 41)]
+        for model in models:
+            _assert_rows_match(predicted_probabilities(model, grid), reference_predicted_probabilities(model, grid), 1e-12)
+
+    def test_no_scenarios_no_rows(self):
+        X, y = _simulate_binary(500, np.concatenate([[-1.0, 0.6], np.zeros(22)]), seed=8)
+        assert predicted_probabilities(fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS)), []) == []
+
+
 class TestModelIO:
     def test_json_round_trip(self, tmp_path):
         X, y = _simulate_binary(2000, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=21)
@@ -495,6 +557,35 @@ class TestModelIO:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "term,B,SE,OR,p,converged"
         assert len(lines) == 1 + 24
+
+    def test_shapes_must_fit_stage_and_terms(self):
+        X, y = _simulate_binary(500, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=23)
+        m = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS))
+        with pytest.raises(ValueError, match="do not fit 23 terms"):
+            FittedModel.from_json_obj({**m.to_json_obj(), "terms": DESIGN_COLUMNS[:23]})
+        with pytest.raises(ValueError, match="stage and equations"):
+            FittedModel.from_json_obj({**m.to_json_obj(), "equations": list(ALLOCATION_EQUATIONS)})
+
+    def test_load_model_names_the_file(self, tmp_path):
+        X, y = _simulate_binary(500, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=24)
+        obj = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS)).to_json_obj()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({k: v for k, v in obj.items() if k != "composite_max"}))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: missing key 'composite_max'")):
+            load_model(path)
+        with pytest.raises(FormatError, match=re.escape(f"model file not found: {tmp_path / 'void.json'}")):
+            load_model(tmp_path / "void.json")
+
+    def test_scenario_csv_any_column_order(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("norm,composite,load\n\nlike_dominant, 2.5 ,low\n")
+        assert read_scenario_csv(path) == [Scenario(2.5, LoadLevel.LOW, NormRegime.LIKE_DOMINANT)]
+
+    def test_scenario_csv_bad_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("composite,load,norm\n0.5,high,no_norm\n\nnan,high,no_norm\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}, line 4: composite must be a finite number >= 0, got 'nan'")):
+            read_scenario_csv(path)
 
     def test_scenario_csv_round_trip(self, tmp_path):
         path = tmp_path / "grid.csv"
