@@ -29,6 +29,7 @@ from .core import (
     NormRegime,
     RunParameters,
     from_obj,
+    read_text,
 )
 from .harness import (
     ExperimentPlan,
@@ -273,6 +274,35 @@ def _write_shares_csv(per_cell: dict, path: Path) -> None:
             writer.writerow({"cell": cell, "n": shares.n_records, **{k: f"{v:.6f}" for k, v in shares.shares.items()}})
 
 
+def _read_shares_csv(path: Path) -> list[tuple[str, dict[str, float]]]:
+    """The (cell, action shares) rows of a descriptive_shares.csv: a header naming at least the columns cell,
+    read, like, repost and quote, in any order, then one row per cell with each share a number in [0, 1].
+
+    A missing file, a bad header, a bad row or no row raises FormatError, for a row as "<path>, line <n>: ...".
+    """
+    actions = [a.value for a in ACTIONS]
+    reader = csv.reader(read_text(path, "descriptive shares").splitlines())
+    header = next(reader, [])
+    if len(set(header)) != len(header) or not {"cell", *actions} <= set(header):
+        raise FormatError(f"{path}, line 1: header must name the columns cell, read, like, repost and quote once each, got {header}")
+    cells = []
+    for row in filter(None, reader):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            values = dict(zip(header, row))
+            shares = {a: float(values[a]) for a in actions}
+            for a, share in shares.items():
+                if not 0.0 <= share <= 1.0:
+                    raise ValueError(f"{a} share must be a number in [0, 1], got {values[a]!r}")
+            cells.append((values["cell"], shares))
+        except ValueError as e:
+            raise FormatError(f"{path}, line {reader.line_num}: {e}") from None
+    if not cells:
+        raise FormatError(f"{path}: no cell rows")
+    return cells
+
+
 def _write_audit_csv(per_cell: dict, graph, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["cell", "n_activations", "mean", "min", "max"])
@@ -308,11 +338,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     # Every input is read and every file rendered before --out is created: a bad grid or model file writes nothing.
     models = [load_model(path) for path in (analysis / "threshold_model.json", analysis / "allocation_model.json") if path.exists()]
     grid = read_scenario_csv(args.grid) if args.grid else None
-    with open(analysis / "descriptive_shares.csv", newline="", encoding="utf-8") as fh:
-        cells = [(row["cell"], {a: float(row[a]) for a in ("read", "like", "repost", "quote")}) for row in csv.DictReader(fh)]
+    cells = _read_shares_csv(analysis / "descriptive_shares.csv")
     files = {"shares_by_condition.svg": figures.stacked_share_svg(cells)}
 
     rows = {model.stage: predicted_probabilities(model, grid or _default_grid(model)) for model in models}
+    unconverged = []  # figures drawn from a fit whose rows are flagged
     for stage, action, name, title, y_label in _CURVE_FIGURES:
         if stage not in rows:
             continue
@@ -321,7 +351,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             if r.get("action") == action:
                 curves.setdefault((r["load"], r["norm"]), []).append((r["composite"], r["p"], r["lo"], r["hi"]))
         files[name] = figures.probability_curves_svg(curves, title=title, y_label=y_label)
-    files["report.md"] = _markdown_report(analysis, sorted(files))
+        if any(r["flagged"] for r in rows[stage]):
+            unconverged.append(name)
+    files["report.md"] = _markdown_report(analysis, sorted(files), sorted(unconverged))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,9 +369,11 @@ def _default_grid(model: FittedModel) -> list[Scenario]:
     return [Scenario(composite=float(c), load=load, norm=norm) for load in LOADS for norm in NORMS for c in grid]
 
 
-def _markdown_report(analysis: Path, svg_names: list[str]) -> str:
+def _markdown_report(analysis: Path, svg_names: list[str], unconverged: list[str]) -> str:
     lines = ["# Simulation analysis report", "", "## Figures", ""]
     lines += [f"![{Path(name).stem}]({name})" for name in svg_names] + [""]
+    if unconverged:
+        lines += [f"Drawn from a fit that did not converge, so their bands mean nothing: {', '.join(unconverged)}", ""]
     for name, title in [
         ("fit_metrics.csv", "Model fit"),
         ("threshold_coefficients.csv", "Threshold model coefficients"),

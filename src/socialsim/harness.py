@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -290,6 +289,8 @@ def run_experiment(
     # Every cell runs on the caller's objects; a worker process gets them pickled.
     run_cell = partial(_run_cell, plan, profiles, graph, corpus, api_key)
     if workers > 1 and len(wanted) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that uses it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, wanted, log_paths))
     else:

@@ -26,7 +26,9 @@ from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp, ndtr
+
+# No module-level scipy import: the functions that fit or test import scipy.special, so a process
+# that only simulates or reports never loads it (about 0.3 s and 20 MB).
 
 from .core import (
     ACTIONS,
@@ -149,6 +151,8 @@ def binary_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 
 def binary_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Gradient of the Bernoulli log-likelihood: X'(y - p)."""
+    from scipy.special import expit
+
     p = expit(X @ beta)
     return X.T @ (y - p)
 
@@ -158,6 +162,8 @@ def multinomial_loglik(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
 
     coef has shape (n_eq, k); class c >= 1 has eta_c = X @ coef[c-1].
     """
+    from scipy.special import logsumexp
+
     eta = X @ coef.T  # (n, n_eq)
     full = np.concatenate([np.zeros((X.shape[0], 1)), eta], axis=1)
     denom = logsumexp(full, axis=1)
@@ -243,6 +249,8 @@ class FittedModel:
         return np.exp(self.coef)
 
     def p_values(self) -> np.ndarray:
+        from scipy.special import ndtr
+
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.abs(self.coef / self.se)
         return 2.0 * ndtr(-z)
@@ -509,6 +517,8 @@ def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[st
 
 
 def _binary_info(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    from scipy.special import expit
+
     p = expit(X @ beta)
     w = p * (1.0 - p)
     return X.T @ (w[:, None] * X)
@@ -560,7 +570,9 @@ def predicted_probabilities(model: FittedModel, scenarios: Sequence[Scenario]) -
     threshold model yields one row per scenario, p(engage) = P[:, 1]; an allocation model one row per
     scenario and action, in ALLOCATION_ACTIONS order. The band is p +- 1.96 sd clipped to [0, 1], its
     variance d'Vd with dP_a/deta_c = P_a (1[a=c] - P_c). A model with a non-finite coefficient (an
-    inestimable equation) gives NaN rows through the same arithmetic, flagged.
+    inestimable equation) gives NaN rows through the same arithmetic. The rows of a model that did not
+    converge (a separated fit's bands come from a near-singular covariance) or has a non-finite
+    coefficient are flagged.
     """
     n_eq, k = model.coef.shape
     X = design_matrix(
@@ -572,7 +584,7 @@ def predicted_probabilities(model: FittedModel, scenarios: Sequence[Scenario]) -
     Q = np.einsum("sj,cjdl,sl->scd", X, model.cov.reshape(n_eq, k, n_eq, k), X)
     half = 1.96 * np.sqrt(np.maximum(np.einsum("sac,scd,sad->sa", D, Q, D), 0.0))
     p, lo, hi = P.tolist(), np.maximum(P - half, 0.0).tolist(), np.minimum(P + half, 1.0).tolist()
-    flagged = not np.all(np.isfinite(model.coef))
+    flagged = not model.converged or not np.all(np.isfinite(model.coef))
     return [
         {"composite": sc.composite, "load": sc.load.value, "norm": sc.norm.value, **label,
          "p": p[s][a], "lo": lo[s][a], "hi": hi[s][a], "flagged": flagged}
@@ -738,6 +750,8 @@ def table_consistency_check(
     as 0.016 could never match its own source. Rows reported as p < .001
     must also reproduce that band from B/SE.
     """
+    from scipy.special import ndtr
+
     rows = []
 
     def check(table: str, eq: str | None, term: str, b: float, se: float, or_: float, p: str) -> None:

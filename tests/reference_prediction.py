@@ -3,8 +3,9 @@
 A threshold model's p is expit(x'b) with the band 1.96 p(1 - p) sqrt(x'Vx);
 an allocation model's probabilities are a softmax with like as the zero
 reference, and each action's band comes from a gradient built equation by
-equation. A model with any non-finite coefficient gives NaN rows, flagged.
-Rows have the keys and order of predicted_probabilities.
+equation. A model with any non-finite coefficient gives NaN rows, flagged;
+the rows of a model that did not converge are flagged too. Rows have the
+keys and order of predicted_probabilities.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def reference_predicted_probabilities(model: FittedModel, scenarios: Sequence[Sc
             se_eta = math.sqrt(max(float(x @ model.cov @ x), 0.0))
             p = float(expit(eta))
             half = 1.96 * p * (1.0 - p) * se_eta
-            rows.append({**base, "p": p, "lo": max(p - half, 0.0), "hi": min(p + half, 1.0), "flagged": False})
+            rows.append({**base, "p": p, "lo": max(p - half, 0.0), "hi": min(p + half, 1.0), "flagged": not model.converged})
         else:
             n_eq = model.coef.shape[0]
             eta = model.coef @ x
@@ -56,6 +57,6 @@ def reference_predicted_probabilities(model: FittedModel, scenarios: Sequence[Sc
                 half = 1.96 * math.sqrt(max(var, 0.0))
                 p = float(probs[a_idx])
                 rows.append(
-                    {**base, "action": action.value, "p": p, "lo": max(p - half, 0.0), "hi": min(p + half, 1.0), "flagged": False}
+                    {**base, "action": action.value, "p": p, "lo": max(p - half, 0.0), "hi": min(p + half, 1.0), "flagged": not model.converged}
                 )
     return rows

@@ -461,6 +461,21 @@ class TestReport:
         for total in heights.values():
             assert total == pytest.approx(270.0, abs=0.1)  # plot height: full bar
 
+    def test_figures_of_a_fit_that_did_not_converge_are_named(self, analysis_dir, tmp_path):
+        # The mock run's allocation fit is separated (converged=False): its three figures are named
+        # once under "Figures"; the converged threshold fit's figure is not.
+        assert load_model(analysis_dir / "threshold_model.json").converged
+        assert not load_model(analysis_dir / "allocation_model.json").converged
+        out = tmp_path / "report"
+        assert main(["report", "--analysis", str(analysis_dir), "--out", str(out)]) == 0
+        lines = (out / "report.md").read_text().splitlines()
+        named = [line for line in lines if "did not converge" in line]
+        assert named == [
+            "Drawn from a fit that did not converge, so their bands mean nothing: "
+            "allocation_like_curves.svg, allocation_quote_curves.svg, allocation_repost_curves.svg"
+        ]
+        assert lines.index("## Figures") < lines.index(named[0]) < lines.index("## Model fit")
+
     def test_missing_fit_metrics_exits_1(self, analysis_dir, tmp_path, capsys):
         # Regression: a report was written from an analysis without its fit metrics.
         partial = tmp_path / "partial"
@@ -508,6 +523,7 @@ class TestReport:
         assert len([n for n in names if n.endswith("_curves.svg")]) == 4
         for name in names:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes(), name
+        assert "did not converge" not in (tmp_path / "new" / "report.md").read_text()
 
 
 # Grids that once ended report in a traceback after --out held shares_by_condition.svg.
@@ -520,6 +536,19 @@ _BAD_GRIDS = [
     pytest.param("composite,load,norm\n0.5,HIGH,no_norm\n", 2, "HIGH", id="load_not_canonical"),
     pytest.param("composite,load,norm\n0.5,high,none\n", 2, "none", id="norm_alias"),
     pytest.param("composite,load,norm\n0.5,high\n", 2, "expected 3 fields", id="short_row"),
+]
+
+
+# Shares files that once ended report in a KeyError or ValueError traceback: (text, line named, text named).
+_SHARES_HEADER = "cell,n,read,like,repost,quote\n"
+_BAD_SHARES = [
+    pytest.param("cell,n,read,like,repost,quotes\nc,4,0.5,0.5,0,0\n", 1, "header", id="renamed_column"),
+    pytest.param("cell,n,read,like,read,quote\nc,4,0.5,0.5,0,0\n", 1, "header", id="repeated_column"),
+    pytest.param(_SHARES_HEADER + "c,4,0.5,0.5,0,0\nd,4,half,0.5,0,0\n", 3, "'half'", id="share_text"),
+    pytest.param(_SHARES_HEADER + "c,4,0.5,0.5,0\n", 2, "expected 6 fields, got 5", id="short_row"),
+    pytest.param(_SHARES_HEADER + "c,4,0.5,0.5,0,0,0\n", 2, "expected 6 fields, got 7", id="long_row"),
+    pytest.param(_SHARES_HEADER + "c,4,1.5,0.5,0,0\n", 2, "'1.5'", id="share_above_one"),
+    pytest.param(_SHARES_HEADER + "c,4,nan,0.5,0,0\n", 2, "'nan'", id="share_nan"),
 ]
 
 
@@ -566,6 +595,22 @@ class TestReportWritesAllOrNothing:
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and named in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line, named", _BAD_SHARES)
+    def test_bad_shares_file_exits_2_naming_file_and_line(self, analysis_dir, tmp_path, capsys, text, line, named):
+        path = analysis_dir / "descriptive_shares.csv"
+        path.write_text(text)
+        rc, err, out = self._report(analysis_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {path}, line {line}: ") and named in err[0]
+        assert not out.exists()
+
+    def test_shares_file_without_rows_exits_2(self, analysis_dir, tmp_path, capsys):
+        path = analysis_dir / "descriptive_shares.csv"
+        path.write_text(_SHARES_HEADER)
+        rc, err, out = self._report(analysis_dir, tmp_path, capsys)
+        assert (rc, err) == (2, [f"error: {path}: no cell rows"])
+        assert not out.exists()
+
     def test_model_file_not_json_exits_2(self, analysis_dir, tmp_path, capsys):
         path = analysis_dir / "allocation_model.json"
         path.write_text("{")
@@ -582,3 +627,55 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--out" in out
+
+
+# Runs the CLI module as `python -m socialsim.cli <argv>` does (so socialsim/__init__'s imports count),
+# then prints the scipy modules the process loaded.
+_RUN_CLI = """
+import runpy, sys
+sys.argv = ["socialsim", *sys.argv[1:]]
+try:
+    runpy.run_module("socialsim.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    if e.code:
+        raise
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+class TestProcessImports:
+    """Only analyze fits, so only an analyze process loads scipy: each command runs in a fresh interpreter."""
+
+    def _scipy_modules(self, code: str, *argv: str) -> str:
+        import os
+        import subprocess
+        import sys
+
+        import socialsim
+
+        src = str(Path(socialsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    @pytest.mark.parametrize("module", ["socialsim", "socialsim.cli"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        assert self._scipy_modules(code) == "[]"
+
+    def test_commands_other_than_analyze_leave_scipy_unloaded(self, plan_file, analysis_dir, tmp_path):
+        commands = [
+            ["gen-population", "--n", "40", "--seed", "1", "--out", str(tmp_path / "population.jsonl")],
+            ["gen-corpus", "--seed", "1", "--out", str(tmp_path / "corpus.jsonl")],
+            ["simulate", "--config", str(plan_file), "--out", str(tmp_path / "sim"), "--cell", "load=low,norm=none"],
+            ["report", "--analysis", str(analysis_dir), "--out", str(tmp_path / "report")],
+        ]
+        for argv in commands:
+            assert self._scipy_modules(_RUN_CLI, *argv) == "[]", argv[0]
+        assert (tmp_path / "report" / "report.md").exists()
+
+    def test_analyze_loads_scipy(self, run_dir, tmp_path):
+        # The check sees scipy where it is loaded: analyze fits, so it imports scipy.special.
+        loaded = self._scipy_modules(_RUN_CLI, "analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis"))
+        assert "'scipy.special'" in loaded

@@ -479,6 +479,21 @@ class TestPrediction:
         rows = predicted_probabilities(m, [Scenario(1.0, LoadLevel.LOW, NormRegime.NO_NORM)])
         assert all(r["flagged"] for r in rows)
 
+    @pytest.mark.parametrize("stage", ["threshold", "allocation"])
+    def test_separated_fit_flagged(self, stage):
+        # Regression: a separated fit (finite B, converged=False) drew unflagged bands.
+        x = np.linspace(0, 2, 90)
+        X = _design(x, LoadLevel.LOW, NormRegime.NO_NORM)[:, :2]
+        if stage == "threshold":
+            m = fit_binary_logistic(X, (x > 1).astype(float))
+        else:
+            m = fit_multinomial_logistic(X, np.repeat([0, 1, 2], 30))
+        assert not m.converged and np.all(np.isfinite(m.coef))
+        rows = predicted_probabilities(m, [Scenario(c, LoadLevel.LOW, NormRegime.NO_NORM) for c in (0.5, 1.5)])
+        assert rows and all(r["flagged"] for r in rows)
+        m.converged = True
+        assert not any(r["flagged"] for r in predicted_probabilities(m, [Scenario(0.5, LoadLevel.LOW, NormRegime.NO_NORM)]))
+
 
 def _assert_rows_match(rows, want, tol):
     """Same keys in the same order, equal labels and flags, p/lo/hi within ``tol`` and NaN where NaN."""
