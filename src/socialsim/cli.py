@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -29,7 +28,9 @@ from .core import (
     NormRegime,
     RunParameters,
     from_obj,
+    read_table,
     read_text,
+    write_table,
 )
 from .harness import (
     ExperimentPlan,
@@ -48,6 +49,7 @@ from .population import (
     save_population,
 )
 from .stats import (
+    COEFFICIENT_COLUMNS,
     FittedModel,
     Scenario,
     build_design_matrix,
@@ -73,8 +75,9 @@ _NORM_ALIASES = {
 
 
 def _parse_cell(text: str) -> tuple[LoadLevel, NormRegime]:
-    parts = dict(kv.split("=", 1) for kv in text.split(",") if "=" in kv)
-    if "load" not in parts or "norm" not in parts:
+    """The cell of a --cell value: exactly the two tokens load=<level> and norm=<regime>, in either order."""
+    parts = dict(kv.partition("=")[::2] for kv in text.split(","))
+    if sorted(parts) != ["load", "norm"] or text.count(",") != 1 or text.count("=") != 2:
         raise ConfigurationError(f"--cell must look like load=<level>,norm=<regime>, got {text!r}")
     try:
         load = LoadLevel(parts["load"].strip().lower())
@@ -123,14 +126,10 @@ def read_config(cfg: object) -> tuple[ExperimentPlan, SimulateInputs]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    if not config_path.exists():
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return 2
     try:
-        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg = json.loads(read_text(config_path, "config"))
     except json.JSONDecodeError as e:
-        print(f"error: config is not valid JSON: {e}", file=sys.stderr)
-        return 2
+        raise FormatError(f"config is not valid JSON: {e}") from None
 
     if isinstance(cfg, dict):
         if args.policy == "mock":
@@ -159,6 +158,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"plan expects {plan.n_agents} agents but population has {len(profiles)}"
             )
         cells = [_parse_cell(args.cell)] if args.cell else None
+        if args.workers < 1:
+            raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     except (ConfigurationError, FormatError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -224,15 +225,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_shares_csv(per_cell, out / "descriptive_shares.csv")
-    _write_audit_csv(per_cell, graph, out / "load_audit.csv")
+    write_table(out / "descriptive_shares.csv", _SHARES_COLUMNS, [_shares_row(cell, per_cell[cell]) for cell in sorted(per_cell)])
+    write_table(out / "load_audit.csv", _AUDIT_COLUMNS, [_audit_row(cell, per_cell[cell], graph) for cell in sorted(per_cell)])
     for model in models:
         write_coefficient_csv(model, out / f"{model.stage}_coefficients.csv")
         save_model(model, out / f"{model.stage}_model.json")
-    with open(out / "fit_metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["stage", "n", "k", "ll_full", "ll_null", "chi2", "df", "mcfadden", "aic", "converged"])
-        writer.writeheader()
-        writer.writerows(_metrics_row(model) for model in models)
+    write_table(out / "fit_metrics.csv", _METRICS_COLUMNS, [_metrics_row(model) for model in models])
     print(f"analysis written to {out}")
     return 0
 
@@ -247,6 +245,12 @@ def _empty_cells(log: CellLog, stage: str) -> list[str]:
     present = np.zeros((len(LOADS), len(NORMS)), dtype=bool)
     present[e.load[rows], e.norm[rows]] = True
     return [f"{LOADS[i].value}/{NORMS[j].value}" for i, j in np.argwhere(~present).tolist()]
+
+
+# The columns analyze writes to each table it derives from the logs and the fits.
+_SHARES_COLUMNS = ("cell", "n", *(a.value for a in ACTIONS))
+_AUDIT_COLUMNS = ("cell", "n_activations", "mean", "min", "max")
+_METRICS_COLUMNS = ("stage", "n", "k", "ll_full", "ll_null", "chi2", "df", "mcfadden", "aic", "converged")
 
 
 def _metrics_row(model: FittedModel) -> dict:
@@ -265,59 +269,31 @@ def _metrics_row(model: FittedModel) -> dict:
     }
 
 
-def _write_shares_csv(per_cell: dict, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["cell", "n", "read", "like", "repost", "quote"])
-        writer.writeheader()
-        for cell in sorted(per_cell):
-            shares = descriptive_shares(per_cell[cell])
-            writer.writerow({"cell": cell, "n": shares.n_records, **{k: f"{v:.6f}" for k, v in shares.shares.items()}})
+def _shares_row(cell: str, log: CellLog) -> dict:
+    shares = descriptive_shares(log)
+    return {"cell": cell, "n": shares.n_records, **{k: f"{v:.6f}" for k, v in shares.shares.items()}}
 
 
-def _read_shares_csv(path: Path) -> list[tuple[str, dict[str, float]]]:
-    """The (cell, action shares) rows of a descriptive_shares.csv: a header naming at least the columns cell,
-    read, like, repost and quote, in any order, then one row per cell with each share a number in [0, 1].
+def _audit_row(cell: str, log: CellLog, graph) -> dict:
+    """An empty cell's mean, min and max are None, which the csv module writes as empty fields."""
+    audit = realized_load_audit(log, graph)
+    mean = None if audit.mean is None else f"{audit.mean:.4f}"
+    return {"cell": cell, "n_activations": audit.n_activations, "mean": mean, "min": audit.min, "max": audit.max}
 
-    A missing file, a bad header, a bad row or no row raises FormatError, for a row as "<path>, line <n>: ...".
-    """
-    actions = [a.value for a in ACTIONS]
-    reader = csv.reader(read_text(path, "descriptive shares").splitlines())
-    header = next(reader, [])
-    if len(set(header)) != len(header) or not {"cell", *actions} <= set(header):
-        raise FormatError(f"{path}, line 1: header must name the columns cell, read, like, repost and quote once each, got {header}")
+
+def _cell_shares(path: Path, rows: list[tuple[int, dict[str, str]]]) -> list[tuple[str, dict[str, float]]]:
+    """The (cell, action shares) of descriptive_shares.csv's rows, each share a number in [0, 1]."""
     cells = []
-    for row in filter(None, reader):
+    for number, values in rows:
         try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            values = dict(zip(header, row))
-            shares = {a: float(values[a]) for a in actions}
+            shares = {a.value: float(values[a.value]) for a in ACTIONS}
             for a, share in shares.items():
                 if not 0.0 <= share <= 1.0:
                     raise ValueError(f"{a} share must be a number in [0, 1], got {values[a]!r}")
-            cells.append((values["cell"], shares))
         except ValueError as e:
-            raise FormatError(f"{path}, line {reader.line_num}: {e}") from None
-    if not cells:
-        raise FormatError(f"{path}: no cell rows")
+            raise FormatError(f"{path}, line {number}: {e}") from None
+        cells.append((values["cell"], shares))
     return cells
-
-
-def _write_audit_csv(per_cell: dict, graph, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["cell", "n_activations", "mean", "min", "max"])
-        writer.writeheader()
-        for cell in sorted(per_cell):
-            audit = realized_load_audit(per_cell[cell], graph)
-            writer.writerow(
-                {
-                    "cell": cell,
-                    "n_activations": audit.n_activations,
-                    "mean": "" if audit.mean is None else f"{audit.mean:.4f}",
-                    "min": "" if audit.min is None else audit.min,
-                    "max": "" if audit.max is None else audit.max,
-                }
-            )
 
 
 # The curve figures: the stage whose model draws it, the rows' action (none for p(engage)), file, title and y label.
@@ -325,6 +301,15 @@ _CURVE_FIGURES = [("threshold", None, "threshold_probability_curves.svg", "Predi
 _CURVE_FIGURES += [
     ("allocation", a, f"allocation_{a}_curves.svg", f"Predicted probability of {a} among engagements", f"p({a} | engage)")
     for a in ("like", "repost", "quote")
+]
+
+# The analysis tables report.md embeds, in its order: file, section title, what a row is, the columns it must have.
+_TABLES = [
+    ("fit_metrics.csv", "Model fit", "stage", _METRICS_COLUMNS),
+    ("threshold_coefficients.csv", "Threshold model coefficients", "term", COEFFICIENT_COLUMNS),
+    ("allocation_coefficients.csv", "Allocation model coefficients", "term", COEFFICIENT_COLUMNS),
+    ("load_audit.csv", "Realized algorithmic load", "cell", _AUDIT_COLUMNS),
+    ("descriptive_shares.csv", "Action shares by condition", "cell", ("cell", *(a.value for a in ACTIONS))),
 ]
 
 
@@ -335,10 +320,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"error: missing analysis file: {analysis / name}", file=sys.stderr)
             return 1
 
-    # Every input is read and every file rendered before --out is created: a bad grid or model file writes nothing.
+    # Every input is read once and every file rendered before --out is created: a bad input file writes nothing.
     models = [load_model(path) for path in (analysis / "threshold_model.json", analysis / "allocation_model.json") if path.exists()]
     grid = read_scenario_csv(args.grid) if args.grid else None
-    cells = _read_shares_csv(analysis / "descriptive_shares.csv")
+    tables = {name: read_table(analysis / name, what, columns) for name, _, what, columns in _TABLES if (analysis / name).exists()}
+    cells = _cell_shares(analysis / "descriptive_shares.csv", tables["descriptive_shares.csv"])
     files = {"shares_by_condition.svg": figures.stacked_share_svg(cells)}
 
     rows = {model.stage: predicted_probabilities(model, grid or _default_grid(model)) for model in models}
@@ -353,7 +339,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         files[name] = figures.probability_curves_svg(curves, title=title, y_label=y_label)
         if any(r["flagged"] for r in rows[stage]):
             unconverged.append(name)
-    files["report.md"] = _markdown_report(analysis, sorted(files), sorted(unconverged))
+    files["report.md"] = _markdown_report(tables, sorted(files), sorted(unconverged))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,30 +355,17 @@ def _default_grid(model: FittedModel) -> list[Scenario]:
     return [Scenario(composite=float(c), load=load, norm=norm) for load in LOADS for norm in NORMS for c in grid]
 
 
-def _markdown_report(analysis: Path, svg_names: list[str], unconverged: list[str]) -> str:
+def _markdown_report(tables: dict[str, list[tuple[int, dict[str, str]]]], svg_names: list[str], unconverged: list[str]) -> str:
     lines = ["# Simulation analysis report", "", "## Figures", ""]
     lines += [f"![{Path(name).stem}]({name})" for name in svg_names] + [""]
     if unconverged:
         lines += [f"Drawn from a fit that did not converge, so their bands mean nothing: {', '.join(unconverged)}", ""]
-    for name, title in [
-        ("fit_metrics.csv", "Model fit"),
-        ("threshold_coefficients.csv", "Threshold model coefficients"),
-        ("allocation_coefficients.csv", "Allocation model coefficients"),
-        ("load_audit.csv", "Realized algorithmic load"),
-        ("descriptive_shares.csv", "Action shares by condition"),
-    ]:
-        path = analysis / name
-        if not path.exists():
+    for name, title, _, _ in _TABLES:
+        if name not in tables:
             continue
-        lines.append(f"## {title}")
-        lines.append("")
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if rows:
-            lines.append("| " + " | ".join(rows[0]) + " |")
-            lines.append("|" + "---|" * len(rows[0]))
-            for row in rows[1:]:
-                lines.append("| " + " | ".join(row) + " |")
+        header = list(tables[name][0][1])
+        lines += [f"## {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        lines += ["| " + " | ".join(row.values()) + " |" for _, row in tables[name]]
         lines.append("")
     return "\n".join(lines)
 

@@ -1,9 +1,10 @@
 """Shared domain types: actions, experimental conditions, post kinds, the columnar
-event log, run parameters, and the reader and writer of config objects and
-JSON Lines rows."""
+event log, run parameters, and the readers and writers of config objects, JSON
+Lines rows and CSV tables."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import math
@@ -11,7 +12,7 @@ import types
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -310,7 +311,7 @@ class RunConfig(RunParameters):
 
 
 # ---------------------------------------------------------------------------
-# Config objects and file rows: one reader and one writer for every dataclass
+# Config objects, file rows and CSV tables: one reader and one writer for each
 # ---------------------------------------------------------------------------
 
 
@@ -353,10 +354,10 @@ def _hints(cls: type) -> dict[str, Any]:
 
 
 def read_text(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 file of ``what``; FormatError if it is missing or not UTF-8."""
+    """The text of a UTF-8 file of ``what``; FormatError if it is missing, a directory or not UTF-8."""
     path = Path(path)
     if not path.is_file():
-        raise FormatError(f"{what} file not found: {path}")
+        raise FormatError(f"{what} file {'is a directory' if path.is_dir() else 'not found'}: {path}")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -383,6 +384,34 @@ def read_rows(path: str | Path, cls: type, what: str) -> list[tuple[int, Any]]:
         except ValueError as e:  # ConfigurationError from from_obj, or the row's own check
             raise FormatError(f"{path}, line {number}: {e}") from None
     return rows
+
+
+def read_table(path: str | Path, what: str, columns: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
+    """(1-based line number, fields by header name) of each row of a CSV table of ``what`` rows (say "scenario").
+
+    The header names each of ``columns`` once, in any order, and no name twice; each row has one field per
+    column; blank lines are skipped. Any fault (read_text's, a bad header or row, no row) raises FormatError.
+    """
+    reader = csv.reader(read_text(path, "CSV table").splitlines())
+    header = next(reader, [])
+    if len(set(header)) != len(header) or not set(columns) <= set(header):
+        raise FormatError(f"{path}, line 1: header must name the columns {', '.join(columns[:-1])} and {columns[-1]} once each, got {header}")
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(header):
+            raise FormatError(f"{path}, line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
+        rows.append((reader.line_num, dict(zip(header, row))))
+    if not rows:
+        raise FormatError(f"{path}: no {what} rows")
+    return rows
+
+
+def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> None:
+    """Write a CSV table in the csv module's default dialect: a header of ``columns``, then one line per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def to_obj(value: Any) -> Any:

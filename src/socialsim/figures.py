@@ -4,11 +4,12 @@ Hand-rolled rather than delegated to a plotting library so the output is
 byte-stable across runs and machines, diffs cleanly under version control,
 and keeps countable elements (one ``class="curve"`` polyline per condition,
 one ``class="seg-<action>"`` rect per share segment) that tests can assert
-against.
+against. Caller text is escaped with ``html.escape`` where it enters the SVG.
 """
 
 from __future__ import annotations
 
+from html import escape
 from typing import Mapping, Sequence
 
 ACTION_COLORS = {
@@ -36,12 +37,14 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _svg_open(width: int, height: int, title: str) -> list[str]:
+def _svg_head(width: int, height: int, left: int, title: str) -> list[str]:
+    title = escape(title)
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
         f'<title>{title}</title>',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left}" y="20" font-size="14">{title}</text>',
     ]
 
 
@@ -54,8 +57,7 @@ def stacked_share_svg(cells: Sequence[tuple[str, Mapping[str, float]]], *, title
     bar_w = plot_w / n * 0.7
     gap = plot_w / n
 
-    parts = _svg_open(width, height, title)
-    parts.append(f'<text x="{left}" y="20" font-size="14">{title}</text>')
+    parts = _svg_head(width, height, left, title)
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = top + plot_h * (1 - frac)
         parts.append(f'<line x1="{left}" y1="{_fmt(y)}" x2="{width - right}" y2="{_fmt(y)}" stroke="#eeeeee"/>')
@@ -73,7 +75,7 @@ def stacked_share_svg(cells: Sequence[tuple[str, Mapping[str, float]]], *, title
             )
         parts.append(
             f'<text x="{_fmt(x + bar_w / 2)}" y="{top + plot_h + 12}" text-anchor="start" '
-            f'transform="rotate(45 {_fmt(x + bar_w / 2)} {top + plot_h + 12})" font-size="9">{label}</text>'
+            f'transform="rotate(45 {_fmt(x + bar_w / 2)} {top + plot_h + 12})" font-size="9">{escape(label)}</text>'
         )
     lx = left
     for action, color in ACTION_COLORS.items():
@@ -109,8 +111,7 @@ def probability_curves_svg(
     def sy(p: float) -> float:
         return top + (1.0 - min(max(p, 0.0), 1.0)) * plot_h
 
-    parts = _svg_open(width, height, title)
-    parts.append(f'<text x="{left}" y="20" font-size="14">{title}</text>')
+    parts = _svg_head(width, height, left, title)
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = top + plot_h * (1 - frac)
         parts.append(f'<line x1="{left}" y1="{_fmt(y)}" x2="{width - right}" y2="{_fmt(y)}" stroke="#eeeeee"/>')
@@ -120,23 +121,24 @@ def probability_curves_svg(
     )
     parts.append(
         f'<text x="16" y="{_fmt(top + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt(top + plot_h / 2)})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_fmt(top + plot_h / 2)})">{escape(y_label)}</text>'
     )
 
     for (load, norm), pts in sorted(curves.items()):
         if not pts:
             continue
+        condition = f'data-load="{escape(load)}" data-norm="{escape(norm)}"'
         band = [(sx(x), sy(hi)) for x, _, _, hi in pts] + [(sx(x), sy(lo)) for x, _, lo, _ in reversed(pts)]
         band_str = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in band)
         parts.append(
-            f'<polygon class="band" data-load="{load}" data-norm="{norm}" points="{band_str}" '
+            f'<polygon class="band" {condition} points="{band_str}" '
             f'fill="{LOAD_COLORS.get(load, "#888888")}" fill-opacity="0.12" stroke="none"/>'
         )
         line = " ".join(f"{_fmt(sx(x))},{_fmt(sy(p))}" for x, p, _, _ in pts)
         dash = NORM_DASH.get(norm, "")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
-            f'<polyline class="curve" data-load="{load}" data-norm="{norm}" points="{line}" '
+            f'<polyline class="curve" {condition} points="{line}" '
             f'fill="none" stroke="{LOAD_COLORS.get(load, "#888888")}" stroke-width="1.6"{dash_attr}/>'
         )
 
@@ -149,7 +151,7 @@ def probability_curves_svg(
             f'<line x1="{width - right + 10}" y1="{ly + 5}" x2="{width - right + 34}" y2="{ly + 5}" '
             f'stroke="{color}" stroke-width="1.6"{dash_attr}/>'
         )
-        parts.append(f'<text x="{width - right + 40}" y="{ly + 9}" font-size="9">{load} / {norm}</text>')
+        parts.append(f'<text x="{width - right + 40}" y="{ly + 9}" font-size="9">{escape(load)} / {escape(norm)}</text>')
         ly += 16
     parts.append("</svg>")
     return "\n".join(parts)

@@ -38,6 +38,7 @@ from .core import (
     NormRegime,
     RunConfig,
     RunParameters,
+    read_text,
     to_obj,
 )
 from .engine import LogBuilder, run
@@ -312,8 +313,9 @@ def load_experiment(out_dir: str | Path) -> tuple[dict, dict[str, CellLog]]:
     Each log must have the SHA-256 digest its manifest entry records.
     """
     out = Path(out_dir)
+    text = read_text(out / "manifest.json", "manifest")
     try:
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest = json.loads(text)
         cells = [(c["file"], c["sha256"]) for c in manifest["cells"] if c.get("status") == "ok"]
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise FormatError(f"{out / 'manifest.json'}: not a valid manifest ({type(e).__name__}: {e})") from None

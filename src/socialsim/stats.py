@@ -16,7 +16,6 @@ model, McFadden's pseudo R-square, and AIC.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -39,7 +38,9 @@ from .core import (
     FormatError,
     LoadLevel,
     NormRegime,
+    read_table,
     read_text,
+    write_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -331,12 +332,11 @@ def load_model(path: str | Path) -> FittedModel:
         raise FormatError(f"{path}: {e}") from None
 
 
+COEFFICIENT_COLUMNS = ("term", "B", "SE", "OR", "p", "converged")
+
+
 def write_coefficient_csv(model: FittedModel, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["term", "B", "SE", "OR", "p", "converged"])
-        writer.writeheader()
-        for row in model.coefficient_rows():
-            writer.writerow(row)
+    write_table(path, COEFFICIENT_COLUMNS, model.coefficient_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -594,30 +594,23 @@ def predicted_probabilities(model: FittedModel, scenarios: Sequence[Scenario]) -
 
 
 def read_scenario_csv(path: str | Path) -> list[Scenario]:
-    """Scenario grid CSV: a header naming the columns composite, load and norm, in any order, then one
-    row per scenario: a finite composite >= 0, a LoadLevel value and a NormRegime value.
+    """Scenario grid CSV, read by core.read_table: the columns composite, load and norm and no other, then
+    one row per scenario: a finite composite >= 0, a LoadLevel value and a NormRegime value.
 
-    A missing file, a bad header, a bad row or no row raises FormatError, for
-    a row as "<path>, line <n>: ..."; blank lines are skipped.
+    A bad value raises FormatError as "<path>, line <n>: ...", as a bad header or row does.
     """
-    reader = csv.reader(read_text(path, "scenario grid").splitlines())
-    header = next(reader, [])
-    if sorted(header) != ["composite", "load", "norm"]:
-        raise FormatError(f"{path}, line 1: header must name the columns composite, load and norm, got {header}")
+    rows = read_table(path, "scenario", ("composite", "load", "norm"))
+    if len(rows[0][1]) != 3:
+        raise FormatError(f"{path}, line 1: header must name no column but composite, load and norm, got {list(rows[0][1])}")
     scenarios = []
-    for row in filter(None, reader):
+    for number, values in rows:
         try:
-            if len(row) != 3:
-                raise ValueError(f"expected 3 fields, got {len(row)}")
-            values = dict(zip(header, row))
             composite = float(values["composite"])
             if not 0.0 <= composite < math.inf:
                 raise ValueError(f"composite must be a finite number >= 0, got {values['composite']!r}")
             scenarios.append(Scenario(composite, LoadLevel(values["load"]), NormRegime(values["norm"])))
         except ValueError as e:
-            raise FormatError(f"{path}, line {reader.line_num}: {e}") from None
-    if not scenarios:
-        raise FormatError(f"{path}: no scenario rows")
+            raise FormatError(f"{path}, line {number}: {e}") from None
     return scenarios
 
 

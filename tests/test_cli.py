@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import json
 import shutil
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -230,6 +232,26 @@ class TestSimulate:
 
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--workers", "0"], id="workers_0"),
+            pytest.param(["--workers", "-3"], id="workers_negative"),
+            pytest.param(["--cell", "load=high,norm=repost,rep=2"], id="cell_unknown_key"),
+            pytest.param(["--cell", "load=high,norm"], id="cell_token_without_value"),
+            pytest.param(["--cell", "load=high,load=low,norm=none"], id="cell_repeated_key"),
+            pytest.param(["--cell", "load=high;norm=repost"], id="cell_no_comma"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_writing_anything(self, plan_file, tmp_path, capsys, flags):
+        # Regression: --workers 0 and -3 ran serially, and the unknown key rep=2 was dropped, so every
+        # replication ran; each exited 0.
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flags[0] in err[0] and flags[1] in err[0]
+        assert not out.exists()
 
     def test_determinism_same_flags_same_manifest(self, plan_file, tmp_path):
         digests = []
@@ -617,6 +639,82 @@ class TestReportWritesAllOrNothing:
         rc, err, out = self._report(analysis_dir, tmp_path, capsys)
         assert rc == 2 and len(err) == 1 and err[0].startswith(f"error: {path}: ")
         assert not out.exists()
+
+
+# Each file a command reads, as (command, file name); "grid" is report's --grid file.
+_INPUT_FILES = [
+    pytest.param("simulate", "plan.json", id="simulate_config"),
+    pytest.param("analyze", "manifest.json", id="analyze_manifest"),
+    pytest.param("report", "descriptive_shares.csv", id="report_shares"),
+    pytest.param("report", "fit_metrics.csv", id="report_fit_metrics"),
+    pytest.param("report", "load_audit.csv", id="report_load_audit"),
+    pytest.param("report", "threshold_coefficients.csv", id="report_threshold_coefficients"),
+    pytest.param("report", "allocation_coefficients.csv", id="report_allocation_coefficients"),
+    pytest.param("report", "grid", id="report_grid"),
+]
+
+
+class TestUnreadableInputFile:
+    """Every file a command reads goes through core.read_text: a directory in its place, or bytes that are
+    not UTF-8, make the command exit 2 with one stderr line naming the file, and create no --out.
+
+    Regression: the config, the manifest, fit_metrics.csv, load_audit.csv and the coefficient CSVs were read
+    by hand, and each case of theirs ended in a traceback (exit 1), except a manifest that is not UTF-8 (exit 2,
+    "not a valid manifest").
+    """
+
+    @pytest.mark.parametrize(
+        "kind, named", [pytest.param("directory", "is a directory", id="directory"), pytest.param("bytes", "not UTF-8 text", id="not_utf8")]
+    )
+    @pytest.mark.parametrize("command, name", _INPUT_FILES)
+    def test_exits_2_naming_the_file(self, request, tmp_path, capsys, command, name, kind, named):
+        out = tmp_path / "out"
+        if command == "simulate":
+            path = request.getfixturevalue("plan_file")
+            argv = ["simulate", "--config", str(path), "--out", str(out)]
+        elif command == "analyze":
+            run_dir = request.getfixturevalue("run_dir")
+            path = run_dir / "manifest.json"
+            argv = ["analyze", "--logs", str(run_dir), "--out", str(out)]
+        else:
+            analysis = request.getfixturevalue("analysis_dir")
+            path = tmp_path / "grid.csv" if name == "grid" else analysis / name
+            argv = ["report", "--analysis", str(analysis), "--out", str(out)] + (["--grid", str(path)] if name == "grid" else [])
+        path.unlink(missing_ok=True)
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"caf\xe9,\xff\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(path) in err and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestReportText:
+    def test_cell_name_is_escaped_in_the_svg(self, analysis_dir, tmp_path):
+        # Regression: a cell named a<b&c gave a shares figure that is not well-formed XML.
+        path = analysis_dir / "descriptive_shares.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = "a<b&c" + lines[1][lines[1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report"
+        assert main(["report", "--analysis", str(analysis_dir), "--out", str(out)]) == 0
+        doc = minidom.parseString((out / "shares_by_condition.svg").read_bytes())
+        labels = [t.firstChild.data for t in doc.getElementsByTagName("text") if t.getAttribute("font-size") == "9"]
+        assert labels[0] == "a<b&c" and len(labels) == 12
+
+    def test_report_embeds_each_table_as_written(self, analysis_dir, tmp_path):
+        out = tmp_path / "report"
+        assert main(["report", "--analysis", str(analysis_dir), "--out", str(out)]) == 0
+        report = (out / "report.md").read_text()
+        for name in ("fit_metrics.csv", "threshold_coefficients.csv", "allocation_coefficients.csv", "load_audit.csv", "descriptive_shares.csv"):
+            with open(analysis_dir / name, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            table = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)] + ["| " + " | ".join(row) + " |" for row in rows]
+            assert "\n".join(table) + "\n" in report, name
 
 
 class TestHelp:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -7,11 +8,15 @@ from hypothesis import strategies as st
 from socialsim.core import (
     ActionKind,
     ConfigurationError,
+    FormatError,
     LoadLevel,
     NormRegime,
     PostKind,
     RunConfig,
     popularity_composite,
+    read_table,
+    read_text,
+    write_table,
 )
 from socialsim.engine import WorldState
 
@@ -143,3 +148,52 @@ class TestRunConfig:
     def test_positive_timesteps(self):
         with pytest.raises(ConfigurationError):
             self._cfg(timesteps=0)
+
+
+class TestTables:
+    """core.read_table and core.write_table, the one reader and one writer of every CSV table."""
+
+    def test_round_trip_in_the_default_dialect(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("cell", "n", "mean"), [{"cell": "a,b", "n": 3, "mean": None}, {"cell": "c", "n": 0, "mean": "0.5000"}])
+        assert path.read_bytes() == b'cell,n,mean\r\n"a,b",3,\r\nc,0,0.5000\r\n'
+        assert read_table(path, "cell", ("n", "cell")) == [(2, {"cell": "a,b", "n": "3", "mean": ""}), (3, {"cell": "c", "n": "0", "mean": "0.5000"})]
+
+    def test_blank_lines_are_skipped_and_lines_counted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("b,a\n\n1,2\n\n3,4\n")
+        assert read_table(path, "row", ("a", "b")) == [(3, {"b": "1", "a": "2"}), (5, {"b": "3", "a": "4"})]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            pytest.param("a\n1\n", ", line 1: header must name the columns a and b once each, got ['a']", id="missing_column"),
+            pytest.param("a,b,a\n1,2,3\n", ", line 1: header must name the columns a and b once each, got ['a', 'b', 'a']", id="repeated_column"),
+            pytest.param("", ", line 1: header must name the columns a and b once each, got []", id="empty_file"),
+            pytest.param("a,b\n1,2\n\n1\n", ", line 4: expected 2 fields, got 1", id="short_row"),
+            pytest.param("a,b\n1,2,3\n", ", line 2: expected 2 fields, got 3", id="long_row"),
+            pytest.param("a,b\n\n", ": no cell rows", id="no_row"),
+        ],
+    )
+    def test_bad_table_names_file_and_line(self, tmp_path, text, error):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path) + error)}$"):
+            read_table(path, "cell", ("a", "b"))
+
+    def test_extra_columns_are_kept(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,x,b\n1,2,3\n")
+        assert read_table(path, "row", ("a", "b")) == [(2, {"a": "1", "x": "2", "b": "3"})]
+
+
+class TestReadText:
+    def test_missing_file_directory_and_bytes_not_utf8_are_format_errors(self, tmp_path):
+        with pytest.raises(FormatError, match=re.escape(f"config file not found: {tmp_path / 'none.json'}")):
+            read_text(tmp_path / "none.json", "config")
+        (tmp_path / "dir.json").mkdir()
+        with pytest.raises(FormatError, match=re.escape(f"config file is a directory: {tmp_path / 'dir.json'}")):
+            read_text(tmp_path / "dir.json", "config")
+        (tmp_path / "latin1.json").write_bytes(b"{\"name\": \"caf\xe9\"}")
+        with pytest.raises(FormatError, match=re.escape(f"{tmp_path / 'latin1.json'}: not UTF-8 text (invalid continuation byte at byte 13)")):
+            read_text(tmp_path / "latin1.json", "config")
