@@ -134,13 +134,13 @@ _CODES = {
 
 
 def _int_column(values: list, key: str) -> np.ndarray:
-    try:
-        col = np.array(values, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        col = None
-    if col is None or col.shape != (len(values),):
-        raise FormatError(f"{key} must be an integer")
-    return col
+    """An int64 column; FormatError unless every value is an int within int64 (a bool, float or str is not)."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    raise FormatError(f"{key} must be an integer")
 
 
 def _code_column(values: list, key: str) -> np.ndarray:
@@ -353,15 +353,25 @@ def _hints(cls: type) -> dict[str, Any]:
     return get_type_hints(cls)
 
 
-def read_text(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 file of ``what``; FormatError if it is missing, a directory or not UTF-8."""
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of a file of ``what``; FormatError if it is missing or a directory."""
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"{what} file {'is a directory' if path.is_dir() else 'not found'}: {path}")
+    return path.read_bytes()
+
+
+def utf8_text(data: bytes, path: str | Path) -> str:
+    """``data``, the bytes of the file at ``path``, as text; FormatError naming the file if they are not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file of ``what``; FormatError if it is missing, a directory or not UTF-8."""
+    return utf8_text(read_bytes(path, what), path)
 
 
 def read_rows(path: str | Path, cls: type, what: str) -> list[tuple[int, Any]]:

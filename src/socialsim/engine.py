@@ -17,8 +17,8 @@ finished; nothing else records a post.
 
 A post is one entry in each of WorldState's post columns: its text, kind,
 source, creation time and author row. Feed ranking reads those arrays, a
-follow matrix, and an agents x posts relevance matrix filled one column per
-new post and reallocated at twice its width when full (see WorldState).
+follow matrix, and a keywords x posts word incidence from which each
+activation scores its agent's keyword relevance (see WorldState).
 
 Randomness comes from counter-keyed substreams of the run seed: one stream
 per timestep for activations, one per (timestep, agent) for decisions.
@@ -166,16 +166,17 @@ class WorldState:
     * ``likes``, ``reposts`` and ``quotes``: one int64 per post, the only copy
       of the engagement counters;
     * ``follows``: agents x agents bool, ``follows[r, c]`` when row r follows row c;
-    * an agents x posts float64 relevance matrix holding the Jaccard overlap
-      of each agent's keywords with each post's tokens. ``new_post`` fills
-      the post's column once: a post with its source's content copies the
-      source's column, any other post is scored against every agent in one
-      step from an agents x keyword-vocabulary incidence matrix.
+    * a keywords x posts incidence of post words (float32): one row per
+      distinct lower-cased agent keyword, 1.0 where the post's lower-cased
+      whitespace tokens hold that word; and each post's token count.
+      ``new_post`` fills the post's column once, and ``scores`` computes an
+      agent's keyword relevance to every post from the rows of its keywords
+      when the agent is scored.
 
     Post columns are allocated with spare capacity; when they run out, every
     post-indexed array is reallocated at twice its size, so adding a post
-    costs amortized O(agents) and the relevance matrix takes O(agents x posts)
-    memory.
+    costs amortized O(keywords), scoring an agent reads only its own keywords'
+    rows, and the world takes O(posts x keywords + agents x agents) memory.
     """
 
     _INITIAL_CAPACITY = 256
@@ -189,8 +190,8 @@ class WorldState:
         }
         self.now: int = 0
         self._decay = config.recency_decay
-        self._w_rec = config.w_recency
-        self._w_rel = config.w_relevance
+        self._w_recency = config.w_recency
+        self._w_relevance = config.w_relevance
         self._recency = np.ones(1)  # recency[age] = exp(-decay * age), grown on demand
         self._t_min = self._t_max = 0  # range of created_at over all posts
 
@@ -204,10 +205,7 @@ class WorldState:
             self.follows[r, [self.rows[f] for f in graph.follows_of(agent) if f in self.rows]] = True
             keyword_cols.append({vocab.setdefault(k.lower(), len(vocab)) for k in self.profiles[agent].keywords})
         self._vocab = vocab
-        self._keywords = np.zeros((n, len(vocab)), dtype=np.int64)
-        for r, cols in enumerate(keyword_cols):
-            self._keywords[r, list(cols)] = 1
-        self._n_keywords = self._keywords.sum(axis=1)
+        self._keyword_rows = [np.array(sorted(cols), dtype=np.intp) for cols in keyword_cols]  # by agent row
 
         cap = self._INITIAL_CAPACITY
         self._created_at = np.zeros(cap, dtype=np.int64)
@@ -217,7 +215,13 @@ class WorldState:
         self._likes = np.zeros(cap, dtype=np.int64)
         self._reposts = np.zeros(cap, dtype=np.int64)
         self._quotes = np.zeros(cap, dtype=np.int64)
-        self._rel = np.zeros((n, cap))
+        # Word incidence (keywords x posts) and token counts. Whole numbers up to
+        # 2**24 are exact in float32, and so are their sums and differences here.
+        self._words = np.zeros((len(vocab), cap), dtype=np.float32)
+        self._n_tokens = np.zeros(cap, dtype=np.float32)
+        # w_recency * recency[age] of the first _recency_posts posts at time _recency_now
+        self._recency_term = np.zeros(cap)
+        self._recency_now = self._recency_posts = 0
 
     @property
     def author_rows(self) -> np.ndarray:
@@ -260,37 +264,24 @@ class WorldState:
         if author not in self.rows:
             raise ValueError(f"post author {author} is not an agent of this world")
         pid = len(self.posts)
-        if pid == self._rel.shape[1]:
+        if pid == self._created_at.size:
             self._grow()
         self._created_at[pid] = t
         self._author_rows[pid] = self.rows[author]
         self._kinds[pid] = _KIND_CODES[kind]
         self._sources[pid] = -1 if source is None else source
-        if source is not None and content == self.posts[source]:
-            self._rel[:, pid] = self._rel[:, source]  # reposts: same tokens, same relevance
-        else:
-            self._rel[:, pid] = self._relevance_column(content_tokens(content))
+        tokens = content_tokens(content)
+        self._words[[self._vocab[w] for w in tokens if w in self._vocab], pid] = 1.0
+        self._n_tokens[pid] = len(tokens)
         self._t_min = min(self._t_min, t) if pid else t
         self._t_max = max(self._t_max, t) if pid else t
         self.posts.append(content)
         return pid
 
-    def _relevance_column(self, tokens: frozenset[str]) -> np.ndarray:
-        """The Jaccard overlap of ``tokens`` with every agent's lower-cased keywords.
-
-        |tokens & keywords| / |tokens | keywords|, an int/int division, and 0.0
-        when the two share no word.
-        """
-        idx = [self._vocab[w] for w in tokens if w in self._vocab]
-        if not idx:
-            return np.zeros(len(self.rows))
-        inter = self._keywords[:, idx].sum(axis=1)
-        union = len(tokens) + self._n_keywords - inter
-        return np.where(inter > 0, inter / union, 0.0)
-
     def _grow(self) -> None:
-        cap = 2 * self._rel.shape[1]
-        for name in ("_created_at", "_author_rows", "_kinds", "_sources", "_likes", "_reposts", "_quotes", "_rel"):
+        cap = 2 * self._created_at.size
+        for name in ("_created_at", "_author_rows", "_kinds", "_sources", "_likes", "_reposts", "_quotes",
+                     "_words", "_n_tokens", "_recency_term"):
             old = getattr(self, name)
             new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
             new[..., : old.shape[-1]] = old
@@ -301,21 +292,43 @@ class WorldState:
 
         score = w_recency * exp(-decay * age) + w_relevance * jaccard, where
         age = now - created_at and jaccard is the overlap of the post's
-        lower-cased whitespace tokens with the agent's lower-cased keywords
-        (see ``_relevance_column``). With weights summing to 1 the score is
-        in [0, 1]. exp comes from ``math.exp`` per integer age, and the
-        multiply and add run in that order on float64 values, so each element
-        is the same float a scalar evaluation of the formula gives.
+        lower-cased whitespace tokens with the agent's lower-cased keywords:
+        |tokens & keywords| / |tokens | keywords|, 0.0 when they share no word.
+        Both counts are whole numbers, held exactly in float32 and divided in
+        float64, so each quotient is the float an int/int division gives. exp
+        comes from ``math.exp`` per integer age, and the multiply and add run
+        in that order on float64 values, so each element is the same float a
+        scalar evaluation of the formula gives. With weights summing to 1 the
+        score is in [0, 1].
         """
         if self.posts and self.now < self._t_max:
             raise ValueError(f"post created in the future (t={self._t_max} > now={self.now})")
-        need = self.now - self._t_min + 1
-        if len(self._recency) < need:
-            size = max(need, 2 * len(self._recency))
-            self._recency = np.array([math.exp(-self._decay * age) for age in range(size)])
         n = len(self.posts)
-        ages = self.now - self._created_at[:n]
-        return self._w_rec * self._recency[ages] + self._w_rel * self._rel[row, :n]
+        keywords = self._keyword_rows[row]
+        inter = self._words.take(keywords, axis=0)[:, :n].sum(axis=0)
+        union = self._n_tokens[:n] - inter
+        union += len(keywords)  # >= 1: every agent has a keyword
+        return self._recency_terms() + self._w_relevance * np.divide(inter, union, dtype=np.float64)
+
+    def _recency_terms(self) -> np.ndarray:
+        """w_recency * exp(-decay * age) of every post at ``now``.
+
+        Kept between calls at the same ``now``: only the posts added since the
+        last call get their term computed, as a post's creation time never
+        changes.
+        """
+        n = len(self.posts)
+        if self._recency_now != self.now:
+            self._recency_now, self._recency_posts = self.now, 0
+        lo = self._recency_posts
+        if lo < n:
+            need = self.now - self._t_min + 1
+            if len(self._recency) < need:
+                size = max(need, 2 * len(self._recency))
+                self._recency = np.array([math.exp(-self._decay * age) for age in range(size)])
+            self._recency_term[lo:n] = self._w_recency * self._recency[self.now - self._created_at[lo:n]]
+            self._recency_posts = n
+        return self._recency_term[:n]
 
 
 def initialize(

@@ -38,8 +38,10 @@ from .core import (
     NormRegime,
     RunConfig,
     RunParameters,
+    read_bytes,
     read_text,
     to_obj,
+    utf8_text,
 )
 from .engine import LogBuilder, run
 from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj
@@ -56,7 +58,7 @@ _LOAD_TEXT = [m.value for m in LOADS]
 _NORM_TEXT = [m.value for m in NORMS]
 _ACTION_TEXT = [m.value for m in ACTIONS]
 _KIND_TEXT = [m.value for m in POST_KINDS]
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 12
 
 
 def _exposure_lines(e: ExposureColumns, lo: int, hi: int) -> list[str]:
@@ -115,20 +117,18 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     Each non-blank line is one JSON object, with its keys in any order and
     any spacing; a line with an "action" key is an exposure row, any other a
     post-creation row. With ``sha256`` given (a manifest's digest), the
-    file's bytes must have that digest. Raises FormatError naming the file,
-    and the 1-based line for a bad row: invalid JSON, a missing key, an
-    unknown enum value, a non-integer, a counter outside [0, 2**62), an
-    exposure of a post no earlier row creates, or a post created twice.
+    file's bytes must have that digest. Raises FormatError naming the file
+    if it is missing, a directory or not UTF-8, and the 1-based line for a
+    bad row: invalid JSON, a missing key, an unknown enum value, a value
+    that is not a JSON integer (1.5, 1e3, "3" and true are not), a counter
+    outside [0, 2**62), an exposure of a post no earlier row creates, or a
+    post created twice.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = read_bytes(path, "event log")
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise FormatError(f"{path}: SHA-256 differs from the manifest's {sha256}")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    lines = text.splitlines()
+    lines = utf8_text(data, path).splitlines()
     rows = list(filter(str.strip, lines))  # blank lines are skipped
     try:
         objs = json.loads("[" + ",".join(rows) + "]")

@@ -9,11 +9,11 @@ population file.
 
 A feed is one pass of array work over the world's state, not a loop over
 posts. The score vector ``w_recency * recency[now - created_at] +
-w_relevance * relevance[agent]`` comes from ``WorldState.scores``, which
-states the formula. An eligibility mask (not the agent's own post, not
-engaged) is split by the follow matrix into the followed and algorithmic
-pools; each pool's top k comes from ``np.partition`` to cut the candidates
-and ``np.lexsort`` on (-score, id), so ties break by ascending post id.
+w_relevance * relevance`` comes from ``WorldState.scores``, which states the
+formula. An eligibility mask (not the agent's own post, not engaged) is
+split by the follow matrix into the followed and algorithmic pools; each
+pool's top k comes from ``np.partition`` to cut the candidates and a stable
+sort of -score over ids in ascending order, so ties break by ascending post id.
 
 The feed is columnar (``Feed``): post ids and the popularity snapshot as
 arrays. Every reader takes the columns: the engine logs them as they are, a
@@ -92,25 +92,27 @@ def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunCon
     eligible = authors != row
     engaged = world.engaged.get(agent)
     if engaged:
-        ids = np.fromiter(engaged, dtype=np.int64, count=len(engaged))
-        eligible[ids[(ids >= 0) & (ids < len(eligible))]] = False
-    followed = world.follows[row, authors]
+        eligible[[post for post in engaged if 0 <= post < eligible.size]] = False
+    followed = eligible & world.follows[row][authors]
 
-    followed_ids = _top(score, eligible & followed, load.followed_count)
+    followed_ids = _top(score, followed, load.followed_count)
     shortfall = load.followed_count - len(followed_ids)
-    algo_ids = _top(score, eligible & ~followed, load.algorithmic_count + shortfall)
+    algo_ids = _top(score, eligible ^ followed, load.algorithmic_count + shortfall)  # eligible, not followed
 
     ids = np.concatenate((followed_ids, algo_ids))
     return Feed(ids, world.likes[ids], world.reposts[ids] + world.quotes[ids], followed_ids.size, world.posts)
 
 
 def _top(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the k highest-scoring posts in mask, best first, ties by ascending id."""
+    """Ids of the k highest-scoring posts in mask, best first, ties by ascending id.
+
+    ``flatnonzero`` gives the ids in ascending order, and a stable sort keeps
+    that order among equal scores.
+    """
     ids = np.flatnonzero(mask)
-    neg = -score[ids]
+    s = score[ids]
     if 0 < k < len(ids):
         # Keep only candidates that can reach the top k, ties at the cut included.
-        keep = neg <= np.partition(neg, k - 1)[k - 1]
-        ids, neg = ids[keep], neg[keep]
-    return ids[np.lexsort((ids, neg))[:k]]
-
+        keep = s >= np.partition(s, len(ids) - k)[len(ids) - k]
+        ids, s = ids[keep], s[keep]
+    return ids[(-s).argsort(kind="stable")[:k]]

@@ -146,16 +146,67 @@ def build_design_matrix(
 
 def binary_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     """Bernoulli log-likelihood with a numerically stable log(1 + e^eta)."""
-    eta = X @ beta
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    return _Binary(X, y).loglik(beta)
 
 
 def binary_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Gradient of the Bernoulli log-likelihood: X'(y - p)."""
-    from scipy.special import expit
+    return _Binary(X, y).score(beta)
 
-    p = expit(X @ beta)
-    return X.T @ (y - p)
+
+class _Binary:
+    """The Bernoulli log-likelihood, score and information of one design, as functions of beta.
+
+    The three at one beta share the linear predictor eta = X @ beta and
+    p = expit(eta), each computed once: Newton asks for the log-likelihood
+    at a new beta, then for the score and information at that same beta.
+    Each is dropped once no later call needs it (eta once p exists, both
+    when beta changes), and the weighted copy of X the information needs
+    is written into one buffer for the life of the object.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X, self.y = X, y
+        self._beta = self._eta = self._p = None
+        self._weighted = None  # w[:, None] * X
+
+    def _at(self, beta: np.ndarray) -> None:
+        if self._beta is None or not np.array_equal(beta, self._beta):
+            self._beta, self._eta, self._p = beta.copy(), None, None
+
+    def _linear(self, beta: np.ndarray) -> np.ndarray:
+        self._at(beta)
+        if self._eta is None:
+            self._eta = self.X @ beta
+        return self._eta
+
+    def _probs(self, beta: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
+        self._at(beta)
+        if self._p is None:
+            self._p = expit(self._linear(beta))
+            self._eta = None
+        return self._p
+
+    def loglik(self, beta: np.ndarray) -> float:
+        eta = self._linear(beta)
+        terms = self.y * eta
+        terms -= np.logaddexp(0.0, eta)
+        return float(np.sum(terms))
+
+    def score(self, beta: np.ndarray) -> np.ndarray:
+        return self.X.T @ (self.y - self._probs(beta))
+
+    def information(self, beta: np.ndarray) -> np.ndarray:
+        """X' diag(p (1 - p)) X."""
+        p = self._probs(beta)
+        w = 1.0 - p
+        w *= p
+        if self._weighted is None:
+            self._weighted = np.empty_like(self.X)
+        np.multiply(w[:, None], self.X, out=self._weighted)
+        return self.X.T @ self._weighted
 
 
 def multinomial_loglik(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
@@ -396,14 +447,14 @@ def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray,
 
 
 def _fit(
-    stage: Literal["threshold", "allocation"], X: np.ndarray, y: np.ndarray, terms: Sequence[str] | None,
-    loglik, score, information,
+    stage: Literal["threshold", "allocation"], X: np.ndarray, y: np.ndarray, terms: Sequence[str] | None, model,
 ) -> FittedModel:
     """Fit one stage and its intercept-only null model by _newton.
 
-    `loglik(X, y, theta)`, `score(X, y, theta)` and `information(X, theta)`
-    take theta as the stage's coefficient blocks (one per equation) laid end
-    to end; the null model is the same functions on a column of ones.
+    `model(X, y)` returns the stage's log-likelihood, score and information
+    on design X, each a function of theta: the stage's coefficient blocks
+    (one per equation) laid end to end. The null model is the same on a
+    column of ones.
     Quasi-separation (any |B| > SEPARATION_BOUND) is reported through
     `converged=False` plus a diagnostic; estimates are still returned.
     """
@@ -412,20 +463,21 @@ def _fit(
     n, k = X.shape
 
     def newton(X: np.ndarray):
-        return _newton(
-            lambda t: loglik(X, y, t),
-            lambda t: score(X, y, t),
-            lambda t: information(X, t),
-            np.zeros(n_eq * X.shape[1]),
-        )
+        """_newton's result on design X, then the information at its estimate.
 
-    theta, ll_full, it, converged, diags = newton(X)
-    _, ll_null, _, _, _ = newton(np.ones((n, 1)))
+        The model's work arrays go when this returns, before the next fit.
+        """
+        loglik, score, information = model(X, y)
+        theta, ll, it, converged, diags = _newton(loglik, score, information, np.zeros(n_eq * X.shape[1]))
+        return theta, ll, it, converged, diags, information(theta)
+
+    theta, ll_full, it, converged, diags, info = newton(X)
+    ll_null = newton(np.ones((n, 1)))[1]
     if np.any(np.abs(theta) > SEPARATION_BOUND):
         worst = int(np.argmax(np.abs(theta))) % k
         diags.append(f"possible separation: |B| > {SEPARATION_BOUND:g} at column {worst}")
         converged = False
-    cov = _safe_inverse(information(X, theta), diags)
+    cov = _safe_inverse(info, diags)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FittedModel(
         stage=stage,
@@ -467,7 +519,12 @@ def fit_binary_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | 
     y = np.asarray(y, dtype=np.float64)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("binary outcome must be coded 0/1")
-    return _fit("threshold", X, y, terms, binary_loglik, binary_score, _binary_info)
+
+    def model(X: np.ndarray, y: np.ndarray):
+        binary = _Binary(X, y)
+        return binary.loglik, binary.score, binary.information
+
+    return _fit("threshold", X, y, terms, model)
 
 
 def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
@@ -502,26 +559,17 @@ def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[st
             composite_max=_composite_max(X),
         )
 
-    def blocks(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return theta.reshape(-1, X.shape[1])
+    def model(X: np.ndarray, y: np.ndarray):
+        def blocks(theta: np.ndarray) -> np.ndarray:
+            return theta.reshape(-1, X.shape[1])
 
-    return _fit(
-        "allocation",
-        X,
-        y,
-        terms,
-        lambda X, y, t: multinomial_loglik(X, y, blocks(X, t)),
-        lambda X, y, t: multinomial_score(X, y, blocks(X, t)),
-        lambda X, t: _mn_info(X, blocks(X, t)),
-    )
+        return (
+            lambda t: multinomial_loglik(X, y, blocks(t)),
+            lambda t: multinomial_score(X, y, blocks(t)),
+            lambda t: _mn_info(X, blocks(t)),
+        )
 
-
-def _binary_info(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    from scipy.special import expit
-
-    p = expit(X @ beta)
-    w = p * (1.0 - p)
-    return X.T @ (w[:, None] * X)
+    return _fit("allocation", X, y, terms, model)
 
 
 def _mn_info(X: np.ndarray, coef: np.ndarray) -> np.ndarray:

@@ -655,8 +655,9 @@ _INPUT_FILES = [
 
 
 class TestUnreadableInputFile:
-    """Every file a command reads goes through core.read_text: a directory in its place, or bytes that are
-    not UTF-8, make the command exit 2 with one stderr line naming the file, and create no --out.
+    """Every file a command reads goes through core.read_bytes, which read_text builds on: a directory in its
+    place, or bytes that are not UTF-8, make the command exit 2 with one stderr line naming the file, and create
+    no --out.
 
     Regression: the config, the manifest, fit_metrics.csv, load_audit.csv and the coefficient CSVs were read
     by hand, and each case of theirs ended in a traceback (exit 1), except a manifest that is not UTF-8 (exit 2,
@@ -690,6 +691,23 @@ class TestUnreadableInputFile:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(path) in err and named in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, named", [pytest.param("directory", "is a directory", id="directory"), pytest.param("missing", "not found", id="missing")]
+    )
+    def test_event_log_missing_or_a_directory_exits_2(self, run_dir, tmp_path, capsys, kind, named):
+        # Regression: read_log read the bytes itself, so a directory in place of a log the manifest names ended
+        # analyze in an IsADirectoryError traceback (exit 1), and a missing log in a bare "[Errno 2]" line (exit 1).
+        path = run_dir / "logs" / "high_like_dominant_r0.jsonl"
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: event log file {named}: {path}"]
         assert not out.exists()
 
 

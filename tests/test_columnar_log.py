@@ -151,6 +151,24 @@ def test_writer_chunks_join_to_the_reference(cell, rows):
     assert b"".join(_log_chunks(log_from_records(records), rows)).decode("utf-8") == expected
 
 
+def test_chunk_size_does_not_change_the_bytes():
+    # 5,000 rows, more than one chunk of the default 4,096.
+    records = []
+    for i in range(1000):
+        records.append(PostCreation(post=i, kind=PostKind.SEED, author=i % 7, source=None, t=i // 10))
+        records += [
+            ExposureRecord(run=3, load=LoadLevel.HIGH, norm=NormRegime.NO_NORM, t=i // 10, agent=j, post=i,
+                           likes=i * j, reshares=j, action=ActionKind.LIKE if (i + j) % 9 == 0 else ActionKind.READ)
+            for j in range(4)
+        ]
+    log = log_from_records(records)
+    assert len(log) == 5000
+    written = b"".join(_log_chunks(log))
+    assert written.count(b"\n") == 5000
+    for rows in (1, 4096, 1 << 16):
+        assert b"".join(_log_chunks(log, rows)) == written
+
+
 @settings(max_examples=50, deadline=None)
 @given(cells=st.lists(cell_logs(), min_size=0, max_size=3))
 def test_concatenated_design_matches_reference(cells):

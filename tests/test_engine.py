@@ -89,6 +89,33 @@ class TestInitialize:
         assert c.t.tolist() == [0, 0, 0, 2]
 
 
+def _arrays(value):
+    """The numpy arrays held by ``value`` directly or inside a list, tuple, set or dict, at any depth."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_world_memory_does_not_grow_with_agents_times_posts():
+    # Regression: the world kept an agents x posts float64 relevance matrix (1,000 x 8,192 here).
+    profiles, graph = generate_population(1000, seed=2)
+    corpus = generate_seed_corpus(seed=2)
+    world = initialize(profiles, graph, corpus, _config(n_agents=1000))
+    agents = [p.id for p in profiles]
+    while len(world.posts) < 5000:
+        post = len(world.posts)
+        world.new_post(agents[post % 1000], f"{world.posts[post // 7]} {post}", PostKind.QUOTE, post // 7, 1 + post // 500)
+    world.now = 20
+    assert world.scores(0).shape == (5000,)
+    sizes = [a.size for a in _arrays(vars(world))]
+    assert sizes and max(sizes) < 1000 * 5000, sorted(sizes)[-3:]
+
+
 class TestStepEffects:
     def _world_and_log(self, policy_intents, p=0.999999, timesteps=1):
         cfg = _config(activation_p=p, timesteps=timesteps)

@@ -122,6 +122,23 @@ class TestReadLogErrors:
         assert str(exc.value).startswith(f"{path}, line 4: {reason}")
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("value", [1.5, "3", True, 1e3], ids=["fraction", "text", "bool", "exponent"])
+    @pytest.mark.parametrize(
+        "key, make_row",
+        [
+            ("likes", lambda v: _exposure_row(likes=v)),
+            ("author", lambda v: _SEED_ROW.replace('"post":0', '"post":9').replace('"author":1', f'"author":{json.dumps(v)}')),
+        ],
+        ids=["exposure", "creation"],
+    )
+    def test_value_that_is_not_a_json_integer(self, tmp_path, key, make_row, value):
+        # Regression: each was read as an integer (1.5 as 1, "3" as 3, true as 1, 1e3 as 1000).
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join([_SEED_ROW, _READ_ROW, make_row(value)]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value) == f"{path}, line 3: {key} must be an integer"
+
     def test_exposure_before_its_creation_row(self, tmp_path):
         path = tmp_path / "cell.jsonl"
         path.write_text("\n".join([_READ_ROW, _SEED_ROW]) + "\n")

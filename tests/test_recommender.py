@@ -82,6 +82,48 @@ class TestScorePost:
             assert len(scores) == 300
             assert scores.tolist() == [score_post(post, profile, now=90) for post in world_posts(world)]
 
+    def test_world_scores_equal_score_post_across_case_misses_and_growth(self):
+        # Keywords that differ only in case, posts that share no word with any keyword, and 2,100 posts:
+        # the post columns start at 256 and double four times. Each now is scored before and after posts
+        # are added at that now, and after now moves back and forth.
+        profiles = [
+            AgentProfile(0, "a", frozenset(["Alpha", "alpha", "ALPHA"]), True, True),
+            AgentProfile(1, "b", frozenset(["alpha", "Beta"]), True, True),
+            AgentProfile(2, "c", frozenset(["BETA", "beta", "gamma"]), False, False),
+            AgentProfile(3, "d", frozenset(["Gamma", "delta", "DELTA", "eps"]), False, False),
+        ]
+        graph = FollowGraph({0: {1}, 1: {0}, 2: {0}, 3: {1, 2}})
+        world = _world(profiles, graph, _config(n_agents=4))
+        words = ["alpha", "ALPHA", "Beta", "beta", "GAMMA", "delta", "Delta", "eps", "zeta", "other"]
+
+        def add(count, t):
+            for _ in range(count):
+                i = len(world.posts)
+                if i % 5 == 4:  # shares no word with any keyword
+                    world.new_post(i % 4, f"nothing here {i % 13}", PostKind.SEED, None, t)
+                elif i % 5 == 3:
+                    world.new_post(i % 4, world.posts[i // 2], PostKind.REPOST, i // 2, t)
+                else:
+                    text = " ".join(words[(i * k) % len(words)] for k in range(1 + i % 4))
+                    world.new_post(i % 4, text, PostKind.SEED, None, t)
+
+        def assert_equal_to_oracle():
+            posts = world_posts(world)
+            for profile in profiles:
+                scores = world.scores(world.rows[profile.id])
+                assert scores.tolist() == [score_post(post, profile, now=world.now) for post in posts]
+
+        for t in range(0, 2100, 300):
+            add(150, t)
+            world.now = t
+            assert_equal_to_oracle()
+            add(150, t)  # posts made during this now
+            assert_equal_to_oracle()
+        assert len(world.posts) == 2100 and world._created_at.size == 4096
+        for now in (2400, 1800, 2400):
+            world.now = now
+            assert_equal_to_oracle()
+
     def test_world_rejects_future_posts_and_unknown_authors(self):
         world = _world(tiny_profiles(), tiny_graph(), _config())
         _post(world, 1, "alpha", t=5)
