@@ -27,6 +27,7 @@ from .core import (
     LoadLevel,
     NormRegime,
     RunParameters,
+    check_seed,
     from_obj,
     read_table,
     read_text,
@@ -90,6 +91,7 @@ def _parse_cell(text: str) -> tuple[LoadLevel, NormRegime]:
 
 
 def cmd_gen_population(args: argparse.Namespace) -> int:
+    check_seed(args.seed, "--seed")
     profiles, graph = generate_population(args.n, args.seed)
     save_population(profiles, graph, args.out)
     print(f"wrote {len(profiles)} agents ({graph.n_edges} follow edges) to {args.out}")
@@ -97,6 +99,7 @@ def cmd_gen_population(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
+    check_seed(args.seed, "--seed")
     corpus = generate_seed_corpus(args.seed, size=args.size)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} seed posts to {args.out}")
@@ -112,6 +115,10 @@ class SimulateInputs:
     corpus: str | None = None
     population_seed: int = None  # type: ignore[assignment]  # absent: the base seed; null is not a seed
     corpus_seed: int = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        check_seed(self.population_seed, "population_seed")
+        check_seed(self.corpus_seed, "corpus_seed")
 
 
 def read_config(cfg: object) -> tuple[ExperimentPlan, SimulateInputs]:
@@ -134,6 +141,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(cfg, dict):
         if args.policy == "mock":
             cfg.pop("policy", None)  # the plan's default policy is the mock
+        if args.seed is not None:
+            cfg["base_seed"] = args.seed
         policy = cfg.get("policy")
         fixture_path = policy.get("fixture_path") if isinstance(policy, dict) else None
         if isinstance(fixture_path, str) and fixture_path:
@@ -141,8 +150,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     try:
         plan, inputs = read_config(cfg)
-        if args.seed is not None:
-            plan.base_seed = args.seed
 
         if inputs.population:
             profiles, graph = load_population(_resolve(config_path, inputs.population))

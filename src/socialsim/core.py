@@ -206,9 +206,11 @@ class CreationColumns:
 
     @classmethod
     def from_lists(cls, values: dict[str, list]) -> "CreationColumns":
-        """Columns from one list per key of CREATION_KEYS; source None for none."""
-        values = {**values, "source": [-1 if v is None else v for v in values["source"]]}
-        return cls(**_columns(values, CREATION_KEYS))
+        """Columns from one list per key of CREATION_KEYS; source None (not a negative id) for none."""
+        cols = _columns({**values, "source": [-1 if v is None else v for v in values["source"]]}, CREATION_KEYS)
+        if any(v is not None and v < 0 for v in values["source"]):
+            raise FormatError("negative source")
+        return cls(**cols)
 
     def __len__(self) -> int:
         return self.post.size
@@ -306,8 +308,13 @@ class RunConfig(RunParameters):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
+        check_seed(self.seed, "seed")
+
+
+def check_seed(seed: int | None, name: str) -> None:
+    """ConfigurationError naming ``name`` unless ``seed`` is a non-negative integer (None: no seed given)."""
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ class WorldState:
         self._decay = config.recency_decay
         self._w_recency = config.w_recency
         self._w_relevance = config.w_relevance
-        self._recency = np.ones(1)  # recency[age] = exp(-decay * age), grown on demand
+        self._recency = np.zeros(0)  # w_recency * exp(-decay * age) by age, grown on demand
         self._t_min = self._t_max = 0  # range of created_at over all posts
 
         self.agent_ids = np.array(sorted(self.profiles), dtype=np.int64)  # activation order
@@ -219,9 +219,6 @@ class WorldState:
         # 2**24 are exact in float32, and so are their sums and differences here.
         self._words = np.zeros((len(vocab), cap), dtype=np.float32)
         self._n_tokens = np.zeros(cap, dtype=np.float32)
-        # w_recency * recency[age] of the first _recency_posts posts at time _recency_now
-        self._recency_term = np.zeros(cap)
-        self._recency_now = self._recency_posts = 0
 
     @property
     def author_rows(self) -> np.ndarray:
@@ -281,7 +278,7 @@ class WorldState:
     def _grow(self) -> None:
         cap = 2 * self._created_at.size
         for name in ("_created_at", "_author_rows", "_kinds", "_sources", "_likes", "_reposts", "_quotes",
-                     "_words", "_n_tokens", "_recency_term"):
+                     "_words", "_n_tokens"):
             old = getattr(self, name)
             new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
             new[..., : old.shape[-1]] = old
@@ -295,40 +292,25 @@ class WorldState:
         lower-cased whitespace tokens with the agent's lower-cased keywords:
         |tokens & keywords| / |tokens | keywords|, 0.0 when they share no word.
         Both counts are whole numbers, held exactly in float32 and divided in
-        float64, so each quotient is the float an int/int division gives. exp
-        comes from ``math.exp`` per integer age, and the multiply and add run
-        in that order on float64 values, so each element is the same float a
-        scalar evaluation of the formula gives. With weights summing to 1 the
-        score is in [0, 1].
+        float64, so each quotient is the float an int/int division gives. The
+        recency term is read from a table by integer age, each entry the
+        scalar product ``w_recency * math.exp(-decay * age)``, and the add runs
+        on float64 values, so each element is the same float a scalar
+        evaluation of the formula gives. With weights summing to 1 the score
+        is in [0, 1].
         """
         if self.posts and self.now < self._t_max:
             raise ValueError(f"post created in the future (t={self._t_max} > now={self.now})")
         n = len(self.posts)
+        need = self.now - self._t_min + 1  # the oldest post's age, plus one
+        if self._recency.size < need:
+            size = max(need, 2 * self._recency.size)
+            self._recency = np.array([self._w_recency * math.exp(-self._decay * age) for age in range(size)])
         keywords = self._keyword_rows[row]
         inter = self._words.take(keywords, axis=0)[:, :n].sum(axis=0)
         union = self._n_tokens[:n] - inter
         union += len(keywords)  # >= 1: every agent has a keyword
-        return self._recency_terms() + self._w_relevance * np.divide(inter, union, dtype=np.float64)
-
-    def _recency_terms(self) -> np.ndarray:
-        """w_recency * exp(-decay * age) of every post at ``now``.
-
-        Kept between calls at the same ``now``: only the posts added since the
-        last call get their term computed, as a post's creation time never
-        changes.
-        """
-        n = len(self.posts)
-        if self._recency_now != self.now:
-            self._recency_now, self._recency_posts = self.now, 0
-        lo = self._recency_posts
-        if lo < n:
-            need = self.now - self._t_min + 1
-            if len(self._recency) < need:
-                size = max(need, 2 * len(self._recency))
-                self._recency = np.array([math.exp(-self._decay * age) for age in range(size)])
-            self._recency_term[lo:n] = self._w_recency * self._recency[self.now - self._created_at[lo:n]]
-            self._recency_posts = n
-        return self._recency_term[:n]
+        return self._recency[self.now - self._created_at[:n]] + self._w_relevance * np.divide(inter, union, dtype=np.float64)
 
 
 def initialize(

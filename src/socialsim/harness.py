@@ -36,8 +36,10 @@ from .core import (
     FormatError,
     LoadLevel,
     NormRegime,
+    PostKind,
     RunConfig,
     RunParameters,
+    check_seed,
     read_bytes,
     read_text,
     to_obj,
@@ -58,6 +60,7 @@ _LOAD_TEXT = [m.value for m in LOADS]
 _NORM_TEXT = [m.value for m in NORMS]
 _ACTION_TEXT = [m.value for m in ACTIONS]
 _KIND_TEXT = [m.value for m in POST_KINDS]
+_SEED = POST_KINDS.index(PostKind.SEED)
 _CHUNK_ROWS = 1 << 12
 
 
@@ -121,8 +124,9 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     if it is missing, a directory or not UTF-8, and the 1-based line for a
     bad row: invalid JSON, a missing key, an unknown enum value, a value
     that is not a JSON integer (1.5, 1e3, "3" and true are not), a counter
-    outside [0, 2**62), an exposure of a post no earlier row creates, or a
-    post created twice.
+    outside [0, 2**62), a negative source, an exposure of a post no earlier
+    row creates, a post created twice, a seed row with a source, or a repost
+    or quote row whose source no earlier row creates.
     """
     path = Path(path)
     data = read_bytes(path, "event log")
@@ -135,7 +139,8 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
         if len(objs) != len(rows):  # a line held more or less than one value
             raise FormatError("row count")
         log = _log_from_objs(objs)
-        if (log.creation_of() < 0).any() or np.unique(log.creations.post).size != len(log.creations):
+        c = log.creations
+        if (log.creation_of() < 0).any() or np.unique(c.post).size != len(c) or _unsourced(c).any():
             raise FormatError("creation rows")
     except (ValueError, RecursionError):  # JSONDecodeError and FormatError included
         raise _locate_error(path, lines) from None
@@ -154,6 +159,15 @@ def _log_from_objs(objs: list) -> CellLog:
         CreationColumns.from_lists({k: _values(creations, k) for k in CREATION_KEYS}),
         np.array(is_exposure, dtype=bool),
     )
+
+
+def _unsourced(c: CreationColumns) -> np.ndarray:
+    """Per creation row, whether it breaks the source rule: a seed row has no
+    source, and a repost or quote row's source is a post an earlier row creates."""
+    order = np.argsort(c.post, kind="stable")
+    first = order[np.minimum(np.searchsorted(c.post[order], c.source), len(c) - 1)]  # a row creating the source
+    earlier = (c.source >= 0) & (c.post[first] == c.source) & (first < np.arange(len(c)))
+    return np.where(c.kind == _SEED, c.source >= 0, ~earlier)
 
 
 def _values(objs: list[dict], key: str) -> list:
@@ -176,9 +190,13 @@ def _locate_error(path: Path, lines: list[str]) -> FormatError:
                 if post not in created:
                     raise FormatError(f"exposure of post {post} before any row creates it")
             else:
-                post = int(row.creations.post[0])
+                kind, post, source = (int(getattr(row.creations, k)[0]) for k in ("kind", "post", "source"))
                 if post in created:
                     raise FormatError(f"post {post} created twice")
+                if (kind == _SEED) != (source < 0):
+                    raise FormatError(f"seed post {post} has source {source}" if kind == _SEED else f"{_KIND_TEXT[kind]} post {post} has no source")
+                if source >= 0 and source not in created:
+                    raise FormatError(f"{_KIND_TEXT[kind]} of post {source} before any row creates it")
                 created.add(post)
         except FormatError as e:
             return FormatError(f"{path}, line {number}: {e}")
@@ -220,6 +238,7 @@ class ExperimentPlan(RunParameters):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        check_seed(self.base_seed, "base_seed")
         if self.replications < 1:
             raise ConfigurationError(f"replications must be at least 1, got {self.replications}")
 

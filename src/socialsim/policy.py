@@ -199,29 +199,24 @@ class ParametricLogitPolicy:
     Within one condition cell the linear predictor is affine in the
     composite, so both stages reduce to precomputed (offset, slope) pairs.
     The threshold probability depends only on likes + reshares, so decide
-    reads it from a table indexed by that total, filled on demand by
-    engage_probability: one numpy pass per feed, with the same floats as a
-    per-post loop.
+    reads it from a dict keyed by that total, filled on demand by the scalar
+    engage_probability: the same floats as a per-post loop.
     """
-
-    _TABLE_LIMIT = 1 << 22  # totals from here up are computed per post, not tabled
 
     def __init__(
         self,
-        threshold_coef: Sequence[float],
-        allocation_coef: Sequence[Sequence[float]],
+        threshold: Sequence[float],
+        allocation: Sequence[Sequence[float]],
         load: LoadLevel,
         norm: NormRegime,
     ):
-        t, a = _coefficients(threshold_coef, allocation_coef)
-        self.threshold_coef = t
-        self.allocation_coef = a
+        t, a = _coefficients(threshold, allocation)
         x0, x1 = design_matrix([0.0, 1.0], LOADS.index(load), NORMS.index(norm))
         self._thr_offset = float(x0 @ t)
         self._thr_slope = float(x1 @ t) - self._thr_offset
         self._alloc_offset = a @ x0  # (2,)
         self._alloc_slope = a @ x1 - self._alloc_offset
-        self._p_table = np.full(64, -1.0)  # engage probability by likes + reshares; -1 = not yet computed
+        self._p_by_total: dict[int, float] = {}  # engage probability by likes + reshares
 
     def engage_probability(self, composite: float) -> float:
         eta = self._thr_offset + self._thr_slope * composite
@@ -241,22 +236,11 @@ class ParametricLogitPolicy:
 
     def engage_probabilities(self, totals: np.ndarray) -> np.ndarray:
         """engage_probability(log1p(total)) for each element of an int64 array of likes + reshares."""
-        try:
-            p = self._p_table[totals]
-        except IndexError:
-            top = int(totals.max())
-            if top >= self._TABLE_LIMIT:
-                return np.array([self.engage_probability(math.log1p(v)) for v in totals.tolist()])
-            table = np.full(min(max(top + 1, 2 * self._p_table.size), self._TABLE_LIMIT), -1.0)
-            table[: self._p_table.size] = self._p_table
-            self._p_table = table
-            p = table[totals]
-        missing = p < 0  # NaN (from a NaN coefficient) counts as computed
-        if missing.any():
-            for v in np.unique(totals[missing]).tolist():
-                self._p_table[v] = self.engage_probability(math.log1p(v))
-            p = self._p_table[totals]
-        return p
+        totals, p = totals.tolist(), self._p_by_total
+        for v in totals:
+            if v not in p:
+                p[v] = self.engage_probability(math.log1p(v))
+        return np.array([p[v] for v in totals])
 
     def decide(self, context: DecisionContext, rng: np.random.Generator) -> Decision:
         feed = context.feed
@@ -356,8 +340,11 @@ def parse_response(raw: str, feed: Feed) -> Decision:
     if action is ActionKind.READ:
         return Decision.read_all()
     target = obj.get("post_id")
-    if isinstance(target, str) and target.strip().lstrip("-").isdigit():
-        target = int(target.strip())
+    if isinstance(target, str):
+        try:
+            target = int(target)
+        except ValueError:  # "²" is a digit that int() refuses; the str degrades below
+            pass
     if not isinstance(target, int) or isinstance(target, bool):
         log.warning("missing or non-integer post_id in policy response, degrading to read-only")
         return Decision.read_all()
@@ -476,22 +463,17 @@ class HttpTransport:
             raise TransportError(str(e)) from e
 
 
+_RETRY_WAIT = 0.5  # seconds before retry k (1-based) of a failed round trip: k * _RETRY_WAIT
+
+
 class LlmPolicy:
     """Decision policy backed by a chat-completion endpoint."""
 
-    def __init__(
-        self,
-        transport,
-        model: str,
-        temperature: float = 0.6,
-        max_retries: int = 3,
-        retry_wait: float = 0.5,
-    ):
+    def __init__(self, transport, model: str, temperature: float = 0.6, max_retries: int = 3):
         self.transport = transport
         self.model = model
         self.temperature = temperature
         self.max_retries = max_retries
-        self.retry_wait = retry_wait
 
     def build_request(self, context: DecisionContext) -> dict:
         return {
@@ -505,16 +487,15 @@ class LlmPolicy:
 
     def decide(self, context: DecisionContext, rng: np.random.Generator) -> Decision:
         request = self.build_request(context)
-        last: TransportError | None = None
         for attempt in range(self.max_retries + 1):
             try:
                 raw = self.transport.complete(request)
                 return parse_response(raw, context.feed)
             except TransportError as e:
                 last = e
-                if attempt < self.max_retries and self.retry_wait > 0:
-                    time.sleep(self.retry_wait * (attempt + 1))
-        raise last if last is not None else TransportError("transport failed")
+                if attempt < self.max_retries:
+                    time.sleep(_RETRY_WAIT * (attempt + 1))
+        raise last
 
 
 # ---------------------------------------------------------------------------

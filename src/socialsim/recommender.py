@@ -8,12 +8,13 @@ authorship keeps the partition reconstructable from persisted logs plus the
 population file.
 
 A feed is one pass of array work over the world's state, not a loop over
-posts. The score vector ``w_recency * recency[now - created_at] +
-w_relevance * relevance`` comes from ``WorldState.scores``, which states the
-formula. An eligibility mask (not the agent's own post, not engaged) is
-split by the follow matrix into the followed and algorithmic pools; each
-pool's top k comes from ``np.partition`` to cut the candidates and a stable
-sort of -score over ids in ascending order, so ties break by ascending post id.
+posts. The score vector ``recency[now - created_at] + w_relevance *
+relevance``, where ``recency`` is a table of ``w_recency * exp(-decay * age)``
+by age, comes from ``WorldState.scores``, which states the formula. An
+eligibility mask (not the agent's own post, not engaged) is split by the
+follow matrix into the followed and algorithmic pools; each pool's top k
+comes from ``np.partition`` to cut the candidates and a stable sort of
+-score over ids in ascending order, so ties break by ascending post id.
 
 The feed is columnar (``Feed``): post ids and the popularity snapshot as
 arrays. Every reader takes the columns: the engine logs them as they are, a

@@ -96,6 +96,55 @@ class TestGenerators:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    """A seed is a non-negative integer wherever it is given; a negative one exits 2 naming it and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["gen-population", "gen-corpus"])
+    def test_generator_flag(self, tmp_path, capsys, command):
+        # Regression: each ended in a numpy traceback with exit 1.
+        out = tmp_path / "out.jsonl"
+        assert main([command, "--seed", "-2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --seed must be a non-negative integer, got -2"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, key, value",
+        [
+            pytest.param({"base_seed": -1}, "base_seed", -1, id="base_seed"),
+            pytest.param({"population_seed": -4}, "population_seed", -4, id="population_seed"),
+            pytest.param({"corpus_seed": -3}, "corpus_seed", -3, id="corpus_seed"),
+        ],
+    )
+    def test_plan_key(self, plan_file, tmp_path, capsys, edit, key, value):
+        # Regression: the first two exited 2 with "expected non-negative integer", which named no key;
+        # a negative corpus_seed did the same.
+        plan_file.write_text(json.dumps({**json.loads(plan_file.read_text()), **edit}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {key} must be a non-negative integer, got {value}"]
+        assert not out.exists()
+
+    def test_base_seed_with_input_files(self, plan_file, tmp_path, capsys):
+        # Regression: with no seed drawn for the inputs, the run went ahead and echoed -1 into the manifest.
+        population, corpus = tmp_path / "pop.jsonl", tmp_path / "corpus.jsonl"
+        assert main(["gen-population", "--n", "40", "--seed", "1", "--out", str(population)]) == 0
+        assert main(["gen-corpus", "--seed", "1", "--out", str(corpus)]) == 0
+        cfg = {**json.loads(plan_file.read_text()), "base_seed": -1, "population": str(population), "corpus": str(corpus)}
+        plan_file.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: base_seed must be a non-negative integer, got -1"]
+        assert not out.exists()
+
+    def test_simulate_flag_is_checked_as_the_plans_base_seed(self, plan_file, tmp_path, capsys):
+        # Regression: --seed replaced the base seed after the plan was checked.
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: base_seed must be a non-negative integer, got -3"]
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2

@@ -112,6 +112,14 @@ class TestReadLogErrors:
             (_exposure_row(agent="x"), "agent must be an integer"),
             (_exposure_row(post=7), "exposure of post 7 before any row creates it"),
             (_SEED_ROW, "post 0 created twice"),
+            # Regression: each of these read without error, the negative sources written back as null.
+            pytest.param('{"kind":"seed","post":5,"author":1,"source":0,"t":0}', "seed post 5 has source 0", id="seed_with_source"),
+            pytest.param('{"kind":"repost","post":5,"author":1,"source":null,"t":1}', "repost post 5 has no source", id="repost_without_source"),
+            pytest.param('{"kind":"quote","post":5,"author":1,"source":null,"t":1}', "quote post 5 has no source", id="quote_without_source"),
+            pytest.param('{"kind":"quote","post":5,"author":1,"source":9,"t":1}', "quote of post 9 before any row creates it", id="unknown_source"),
+            pytest.param('{"kind":"repost","post":5,"author":1,"source":5,"t":1}', "repost of post 5 before any row creates it", id="own_source"),
+            pytest.param('{"kind":"repost","post":5,"author":1,"source":-7,"t":1}', "negative source", id="negative_source"),
+            pytest.param('{"kind":"seed","post":5,"author":1,"source":-1,"t":0}', "negative source", id="minus_one_source"),
         ],
     )
     def test_bad_row_named_by_line(self, tmp_path, bad, reason):
@@ -138,6 +146,14 @@ class TestReadLogErrors:
         with pytest.raises(FormatError) as exc:
             read_log(path)
         assert str(exc.value) == f"{path}, line 3: {key} must be an integer"
+
+    def test_source_created_on_a_later_line(self, tmp_path):
+        repost = '{"kind":"repost","post":2,"author":1,"source":1,"t":1}'
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join([_SEED_ROW, repost, _SEED_ROW.replace('"post":0', '"post":1')]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value) == f"{path}, line 2: repost of post 1 before any row creates it"
 
     def test_exposure_before_its_creation_row(self, tmp_path):
         path = tmp_path / "cell.jsonl"

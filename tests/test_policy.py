@@ -189,7 +189,7 @@ class TestDecideWrapper:
 
         assert decide(Rogue(), _context(), _rng()).action is ActionKind.READ
 
-    def test_transport_failure_degrades_to_read(self):
+    def test_transport_failure_degrades_to_read(self, monkeypatch):
         class FailingTransport:
             calls = 0
 
@@ -197,10 +197,24 @@ class TestDecideWrapper:
                 FailingTransport.calls += 1
                 raise TransportError("boom")
 
-        policy = LlmPolicy(FailingTransport(), model="m", max_retries=2, retry_wait=0.0)
+        waits = []
+        monkeypatch.setattr("socialsim.policy.time.sleep", waits.append)
+        policy = LlmPolicy(FailingTransport(), model="m", max_retries=2)
         d = decide(policy, _context(), _rng())
         assert d.action is ActionKind.READ
         assert FailingTransport.calls == 3  # initial try + 2 retries
+        assert waits == [0.5, 1.0]  # a longer wait before each retry, none after the last try
+
+    def test_digit_that_is_no_integer_degrades_to_read(self, caplog):
+        # Regression: "²".isdigit() is true but int("²") fails, so the ValueError left decide and failed the cell.
+        class Replier:
+            def complete(self, request):
+                return '{"action":"like","post_id":"²"}'
+
+        with caplog.at_level("WARNING", logger="socialsim.policy"):
+            d = decide(LlmPolicy(Replier(), model="m"), _context(), _rng())
+        assert d == Decision.read_all()
+        assert "non-integer post_id" in caplog.text
 
 
 class TestPrompts:
@@ -291,6 +305,19 @@ class TestParseResponse:
     def test_string_post_id_accepted(self):
         d = parse_response('{"action":"like","post_id":"7"}', _context().feed)
         assert d.target == 7
+
+    @pytest.mark.parametrize("post_id, target", [("3", 3), (" 7 ", 7), ("\u0663", 3)], ids=["plain", "spaced", "arabic_indic"])
+    def test_string_post_id_that_int_reads(self, post_id, target):
+        d = parse_response(json.dumps({"action": "like", "post_id": post_id}), _context().feed)
+        assert d.action is ActionKind.LIKE and d.target == target
+
+    @pytest.mark.parametrize("post_id", ["\u00b2", "3\u00b2", "\u2460"], ids=["superscript", "digit_superscript", "circled"])
+    def test_string_post_id_that_int_refuses_degrades(self, caplog, post_id):
+        # Regression: the superscript and circled digits pass str.isdigit, and int() raised ValueError out of parse_response.
+        with caplog.at_level("WARNING", logger="socialsim.policy"):
+            d = parse_response(json.dumps({"action": "like", "post_id": post_id}), _context().feed)
+        assert d == Decision.read_all()
+        assert "non-integer post_id" in caplog.text
 
     def test_boolean_post_id_degrades(self):
         assert parse_response('{"action":"like","post_id":true}', _context().feed).action is ActionKind.READ
