@@ -32,14 +32,14 @@ print(f"artifacts in {out}")
 print(f"cells run: {len(manifest['cells'])}, all ok: {all(c['status'] == 'ok' for c in manifest['cells'])}")
 print(f"population digest (shared by every cell): {manifest['population_sha256'][:16]}...")
 
-# audits recomputed entirely from the files on disk
-_, per_cell = load_experiment(out)
+# audits recomputed entirely from the files on disk, one cell log at a time in name order
+_, cells = load_experiment(out)
 _, loaded_graph = load_population(out / "population.jsonl")
 
 print(f"\n{'cell':<28} {'algo mean':>9} {'max':>4} {'read':>6} {'like':>6} {'repost':>7} {'quote':>6}")
-for name in sorted(per_cell):
-    audit = realized_load_audit(per_cell[name], loaded_graph)
-    shares = descriptive_shares(per_cell[name])
+for name, log in cells:
+    audit = realized_load_audit(log, loaded_graph)
+    shares = descriptive_shares(log)
     s = shares.shares
     print(
         f"{name:<28} {audit.mean:>9.2f} {audit.max:>4} "

@@ -11,7 +11,7 @@ acceptance suite does the same at full scale with tighter bookkeeping.
 import numpy as np
 
 from socialsim import (
-    CellLog,
+    DesignInputs,
     ParametricLogitSpec,
     RunConfig,
     build_design_matrix,
@@ -46,18 +46,20 @@ spec = ParametricLogitSpec(
 profiles, graph = generate_population(200, seed=9)
 corpus = generate_seed_corpus(seed=9)
 
+# Each cell's log is reduced to the four columns the design needs: load,
+# norm, action and likes + reshares. The fits read the cells' rows in order.
 cells = []
 for load in LOADS:
     for norm in NORMS:
         cfg = RunConfig(seed=cell_seed(71, load, norm, 0), load=load, norm=norm,
                         n_agents=200, timesteps=240, activation_p=0.02)
         policy = build_policy(spec, load, norm)
-        cells.append(run(cfg, policy, profiles, graph, corpus))
-log = CellLog.concat(cells)
+        cells.append(DesignInputs.of(run(cfg, policy, profiles, graph, corpus).exposures))
+rows = DesignInputs(*map(np.concatenate, zip(*cells)))
 
-print(f"simulated {len(log.exposures)} exposure rows across 12 cells")
+print(f"simulated {rows.total.size} exposure rows across 12 cells")
 
-X, terms, y = build_design_matrix(log, "threshold")
+X, terms, y = build_design_matrix(rows, "threshold")
 threshold_fit = fit_binary_logistic(X, y, terms=terms)
 m = threshold_fit.metrics
 print(f"\nthreshold model: n={threshold_fit.n_obs}, converged={threshold_fit.converged}, "
@@ -67,7 +69,7 @@ for j, term in enumerate(terms[:7]):
     print(f"{term:<24} {threshold_true[term]:>7.2f} {threshold_fit.coef[0, j]:>7.2f} "
           f"{threshold_fit.se[0, j]:>6.3f} {np.exp(threshold_fit.coef[0, j]):>7.3f}")
 
-Xa, terms_a, ya = build_design_matrix(log, "allocation")
+Xa, terms_a, ya = build_design_matrix(rows, "allocation")
 allocation_fit = fit_multinomial_logistic(Xa, ya, terms=terms_a)
 print(f"\nallocation model: n={allocation_fit.n_obs} engaged rows, converged={allocation_fit.converged}")
 for e, eq in enumerate(allocation_fit.equations):

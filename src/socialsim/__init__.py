@@ -52,6 +52,7 @@ from .population import (
 from .recommender import Feed, select_feed
 from .stats import (
     DESIGN_COLUMNS,
+    DesignInputs,
     FittedModel,
     Scenario,
     build_design_matrix,

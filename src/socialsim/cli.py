@@ -51,6 +51,7 @@ from .population import (
 )
 from .stats import (
     COEFFICIENT_COLUMNS,
+    DesignInputs,
     FittedModel,
     Scenario,
     build_design_matrix,
@@ -199,21 +200,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not (logs_dir / "manifest.json").exists():
         print(f"error: no manifest.json under {logs_dir}", file=sys.stderr)
         return 1
-    manifest, per_cell = load_experiment(logs_dir)
-    log = CellLog.concat(per_cell[cell] for cell in sorted(per_cell))
-    if not len(log.exposures):
-        print("error: logs contain no exposure records", file=sys.stderr)
-        return 1
+    manifest, cells = load_experiment(logs_dir)
     population_path = logs_dir / "population.jsonl"
     profiles, graph = load_population(population_path)
     recorded = manifest.get("population_sha256")
     if recorded is not None and population_digest(profiles, graph) != recorded:
         raise FormatError(f"{population_path}: population digest differs from the manifest's population_sha256 {recorded}")
 
+    # One pass over the cells: each log is reduced to its two table rows and its
+    # design inputs, then dropped before the next one is read.
+    shares_rows, audit_rows, parts = [], [], []
+    for cell, log in cells:
+        shares_rows.append(_shares_row(cell, log))
+        audit_rows.append(_audit_row(cell, log, graph))
+        parts.append(DesignInputs.of(log.exposures))
+        del log  # else the loop variable holds this log while the next is read
+    if not any(part.total.size for part in parts):
+        print("error: logs contain no exposure records", file=sys.stderr)
+        return 1
+    rows = DesignInputs(*map(np.concatenate, zip(*parts)))
+    del parts
+
     # Every stage is checked and fitted before anything is written: a failed analysis leaves no output.
     stages = [stage for stage in ("threshold", "allocation") if args.stage in (stage, "both")]
     for stage in stages:
-        empty = _empty_cells(log, stage)
+        empty = _empty_cells(rows, stage)
         if empty:
             print(f"error: {stage} stage cannot be fitted: no rows in cell(s) {', '.join(empty)}", file=sys.stderr)
             return 1
@@ -221,7 +232,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for stage in stages:
         fit = fit_binary_logistic if stage == "threshold" else fit_multinomial_logistic
         try:
-            X, names, y = build_design_matrix(log, stage)
+            X, names, y = build_design_matrix(rows, stage)
             model = fit(X, y, terms=names)
         except ValueError as e:
             print(f"error: {stage} stage cannot be fitted: {e}", file=sys.stderr)
@@ -232,8 +243,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_table(out / "descriptive_shares.csv", _SHARES_COLUMNS, [_shares_row(cell, per_cell[cell]) for cell in sorted(per_cell)])
-    write_table(out / "load_audit.csv", _AUDIT_COLUMNS, [_audit_row(cell, per_cell[cell], graph) for cell in sorted(per_cell)])
+    write_table(out / "descriptive_shares.csv", _SHARES_COLUMNS, shares_rows)
+    write_table(out / "load_audit.csv", _AUDIT_COLUMNS, audit_rows)
     for model in models:
         write_coefficient_csv(model, out / f"{model.stage}_coefficients.csv")
         save_model(model, out / f"{model.stage}_model.json")
@@ -242,15 +253,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _empty_cells(log: CellLog, stage: str) -> list[str]:
+def _empty_cells(rows: DesignInputs, stage: str) -> list[str]:
     """The load/norm cells where ``stage`` has no row (exposures for threshold, engagements for allocation).
 
     The design's load x norm interactions cannot be fitted without a row in each of the 12 cells.
     """
-    e = log.exposures
-    rows = e.action != ACTIONS.index(ActionKind.READ) if stage == "allocation" else slice(None)
+    used = rows.action != ACTIONS.index(ActionKind.READ) if stage == "allocation" else slice(None)
     present = np.zeros((len(LOADS), len(NORMS)), dtype=bool)
-    present[e.load[rows], e.norm[rows]] = True
+    present[rows.load[used], rows.norm[used]] = True
     return [f"{LOADS[i].value}/{NORMS[j].value}" for i, j in np.argwhere(~present).tolist()]
 
 

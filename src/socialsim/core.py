@@ -232,27 +232,6 @@ class CellLog:
     def __len__(self) -> int:
         return self.is_exposure.size
 
-    @classmethod
-    def concat(cls, logs: Iterable["CellLog"]) -> "CellLog":
-        """The rows of several logs, one log after the other.
-
-        Post ids are per cell, so run ``creation_of`` and the load audit on
-        each cell's own log, not on a concatenation.
-        """
-        logs = list(logs)
-        if not logs:
-            empty = dict.fromkeys(EXPOSURE_KEYS + CREATION_KEYS, [])
-            return cls(ExposureColumns.from_lists(empty), CreationColumns.from_lists(empty), np.zeros(0, dtype=bool))
-
-        def joined(part: str, keys: tuple[str, ...]) -> dict[str, np.ndarray]:
-            return {k: np.concatenate([getattr(getattr(log, part), k) for log in logs]) for k in keys}
-
-        return cls(
-            ExposureColumns(**joined("exposures", EXPOSURE_KEYS)),
-            CreationColumns(**joined("creations", CREATION_KEYS)),
-            np.concatenate([log.is_exposure for log in logs]),
-        )
-
     def creation_of(self) -> np.ndarray:
         """Per exposure row, the index of its post's creation row, -1 if no earlier row creates it.
 

@@ -326,22 +326,31 @@ def run_experiment(
     return manifest
 
 
-def load_experiment(out_dir: str | Path) -> tuple[dict, dict[str, CellLog]]:
-    """Read a persisted experiment: (manifest, log of each completed cell).
+def load_experiment(out_dir: str | Path) -> tuple[dict, Iterator[tuple[str, CellLog]]]:
+    """Read a persisted experiment: its manifest, and (cell name, log) of each completed cell.
 
-    Each log must have the SHA-256 digest its manifest entry records.
+    The manifest is read and checked at once: each ok cell must give its log
+    file and digest as strings, and no two may name the same cell's log. The
+    logs are read lazily, one per step in sorted cell-name order, each
+    checked against the SHA-256 digest its manifest entry records when it is
+    reached; ``dict(cells)`` reads them all.
     """
     out = Path(out_dir)
-    text = read_text(out / "manifest.json", "manifest")
+    path = out / "manifest.json"
+    text = read_text(path, "manifest")
     try:
         manifest = json.loads(text)
         cells = [(c["file"], c["sha256"]) for c in manifest["cells"] if c.get("status") == "ok"]
     except (ValueError, KeyError, TypeError, AttributeError) as e:
-        raise FormatError(f"{out / 'manifest.json'}: not a valid manifest ({type(e).__name__}: {e})") from None
-    per_cell = {}
+        raise FormatError(f"{path}: not a valid manifest ({type(e).__name__}: {e})") from None
     for file, sha256 in cells:
-        per_cell[file.removesuffix(".jsonl")] = read_log(out / "logs" / file, sha256=sha256)
-    return manifest, per_cell
+        if not (isinstance(file, str) and isinstance(sha256, str)):
+            raise FormatError(f"{path}: an ok cell's file and sha256 must be strings, got {file!r} and {sha256!r}")
+    named = sorted((file.removesuffix(".jsonl"), file, sha256) for file, sha256 in cells)
+    for (name, _, _), (next_name, _, _) in zip(named, named[1:]):
+        if name == next_name:
+            raise FormatError(f"{path}: names the log of cell {name!r} twice")
+    return manifest, ((name, read_log(out / "logs" / file, sha256=sha256)) for name, file, sha256 in named)
 
 
 # ---------------------------------------------------------------------------

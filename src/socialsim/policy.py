@@ -400,6 +400,10 @@ class TransportError(RuntimeError):
     """A chat-completion round trip failed after all retries."""
 
 
+class FixtureMiss(TransportError):
+    """A fixture file holds no response for a request; no retry can change that."""
+
+
 def request_hash(request: dict) -> str:
     payload = json.dumps(request, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -428,7 +432,7 @@ class FixtureTransport:
     def complete(self, request: dict) -> str:
         h = request_hash(request)
         if h not in self.responses:
-            raise TransportError(f"no recorded response for request hash {h[:12]}...")
+            raise FixtureMiss(f"no recorded response for request hash {h[:12]}...")
         return self.responses[h]
 
 
@@ -491,6 +495,8 @@ class LlmPolicy:
             try:
                 raw = self.transport.complete(request)
                 return parse_response(raw, context.feed)
+            except FixtureMiss:
+                raise
             except TransportError as e:
                 last = e
                 if attempt < self.max_retries:

@@ -34,7 +34,7 @@ from .core import (
     LOADS,
     NORMS,
     ActionKind,
-    CellLog,
+    ExposureColumns,
     FormatError,
     LoadLevel,
     NormRegime,
@@ -113,21 +113,35 @@ def design_matrix(
     return X
 
 
+class DesignInputs(NamedTuple):
+    """The exposure columns a design is built from, one entry per exposure row:
+    load, norm and action as int8 codes into LOADS, NORMS and ACTIONS, and
+    likes + reshares as int64 (about 11 bytes a row)."""
+
+    load: np.ndarray
+    norm: np.ndarray
+    action: np.ndarray
+    total: np.ndarray
+
+    @classmethod
+    def of(cls, exposures: ExposureColumns) -> "DesignInputs":
+        return cls(exposures.load, exposures.norm, exposures.action, exposures.likes + exposures.reshares)
+
+
 def build_design_matrix(
-    log: CellLog, stage: Literal["threshold", "allocation"]
+    rows: DesignInputs, stage: Literal["threshold", "allocation"]
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Assemble (X, column names, y) from a log's exposure rows.
+    """Assemble (X, column names, y) from exposure rows.
 
     Threshold stage: every row, y = 1 for any engagement.
     Allocation stage: engaged rows only, y in {0: like, 1: repost, 2: quote}.
     """
-    e = log.exposures
-    total = e.likes + e.reshares
+    load, norm, action, total = rows
     if stage == "allocation":
-        rows = _ENGAGED[e.action]
-        load, norm, total, y = e.load[rows], e.norm[rows], total[rows], _ALLOCATION_Y[e.action[rows]]
+        engaged = _ENGAGED[action]
+        load, norm, total, y = load[engaged], norm[engaged], total[engaged], _ALLOCATION_Y[action[engaged]]
     else:
-        load, norm, y = e.load, e.norm, _ENGAGED[e.action].astype(np.int64)
+        y = _ENGAGED[action].astype(np.int64)
     n = y.size
     if not n:
         raise ValueError(f"no usable records for stage {stage!r}")

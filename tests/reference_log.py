@@ -5,8 +5,9 @@ and from plain dicts, one ``json.dumps``/``json.loads`` per line, and the
 design, the load audit, the action shares and the counter recount are loops
 over the records. A post's counters are a PopularityCounters record.
 ``log_from_records`` and ``records_of`` convert between such a list and a
-CellLog, and ``world_counters`` reads a world's counter arrays into records;
-nothing else here reads a CellLog or any numpy column.
+CellLog, ``concat_logs`` joins CellLogs as analyze once did before its fits,
+and ``world_counters`` reads a world's counter arrays into records; nothing
+else here reads a CellLog or any numpy column.
 """
 
 from __future__ import annotations
@@ -121,6 +122,26 @@ def records_of(log: CellLog) -> list[ExposureRecord | PostCreation]:
         ]
     )
     return [next(exposures) if row else next(creations) for row in log.is_exposure.tolist()]
+
+
+def concat_logs(logs: Iterable[CellLog]) -> CellLog:
+    """The rows of several logs, one log after the other.
+
+    Post ids are per cell, so run ``creation_of`` and the load audit on
+    each cell's own log, not on a concatenation.
+    """
+    logs = list(logs)
+    if not logs:
+        return log_from_records([])
+
+    def joined(part: str, keys: tuple[str, ...]) -> dict[str, np.ndarray]:
+        return {k: np.concatenate([getattr(getattr(log, part), k) for log in logs]) for k in keys}
+
+    return CellLog(
+        ExposureColumns(**joined("exposures", EXPOSURE_KEYS)),
+        CreationColumns(**joined("creations", CREATION_KEYS)),
+        np.concatenate([log.is_exposure for log in logs]),
+    )
 
 
 def recount_counters(records: Iterable[ExposureRecord | PostCreation]) -> dict[int, PopularityCounters]:

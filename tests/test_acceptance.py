@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import socialsim as ss
-from socialsim.core import LOADS, NORMS, ActionKind, CellLog, LoadLevel, NormRegime, RunConfig
+from socialsim.core import LOADS, NORMS, ActionKind, LoadLevel, NormRegime, RunConfig
 from socialsim.engine import LogBuilder, initialize, step, substream
 from socialsim.harness import (
     ExperimentPlan,
@@ -40,6 +40,7 @@ from socialsim.population import AgentProfile, FollowGraph, generate_population,
 from socialsim.stats import (
     DESIGN_COLUMNS,
     REFERENCE_THRESHOLD_FIT,
+    DesignInputs,
     binary_loglik,
     binary_score,
     build_design_matrix,
@@ -52,7 +53,7 @@ from socialsim.stats import (
 )
 
 from conftest import make_feed
-from reference_log import ExposureRecord, log_from_records, records_of, recount_counters, world_counters
+from reference_log import ExposureRecord, concat_logs, log_from_records, records_of, recount_counters, world_counters
 
 POPULATION_SEED = 2026
 RECOVERY_BASE_SEED = 202
@@ -107,7 +108,7 @@ def recovery_experiment():
     elapsed = time.perf_counter() - t0
     return {
         "per_cell": per_cell,
-        "log": CellLog.concat(per_cell.values()),
+        "rows": DesignInputs.of(concat_logs(per_cell.values()).exposures),
         "follows": follows,
         "threshold_true": threshold_true,
         "allocation_true": allocation_true,
@@ -153,7 +154,7 @@ def test_c03_threshold_design_has_23_predictors():
         for load in LoadLevel
         for norm in NormRegime
     ]
-    X, names, _ = build_design_matrix(log_from_records(records), "threshold")
+    X, names, _ = build_design_matrix(DesignInputs.of(log_from_records(records).exposures), "threshold")
     assert X.shape[1] == 24
     assert names[0] == "intercept"
     assert len(names) - 1 == 23
@@ -162,12 +163,12 @@ def test_c03_threshold_design_has_23_predictors():
 
 def test_c04_coefficient_recovery(recovery_experiment):
     ex = recovery_experiment
-    assert len(ex["log"].exposures) >= 200_000
+    assert ex["rows"].total.size >= 200_000
 
     t0 = time.perf_counter()
-    X, names, y = build_design_matrix(ex["log"], "threshold")
+    X, names, y = build_design_matrix(ex["rows"], "threshold")
     mt = fit_binary_logistic(X, y, terms=names)
-    Xa, names_a, ya = build_design_matrix(ex["log"], "allocation")
+    Xa, names_a, ya = build_design_matrix(ex["rows"], "allocation")
     ma = fit_multinomial_logistic(Xa, ya, terms=names_a)
     fit_seconds = time.perf_counter() - t0
 
@@ -182,7 +183,7 @@ def test_c04_coefficient_recovery(recovery_experiment):
     total = ex["sim_seconds"] + fit_seconds
     assert total < 180.0, f"recovery took {total:.0f}s"
     _ok(4, "both stages recover known coefficients",
-        f"{len(ex['log'].exposures)} rows, {len(ya)} engaged, {total:.0f}s total")
+        f"{ex['rows'].total.size} rows, {len(ya)} engaged, {total:.0f}s total")
 
 
 def test_c05_closed_form_intercepts():

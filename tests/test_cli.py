@@ -2,18 +2,29 @@ import csv
 import hashlib
 import json
 import shutil
+import weakref
 from pathlib import Path
 from xml.dom import minidom
 
-import numpy as np
 import pytest
 
 import socialsim.cli as cli
+import socialsim.harness as harness
 from socialsim.cli import main
-from socialsim.core import CellLog, ExposureColumns, LoadLevel, NormRegime
-from socialsim.population import generate_population, save_population
-from socialsim.stats import load_model
+from socialsim.core import ExposureColumns, LoadLevel, NormRegime, write_table
+from socialsim.harness import load_experiment
+from socialsim.population import generate_population, load_population, save_population
+from socialsim.stats import (
+    DesignInputs,
+    build_design_matrix,
+    fit_binary_logistic,
+    fit_multinomial_logistic,
+    load_model,
+    save_model,
+    write_coefficient_csv,
+)
 
+from reference_log import concat_logs
 from reference_prediction import reference_predicted_probabilities
 
 
@@ -381,9 +392,9 @@ class TestAnalyze:
             "norm": [list(NormRegime)[norm].value for _, norm in cells],
             "action": ["like"] * (n - 2) + ["read"] * 2,
         })
-        log = CellLog(exposures, CellLog.concat([]).creations, np.ones(n, dtype=bool))
-        assert cli._empty_cells(log, "threshold") == []
-        assert cli._empty_cells(log, "allocation") == ["high/like_dominant", "high/repost_dominant"]
+        rows = DesignInputs.of(exposures)
+        assert cli._empty_cells(rows, "threshold") == []
+        assert cli._empty_cells(rows, "allocation") == ["high/like_dominant", "high/repost_dominant"]
 
     def test_a_failed_fit_writes_nothing(self, run_dir, tmp_path, capsys, monkeypatch):
         # Regression: the shares, the audit and the threshold outputs were written before the allocation fit failed.
@@ -429,6 +440,47 @@ class TestAnalyze:
                 total = sum(float(row[a]) for a in ("read", "like", "repost", "quote"))
                 # file values carry six decimals, so allow their rounding error
                 assert total == pytest.approx(1.0, abs=2e-6)
+
+    def test_files_equal_the_concatenated_log_path(self, run_dir, analysis_dir, tmp_path):
+        # The path analyze took before it reduced each cell as it read it: every log held,
+        # one concatenated log (the oracle concat_logs), both fits, the same writers.
+        _, graph = load_population(run_dir / "population.jsonl")
+        per_cell = dict(load_experiment(run_dir)[1])
+        log = concat_logs(per_cell[cell] for cell in sorted(per_cell))
+        out = tmp_path / "oracle"
+        out.mkdir()
+        write_table(out / "descriptive_shares.csv", cli._SHARES_COLUMNS, [cli._shares_row(c, per_cell[c]) for c in sorted(per_cell)])
+        write_table(out / "load_audit.csv", cli._AUDIT_COLUMNS, [cli._audit_row(c, per_cell[c], graph) for c in sorted(per_cell)])
+        models = []
+        for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
+            X, names, y = build_design_matrix(DesignInputs.of(log.exposures), stage)
+            models.append(fit(X, y, terms=names))
+            write_coefficient_csv(models[-1], out / f"{stage}_coefficients.csv")
+            save_model(models[-1], out / f"{stage}_model.json")
+        write_table(out / "fit_metrics.csv", cli._METRICS_COLUMNS, [cli._metrics_row(m) for m in models])
+        assert sorted(f.name for f in analysis_dir.iterdir()) == sorted(f.name for f in out.iterdir())
+        for f in out.iterdir():
+            assert (analysis_dir / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_one_log_alive_at_a_time(self, run_dir, tmp_path, monkeypatch):
+        # Each cell's log is reduced and dropped before the next is read, and none is left for the fits.
+        logs, alive_at = [], []
+        original = harness.read_log
+
+        def counted(path, *args, **kwargs):
+            alive_at.append(sum(ref() is not None for ref in logs))
+            log = original(path, *args, **kwargs)
+            logs.append(weakref.ref(log))
+            return log
+
+        def design(rows, stage):
+            alive_at.append(sum(ref() is not None for ref in logs))
+            return build_design_matrix(rows, stage)
+
+        monkeypatch.setattr(harness, "read_log", counted)
+        monkeypatch.setattr(cli, "build_design_matrix", design)
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis")]) == 0
+        assert len(logs) == 12 and alive_at == [0] * 14
 
 
 def _corrupt_first_exposure(run_dir: Path, edit, *, update_manifest: bool = True) -> tuple[str, int]:
@@ -494,6 +546,35 @@ class TestAnalyzeMalformedLogs:
         rc, err = self._analyze(run_dir, tmp_path, capsys)
         assert rc == 2
         assert len(err) == 1 and name in err[0] and "SHA-256" in err[0]
+
+    @pytest.mark.parametrize(
+        "edit, says",
+        [
+            pytest.param(lambda cells: cells[0].update(file=5), "must be strings", id="file_number"),
+            pytest.param(lambda cells: cells[0].update(sha256=None), "must be strings", id="sha256_null"),
+            pytest.param(lambda cells: cells[1].update(file=cells[0]["file"], sha256=cells[0]["sha256"]), "twice", id="file_twice"),
+        ],
+    )
+    def test_bad_manifest_cell_exits_2(self, run_dir, tmp_path, capsys, edit, says):
+        # Regression: "file": 5 ended in a TypeError traceback, and a log named twice was read once.
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest["cells"])
+        manifest_path.write_text(json.dumps(manifest))
+        rc, err = self._analyze(run_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and f"{manifest_path}: " in err[0] and says in err[0]
+        assert not (tmp_path / "analysis").exists()
+
+    def test_digest_mismatch_in_the_last_cell_writes_nothing(self, run_dir, tmp_path, capsys):
+        # The last log in sorted order is read after every other cell is reduced; its mismatch still stops analyze.
+        last = max(c["file"] for c in json.loads((run_dir / "manifest.json").read_text())["cells"])
+        path = run_dir / "logs" / last
+        path.write_bytes(path.read_bytes().replace(b'"likes":0', b'"likes":1', 1))
+        rc, err = self._analyze(run_dir, tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and last in err[0] and "SHA-256" in err[0]
+        assert not (tmp_path / "analysis").exists()
 
 
 class TestReport:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reference_log import (
     ExposureRecord,
     PostCreation,
+    concat_logs,
     log_from_records,
     record_to_obj,
     records_of,
@@ -35,7 +36,7 @@ from socialsim.engine import run
 from socialsim.harness import _log_chunks, descriptive_shares, read_log, realized_load_audit, write_log
 from socialsim.policy import build_policy, mock_policy_spec
 from socialsim.population import FollowGraph
-from socialsim.stats import build_design_matrix
+from socialsim.stats import DesignInputs, build_design_matrix
 
 # Heavy-tailed counters: mostly small, sometimes huge.
 COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.sampled_from([10**k for k in range(10)]))
@@ -120,9 +121,9 @@ def _assert_same_design(log: CellLog, exposures: list[ExposureRecord]) -> None:
             X_ref, names_ref, y_ref = reference_build_design_matrix(exposures, stage)
         except ValueError:
             with pytest.raises(ValueError):
-                build_design_matrix(log, stage)
+                build_design_matrix(DesignInputs.of(log.exposures), stage)
             continue
-        X, names, y = build_design_matrix(log, stage)
+        X, names, y = build_design_matrix(DesignInputs.of(log.exposures), stage)
         assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
         assert names == names_ref
         assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
@@ -174,10 +175,15 @@ def test_chunk_size_does_not_change_the_bytes():
 def test_concatenated_design_matches_reference(cells):
     logs = [log_from_records(records) for records, _ in cells]
     exposures = [r for records, _ in cells for r in records if isinstance(r, ExposureRecord)]
-    joined = CellLog.concat(logs)
+    joined = concat_logs(logs)
     assert len(joined) == sum(len(records) for records, _ in cells)
     assert records_of(joined) == [r for records, _ in cells for r in records]
     _assert_same_design(joined, exposures)
+    # analyze joins each cell's design inputs, not the logs: the same columns, dtypes included.
+    if logs:
+        folded = DesignInputs(*map(np.concatenate, zip(*(DesignInputs.of(log.exposures) for log in logs))))
+        for a, b in zip(folded, DesignInputs.of(joined.exposures)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_read_log_equals_from_records_of_an_engine_run(small_population, small_corpus, tmp_path):
@@ -203,4 +209,4 @@ def test_empty_log(tmp_path):
     assert realized_load_audit(log, FollowGraph({})).flagged
     assert descriptive_shares(log).n_records == 0
     with pytest.raises(ValueError):
-        build_design_matrix(log, "threshold")
+        build_design_matrix(DesignInputs.of(log.exposures), "threshold")

@@ -164,12 +164,13 @@ class TestReadLogErrors:
     def test_digest_mismatch_names_the_cell(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
         manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
-        load_experiment(tmp_path)  # intact logs pass the digest check
+        dict(load_experiment(tmp_path)[1])  # intact logs pass the digest check
         cell = manifest["cells"][3]["file"]
         path = tmp_path / "logs" / cell
         path.write_bytes(path.read_bytes().replace(b'"likes":0', b'"likes":1', 1))
+        _, cells = load_experiment(tmp_path)  # a log is checked when it is reached, not before
         with pytest.raises(FormatError, match=f"{cell}: SHA-256 differs"):
-            load_experiment(tmp_path)
+            dict(cells)
 
 
 class TestPlan:
@@ -325,16 +326,18 @@ class TestRunExperiment:
         assert len(by_status["failed"]) == 3
         assert all("synthetic cell failure" in c["error"] for c in by_status["failed"])
         assert len(by_status["ok"]) == 9
-        _, per_cell = load_experiment(tmp_path)
-        assert len(per_cell) == 9  # completed cells retained
+        _, cells = load_experiment(tmp_path)
+        assert len(dict(cells)) == 9  # completed cells retained
 
     def test_load_experiment_round_trip(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
         manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
-        loaded_manifest, per_cell = load_experiment(tmp_path)
+        loaded_manifest, cells = load_experiment(tmp_path)
         assert loaded_manifest == manifest
         rows_by_manifest = {c["file"].removesuffix(".jsonl"): c["rows"] for c in manifest["cells"]}
+        per_cell = dict(cells)
         assert {k: len(v) for k, v in per_cell.items()} == rows_by_manifest
+        assert list(per_cell) == sorted(rows_by_manifest)  # sorted by cell name, not in plan order
 
     def test_history_window_longer_than_eight(self, small_inputs, tmp_path):
         # Regression: a policy-side constant once capped histories at 8, so every
@@ -343,7 +346,7 @@ class TestRunExperiment:
         plan = _tiny_plan(policy=ScriptedSpec(intents=[("like", 0)]), timesteps=16, activation_p=0.9, history_window=12)
         manifest = run_experiment(plan, profiles, graph, corpus, tmp_path)
         assert [c["status"] for c in manifest["cells"]] == ["ok"] * 12
-        _, per_cell = load_experiment(tmp_path)
+        per_cell = dict(load_experiment(tmp_path)[1])
         for log in per_cell.values():
             likes = Counter(r.agent for r in records_of(log) if isinstance(r, ExposureRecord) and r.action is ActionKind.LIKE)
             assert max(likes.values()) > 8
@@ -352,7 +355,7 @@ class TestRunExperiment:
         profiles, graph, corpus = small_inputs
         plan = _tiny_plan(timesteps=60, activation_p=0.2)
         manifest = run_experiment(plan, profiles, graph, corpus, tmp_path)
-        _, per_cell = load_experiment(tmp_path)
+        per_cell = dict(load_experiment(tmp_path)[1])
         for cell in manifest["cells"]:
             load, norm = LoadLevel(cell["load"]), NormRegime(cell["norm"])
             builder = LogBuilder(plan.cell_config(load, norm, cell["replication"]))
@@ -437,7 +440,7 @@ class TestAudits:
         profiles, graph, corpus = small_inputs
         plan = _tiny_plan(policy=ScriptedSpec(intents=["read"]))
         run_experiment(plan, profiles, graph, corpus, tmp_path)
-        _, per_cell = load_experiment(tmp_path)
+        per_cell = dict(load_experiment(tmp_path)[1])
         assert len(per_cell) == 12
         for records in per_cell.values():
             shares = descriptive_shares(records)
@@ -451,7 +454,7 @@ class TestAudits:
         from socialsim.population import load_population
 
         _, loaded_graph = load_population(tmp_path / "population.jsonl")
-        _, per_cell = load_experiment(tmp_path)
+        per_cell = dict(load_experiment(tmp_path)[1])
         name = cell_name(LoadLevel.LOWEST, NormRegime.NO_NORM, 0)
         from_files = realized_load_audit(per_cell[name], loaded_graph)
         in_memory = realized_load_audit(per_cell[name], graph)

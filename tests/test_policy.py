@@ -22,6 +22,7 @@ from socialsim.policy import (
     Decision,
     DecisionContext,
     FixtureTransport,
+    HttpTransport,
     LlmPolicy,
     LlmSpec,
     ParametricLogitPolicy,
@@ -365,6 +366,35 @@ class TestTransports:
         d = decide(policy, context, _rng())
         assert d.action is ActionKind.REPOST and d.target == 3
 
+
+    def test_fixture_miss_degrades_without_a_retry(self, tmp_path, monkeypatch):
+        # Regression: a miss was retried as a network failure is, waiting 0.5 + 1.0 + 1.5 s before it degraded.
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text("")
+        transport = FixtureTransport(fixture)
+        calls, complete = [], transport.complete
+        monkeypatch.setattr(transport, "complete", lambda request: calls.append(request) or complete(request))
+        waits = []
+        monkeypatch.setattr("socialsim.policy.time.sleep", waits.append)
+        assert decide(LlmPolicy(transport, model="m"), _context(), _rng()) == Decision.read_all()
+        assert len(calls) == 1 and waits == []
+
+    def test_http_failure_is_retried_with_growing_waits(self, monkeypatch):
+        import requests
+
+        class RefusingSession:
+            calls = 0
+
+            def post(self, *args, **kwargs):
+                RefusingSession.calls += 1
+                raise requests.ConnectionError("refused")
+
+        transport = HttpTransport("http://localhost:9")
+        transport._session = RefusingSession()
+        waits = []
+        monkeypatch.setattr("socialsim.policy.time.sleep", waits.append)
+        assert decide(LlmPolicy(transport, model="m"), _context(), _rng()) == Decision.read_all()
+        assert RefusingSession.calls == 4 and waits == [0.5, 1.0, 1.5]  # the default 3 retries
 
 class TestPolicySpecs:
     def test_round_trip(self):

@@ -14,6 +14,7 @@ from socialsim.stats import (
     ALLOCATION_EQUATIONS,
     DESIGN_COLUMNS,
     N_COLUMNS,
+    DesignInputs,
     FittedModel,
     Scenario,
     binary_loglik,
@@ -44,6 +45,11 @@ def _record(action=ActionKind.READ, likes=0, reshares=0, load=LoadLevel.LOWEST, 
     return ExposureRecord(run=1, load=load, norm=norm, t=t, agent=agent, post=post, likes=likes, reshares=reshares, action=action)
 
 
+def _rows(records):
+    """The design inputs of a list of ExposureRecords."""
+    return DesignInputs.of(log_from_records(records).exposures)
+
+
 def _design(composites, load, norm):
     """Design rows for composites in one load x norm cell."""
     return design_matrix(np.atleast_1d(composites), LOADS.index(load), NORMS.index(norm))
@@ -51,20 +57,20 @@ def _design(composites, load, norm):
 
 class TestDesignMatrix:
     def test_24_columns_23_predictors(self):
-        X, names, y = build_design_matrix(log_from_records([_record(), _record(action=ActionKind.LIKE)]), "threshold")
+        X, names, y = build_design_matrix(_rows([_record(), _record(action=ActionKind.LIKE)]), "threshold")
         assert X.shape[1] == N_COLUMNS == 24
         assert names[0] == "intercept"
         assert len(names) - 1 == 23
 
     def test_reference_cell_row_is_intercept_only(self):
-        X, _, _ = build_design_matrix(log_from_records([_record(likes=0, reshares=0)]), "threshold")
+        X, _, _ = build_design_matrix(_rows([_record(likes=0, reshares=0)]), "threshold")
         expected = np.zeros(24)
         expected[0] = 1.0
         assert np.array_equal(X[0], expected)
 
     def test_three_way_product_column(self):
         r = _record(likes=3, reshares=2, load=LoadLevel.HIGH, norm=NormRegime.REPOST_DOMINANT)
-        X, names, _ = build_design_matrix(log_from_records([r]), "threshold")
+        X, names, _ = build_design_matrix(_rows([r]), "threshold")
         c = math.log1p(5)
         j = names.index("popularity:high_load:repost_norm")
         assert X[0, j] == pytest.approx(c)
@@ -83,7 +89,7 @@ class TestDesignMatrix:
         # Reordering or mislabelling a design term fails here, in every load x norm cell:
         # the order is the reported table's, and each column holds what its name spells.
         records = [_record(likes=likes, reshares=1, load=load, norm=norm) for likes in (0, 7)]
-        X, names, _ = build_design_matrix(log_from_records(records), "threshold")
+        X, names, _ = build_design_matrix(_rows(records), "threshold")
         assert names == DESIGN_COLUMNS == [term for term, *_ in REFERENCE_THRESHOLD_TABLE]
         norm_name = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT: "repost_norm"}.get(norm)
         for i, r in enumerate(records):
@@ -95,7 +101,7 @@ class TestDesignMatrix:
 
     def test_threshold_outcome_coding(self):
         records = [_record(), _record(action=ActionKind.LIKE), _record(action=ActionKind.QUOTE)]
-        _, _, y = build_design_matrix(log_from_records(records), "threshold")
+        _, _, y = build_design_matrix(_rows(records), "threshold")
         assert y.tolist() == [0, 1, 1]
 
     def test_allocation_filters_reads(self):
@@ -104,7 +110,7 @@ class TestDesignMatrix:
             _record(action=ActionKind.REPOST),
             _record(action=ActionKind.QUOTE),
         ]
-        X, _, y = build_design_matrix(log_from_records(records), "allocation")
+        X, _, y = build_design_matrix(_rows(records), "allocation")
         assert X.shape[0] == 3
         assert y.tolist() == [0, 1, 2]
 
@@ -119,10 +125,10 @@ class TestDesignMatrix:
             )
             for _ in range(100)
         ]
-        X1, n1, _ = build_design_matrix(log_from_records(records), "threshold")
+        X1, n1, _ = build_design_matrix(_rows(records), "threshold")
         shuffled = list(records)
         rng.shuffle(shuffled)
-        X2, n2, _ = build_design_matrix(log_from_records(shuffled), "threshold")
+        X2, n2, _ = build_design_matrix(_rows(shuffled), "threshold")
         assert n1 == n2 and X1.shape == X2.shape
 
     def test_main_effect_only_roster_has_7_columns(self):
