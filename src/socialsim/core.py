@@ -360,16 +360,24 @@ def read_text(path: str | Path, what: str) -> str:
     return utf8_text(read_bytes(path, what), path)
 
 
+# JSON whitespace other than the newline that ends a JSON Lines line. Lines
+# split at "\n" only: str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e,
+# \x85, U+2028 and U+2029, which a JSON string may hold and JSON rejects
+# outside one. A line of JSON whitespace alone is blank.
+JSON_SPACE = " \t\r"
+
+
 def read_rows(path: str | Path, cls: type, what: str) -> list[tuple[int, Any]]:
     """The rows of a JSON Lines file of ``what`` (say "population"), each read by from_obj as a ``cls``.
 
-    Returns (1-based line number, row) pairs; blank lines are skipped. A
-    missing file, text that is not UTF-8, or a line that is not JSON or not a
-    valid ``cls`` raises FormatError, for a line as "<path>, line <n>: ...".
+    Returns (1-based line number, row) pairs; lines end at "\n" (a CRLF line
+    end is one), and blank lines are skipped. A missing file, text that is
+    not UTF-8, or a line that is not JSON or not a valid ``cls`` raises
+    FormatError, for a line as "<path>, line <n>: ...".
     """
     rows = []
-    for number, line in enumerate(read_text(path, what).splitlines(), 1):
-        if not line.strip():
+    for number, line in enumerate(read_text(path, what).split("\n"), 1):
+        if not line.strip(JSON_SPACE):
             continue
         try:
             rows.append((number, from_obj(cls, json.loads(line), f"{what} key")))

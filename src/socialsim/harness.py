@@ -7,8 +7,8 @@ line) so every audit in this module can be recomputed by an external
 reader of the artifact directory, and the manifest carries SHA-256 digests
 of everything written. This module owns that log format: ``write_log``
 formats the columns of a ``CellLog`` a chunk of rows at a time, ``read_log``
-parses a file straight into those columns, and the audits below compute
-from them.
+parses a file into those columns a chunk of lines at a time, and the audits
+below compute from them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     ACTIONS,
     CREATION_KEYS,
     EXPOSURE_KEYS,
+    JSON_SPACE,
     LOADS,
     NORMS,
     POST_KINDS,
@@ -115,36 +116,55 @@ def write_log(log: CellLog, path: str | Path) -> str:
 
 
 def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
-    """Parse a JSONL event log into columns.
+    """Parse a JSONL event log into columns, ``_CHUNK_ROWS`` rows at a time.
 
-    Each non-blank line is one JSON object, with its keys in any order and
-    any spacing; a line with an "action" key is an exposure row, any other a
-    post-creation row. With ``sha256`` given (a manifest's digest), the
-    file's bytes must have that digest. Raises FormatError naming the file
-    if it is missing, a directory or not UTF-8, and the 1-based line for a
-    bad row: invalid JSON, a missing key, an unknown enum value, a value
-    that is not a JSON integer (1.5, 1e3, "3" and true are not), a counter
-    outside [0, 2**62), a negative source, an exposure of a post no earlier
-    row creates, a post created twice, a seed row with a source, or a repost
-    or quote row whose source no earlier row creates.
+    Lines end at "\n" (a CRLF line end is one). Each non-blank line is one
+    JSON object, with its keys in any order and any spacing; a line with an
+    "action" key is an exposure row, any other a post-creation row. With
+    ``sha256`` given (a manifest's digest), the file's bytes must have that
+    digest. Raises FormatError naming the file if it is missing, a directory
+    or not UTF-8, and the 1-based line for a bad row: invalid JSON, a
+    missing key, an unknown enum value, a value that is not a JSON integer
+    (1.5, 1e3, "3" and true are not), a counter outside [0, 2**62), a
+    negative source, an exposure of a post no earlier row creates, a post
+    created twice, a seed row with a source, or a repost or quote row whose
+    source no earlier row creates.
     """
     path = Path(path)
     data = read_bytes(path, "event log")
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise FormatError(f"{path}: SHA-256 differs from the manifest's {sha256}")
-    lines = utf8_text(data, path).splitlines()
-    rows = list(filter(str.strip, lines))  # blank lines are skipped
+    lines = utf8_text(data, path).split("\n")
+    rows = [line for line in lines if line.strip(JSON_SPACE)]  # blank lines are skipped
     try:
-        objs = json.loads("[" + ",".join(rows) + "]")
-        if len(objs) != len(rows):  # a line held more or less than one value
-            raise FormatError("row count")
-        log = _log_from_objs(objs)
+        # Each chunk's parsed dicts are dropped once its columns are built; an empty log is one empty chunk.
+        log = _concat([_parse_rows(rows[lo : lo + _CHUNK_ROWS]) for lo in range(0, len(rows) or 1, _CHUNK_ROWS)])
         c = log.creations
         if (log.creation_of() < 0).any() or np.unique(c.post).size != len(c) or _unsourced(c).any():
             raise FormatError("creation rows")
     except (ValueError, RecursionError):  # JSONDecodeError and FormatError included
         raise _locate_error(path, lines) from None
     return log
+
+
+def _parse_rows(rows: list[str]) -> CellLog:
+    """Columns of log lines parsed by one json.loads; FormatError on a line that is not one valid record."""
+    objs = json.loads("[" + ",".join(rows) + "]")
+    if len(objs) != len(rows):  # a line held more or less than one value
+        raise FormatError("row count")
+    return _log_from_objs(objs)
+
+
+def _concat(logs: list[CellLog]) -> CellLog:
+    """One log of the rows of ``logs``, in order."""
+    def join(parts: list) -> dict[str, np.ndarray]:
+        return {f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(parts[0])}
+
+    return CellLog(
+        ExposureColumns(**join([log.exposures for log in logs])),
+        CreationColumns(**join([log.creations for log in logs])),
+        np.concatenate([log.is_exposure for log in logs]),
+    )
 
 
 def _log_from_objs(objs: list) -> CellLog:
@@ -181,7 +201,7 @@ def _locate_error(path: Path, lines: list[str]) -> FormatError:
     """Re-read the log one line at a time and name its first bad line."""
     created: set[int] = set()
     for number, line in enumerate(lines, 1):
-        if not line.strip():
+        if not line.strip(JSON_SPACE):
             continue
         try:
             row = _log_from_objs([json.loads(line)])

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
@@ -91,25 +89,39 @@ DESIGN_COLUMNS = [term.name for term in _TERMS]
 N_COLUMNS = len(DESIGN_COLUMNS)  # 24: intercept + 23 predictors
 
 
+# Rows per block of the design build: its (N_COLUMNS, block) float64 buffer is 3 MB, small enough to stay in a
+# last-level cache while the block's columns are filled and copied out.
+_BLOCK_ROWS = 1 << 14
+
+
 def design_matrix(
     composite: np.typing.ArrayLike, load_codes: np.typing.ArrayLike, norm_codes: np.typing.ArrayLike
 ) -> np.ndarray:
-    """The (n, N_COLUMNS) design for n composites and their LOADS and NORMS codes.
+    """The (n, N_COLUMNS) C-ordered design for n composites and their LOADS and NORMS codes.
 
     A code may also be one integer for every row. Each column multiplies its
     term's factors left to right (composite, load dummy, norm dummy); a term
-    without factors is the intercept column of ones.
+    without factors is the intercept column of ones. The columns of each
+    block of ``_BLOCK_ROWS`` rows are filled as contiguous rows of one buffer,
+    then copied into ``X`` transposed.
     """
-    c = np.asarray(composite, dtype=np.float64)
-    load_codes, norm_codes = np.asarray(load_codes), np.asarray(norm_codes)
-    loads = {lv: (load_codes == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
-    norms = {nr: (norm_codes == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
+    c = np.atleast_1d(np.asarray(composite, dtype=np.float64))
+    load_codes, norm_codes = np.broadcast_to(load_codes, c.shape), np.broadcast_to(norm_codes, c.shape)
     X = np.empty((c.size, N_COLUMNS), dtype=np.float64)
-    for j, term in enumerate(_TERMS):
-        factors = [c] if term.popularity else []
-        factors += [loads[term.load]] if term.load is not None else []
-        factors += [norms[term.norm]] if term.norm is not None else []
-        X[:, j] = reduce(operator.mul, factors) if factors else 1.0
+    buffer = np.empty((N_COLUMNS, min(c.size, _BLOCK_ROWS)), dtype=np.float64)
+    for lo in range(0, c.size, _BLOCK_ROWS):
+        rows = slice(lo, min(lo + _BLOCK_ROWS, c.size))
+        block = buffer[:, : rows.stop - lo]
+        loads = {lv: (load_codes[rows] == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
+        norms = {nr: (norm_codes[rows] == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
+        for column, term in zip(block, _TERMS):
+            factors = [c[rows]] if term.popularity else []
+            factors += [loads[term.load]] if term.load is not None else []
+            factors += [norms[term.norm]] if term.norm is not None else []
+            column[:] = factors[0] if factors else 1.0
+            for factor in factors[1:]:
+                np.multiply(column, factor, out=column)
+        X[rows] = block.T
     return X
 
 

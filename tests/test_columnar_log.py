@@ -22,6 +22,7 @@ from reference_log import (
     reference_read_log,
     reference_realized_load_audit,
 )
+import socialsim.harness as harness
 from socialsim.core import (
     CREATION_KEYS,
     EXPOSURE_KEYS,
@@ -186,19 +187,38 @@ def test_concatenated_design_matches_reference(cells):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_read_log_equals_from_records_of_an_engine_run(small_population, small_corpus, tmp_path):
-    profiles, graph = small_population
+def _engine_log(profiles, graph, corpus) -> CellLog:
     cfg = RunConfig(seed=3, load=LoadLevel.MEDIUM, norm=NormRegime.REPOST_DOMINANT, n_agents=40, timesteps=40, activation_p=0.2)
-    log = run(cfg, build_policy(mock_policy_spec(), cfg.load, cfg.norm), profiles, graph, small_corpus)
+    return run(cfg, build_policy(mock_policy_spec(), cfg.load, cfg.norm), profiles, graph, corpus)
+
+
+def _assert_same_columns(a: CellLog, b: CellLog) -> None:
+    assert a.is_exposure.dtype == b.is_exposure.dtype and np.array_equal(a.is_exposure, b.is_exposure)
+    for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
+        for k in keys:
+            x, y = getattr(getattr(a, part), k), getattr(getattr(b, part), k)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (part, k)
+
+
+def test_read_log_equals_from_records_of_an_engine_run(small_population, small_corpus, tmp_path):
+    log = _engine_log(*small_population, small_corpus)
     write_log(log, tmp_path / "cell.jsonl")
     read = read_log(tmp_path / "cell.jsonl")
     for built in (log, log_from_records(records_of(log))):
-        assert np.array_equal(read.is_exposure, built.is_exposure)
-        for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
-            for k in keys:
-                a, b = getattr(getattr(read, part), k), getattr(getattr(built, part), k)
-                assert a.dtype == b.dtype and np.array_equal(a, b), (part, k)
+        _assert_same_columns(read, built)
     assert len(read.creations) > 0 and len(read.exposures) > 0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_chunk_size_does_not_change_what_read_log_returns(small_population, small_corpus, tmp_path, monkeypatch, rows):
+    path = tmp_path / "cell.jsonl"
+    write_log(_engine_log(*small_population, small_corpus), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\n", 7))  # blank lines do not count as rows
+    default = read_log(path)
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+    chunked = read_log(path)
+    assert len(chunked) == len(default) > 2 * rows
+    _assert_same_columns(chunked, default)
 
 
 def test_empty_log(tmp_path):

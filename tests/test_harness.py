@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import socialsim.harness as harness
 from socialsim.cli import read_config
 from socialsim.core import LOADS, NORMS, ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
 from socialsim.harness import (
@@ -161,6 +162,35 @@ class TestReadLogErrors:
         with pytest.raises(FormatError, match="line 1: exposure of post 0"):
             read_log(path)
 
+    def test_line_ending_in_form_feed_is_invalid_json(self, tmp_path):
+        # Regression: str.splitlines ended the line at the form feed, so the row read
+        # without error and every later line number was one too high.
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join([_SEED_ROW, _READ_ROW + "\x0c", _READ_ROW]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value).startswith(f"{path}, line 2: invalid JSON")
+
+    def test_other_line_breaks_inside_a_string_stay_in_their_line(self, tmp_path):
+        # A key read_log does not use may hold any JSON string, here one with raw U+2028 and U+0085.
+        noted = _SEED_ROW[:-1] + ',"note":"a\u2028b\x85c"}'
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join([noted, _READ_ROW]) + "\n", encoding="utf-8")
+        assert len(read_log(path)) == 2
+        path.write_text("\n".join([noted, _READ_ROW, _exposure_row(post=7)]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value) == f"{path}, line 3: exposure of post 7 before any row creates it"
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "cell.jsonl"
+        path.write_bytes("\r\n".join([_SEED_ROW, "", _READ_ROW]).encode() + b"\r\n")
+        log = read_log(path)
+        assert len(log) == 2 and log.is_exposure.tolist() == [False, True]
+        path.write_bytes("\r\n".join([_SEED_ROW, "", _READ_ROW, _exposure_row(post=7)]).encode() + b"\r\n")
+        with pytest.raises(FormatError, match="line 4: exposure of post 7"):
+            read_log(path)
+
     def test_digest_mismatch_names_the_cell(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
         manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
@@ -171,6 +201,45 @@ class TestReadLogErrors:
         _, cells = load_experiment(tmp_path)  # a log is checked when it is reached, not before
         with pytest.raises(FormatError, match=f"{cell}: SHA-256 differs"):
             dict(cells)
+
+
+@pytest.fixture
+def two_rows_a_chunk(monkeypatch):
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 2)
+
+
+@pytest.mark.usefixtures("two_rows_a_chunk")
+class TestReadLogErrorsInChunksOfTwo(TestReadLogErrors):
+    """Every case above again, with read_log parsing two lines per chunk: the same message and line."""
+
+
+@pytest.mark.usefixtures("two_rows_a_chunk")
+class TestReadLogAcrossChunks:
+    """The creation rules hold over the whole log, not within a chunk: here each chunk is two lines."""
+
+    def _read(self, tmp_path, rows):
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        return read_log(path)
+
+    def test_exposure_of_a_post_created_in_an_earlier_chunk(self, tmp_path):
+        seed_1 = _SEED_ROW.replace('"post":0', '"post":1')
+        log = self._read(tmp_path, [_SEED_ROW, seed_1, _READ_ROW, _exposure_row(post=1), _READ_ROW])
+        assert log.is_exposure.tolist() == [False, False, True, True, True]
+        assert log.exposures.post.tolist() == [0, 1, 0] and log.creation_of().tolist() == [0, 1, 0]
+
+    def test_post_created_again_in_a_later_chunk(self, tmp_path):
+        # Each chunk alone keeps every rule; only the whole log creates post 0 twice.
+        seed_1 = _SEED_ROW.replace('"post":0', '"post":1')
+        with pytest.raises(FormatError) as exc:
+            self._read(tmp_path, [_SEED_ROW, _READ_ROW, seed_1, _exposure_row(post=1), _SEED_ROW])
+        assert str(exc.value) == f"{tmp_path / 'cell.jsonl'}, line 5: post 0 created twice"
+
+    def test_repost_whose_source_comes_in_a_later_chunk(self, tmp_path):
+        repost = '{"kind":"repost","post":2,"author":1,"source":1,"t":1}'
+        with pytest.raises(FormatError) as exc:
+            self._read(tmp_path, [_SEED_ROW, repost, _READ_ROW, _SEED_ROW.replace('"post":0', '"post":1')])
+        assert str(exc.value) == f"{tmp_path / 'cell.jsonl'}, line 2: repost of post 1 before any row creates it"
 
 
 class TestPlan:

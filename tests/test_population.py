@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -263,6 +264,44 @@ class TestRowTypes:
         load, path = _write_rows(tmp_path, kind, key, value)
         with pytest.raises(FormatError, match=re.escape(f"{path}, line 2: ") + f".*{named}"):
             load(path)
+
+
+class TestLineEnds:
+    """core.read_rows ends a line at "\n" only; a CRLF line end is one, since "\r" is JSON whitespace."""
+
+    # The characters besides "\n" and "\r" at which str.splitlines breaks a line.
+    OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+    def test_strings_holding_other_line_breaks_round_trip(self, tmp_path):
+        # Regression: save_corpus writes these characters raw, and load_corpus broke the
+        # line at each of them, so the file it had written read as "line 1: invalid JSON".
+        bodies = [f"{_BODY} {ch} end" for ch in self.OTHER_BREAKS]
+        save_corpus(bodies, tmp_path / "corpus.jsonl")
+        assert load_corpus(tmp_path / "corpus.jsonl") == bodies
+        profiles, graph = generate_population(12, seed=3)
+        profiles = [dataclasses.replace(p, name=p.name + ch) for p, ch in zip(profiles, self.OTHER_BREAKS * 2)]
+        save_population(profiles, graph, tmp_path / "population.jsonl")
+        assert load_population(tmp_path / "population.jsonl") == (profiles, graph)
+
+    def test_bad_line_after_a_string_with_u2028_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"content": _BODY + "\u2028"}, ensure_ascii=False) + "\n\n{\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}, line 3: invalid JSON")):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_FILES))
+    def test_crlf_line_ends(self, tmp_path, kind):
+        load, rows = _ROW_FILES[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_bytes("".join(json.dumps(row) + "\r\n" for row in rows).encode())
+        assert len(load(path)) == 2
+
+    def test_form_feed_ending_a_line_is_invalid_json(self, tmp_path):
+        # Regression: the form feed ended the line, so json.loads never saw it and the row loaded.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"content": _BODY}) + "\x0c\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}, line 1: invalid JSON")):
+            load_corpus(path)
 
 
 class TestFollowGraph:

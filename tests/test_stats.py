@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from socialsim.core import LOADS, NORMS, ActionKind, FormatError, LoadLevel, NormRegime
+from socialsim.stats import _BLOCK_ROWS
 from socialsim.stats import (
     ALLOCATION_EQUATIONS,
     DESIGN_COLUMNS,
@@ -38,6 +39,7 @@ from socialsim.stats import (
 )
 
 from reference_log import ExposureRecord, log_from_records
+from reference_design import reference_design_matrix
 from reference_prediction import reference_predicted_probabilities
 
 
@@ -130,6 +132,19 @@ class TestDesignMatrix:
         rng.shuffle(shuffled)
         X2, n2, _ = build_design_matrix(_rows(shuffled), "threshold")
         assert n1 == n2 and X1.shape == X2.shape
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+    def test_blocked_build_is_bit_equal_to_the_column_loop(self, n):
+        # Block edges fall at every multiple of _BLOCK_ROWS; each case checks array codes and every scalar code pair.
+        rng = np.random.default_rng(n)
+        composite = np.log1p(rng.integers(0, 10**6, n).astype(np.float64)) * rng.choice([1.0, 1e-300, 1e300], n)
+        cases = [(rng.integers(0, len(LOADS), n), rng.integers(0, len(NORMS), n))]
+        cases += [(load, norm) for load in range(len(LOADS)) for norm in range(len(NORMS))]
+        for load_codes, norm_codes in cases:
+            X = design_matrix(composite, load_codes, norm_codes)
+            assert X.shape == (n, N_COLUMNS) and X.dtype == np.float64
+            assert X.flags.c_contiguous  # the fits' BLAS calls see the layout they always did
+            assert np.array_equal(X.view(np.int64), reference_design_matrix(composite, load_codes, norm_codes).view(np.int64))
 
     def test_main_effect_only_roster_has_7_columns(self):
         mains = [n for n in DESIGN_COLUMNS if ":" not in n]
