@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 import types
@@ -396,7 +397,8 @@ def read_table(path: str | Path, what: str, columns: Sequence[str]) -> list[tupl
     The header names each of ``columns`` once, in any order, and no name twice; each row has one field per
     column; blank lines are skipped. Any fault (read_text's, a bad header or row, no row) raises FormatError.
     """
-    reader = csv.reader(read_text(path, "CSV table").splitlines())
+    # Lines end only where the csv module ends them: at \r or \n outside quotes, not at U+2028 or \x85.
+    reader = csv.reader(io.StringIO(read_text(path, "CSV table"), newline=""))
     header = next(reader, [])
     if len(set(header)) != len(header) or not set(columns) <= set(header):
         raise FormatError(f"{path}, line 1: header must name the columns {', '.join(columns[:-1])} and {columns[-1]} once each, got {header}")

@@ -21,13 +21,21 @@ follow matrix, and a keywords x posts word incidence from which each
 activation scores its agent's keyword relevance (see WorldState).
 
 Randomness comes from counter-keyed substreams of the run seed: one stream
-per timestep for activations, one per (timestep, agent) for decisions.
-Replays of the same (config, population, corpus, policy fixtures) produce
-byte-identical logs regardless of refactoring order.
+per timestep for activations, keyed (seed, 1, t), and one per activated
+(timestep, agent) for decisions, keyed (seed, 2, t, agent). Each is the
+generator ``np.random.default_rng(key)`` would give. Neither key reads the
+world, so ``schedule`` seeds all of a run's streams before its first step,
+in two vectorized passes of SeedSequence's hash: one for the timesteps'
+activation streams, then one for the decision streams of the agents those
+draws activate. A decision keeps only its four seed words until its feed
+turns out non-empty; then PCG64 is seeded from them. Replays of the same
+(config, population, corpus, policy fixtures) produce byte-identical logs
+regardless of refactoring order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from typing import Sequence
@@ -54,10 +62,112 @@ from .recommender import Feed, content_tokens, select_feed
 _STREAM_ACTIVATION = 1
 _STREAM_DECISION = 2
 
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
-def substream(seed: int, stream: int, *keys: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, stream, keys...)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, stream, *keys)))
+
+def _int_words(n: int) -> list[int]:
+    """SeedSequence's entropy words of a non-negative int: its little-endian 32-bit words, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(prefix: tuple[int, ...], *columns: np.ndarray) -> np.ndarray:
+    """Row i: ``generate_state(4, np.uint64)`` of numpy's SeedSequence of ``(*prefix, *(c[i] for c in columns))``.
+
+    Those are the words PCG64 seeds from. ``columns`` are equal-length arrays
+    of non-negative int64. A value of 2**32 or more gives two entropy words
+    where a smaller one gives one, so the rows are hashed in groups of equal
+    word count.
+    """
+    head = [w for key in prefix for w in _int_words(key)]
+    cols = [np.asarray(c, dtype=np.uint64) for c in columns]
+    wide = sum((c > _MASK32).astype(np.intp) << i for i, c in enumerate(cols))  # bit i: column i takes two words
+    out = np.empty((len(cols[0]), 4), dtype=np.uint64)
+    for pattern in set(wide.tolist()):
+        rows = np.flatnonzero(wide == pattern)
+        entropy = [np.full(rows.size, w, dtype=np.uint32) for w in head]
+        for i, c in enumerate(cols):
+            values = c[rows]
+            entropy.append((values & _MASK32).astype(np.uint32))
+            if pattern >> i & 1:
+                entropy.append((values >> 32).astype(np.uint32))
+        out[rows] = _seed_sequence_state(entropy)
+    return out
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence's pool mixing and ``generate_state(4, np.uint64)``, one row per element of the word arrays.
+
+    ``entropy`` holds a key's words in order, one uint32 array per word
+    position. numpy's uint32 arithmetic wraps, as the C code's does.
+    """
+    n = entropy[0].size
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result ^= result >> 16
+        return result
+
+    # Keys shorter than the pool of 4 words are padded with the hash of 0.
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: 8 words from the pool in turn, each pair (low, high) one uint64.
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value *= const
+        value ^= value >> 16
+        state.append(value.astype(np.uint64))
+    return np.stack([state[2 * j] | state[2 * j + 1] << 32 for j in range(4)], axis=1)
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator ``np.random.default_rng(key)`` gives, from the key's 4 seed words (``_seed_words``)."""
+    return np.random.Generator(np.random.PCG64(_seed_type()(words)))
+
+
+@functools.cache
+def _seed_type() -> type:
+    """A numpy ISeedSequence whose ``generate_state`` returns the words it holds (PCG64 asks for 4 uint64).
+
+    Built on first use: importing numpy.random.bit_generator with this module
+    would load numpy.random into every CLI process, simulating or not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return SeedWords
 
 
 _ACTION_CODES = {a: i for i, a in enumerate(ACTIONS)}
@@ -336,11 +446,33 @@ def initialize(
     return world
 
 
-def step(world: WorldState, t: int, config: RunConfig, policy: Policy, log: LogBuilder) -> None:
-    """Advance one timestep: activate, build feeds, decide, apply, log."""
+def schedule(config: RunConfig, agent_ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per timestep: the activated agents, ascending, and the seed words of their decision streams, row for row.
+
+    Step t activates the agents whose draw from the stream keyed (seed, 1, t),
+    one uniform per agent of ``agent_ids`` in order, is below activation_p.
+    An activated agent's decision stream is keyed (seed, 2, t, agent).
+    """
+    ts = np.arange(config.timesteps, dtype=np.int64)
+    active = [
+        agent_ids[_generator(words).random(len(agent_ids)) < config.activation_p]
+        for words in _seed_words((config.seed, _STREAM_ACTIVATION), ts)
+    ]
+    counts = [agents.size for agents in active]
+    seeds = _seed_words((config.seed, _STREAM_DECISION), np.repeat(ts, counts), np.concatenate(active))
+    return list(zip(active, np.split(seeds, np.cumsum(counts)[:-1])))
+
+
+def step(
+    world: WorldState, t: int, config: RunConfig, policy: Policy, log: LogBuilder, agents: np.ndarray, seeds: np.ndarray
+) -> None:
+    """Advance one timestep: build feeds, decide, apply, log.
+
+    ``agents`` and ``seeds`` are the step's entry of ``schedule``: the activated
+    agents in ascending id order and their decision streams' seed words.
+    """
     world.now = t
-    draws = substream(config.seed, _STREAM_ACTIVATION, t).random(len(world.agent_ids))
-    for agent in world.agent_ids[draws < config.activation_p].tolist():
+    for agent, words in zip(agents.tolist(), seeds):
         feed = select_feed(agent, world, config.load, config)
         start = log.activation(world, agent, feed)
         if not feed:
@@ -351,8 +483,7 @@ def step(world: WorldState, t: int, config: RunConfig, policy: Policy, log: LogB
             history=tuple(world.history[agent]),
             regime=config.norm,
         )
-        rng = substream(config.seed, _STREAM_DECISION, t, agent)
-        decision = decide(policy, context, rng)
+        decision = decide(policy, context, _generator(words))
         if not decision.action.is_engagement:
             continue
         log.engagement(start + feed.position(decision.target), decision.action)
@@ -391,7 +522,7 @@ def run(
         )
     log = LogBuilder(config) if log is None else log
     world = initialize(profiles, graph, corpus, config)
-    for t in range(config.timesteps):
-        step(world, t, config, policy, log)
+    for t, (agents, seeds) in enumerate(schedule(config, world.agent_ids)):
+        step(world, t, config, policy, log, agents, seeds)
     return log.finish(world)
 

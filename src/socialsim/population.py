@@ -126,7 +126,7 @@ def generate_population(n: int, seed: int) -> tuple[list[AgentProfile], FollowGr
     """
     if n < 10:
         raise ConfigurationError(f"population needs at least 10 agents to seat {N_INFLUENCERS} influencers, got {n}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x506F50)))
+    rng = np.random.default_rng((seed, 0x506F50))
 
     in_deg = np.minimum(rng.zipf(ZIPF_EXPONENT, size=n), n - 1)
     follows: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -169,7 +169,7 @@ def generate_seed_corpus(seed: int, *, size: int = SEED_CORPUS_SIZE) -> list[str
     """Generate `size` unique synthetic post bodies of TOKEN_RANGE whitespace tokens."""
     if size < 1:
         raise ConfigurationError(f"corpus size must be at least 1, got {size}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x436F72)))
+    rng = np.random.default_rng((seed, 0x436F72))
     lo, hi = TOKEN_RANGE
     bodies: list[str] = []
     seen: set[str] = set()
@@ -216,8 +216,8 @@ class PopulationRow:
     follows: list[AgentId]
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"id must be non-negative, got {self.id}")
+        if not 0 <= self.id < 2**63:  # the engine holds agent ids as int64
+            raise ValueError(f"id must be non-negative and below 2**63, got {self.id}")
         if not self.keywords:
             raise ValueError("keywords must be non-empty")
         if self.id in self.follows:

@@ -7,7 +7,8 @@ ExposureRecord per feed slot and one PostCreation per new post. Counters
 are the world's arrays, read and incremented one post at a time. Only a
 non-parametric policy gets a Feed, built from the slot list by
 ``make_feed``; nothing here reads a Feed's columns, a LogBuilder or a
-CellLog.
+CellLog. Each stream gets its own SeedSequence (``substream``), where the
+engine seeds a run's streams in batches.
 """
 
 from __future__ import annotations
@@ -15,13 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from socialsim.core import ActionKind, PostKind, RunConfig, popularity_composite
-from socialsim.engine import _STREAM_ACTIVATION, _STREAM_DECISION, initialize, substream
+from socialsim.engine import _STREAM_ACTIVATION, _STREAM_DECISION, initialize
 from socialsim.policy import Decision, DecisionContext, ParametricLogitPolicy, decide
 from socialsim.population import FollowGraph
 
 from conftest import make_feed
 from reference_feed import reference_select_feed
 from reference_log import ExposureRecord, PostCreation
+
+
+def substream(seed: int, stream: int, *keys: int) -> np.random.Generator:
+    """Independent generator keyed by (seed, stream, keys...): one SeedSequence per stream."""
+    return np.random.default_rng(np.random.SeedSequence((seed, stream, *keys)))
 
 
 def reference_parametric_decide(

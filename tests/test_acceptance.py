@@ -17,7 +17,7 @@ import pytest
 
 import socialsim as ss
 from socialsim.core import LOADS, NORMS, ActionKind, LoadLevel, NormRegime, RunConfig
-from socialsim.engine import LogBuilder, initialize, step, substream
+from socialsim.engine import LogBuilder, initialize, schedule, step
 from socialsim.harness import (
     ExperimentPlan,
     cell_seed,
@@ -237,8 +237,8 @@ def test_c07_engine_conservation_oracle():
     policy = build_policy(mock_policy_spec(), cfg.load, cfg.norm)
     log = LogBuilder(cfg)
     world = initialize(profiles, graph, corpus, cfg)
-    for t in range(cfg.timesteps):
-        step(world, t, cfg, policy, log)
+    for t, (agents, seeds) in enumerate(schedule(cfg, world.agent_ids)):
+        step(world, t, cfg, policy, log, agents, seeds)
     log = log.finish(world)
 
     recounted = recount_counters(records_of(log))

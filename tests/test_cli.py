@@ -290,6 +290,23 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{population}, line 2: " in err[0] and f"'{key}'" in err[0]
 
+    def test_population_id_past_int64_exits_2_before_writing(self, plan_file, tmp_path, capsys):
+        # Regression: the population loaded, and every cell then failed on an OverflowError from the int64 agent ids.
+        population = tmp_path / "pop.jsonl"
+        save_population(*generate_population(40, seed=5), population)
+        rows = [json.loads(line) for line in population.read_text().splitlines()]
+        for row in rows:  # agent rows[1]["id"] becomes agent 2**63, followees included
+            row["follows"] = [2**63 if f == rows[1]["id"] else f for f in row["follows"]]
+        rows[1]["id"] = 2**63
+        population.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        plan_file.write_text(json.dumps({**json.loads(plan_file.read_text()), "population": str(population)}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {population}, line 2: id must be non-negative and below 2**63, got {2**63}"
+        ]
+
     def test_bad_cell_spec_exits_2(self, plan_file, tmp_path):
         assert main(["simulate", "--config", str(plan_file), "--out", str(tmp_path / "o"), "--cell", "load=enormous,norm=repost"]) == 2
 
@@ -908,6 +925,11 @@ class TestProcessImports:
     @pytest.mark.parametrize("module", ["socialsim", "socialsim.cli"])
     def test_import_leaves_scipy_unloaded(self, module):
         code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        assert self._scipy_modules(code) == "[]"
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads when a command first seeds a generator, not with the CLI.
+        code = "import sys, socialsim.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
         assert self._scipy_modules(code) == "[]"
 
     def test_commands_other_than_analyze_leave_scipy_unloaded(self, plan_file, analysis_dir, tmp_path):

@@ -115,6 +115,20 @@ class TestRunMatchesReference:
         first_of_last_block = agents.index(4)
         assert len(log.creations) == 7 and log.creations.source[-1] == log.exposures.post[first_of_last_block]
 
+    def test_agent_ids_of_two_seed_words(self):
+        # An agent id of 2**32 or more adds a word to its decision keys (seed, 2, t, agent).
+        ids = [5, 2**32 - 1, 2**32, 2**40]
+        profiles = [AgentProfile(a, f"u{i}", frozenset(_WORDS[i : i + 2]), False, i == 0) for i, a in enumerate(ids)]
+        graph = FollowGraph({ids[0]: {ids[1]}, ids[1]: {ids[0], ids[3]}, ids[2]: {ids[0]}, ids[3]: {ids[2]}})
+        corpus = [" ".join(_WORDS[i : i + 3]) for i in range(4)]
+        config = RunConfig(
+            seed=2**32 + 3, load=LoadLevel.LOW, norm=NormRegime.NO_NORM, n_agents=4, timesteps=10, activation_p=0.5
+        )
+        spec = ParametricLogitSpec(threshold=[1.0] + [0.0] * (N_COLUMNS - 1), allocation=[[0.0] * N_COLUMNS] * 2)
+        log = self._matches(profiles, graph, corpus, config, lambda: build_policy(spec, config.load, config.norm))
+        engaged = log.exposures.agent[log.exposures.action != 0].tolist()
+        assert set(ids[1:]) <= set(engaged)
+
 
 @st.composite
 def _feeds(draw):

@@ -159,6 +159,14 @@ class TestTables:
         assert path.read_bytes() == b'cell,n,mean\r\n"a,b",3,\r\nc,0,0.5000\r\n'
         assert read_table(path, "cell", ("n", "cell")) == [(2, {"cell": "a,b", "n": "3", "mean": ""}), (3, {"cell": "c", "n": "0", "mean": "0.5000"})]
 
+    @pytest.mark.parametrize("text", ["a\u2028b", "a\u2029b", "a\x85b", "a\nb"])
+    def test_round_trip_of_line_breaks_in_a_field(self, tmp_path, text):
+        # Regression: the first three failed with "line 2: expected 2 fields, got 1", and "a\nb" read back as "ab".
+        path = tmp_path / "t.csv"
+        write_table(path, ("cell", "n"), [{"cell": text, "n": 1}, {"cell": "c", "n": 2}])
+        end = 2 + text.count("\n")  # a row's line number is that of its last line
+        assert read_table(path, "cell", ("cell", "n")) == [(end, {"cell": text, "n": "1"}), (end + 1, {"cell": "c", "n": "2"})]
+
     def test_blank_lines_are_skipped_and_lines_counted(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("b,a\n\n1,2\n\n3,4\n")

@@ -3,14 +3,17 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
-from socialsim.engine import LogBuilder, initialize, run, step, substream
+from socialsim.engine import LogBuilder, _generator, _seed_words, initialize, run, schedule, step
 from socialsim.harness import log_digest
 from socialsim.policy import ScriptedPolicy
 from socialsim.population import generate_population, generate_seed_corpus
 
 from conftest import tiny_graph, tiny_profiles
+from reference_engine import substream
 from reference_feed import world_posts
 from reference_log import ExposureRecord, PostCreation, records_of, recount_counters, world_counters
 
@@ -122,8 +125,8 @@ class TestStepEffects:
         log = LogBuilder(cfg)
         world = initialize(tiny_profiles(), tiny_graph(), _corpus(), cfg)
         policy = ScriptedPolicy(policy_intents)
-        for t in range(timesteps):
-            step(world, t, cfg, policy, log)
+        for t, (agents, seeds) in enumerate(schedule(cfg, world.agent_ids)):
+            step(world, t, cfg, policy, log, agents, seeds)
         return world, records_of(log.finish(world))
 
     def test_like_increments_exactly_one_counter(self):
@@ -179,8 +182,8 @@ def medium_run(small_population):
     policy = ScriptedPolicy([("like", 0), "read", ("quote", 1, "hm"), ("repost", 0), "read"])
     log = LogBuilder(cfg)
     world = initialize(profiles, graph, corpus, cfg)
-    for t in range(cfg.timesteps):
-        step(world, t, cfg, policy, log)
+    for t, (agents, seeds) in enumerate(schedule(cfg, world.agent_ids)):
+        step(world, t, cfg, policy, log, agents, seeds)
     return world, records_of(log.finish(world)), cfg
 
 
@@ -295,3 +298,32 @@ class TestSubstream:
         assert np.array_equal(a1, a2)
         assert np.array_equal(b1, b2)
         assert not np.array_equal(a1, b1)
+
+    # Keys of mixed word counts: 0 is one word, 2**32 and above two.
+    _KEY = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40, 2**63 - 1]), st.integers(0, 2**63 - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1]),
+        stream=st.sampled_from([1, 2]),
+        rows=st.lists(st.tuples(_KEY, _KEY), min_size=1, max_size=12),
+        n_columns=st.sampled_from([1, 2]),
+    )
+    def test_batched_seed_words_equal_one_seed_sequence_per_key(self, seed, stream, rows, n_columns):
+        columns = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(n_columns)]
+        words = _seed_words((seed, stream), *columns)
+        for i, row in enumerate(rows):
+            key = np.random.SeedSequence((seed, stream, *row[:n_columns]))
+            assert np.array_equal(words[i], key.generate_state(4, np.uint64))
+            assert np.array_equal(_generator(words[i]).random(4), substream(seed, stream, *row[:n_columns]).random(4))
+
+    def test_schedule_draws_each_step_from_its_activation_stream(self):
+        cfg = _config(seed=2**32 + 7, n_agents=5, timesteps=6, activation_p=0.4)
+        agent_ids = np.array([0, 3, 2**32 - 1, 2**32, 2**40], dtype=np.int64)
+        steps = schedule(cfg, agent_ids)
+        assert len(steps) == cfg.timesteps
+        for t, (agents, seeds) in enumerate(steps):
+            expected = agent_ids[substream(cfg.seed, 1, t).random(5) < cfg.activation_p]
+            assert agents.tolist() == expected.tolist() and seeds.shape == (agents.size, 4)
+            for agent, words in zip(agents.tolist(), seeds):
+                assert np.array_equal(_generator(words).random(3), substream(cfg.seed, 2, t, agent).random(3))

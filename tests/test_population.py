@@ -255,6 +255,8 @@ class TestRowTypes:
         "kind, key, value, named",
         [
             pytest.param("population", "id", -1, "non-negative", id="negative_id"),
+            # Regression: it loaded, and every cell then failed on an OverflowError from the int64 agent ids.
+            pytest.param("population", "id", 2**63, re.escape("below 2**63, got 9223372036854775808"), id="id_past_int64"),
             pytest.param("population", "keywords", [], "keywords must be non-empty", id="no_keywords"),
             pytest.param("population", "follows", [1], "follows itself", id="self_follow"),
             pytest.param("corpus", "content", "", "content must be non-empty", id="empty_content"),
