@@ -289,6 +289,8 @@ class RunConfig(RunParameters):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_seed(self.seed, "seed")
+        if self.seed >= 2**63:  # the log's run column is int64; a plan's base seed is hashed, so it has no bound
+            raise ConfigurationError(f"seed must be below 2**63, got {self.seed}")
 
 
 def check_seed(seed: int | None, name: str) -> None:

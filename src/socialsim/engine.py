@@ -286,7 +286,8 @@ class WorldState:
     Post columns are allocated with spare capacity; when they run out, every
     post-indexed array is reallocated at twice its size, so adding a post
     costs amortized O(keywords), scoring an agent reads only its own keywords'
-    rows, and the world takes O(posts x keywords + agents x agents) memory.
+    rows over the live posts (not the spare columns), and the world takes
+    O(posts x keywords + agents x agents) memory.
     """
 
     _INITIAL_CAPACITY = 256
@@ -417,7 +418,7 @@ class WorldState:
             size = max(need, 2 * self._recency.size)
             self._recency = np.array([self._w_recency * math.exp(-self._decay * age) for age in range(size)])
         keywords = self._keyword_rows[row]
-        inter = self._words.take(keywords, axis=0)[:, :n].sum(axis=0)
+        inter = self._words[keywords, :n].sum(axis=0)  # the live posts' columns only, not the spare capacity
         union = self._n_tokens[:n] - inter
         union += len(keywords)  # >= 1: every agent has a keyword
         return self._recency[self.now - self._created_at[:n]] + self._w_relevance * np.divide(inter, union, dtype=np.float64)

@@ -9,6 +9,13 @@ of everything written. This module owns that log format: ``write_log``
 formats the columns of a ``CellLog`` a chunk of rows at a time, ``read_log``
 parses a file into those columns a chunk of lines at a time, and the audits
 below compute from them.
+
+An activation logs its feed as one block of exposure rows that share run,
+load, norm, t and agent, so the writer formats that head once per block
+(found by comparing adjacent rows, so any ``CellLog`` writes the same
+bytes) and each row adds its post, counters and action. The reader parses
+a chunk with one ``json.loads`` when one pass over the file's bytes shows
+every line holds exactly one "}" and ends in it, and line by line otherwise.
 """
 
 from __future__ import annotations
@@ -61,17 +68,31 @@ _LOAD_TEXT = [m.value for m in LOADS]
 _NORM_TEXT = [m.value for m in NORMS]
 _ACTION_TEXT = [m.value for m in ACTIONS]
 _KIND_TEXT = [m.value for m in POST_KINDS]
+_ACTION_END = [f',"action":"{a}"}}' for a in _ACTION_TEXT]  # the close of an exposure line, by action code
 _SEED = POST_KINDS.index(PostKind.SEED)
 _CHUNK_ROWS = 1 << 12
 
 
 def _exposure_lines(e: ExposureColumns, lo: int, hi: int) -> list[str]:
-    L, N, A = _LOAD_TEXT, _NORM_TEXT, _ACTION_TEXT
+    """Exposure rows lo..hi as lines; each run of rows sharing (run, load, norm, t, agent) formats that head once."""
+    run, load, norm, t, agent = (getattr(e, k)[lo:hi] for k in EXPOSURE_KEYS[:5])
+    new_head = np.ones(hi - lo, dtype=bool)
+    new_head[1:] = run[1:] != run[:-1]
+    for column in (load, norm, t, agent):
+        new_head[1:] |= column[1:] != column[:-1]
+    starts = new_head.nonzero()[0]
+    L, N, end = _LOAD_TEXT, _NORM_TEXT, _ACTION_END
+    heads = np.array(
+        [
+            f'{{"run":{r},"load":"{L[l]}","norm":"{N[m]}","t":{s},"agent":{a},"post":'
+            for r, l, m, s, a in zip(*(column[starts].tolist() for column in (run, load, norm, t, agent)))
+        ],
+        dtype=object,
+    )
     return [
-        f'{{"run":{run},"load":"{L[load]}","norm":"{N[norm]}","t":{t},"agent":{agent},"post":{post},'
-        f'"likes":{likes},"reshares":{reshares},"action":"{A[action]}"}}'
-        for run, load, norm, t, agent, post, likes, reshares, action in zip(
-            *(getattr(e, k)[lo:hi].tolist() for k in EXPOSURE_KEYS)
+        f'{head}{post},"likes":{likes},"reshares":{reshares}{end[action]}'
+        for head, post, likes, reshares, action in zip(
+            heads[np.cumsum(new_head) - 1].tolist(), *(getattr(e, k)[lo:hi].tolist() for k in EXPOSURE_KEYS[5:])
         )
     ]
 
@@ -135,10 +156,14 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise FormatError(f"{path}: SHA-256 differs from the manifest's {sha256}")
     lines = utf8_text(data, path).split("\n")
-    rows = [line for line in lines if line.strip(JSON_SPACE)]  # blank lines are skipped
+    joined = _one_brace_a_line(data)
+    if joined:  # no line is blank but the empty one after a final "\n"
+        rows = lines[:-1] if not lines[-1] else lines
+    else:
+        rows = [line for line in lines if line.strip(JSON_SPACE)]  # blank lines are skipped
     try:
         # Each chunk's parsed dicts are dropped once its columns are built; an empty log is one empty chunk.
-        log = _concat([_parse_rows(rows[lo : lo + _CHUNK_ROWS]) for lo in range(0, len(rows) or 1, _CHUNK_ROWS)])
+        log = _concat([_parse_rows(rows[lo : lo + _CHUNK_ROWS], joined) for lo in range(0, len(rows) or 1, _CHUNK_ROWS)])
         c = log.creations
         if (log.creation_of() < 0).any() or np.unique(c.post).size != len(c) or _unsourced(c).any():
             raise FormatError("creation rows")
@@ -147,10 +172,34 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     return log
 
 
-def _parse_rows(rows: list[str]) -> CellLog:
-    """Columns of log lines parsed by one json.loads; FormatError on a line that is not one valid record."""
+def _one_brace_a_line(data: bytes) -> bool:
+    """Whether each line of a log's bytes holds one "}" and ends in it (so no line is blank or ends in a space or CR).
+
+    In UTF-8 the bytes of "}" and "\n" stand for no other character, so one
+    pass over the bytes tells.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = (b == ord("\n")).nonzero()[0] - 1  # the last byte of each line that a "\n" ends
+    if b.size and b[-1] != ord("\n"):
+        ends = np.append(ends, b.size - 1)
+    return ends.size > 0 and ends[0] >= 0 and np.count_nonzero(b == ord("}")) == ends.size and bool((b[ends] == ord("}")).all())
+
+
+def _parse_rows(rows: list[str], joined: bool) -> CellLog:
+    """Columns of log lines; ValueError on a line that is not one valid record.
+
+    With ``joined`` (each line holds one "}" and ends in it), one json.loads
+    parses the lines joined by commas, and they must give one value per line.
+    n objects need n closing braces outside strings, and the n "}" are all
+    there is, so no "}" nests an object or sits in a string, each object
+    ends at the end of a line, and each line is exactly one object. Without
+    it (a "}" in a string, a CRLF line end, trailing spaces), each line is
+    parsed on its own.
+    """
+    if not joined:
+        return _log_from_objs([json.loads(row) for row in rows])
     objs = json.loads("[" + ",".join(rows) + "]")
-    if len(objs) != len(rows):  # a line held more or less than one value
+    if len(objs) != len(rows):  # '{"x":{}' then '"y":1}' is one object on two lines
         raise FormatError("row count")
     return _log_from_objs(objs)
 

@@ -94,11 +94,12 @@ def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunCon
     engaged = world.engaged.get(agent)
     if engaged:
         eligible[[post for post in engaged if 0 <= post < eligible.size]] = False
-    followed = eligible & world.follows[row][authors]
+    followed = eligible & world.follows[row][authors]  # a view of the row, then one gather: faster than follows[row, authors]
+    eligible ^= followed  # the algorithmic pool: eligible, not followed
 
     followed_ids = _top(score, followed, load.followed_count)
     shortfall = load.followed_count - len(followed_ids)
-    algo_ids = _top(score, eligible ^ followed, load.algorithmic_count + shortfall)  # eligible, not followed
+    algo_ids = _top(score, eligible, load.algorithmic_count + shortfall)
 
     ids = np.concatenate((followed_ids, algo_ids))
     return Feed(ids, world.likes[ids], world.reposts[ids] + world.quotes[ids], followed_ids.size, world.posts)
@@ -107,10 +108,10 @@ def select_feed(agent: int, world: "WorldState", load: LoadLevel, config: RunCon
 def _top(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k highest-scoring posts in mask, best first, ties by ascending id.
 
-    ``flatnonzero`` gives the ids in ascending order, and a stable sort keeps
+    ``nonzero`` gives the ids in ascending order, and a stable sort keeps
     that order among equal scores.
     """
-    ids = np.flatnonzero(mask)
+    ids = mask.nonzero()[0]
     s = score[ids]
     if 0 < k < len(ids):
         # Keep only candidates that can reach the top k, ties at the cut included.

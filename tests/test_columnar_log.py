@@ -87,6 +87,39 @@ def cell_logs(draw):
     return records, follows
 
 
+@st.composite
+def blocked_logs(draw):
+    """Blocks of exposure rows that share a (run, load, norm, t, agent) head, as an activation logs them.
+
+    run, load, norm, t and agent each take one of two values, and each block
+    keeps the head before it or changes one field of it, so equal heads run
+    over several blocks and a head often differs from the last in one field
+    only. A creation row sometimes comes between two blocks.
+    """
+    choices = [
+        draw(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2, unique=True)),
+        draw(st.lists(st.sampled_from(list(LoadLevel)), min_size=2, max_size=2, unique=True)),
+        draw(st.lists(st.sampled_from(list(NormRegime)), min_size=2, max_size=2, unique=True)),
+        draw(st.lists(st.integers(0, 500), min_size=2, max_size=2, unique=True)),
+        draw(st.lists(st.integers(0, 2**40), min_size=2, max_size=2, unique=True)),
+    ]
+    head = [values[0] for values in choices]
+    records = [PostCreation(post=0, kind=PostKind.SEED, author=0, source=None, t=0)]
+    for _ in range(draw(st.integers(0, 10))):
+        changed = draw(st.integers(-1, 4))  # -1: the same head again
+        if changed >= 0:
+            head[changed] = draw(st.sampled_from(choices[changed]))
+        if draw(st.integers(0, 3)) == 0:
+            records.append(PostCreation(post=len(records), kind=PostKind.SEED, author=0, source=None, t=0))
+        posts = [r.post for r in records if isinstance(r, PostCreation)]
+        records += [
+            ExposureRecord(*head, post=draw(st.sampled_from(posts)), likes=draw(COUNTS), reshares=draw(COUNTS),
+                           action=draw(st.sampled_from(list(ActionKind))))
+            for _ in range(draw(st.integers(1, 12)))
+        ]
+    return records
+
+
 def render(records, data) -> str:
     """The log as JSONL with shuffled keys, varied spacing and stray blank lines."""
     lines = []
@@ -150,6 +183,14 @@ def test_columnar_path_matches_reference(cell, data):
 def test_writer_chunks_join_to_the_reference(cell, rows):
     records, _ = cell
     expected = "".join(line + "\n" for line in reference_log_to_lines(records)) or "\n"
+    assert b"".join(_log_chunks(log_from_records(records), rows)).decode("utf-8") == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=blocked_logs(), rows=st.integers(1, 9))
+def test_writer_formats_shared_heads_like_the_reference(records, rows):
+    # Blocks cross chunk boundaries, and one head may follow another that differs in a single field.
+    expected = "".join(line + "\n" for line in reference_log_to_lines(records))
     assert b"".join(_log_chunks(log_from_records(records), rows)).decode("utf-8") == expected
 
 

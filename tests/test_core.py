@@ -149,6 +149,16 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             self._cfg(timesteps=0)
 
+    def test_seed_below_2_63(self):
+        # Regression: a seed of 2**63 was accepted, and the run then failed with OverflowError
+        # writing the int64 run column.
+        assert self._cfg(seed=2**63 - 1).seed == 2**63 - 1
+        for seed in (2**63, 2**64 + 5):
+            with pytest.raises(ConfigurationError, match=r"^seed must be below 2\*\*63"):
+                self._cfg(seed=seed)
+        with pytest.raises(ConfigurationError, match="^seed must be a non-negative integer"):
+            self._cfg(seed=-1)
+
 
 class TestTables:
     """core.read_table and core.write_table, the one reader and one writer of every CSV table."""

@@ -1,7 +1,7 @@
 import json
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import get_type_hints
 from pathlib import Path
 
@@ -82,6 +82,15 @@ class TestLogSerialization:
         write_log(log_from_records(records), path)
         obj = json.loads(path.read_text().splitlines()[0])
         assert list(obj) == ["run", "load", "norm", "t", "agent", "post", "likes", "reshares", "action"]
+
+    def test_run_at_the_largest_seed_reads_back_its_run_column(self, small_inputs, tmp_path):
+        profiles, graph, corpus = small_inputs
+        plan = _tiny_plan()
+        config = replace(plan.cell_config(LoadLevel.HIGH, NormRegime.NO_NORM, 0), seed=2**63 - 1)
+        log = run(config, build_policy(plan.policy, config.load, config.norm), profiles, graph, corpus, LogBuilder(config))
+        write_log(log, tmp_path / "log.jsonl")
+        runs = read_log(tmp_path / "log.jsonl").exposures.run
+        assert runs.size == len(log.exposures) > 0 and (runs == 2**63 - 1).all()
 
 
 _SEED_ROW = '{"kind":"seed","post":0,"author":1,"source":null,"t":0}'
@@ -240,6 +249,54 @@ class TestReadLogAcrossChunks:
         with pytest.raises(FormatError) as exc:
             self._read(tmp_path, [_SEED_ROW, repost, _READ_ROW, _SEED_ROW.replace('"post":0', '"post":1')])
         assert str(exc.value) == f"{tmp_path / 'cell.jsonl'}, line 2: repost of post 1 before any row creates it"
+
+
+class TestReadLogOneObjectALine:
+    """Each line is exactly one JSON object, wherever the chunks fall."""
+
+    @staticmethod
+    def _seed(post: int, tail: str = "") -> str:
+        return _SEED_ROW.replace('"post":0', f'"post":{post}')[:-1] + tail + "}"
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+    def test_objects_split_over_lines_and_joined_in_one(self, tmp_path, monkeypatch, rows):
+        # Regression: joined, the three lines parse to three objects, so the file read as 3 rows.
+        if rows is not None:
+            monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+        lines = [self._seed(0, ',"x":[1').removesuffix("}"), "2]}", self._seed(1) + "," + self._seed(2)]
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value).startswith(f"{path}, line 1: invalid JSON")
+
+    @pytest.mark.parametrize("line_2", ['"y":1}', '"y":1},' + _SEED_ROW.replace('"post":0', '"post":1')], ids=["two_objects", "three_objects"])
+    def test_object_that_ends_on_the_next_line(self, tmp_path, line_2):
+        # Each line but the last ends in "}", yet line 1 opens an object that line 2 closes: joined,
+        # the lines parse to two objects, or (with line 2 holding a second) to three.
+        lines = [self._seed(0, ',"x":{}').removesuffix("}"), line_2, _READ_ROW]
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value).startswith(f"{path}, line 1: invalid JSON")
+
+    @pytest.mark.parametrize(
+        "tail, end",
+        [(',"note":"}"', ""), (',"note":"},"', ""), ("", "\r"), ("", "  "), (',"x":{"y":1}', "")],
+        ids=["brace_in_string", "brace_comma_in_string", "crlf", "trailing_spaces", "nested_object"],
+    )
+    def test_lines_the_joined_parse_cannot_prove_are_read_one_by_one(self, tmp_path, tail, end):
+        lines = [self._seed(0, tail) + end, _READ_ROW + end, self._seed(1, tail) + end]
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        log = read_log(path)
+        assert log.is_exposure.tolist() == [False, True, False]
+        assert log.creations.post.tolist() == [0, 1]
+        path.write_text("\n".join(lines + [_exposure_row(post=7) + end]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value) == f"{path}, line 4: exposure of post 7 before any row creates it"
 
 
 class TestPlan:

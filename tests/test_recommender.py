@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,21 @@ class TestScorePost:
         for now in (2400, 1800, 2400):
             world.now = now
             assert_equal_to_oracle()
+
+    @pytest.mark.parametrize("n_posts, capacity", [(255, 256), (256, 256), (257, 512), (511, 512), (513, 1024)])
+    def test_world_scores_equal_score_post_below_capacity(self, n_posts, capacity):
+        # scores reads the live posts' columns only; the spare columns past them are never scored.
+        profiles = tiny_profiles()
+        world = _world(profiles, tiny_graph(), _config())
+        for i in range(n_posts):
+            world.new_post(i % 5, f"kw{i % 5} KW{i % 3} word{i % 7}" if i % 4 else "nothing shared", PostKind.SEED, None, i // 9)
+        world.now = n_posts // 9 + 3
+        assert world._created_at.size == world._words.shape[1] == capacity
+        posts = world_posts(world)
+        for profile in profiles:
+            scores = world.scores(world.rows[profile.id])
+            assert scores.dtype == np.float64
+            assert scores.tolist() == [score_post(post, profile, now=world.now) for post in posts]
 
     def test_world_rejects_future_posts_and_unknown_authors(self):
         world = _world(tiny_profiles(), tiny_graph(), _config())
