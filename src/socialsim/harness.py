@@ -15,7 +15,8 @@ load, norm, t and agent, so the writer formats that head once per block
 (found by comparing adjacent rows, so any ``CellLog`` writes the same
 bytes) and each row adds its post, counters and action. The reader parses
 a chunk with one ``json.loads`` when one pass over the file's bytes shows
-every line holds exactly one "}" and ends in it, and line by line otherwise.
+that each "}" ends its line (spaces and a CR after it aside), and line by
+line otherwise.
 """
 
 from __future__ import annotations
@@ -156,11 +157,8 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise FormatError(f"{path}: SHA-256 differs from the manifest's {sha256}")
     lines = utf8_text(data, path).split("\n")
+    rows = [line for line in lines if line.strip(JSON_SPACE)]  # blank lines are skipped
     joined = _one_brace_a_line(data)
-    if joined:  # no line is blank but the empty one after a final "\n"
-        rows = lines[:-1] if not lines[-1] else lines
-    else:
-        rows = [line for line in lines if line.strip(JSON_SPACE)]  # blank lines are skipped
     try:
         # Each chunk's parsed dicts are dropped once its columns are built; an empty log is one empty chunk.
         log = _concat([_parse_rows(rows[lo : lo + _CHUNK_ROWS], joined) for lo in range(0, len(rows) or 1, _CHUNK_ROWS)])
@@ -173,28 +171,29 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
 
 
 def _one_brace_a_line(data: bytes) -> bool:
-    """Whether each line of a log's bytes holds one "}" and ends in it (so no line is blank or ends in a space or CR).
+    """Whether each "}" in a log's bytes is the last byte of its line but for JSON spaces.
 
-    In UTF-8 the bytes of "}" and "\n" stand for no other character, so one
-    pass over the bytes tells.
+    In UTF-8 the bytes of "}", "\n" and the JSON spaces stand for no other
+    character, so one pass over the bytes, with any spaces taken out, tells.
     """
+    spaces = JSON_SPACE.encode()
+    if any(space in data for space in spaces):
+        data = data.translate(None, spaces)
     b = np.frombuffer(data, dtype=np.uint8)
-    ends = (b == ord("\n")).nonzero()[0] - 1  # the last byte of each line that a "\n" ends
-    if b.size and b[-1] != ord("\n"):
-        ends = np.append(ends, b.size - 1)
-    return ends.size > 0 and ends[0] >= 0 and np.count_nonzero(b == ord("}")) == ends.size and bool((b[ends] == ord("}")).all())
+    ends = np.append((b == ord("\n")).nonzero()[0], b.size) - 1  # each line's last byte (-1 or a "\n" if it is blank)
+    return np.count_nonzero(b[ends[ends >= 0]] == ord("}")) == np.count_nonzero(b == ord("}"))
 
 
 def _parse_rows(rows: list[str], joined: bool) -> CellLog:
     """Columns of log lines; ValueError on a line that is not one valid record.
 
-    With ``joined`` (each line holds one "}" and ends in it), one json.loads
-    parses the lines joined by commas, and they must give one value per line.
-    n objects need n closing braces outside strings, and the n "}" are all
-    there is, so no "}" nests an object or sits in a string, each object
-    ends at the end of a line, and each line is exactly one object. Without
-    it (a "}" in a string, a CRLF line end, trailing spaces), each line is
-    parsed on its own.
+    With ``joined`` (each "}" ends its line but for spaces), one json.loads
+    parses the lines joined by commas, and they must give one object per
+    line. n objects need n closing braces outside strings, and no more than
+    n "}" end the n lines, so no "}" nests an object or sits in a string,
+    each object ends at the end of a line, and each line is exactly one
+    object. Without it (a "}" in a string or before more of its line), each
+    line is parsed on its own.
     """
     if not joined:
         return _log_from_objs([json.loads(row) for row in rows])

@@ -283,13 +283,14 @@ class TestReadLogOneObjectALine:
 
     @pytest.mark.parametrize(
         "tail, end",
-        [(',"note":"}"', ""), (',"note":"},"', ""), ("", "\r"), ("", "  "), (',"x":{"y":1}', "")],
-        ids=["brace_in_string", "brace_comma_in_string", "crlf", "trailing_spaces", "nested_object"],
+        [(',"note":"}"', ""), (',"note":"},"', ""), (',"x":{"y":1}', ""), (',"note":"}"', "\r")],
+        ids=["brace_in_string", "brace_comma_in_string", "nested_object", "brace_in_string_crlf"],
     )
     def test_lines_the_joined_parse_cannot_prove_are_read_one_by_one(self, tmp_path, tail, end):
         lines = [self._seed(0, tail) + end, _READ_ROW + end, self._seed(1, tail) + end]
         path = tmp_path / "cell.jsonl"
         path.write_text("\n".join(lines) + "\n")
+        assert not harness._one_brace_a_line(path.read_bytes())
         log = read_log(path)
         assert log.is_exposure.tolist() == [False, True, False]
         assert log.creations.post.tolist() == [0, 1]
@@ -297,6 +298,32 @@ class TestReadLogOneObjectALine:
         with pytest.raises(FormatError) as exc:
             read_log(path)
         assert str(exc.value) == f"{path}, line 4: exposure of post 7 before any row creates it"
+
+    @pytest.mark.parametrize("end", ["\r", "  ", " \t\r"], ids=["crlf", "trailing_spaces", "trailing_tab_crlf"])
+    def test_spaces_after_a_lines_brace_and_blank_lines_keep_the_joined_parse(self, tmp_path, end):
+        lines = [self._seed(0) + end, "", end, _READ_ROW + end, "  " + self._seed(1) + end]
+        data = ("\n".join(lines) + "\n").encode()
+        assert harness._one_brace_a_line(data)
+        path = tmp_path / "cell.jsonl"
+        path.write_bytes(data)
+        log = read_log(path)
+        assert log.is_exposure.tolist() == [False, True, False]
+        assert log.creations.post.tolist() == [0, 1]
+        path.write_bytes(data + (_exposure_row(post=7) + end + "\n").encode())
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value) == f"{path}, line 6: exposure of post 7 before any row creates it"
+
+    def test_object_split_over_crlf_lines(self, tmp_path):
+        # Every "}" ends its line, so the chunk is parsed joined: two objects for three lines.
+        lines = [self._seed(0, ',"x":[1').removesuffix("}"), "2]}", self._seed(1)]
+        data = ("\r\n".join(lines) + "\r\n").encode()
+        assert harness._one_brace_a_line(data)
+        path = tmp_path / "cell.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value).startswith(f"{path}, line 1: invalid JSON")
 
 
 class TestPlan:

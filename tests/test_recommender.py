@@ -84,9 +84,10 @@ class TestScorePost:
             assert scores.tolist() == [score_post(post, profile, now=90) for post in world_posts(world)]
 
     def test_world_scores_equal_score_post_across_case_misses_and_growth(self):
-        # Keywords that differ only in case, posts that share no word with any keyword, and 2,100 posts:
-        # the post columns start at 256 and double four times. Each now is scored before and after posts
-        # are added at that now, and after now moves back and forth.
+        # Keywords that differ only in case, posts that share no word with any keyword, and 2,613 posts:
+        # the post columns start at 256 and double four times. Scores are checked at 255, 256, 257, 511
+        # and 513 posts, then at each now before and after posts are added at that now, and after now
+        # moves back and forth.
         profiles = [
             AgentProfile(0, "a", frozenset(["Alpha", "alpha", "ALPHA"]), True, True),
             AgentProfile(1, "b", frozenset(["alpha", "Beta"]), True, True),
@@ -112,33 +113,22 @@ class TestScorePost:
             posts = world_posts(world)
             for profile in profiles:
                 scores = world.scores(world.rows[profile.id])
+                assert scores.dtype == np.float64
                 assert scores.tolist() == [score_post(post, profile, now=world.now) for post in posts]
 
+        for count in (255, 1, 1, 254, 2):  # 255, 256 and 257 posts in 256 and 512 columns, then 511 and 513
+            add(count, 0)
+            assert_equal_to_oracle()
         for t in range(0, 2100, 300):
             add(150, t)
             world.now = t
             assert_equal_to_oracle()
             add(150, t)  # posts made during this now
             assert_equal_to_oracle()
-        assert len(world.posts) == 2100 and world._created_at.size == 4096
+        assert len(world.posts) == 2613 and world._created_at.size == 4096
         for now in (2400, 1800, 2400):
             world.now = now
             assert_equal_to_oracle()
-
-    @pytest.mark.parametrize("n_posts, capacity", [(255, 256), (256, 256), (257, 512), (511, 512), (513, 1024)])
-    def test_world_scores_equal_score_post_below_capacity(self, n_posts, capacity):
-        # scores reads the live posts' columns only; the spare columns past them are never scored.
-        profiles = tiny_profiles()
-        world = _world(profiles, tiny_graph(), _config())
-        for i in range(n_posts):
-            world.new_post(i % 5, f"kw{i % 5} KW{i % 3} word{i % 7}" if i % 4 else "nothing shared", PostKind.SEED, None, i // 9)
-        world.now = n_posts // 9 + 3
-        assert world._created_at.size == world._words.shape[1] == capacity
-        posts = world_posts(world)
-        for profile in profiles:
-            scores = world.scores(world.rows[profile.id])
-            assert scores.dtype == np.float64
-            assert scores.tolist() == [score_post(post, profile, now=world.now) for post in posts]
 
     def test_world_rejects_future_posts_and_unknown_authors(self):
         world = _world(tiny_profiles(), tiny_graph(), _config())
