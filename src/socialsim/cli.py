@@ -132,7 +132,16 @@ def read_config(cfg: object) -> tuple[ExperimentPlan, SimulateInputs]:
     return plan, inputs
 
 
+def _check_out_dir(out: str) -> None:
+    """ConfigurationError unless --out is a directory or can be made one: the first of it and its parents that exists is a directory."""
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigurationError(f"--out {out}: {existing} is not a directory")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     config_path = Path(args.config)
     try:
         cfg = json.loads(read_text(config_path, "config"))
@@ -196,6 +205,7 @@ def _resolve(config_path: Path, value: str) -> Path:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     logs_dir = Path(args.logs)
     if not (logs_dir / "manifest.json").exists():
         print(f"error: no manifest.json under {logs_dir}", file=sys.stderr)
@@ -331,6 +341,7 @@ _TABLES = [
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     analysis = Path(args.analysis)
     for name in ("descriptive_shares.csv", "threshold_model.json", "fit_metrics.csv"):
         if not (analysis / name).exists():

@@ -17,12 +17,20 @@ bytes) and each row adds its post, counters and action. The reader parses
 a chunk with one ``json.loads`` when one pass over the file's bytes shows
 that each "}" ends its line (spaces and a CR after it aside), and line by
 line otherwise.
+
+``run_experiment`` also saves each cell's columns beside its log, as
+``logs/<cell>.npz`` (``save_columns``). That file is a cache, not a record:
+``read_log`` returns its columns without parsing the JSONL only once it has
+proven them equal to the parse, by checking them as the parse checks
+columns and re-formatting them to bytes with the log file's SHA-256. Any
+file that fails the proof, or its absence, leaves the parse as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -72,6 +80,7 @@ _KIND_TEXT = [m.value for m in POST_KINDS]
 _ACTION_END = [f',"action":"{a}"}}' for a in _ACTION_TEXT]  # the close of an exposure line, by action code
 _SEED = POST_KINDS.index(PostKind.SEED)
 _CHUNK_ROWS = 1 << 12
+_HASH_BLOCK = 1 << 20  # bytes of a log file hashed at a time
 
 
 def _exposure_lines(e: ExposureColumns, lo: int, hi: int) -> list[str]:
@@ -151,8 +160,15 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     negative source, an exposure of a post no earlier row creates, a post
     created twice, a seed row with a source, or a repost or quote row whose
     source no earlier row creates.
+
+    When the log has the columns ``save_columns`` saved beside it (the same
+    path with an .npz suffix) and they are proven to be its parse, they are
+    returned and the file is hashed but not parsed (see ``_saved_log``).
     """
     path = Path(path)
+    log = _saved_log(path, sha256)
+    if log is not None:
+        return log
     data = read_bytes(path, "event log")
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise FormatError(f"{path}: SHA-256 differs from the manifest's {sha256}")
@@ -162,12 +178,91 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     try:
         # Each chunk's parsed dicts are dropped once its columns are built; an empty log is one empty chunk.
         log = _concat([_parse_rows(rows[lo : lo + _CHUNK_ROWS], joined) for lo in range(0, len(rows) or 1, _CHUNK_ROWS)])
-        c = log.creations
-        if (log.creation_of() < 0).any() or np.unique(c.post).size != len(c) or _unsourced(c).any():
+        if _breaks_creation_rules(log):
             raise FormatError("creation rows")
     except (ValueError, RecursionError):  # JSONDecodeError and FormatError included
         raise _locate_error(path, lines) from None
     return log
+
+
+def _breaks_creation_rules(log: CellLog) -> bool:
+    """Whether an exposure shows a post no earlier row creates, a post is created twice, or a source rule is broken."""
+    c = log.creations
+    return bool((log.creation_of() < 0).any() or np.unique(c.post).size != len(c) or _unsourced(c).any())
+
+
+def save_columns(log: CellLog, path: str | Path) -> None:
+    """Save a log's columns to an uncompressed .npz file: is_exposure, and each column as "<exposures|creations>.<key>"."""
+    np.savez(
+        path,
+        is_exposure=log.is_exposure,
+        **{f"exposures.{k}": getattr(log.exposures, k) for k in EXPOSURE_KEYS},
+        **{f"creations.{k}": getattr(log.creations, k) for k in CREATION_KEYS},
+    )
+
+
+def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
+    """The columns saved beside the log at ``path`` if they are proven to be its parse, else None.
+
+    The log file is hashed a block at a time and must have ``sha256`` (if
+    given). The .npz file must load without unpickling, and its columns must
+    pass ``_is_parse``. Any failure returns None, and read_log then parses the
+    file as it would without the .npz, errors included.
+    """
+    saved = path.with_suffix(".npz")
+    if not saved.is_file():  # checked first, so that a log without one is not hashed twice
+        return None
+    try:
+        hasher = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(partial(fh.read, _HASH_BLOCK), b""):
+                hasher.update(block)
+        digest = hasher.hexdigest()
+        if sha256 not in (None, digest):
+            return None
+        with open(saved, "rb") as fh:  # opened here, so that it is closed when np.load fails
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
+                return None
+            log = CellLog(
+                ExposureColumns(**{k: npz[f"exposures.{k}"] for k in EXPOSURE_KEYS}),
+                CreationColumns(**{k: npz[f"creations.{k}"] for k in CREATION_KEYS}),
+                npz["is_exposure"],
+            )
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return log if _is_parse(log, digest) else None
+
+
+def _is_parse(log: CellLog, sha256: str) -> bool:
+    """Whether ``log`` is the parse of a file whose SHA-256 is ``sha256``.
+
+    Columns with the dtypes, rank and lengths the parse gives, and that pass
+    the checks it runs on columns, are write_log's bytes parsed back. So when
+    those bytes have the file's digest, the file is those bytes, and its
+    parse is these columns. The range checks are part of the proof: without
+    them a load code of -1 would print as the last load, and a source of -7
+    as null, and neither parses back to itself.
+    """
+    flags = log.is_exposure
+    if not _shaped_like(flags, _PARSED.is_exposure, np.size(flags)):
+        return False
+    n_exposures = int(np.count_nonzero(flags))
+    for part, n in (("exposures", n_exposures), ("creations", flags.size - n_exposures)):
+        columns, parsed = getattr(log, part), getattr(_PARSED, part)
+        if not all(_shaped_like(getattr(columns, f.name), getattr(parsed, f.name), n) for f in fields(parsed)):
+            return False
+    e, c = log.exposures, log.creations
+    bounds = [(e.load, len(LOADS)), (e.norm, len(NORMS)), (e.action, len(ACTIONS)), (c.kind, len(POST_KINDS))]
+    bounds += [(e.likes, 2**62), (e.reshares, 2**62)]
+    if not all(0 <= column.min(initial=0) and column.max(initial=0) < end for column, end in bounds) or c.source.min(initial=-1) < -1:
+        return False
+    return not _breaks_creation_rules(log) and log_digest(log) == sha256
+
+
+def _shaped_like(a: object, parsed: np.ndarray, n: int) -> bool:
+    """Whether ``a`` is a numpy array of ``parsed``'s dtype holding ``n`` values in one dimension."""
+    return isinstance(a, np.ndarray) and a.dtype == parsed.dtype and a.shape == (n,)
 
 
 def _one_brace_a_line(data: bytes) -> bool:
@@ -243,6 +338,9 @@ def _values(objs: list[dict], key: str) -> list:
         return [o[key] for o in objs]
     except KeyError:
         raise FormatError(f"missing key {key!r}") from None
+
+
+_PARSED = _log_from_objs([])  # the parse of no rows: its columns have the dtypes every parse gives
 
 
 def _locate_error(path: Path, lines: list[str]) -> FormatError:
@@ -342,6 +440,7 @@ def _run_cell(plan: ExperimentPlan, profiles: Sequence[AgentProfile], graph: Fol
         builder = LogBuilder(config)
         log = run(config, policy, profiles, graph, corpus, builder)
         digest = write_log(log, log_path)
+        save_columns(log, log_path.with_suffix(".npz"))
         return {**entry, "sha256": digest, "rows": len(log), "status": "ok", **builder.counts()}
     except Exception as e:  # noqa: BLE001 - partial failures are recorded, not fatal
         return {**entry, "status": "failed", "error": f"{type(e).__name__}: {e}"}

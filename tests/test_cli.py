@@ -500,6 +500,23 @@ class TestAnalyze:
         assert len(logs) == 12 and alive_at == [0] * 14
 
 
+    def test_files_equal_with_and_without_saved_columns(self, run_dir, tmp_path, monkeypatch):
+        # simulate saves each cell's columns beside its log; analyze reads them instead of parsing the JSONL,
+        # and writes the same bytes as it does from the JSONL alone.
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_parse_rows", None)  # a parse would fail
+            assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "saved")]) == 0
+        saved = sorted((run_dir / "logs").glob("*.npz"))
+        assert len(saved) == 12
+        for path in saved:
+            path.unlink()
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "parsed")]) == 0
+        names = sorted(path.name for path in (tmp_path / "parsed").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "saved").iterdir()) and len(names) == 7
+        for name in names:
+            assert (tmp_path / "saved" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name
+
+
 def _corrupt_first_exposure(run_dir: Path, edit, *, update_manifest: bool = True) -> tuple[str, int]:
     """Rewrite the first exposure row of the first cell's log; returns (file name, 1-based line)."""
     manifest_path = run_dir / "manifest.json"
@@ -592,6 +609,40 @@ class TestAnalyzeMalformedLogs:
         assert rc == 2
         assert len(err) == 1 and last in err[0] and "SHA-256" in err[0]
         assert not (tmp_path / "analysis").exists()
+
+
+class TestOutThatIsNotADirectory:
+    """An --out naming an existing file, or a path under one, exits 2 with one error line before the command
+    reads, simulates or writes anything.
+
+    Regression: simulate, analyze and report each ended in a FileExistsError or NotADirectoryError
+    traceback from mkdir, analyze only after reading every log and fitting both stages.
+    """
+
+    @pytest.fixture(params=["file", "under_a_file"])
+    def out(self, request, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("kept\n")
+        return str(path if request.param == "file" else path / "sub")
+
+    def _exits_2(self, argv, capsys, tmp_path) -> None:
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: --out {argv[-1]}: {tmp_path / 'taken'} is not a directory"]
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    def test_simulate(self, plan_file, out, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_text", None)  # reading the config would fail
+        self._exits_2(["simulate", "--config", str(plan_file), "--out", out], capsys, tmp_path)
+
+    def test_analyze(self, run_dir, out, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_experiment", None)
+        self._exits_2(["analyze", "--logs", str(run_dir), "--out", out], capsys, tmp_path)
+
+    def test_report(self, analysis_dir, out, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_model", None)
+        self._exits_2(["report", "--analysis", str(analysis_dir), "--out", out], capsys, tmp_path)
 
 
 class TestReport:

@@ -194,6 +194,22 @@ def test_writer_formats_shared_heads_like_the_reference(records, rows):
     assert b"".join(_log_chunks(log_from_records(records), rows)).decode("utf-8") == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(records=st.one_of(blocked_logs(), cell_logs().map(lambda cell: cell[0])))
+def test_saved_columns_read_back_as_the_parse(records):
+    # The .npz that simulate saves beside a log is read in place of parsing it, and gives what the parse gives.
+    log = log_from_records(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cell.jsonl"
+        digest = write_log(log, path)
+        harness.save_columns(log, path.with_suffix(".npz"))
+        saved = harness._saved_log(path, digest)
+        path.with_suffix(".npz").unlink()
+        parsed = read_log(path, digest)
+    assert saved is not None
+    _assert_same_columns(saved, parsed)
+
+
 def test_chunk_size_does_not_change_the_bytes():
     # 5,000 rows, more than one chunk of the default 4,096.
     records = []

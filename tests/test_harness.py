@@ -1,15 +1,19 @@
+import hashlib
+import io
 import json
 import math
+import shutil
 from collections import Counter
 from dataclasses import fields, replace
 from typing import get_type_hints
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import socialsim.harness as harness
 from socialsim.cli import read_config
-from socialsim.core import LOADS, NORMS, ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
+from socialsim.core import ACTIONS, LOADS, NORMS, POST_KINDS, ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
 from socialsim.harness import (
     CellShares,
     ExperimentPlan,
@@ -326,6 +330,167 @@ class TestReadLogOneObjectALine:
         assert str(exc.value).startswith(f"{path}, line 1: invalid JSON")
 
 
+_UNPICKLED = []  # one entry per _Unpickled object that a read unpickles
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+    return 0
+
+
+class _Unpickled:
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def _columns(log) -> dict[str, np.ndarray]:
+    """Each column of a log by its name in the .npz file that save_columns writes."""
+    columns = {f"exposures.{f.name}": getattr(log.exposures, f.name) for f in fields(log.exposures)}
+    return {"is_exposure": log.is_exposure, **columns, **{f"creations.{f.name}": getattr(log.creations, f.name) for f in fields(log.creations)}}
+
+
+def _assert_same_log(a, b) -> None:
+    x, y = _columns(a), _columns(b)
+    assert list(x) == list(y)
+    for name in x:
+        assert x[name].dtype == y[name].dtype and np.array_equal(x[name], y[name]), name
+
+
+def _resaved(changes):
+    """An edit of the .npz file that saves its arrays again after ``changes`` edits their dict."""
+    def edit(path: Path) -> None:
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        changes(arrays)
+        np.savez(path, **arrays)
+
+    return edit
+
+
+def _set(name: str, index: int, value):
+    def change(arrays):
+        arrays[name][index] = value
+
+    return change
+
+
+def _npy_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _first_seed_row(arrays) -> int:
+    return int(np.flatnonzero(arrays["creations.kind"] == POST_KINDS.index(PostKind.SEED))[0])
+
+
+class TestSavedColumns:
+    """read_log returns the columns saved beside a log only when they re-format to its bytes; any other .npz
+    file gives the JSON parse's result, or its error. The cell is high/no_norm, so a load code of -1 prints
+    as the log's own "high", and a source of -7 on a seed row prints as its own null."""
+
+    @pytest.fixture
+    def cell(self, small_inputs, tmp_path):
+        """(log path, its manifest digest, the log read from a copy that has no .npz beside it)."""
+        profiles, graph, corpus = small_inputs
+        (entry,) = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path / "run", cells=[(LoadLevel.HIGH, NormRegime.NO_NORM)])["cells"]
+        path = tmp_path / "run" / "logs" / entry["file"]
+        alone = tmp_path / "alone.jsonl"
+        shutil.copyfile(path, alone)
+        return path, entry["sha256"], read_log(alone, entry["sha256"])
+
+    def test_saved_columns_are_read_without_parsing(self, cell, monkeypatch):
+        path, sha256, parsed = cell
+        monkeypatch.setattr(harness, "_parse_rows", None)  # a parse would fail
+        _assert_same_log(read_log(path, sha256), parsed)
+        _assert_same_log(read_log(path), parsed)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]), id="truncated"),
+            pytest.param(lambda path: path.write_bytes(b"not a zip file\n"), id="not_a_zip"),
+            pytest.param(lambda path: path.write_bytes(b""), id="empty"),
+            pytest.param(lambda path: path.unlink() or path.mkdir(), id="directory"),
+            pytest.param(lambda path: path.write_bytes(_npy_bytes(np.arange(3))), id="lone_npy_array"),
+            pytest.param(_resaved(lambda arrays: arrays.pop("exposures.likes")), id="missing_array"),
+            pytest.param(_resaved(lambda arrays: arrays.update({"exposures.likes": arrays["exposures.likes"].astype(np.int32)})), id="int32_likes"),
+            pytest.param(_resaved(lambda arrays: arrays.update({"exposures.likes": arrays["exposures.likes"][:-1]})), id="short_column"),
+            pytest.param(_resaved(lambda arrays: arrays.update({"exposures.likes": arrays["exposures.likes"][:, None]})), id="column_of_rank_2"),
+            pytest.param(_resaved(_set("exposures.load", 0, -1)), id="load_code_minus_1"),
+            pytest.param(_resaved(_set("exposures.action", 0, len(ACTIONS))), id="action_code_past_the_table"),
+            pytest.param(_resaved(lambda arrays: arrays["creations.source"].__setitem__(_first_seed_row(arrays), -7)), id="source_minus_7"),
+            pytest.param(_resaved(lambda arrays: arrays["exposures.likes"].__setitem__(0, arrays["exposures.likes"][0] + 1)), id="one_likes_value_edited"),
+            pytest.param(_resaved(lambda arrays: arrays.update({"exposures.likes": np.array([_Unpickled()], dtype=object)})), id="object_array"),
+        ],
+    )
+    def test_any_other_file_gives_the_parse(self, cell, edit):
+        path, sha256, parsed = cell
+        edit(path.with_suffix(".npz"))
+        _UNPICKLED.clear()
+        assert harness._saved_log(path, sha256) is None
+        _assert_same_log(read_log(path, sha256), parsed)
+        assert _UNPICKLED == []  # an object array is refused, not unpickled
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            pytest.param(b'"likes":0,', b'"likes":5,', None, id="valid_edit"),
+            pytest.param(b'"likes":0,', b'"likes":-5,', "negative likes count", id="invalid_edit"),
+        ],
+    )
+    def test_log_edited_beside_its_old_columns(self, cell, tmp_path, old, new, error):
+        # The JSONL is edited after simulate and its manifest digest updated; the .npz still holds the old columns.
+        path, _, parsed = cell
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        manifest_path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["cells"][0]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        alone = tmp_path / "edited.jsonl"
+        shutil.copyfile(path, alone)
+        if error is None:
+            _, cells = load_experiment(tmp_path / "run")
+            (log,) = dict(cells).values()
+            _assert_same_log(log, read_log(alone))
+            assert not np.array_equal(log.exposures.likes, parsed.exposures.likes)
+        else:
+            with pytest.raises(FormatError) as expected:
+                read_log(alone)
+            with pytest.raises(FormatError) as got:
+                dict(load_experiment(tmp_path / "run")[1])
+            assert error in str(got.value) and str(got.value) == str(expected.value).replace(str(alone), str(path))
+
+    def test_wrong_manifest_digest_beside_saved_columns(self, cell):
+        # The log and its columns agree, but not with the manifest: the digest check still fails.
+        path, _, _ = cell
+        with pytest.raises(FormatError, match=f"{path.name}: SHA-256 differs from the manifest's {'0' * 64}"):
+            read_log(path, "0" * 64)
+
+    @pytest.mark.parametrize(
+        "lines, edit, error",
+        [
+            pytest.param([_READ_ROW, _SEED_ROW], None, "line 1: exposure of post 0 before any row creates it", id="exposure_before_creation"),
+            pytest.param([_SEED_ROW, _SEED_ROW], None, "line 2: post 0 created twice", id="created_twice"),
+            pytest.param(['{"kind":"seed","post":5,"author":1,"source":0,"t":0}'], None, "line 1: seed post 5 has source 0", id="seed_with_source"),
+            pytest.param([_SEED_ROW, _READ_ROW], lambda log: log.exposures.likes.fill(2**62), "line 2: likes count too large", id="likes_2_62"),
+        ],
+    )
+    def test_bad_log_beside_its_own_columns(self, tmp_path, lines, edit, error):
+        # write_log formats any columns, so a log that breaks a rule can have its own columns beside it;
+        # read_log still names its first bad line.
+        log = harness._log_from_objs([json.loads(line) for line in lines])  # the creation rules are not checked here
+        if edit:
+            edit(log)
+        path = tmp_path / "cell.jsonl"
+        write_log(log, path)
+        harness.save_columns(log, path.with_suffix(".npz"))
+        with pytest.raises(FormatError, match=f"{path}, {error}"):
+            read_log(path)
+
+
 class TestPlan:
     def test_twelve_cells_per_replication(self):
         assert len(_tiny_plan().cells()) == 12
@@ -491,6 +656,19 @@ class TestRunExperiment:
         per_cell = dict(cells)
         assert {k: len(v) for k, v in per_cell.items()} == rows_by_manifest
         assert list(per_cell) == sorted(rows_by_manifest)  # sorted by cell name, not in plan order
+
+    def test_load_experiment_gives_the_same_columns_with_and_without_saved_columns(self, small_inputs, tmp_path, monkeypatch):
+        profiles, graph, corpus = small_inputs
+        run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_parse_rows", None)  # a parse would fail
+            saved = dict(load_experiment(tmp_path)[1])
+        for path in (tmp_path / "logs").glob("*.npz"):
+            path.unlink()
+        parsed = dict(load_experiment(tmp_path)[1])
+        assert list(saved) == list(parsed) and len(saved) == 12
+        for cell in saved:
+            _assert_same_log(saved[cell], parsed[cell])
 
     def test_history_window_longer_than_eight(self, small_inputs, tmp_path):
         # Regression: a policy-side constant once capped histories at 8, so every
