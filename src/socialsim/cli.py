@@ -132,16 +132,17 @@ def read_config(cfg: object) -> tuple[ExperimentPlan, SimulateInputs]:
     return plan, inputs
 
 
-def _check_out_dir(out: str) -> None:
-    """ConfigurationError unless --out is a directory or can be made one: the first of it and its parents that exists is a directory."""
-    path = Path(out)
+def _check_out(out: str, is_file: bool) -> None:
+    """ConfigurationError unless --out can be written: a file's --out is no directory, and the directory --out is or is in exists or can be made."""
+    if is_file and Path(out).is_dir():
+        raise ConfigurationError(f"--out {out} is a directory")
+    path = Path(out).parent if is_file else Path(out)
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigurationError(f"--out {out}: {existing} is not a directory")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
     config_path = Path(args.config)
     try:
         cfg = json.loads(read_text(config_path, "config"))
@@ -205,7 +206,6 @@ def _resolve(config_path: Path, value: str) -> Path:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
     logs_dir = Path(args.logs)
     if not (logs_dir / "manifest.json").exists():
         print(f"error: no manifest.json under {logs_dir}", file=sys.stderr)
@@ -341,7 +341,6 @@ _TABLES = [
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
     analysis = Path(args.analysis)
     for name in ("descriptive_shares.csv", "threshold_model.json", "fit_metrics.csv"):
         if not (analysis / name).exists():
@@ -441,6 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out, is_file=args.command.startswith("gen-"))  # before a command reads or writes anything
         return args.func(args)
     except (ConfigurationError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -437,33 +438,27 @@ class FixtureTransport:
 
 
 class HttpTransport:
-    """One OpenAI-compatible chat-completion round trip per request."""
+    """One OpenAI-compatible chat-completion round trip per request, a new connection each time."""
 
     def __init__(self, base_url: str, api_key: str | None = None, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        self._session = None
 
     def complete(self, request: dict) -> str:
-        import requests
+        import urllib.request  # loads ssl and http.client, which only a run that calls an endpoint needs
 
-        if self._session is None:
-            self._session = requests.Session()
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = self._session.post(
-                f"{self.base_url}/chat/completions",
-                json=request,
-                headers=headers,
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            body = resp.json()
-            return body["choices"][0]["message"]["content"]
+            body = json.dumps(request, allow_nan=False).encode("utf-8")
+            post = urllib.request.Request(f"{self.base_url}/chat/completions", data=body, headers=headers, method="POST")
+            with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                return json.loads(resp.read())["choices"][0]["message"]["content"]
         except Exception as e:  # noqa: BLE001 - any transport problem is retryable
+            if isinstance(e, urllib.error.HTTPError):
+                e.close()  # an error status comes with its reply still open
             raise TransportError(str(e)) from e
 
 
@@ -555,8 +550,13 @@ class LlmSpec:
                 raise ConfigurationError(f"fixture file not found: {self.fixture_path}")
             read_fixtures(self.fixture_path)
         elif self.transport == "live":
-            if not self.endpoint:
-                raise ConfigurationError("live transport requires policy key 'endpoint'")
+            try:
+                url = urlsplit(self.endpoint)
+                url.port  # raises ValueError unless the port, if any, is a number in 0-65535
+            except ValueError:
+                url = None
+            if url is None or url.scheme not in ("http", "https") or not url.hostname:
+                raise ConfigurationError(f"live transport requires policy key 'endpoint', an http or https URL with a host, got {self.endpoint!r}")
         else:
             raise ConfigurationError(f"policy key 'transport' must be 'live' or 'fixtures', got {self.transport!r}")
 

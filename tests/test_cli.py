@@ -106,6 +106,29 @@ class TestGenerators:
         assert capsys.readouterr().err.splitlines() == [f"error: corpus size must be at least 1, got {size}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["gen-population", "--n", "20"], ["gen-corpus"]], ids=["gen-population", "gen-corpus"])
+    @pytest.mark.parametrize("case", ["directory", "under_a_file"])
+    def test_out_that_cannot_be_a_file_exits_2_and_writes_nothing(self, tmp_path, capsys, command, case):
+        # Regression: --out a directory ended in an IsADirectoryError traceback, and a path
+        # under a regular file in a NotADirectoryError traceback, both with exit 1.
+        taken = tmp_path / "taken"
+        if case == "directory":
+            taken.mkdir()
+            out, error = taken, f"error: --out {taken} is a directory"
+        else:
+            taken.write_text("kept\n")
+            out, error = taken / "x.jsonl", f"error: --out {taken / 'x.jsonl'}: {taken} is not a directory"
+        assert main([*command, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert list(tmp_path.rglob("*")) == [taken] and (taken.is_dir() or taken.read_text() == "kept\n")
+
+    @pytest.mark.parametrize("command", ["gen-population", "gen-corpus"])
+    def test_out_under_a_missing_directory_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "x.jsonl"
+        assert main([command, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNegativeSeed:
     """A seed is a non-negative integer wherever it is given; a negative one exits 2 naming it and writes nothing."""
@@ -943,9 +966,9 @@ class TestHelp:
         assert "--out" in out
 
 
-# Runs the CLI module as `python -m socialsim.cli <argv>` does (so socialsim/__init__'s imports count),
-# then prints the scipy modules the process loaded.
-_RUN_CLI = """
+# Runs the CLI module as `python -m socialsim.cli <argv>` does (so socialsim/__init__'s imports count);
+# _RUN_CLI then prints the scipy modules the process loaded.
+_CLI_MAIN = """
 import runpy, sys
 sys.argv = ["socialsim", *sys.argv[1:]]
 try:
@@ -953,8 +976,9 @@ try:
 except SystemExit as e:
     if e.code:
         raise
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
+_RUN_CLI = _CLI_MAIN + """print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))\n"""
+_HTTP_MODULES = "print(sorted(m for m in ('requests', 'urllib.request') if m in sys.modules))"
 
 
 class TestProcessImports:
@@ -993,6 +1017,26 @@ class TestProcessImports:
         for argv in commands:
             assert self._scipy_modules(_RUN_CLI, *argv) == "[]", argv[0]
         assert (tmp_path / "report" / "report.md").exists()
+
+    def test_cli_import_leaves_urllib_request_unloaded(self):
+        # urllib.request loads ssl and http.client, which only a run that calls an endpoint needs.
+        assert self._scipy_modules("import sys, socialsim.cli; " + _HTTP_MODULES) == "[]"
+
+    def test_llm_fixture_cell_loads_no_http_client(self, tmp_path):
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text("")  # every request misses, and its activation reads
+        plan = {"base_seed": 5, "n_agents": 40, "timesteps": 40, "activation_p": 0.05,
+                "policy": {"kind": "llm", "transport": "fixtures", "fixture_path": str(fixture)}}
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        argv = ["simulate", "--config", str(tmp_path / "plan.json"), "--out", str(tmp_path / "sim"), "--cell", "load=low,norm=none"]
+        assert self._scipy_modules(_CLI_MAIN + _HTTP_MODULES, *argv) == "[]"
+        assert (tmp_path / "sim" / "logs" / "low_no_norm_r0.jsonl").exists()
+
+    def test_http_transport_loads_urllib_request_not_requests(self, chat_server):
+        # The check sees urllib.request where it is loaded: one round trip to a loopback endpoint.
+        code = f"import sys; from socialsim.policy import HttpTransport; HttpTransport({chat_server.endpoint!r}).complete({{}}); " + _HTTP_MODULES
+        assert self._scipy_modules(code) == "['urllib.request']"
+        assert len(chat_server.seen) == 1
 
     def test_analyze_loads_scipy(self, run_dir, tmp_path):
         # The check sees scipy where it is loaded: analyze fits, so it imports scipy.special.

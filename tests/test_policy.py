@@ -2,12 +2,17 @@ import hashlib
 import json
 import math
 import re
+import socket
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+import socialsim as ss
 from socialsim.core import (
+    LOADS,
+    NORMS,
     ActionKind,
     ConfigurationError,
     FormatError,
@@ -18,6 +23,7 @@ from socialsim.core import (
     to_obj,
 )
 from socialsim.engine import run
+from socialsim.harness import ExperimentPlan, run_experiment
 from socialsim.policy import (
     Decision,
     DecisionContext,
@@ -38,10 +44,11 @@ from socialsim.policy import (
     policy_spec_from_obj,
     request_hash,
 )
+from socialsim.population import generate_population, generate_seed_corpus
 from socialsim.stats import N_COLUMNS
 
-from conftest import make_feed, tiny_profiles
-from test_acceptance import RecordingTransport
+from conftest import chat_reply, make_feed, tiny_profiles
+from test_acceptance import RecordingTransport, _DeterministicResponder
 
 
 def _feed(*slots):
@@ -380,21 +387,79 @@ class TestTransports:
         assert len(calls) == 1 and waits == []
 
     def test_http_failure_is_retried_with_growing_waits(self, monkeypatch):
-        import requests
-
-        class RefusingSession:
-            calls = 0
-
-            def post(self, *args, **kwargs):
-                RefusingSession.calls += 1
-                raise requests.ConnectionError("refused")
-
-        transport = HttpTransport("http://localhost:9")
-        transport._session = RefusingSession()
+        with socket.socket() as s:  # a loopback port nothing listens on: every connection is refused
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        transport = HttpTransport(f"http://127.0.0.1:{port}/v1")
+        with pytest.raises(TransportError, match="refused"):
+            transport.complete({"model": "m"})
+        calls, complete = [], transport.complete
+        monkeypatch.setattr(transport, "complete", lambda request: calls.append(request) or complete(request))
         waits = []
         monkeypatch.setattr("socialsim.policy.time.sleep", waits.append)
         assert decide(LlmPolicy(transport, model="m"), _context(), _rng()) == Decision.read_all()
-        assert RefusingSession.calls == 4 and waits == [0.5, 1.0, 1.5]  # the default 3 retries
+        assert len(calls) == 4 and waits == [0.5, 1.0, 1.5]  # the default 3 retries
+
+    def test_http_reply_gives_its_content(self, chat_server):
+        request = {"model": "m", "temperature": 0.6, "messages": [{"role": "user", "content": "caf\u00e9 \u2603"}]}
+        chat_server.reply = lambda posted: (200, chat_reply('{"action":"like","post_id":3}'))
+        assert HttpTransport(chat_server.endpoint + "/").complete(request) == '{"action":"like","post_id":3}'
+        assert HttpTransport(chat_server.endpoint, api_key="sk-test").complete(request) == '{"action":"like","post_id":3}'
+        (path, headers, body), (_, keyed_headers, _) = chat_server.seen
+        assert path == "/v1/chat/completions"
+        assert body == json.dumps(request, allow_nan=False).encode("utf-8")
+        assert headers["Content-Type"] == "application/json" and "Authorization" not in headers
+        assert keyed_headers["Authorization"] == "Bearer sk-test"
+
+    @pytest.mark.parametrize(
+        "status, body, delay",
+        [
+            pytest.param(500, b'{"error": "overloaded"}', 0.0, id="http_500"),
+            pytest.param(200, b"<html>busy</html>", 0.0, id="not_json"),
+            pytest.param(200, b'{"error": {"message": "no model"}}', 0.0, id="no_choices"),
+            pytest.param(200, chat_reply('{"action":"like","post_id":3}'), 5.0, id="slower_than_timeout"),
+        ],
+    )
+    def test_bad_http_reply_degrades_after_the_retries(self, chat_server, monkeypatch, status, body, delay):
+        chat_server.reply = lambda posted: (status, body)
+        chat_server.delay = delay
+        waits = []
+        monkeypatch.setattr("socialsim.policy.time.sleep", waits.append)
+        transport = HttpTransport(chat_server.endpoint, timeout=0.25)
+        assert decide(LlmPolicy(transport, model="m"), _context(), _rng()) == Decision.read_all()
+        assert len(chat_server.seen) == 4 and waits == [0.5, 1.0, 1.5]
+
+    def test_http_error_status_closes_its_reply(self, chat_server):
+        chat_server.reply = lambda posted: (500, b'{"error": "overloaded"}')
+        with pytest.raises(TransportError, match="HTTP Error 500") as caught:
+            HttpTransport(chat_server.endpoint).complete({"model": "m"})
+        assert caught.value.__cause__.fp.closed
+
+    def test_live_transport_on_loopback_gives_the_fixture_replays_logs(self, chat_server, tmp_path):
+        # c10's plan, its fixtures recorded in-process from the responder, replayed; then the same
+        # responder served over HTTP to a live-transport plan: each cell's log must be the same bytes.
+        profiles, graph = generate_population(40, seed=7)
+        corpus = generate_seed_corpus(seed=7, size=12)
+        fixture_path = tmp_path / "responses.jsonl"
+        plan = ExperimentPlan(base_seed=55, n_agents=40, timesteps=25, activation_p=0.05)
+        for load in LOADS:
+            for norm in NORMS:
+                policy = LlmPolicy(RecordingTransport(_DeterministicResponder(), fixture_path), model="offline-test")
+                ss.run(plan.cell_config(load, norm, 0), policy, profiles, graph, corpus)
+        replay_spec = LlmSpec(model="offline-test", transport="fixtures", fixture_path=str(fixture_path))
+        replay = run_experiment(replace(plan, policy=replay_spec), profiles, graph, corpus, tmp_path / "replay")
+
+        responder = _DeterministicResponder()
+        chat_server.reply = lambda posted: (200, chat_reply(responder.complete(posted)))
+        live_spec = LlmSpec(model="offline-test", endpoint=chat_server.endpoint)
+        live = run_experiment(replace(plan, policy=live_spec), profiles, graph, corpus, tmp_path / "live")
+
+        assert len(chat_server.seen) == len(fixture_path.read_text().splitlines()) > 100
+        assert [c["status"] for c in live["cells"]] == ["ok"] * 12
+        assert [c["sha256"] for c in live["cells"]] == [c["sha256"] for c in replay["cells"]]
+        logs = (tmp_path / "live" / "logs").glob("*.jsonl")
+        assert any('"action":"like"' in path.read_text() for path in logs)  # replies were used, not read-only fallbacks
+
 
 class TestPolicySpecs:
     def test_round_trip(self):
@@ -435,6 +500,10 @@ class TestPolicySpecs:
             pytest.param({"kind": "scripted", "intents": "read"}, "'intents'", id="intents_not_a_list"),
             pytest.param({"kind": "llm", "modle": "x", "endpoint": "http://x"}, "'modle'", id="misspelled_model"),
             pytest.param({"kind": "llm", "model": "x"}, "'endpoint'", id="live_without_endpoint"),
+            pytest.param({"kind": "llm", "endpoint": "localhost:8000/v1"}, "'endpoint'", id="endpoint_without_scheme"),
+            pytest.param({"kind": "llm", "endpoint": "ftp://x/v1"}, "'endpoint'", id="ftp_endpoint"),
+            pytest.param({"kind": "llm", "endpoint": "http:///v1"}, "'endpoint'", id="endpoint_without_host"),
+            pytest.param({"kind": "llm", "endpoint": "http://x:99999/v1"}, "'endpoint'", id="endpoint_port_out_of_range"),
             pytest.param({"kind": "llm", "transport": "fixtures"}, "'fixture_path'", id="fixtures_without_path"),
             pytest.param({"kind": "llm", "transport": "replay", "endpoint": "http://x"}, "'transport'", id="unknown_transport"),
             pytest.param({"kind": "llm", "endpoint": "http://x", "max_retries": -1}, "'max_retries'", id="negative_retries"),
