@@ -441,20 +441,20 @@ class HttpTransport:
     """One OpenAI-compatible chat-completion round trip per request, a new connection each time."""
 
     def __init__(self, base_url: str, api_key: str | None = None, timeout: float = 30.0):
+        import ssl  # for a live run only; the one context below spares urlopen a CA store load (about 50 ms) per https request
+
         self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
         self.timeout = timeout
+        self.headers = {"Content-Type": "application/json"} | ({"Authorization": f"Bearer {api_key}"} if api_key else {})
+        self._tls = ssl.create_default_context() if urlsplit(self.base_url).scheme == "https" else None
 
     def complete(self, request: dict) -> str:
-        import urllib.request  # loads ssl and http.client, which only a run that calls an endpoint needs
+        import urllib.request  # loads http.client, which only a run that calls an endpoint needs
 
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         try:
             body = json.dumps(request, allow_nan=False).encode("utf-8")
-            post = urllib.request.Request(f"{self.base_url}/chat/completions", data=body, headers=headers, method="POST")
-            with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+            post = urllib.request.Request(f"{self.base_url}/chat/completions", body, self.headers, method="POST")
+            with urllib.request.urlopen(post, timeout=self.timeout, context=self._tls) as resp:
                 return json.loads(resp.read())["choices"][0]["message"]["content"]
         except Exception as e:  # noqa: BLE001 - any transport problem is retryable
             if isinstance(e, urllib.error.HTTPError):
@@ -552,10 +552,10 @@ class LlmSpec:
         elif self.transport == "live":
             try:
                 url = urlsplit(self.endpoint)
-                url.port  # raises ValueError unless the port, if any, is a number in 0-65535
+                port = url.port  # raises ValueError unless the port, if any, is a number in 0-65535
             except ValueError:
                 url = None
-            if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            if url is None or url.scheme not in ("http", "https") or not url.hostname or port == 0:
                 raise ConfigurationError(f"live transport requires policy key 'endpoint', an http or https URL with a host, got {self.endpoint!r}")
         else:
             raise ConfigurationError(f"policy key 'transport' must be 'live' or 'fixtures', got {self.transport!r}")

@@ -400,6 +400,25 @@ class TestTransports:
         assert decide(LlmPolicy(transport, model="m"), _context(), _rng()) == Decision.read_all()
         assert len(calls) == 4 and waits == [0.5, 1.0, 1.5]  # the default 3 retries
 
+    def test_https_transport_loads_the_ca_store_once(self, monkeypatch):
+        # Regression: urlopen without a context builds one, loading the system's CA store, per request.
+        import ssl
+        import urllib.request
+
+        built, contexts, urlopen = [], [], urllib.request.urlopen
+        create = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda *a, **k: built.append(create(*a, **k)) or built[-1])
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: contexts.append(k.get("context")) or urlopen(*a, **k))
+        with socket.socket() as s:  # nothing listens here, so each request is refused before a handshake
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        transport = HttpTransport(f"https://127.0.0.1:{port}/v1")
+        for _ in range(3):
+            with pytest.raises(TransportError, match="refused"):
+                transport.complete({"model": "m"})
+        assert len(built) == 1 and contexts == built * 3
+        assert HttpTransport(f"http://127.0.0.1:{port}/v1")._tls is None
+
     def test_http_reply_gives_its_content(self, chat_server):
         request = {"model": "m", "temperature": 0.6, "messages": [{"role": "user", "content": "caf\u00e9 \u2603"}]}
         chat_server.reply = lambda posted: (200, chat_reply('{"action":"like","post_id":3}'))
@@ -471,6 +490,10 @@ class TestPolicySpecs:
         assert isinstance(build_policy(ScriptedSpec(intents=["read"]), LoadLevel.LOW, NormRegime.NO_NORM), ScriptedPolicy)
         assert isinstance(build_policy(mock_policy_spec(), LoadLevel.LOW, NormRegime.NO_NORM), ParametricLogitPolicy)
 
+    @pytest.mark.parametrize("endpoint", ["http://x", "HTTPS://x/v1", "http://x:1/v1", "http://x:65535/v1", "http://[::1]:8000/v1"])
+    def test_usable_endpoint_is_accepted(self, endpoint):
+        assert policy_spec_from_obj({"kind": "llm", "endpoint": endpoint}).endpoint == endpoint
+
     def test_mock_kind_gives_the_default_coefficients(self):
         assert policy_spec_from_obj({"kind": "mock"}) == mock_policy_spec()
 
@@ -504,6 +527,7 @@ class TestPolicySpecs:
             pytest.param({"kind": "llm", "endpoint": "ftp://x/v1"}, "'endpoint'", id="ftp_endpoint"),
             pytest.param({"kind": "llm", "endpoint": "http:///v1"}, "'endpoint'", id="endpoint_without_host"),
             pytest.param({"kind": "llm", "endpoint": "http://x:99999/v1"}, "'endpoint'", id="endpoint_port_out_of_range"),
+            pytest.param({"kind": "llm", "endpoint": "http://x:0/v1"}, "'endpoint'", id="endpoint_port_zero"),
             pytest.param({"kind": "llm", "transport": "fixtures"}, "'fixture_path'", id="fixtures_without_path"),
             pytest.param({"kind": "llm", "transport": "replay", "endpoint": "http://x"}, "'transport'", id="unknown_transport"),
             pytest.param({"kind": "llm", "endpoint": "http://x", "max_retries": -1}, "'max_retries'", id="negative_retries"),
