@@ -9,6 +9,7 @@ against. Caller text is escaped with ``html.escape`` where it enters the SVG.
 
 from __future__ import annotations
 
+import math
 from html import escape
 from typing import Mapping, Sequence
 
@@ -94,13 +95,16 @@ def probability_curves_svg(
 ) -> str:
     """One polyline per (load, norm) with a translucent 95% band behind it.
 
-    Curve points are (x, p, lo, hi).
+    Curve points are (x, p, lo, hi). A point is left out of the polyline
+    unless x and p are finite, and out of the band unless x, lo and hi are
+    (an inestimable model predicts NaN rows, and SVG has no NaN coordinate);
+    a condition without such points draws no polyline or band.
     """
     width, height = 900, 460
     left, right, top, bottom = 60, 170, 40, 50
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    xs = [pt[0] for pts in curves.values() for pt in pts]
+    xs = [pt[0] for pts in curves.values() for pt in pts if math.isfinite(pt[0])]
     x_min, x_max = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_max <= x_min:
         x_max = x_min + 1.0
@@ -125,22 +129,24 @@ def probability_curves_svg(
     )
 
     for (load, norm), pts in sorted(curves.items()):
-        if not pts:
-            continue
         condition = f'data-load="{escape(load)}" data-norm="{escape(norm)}"'
-        band = [(sx(x), sy(hi)) for x, _, _, hi in pts] + [(sx(x), sy(lo)) for x, _, lo, _ in reversed(pts)]
-        band_str = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in band)
-        parts.append(
-            f'<polygon class="band" {condition} points="{band_str}" '
-            f'fill="{LOAD_COLORS.get(load, "#888888")}" fill-opacity="0.12" stroke="none"/>'
-        )
-        line = " ".join(f"{_fmt(sx(x))},{_fmt(sy(p))}" for x, p, _, _ in pts)
-        dash = NORM_DASH.get(norm, "")
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<polyline class="curve" {condition} points="{line}" '
-            f'fill="none" stroke="{LOAD_COLORS.get(load, "#888888")}" stroke-width="1.6"{dash_attr}/>'
-        )
+        band = [(x, lo, hi) for x, _, lo, hi in pts if math.isfinite(x) and math.isfinite(lo) and math.isfinite(hi)]
+        if band:
+            outline = [(sx(x), sy(hi)) for x, _, hi in band] + [(sx(x), sy(lo)) for x, lo, _ in reversed(band)]
+            band_str = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in outline)
+            parts.append(
+                f'<polygon class="band" {condition} points="{band_str}" '
+                f'fill="{LOAD_COLORS.get(load, "#888888")}" fill-opacity="0.12" stroke="none"/>'
+            )
+        line = [(x, p) for x, p, _, _ in pts if math.isfinite(x) and math.isfinite(p)]
+        if line:
+            line_str = " ".join(f"{_fmt(sx(x))},{_fmt(sy(p))}" for x, p in line)
+            dash = NORM_DASH.get(norm, "")
+            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+            parts.append(
+                f'<polyline class="curve" {condition} points="{line_str}" '
+                f'fill="none" stroke="{LOAD_COLORS.get(load, "#888888")}" stroke-width="1.6"{dash_attr}/>'
+            )
 
     ly = top
     for (load, norm) in sorted(curves):

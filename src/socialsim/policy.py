@@ -539,6 +539,8 @@ class LlmSpec:
     fixture_path: str | None = None
 
     def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ConfigurationError(f"policy key 'temperature' must be non-negative, got {self.temperature}")
         if self.timeout <= 0:
             raise ConfigurationError(f"policy key 'timeout' must be positive, got {self.timeout}")
         if self.max_retries < 0:

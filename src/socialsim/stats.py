@@ -166,73 +166,54 @@ def build_design_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Log-likelihoods and analytic gradients (exposed for finite-difference checks)
+# Models: each stage's log-likelihood, score and information
 # ---------------------------------------------------------------------------
+
+# A stage's model(X, y) returns the three functions _newton takes, none of which keeps state between
+# calls: loglik(theta) gives (ll, p), the log-likelihood and the fitted probabilities at theta, from one
+# linear predictor; score(p) and information(p) give the gradient and the observed information at the
+# point p belongs to. theta is the stage's coefficient blocks (one per equation) laid end to end. The
+# public functions are the same models at one theta, exposed for finite-difference checks.
 
 
 def binary_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     """Bernoulli log-likelihood with a numerically stable log(1 + e^eta)."""
-    return _Binary(X, y).loglik(beta)
+    return _binary(X, y)[0](beta)[0]
 
 
 def binary_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Gradient of the Bernoulli log-likelihood: X'(y - p)."""
-    return _Binary(X, y).score(beta)
+    loglik, score, _ = _binary(X, y)
+    return score(loglik(beta)[1])
 
 
-class _Binary:
-    """The Bernoulli log-likelihood, score and information of one design, as functions of beta.
+def _binary(X: np.ndarray, y: np.ndarray):
+    """The Bernoulli model of design X: p = expit(eta), eta = X @ beta.
 
-    The three at one beta share the linear predictor eta = X @ beta and
-    p = expit(eta), each computed once: Newton asks for the log-likelihood
-    at a new beta, then for the score and information at that same beta.
-    Each is dropped once no later call needs it (eta once p exists, both
-    when beta changes), and the weighted copy of X the information needs
-    is written into one buffer for the life of the object.
+    The weighted copy of X the information needs is written into one buffer,
+    allocated once per model.
     """
+    from scipy.special import expit
 
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X, self.y = X, y
-        self._beta = self._eta = self._p = None
-        self._weighted = None  # w[:, None] * X
+    weighted = np.empty_like(X)  # w[:, None] * X
 
-    def _at(self, beta: np.ndarray) -> None:
-        if self._beta is None or not np.array_equal(beta, self._beta):
-            self._beta, self._eta, self._p = beta.copy(), None, None
-
-    def _linear(self, beta: np.ndarray) -> np.ndarray:
-        self._at(beta)
-        if self._eta is None:
-            self._eta = self.X @ beta
-        return self._eta
-
-    def _probs(self, beta: np.ndarray) -> np.ndarray:
-        from scipy.special import expit
-
-        self._at(beta)
-        if self._p is None:
-            self._p = expit(self._linear(beta))
-            self._eta = None
-        return self._p
-
-    def loglik(self, beta: np.ndarray) -> float:
-        eta = self._linear(beta)
-        terms = self.y * eta
+    def loglik(beta: np.ndarray) -> tuple[float, np.ndarray]:
+        eta = X @ beta
+        terms = y * eta
         terms -= np.logaddexp(0.0, eta)
-        return float(np.sum(terms))
+        return float(np.sum(terms)), expit(eta)
 
-    def score(self, beta: np.ndarray) -> np.ndarray:
-        return self.X.T @ (self.y - self._probs(beta))
+    def score(p: np.ndarray) -> np.ndarray:
+        return X.T @ (y - p)
 
-    def information(self, beta: np.ndarray) -> np.ndarray:
+    def information(p: np.ndarray) -> np.ndarray:
         """X' diag(p (1 - p)) X."""
-        p = self._probs(beta)
         w = 1.0 - p
         w *= p
-        if self._weighted is None:
-            self._weighted = np.empty_like(self.X)
-        np.multiply(w[:, None], self.X, out=self._weighted)
-        return self.X.T @ self._weighted
+        np.multiply(w[:, None], X, out=weighted)
+        return X.T @ weighted
+
+    return loglik, score, information
 
 
 def multinomial_loglik(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
@@ -240,28 +221,55 @@ def multinomial_loglik(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
 
     coef has shape (n_eq, k); class c >= 1 has eta_c = X @ coef[c-1].
     """
-    from scipy.special import logsumexp
-
-    eta = X @ coef.T  # (n, n_eq)
-    full = np.concatenate([np.zeros((X.shape[0], 1)), eta], axis=1)
-    denom = logsumexp(full, axis=1)
-    picked = full[np.arange(X.shape[0]), y]
-    return float(np.sum(picked - denom))
+    return _multinomial(X, y)[0](coef)[0]
 
 
 def multinomial_probs(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    eta = X @ coef.T
-    full = np.concatenate([np.zeros((X.shape[0], 1)), eta], axis=1)
-    full -= full.max(axis=1, keepdims=True)
-    e = np.exp(full)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(_logits(X, coef))
 
 
 def multinomial_score(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Gradient, flattened over equations: [X'(1[y=c] - p_c)] for c = 1..n_eq."""
-    p = multinomial_probs(X, coef)
-    parts = [X.T @ ((y == c).astype(np.float64) - p[:, c]) for c in range(1, coef.shape[0] + 1)]
-    return np.concatenate(parts)
+    loglik, score, _ = _multinomial(X, y)
+    return score(loglik(coef)[1])
+
+
+def _multinomial(X: np.ndarray, y: np.ndarray):
+    """The baseline-category logit of design X, class 0 the reference (see multinomial_loglik)."""
+    from scipy.special import logsumexp
+
+    n, k = X.shape
+
+    def loglik(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        full = _logits(X, theta.reshape(-1, k))
+        ll = float(np.sum(full[np.arange(n), y] - logsumexp(full, axis=1)))
+        return ll, _softmax(full)
+
+    def score(p: np.ndarray) -> np.ndarray:
+        return np.concatenate([X.T @ ((y == c).astype(np.float64) - p[:, c]) for c in range(1, p.shape[1])])
+
+    def information(p: np.ndarray) -> np.ndarray:
+        n_eq = p.shape[1] - 1
+        out = np.zeros((n_eq * k, n_eq * k))
+        for c in range(1, n_eq + 1):
+            for d in range(1, n_eq + 1):
+                w = p[:, c] * ((1.0 if c == d else 0.0) - p[:, d])
+                out[(c - 1) * k : c * k, (d - 1) * k : d * k] = X.T @ (w[:, None] * X)
+        return out
+
+    return loglik, score, information
+
+
+def _logits(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(n, n_eq + 1) linear predictors, the reference class's zero first."""
+    return np.concatenate([np.zeros((X.shape[0], 1)), X @ coef.T], axis=1)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Each row's class probabilities; shifts ``logits`` by the row maximum in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +439,27 @@ _RIDGE = 1e-6
 _EQUATIONS = {"threshold": ("engage",), "allocation": ALLOCATION_EQUATIONS}
 
 
-def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray, float, int, bool, list[str]]:
+def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, int, bool, list[str]]:
     """Newton ascent with step halving and a ridge retry on singular systems.
 
     For the canonical-link models here the Newton iteration coincides with
-    iteratively reweighted least squares. Convergence is declared when the
-    log-likelihood improves by less than `_TOL` between iterations.
+    iteratively reweighted least squares. Each iteration takes the score and
+    information from the probabilities of the point it stands on, and calls
+    loglik at each trial point until it accepts one. Convergence is declared
+    when the log-likelihood improves by less than `_TOL` between iterations.
+    Returns the estimate with its log-likelihood and probabilities, the
+    iteration count, whether it converged, and the diagnostics.
     """
     theta = theta0.copy()
     diagnostics: list[str] = []
-    ll = loglik(theta)
+    ll, p = loglik(theta)
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        g = score(theta)
-        info = information(theta)
+        g = score(p)
+        info = information(p)
+        # Each p is dropped before loglik computes the next point's: a second one alive would raise the fit's peak memory.
+        del p
         try:
             step = np.linalg.solve(info, g)
             if not np.all(np.isfinite(step)):
@@ -454,12 +468,13 @@ def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray,
             diagnostics.append(f"iteration {it}: singular information matrix, ridge {_RIDGE:g} added")
             step = np.linalg.solve(info + _RIDGE * np.eye(info.shape[0]), g)
         new_theta = theta + step
-        new_ll = loglik(new_theta)
+        new_ll, p = loglik(new_theta)
         halvings = 0
         while (not math.isfinite(new_ll) or new_ll < ll) and halvings < 30:
             step *= 0.5
             new_theta = theta + step
-            new_ll = loglik(new_theta)
+            del p
+            new_ll, p = loglik(new_theta)
             halvings += 1
         theta = new_theta
         if abs(new_ll - ll) < _TOL:
@@ -469,7 +484,7 @@ def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray,
         ll = new_ll
     if not converged:
         diagnostics.append(f"no convergence within {_MAX_ITER} iterations")
-    return theta, ll, it, converged, diagnostics
+    return theta, ll, p, it, converged, diagnostics
 
 
 def _fit(
@@ -477,9 +492,8 @@ def _fit(
 ) -> FittedModel:
     """Fit one stage and its intercept-only null model by _newton.
 
-    `model(X, y)` returns the stage's log-likelihood, score and information
-    on design X, each a function of theta: the stage's coefficient blocks
-    (one per equation) laid end to end. The null model is the same on a
+    `model(X, y)` returns the stage's loglik, score and information on
+    design X (see _binary and _multinomial). The null model is the same on a
     column of ones.
     Quasi-separation (any |B| > SEPARATION_BOUND) is reported through
     `converged=False` plus a diagnostic; estimates are still returned.
@@ -494,8 +508,8 @@ def _fit(
         The model's work arrays go when this returns, before the next fit.
         """
         loglik, score, information = model(X, y)
-        theta, ll, it, converged, diags = _newton(loglik, score, information, np.zeros(n_eq * X.shape[1]))
-        return theta, ll, it, converged, diags, information(theta)
+        theta, ll, p, it, converged, diags = _newton(loglik, score, information, np.zeros(n_eq * X.shape[1]))
+        return theta, ll, it, converged, diags, information(p)
 
     theta, ll_full, it, converged, diags, info = newton(X)
     ll_null = newton(np.ones((n, 1)))[1]
@@ -545,12 +559,7 @@ def fit_binary_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | 
     y = np.asarray(y, dtype=np.float64)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("binary outcome must be coded 0/1")
-
-    def model(X: np.ndarray, y: np.ndarray):
-        binary = _Binary(X, y)
-        return binary.loglik, binary.score, binary.information
-
-    return _fit("threshold", X, y, terms, model)
+    return _fit("threshold", X, y, terms, _binary)
 
 
 def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
@@ -584,30 +593,7 @@ def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[st
             diagnostics=[f"outcome class {c} has no observations; equation inestimable" for c in missing],
             composite_max=_composite_max(X),
         )
-
-    def model(X: np.ndarray, y: np.ndarray):
-        def blocks(theta: np.ndarray) -> np.ndarray:
-            return theta.reshape(-1, X.shape[1])
-
-        return (
-            lambda t: multinomial_loglik(X, y, blocks(t)),
-            lambda t: multinomial_score(X, y, blocks(t)),
-            lambda t: _mn_info(X, blocks(t)),
-        )
-
-    return _fit("allocation", X, y, terms, model)
-
-
-def _mn_info(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    k = X.shape[1]
-    n_eq = coef.shape[0]
-    p = multinomial_probs(X, coef)
-    out = np.zeros((n_eq * k, n_eq * k))
-    for c in range(1, n_eq + 1):
-        for d in range(1, n_eq + 1):
-            w = p[:, c] * ((1.0 if c == d else 0.0) - p[:, d])
-            out[(c - 1) * k : c * k, (d - 1) * k : d * k] = X.T @ (w[:, None] * X)
-    return out
+    return _fit("allocation", X, y, terms, _multinomial)
 
 
 def _safe_inverse(info: np.ndarray, diags: list[str]) -> np.ndarray:

@@ -532,6 +532,7 @@ class TestPolicySpecs:
             pytest.param({"kind": "llm", "transport": "replay", "endpoint": "http://x"}, "'transport'", id="unknown_transport"),
             pytest.param({"kind": "llm", "endpoint": "http://x", "max_retries": -1}, "'max_retries'", id="negative_retries"),
             pytest.param({"kind": "llm", "endpoint": "http://x", "timeout": 0}, "'timeout'", id="zero_timeout"),
+            pytest.param({"kind": "llm", "endpoint": "http://x/v1", "temperature": -1.0}, "'temperature'", id="negative_temperature"),
         ],
     )
     def test_bad_policy_object_is_rejected_naming_the_key(self, obj, named):

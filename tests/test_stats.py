@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from socialsim.core import LOADS, NORMS, ActionKind, FormatError, LoadLevel, NormRegime
-from socialsim.stats import _BLOCK_ROWS
+from socialsim.stats import _BLOCK_ROWS, _binary, _fit, _multinomial
 from socialsim.stats import (
     ALLOCATION_EQUATIONS,
     DESIGN_COLUMNS,
@@ -40,6 +41,7 @@ from socialsim.stats import (
 
 from reference_log import ExposureRecord, log_from_records
 from reference_design import reference_design_matrix
+from reference_fit import reference_binary, reference_multinomial
 from reference_prediction import reference_predicted_probabilities
 
 
@@ -333,6 +335,89 @@ class TestGradients:
                 ]
             )
             assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(g))) < 1e-5
+
+
+class TestFitsEqualReferenceModels:
+    """Both stages through stats._fit give the fit of tests/reference_fit.py's textbook models bit for bit."""
+
+    @staticmethod
+    def _designs(seed: int, count: int):
+        """(rng, kind, X, eta) for random small designs, eta the two linear predictors y is drawn from.
+
+        A design is plain, has its last column duplicated (a singular information matrix), or has its
+        last column scaled by 10 to 1,000.
+        """
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            n, k = int(rng.integers(15, 80)), int(rng.integers(2, 5))
+            X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+            eta = X @ rng.normal(scale=0.8, size=(k, 2))
+            kind = ("plain", "duplicated", "scaled")[i % 3]
+            if kind == "duplicated":
+                X = np.column_stack([X, X[:, -1]])
+            elif kind == "scaled":
+                X[:, -1] *= 10.0 ** rng.uniform(1.0, 3.0)
+            yield rng, kind, X, eta
+
+    @pytest.mark.parametrize("stage", ["threshold", "allocation"])
+    def test_fits_equal_bit_for_bit(self, stage):
+        reference = reference_binary if stage == "threshold" else reference_multinomial
+        ridged = halved = 0
+        for rng, kind, X, eta in self._designs(seed=22 if stage == "threshold" else 23, count=150):
+            if stage == "threshold":
+                y = (rng.random(len(X)) < expit(eta[:, 0])).astype(np.float64)
+                got = fit_binary_logistic(X, y)
+            else:
+                # a draw from the softmax of (0, eta) by the Gumbel-max rule; every class present
+                y = np.argmax(np.column_stack([np.zeros(len(X)), eta]) - np.log(-np.log(rng.random((len(X), 3)))), axis=1)
+                y[:3] = [0, 1, 2]
+                got = fit_multinomial_logistic(X, y)
+
+            calls = []  # loglik calls of each model _fit builds: the full fit's first, then the null fit's
+
+            def counted(X, y):
+                loglik, score, information = reference(X, y)
+                calls.append(0)
+
+                def counting(theta):
+                    calls[-1] += 1
+                    return loglik(theta)
+
+                return counting, score, information
+
+            want = _fit(stage, X, y, None, counted)
+            for name in ("coef", "se", "cov"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), (kind, name)
+            assert (got.ll_full, got.ll_null, got.n_iter, got.converged, got.diagnostics) == (
+                want.ll_full, want.ll_null, want.n_iter, want.converged, want.diagnostics
+            ), kind
+            ridged += any("singular information matrix" in d for d in want.diagnostics)
+            halved += calls[0] > want.n_iter + 1  # a call beyond the first point's and one per iteration halved a step
+        assert ridged and halved, (ridged, halved)  # the ridge retry and step halving each ran
+
+    @pytest.mark.parametrize("stage, seed", [("threshold", 0), ("allocation", 72)])
+    def test_newton_holds_one_point_probabilities_at_a_time(self, stage, seed):
+        # Each loglik call must find every earlier point's p released: a second n-vector alive
+        # beside the design's weighted copy raises the binary fit's peak memory.
+        rng = np.random.default_rng(seed)  # a design on which the full fit halves steps
+        X = np.column_stack([np.ones(20), np.round(rng.normal(size=20) * 4) / 4])
+        y = rng.integers(0, 2 if stage == "threshold" else 3, size=20)
+        points = []  # per model _fit builds, a weak reference to each p its loglik returned
+
+        def tracked(X, y):
+            loglik, score, information = (_binary if stage == "threshold" else _multinomial)(X, y)
+            points.append([])
+
+            def one_point(theta):
+                assert all(point() is None for model_points in points for point in model_points)
+                ll, p = loglik(theta)
+                points[-1].append(weakref.ref(p))
+                return ll, p
+
+            return one_point, score, information
+
+        model = _fit(stage, X, y.astype(np.float64) if stage == "threshold" else y, None, tracked)
+        assert len(points) == 2 and len(points[0]) > model.n_iter + 1
 
 
 class TestFitStatistics:
