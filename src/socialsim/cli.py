@@ -250,6 +250,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         models.append(model)
         fit_line = f" mcfadden={model.metrics.mcfadden:.3f}" if stage == "threshold" else ""
         print(f"{stage}: n={model.n_obs} k={model.k} converged={model.converged}{fit_line}")
+        if not model.converged:
+            for line in model.diagnostics:
+                print(f"  {line}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -366,7 +369,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         files[name] = figures.probability_curves_svg(curves, title=title, y_label=y_label)
         if any(r["flagged"] for r in rows[stage]):
             unconverged.append(name)
-    files["report.md"] = _markdown_report(tables, sorted(files), sorted(unconverged))
+    reasons = [f"- {model.stage}: {line}" for model in models if not model.converged for line in model.diagnostics]
+    files["report.md"] = _markdown_report(tables, sorted(files), sorted(unconverged), reasons)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -382,11 +386,16 @@ def _default_grid(model: FittedModel) -> list[Scenario]:
     return [Scenario(composite=float(c), load=load, norm=norm) for load in LOADS for norm in NORMS for c in grid]
 
 
-def _markdown_report(tables: dict[str, list[tuple[int, dict[str, str]]]], svg_names: list[str], unconverged: list[str]) -> str:
+def _markdown_report(
+    tables: dict[str, list[tuple[int, dict[str, str]]]], svg_names: list[str], unconverged: list[str], reasons: list[str]
+) -> str:
+    """``reasons``: one bullet per diagnostics line of each fit with converged=False, listed under the figures it drew."""
     lines = ["# Simulation analysis report", "", "## Figures", ""]
     lines += [f"![{Path(name).stem}]({name})" for name in svg_names] + [""]
     if unconverged:
         lines += [f"Drawn from a fit that did not converge, so their bands mean nothing: {', '.join(unconverged)}", ""]
+    if reasons:
+        lines += ["The solver's diagnostics for each such fit:", "", *reasons, ""]
     for name, title, _, _ in _TABLES:
         if name not in tables:
             continue

@@ -279,7 +279,8 @@ class WorldState:
     * a keywords x posts incidence of post words (float32): one row per
       distinct lower-cased agent keyword, 1.0 where the post's lower-cased
       whitespace tokens hold that word; and each post's token count.
-      ``new_post`` fills the post's column once, and ``scores`` computes an
+      ``new_post`` fills the post's column once (a repost with its source's
+      text copies the source's column and count), and ``scores`` computes an
       agent's keyword relevance to every post from the rows of its keywords
       when the agent is scored.
 
@@ -369,6 +370,8 @@ class WorldState:
             raise ValueError("seed posts carry no source link")
         if kind is not PostKind.SEED and source is None:
             raise ValueError(f"{kind.value} posts require a source link")
+        if source is not None and not 0 <= source < len(self.posts):
+            raise ValueError(f"{kind.value} of post {source}, which does not exist")
         if author not in self.rows:
             raise ValueError(f"post author {author} is not an agent of this world")
         pid = len(self.posts)
@@ -378,9 +381,14 @@ class WorldState:
         self._author_rows[pid] = self.rows[author]
         self._kinds[pid] = _KIND_CODES[kind]
         self._sources[pid] = -1 if source is None else source
-        tokens = content_tokens(content)
-        self._words[[self._vocab[w] for w in tokens if w in self._vocab], pid] = 1.0
-        self._n_tokens[pid] = len(tokens)
+        if source is not None and content == self.posts[source]:
+            # A repost keeps its source's text, so it takes the source's words and token count.
+            self._words[:, pid] = self._words[:, source]
+            self._n_tokens[pid] = self._n_tokens[source]
+        else:
+            tokens = content_tokens(content)
+            self._words[[self._vocab[w] for w in tokens.intersection(self._vocab)], pid] = 1.0
+            self._n_tokens[pid] = len(tokens)
         self._t_min = min(self._t_min, t) if pid else t
         self._t_max = max(self._t_max, t) if pid else t
         self.posts.append(content)
@@ -494,12 +502,12 @@ def step(
 def _apply_engagement(world: WorldState, agent: int, decision, t: int) -> None:
     target = decision.target
     if decision.action is ActionKind.LIKE:
-        world.likes[target] += 1
+        world._likes[target] += 1
     elif decision.action is ActionKind.REPOST:
-        world.reposts[target] += 1
+        world._reposts[target] += 1
         world.new_post(agent, world.posts[target], PostKind.REPOST, target, t)
     elif decision.action is ActionKind.QUOTE:
-        world.quotes[target] += 1
+        world._quotes[target] += 1
         world.new_post(agent, f"{decision.commentary} // {world.posts[target]}", PostKind.QUOTE, target, t)
     world.engaged[agent].add(decision.target)
     world.history[agent].append((decision.action, decision.target, t))

@@ -237,22 +237,32 @@ class ParametricLogitPolicy:
 
     def engage_probabilities(self, totals: np.ndarray) -> np.ndarray:
         """engage_probability(log1p(total)) for each element of an int64 array of likes + reshares."""
-        totals, p = totals.tolist(), self._p_by_total
+        totals = totals.tolist()
+        p = self._probabilities(totals)
+        return np.array([p[v] for v in totals])
+
+    def _probabilities(self, totals: list[int]) -> dict[int, float]:
+        """The engage probability by likes + reshares, filled for every total in ``totals``."""
+        p = self._p_by_total
         for v in totals:
             if v not in p:
                 p[v] = self.engage_probability(math.log1p(v))
-        return np.array([p[v] for v in totals])
+        return p
 
     def decide(self, context: DecisionContext, rng: np.random.Generator) -> Decision:
         feed = context.feed
         if not len(feed):
             return Decision.read_all()
-        draws = rng.random(len(feed))
-        # The engaged post is the passing one with the highest draw; argmax
-        # takes the first of equal draws, as a strict > in a loop would.
-        passing = np.where(draws < self.engage_probabilities(feed.likes + feed.reshares), draws, -1.0)
-        i = int(passing.argmax())
-        if passing[i] < 0:
+        draws = rng.random(len(feed)).tolist()
+        totals = (feed.likes + feed.reshares).tolist()
+        p = self._probabilities(totals)
+        # The engaged post is the passing one with the highest draw, the first
+        # of equal draws; draws are >= 0, so -1.0 means none passed.
+        best, i = -1.0, 0
+        for j, draw in enumerate(draws):
+            if draw > best and draw < p[totals[j]]:
+                best, i = draw, j
+        if best < 0:
             return Decision.read_all()
         target = int(feed.posts[i])
         p_like, p_repost, _ = self.allocation_probabilities(

@@ -719,6 +719,41 @@ class TestReport:
         ]
         assert lines.index("## Figures") < lines.index(named[0]) < lines.index("## Model fit")
 
+    def test_diagnostics_of_a_fit_that_did_not_converge_are_listed(self, run_dir, tmp_path, capsys):
+        # analyze prints each diagnostics line after the converged=False line, and report.md lists
+        # them under the note that names the fit's figures.
+        capsys.readouterr()
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        diagnostics = load_model(tmp_path / "analysis" / "allocation_model.json").diagnostics
+        assert diagnostics
+        start = next(i for i, line in enumerate(out) if line.startswith("allocation:")) + 1
+        assert out[start - 1].endswith("converged=False")
+        assert out[start : start + len(diagnostics)] == [f"  {line}" for line in diagnostics]
+        assert out[start + len(diagnostics)].startswith("analysis written to")
+        assert main(["report", "--analysis", str(tmp_path / "analysis"), "--out", str(tmp_path / "report")]) == 0
+        lines = (tmp_path / "report" / "report.md").read_text().splitlines()
+        note = next(i for i, line in enumerate(lines) if "did not converge" in line)
+        assert lines[note + 1 : note + 6 + len(diagnostics)] == [
+            "", "The solver's diagnostics for each such fit:", "", *(f"- allocation: {line}" for line in diagnostics), "", "## Model fit"
+        ]
+
+    def test_diagnostics_of_a_hand_written_nan_fit_are_listed(self, analysis_dir, tmp_path):
+        # The fit an allocation stage without quotes gives: NaN estimates, converged=False, one reason.
+        obj = json.loads((analysis_dir / "allocation_model.json").read_text())
+        nan = float("nan")
+        for key in ("coef", "se", "cov"):
+            obj[key] = [[nan] * len(row) for row in obj[key]]
+        obj.update(ll_full=nan, converged=False, diagnostics=["outcome class 2 has no observations; equation inestimable"])
+        (analysis_dir / "allocation_model.json").write_text(json.dumps(obj))
+        assert main(["report", "--analysis", str(analysis_dir), "--out", str(tmp_path / "report")]) == 0
+        report = (tmp_path / "report" / "report.md").read_text()
+        assert (
+            "allocation_repost_curves.svg\n\nThe solver's diagnostics for each such fit:\n\n"
+            "- allocation: outcome class 2 has no observations; equation inestimable\n\n## Model fit"
+        ) in report
+        assert "- threshold:" not in report
+
     def test_missing_fit_metrics_exits_1(self, analysis_dir, tmp_path, capsys):
         # Regression: a report was written from an analysis without its fit metrics.
         partial = tmp_path / "partial"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter, defaultdict
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialsim import recommender
 from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
 from socialsim.engine import LogBuilder, _generator, _seed_words, initialize, run, schedule, step
-from socialsim.harness import log_digest
+from socialsim.harness import ExperimentPlan, log_digest, read_log, run_experiment
 from socialsim.policy import ScriptedPolicy
 from socialsim.population import generate_population, generate_seed_corpus
+from socialsim.recommender import content_tokens
 
 from conftest import tiny_graph, tiny_profiles
 from reference_engine import substream
@@ -117,6 +120,53 @@ def test_world_memory_does_not_grow_with_agents_times_posts():
     assert world.scores(0).shape == (5000,)
     sizes = [a.size for a in _arrays(vars(world))]
     assert sizes and max(sizes) < 1000 * 5000, sorted(sizes)[-3:]
+
+
+class TestPostWordColumns:
+    """Each post's keyword column and token count equal those that tokenizing its own text gives."""
+
+    @staticmethod
+    def _tokenized(world, text):
+        tokens = content_tokens(text)
+        column = np.zeros(len(world._vocab), dtype=np.float32)
+        column[[row for word, row in world._vocab.items() if word in tokens]] = 1.0
+        return column, np.float32(len(tokens))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["seed", "repost", "repost_other_text", "quote"]),
+                st.integers(0, 2**16),
+                st.lists(st.sampled_from(["kw0", "KW1", "kw2", "x", "y", "//"]), max_size=5).map(" ".join),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_reposts_and_quotes_match_their_tokenized_text(self, ops):
+        world = initialize(tiny_profiles(), tiny_graph(), ["kw0 kw1 seed", "x"], _config())
+        for i, (kind, pick, words) in enumerate(ops):
+            source = pick % len(world.posts)
+            if kind == "seed":
+                world.new_post(i % 5, words, PostKind.SEED, None, 1)
+            elif kind == "repost":
+                world.new_post(i % 5, world.posts[source], PostKind.REPOST, source, 1)
+            elif kind == "repost_other_text":
+                world.new_post(i % 5, f"{words} {world.posts[source]} x", PostKind.REPOST, source, 1)
+            else:
+                world.new_post(i % 5, f"{words} // {world.posts[source]}", PostKind.QUOTE, source, 1)
+        for post, text in enumerate(world.posts):
+            column, n_tokens = self._tokenized(world, text)
+            assert np.array_equal(world._words[:, post], column), (post, text)
+            assert world._n_tokens[post] == n_tokens, (post, text)
+
+    def test_repost_or_quote_of_a_post_that_does_not_exist_is_rejected(self):
+        world = initialize(tiny_profiles(), tiny_graph(), ["kw0 body"], _config())
+        for kind, source in ((PostKind.REPOST, 1), (PostKind.QUOTE, -1)):
+            with pytest.raises(ValueError, match="does not exist"):
+                world.new_post(2, "kw0 body", kind, source, 0)
+        assert len(world.posts) == 1
 
 
 class TestStepEffects:
@@ -327,3 +377,58 @@ class TestSubstream:
             assert agents.tolist() == expected.tolist() and seeds.shape == (agents.size, 4)
             for agent, words in zip(agents.tolist(), seeds):
                 assert np.array_equal(_generator(words).random(3), substream(cfg.seed, 2, t, agent).random(3))
+
+
+class TestGoldenLogDigests:
+    """Every cell log's SHA-256 and manifest.json's for two fixed plans, mock policy.
+
+    A change to the engine, the feed or the policy that moves any byte of a
+    log fails here. The CI plan is the one the workflow runs through the CLI
+    (``gen-population --n 40 --seed 5``, ``gen-corpus --seed 5``). The high
+    repost-norm cell has algorithmic pools on both sides of ``_top``'s
+    sort-whole cut-off, and reposts and quotes.
+    """
+
+    _CI_CELLS = {
+        "lowest_no_norm_r0.jsonl": "45cee76c91c407ffe7dac3e7d2638302152128d90fbe85d96e6c96db33a7c85f",
+        "lowest_like_dominant_r0.jsonl": "87dd201d2b33176ab2dd64d83ccc8c1de6c400c612f247f41074adb427b473ea",
+        "lowest_repost_dominant_r0.jsonl": "e778521893119205ed04042d6df9a69902a83211c2264bcd3773e819e2287362",
+        "low_no_norm_r0.jsonl": "550ff8604aca08416e0d5b947a498df0ee6445e8ef240741c6bed4b310c5e211",
+        "low_like_dominant_r0.jsonl": "330ec3291c33204fdafc51ea14982df608fa4c03eecd1287612b64ecf64b6ab7",
+        "low_repost_dominant_r0.jsonl": "4a0ad0125d86a5525ad02b76ac027dbdc68489942afbe456cc8e0d8d587fb940",
+        "medium_no_norm_r0.jsonl": "ba817b5aad8a76797dea37c406df1b4701075fa4429f13690993eeaedd8f6d39",
+        "medium_like_dominant_r0.jsonl": "509caeb92cd659cabec8a62a4f1b120415eb7741e104d86ec4db4f3bd9f4f343",
+        "medium_repost_dominant_r0.jsonl": "937b3665b4a53b42b341e8fe58c0d80ce889216d4e801c5ff0763f6891a0cda5",
+        "high_no_norm_r0.jsonl": "83c4c486a6eeba770395ade26a282507bbe59c7e47c4e1b29f236c0f236f219f",
+        "high_like_dominant_r0.jsonl": "7ef2762e9e19ae8e0605cf3991d7b63aeaffb54e5fbb4f2413fb935ed41075af",
+        "high_repost_dominant_r0.jsonl": "ae32e6a732065bdcf4a74ff45b22ad92ee926e3c5acec180eec3d7e9f054476b",
+    }
+    _CI_MANIFEST = "2a8285f0889aac23d11aac6a892e07c173fce5457c8488b3db4f3e6baec0191b"
+    _HIGH_CELLS = {"high_repost_dominant_r0.jsonl": "b05fed2fc8c5b8aa3ef98bd256ff78e906296f9b52d783cf78756ce6ed91423b"}
+    _HIGH_MANIFEST = "12d8e7d01d82b44576eb56ff8f7e42278cefb1d28ee6e778708e58ce64327455"
+
+    @staticmethod
+    def _digests(tmp_path, plan, corpus_size, cells=None):
+        profiles, graph = generate_population(plan.n_agents, seed=5)
+        manifest = run_experiment(plan, profiles, graph, generate_seed_corpus(5, size=corpus_size), tmp_path, cells=cells)
+        logs = {c["file"]: c["sha256"] for c in manifest["cells"]}
+        return logs, hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+
+    def test_ci_plan(self, tmp_path):
+        plan = ExperimentPlan(base_seed=5, n_agents=40, timesteps=40, activation_p=0.05)
+        assert self._digests(tmp_path, plan, 50) == (self._CI_CELLS, self._CI_MANIFEST)
+
+    def test_high_repost_cell_with_pools_past_the_cut_off(self, tmp_path, monkeypatch):
+        pools, real_top = [], recommender._top
+
+        def top(score, mask, k):
+            pools.append(int(np.count_nonzero(mask)))
+            return real_top(score, mask, k)
+
+        monkeypatch.setattr(recommender, "_top", top)
+        plan = ExperimentPlan(base_seed=5, n_agents=60, timesteps=80, activation_p=0.2)
+        cell = [(LoadLevel.HIGH, NormRegime.REPOST_DOMINANT)]
+        assert self._digests(tmp_path, plan, 200, cell) == (self._HIGH_CELLS, self._HIGH_MANIFEST)
+        assert min(pools) <= recommender._SORT_WHOLE_MAX < max(pools)
+        kinds = read_log(tmp_path / "logs" / "high_repost_dominant_r0.jsonl").creations.kind.tolist()
+        assert kinds.count(POST_KINDS.index(PostKind.REPOST)) and kinds.count(POST_KINDS.index(PostKind.QUOTE))

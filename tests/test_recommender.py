@@ -301,3 +301,50 @@ class TestSelectFeedMatchesReference:
         for agent in world.profiles:
             for load in LoadLevel:
                 assert _slots(select_feed(agent, world, load, cfg)) == reference_select_feed(agent, world, graph, load, cfg)
+
+
+@st.composite
+def _large_tied_worlds(draw):
+    """Worlds of 150-600 posts whose scores tie often, so pools fall on both sides of _top's cut-off.
+
+    Few distinct texts, reposts that copy them, up to four creation times and
+    a decay of 0 (recency equal at every age) make many equal scores. The
+    per-post columns come from a numpy generator seeded by the draw.
+    """
+    ids = list(range(draw(st.integers(2, 5))))
+    profiles = [
+        AgentProfile(a, f"u{a}", frozenset(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3))), False, False)
+        for a in ids
+    ]
+    graph = FollowGraph({a: draw(st.sets(st.sampled_from(ids))) - {a} for a in ids})
+    cfg = _config(n_agents=len(ids), recency_decay=draw(st.sampled_from([0.0, 0.01, 0.3])))
+    texts = draw(st.lists(st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join), min_size=1, max_size=4))
+    last_t = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    world = _world(profiles, graph, cfg)
+    for _ in range(draw(st.integers(150, 600))):
+        author, t, kind = ids[rng.integers(len(ids))], int(rng.integers(last_t + 1)), rng.integers(4)
+        if kind < 2 or not world.posts:
+            world.new_post(author, texts[rng.integers(len(texts))], PostKind.SEED, None, t)
+        else:
+            source = int(rng.integers(len(world.posts)))
+            if kind == 2:
+                world.new_post(author, world.posts[source], PostKind.REPOST, source, t)
+            else:
+                world.new_post(author, f"{texts[0]} // {world.posts[source]}", PostKind.QUOTE, source, t)
+    for a in ids:
+        world.engaged[a].update(rng.integers(0, len(world.posts), rng.integers(0, 20)).tolist())
+    world.now = last_t + draw(st.integers(0, 5))
+    return world, graph, cfg
+
+
+class TestLargeTiedPoolsMatchReference:
+    """Pools of a few hundred posts take _top's partition cut, small ones its whole sort; ties break by id on both."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_large_tied_worlds())
+    def test_identical_feeds(self, case):
+        world, graph, cfg = case
+        for agent in world.profiles:
+            for load in LoadLevel:
+                assert _slots(select_feed(agent, world, load, cfg)) == reference_select_feed(agent, world, graph, load, cfg)
