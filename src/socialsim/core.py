@@ -10,10 +10,11 @@ import io
 import json
 import math
 import types
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -317,29 +318,39 @@ def from_obj(cls: type, obj: Any, what: str) -> Any:
     """
     if not isinstance(obj, Mapping):
         raise ConfigurationError(f"expected a JSON object of {what}s, got {obj!r}")
-    init = [f for f in fields(cls) if f.init]
-    unknown = sorted(set(obj) - {f.name for f in init})
-    if unknown:
-        raise ConfigurationError(f"unknown {what} {unknown[0]!r}")
-    hints = _hints(cls)
+    names, readers = _readers(cls)
+    if not names.issuperset(obj):
+        raise ConfigurationError(f"unknown {what} {sorted(set(obj) - names)[0]!r}")
     values = {}
-    for f in init:
-        if f.name not in obj:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigurationError(f"missing {what} {f.name!r}")
-        elif "read" in f.metadata:
-            values[f.name] = f.metadata["read"](obj[f.name])
+    for name, required, read, tp in readers:
+        if name not in obj:
+            if required:
+                raise ConfigurationError(f"missing {what} {name!r}")
+        elif tp is None:  # the field's own read function, whose errors are its own
+            values[name] = read(obj[name])
         else:
             try:
-                values[f.name] = _typed(hints[f.name], obj[f.name])
+                values[name] = read(obj[name])
             except (TypeError, OverflowError):  # OverflowError: an int past the float range
-                raise ConfigurationError(f"{what} {f.name!r} must be {_describe(hints[f.name])}, got {obj[f.name]!r}") from None
+                raise ConfigurationError(f"{what} {name!r} must be {_describe(tp)}, got {obj[name]!r}") from None
     return cls(**values)
 
 
-@functools.cache  # resolving the string annotations costs more than reading a row
-def _hints(cls: type) -> dict[str, Any]:
-    return get_type_hints(cls)
+@functools.cache  # a class never changes; resolving its string annotations costs more than reading a row
+def _readers(cls: type) -> tuple[frozenset[str], tuple[tuple[str, bool, Callable[[Any], Any], Any], ...]]:
+    """The names of ``cls``'s init fields, and per field in order: its name, whether
+    it is required, its reader, and its type (None for a ``read`` function's field)."""
+    hints = get_type_hints(cls)
+    readers = []
+    for f in fields(cls):
+        if not f.init:
+            continue
+        required = f.default is MISSING and f.default_factory is MISSING
+        if "read" in f.metadata:
+            readers.append((f.name, required, f.metadata["read"], None))
+        else:
+            readers.append((f.name, required, _reader(hints[f.name]), hints[f.name]))
+    return frozenset(name for name, *_ in readers), tuple(readers)
 
 
 def read_bytes(path: str | Path, what: str) -> bytes:
@@ -424,19 +435,53 @@ def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Mapping
 
 def to_obj(value: Any) -> Any:
     """The JSON value of a config object: a dataclass becomes an object of all its fields, a tuple a list."""
-    if is_dataclass(value):
-        return {f.name: to_obj(getattr(value, f.name)) for f in fields(value)}
+    names = _field_names(type(value))
+    if names is not None:
+        return {name: to_obj(getattr(value, name)) for name in names}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _JSON_SCALARS:  # each one its own JSON value
+            return list(value)
         return [to_obj(v) for v in value]
     return value
 
 
-def _typed(tp: Any, value: Any) -> Any:
-    """``value`` as a value of type ``tp``; TypeError (or OverflowError) when it is not one."""
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _field_names(tp: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass type, None for any other type."""
+    return tuple(f.name for f in fields(tp)) if is_dataclass(tp) else None
+
+
+def _reader(tp: Any) -> Callable[[Any], Any]:
+    """A function that reads a value as a value of type ``tp``, with TypeError (or OverflowError) when it is not one.
+
+    A list whose items are all exact ints, or all exact strs, is copied after one
+    scan of its item types; any other list is read item by item.
+    """
     if isinstance(tp, types.UnionType):  # T | None
-        if value is None:
-            return None
-        (tp,) = set(get_args(tp)) - {type(None)}
+        (inner,) = set(get_args(tp)) - {type(None)}
+        read = _reader(inner)
+        return lambda value: None if value is None else read(value)
+    if get_origin(tp) is list:
+        (item,) = get_args(tp)
+        read = _reader(item)
+        exact = {item} if item in (int, str) else set()  # item types whose values a list can keep as they are
+
+        def read_list(value: Any) -> list:
+            if not isinstance(value, list):
+                raise TypeError(tp)
+            if set(map(type, value)) <= exact:
+                return list(value)
+            return [read(v) for v in value]
+
+        return read_list
+    return functools.partial(_scalar, tp)
+
+
+def _scalar(tp: type, value: Any) -> Any:
+    """``value`` as a value of ``tp``, one of bool, int, float, str and list; TypeError when it is not one."""
     if tp is bool and isinstance(value, bool):
         return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -444,8 +489,6 @@ def _typed(tp: Any, value: Any) -> Any:
         return int(value)
     if (tp is float and number and math.isfinite(value)) or (tp is str and isinstance(value, str)):
         return value
-    if get_origin(tp) is list and isinstance(value, list):
-        return [_typed(get_args(tp)[0], v) for v in value]
     if tp is list and isinstance(value, list):
         return value
     raise TypeError(tp)

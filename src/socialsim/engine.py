@@ -311,11 +311,11 @@ class WorldState:
         self.rows: dict[int, int] = {agent: r for r, agent in enumerate(self.profiles)}
         n = len(self.rows)
         self.follows = np.zeros((n, n), dtype=bool)
+        # One write for all edges within the run, each at its flat index follower_row * n + followee_row.
+        rows = self.rows
+        self.follows.reshape(-1)[[r * n + rows[f] for agent, r in rows.items() for f in graph.follows_of(agent) if f in rows]] = True
         vocab: dict[str, int] = {}
-        keyword_cols = []
-        for agent, r in self.rows.items():
-            self.follows[r, [self.rows[f] for f in graph.follows_of(agent) if f in self.rows]] = True
-            keyword_cols.append({vocab.setdefault(k.lower(), len(vocab)) for k in self.profiles[agent].keywords})
+        keyword_cols = [{vocab.setdefault(k.lower(), len(vocab)) for k in self.profiles[agent].keywords} for agent in rows]
         self._vocab = vocab
         self._keyword_rows = [np.array(sorted(cols), dtype=np.intp) for cols in keyword_cols]  # by agent row
 

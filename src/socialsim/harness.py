@@ -22,8 +22,8 @@ line otherwise.
 ``logs/<cell>.npz`` (``save_columns``). That file is a cache, not a record:
 ``read_log`` returns its columns without parsing the JSONL only once it has
 proven them equal to the parse, by checking them as the parse checks
-columns and re-formatting them to bytes with the log file's SHA-256. Any
-file that fails the proof, or its absence, leaves the parse as it was.
+columns and re-formatting them to the log file's bytes. Any file that
+fails the proof, or its absence, leaves the parse as it was.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ _KIND_TEXT = [m.value for m in POST_KINDS]
 _ACTION_END = [f',"action":"{a}"}}' for a in _ACTION_TEXT]  # the close of an exposure line, by action code
 _SEED = POST_KINDS.index(PostKind.SEED)
 _CHUNK_ROWS = 1 << 12
-_HASH_BLOCK = 1 << 20  # bytes of a log file hashed at a time
 
 
 def _exposure_lines(e: ExposureColumns, lo: int, hi: int) -> list[str]:
@@ -163,7 +162,7 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
 
     When the log has the columns ``save_columns`` saved beside it (the same
     path with an .npz suffix) and they are proven to be its parse, they are
-    returned and the file is hashed but not parsed (see ``_saved_log``).
+    returned and the file is read but not parsed (see ``_saved_log``).
     """
     path = Path(path)
     log = _saved_log(path, sha256)
@@ -204,22 +203,14 @@ def save_columns(log: CellLog, path: str | Path) -> None:
 def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
     """The columns saved beside the log at ``path`` if they are proven to be its parse, else None.
 
-    The log file is hashed a block at a time and must have ``sha256`` (if
-    given). The .npz file must load without unpickling, and its columns must
-    pass ``_is_parse``. Any failure returns None, and read_log then parses the
-    file as it would without the .npz, errors included.
+    The .npz file must load without unpickling, and its columns and the log
+    file must pass ``_is_parse``. Any failure returns None, and read_log then
+    parses the file as it would without the .npz, errors included.
     """
     saved = path.with_suffix(".npz")
-    if not saved.is_file():  # checked first, so that a log without one is not hashed twice
+    if not saved.is_file():
         return None
     try:
-        hasher = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(partial(fh.read, _HASH_BLOCK), b""):
-                hasher.update(block)
-        digest = hasher.hexdigest()
-        if sha256 not in (None, digest):
-            return None
         with open(saved, "rb") as fh:  # opened here, so that it is closed when np.load fails
             npz = np.load(fh, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
@@ -229,20 +220,22 @@ def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
                 CreationColumns(**{k: npz[f"creations.{k}"] for k in CREATION_KEYS}),
                 npz["is_exposure"],
             )
+        return log if _is_parse(log, path, sha256) else None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    return log if _is_parse(log, digest) else None
 
 
-def _is_parse(log: CellLog, sha256: str) -> bool:
-    """Whether ``log`` is the parse of a file whose SHA-256 is ``sha256``.
+def _is_parse(log: CellLog, path: Path, sha256: str | None) -> bool:
+    """Whether ``log`` is the parse of the file at ``path``, and the file has SHA-256 ``sha256`` (if given).
 
     Columns with the dtypes, rank and lengths the parse gives, and that pass
     the checks it runs on columns, are write_log's bytes parsed back. So when
-    those bytes have the file's digest, the file is those bytes, and its
-    parse is these columns. The range checks are part of the proof: without
-    them a load code of -1 would print as the last load, and a source of -7
-    as null, and neither parses back to itself.
+    the file holds those bytes and no more, its parse is these columns. The
+    range checks are part of the proof: without them a load code of -1 would
+    print as the last load, and a source of -7 as null, and neither parses
+    back to itself. These checks come first; then the file is read once, in
+    the lengths of ``_log_chunks``' chunks, each compared with its chunk and
+    hashed for the digest, so it is never read whole.
     """
     flags = log.is_exposure
     if not _shaped_like(flags, _PARSED.is_exposure, np.size(flags)):
@@ -257,7 +250,18 @@ def _is_parse(log: CellLog, sha256: str) -> bool:
     bounds += [(e.likes, 2**62), (e.reshares, 2**62)]
     if not all(0 <= column.min(initial=0) and column.max(initial=0) < end for column, end in bounds) or c.source.min(initial=-1) < -1:
         return False
-    return not _breaks_creation_rules(log) and log_digest(log) == sha256
+    if _breaks_creation_rules(log):
+        return False
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in _log_chunks(log):
+            block = fh.read(len(chunk))
+            if block != chunk:
+                return False
+            digest.update(block)
+        if fh.read(1):  # bytes past the formatted log
+            return False
+    return sha256 in (None, digest.hexdigest())
 
 
 def _shaped_like(a: object, parsed: np.ndarray, n: int) -> bool:

@@ -235,8 +235,12 @@ class CorpusRow:
             raise ValueError("content must be non-empty")
 
 
+# json.dumps with these arguments, without building an encoder per row.
+_ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def _line(row: PopulationRow | CorpusRow) -> str:
-    return json.dumps(to_obj(row), separators=(",", ":"), ensure_ascii=False)
+    return _ENCODE(to_obj(row))
 
 
 def population_to_lines(profiles: Sequence[AgentProfile], graph: FollowGraph) -> list[str]:

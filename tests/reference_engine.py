@@ -130,3 +130,12 @@ def reference_run(config: RunConfig, policy, profiles, graph: FollowGraph, corpu
     for t in range(config.timesteps):
         reference_step(world, t, config, policy, graph, records)
     return records
+
+
+def reference_follows(world, graph: FollowGraph) -> np.ndarray:
+    """The follow matrix filled one agent at a time: row r's followees that are in the run set True."""
+    rows = world.rows
+    follows = np.zeros((len(rows), len(rows)), dtype=bool)
+    for agent, r in rows.items():
+        follows[r, [rows[f] for f in graph.follows_of(agent) if f in rows]] = True
+    return follows

@@ -98,6 +98,33 @@ class TestGenerators:
 
         assert len(load_corpus(out)) == 10
 
+    @pytest.mark.parametrize(
+        "command, sha256",
+        [
+            (["gen-population", "--n", "40"], "02c72bbb9d9ede8419337f39625e82d9e060c9a072777d5e0bdaba26ca0c4fa7"),
+            (["gen-population", "--n", "558"], "7c663d73caec9020241409d7267846f5d82bd37dcc803dfd00f61c122bde77cf"),
+            (["gen-population", "--n", "2232"], "83afc8d92536a70ddcffe8d194e0bfb5e6dc2821ab94456f39313709d346f135"),
+            (["gen-corpus"], "f6600400ec086d1e50419c5bf5bf8ba605edb6058f9f8782e4ba83d0ce1361bc"),
+        ],
+        ids=["population_40", "population_558", "population_2232", "corpus"],
+    )
+    def test_generated_files_keep_their_bytes(self, tmp_path, command, sha256):
+        # Digests of seed 1's files as the writer made them before rows were encoded by one shared encoder.
+        out = tmp_path / "out.jsonl"
+        assert main([*command, "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_run_directory_copies_equal_the_input_files(self, plan_file, tmp_path):
+        # simulate rewrites its inputs into the run directory from the loaded rows; the bytes must not change.
+        population, corpus = tmp_path / "population.jsonl", tmp_path / "corpus.jsonl"
+        assert main(["gen-population", "--n", "40", "--seed", "5", "--out", str(population)]) == 0
+        assert main(["gen-corpus", "--seed", "5", "--out", str(corpus)]) == 0
+        plan_file.write_text(json.dumps({**json.loads(plan_file.read_text()), "population": str(population), "corpus": str(corpus)}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out), "--cell", "load=high,norm=repost"]) == 0
+        assert (out / "population.jsonl").read_bytes() == population.read_bytes()
+        assert (out / "corpus.jsonl").read_bytes() == corpus.read_bytes()
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_gen_corpus_without_posts_exits_2_and_writes_nothing(self, tmp_path, capsys, size):
         # Regression: --size 0 exited 0 and wrote a corpus file that load_corpus rejects as empty.

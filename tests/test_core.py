@@ -1,10 +1,15 @@
+import dataclasses
+import json
 import math
 import re
+import types
+import typing
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialsim.cli import SimulateInputs
 from socialsim.core import (
     ActionKind,
     ConfigurationError,
@@ -13,14 +18,20 @@ from socialsim.core import (
     NormRegime,
     PostKind,
     RunConfig,
+    from_obj,
     popularity_composite,
     read_table,
     read_text,
+    to_obj,
     write_table,
 )
 from socialsim.engine import WorldState
+from socialsim.harness import ExperimentPlan
+from socialsim.policy import FixtureRow, LlmSpec, ParametricLogitSpec, ScriptedSpec, mock_policy_spec
+from socialsim.population import CorpusRow, PopulationRow
 
 from conftest import tiny_graph, tiny_profiles
+from reference_rows import reference_from_obj, reference_to_obj
 
 
 class TestPopularityComposite:
@@ -215,3 +226,172 @@ class TestReadText:
         (tmp_path / "latin1.json").write_bytes(b"{\"name\": \"caf\xe9\"}")
         with pytest.raises(FormatError, match=re.escape(f"{tmp_path / 'latin1.json'}: not UTF-8 text (invalid continuation byte at byte 13)")):
             read_text(tmp_path / "latin1.json", "config")
+
+
+# ---------------------------------------------------------------------------
+# The row reader and writer against their per-value reference walks
+# ---------------------------------------------------------------------------
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.integers(-3, 3).map(float),  # integral floats
+    st.floats(),  # non-integral, infinite and nan too
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _values_of(tp):
+    """Values for a field of type ``tp``: mostly of that type, some of a near type (bools, floats, nested lists)."""
+    if isinstance(tp, types.UnionType):
+        (inner,) = set(typing.get_args(tp)) - {type(None)}
+        return st.none() | _values_of(inner)
+    if typing.get_origin(tp) is list:
+        item = _values_of(typing.get_args(tp)[0])
+        return st.lists(item, max_size=6) | st.lists(item | _JSON_VALUES, max_size=4)
+    return {
+        int: st.integers(0, 2**64) | st.integers(0, 50).map(float) | st.floats(-3, 60) | st.sampled_from([math.inf, math.nan]) | st.booleans(),
+        float: st.floats(-2, 2) | st.integers(-2, 2) | st.sampled_from([math.inf, -math.inf, math.nan, 2**1100]) | st.booleans(),
+        str: st.text(max_size=6) | st.sampled_from(["http://x", "fixtures", "live", "read"]),
+        bool: st.booleans() | st.integers(0, 1),
+        list: st.lists(st.sampled_from(["read", ["like", 0], ["repost", 1], ["quote", 2, "c"]]) | _JSON_VALUES, max_size=4),
+    }[tp]
+
+
+def _field_values(cls):
+    """Per init field of ``cls``, values for it: mostly of its type or near it, some any JSON value."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _JSON_VALUES if "read" in f.metadata else _values_of(hints[f.name]) | _values_of(hints[f.name]) | _JSON_VALUES
+        for f in dataclasses.fields(cls)
+        if f.init
+    }
+
+
+def _edited_objects(cls):
+    """A valid JSON object for ``cls`` with one of its values replaced."""
+    edits = st.one_of([st.fixed_dictionaries({name: values}) for name, values in _field_values(cls).items()])
+    return st.builds(lambda base, edit: {**base, **edit}, st.sampled_from(_VALID_OBJECTS[cls.__name__]), edits)
+
+
+def _objects_of(cls):
+    """JSON objects for ``cls``: any subset of its keys with values as _field_values draws them, sometimes
+    with unknown keys; or a valid object with up to two keys dropped and up to two values replaced."""
+    known = _field_values(cls)
+    unknown = st.dictionaries(st.text(max_size=4).filter(lambda key: key not in known), _JSON_VALUES, max_size=2)
+    drawn = st.builds(lambda obj, extra: {**obj, **extra}, st.fixed_dictionaries({}, optional=known), unknown)
+    edited = st.builds(
+        lambda base, drop, edits: {k: v for k, v in base.items() if k not in drop} | edits,
+        st.sampled_from(_VALID_OBJECTS[cls.__name__]),
+        st.sets(st.sampled_from(sorted(known)), max_size=2),
+        st.fixed_dictionaries({}, optional=known).filter(lambda edits: len(edits) <= 2),
+    )
+    return drawn | edited
+
+
+def _outcome(read, cls, obj):
+    """What reading ``obj`` gives: the object's type and repr (which tell 1 from 1.0 and True), or the error's."""
+    try:
+        value = read(cls, obj, "test key")
+    except Exception as e:  # noqa: BLE001 - every error must match, type and text
+        return type(e), str(e)
+    return type(value), repr(value)
+
+
+_ROW_CLASSES = [PopulationRow, CorpusRow, FixtureRow, ExperimentPlan, SimulateInputs, ScriptedSpec, ParametricLogitSpec, LlmSpec]
+
+
+class TestRowsMatchReference:
+    @pytest.mark.parametrize("cls", _ROW_CLASSES, ids=lambda cls: cls.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_from_obj_gives_the_reference_object_or_error(self, cls, data):
+        obj = data.draw(_objects_of(cls), label="obj")
+        assert _outcome(from_obj, cls, obj) == _outcome(reference_from_obj, cls, obj)
+
+    @pytest.mark.parametrize("cls", _ROW_CLASSES, ids=lambda cls: cls.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_from_obj_reads_each_value_as_the_reference_does(self, cls, data):
+        # Every other value valid, so the one drawn decides the outcome: bools, integral and other floats, null, lists.
+        obj = data.draw(_edited_objects(cls), label="obj")
+        assert _outcome(from_obj, cls, obj) == _outcome(reference_from_obj, cls, obj)
+
+    @pytest.mark.parametrize("cls", _ROW_CLASSES, ids=lambda cls: cls.__name__)
+    def test_from_obj_reads_the_reference_object_from_valid_rows(self, cls):
+        # Valid rows are rare among drawn ones, so each class gets some it accepts.
+        for obj in _VALID_OBJECTS[cls.__name__]:
+            outcome = _outcome(from_obj, cls, obj)
+            assert outcome[0] is cls and outcome == _outcome(reference_from_obj, cls, obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plan=st.builds(
+        lambda seed, n, steps, p, policy, reps: _plan(base_seed=seed, n_agents=n, timesteps=steps, activation_p=p, policy=policy, replications=reps),
+        st.integers(0, 2**70), st.integers(1, 5000), st.integers(1, 500), st.floats(0.001, 0.999),
+        st.sampled_from(["mock", "scripted", "llm"]), st.integers(1, 3),
+    ))
+    def test_to_obj_gives_the_reference_value_of_plans(self, plan):
+        obj = to_obj(plan)
+        assert obj == reference_to_obj(plan) and json.dumps(obj) == json.dumps(reference_to_obj(plan))
+        assert _outcome(from_obj, type(plan), obj) == _outcome(reference_from_obj, type(plan), obj) == (type(plan), repr(plan))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        agent=st.integers(0, 2**63 - 1),
+        name=st.text(max_size=8),
+        keywords=st.lists(st.text(max_size=5), min_size=1, max_size=6),
+        verified=st.booleans(),
+        follows=st.lists(st.integers(0, 2**63 - 1), max_size=8),
+        content=st.text(min_size=1, max_size=20),
+    )
+    def test_to_obj_gives_the_reference_value_of_rows(self, agent, name, keywords, verified, follows, content):
+        follows = [f for f in follows if f != agent]
+        for row in (PopulationRow(agent, name, keywords, verified, follows), CorpusRow(content), FixtureRow(name, content)):
+            obj = to_obj(row)
+            assert json.dumps(obj) == json.dumps(reference_to_obj(row))
+            assert _outcome(from_obj, type(row), obj) == _outcome(reference_from_obj, type(row), obj) == (type(row), repr(row))
+
+    def test_from_obj_copies_the_lists_it_reads(self):
+        obj = {"id": 1, "name": "a", "keywords": ["x"], "verified": False, "follows": [2, 3]}
+        row = from_obj(PopulationRow, obj, "test key")
+        obj["keywords"].append("y")
+        obj["follows"].append(4)
+        assert row.keywords == ["x"] and row.follows == [2, 3]
+
+    def test_to_obj_copies_a_list_it_returns_whole(self):
+        row = PopulationRow(1, "a", ["x"], False, [2, 3])
+        obj = to_obj(row)
+        obj["follows"].append(4)
+        assert row.follows == [2, 3]
+
+
+def _plan(policy: str, **kw):
+    spec = {"mock": mock_policy_spec(), "scripted": ScriptedSpec(intents=["read", ("like", 0), ["quote", 1, "c"]]), "llm": LlmSpec(endpoint="http://x")}[policy]
+    return ExperimentPlan(policy=spec, **kw)
+
+
+_VALID_OBJECTS = {
+    "PopulationRow": [
+        {"id": 0, "name": "a", "keywords": ["gpu"], "verified": False, "follows": []},
+        {"id": 3.0, "name": "", "keywords": ["gpu", "x"], "verified": True, "follows": [1, 2.0, 2**62]},
+        {"id": 2**63 - 1, "name": "é", "keywords": ["a"], "verified": False, "follows": [0, 1, 5]},
+    ],
+    "CorpusRow": [{"content": "a post"}, {"content": " "}],
+    "FixtureRow": [{"request_hash": "h", "response_text": ""}],
+    "ExperimentPlan": [
+        {"base_seed": 1},
+        {"base_seed": 2.0, "n_agents": 40, "timesteps": 30.0, "activation_p": 0.5, "recency_decay": 0, "w_recency": 1, "w_relevance": 0.0, "replications": 2},
+        {"base_seed": 3, "policy": {"kind": "scripted", "intents": ["read", ["like", 0]]}, "history_window": 2},
+        {"base_seed": 4, "policy": {"kind": "llm", "endpoint": "http://x"}},
+    ],
+    "SimulateInputs": [{}, {"population": None, "corpus": "c.jsonl", "population_seed": 4.0, "corpus_seed": 0}],
+    "ScriptedSpec": [{"intents": ["read"]}, {"intents": [["quote", 2, "c"], ["repost", 0]]}],
+    "ParametricLogitSpec": [{"threshold": [0] * 24, "allocation": [[1.5] * 24, [-1] * 24]}],
+    "LlmSpec": [{"endpoint": "http://x"}, {"endpoint": "https://x:8000/v1", "temperature": 0, "timeout": 1, "max_retries": 0.0, "fixture_path": None}],
+}

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from socialsim import recommender
 from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
-from socialsim.engine import LogBuilder, _generator, _seed_words, initialize, run, schedule, step
+from socialsim.engine import LogBuilder, WorldState, _generator, _seed_words, initialize, run, schedule, step
 from socialsim.harness import ExperimentPlan, log_digest, read_log, run_experiment
 from socialsim.policy import ScriptedPolicy
-from socialsim.population import generate_population, generate_seed_corpus
+from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
 from socialsim.recommender import content_tokens
 
 from conftest import tiny_graph, tiny_profiles
-from reference_engine import substream
+from reference_engine import reference_follows, substream
 from reference_feed import world_posts
 from reference_log import ExposureRecord, PostCreation, records_of, recount_counters, world_counters
 
@@ -120,6 +120,33 @@ def test_world_memory_does_not_grow_with_agents_times_posts():
     assert world.scores(0).shape == (5000,)
     sizes = [a.size for a in _arrays(vars(world))]
     assert sizes and max(sizes) < 1000 * 5000, sorted(sizes)[-3:]
+
+
+class TestFollowMatrix:
+    """WorldState.follows, written from the edge list at once, equals the matrix filled one agent at a time."""
+
+    @staticmethod
+    def _world(ids, follows):
+        profiles = [AgentProfile(i, f"u{i}", frozenset({"kw"}), False, False) for i in ids]
+        graph = FollowGraph(follows)
+        return WorldState(profiles, graph, _config(n_agents=len(ids))), graph
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_per_agent_fill(self, data):
+        # Profiles in any order; followers and followees outside the run; agents following no one.
+        ids = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=20, unique=True), label="ids")
+        everyone = sorted(set(ids) | set(data.draw(st.lists(st.integers(41, 50), max_size=4), label="outside")))
+        follows = data.draw(st.dictionaries(st.sampled_from(everyone), st.frozensets(st.sampled_from(everyone)), max_size=len(everyone)), label="follows")
+        world, graph = self._world(ids, {a: fs - {a} for a, fs in follows.items()})
+        assert world.follows.shape == (len(ids), len(ids)) and world.follows.dtype == bool
+        assert np.array_equal(world.follows, reference_follows(world, graph))
+
+    @pytest.mark.parametrize("follows", [{}, {0: set(), 1: set(), 2: set()}, {0: {7}, 9: {1}}], ids=["no_agents", "no_followees", "no_edge_inside"])
+    def test_graph_without_edges_in_the_run(self, follows):
+        world, graph = self._world([2, 0, 1], follows)
+        assert not world.follows.any() and world.follows.shape == (3, 3)
+        assert np.array_equal(world.follows, reference_follows(world, graph))
 
 
 class TestPostWordColumns:

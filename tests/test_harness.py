@@ -463,6 +463,22 @@ class TestSavedColumns:
                 dict(load_experiment(tmp_path / "run")[1])
             assert error in str(got.value) and str(got.value) == str(expected.value).replace(str(alone), str(path))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda data: data + b"\n", id="trailing_blank_line"),
+            pytest.param(lambda data: data[:-1], id="no_final_newline"),
+            pytest.param(lambda data: data.replace(b"\n", b"\r\n"), id="crlf_line_ends"),
+            pytest.param(lambda data: b" " + data, id="leading_space"),
+        ],
+    )
+    def test_same_rows_in_other_bytes_are_parsed(self, cell, edit):
+        # The file parses to the saved columns but is not write_log's bytes of them, so the proof fails.
+        path, _, parsed = cell
+        path.write_bytes(edit(path.read_bytes()))
+        assert harness._saved_log(path, None) is None
+        _assert_same_log(read_log(path), parsed)
+
     def test_wrong_manifest_digest_beside_saved_columns(self, cell):
         # The log and its columns agree, but not with the manifest: the digest check still fails.
         path, _, _ = cell
