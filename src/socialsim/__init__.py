@@ -4,6 +4,7 @@ harness and a two-stage (threshold + allocation) logistic analysis pipeline."""
 from .core import (
     ActionKind,
     CellLog,
+    Feed,
     LoadLevel,
     NormRegime,
     PostKind,
@@ -12,7 +13,7 @@ from .core import (
     popularity_composite,
     to_obj,
 )
-from .engine import LogBuilder, WorldState, initialize, run, step
+from .engine import LogBuilder, WorldState, initialize, run, select_feed, step
 from .harness import (
     ExperimentPlan,
     cell_seed,
@@ -49,7 +50,6 @@ from .population import (
     save_population,
     top_influencers,
 )
-from .recommender import Feed, select_feed
 from .stats import (
     DESIGN_COLUMNS,
     DesignInputs,

@@ -1,6 +1,6 @@
-"""Shared domain types: actions, experimental conditions, post kinds, the columnar
-event log, run parameters, and the readers and writers of config objects, JSON
-Lines rows and CSV tables."""
+"""Shared domain types: actions, experimental conditions, post kinds, a feed's
+and the event log's columns, run parameters, and the readers and writers of
+config objects, JSON Lines rows and CSV tables."""
 
 from __future__ import annotations
 
@@ -246,6 +246,44 @@ class CellLog:
         idx = order[np.minimum(np.searchsorted(created[order], shown), created.size - 1)]
         earlier = np.flatnonzero(~self.is_exposure)[idx] < np.flatnonzero(self.is_exposure)
         return np.where((created[idx] == shown) & earlier, idx, -1)
+
+
+class Feed:
+    """One activation's feed as columns, best first within each pool.
+
+    ``posts``, ``likes`` and ``reshares`` are int64 arrays with one element
+    per slot: the post id and its likes and reposts + quotes when the feed
+    was built. The first ``n_followed`` slots are followed, the rest
+    algorithmic. ``contents`` reads each slot's text from the post store.
+    """
+
+    __slots__ = ("posts", "likes", "reshares", "n_followed", "_store")
+
+    def __init__(
+        self,
+        posts: np.ndarray,
+        likes: np.ndarray,
+        reshares: np.ndarray,
+        n_followed: int,
+        store: Sequence[str],
+    ):
+        self.posts = posts
+        self.likes = likes
+        self.reshares = reshares
+        self.n_followed = n_followed
+        self._store = store  # post id -> text
+
+    def __len__(self) -> int:
+        return self.posts.size
+
+    def contents(self) -> list[str]:
+        """The text of each slot's post, in slot order."""
+        return [self._store[post] for post in self.posts.tolist()]
+
+    def position(self, post: int) -> int | None:
+        """Index of the slot showing ``post``, None if the feed does not show it."""
+        ids = self.posts.tolist()
+        return ids.index(post) if post in ids else None
 
 
 @dataclass

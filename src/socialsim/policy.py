@@ -33,6 +33,7 @@ from .core import (
     NORMS,
     ActionKind,
     ConfigurationError,
+    Feed,
     LoadLevel,
     NormRegime,
     from_obj,
@@ -40,7 +41,6 @@ from .core import (
     read_rows,
 )
 from .population import AgentProfile
-from .recommender import Feed
 from .stats import N_COLUMNS, design_matrix
 
 log = logging.getLogger(__name__)
@@ -372,32 +372,18 @@ def parse_response(raw: str, feed: Feed) -> Decision:
 
 
 def _extract_json(raw: str) -> dict | None:
-    if not isinstance(raw, str) or not raw:
+    """The first "{" of ``raw`` at which a JSON object parses; a brace inside a JSON string is text."""
+    if not isinstance(raw, str):
         return None
-    try:
-        obj = json.loads(raw)
-        if isinstance(obj, dict):
-            return obj
-    except (json.JSONDecodeError, RecursionError):
-        pass
-    # Fall back to balanced-brace scanning so JSON embedded in prose still parses.
+    decoder = json.JSONDecoder()
     start = raw.find("{")
     while start != -1:
-        depth = 0
-        for i in range(start, len(raw)):
-            ch = raw[i]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(raw[start : i + 1])
-                        if isinstance(obj, dict):
-                            return obj
-                    except (json.JSONDecodeError, RecursionError):
-                        pass
-                    break
+        try:
+            obj, _ = decoder.raw_decode(raw, start)
+            if isinstance(obj, dict):
+                return obj
+        except (json.JSONDecodeError, RecursionError):
+            pass
         start = raw.find("{", start + 1)
     return None
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
-from socialsim.recommender import Feed
+from socialsim.core import Feed
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 from socialsim.core import POST_KINDS, LoadLevel, PostKind, RunConfig
-from socialsim.engine import WorldState
+from socialsim.engine import WorldState, content_tokens
 from socialsim.population import AgentProfile, FollowGraph
-from socialsim.recommender import content_tokens
 
 
 @dataclass(slots=True, frozen=True)

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialsim import recommender
+from socialsim import engine
 from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
-from socialsim.engine import LogBuilder, WorldState, _generator, _seed_words, initialize, run, schedule, step
+from socialsim.engine import LogBuilder, WorldState, _generator, _seed_words, content_tokens, initialize, run, schedule, step
 from socialsim.harness import ExperimentPlan, log_digest, read_log, run_experiment
 from socialsim.policy import ScriptedPolicy
 from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
-from socialsim.recommender import content_tokens
 
 from conftest import tiny_graph, tiny_profiles
 from reference_engine import reference_follows, substream
@@ -446,16 +445,16 @@ class TestGoldenLogDigests:
         assert self._digests(tmp_path, plan, 50) == (self._CI_CELLS, self._CI_MANIFEST)
 
     def test_high_repost_cell_with_pools_past_the_cut_off(self, tmp_path, monkeypatch):
-        pools, real_top = [], recommender._top
+        pools, real_top = [], engine._top
 
         def top(score, mask, k):
             pools.append(int(np.count_nonzero(mask)))
             return real_top(score, mask, k)
 
-        monkeypatch.setattr(recommender, "_top", top)
+        monkeypatch.setattr(engine, "_top", top)
         plan = ExperimentPlan(base_seed=5, n_agents=60, timesteps=80, activation_p=0.2)
         cell = [(LoadLevel.HIGH, NormRegime.REPOST_DOMINANT)]
         assert self._digests(tmp_path, plan, 200, cell) == (self._HIGH_CELLS, self._HIGH_MANIFEST)
-        assert min(pools) <= recommender._SORT_WHOLE_MAX < max(pools)
+        assert min(pools) <= engine._SORT_WHOLE_MAX < max(pools)
         kinds = read_log(tmp_path / "logs" / "high_repost_dominant_r0.jsonl").creations.kind.tolist()
         assert kinds.count(POST_KINDS.index(PostKind.REPOST)) and kinds.count(POST_KINDS.index(PostKind.QUOTE))

@@ -304,6 +304,15 @@ class TestParseResponse:
         d = parse_response(raw, _context().feed)
         assert d.action is ActionKind.REPOST and d.target == 3
 
+    def test_closing_brace_inside_a_string_in_prose(self):
+        # Regression: counting braces ended the object at the "}" of the comment, and the reply read as read-only.
+        d = parse_response('Sure: {"action": "quote", "post_id": 3, "comment": "nice :}"}', _context().feed)
+        assert d.action is ActionKind.QUOTE and d.target == 3 and d.commentary == "nice :}"
+
+    def test_opening_brace_inside_a_string_in_prose(self):
+        d = parse_response('Here {"action": "like", "post_id": 7, "comment": "{"} ok', _context().feed)
+        assert d.action is ActionKind.LIKE and d.target == 7
+
     def test_unknown_action_degrades(self):
         assert parse_response('{"action":"share","post_id":7}', _context().feed).action is ActionKind.READ
 

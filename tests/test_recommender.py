@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialsim.core import LoadLevel, NormRegime, PostKind, RunConfig
-from socialsim.engine import WorldState
+from socialsim.core import Feed, LoadLevel, NormRegime, PostKind, RunConfig
+from socialsim.engine import WorldState, select_feed
 from socialsim.population import AgentProfile, FollowGraph
-from socialsim.recommender import Feed, select_feed
 
 from conftest import make_feed, tiny_graph, tiny_profiles
 from reference_feed import FeedSlot, keyword_relevance, reference_select_feed, score_post, world_posts
@@ -301,6 +300,25 @@ class TestSelectFeedMatchesReference:
         for agent in world.profiles:
             for load in LoadLevel:
                 assert _slots(select_feed(agent, world, load, cfg)) == reference_select_feed(agent, world, graph, load, cfg)
+
+
+class TestPopularityNeverRanks:
+    """Ranking reads recency and relevance only: no counter values can reorder a feed, only change what it shows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_worlds(), st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 10**9]))
+    def test_new_counters_keep_every_feed(self, case, seed, high):
+        world, _, cfg = case
+        feeds = {(agent, load): select_feed(agent, world, load, cfg) for agent in world.profiles for load in LoadLevel}
+        rng = np.random.default_rng(seed)
+        for name in ("_likes", "_reposts", "_quotes"):
+            counters = getattr(world, name)
+            counters[:] = rng.integers(0, high, counters.size)
+        for (agent, load), before in feeds.items():
+            feed = select_feed(agent, world, load, cfg)
+            assert feed.posts.tolist() == before.posts.tolist() and feed.n_followed == before.n_followed
+            assert feed.likes.tolist() == world._likes[feed.posts].tolist()
+            assert feed.reshares.tolist() == (world._reposts[feed.posts] + world._quotes[feed.posts]).tolist()
 
 
 @st.composite
