@@ -289,9 +289,11 @@ class WorldState:
     * ``follows``: agents x agents bool, ``follows[r, c]`` when row r follows row c;
     * a keywords x posts incidence of post words (float32): one row per
       distinct lower-cased agent keyword, 1.0 where the post's lower-cased
-      whitespace tokens hold that word; and each post's token count.
-      ``new_post`` fills the post's column once (a repost with its source's
-      text copies the source's column and count), and ``scores`` computes an
+      whitespace tokens hold that word; each post's token count, and its
+      token set. ``new_post`` fills the post's column once: a repost with its
+      source's text copies the source's column and shares its set, and a
+      quote ending in " // " and that text adds the tokens before it to the
+      source's, so its text is never tokenized whole. ``scores`` computes an
       agent's keyword relevance to every post from the rows of its keywords
       when the agent is scored.
 
@@ -307,6 +309,7 @@ class WorldState:
     def __init__(self, profiles: Sequence[AgentProfile], graph: FollowGraph, config: RunConfig):
         self.profiles: dict[int, AgentProfile] = {p.id: p for p in profiles}
         self.posts: list[str] = []
+        self._tokens: list[frozenset[str]] = []  # each post's content_tokens; a repost shares its source's set
         self.engaged: dict[int, set[int]] = {p.id: set() for p in profiles}
         self.history: dict[int, deque] = {
             p.id: deque(maxlen=config.history_window) for p in profiles
@@ -392,14 +395,19 @@ class WorldState:
         self._author_rows[pid] = self.rows[author]
         self._kinds[pid] = _KIND_CODES[kind]
         self._sources[pid] = -1 if source is None else source
-        if source is not None and content == self.posts[source]:
-            # A repost keeps its source's text, so it takes the source's words and token count.
+        text = None if source is None else self.posts[source]
+        if text is not None and (content == text or content.endswith(" // " + text)):
+            # A repost keeps its source's text and a quote ends in " // " and that text, so either takes the source's
+            # tokens and a quote adds those before it: lower-casing and splitting never reach across the seam's spaces.
+            own = content_tokens(content[: len(content) - len(text)])
+            tokens = own | self._tokens[source] if own else self._tokens[source]
             self._words[:, pid] = self._words[:, source]
-            self._n_tokens[pid] = self._n_tokens[source]
         else:
-            tokens = content_tokens(content)
-            self._words[[self._vocab[w] for w in tokens.intersection(self._vocab)], pid] = 1.0
-            self._n_tokens[pid] = len(tokens)
+            own = tokens = content_tokens(content)
+        if own:
+            self._words[[self._vocab[w] for w in own.intersection(self._vocab)], pid] = 1.0
+        self._n_tokens[pid] = len(tokens)
+        self._tokens.append(tokens)
         self._t_min = min(self._t_min, t) if pid else t
         self._t_max = max(self._t_max, t) if pid else t
         self.posts.append(content)

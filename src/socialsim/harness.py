@@ -13,7 +13,8 @@ below compute from them.
 An activation logs its feed as one block of exposure rows that share run,
 load, norm, t and agent, so the writer formats that head once per block
 (found by comparing adjacent rows, so any ``CellLog`` writes the same
-bytes) and each row adds its post, counters and action. The reader parses
+bytes), and each distinct post, likes and reshares value once per chunk of
+rows; a line joins those texts and its action's close. The reader parses
 a chunk with one ``json.loads`` when one pass over the file's bytes shows
 that each "}" ends its line (spaces and a CR after it aside), and line by
 line otherwise.
@@ -77,39 +78,62 @@ _LOAD_TEXT = [m.value for m in LOADS]
 _NORM_TEXT = [m.value for m in NORMS]
 _ACTION_TEXT = [m.value for m in ACTIONS]
 _KIND_TEXT = [m.value for m in POST_KINDS]
-_ACTION_END = [f',"action":"{a}"}}' for a in _ACTION_TEXT]  # the close of an exposure line, by action code
+_ACTION_END = [f',"action":"{a}"}}\n' for a in _ACTION_TEXT]  # the close of an exposure line and its newline, by action code
 _SEED = POST_KINDS.index(PostKind.SEED)
 _CHUNK_ROWS = 1 << 12
 
 
-def _exposure_lines(e: ExposureColumns, lo: int, hi: int) -> list[str]:
-    """Exposure rows lo..hi as lines; each run of rows sharing (run, load, norm, t, agent) formats that head once."""
+def _texts(values: np.ndarray, suffix: str) -> tuple[list[str], np.ndarray]:
+    """Each distinct value's digits then ``suffix``, and each value's index into those texts.
+
+    Values spanning less than four per value are ranked by a table of that
+    span, others by a sort, so the work is sized by the count, never by the values.
+    """
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, -1)
+    if high - low < 4 * values.size:
+        offsets = values - low  # no overflow: each value is in [low, high]
+        present = np.zeros(high - low + 1, dtype=bool)
+        present[offsets] = True
+        distinct, at = present.nonzero()[0] + low, (np.cumsum(present) - 1)[offsets]
+    else:
+        distinct, at = np.unique(values, return_inverse=True)
+    return [f"{v}{suffix}" for v in distinct.tolist()], at
+
+
+def _exposure_texts(e: ExposureColumns, lo: int, hi: int) -> tuple[list[str], np.ndarray]:
+    """The texts that exposure lines lo..hi join, and each line's five indices into them.
+
+    A line joins its head (run, load, norm, t, agent), formatted once per run
+    of rows sharing it; its post, likes and reshares, each formatted once per
+    distinct value; and its action's close.
+    """
     run, load, norm, t, agent = (getattr(e, k)[lo:hi] for k in EXPOSURE_KEYS[:5])
     new_head = np.ones(hi - lo, dtype=bool)
     new_head[1:] = run[1:] != run[:-1]
     for column in (load, norm, t, agent):
         new_head[1:] |= column[1:] != column[:-1]
     starts = new_head.nonzero()[0]
-    L, N, end = _LOAD_TEXT, _NORM_TEXT, _ACTION_END
-    heads = np.array(
-        [
-            f'{{"run":{r},"load":"{L[l]}","norm":"{N[m]}","t":{s},"agent":{a},"post":'
-            for r, l, m, s, a in zip(*(column[starts].tolist() for column in (run, load, norm, t, agent)))
-        ],
-        dtype=object,
-    )
-    return [
-        f'{head}{post},"likes":{likes},"reshares":{reshares}{end[action]}'
-        for head, post, likes, reshares, action in zip(
-            heads[np.cumsum(new_head) - 1].tolist(), *(getattr(e, k)[lo:hi].tolist() for k in EXPOSURE_KEYS[5:])
-        )
+    L, N = _LOAD_TEXT, _NORM_TEXT
+    texts = [
+        f'{{"run":{r},"load":"{L[l]}","norm":"{N[m]}","t":{s},"agent":{a},"post":'
+        for r, l, m, s, a in zip(*(column[starts].tolist() for column in (run, load, norm, t, agent)))
     ]
+    action = e.action[lo:hi].astype(np.intp)
+    if action.size and not (0 <= action.min() and action.max() < len(ACTIONS)):
+        raise ValueError(f"action codes must be in 0..{len(ACTIONS) - 1}")
+    parts = [_texts(e.post[lo:hi], ',"likes":'), _texts(e.likes[lo:hi], ',"reshares":'), _texts(e.reshares[lo:hi], "")]
+    at = np.empty((hi - lo, 5), dtype=np.intp)
+    at[:, 0] = np.cumsum(new_head) - 1
+    for i, (part_texts, part_at) in enumerate(parts + [(_ACTION_END, action)], 1):
+        at[:, i] = part_at + len(texts)
+        texts += part_texts
+    return texts, at
 
 
 def _creation_lines(c: CreationColumns, lo: int, hi: int) -> list[str]:
     return [
         f'{{"kind":"{_KIND_TEXT[kind]}","post":{post},"author":{author},'
-        f'"source":{"null" if source < 0 else source},"t":{t}}}'
+        f'"source":{"null" if source < 0 else source},"t":{t}}}\n'
         for kind, post, author, source, t in zip(*(getattr(c, k)[lo:hi].tolist() for k in CREATION_KEYS))
     ]
 
@@ -119,6 +143,9 @@ def _log_chunks(log: CellLog, rows: int = _CHUNK_ROWS) -> Iterator[bytes]:
 
     One compact JSON object per row, keys in EXPOSURE_KEYS or CREATION_KEYS
     order, each line ending in a newline; a log with no rows is one newline.
+    A chunk is one join of texts gathered by index from one table: five per
+    exposure line (``_exposure_texts``), and a creation line then four
+    empty texts.
     """
     if not len(log):
         yield b"\n"
@@ -128,11 +155,14 @@ def _log_chunks(log: CellLog, rows: int = _CHUNK_ROWS) -> Iterator[bytes]:
         is_exposure = log.is_exposure[lo : lo + rows]
         n_e = int(np.count_nonzero(is_exposure))
         n_c = is_exposure.size - n_e
-        lines = np.empty(is_exposure.size, dtype=object)
-        lines[is_exposure] = _exposure_lines(log.exposures, e_at, e_at + n_e)
-        lines[~is_exposure] = _creation_lines(log.creations, c_at, c_at + n_c)
+        texts, at = _exposure_texts(log.exposures, e_at, e_at + n_e)
+        index = np.full((is_exposure.size, 5), len(texts) + n_c)  # the empty text, last in the table
+        index[is_exposure] = at
+        index[~is_exposure, 0] = np.arange(len(texts), len(texts) + n_c)
+        texts += _creation_lines(log.creations, c_at, c_at + n_c)
+        texts.append("")
         e_at, c_at = e_at + n_e, c_at + n_c
-        yield ("\n".join(lines.tolist()) + "\n").encode("utf-8")
+        yield "".join(np.array(texts, dtype=object)[index.ravel()].tolist()).encode("utf-8")
 
 
 def write_log(log: CellLog, path: str | Path) -> str:

@@ -28,6 +28,8 @@ from socialsim.core import (
     EXPOSURE_KEYS,
     ActionKind,
     CellLog,
+    CreationColumns,
+    ExposureColumns,
     LoadLevel,
     NormRegime,
     PostKind,
@@ -40,7 +42,7 @@ from socialsim.population import FollowGraph
 from socialsim.stats import DesignInputs, build_design_matrix
 
 # Heavy-tailed counters: mostly small, sometimes huge.
-COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.sampled_from([10**k for k in range(10)]))
+COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.sampled_from([10**k for k in range(10)] + [2**62 - 1]))
 SEPARATORS = [(",", ":"), (", ", ": "), (" , ", " :  "), (",\t", ":")]
 
 
@@ -208,6 +210,65 @@ def test_saved_columns_read_back_as_the_parse(records):
         parsed = read_log(path, digest)
     assert saved is not None
     _assert_same_columns(saved, parsed)
+
+
+# Any int64: values spread over the whole range, and values close together near either end of it.
+INT64 = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-3, 3),
+    st.integers(2**63 - 9, 2**63 - 1),
+    st.integers(-(2**63), -(2**63) + 8),
+    st.sampled_from([2**62 - 1, 2**62, 2**63 - 1, -(2**63)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 9))
+def test_writer_formats_any_int64_columns_as_json_does(data, rows):
+    # Columns built directly, as no parse gives them: write_log formats whatever int64 values a CellLog holds.
+    is_exposure = np.array(data.draw(st.lists(st.booleans(), min_size=1, max_size=40), label="is_exposure"), dtype=bool)
+    n_e, n_c = int(is_exposure.sum()), int((~is_exposure).sum())
+
+    def column(n, values, dtype=np.int64):
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+    codes = {"load": len(LoadLevel), "norm": len(NormRegime), "action": len(ActionKind)}
+    exposures = {k: column(n_e, st.integers(0, codes[k] - 1), np.int8) if k in codes else column(n_e, INT64) for k in EXPOSURE_KEYS}
+    creations = {k: column(n_c, st.integers(0, len(PostKind) - 1), np.int8) if k == "kind" else column(n_c, INT64) for k in CREATION_KEYS}
+    log = CellLog(ExposureColumns(**exposures), CreationColumns(**creations), is_exposure)
+    texts = {"load": harness._LOAD_TEXT, "norm": harness._NORM_TEXT, "action": harness._ACTION_TEXT, "kind": harness._KIND_TEXT}
+
+    def line(columns, keys, i):
+        obj = {k: texts[k][columns[k][i]] if k in texts else int(columns[k][i]) for k in keys}
+        if "source" in obj and obj["source"] < 0:
+            obj["source"] = None
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+
+    e_rows, c_rows = iter(range(n_e)), iter(range(n_c))
+    expected = "".join(line(exposures, EXPOSURE_KEYS, next(e_rows)) if e else line(creations, CREATION_KEYS, next(c_rows)) for e in is_exposure)
+    assert b"".join(_log_chunks(log, rows)).decode("utf-8") == expected
+    assert b"".join(_log_chunks(log)) == expected.encode("utf-8")
+
+
+def _one_exposure(**values) -> CellLog:
+    log = log_from_records([
+        PostCreation(post=0, kind=PostKind.SEED, author=0, source=None, t=0),
+        ExposureRecord(run=1, load=LoadLevel.HIGH, norm=NormRegime.NO_NORM, t=0, agent=0, post=0, likes=0, reshares=0, action=ActionKind.READ),
+    ])
+    for k, v in values.items():
+        getattr(log.exposures, k)[0] = v
+    return log
+
+
+def test_largest_reshares_with_a_quote():
+    written = b"".join(_log_chunks(_one_exposure(reshares=2**62, action=list(ActionKind).index(ActionKind.QUOTE))))
+    assert written.endswith(b',"reshares":4611686018427387904,"action":"quote"}\n')
+
+
+@pytest.mark.parametrize("action", [-1, len(ActionKind)])
+def test_action_code_outside_the_actions_is_not_written(action, tmp_path):
+    with pytest.raises(ValueError, match="action codes"):
+        write_log(_one_exposure(action=action), tmp_path / "cell.jsonl")
 
 
 def test_chunk_size_does_not_change_the_bytes():

@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socialsim import engine
@@ -158,18 +158,23 @@ class TestPostWordColumns:
         column[[row for word, row in world._vocab.items() if word in tokens]] = 1.0
         return column, np.float32(len(tokens))
 
+    # Words whose lower case depends on their neighbours (a final sigma, also at the " // " seam), grows
+    # ("İ") or stays ("ß"), and whitespace other than a space: a tab, and a no-break space inside a word.
+    WORDS = ["kw0", "KW1", "kw2", "x", "y", "//", "Σ", "aΣ", "İ", "ß", "\t", "kw0\xa0x"]
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["seed", "repost", "repost_other_text", "quote"]),
+                st.sampled_from(["seed", "repost", "repost_other_text", "ends_in_source_text", "quote", "quote_repeating"]),
                 st.integers(0, 2**16),
-                st.lists(st.sampled_from(["kw0", "KW1", "kw2", "x", "y", "//"]), max_size=5).map(" ".join),
+                st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join),
             ),
             min_size=1,
             max_size=40,
         )
     )
+    @example([("seed", 0, "aΣ"), ("quote", 2, ""), ("quote", 3, "aΣ"), ("quote", 4, "Σ İ"), ("quote_repeating", 5, "")])
     def test_reposts_and_quotes_match_their_tokenized_text(self, ops):
         world = initialize(tiny_profiles(), tiny_graph(), ["kw0 kw1 seed", "x"], _config())
         for i, (kind, pick, words) in enumerate(ops):
@@ -180,8 +185,12 @@ class TestPostWordColumns:
                 world.new_post(i % 5, world.posts[source], PostKind.REPOST, source, 1)
             elif kind == "repost_other_text":
                 world.new_post(i % 5, f"{words} {world.posts[source]} x", PostKind.REPOST, source, 1)
-            else:
+            elif kind == "ends_in_source_text":  # no " // " before the source's text: "aΣ" ends in "Σ"
+                world.new_post(i % 5, f"{words}a{world.posts[source]}", PostKind.REPOST, source, 1)
+            elif kind == "quote":  # words may be empty: the commentary is then empty too
                 world.new_post(i % 5, f"{words} // {world.posts[source]}", PostKind.QUOTE, source, 1)
+            else:  # commentary that repeats its source's words, in another case
+                world.new_post(i % 5, f"{world.posts[source].upper()} {words} // {world.posts[source]}", PostKind.QUOTE, source, 1)
         for post, text in enumerate(world.posts):
             column, n_tokens = self._tokenized(world, text)
             assert np.array_equal(world._words[:, post], column), (post, text)
