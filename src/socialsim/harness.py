@@ -19,23 +19,26 @@ a chunk with one ``json.loads`` when one pass over the file's bytes shows
 that each "}" ends its line (spaces and a CR after it aside), and line by
 line otherwise.
 
-``run_experiment`` also saves each cell's columns beside its log, as
-``logs/<cell>.npz`` (``save_columns``). That file is a cache, not a record:
-``read_log`` returns its columns without parsing the JSONL only once it has
-proven them equal to the parse, by checking them as the parse checks
-columns and re-formatting them to the log file's bytes. Any file that
-fails the proof, or its absence, leaves the parse as it was.
+``read_log`` parses no JSON for columns it has proven equal to the parse,
+by checking them as the parse checks columns and re-formatting them to the
+log file's bytes (``_is_parse``). They come from one of two places.
+``run_experiment`` saves each cell's columns beside its log, as
+``logs/<cell>.npz`` (``save_columns``): a cache, not a record. Without
+one, ``_decoded_log`` decodes the file's bytes with numpy as write_log's
+line format. Whatever fails the proof is parsed as JSON, as it would be
+without either, errors included.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import zipfile
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,14 +116,15 @@ def _exposure_texts(e: ExposureColumns, lo: int, hi: int) -> tuple[list[str], np
     for column in (load, norm, t, agent):
         new_head[1:] |= column[1:] != column[:-1]
     starts = new_head.nonzero()[0]
+    _check_codes(load, "load", _LOAD_TEXT)
+    _check_codes(norm, "norm", _NORM_TEXT)
     L, N = _LOAD_TEXT, _NORM_TEXT
     texts = [
         f'{{"run":{r},"load":"{L[l]}","norm":"{N[m]}","t":{s},"agent":{a},"post":'
         for r, l, m, s, a in zip(*(column[starts].tolist() for column in (run, load, norm, t, agent)))
     ]
     action = e.action[lo:hi].astype(np.intp)
-    if action.size and not (0 <= action.min() and action.max() < len(ACTIONS)):
-        raise ValueError(f"action codes must be in 0..{len(ACTIONS) - 1}")
+    _check_codes(action, "action", _ACTION_TEXT)
     parts = [_texts(e.post[lo:hi], ',"likes":'), _texts(e.likes[lo:hi], ',"reshares":'), _texts(e.reshares[lo:hi], "")]
     at = np.empty((hi - lo, 5), dtype=np.intp)
     at[:, 0] = np.cumsum(new_head) - 1
@@ -130,7 +134,14 @@ def _exposure_texts(e: ExposureColumns, lo: int, hi: int) -> tuple[list[str], np
     return texts, at
 
 
+def _check_codes(codes: np.ndarray, key: str, texts: list[str]) -> None:
+    """ValueError unless each code indexes ``texts``: a code of -1 would write the last text."""
+    if codes.size and not (0 <= codes.min() and codes.max() < len(texts)):
+        raise ValueError(f"{key} codes must be in 0..{len(texts) - 1}")
+
+
 def _creation_lines(c: CreationColumns, lo: int, hi: int) -> list[str]:
+    _check_codes(c.kind[lo:hi], "kind", _KIND_TEXT)
     return [
         f'{{"kind":"{_KIND_TEXT[kind]}","post":{post},"author":{author},'
         f'"source":{"null" if source < 0 else source},"t":{t}}}\n'
@@ -190,9 +201,11 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     created twice, a seed row with a source, or a repost or quote row whose
     source no earlier row creates.
 
-    When the log has the columns ``save_columns`` saved beside it (the same
-    path with an .npz suffix) and they are proven to be its parse, they are
-    returned and the file is read but not parsed (see ``_saved_log``).
+    Columns proven to be the parse are returned without parsing JSON. They
+    come from the .npz file ``save_columns`` saved beside the log (the same
+    path with an .npz suffix; see ``_saved_log``), else from decoding the
+    bytes as write_log's line format (``_decoded_log``). Either must pass
+    ``_is_parse``; any other file is parsed as JSON, errors included.
     """
     path = Path(path)
     log = _saved_log(path, sha256)
@@ -201,6 +214,9 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     data = read_bytes(path, "event log")
     if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise FormatError(f"{path}: SHA-256 differs from the manifest's {sha256}")
+    log = _decoded_log(data)
+    if log is not None and _is_parse(log, io.BytesIO(data).read, None):  # the digest is checked above
+        return log
     lines = utf8_text(data, path).split("\n")
     rows = [line for line in lines if line.strip(JSON_SPACE)]  # blank lines are skipped
     joined = _one_brace_a_line(data)
@@ -234,8 +250,9 @@ def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
     """The columns saved beside the log at ``path`` if they are proven to be its parse, else None.
 
     The .npz file must load without unpickling, and its columns and the log
-    file must pass ``_is_parse``. Any failure returns None, and read_log then
-    parses the file as it would without the .npz, errors included.
+    file must pass ``_is_parse``, which reads the log in chunks, so never
+    whole. Any failure returns None, and read_log then goes on as it would
+    without the .npz, errors included.
     """
     saved = path.with_suffix(".npz")
     if not saved.is_file():
@@ -250,22 +267,23 @@ def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
                 CreationColumns(**{k: npz[f"creations.{k}"] for k in CREATION_KEYS}),
                 npz["is_exposure"],
             )
-        return log if _is_parse(log, path, sha256) else None
+        with open(path, "rb") as fh:
+            return log if _is_parse(log, fh.read, sha256) else None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
 
 
-def _is_parse(log: CellLog, path: Path, sha256: str | None) -> bool:
-    """Whether ``log`` is the parse of the file at ``path``, and the file has SHA-256 ``sha256`` (if given).
+def _is_parse(log: CellLog, read: Callable[[int], bytes], sha256: str | None) -> bool:
+    """Whether ``log`` is the parse of the log whose bytes ``read(n)`` gives in turn, and they have SHA-256 ``sha256`` (if given).
 
     Columns with the dtypes, rank and lengths the parse gives, and that pass
     the checks it runs on columns, are write_log's bytes parsed back. So when
     the file holds those bytes and no more, its parse is these columns. The
-    range checks are part of the proof: without them a load code of -1 would
-    print as the last load, and a source of -7 as null, and neither parses
-    back to itself. These checks come first; then the file is read once, in
-    the lengths of ``_log_chunks``' chunks, each compared with its chunk and
-    hashed for the digest, so it is never read whole.
+    range checks are part of the proof: a source of -7 would print as null,
+    which parses back as -1, and write_log raises on a code outside its enum
+    (a decoded -1 stands for a byte no enum text has). These checks come
+    first; then the bytes are read in the lengths of ``_log_chunks``'
+    chunks, each compared with its chunk and hashed for the digest.
     """
     flags = log.is_exposure
     if not _shaped_like(flags, _PARSED.is_exposure, np.size(flags)):
@@ -283,20 +301,126 @@ def _is_parse(log: CellLog, path: Path, sha256: str | None) -> bool:
     if _breaks_creation_rules(log):
         return False
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in _log_chunks(log):
-            block = fh.read(len(chunk))
-            if block != chunk:
-                return False
-            digest.update(block)
-        if fh.read(1):  # bytes past the formatted log
+    for chunk in _log_chunks(log):
+        block = read(len(chunk))
+        if block != chunk:
             return False
+        if sha256 is not None:
+            digest.update(block)
+    if read(1):  # bytes past the formatted log
+        return False
     return sha256 in (None, digest.hexdigest())
 
 
 def _shaped_like(a: object, parsed: np.ndarray, n: int) -> bool:
     """Whether ``a`` is a numpy array of ``parsed``'s dtype holding ``n`` values in one dimension."""
     return isinstance(a, np.ndarray) and a.dtype == parsed.dtype and a.shape == (n,)
+
+
+# Decoding write_log's line format. Each enum value is read from one byte at
+# a fixed offset in the text the writer puts around it, an offset at which
+# every value of the enum has a different byte. Any other byte decodes as -1.
+_DECODE_BYTES = 1 << 19  # the most bytes decoded at once, so the decoder's temporaries grow with this, not with the file
+
+
+def _byte_table(texts: list[str], at: int) -> np.ndarray:
+    """A 256-entry table from the byte at ``at`` of each text to the text's code, -1 for any other byte."""
+    table = np.full(256, -1, dtype=np.int8)
+    for code, text in enumerate(texts):
+        table[ord(text[at])] = code
+    return table
+
+
+_LOAD_AT = _byte_table([f',"load":"{v}","' for v in _LOAD_TEXT], 12)  # 12 bytes after the run's digits
+_NORM_AT = _byte_table([f'"norm":"{v}","t":' for v in _NORM_TEXT], -16)  # 16 bytes before t's first byte
+_ACTION_AT = _byte_table(_ACTION_END, -5)  # 4 bytes before the line's "\n"
+_KIND_AT = _byte_table([f'{{"kind":"{v}"' for v in _KIND_TEXT], 9)  # 9 bytes after the line's start
+
+
+def _decoded_log(data: bytes) -> CellLog | None:
+    """Columns decoded from a log's bytes as write_log's format would hold them, or None.
+
+    A candidate only, for ``_is_parse`` to prove or refuse: the decoder never
+    raises, gives columns of exactly the parse's dtypes, and returns None
+    wherever the bytes surprise it. It decodes at most ``_DECODE_BYTES`` bytes
+    at a time, cut at a line end, so its temporaries stay small.
+    """
+    if data == b"\n":  # write_log's log of no rows
+        return _log_from_objs([])
+    blocks = []
+    lo = 0
+    while lo < len(data):
+        hi = data.rfind(b"\n", lo, lo + _DECODE_BYTES) + 1
+        block = _decoded_block(np.frombuffer(data, np.uint8, hi - lo, lo)) if hi else None  # hi 0: no line end
+        if block is None:
+            return None
+        blocks.append(block)
+        lo = hi
+    return _concat(blocks) if blocks else None
+
+
+def _decoded_block(b: np.ndarray) -> CellLog | None:
+    """The columns of whole lines ``b``, ending in "\n", decoded as ``_decoded_log`` does.
+
+    A line is an exposure if its third byte is the "r" of "run", else a
+    creation. Each maximal run of digits, with the "-" before it if any, is
+    an integer; no key or enum text holds a digit. An exposure line holds 6
+    integers (run, t, agent, post, likes, reshares), a creation line 4
+    (post, author, source, t) or, with source null, 3. The integers of each
+    length are read together, a digit place at a time. Past int64 the
+    arithmetic wraps, and the proof refuses the value it gives.
+    """
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    is_exposure = b.take(starts + 2, mode="clip") == ord("r")
+    d = b - np.uint8(ord("0"))  # a digit's value; every other byte wraps past 9
+    digit = np.zeros(b.size + 1, dtype=bool)
+    digit[1:] = d < 10
+    flips = np.flatnonzero(digit[1:] != digit[:-1])  # a run's first digit, then the byte after its last; b ends in "\n"
+    first, after = flips[0::2], flips[1::2]
+    lengths = after - first
+    if lengths.size and lengths.max() > 19:
+        return None
+    counts = np.bincount(np.searchsorted(ends, first), minlength=ends.size)
+    n_creation = counts[~is_exposure]
+    if not (np.all(counts[is_exposure] == 6) and np.all((n_creation == 3) | (n_creation == 4))):
+        return None
+    values = np.empty(first.size, dtype=np.int64)
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        at = np.flatnonzero(lengths == n)
+        digit_at = first[at]
+        number = d[digit_at].astype(np.int64)
+        for _ in range(n - 1):
+            digit_at += 1
+            number *= 10
+            number += d[digit_at]
+        values[at] = number
+    negative = b.take(first - 1, mode="clip") == ord("-")
+    np.negative(values, out=values, where=negative)
+    token = first - negative  # each integer's first byte, its "-" if any
+    line_first = np.cumsum(counts) - counts  # each line's first integer
+    e, c = line_first[is_exposure], line_first[~is_exposure]
+    run, t, agent, post, likes, reshares = (values[e + i] for i in range(6))
+    null = n_creation == 3
+    exposures = ExposureColumns(
+        run=run,
+        load=_LOAD_AT[b.take(after[e] + 12, mode="clip")],
+        norm=_NORM_AT[b.take(token[e + 1] - 16, mode="clip")],
+        t=t,
+        agent=agent,
+        post=post,
+        likes=likes,
+        reshares=reshares,
+        action=_ACTION_AT[b.take(ends[is_exposure] - 4, mode="clip")],
+    )
+    creations = CreationColumns(
+        kind=_KIND_AT[b.take(starts[~is_exposure] + 9, mode="clip")],
+        post=values[c],
+        author=values[c + 1],
+        source=np.where(null, -1, values[c + 2]),
+        t=values[c + 3 - null],
+    )
+    return CellLog(exposures, creations, is_exposure)
 
 
 def _one_brace_a_line(data: bytes) -> bool:

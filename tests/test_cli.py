@@ -551,20 +551,26 @@ class TestAnalyze:
 
 
     def test_files_equal_with_and_without_saved_columns(self, run_dir, tmp_path, monkeypatch):
-        # simulate saves each cell's columns beside its log; analyze reads them instead of parsing the JSONL,
-        # and writes the same bytes as it does from the JSONL alone.
+        # simulate saves each cell's columns beside its log; analyze reads them instead of parsing the JSONL.
+        # Without them it decodes the JSONL as write_log's lines, and with the decoder disabled it parses the
+        # JSON. All three write the same bytes.
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_parse_rows", None)  # a parse would fail
             assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "saved")]) == 0
-        saved = sorted((run_dir / "logs").glob("*.npz"))
-        assert len(saved) == 12
-        for path in saved:
-            path.unlink()
-        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "parsed")]) == 0
-        names = sorted(path.name for path in (tmp_path / "parsed").iterdir())
-        assert names == sorted(path.name for path in (tmp_path / "saved").iterdir()) and len(names) == 7
-        for name in names:
-            assert (tmp_path / "saved" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name
+            saved = sorted((run_dir / "logs").glob("*.npz"))
+            assert len(saved) == 12
+            for path in saved:
+                path.unlink()
+            assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "decoded")]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_decoded_log", lambda data: None)
+            assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "parsed")]) == 0
+        names = sorted(path.name for path in (tmp_path / "saved").iterdir())
+        assert len(names) == 7
+        for leg in ("decoded", "parsed"):
+            assert sorted(path.name for path in (tmp_path / leg).iterdir()) == names
+            for name in names:
+                assert (tmp_path / "saved" / name).read_bytes() == (tmp_path / leg / name).read_bytes(), (leg, name)
 
 
 def _corrupt_first_exposure(run_dir: Path, edit, *, update_manifest: bool = True) -> tuple[str, int]:

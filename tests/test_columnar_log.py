@@ -1,12 +1,16 @@
 """The columnar event-log path against the record-based reference in reference_log.py."""
 
+import hashlib
 import json
+import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_log import (
@@ -30,6 +34,7 @@ from socialsim.core import (
     CellLog,
     CreationColumns,
     ExposureColumns,
+    FormatError,
     LoadLevel,
     NormRegime,
     PostKind,
@@ -207,7 +212,8 @@ def test_saved_columns_read_back_as_the_parse(records):
         harness.save_columns(log, path.with_suffix(".npz"))
         saved = harness._saved_log(path, digest)
         path.with_suffix(".npz").unlink()
-        parsed = read_log(path, digest)
+        with mock.patch.object(harness, "_decoded_log", _no_decoder):
+            parsed = read_log(path, digest)
     assert saved is not None
     _assert_same_columns(saved, parsed)
 
@@ -265,10 +271,16 @@ def test_largest_reshares_with_a_quote():
     assert written.endswith(b',"reshares":4611686018427387904,"action":"quote"}\n')
 
 
-@pytest.mark.parametrize("action", [-1, len(ActionKind)])
-def test_action_code_outside_the_actions_is_not_written(action, tmp_path):
-    with pytest.raises(ValueError, match="action codes"):
-        write_log(_one_exposure(action=action), tmp_path / "cell.jsonl")
+@pytest.mark.parametrize("code", [-1, "past the end"])
+@pytest.mark.parametrize("part, key, members", [
+    ("exposures", "load", LoadLevel), ("exposures", "norm", NormRegime), ("exposures", "action", ActionKind), ("creations", "kind", PostKind),
+])
+def test_code_outside_its_enum_is_not_written(part, key, members, code, tmp_path):
+    # Regression: a load, norm or kind code of -1 was written as the enum's last value.
+    log = _one_exposure()
+    getattr(getattr(log, part), key)[0] = len(members) if code == "past the end" else code
+    with pytest.raises(ValueError, match=f"{key} codes must be in 0..{len(members) - 1}"):
+        write_log(log, tmp_path / "cell.jsonl")
 
 
 def test_chunk_size_does_not_change_the_bytes():
@@ -348,3 +360,150 @@ def test_empty_log(tmp_path):
     assert descriptive_shares(log).n_records == 0
     with pytest.raises(ValueError):
         build_design_matrix(DesignInputs.of(log.exposures), "threshold")
+
+
+# ---------------------------------------------------------------------------
+# read_log's decoder of write_log's own lines, against the JSON parse
+# ---------------------------------------------------------------------------
+
+# Every counter the parse accepts, with the values next to its bound.
+COUNTERS = st.one_of(COUNTS, st.integers(0, 2**62 - 1), st.integers(2**62 - 9, 2**62 - 1))
+
+
+@st.composite
+def extreme_logs(draw):
+    """A cell_logs log with its runs, times, agents, authors, post ids and counters moved to any values the parse accepts."""
+    records, _ = draw(cell_logs())
+    created = [r.post for r in records if isinstance(r, PostCreation)]
+    post_ids = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 9), st.integers(2**63 - 9, 2**63 - 1))
+    ids = dict(zip(created, draw(st.lists(post_ids, min_size=len(created), max_size=len(created), unique=True))))
+    moved = [
+        replace(r, post=ids[r.post], author=draw(INT64), source=None if r.source is None else ids[r.source], t=draw(INT64))
+        if isinstance(r, PostCreation)
+        else replace(r, run=draw(INT64), t=draw(INT64), agent=draw(INT64), post=ids[r.post], likes=draw(COUNTERS), reshares=draw(COUNTERS))
+        for r in records
+    ]
+    return log_from_records(moved)
+
+
+_SEED_AND_QUOTE = [PostCreation(post=0, kind=PostKind.SEED, author=3, source=None, t=0), PostCreation(post=1, kind=PostKind.QUOTE, author=4, source=0, t=2)]
+_AT_THE_BOUNDS = [
+    PostCreation(post=2**63 - 1, kind=PostKind.SEED, author=-(2**63), source=None, t=2**63 - 1),
+    PostCreation(post=0, kind=PostKind.REPOST, author=2**63 - 1, source=2**63 - 1, t=-(2**63)),
+    ExposureRecord(run=2**63 - 1, load=LoadLevel.LOWEST, norm=NormRegime.LIKE_DOMINANT, t=-(2**63), agent=-1, post=0,
+                   likes=2**62 - 1, reshares=2**62 - 1, action=ActionKind.QUOTE),
+    ExposureRecord(run=0, load=LoadLevel.LOW, norm=NormRegime.REPOST_DOMINANT, t=0, agent=-(2**63), post=2**63 - 1,
+                   likes=0, reshares=0, action=ActionKind.REPOST),
+]
+
+
+def _no_decoder(data: bytes) -> None:
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=st.one_of(cell_logs().map(lambda cell: log_from_records(cell[0])), blocked_logs().map(log_from_records), extreme_logs()))
+@example(log=log_from_records([]))  # write_log's "\n"
+@example(log=log_from_records(_SEED_AND_QUOTE))  # creation rows only
+@example(log=log_from_records(_AT_THE_BOUNDS))
+def test_decoder_reads_every_log_the_writer_writes(log):
+    # With no .npz beside the log, read_log decodes it and parses no JSON, and gets what the JSON parse gets.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cell.jsonl"
+        digest = write_log(log, path)
+        with mock.patch.object(harness, "_decoded_log", _no_decoder):
+            parsed = read_log(path, digest)
+        with mock.patch.object(harness, "_parse_rows", None):  # a parse would fail
+            decoded = read_log(path, digest)
+    _assert_same_columns(decoded, parsed)
+
+
+_VALUE = re.compile(rb"(?<=:)-?[0-9]+")  # an integer value, after its key's colon
+
+
+def _replace_value(data: bytes, draw, new) -> bytes:
+    """``data`` with one integer value, drawn from those it holds, replaced by ``new(value)``."""
+    values = list(_VALUE.finditer(data))
+    if not values:
+        return data
+    m = draw(st.sampled_from(values))
+    return data[: m.start()] + new(m.group()) + data[m.end() :]
+
+
+def _flip(data: bytes, draw) -> bytes:
+    i = draw(st.integers(0, len(data) - 1))
+    return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+
+
+def _delete(data: bytes, draw) -> bytes:
+    i = draw(st.integers(0, len(data) - 1))
+    return data[:i] + data[i + 1 :]
+
+
+def _insert(data: bytes, draw) -> bytes:
+    i = draw(st.integers(0, len(data)))
+    return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i:]
+
+
+def _space_after_a_comma(data: bytes, draw) -> bytes:
+    commas = [i for i, byte in enumerate(data) if byte == ord(",")]
+    i = draw(st.sampled_from(commas)) + 1 if commas else 0
+    return data[:i] + b" " + data[i:]
+
+
+def _truncated_last_line(data: bytes, draw) -> bytes:
+    return data[: draw(st.integers(data.rfind(b"\n", 0, len(data) - 1) + 1, len(data) - 1))]
+
+
+MUTATIONS = {
+    "flip": _flip,
+    "delete": _delete,
+    "insert": _insert,
+    "space_after_a_comma": _space_after_a_comma,
+    "crlf": lambda data, draw: data.replace(b"\n", b"\r\n"),
+    "trailing_blank_line": lambda data, draw: data + b"\n",
+    "no_final_newline": lambda data, draw: data[:-1],
+    "truncated_last_line": _truncated_last_line,
+    "leading_zero": lambda data, draw: _replace_value(data, draw, lambda v: v.replace(b"-", b"-0") if v[:1] == b"-" else b"00" + v),
+    "minus_zero": lambda data, draw: _replace_value(data, draw, lambda v: b"-0"),
+    "exponent": lambda data, draw: _replace_value(data, draw, lambda v: b"1e3"),
+    "fraction": lambda data, draw: _replace_value(data, draw, lambda v: v + b".0"),
+    "wraps_int64": lambda data, draw: _replace_value(data, draw, lambda v: str(int(v) + 2**64).encode()),  # 2**64 + v reads as v in int64
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=st.one_of(blocked_logs(), cell_logs().map(lambda cell: cell[0])), mutation=st.sampled_from([*MUTATIONS, "wrong_digest"]), data=st.data())
+def test_other_bytes_give_the_json_paths_result_or_error(records, mutation, data):
+    # One edit of the writer's bytes: read_log returns what it returns with the decoder disabled, or raises its
+    # error, and the decoder raises nothing. The manifest digest is updated to the edited bytes, or is wrong.
+    written = b"".join(_log_chunks(log_from_records(records)))
+    edited = written if mutation == "wrong_digest" else MUTATIONS[mutation](written, data.draw)
+    sha256 = "0" * 64 if mutation == "wrong_digest" else hashlib.sha256(edited).hexdigest()
+    candidate = harness._decoded_log(edited)
+    if candidate is not None:
+        _assert_same_dtypes(candidate, harness._PARSED)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cell.jsonl"
+        path.write_bytes(edited)
+        got, expected = (_result(path, sha256, decoder) for decoder in (harness._decoded_log, _no_decoder))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        _assert_same_columns(got, expected)
+
+
+def _result(path: Path, sha256: str, decoder) -> CellLog | str:
+    """read_log's columns, or the text of its FormatError, with ``decoder`` as read_log's decoder."""
+    with mock.patch.object(harness, "_decoded_log", decoder):
+        try:
+            return read_log(path, sha256)
+        except FormatError as e:
+            return f"FormatError: {e}"
+
+
+def _assert_same_dtypes(a: CellLog, b: CellLog) -> None:
+    assert a.is_exposure.dtype == b.is_exposure.dtype and a.is_exposure.ndim == 1
+    for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
+        for k in keys:
+            assert getattr(getattr(a, part), k).dtype == getattr(getattr(b, part), k).dtype, (part, k)
