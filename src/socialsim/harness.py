@@ -15,9 +15,8 @@ load, norm, t and agent, so the writer formats that head once per block
 (found by comparing adjacent rows, so any ``CellLog`` writes the same
 bytes), and each distinct post, likes and reshares value once per chunk of
 rows; a line joins those texts and its action's close. The reader parses
-a chunk with one ``json.loads`` when one pass over the file's bytes shows
-that each "}" ends its line (spaces and a CR after it aside), and line by
-line otherwise.
+each line with its own ``json.loads``, a chunk of lines at a time, and
+checks the creation rules on the columns (``_first_rule_break``).
 
 ``read_log`` parses no JSON for columns it has proven equal to the parse,
 by checking them as the parse checks columns and re-formatting them to the
@@ -205,7 +204,8 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     come from the .npz file ``save_columns`` saved beside the log (the same
     path with an .npz suffix; see ``_saved_log``), else from decoding the
     bytes as write_log's line format (``_decoded_log``). Either must pass
-    ``_is_parse``; any other file is parsed as JSON, errors included.
+    ``_is_parse``; any other file is parsed as JSON (``_parsed_log``),
+    errors included.
     """
     path = Path(path)
     log = _saved_log(path, sha256)
@@ -217,23 +217,83 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     log = _decoded_log(data)
     if log is not None and _is_parse(log, io.BytesIO(data).read, None):  # the digest is checked above
         return log
+    return _parsed_log(path, data)
+
+
+def _parsed_log(path: Path, data: bytes) -> CellLog:
+    """The JSON parse of a log's bytes, ``_CHUNK_ROWS`` lines at a time; FormatError naming its first bad line."""
     lines = utf8_text(data, path).split("\n")
-    rows = [line for line in lines if line.strip(JSON_SPACE)]  # blank lines are skipped
-    joined = _one_brace_a_line(data)
-    try:
-        # Each chunk's parsed dicts are dropped once its columns are built; an empty log is one empty chunk.
-        log = _concat([_parse_rows(rows[lo : lo + _CHUNK_ROWS], joined) for lo in range(0, len(rows) or 1, _CHUNK_ROWS)])
-        if _breaks_creation_rules(log):
-            raise FormatError("creation rows")
-    except (ValueError, RecursionError):  # JSONDecodeError and FormatError included
-        raise _locate_error(path, lines) from None
+    kept = np.flatnonzero([bool(line.strip(JSON_SPACE)) for line in lines])  # blank lines are skipped
+    rows = [lines[i] for i in kept.tolist()]
+    logs, bad = [], None
+    # Each chunk's parsed dicts are dropped once its columns are built; an empty log is one empty chunk.
+    for lo in range(0, len(rows) or 1, _CHUNK_ROWS):
+        chunk = rows[lo : lo + _CHUNK_ROWS]
+        try:
+            logs.append(_log_from_objs([json.loads(row) for row in chunk]))
+        except (ValueError, RecursionError):  # JSONDecodeError and FormatError included
+            log, bad = _first_bad_row(chunk, lo)
+            logs.append(log)
+            if bad is not None:
+                break
+    log = _concat(logs)
+    bad = _first_rule_break(log) or bad  # log holds only the rows before a bad row, so a rule break in it comes first
+    if bad is not None:
+        row, reason = bad
+        raise FormatError(f"{path}, line {kept[row] + 1}: {reason}")
     return log
 
 
-def _breaks_creation_rules(log: CellLog) -> bool:
-    """Whether an exposure shows a post no earlier row creates, a post is created twice, or a source rule is broken."""
+def _first_bad_row(rows: list[str], start: int) -> tuple[CellLog, tuple[int, str] | None]:
+    """The columns of ``rows`` before the first that is not one valid record, and (its index plus ``start``, reason), or None if all are."""
+    objs = []
+    for i, row in enumerate(rows, start):
+        try:
+            obj = json.loads(row)
+            _log_from_objs([obj])
+        except FormatError as e:
+            return _log_from_objs(objs), (i, str(e))
+        except json.JSONDecodeError as e:
+            return _log_from_objs(objs), (i, f"invalid JSON ({e.msg} at column {e.colno})")
+        except RecursionError:
+            return _log_from_objs(objs), (i, "invalid JSON (nested too deeply)")
+        objs.append(obj)
+    return _log_from_objs(objs), None
+
+
+def _first_rule_break(log: CellLog) -> tuple[int, str] | None:
+    """The first row in log order that breaks a creation rule, as (row, reason), or None if none does.
+
+    The rules: an exposure shows a post an earlier row creates, no post is
+    created twice, a seed row has no source, and a repost or quote row's
+    source is a post an earlier row creates.
+    """
     c = log.creations
-    return bool((log.creation_of() < 0).any() or np.unique(c.post).size != len(c) or _unsourced(c).any())
+    order = np.argsort(c.post, kind="stable")
+    posts = c.post[order]
+    twice = np.zeros(len(c), dtype=bool)
+    twice[order[1:]] = posts[1:] == posts[:-1]  # a stable sort puts a post's first creation first
+    first = order[np.minimum(np.searchsorted(posts, c.source), len(c) - 1)]  # a row creating the source
+    earlier = (c.source >= 0) & (c.post[first] == c.source) & (first < np.arange(len(c)))
+    bad_creation = twice | np.where(c.kind == _SEED, c.source >= 0, ~earlier)
+    bad_exposure = log.creation_of() < 0
+    if not (bad_creation.any() or bad_exposure.any()):
+        return None
+    bad = np.empty(len(log), dtype=bool)
+    bad[log.is_exposure], bad[~log.is_exposure] = bad_exposure, bad_creation
+    row = int(bad.argmax())
+    n_exposures = int(np.count_nonzero(log.is_exposure[:row]))
+    if log.is_exposure[row]:
+        return row, f"exposure of post {log.exposures.post[n_exposures]} before any row creates it"
+    k = row - n_exposures
+    kind, post, source = int(c.kind[k]), int(c.post[k]), int(c.source[k])
+    if twice[k]:
+        return row, f"post {post} created twice"
+    if kind == _SEED:
+        return row, f"seed post {post} has source {source}"
+    if source < 0:
+        return row, f"{_KIND_TEXT[kind]} post {post} has no source"
+    return row, f"{_KIND_TEXT[kind]} of post {source} before any row creates it"
 
 
 def save_columns(log: CellLog, path: str | Path) -> None:
@@ -298,7 +358,7 @@ def _is_parse(log: CellLog, read: Callable[[int], bytes], sha256: str | None) ->
     bounds += [(e.likes, 2**62), (e.reshares, 2**62)]
     if not all(0 <= column.min(initial=0) and column.max(initial=0) < end for column, end in bounds) or c.source.min(initial=-1) < -1:
         return False
-    if _breaks_creation_rules(log):
+    if _first_rule_break(log) is not None:
         return False
     digest = hashlib.sha256()
     for chunk in _log_chunks(log):
@@ -423,39 +483,6 @@ def _decoded_block(b: np.ndarray) -> CellLog | None:
     return CellLog(exposures, creations, is_exposure)
 
 
-def _one_brace_a_line(data: bytes) -> bool:
-    """Whether each "}" in a log's bytes is the last byte of its line but for JSON spaces.
-
-    In UTF-8 the bytes of "}", "\n" and the JSON spaces stand for no other
-    character, so one pass over the bytes, with any spaces taken out, tells.
-    """
-    spaces = JSON_SPACE.encode()
-    if any(space in data for space in spaces):
-        data = data.translate(None, spaces)
-    b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.append((b == ord("\n")).nonzero()[0], b.size) - 1  # each line's last byte (-1 or a "\n" if it is blank)
-    return np.count_nonzero(b[ends[ends >= 0]] == ord("}")) == np.count_nonzero(b == ord("}"))
-
-
-def _parse_rows(rows: list[str], joined: bool) -> CellLog:
-    """Columns of log lines; ValueError on a line that is not one valid record.
-
-    With ``joined`` (each "}" ends its line but for spaces), one json.loads
-    parses the lines joined by commas, and they must give one object per
-    line. n objects need n closing braces outside strings, and no more than
-    n "}" end the n lines, so no "}" nests an object or sits in a string,
-    each object ends at the end of a line, and each line is exactly one
-    object. Without it (a "}" in a string or before more of its line), each
-    line is parsed on its own.
-    """
-    if not joined:
-        return _log_from_objs([json.loads(row) for row in rows])
-    objs = json.loads("[" + ",".join(rows) + "]")
-    if len(objs) != len(rows):  # '{"x":{}' then '"y":1}' is one object on two lines
-        raise FormatError("row count")
-    return _log_from_objs(objs)
-
-
 def _concat(logs: list[CellLog]) -> CellLog:
     """One log of the rows of ``logs``, in order."""
     def join(parts: list) -> dict[str, np.ndarray]:
@@ -482,15 +509,6 @@ def _log_from_objs(objs: list) -> CellLog:
     )
 
 
-def _unsourced(c: CreationColumns) -> np.ndarray:
-    """Per creation row, whether it breaks the source rule: a seed row has no
-    source, and a repost or quote row's source is a post an earlier row creates."""
-    order = np.argsort(c.post, kind="stable")
-    first = order[np.minimum(np.searchsorted(c.post[order], c.source), len(c) - 1)]  # a row creating the source
-    earlier = (c.source >= 0) & (c.post[first] == c.source) & (first < np.arange(len(c)))
-    return np.where(c.kind == _SEED, c.source >= 0, ~earlier)
-
-
 def _values(objs: list[dict], key: str) -> list:
     try:
         return [o[key] for o in objs]
@@ -499,36 +517,6 @@ def _values(objs: list[dict], key: str) -> list:
 
 
 _PARSED = _log_from_objs([])  # the parse of no rows: its columns have the dtypes every parse gives
-
-
-def _locate_error(path: Path, lines: list[str]) -> FormatError:
-    """Re-read the log one line at a time and name its first bad line."""
-    created: set[int] = set()
-    for number, line in enumerate(lines, 1):
-        if not line.strip(JSON_SPACE):
-            continue
-        try:
-            row = _log_from_objs([json.loads(line)])
-            if row.is_exposure[0]:
-                post = int(row.exposures.post[0])
-                if post not in created:
-                    raise FormatError(f"exposure of post {post} before any row creates it")
-            else:
-                kind, post, source = (int(getattr(row.creations, k)[0]) for k in ("kind", "post", "source"))
-                if post in created:
-                    raise FormatError(f"post {post} created twice")
-                if (kind == _SEED) != (source < 0):
-                    raise FormatError(f"seed post {post} has source {source}" if kind == _SEED else f"{_KIND_TEXT[kind]} post {post} has no source")
-                if source >= 0 and source not in created:
-                    raise FormatError(f"{_KIND_TEXT[kind]} of post {source} before any row creates it")
-                created.add(post)
-        except FormatError as e:
-            return FormatError(f"{path}, line {number}: {e}")
-        except json.JSONDecodeError as e:
-            return FormatError(f"{path}, line {number}: invalid JSON ({e.msg} at column {e.colno})")
-        except RecursionError:
-            return FormatError(f"{path}, line {number}: invalid JSON (nested too deeply)")
-    return FormatError(f"{path}: malformed log")
 
 
 def log_digest(log: CellLog) -> str:

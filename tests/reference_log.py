@@ -7,7 +7,9 @@ over the records. A post's counters are a PopularityCounters record.
 ``log_from_records`` and ``records_of`` convert between such a list and a
 CellLog, ``concat_logs`` joins CellLogs as analyze once did before its fits,
 and ``world_counters`` reads a world's counter arrays into records; nothing
-else here reads a CellLog or any numpy column.
+else here reads a CellLog or any numpy column, but for
+``reference_read_log_error``, which checks each row's values as the reader
+does, one row at a time, and the creation rules with a set of posts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from socialsim.core import (
     ACTIONS,
     CREATION_KEYS,
     EXPOSURE_KEYS,
+    JSON_SPACE,
     LOADS,
     NORMS,
     POST_KINDS,
@@ -31,12 +34,13 @@ from socialsim.core import (
     CellLog,
     CreationColumns,
     ExposureColumns,
+    FormatError,
     LoadLevel,
     NormRegime,
     PostKind,
     popularity_composite,
 )
-from socialsim.harness import CellShares, LoadAudit
+from socialsim.harness import CellShares, LoadAudit, _log_from_objs
 from socialsim.population import FollowGraph
 from socialsim.stats import ALLOCATION_ACTIONS, DESIGN_COLUMNS, N_COLUMNS, _LOAD_DUMMIES, _NORM_DUMMIES
 
@@ -226,6 +230,41 @@ def reference_read_log(path: str | Path) -> list[ExposureRecord | PostCreation]:
         if line.strip():
             records.append(obj_to_record(json.loads(line)))
     return records
+
+
+def reference_read_log_error(path: str | Path) -> str | None:
+    """The message of read_log's FormatError for the log at ``path``, read one line at a time; None if it reads.
+
+    Names the first bad line: one that is not JSON, not one valid record, or
+    one that breaks a creation rule given the lines before it.
+    """
+    created: set[int] = set()
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        if not line.strip(JSON_SPACE):
+            continue
+        try:
+            row = _log_from_objs([json.loads(line)])
+            if row.is_exposure[0]:
+                post = int(row.exposures.post[0])
+                if post not in created:
+                    raise FormatError(f"exposure of post {post} before any row creates it")
+            else:
+                kind, post, source = (int(getattr(row.creations, k)[0]) for k in ("kind", "post", "source"))
+                seed = POST_KINDS[kind] is PostKind.SEED
+                if post in created:
+                    raise FormatError(f"post {post} created twice")
+                if seed != (source < 0):
+                    raise FormatError(f"seed post {post} has source {source}" if seed else f"{POST_KINDS[kind].value} post {post} has no source")
+                if source >= 0 and source not in created:
+                    raise FormatError(f"{POST_KINDS[kind].value} of post {source} before any row creates it")
+                created.add(post)
+        except FormatError as e:
+            return f"{path}, line {number}: {e}"
+        except json.JSONDecodeError as e:
+            return f"{path}, line {number}: invalid JSON ({e.msg} at column {e.colno})"
+        except RecursionError:
+            return f"{path}, line {number}: invalid JSON (nested too deeply)"
+    return None
 
 
 def reference_build_design_matrix(records: Iterable[ExposureRecord], stage: str):

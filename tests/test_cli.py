@@ -555,7 +555,7 @@ class TestAnalyze:
         # Without them it decodes the JSONL as write_log's lines, and with the decoder disabled it parses the
         # JSON. All three write the same bytes.
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_parse_rows", None)  # a parse would fail
+            patch.setattr(harness, "_parsed_log", None)  # a parse would fail
             assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "saved")]) == 0
             saved = sorted((run_dir / "logs").glob("*.npz"))
             assert len(saved) == 12

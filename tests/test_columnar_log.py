@@ -24,6 +24,7 @@ from reference_log import (
     reference_descriptive_shares,
     reference_log_to_lines,
     reference_read_log,
+    reference_read_log_error,
     reference_realized_load_audit,
 )
 import socialsim.harness as harness
@@ -362,6 +363,65 @@ def test_empty_log(tmp_path):
         build_design_matrix(DesignInputs.of(log.exposures), "threshold")
 
 
+def _line(**obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _shown(post: int, **changes) -> str:
+    """An exposure line of ``post``, with ``changes`` to its values (None drops a key)."""
+    obj = {"run": 1, "load": "low", "norm": "no_norm", "t": 2, "agent": 0, "post": post, "likes": 1, "reshares": 0, "action": "read"}
+    return _line(**{k: v for k, v in {**obj, **changes}.items() if v is not None})
+
+
+_UNCREATED = 10**6  # above every post id cell_logs draws
+# One bad line each, from a post of the log (0 if it has none): a value the reader refuses, or a row that
+# breaks a creation rule.
+FAULTS = {
+    "invalid_json": lambda post: '{"run":1,"load":"low"',
+    "not_an_object": lambda post: "[1, 2]",
+    "missing_key": lambda post: _shown(post, likes=None),
+    "unknown_load": lambda post: _shown(post, load="enormous"),
+    "fraction": lambda post: _shown(post, likes=1.5),
+    "negative_count": lambda post: _shown(post, reshares=-1),
+    "unseen_post": lambda post: _shown(_UNCREATED),
+    "created_twice": lambda post: _line(kind="seed", post=post, author=0, source=None, t=0),
+    "seed_with_source": lambda post: _line(kind="seed", post=_UNCREATED + 1, author=0, source=post, t=0),
+    "no_source": lambda post: _line(kind="repost", post=_UNCREATED + 2, author=0, source=None, t=0),
+    "unknown_source": lambda post: _line(kind="quote", post=_UNCREATED + 3, author=0, source=_UNCREATED + 4, t=0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=cell_logs().map(lambda cell: cell[0]),
+    faults=st.lists(st.sampled_from(list(FAULTS)), min_size=1, max_size=2),
+    chunk_rows=st.sampled_from([1, 2, 3, 4096]),
+    data=st.data(),
+)
+def test_read_log_names_the_line_a_line_walk_names(records, faults, chunk_rows, data):
+    # One or two bad lines, each put in place of a line or between two, and some blank lines: read_log, in
+    # chunks of chunk_rows lines, raises the error that a walk of the log one line at a time gives.
+    lines = reference_log_to_lines(records)
+    posts = [r.post for r in records if isinstance(r, PostCreation)] or [0]
+    for fault in faults:
+        at = data.draw(st.integers(0, len(lines)))
+        replace_line = at < len(lines) and data.draw(st.booleans())
+        lines[at : at + replace_line] = [FAULTS[fault](data.draw(st.sampled_from(posts)))]
+    for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cell.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = reference_read_log_error(path)
+        with mock.patch.object(harness, "_CHUNK_ROWS", chunk_rows):
+            try:
+                read_log(path)
+                got = None
+            except FormatError as e:
+                got = str(e)
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # read_log's decoder of write_log's own lines, against the JSON parse
 # ---------------------------------------------------------------------------
@@ -413,7 +473,7 @@ def test_decoder_reads_every_log_the_writer_writes(log):
         digest = write_log(log, path)
         with mock.patch.object(harness, "_decoded_log", _no_decoder):
             parsed = read_log(path, digest)
-        with mock.patch.object(harness, "_parse_rows", None):  # a parse would fail
+        with mock.patch.object(harness, "_parsed_log", None):  # a parse would fail
             decoded = read_log(path, digest)
     _assert_same_columns(decoded, parsed)
 

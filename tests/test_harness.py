@@ -255,6 +255,40 @@ class TestReadLogAcrossChunks:
         assert str(exc.value) == f"{tmp_path / 'cell.jsonl'}, line 2: repost of post 1 before any row creates it"
 
 
+class TestReadLogNamesTheFirstBadLine:
+    """A creation rule is checked on parsed columns, yet a row that breaks it is named before a later line
+    that does not parse or holds a bad value, and after an earlier one. "B" marks the rule break, "X" the
+    bad line; with two lines a chunk the two fall in one chunk or in two."""
+
+    @pytest.mark.parametrize(
+        "bad, bad_reason",
+        [('{"run":1,"load":"low"', "invalid JSON ("), (_exposure_row(load="enormous"), "unknown load 'enormous'")],
+        ids=["invalid_json", "unknown_load"],
+    )
+    @pytest.mark.parametrize(
+        "rule_break, reason",
+        [(_exposure_row(post=7), "exposure of post 7 before any row creates it"), (_SEED_ROW, "post 0 created twice")],
+        ids=["unseen_post", "created_twice"],
+    )
+    @pytest.mark.parametrize(
+        "layout, named, line",
+        [("S B R X", "B", 2), ("S R B X", "B", 3), ("S _ B R X", "B", 3), ("S R R R B R X", "B", 5), ("S X B", "X", 2)],
+        ids=["break_then_bad", "break_then_bad_in_one_chunk", "blank_line", "far_apart", "bad_then_break"],
+    )
+    def test_first_bad_line_is_named(self, tmp_path, bad, bad_reason, rule_break, reason, layout, named, line):
+        rows = {"S": _SEED_ROW, "R": _READ_ROW, "B": rule_break, "X": bad, "_": ""}
+        path = tmp_path / "cell.jsonl"
+        path.write_text("\n".join(rows[key] for key in layout.split()) + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_log(path)
+        assert str(exc.value).startswith(f"{path}, line {line}: {reason if named == 'B' else bad_reason}")
+
+
+@pytest.mark.usefixtures("two_rows_a_chunk")
+class TestReadLogNamesTheFirstBadLineInChunksOfTwo(TestReadLogNamesTheFirstBadLine):
+    """Every case above again, with read_log parsing two lines per chunk."""
+
+
 class TestReadLogOneObjectALine:
     """Each line is exactly one JSON object, wherever the chunks fall."""
 
@@ -291,10 +325,10 @@ class TestReadLogOneObjectALine:
         ids=["brace_in_string", "brace_comma_in_string", "nested_object", "brace_in_string_crlf"],
     )
     def test_lines_the_joined_parse_cannot_prove_are_read_one_by_one(self, tmp_path, tail, end):
+        # A "}" in a string, or before more of its line, ends no line: each line is one row.
         lines = [self._seed(0, tail) + end, _READ_ROW + end, self._seed(1, tail) + end]
         path = tmp_path / "cell.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        assert not harness._one_brace_a_line(path.read_bytes())
         log = read_log(path)
         assert log.is_exposure.tolist() == [False, True, False]
         assert log.creations.post.tolist() == [0, 1]
@@ -305,9 +339,9 @@ class TestReadLogOneObjectALine:
 
     @pytest.mark.parametrize("end", ["\r", "  ", " \t\r"], ids=["crlf", "trailing_spaces", "trailing_tab_crlf"])
     def test_spaces_after_a_lines_brace_and_blank_lines_keep_the_joined_parse(self, tmp_path, end):
+        # Spaces, tabs and a CR after a line's "}" are JSON whitespace, and blank lines are no rows.
         lines = [self._seed(0) + end, "", end, _READ_ROW + end, "  " + self._seed(1) + end]
         data = ("\n".join(lines) + "\n").encode()
-        assert harness._one_brace_a_line(data)
         path = tmp_path / "cell.jsonl"
         path.write_bytes(data)
         log = read_log(path)
@@ -319,10 +353,9 @@ class TestReadLogOneObjectALine:
         assert str(exc.value) == f"{path}, line 6: exposure of post 7 before any row creates it"
 
     def test_object_split_over_crlf_lines(self, tmp_path):
-        # Every "}" ends its line, so the chunk is parsed joined: two objects for three lines.
+        # Regression: every "}" ends its line, and a parse of the lines joined read two objects for three lines.
         lines = [self._seed(0, ',"x":[1').removesuffix("}"), "2]}", self._seed(1)]
         data = ("\r\n".join(lines) + "\r\n").encode()
-        assert harness._one_brace_a_line(data)
         path = tmp_path / "cell.jsonl"
         path.write_bytes(data)
         with pytest.raises(FormatError) as exc:
@@ -391,17 +424,19 @@ class TestSavedColumns:
 
     @pytest.fixture
     def cell(self, small_inputs, tmp_path):
-        """(log path, its manifest digest, the log read from a copy that has no .npz beside it)."""
+        """(log path, its manifest digest, the JSON parse of a copy that has no .npz beside it)."""
         profiles, graph, corpus = small_inputs
         (entry,) = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path / "run", cells=[(LoadLevel.HIGH, NormRegime.NO_NORM)])["cells"]
         path = tmp_path / "run" / "logs" / entry["file"]
         alone = tmp_path / "alone.jsonl"
         shutil.copyfile(path, alone)
-        return path, entry["sha256"], read_log(alone, entry["sha256"])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_decoded_log", lambda data: None)  # else the copy is decoded, not parsed
+            return path, entry["sha256"], read_log(alone, entry["sha256"])
 
     def test_saved_columns_are_read_without_parsing(self, cell, monkeypatch):
         path, sha256, parsed = cell
-        monkeypatch.setattr(harness, "_parse_rows", None)  # a parse would fail
+        monkeypatch.setattr(harness, "_parsed_log", None)  # a parse would fail
         _assert_same_log(read_log(path, sha256), parsed)
         _assert_same_log(read_log(path), parsed)
 
@@ -677,11 +712,13 @@ class TestRunExperiment:
         profiles, graph, corpus = small_inputs
         run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_parse_rows", None)  # a parse would fail
+            patch.setattr(harness, "_parsed_log", None)  # a parse would fail
             saved = dict(load_experiment(tmp_path)[1])
         for path in (tmp_path / "logs").glob("*.npz"):
             path.unlink()
-        parsed = dict(load_experiment(tmp_path)[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_decoded_log", lambda data: None)  # else the logs are decoded, not parsed
+            parsed = dict(load_experiment(tmp_path)[1])
         assert list(saved) == list(parsed) and len(saved) == 12
         for cell in saved:
             _assert_same_log(saved[cell], parsed[cell])
