@@ -1,6 +1,9 @@
 """Shared domain types: actions, experimental conditions, post kinds, a feed's
 and the event log's columns, run parameters, and the readers and writers of
-config objects, JSON Lines rows and CSV tables."""
+config objects, JSON Lines rows and CSV tables.
+
+The event log's column types live here, its format and value rules in
+``harness``, which alone writes, reads and checks a log."""
 
 from __future__ import annotations
 
@@ -129,34 +132,6 @@ POST_KINDS = tuple(PostKind)
 EXPOSURE_KEYS = ("run", "load", "norm", "t", "agent", "post", "likes", "reshares", "action")
 CREATION_KEYS = ("kind", "post", "author", "source", "t")
 
-_CODES = {
-    key: {member.value: i for i, member in enumerate(members)}
-    for key, members in (("load", LOADS), ("norm", NORMS), ("action", ACTIONS), ("kind", POST_KINDS))
-}
-
-
-def _int_column(values: list, key: str) -> np.ndarray:
-    """An int64 column; FormatError unless every value is an int within int64 (a bool, float or str is not)."""
-    if set(map(type, values)) <= {int}:
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    raise FormatError(f"{key} must be an integer")
-
-
-def _code_column(values: list, key: str) -> np.ndarray:
-    table = _CODES[key]
-    try:
-        return np.array([table[v] for v in values], dtype=np.int8)
-    except (KeyError, TypeError):
-        bad = next(v for v in values if not isinstance(v, str) or v not in table)
-        raise FormatError(f"unknown {key} {bad!r}") from None
-
-
-def _columns(values: dict[str, list], keys: tuple[str, ...]) -> dict[str, np.ndarray]:
-    return {k: (_code_column if k in _CODES else _int_column)(values[k], k) for k in keys}
-
 
 @dataclass(frozen=True, eq=False)
 class ExposureColumns:
@@ -176,21 +151,6 @@ class ExposureColumns:
     reshares: np.ndarray
     action: np.ndarray
 
-    @classmethod
-    def from_lists(cls, values: dict[str, list]) -> "ExposureColumns":
-        """Columns from one list per key of EXPOSURE_KEYS; enum fields by value string.
-
-        Raises FormatError on a non-integer, an unknown enum value or a
-        counter outside [0, 2**62).
-        """
-        cols = _columns(values, EXPOSURE_KEYS)
-        for key in ("likes", "reshares"):
-            if cols[key].size and cols[key].min() < 0:
-                raise FormatError(f"negative {key} count")
-            if cols[key].size and cols[key].max() >= 2**62:  # so likes + reshares fits in an int64
-                raise FormatError(f"{key} count too large")
-        return cls(**cols)
-
     def __len__(self) -> int:
         return self.run.size
 
@@ -205,14 +165,6 @@ class CreationColumns:
     author: np.ndarray
     source: np.ndarray
     t: np.ndarray
-
-    @classmethod
-    def from_lists(cls, values: dict[str, list]) -> "CreationColumns":
-        """Columns from one list per key of CREATION_KEYS; source None (not a negative id) for none."""
-        cols = _columns({**values, "source": [-1 if v is None else v for v in values["source"]]}, CREATION_KEYS)
-        if any(v is not None and v < 0 for v in values["source"]):
-            raise FormatError("negative source")
-        return cls(**cols)
 
     def __len__(self) -> int:
         return self.post.size
@@ -233,19 +185,6 @@ class CellLog:
 
     def __len__(self) -> int:
         return self.is_exposure.size
-
-    def creation_of(self) -> np.ndarray:
-        """Per exposure row, the index of its post's creation row, -1 if no earlier row creates it.
-
-        A post created more than once maps to its first creation.
-        """
-        created, shown = self.creations.post, self.exposures.post
-        if created.size == 0:
-            return np.full(shown.size, -1, dtype=np.int64)
-        order = np.argsort(created, kind="stable")
-        idx = order[np.minimum(np.searchsorted(created[order], shown), created.size - 1)]
-        earlier = np.flatnonzero(~self.is_exposure)[idx] < np.flatnonzero(self.is_exposure)
-        return np.where((created[idx] == shown) & earlier, idx, -1)
 
 
 class Feed:
@@ -432,14 +371,22 @@ def read_rows(path: str | Path, cls: type, what: str) -> list[tuple[int, Any]]:
         if not line.strip(JSON_SPACE):
             continue
         try:
-            rows.append((number, from_obj(cls, json.loads(line), f"{what} key")))
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}, line {number}: invalid JSON ({e.msg} at column {e.colno})") from None
-        except RecursionError:
-            raise FormatError(f"{path}, line {number}: invalid JSON (nested too deeply)") from None
-        except ValueError as e:  # ConfigurationError from from_obj, or the row's own check
+            rows.append((number, from_obj(cls, json_value(line), f"{what} key")))
+        except ValueError as e:  # FormatError from json_value, ConfigurationError from from_obj, or the row's own check
             raise FormatError(f"{path}, line {number}: {e}") from None
     return rows
+
+
+def json_value(line: str) -> Any:
+    """The JSON value of one line; FormatError with the reason if it is not JSON."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"invalid JSON ({e.msg} at column {e.colno})") from None
+    except RecursionError:
+        raise FormatError("invalid JSON (nested too deeply)") from None
+    except ValueError as e:  # an integer of more digits than int() converts
+        raise FormatError(str(e)) from None
 
 
 def read_table(path: str | Path, what: str, columns: Sequence[str]) -> list[tuple[int, dict[str, str]]]:

@@ -15,8 +15,16 @@ load, norm, t and agent, so the writer formats that head once per block
 (found by comparing adjacent rows, so any ``CellLog`` writes the same
 bytes), and each distinct post, likes and reshares value once per chunk of
 rows; a line joins those texts and its action's close. The reader parses
-each line with its own ``json.loads``, a chunk of lines at a time, and
-checks the creation rules on the columns (``_first_rule_break``).
+each line with its own ``json.loads``, a chunk of lines at a time.
+
+The log's value rules live here alone, each stated once. The enum texts
+are the writer's (``_LOAD_TEXT`` and its siblings), and the reader's
+text-to-code table is derived from them. The JSON build of columns
+(``_log_from_objs``) checks only what columns cannot show: types, keys,
+enum texts and a literal negative source. The counter range and the
+creation rules are checked on columns by ``_first_break``, whatever the
+columns came from, and a post's creation row is found by one lookup
+(``_created_before``), which those rules and the load audit share.
 
 ``read_log`` parses no JSON for columns it has proven equal to the parse,
 by checking them as the parse checks columns and re-formatting them to the
@@ -60,6 +68,7 @@ from .core import (
     RunConfig,
     RunParameters,
     check_seed,
+    json_value,
     read_bytes,
     read_text,
     to_obj,
@@ -80,6 +89,10 @@ _LOAD_TEXT = [m.value for m in LOADS]
 _NORM_TEXT = [m.value for m in NORMS]
 _ACTION_TEXT = [m.value for m in ACTIONS]
 _KIND_TEXT = [m.value for m in POST_KINDS]
+_CODE_OF = {  # an enum key's text -> code
+    key: {text: code for code, text in enumerate(texts)}
+    for key, texts in (("load", _LOAD_TEXT), ("norm", _NORM_TEXT), ("action", _ACTION_TEXT), ("kind", _KIND_TEXT))
+}
 _ACTION_END = [f',"action":"{a}"}}\n' for a in _ACTION_TEXT]  # the close of an exposure line and its newline, by action code
 _SEED = POST_KINDS.index(PostKind.SEED)
 _CHUNK_ROWS = 1 << 12
@@ -237,7 +250,7 @@ def _parsed_log(path: Path, data: bytes) -> CellLog:
             if bad is not None:
                 break
     log = _concat(logs)
-    bad = _first_rule_break(log) or bad  # log holds only the rows before a bad row, so a rule break in it comes first
+    bad = _first_break(log) or bad  # log holds only the rows before a bad row, so a break in it comes first
     if bad is not None:
         row, reason = bad
         raise FormatError(f"{path}, line {kept[row] + 1}: {reason}")
@@ -245,38 +258,34 @@ def _parsed_log(path: Path, data: bytes) -> CellLog:
 
 
 def _first_bad_row(rows: list[str], start: int) -> tuple[CellLog, tuple[int, str] | None]:
-    """The columns of ``rows`` before the first that is not one valid record, and (its index plus ``start``, reason), or None if all are."""
+    """The columns of ``rows`` before the first that does not parse to columns, and (its index plus ``start``, reason), or None if all do."""
     objs = []
     for i, row in enumerate(rows, start):
         try:
-            obj = json.loads(row)
+            obj = json_value(row)
             _log_from_objs([obj])
         except FormatError as e:
             return _log_from_objs(objs), (i, str(e))
-        except json.JSONDecodeError as e:
-            return _log_from_objs(objs), (i, f"invalid JSON ({e.msg} at column {e.colno})")
-        except RecursionError:
-            return _log_from_objs(objs), (i, "invalid JSON (nested too deeply)")
         objs.append(obj)
     return _log_from_objs(objs), None
 
 
-def _first_rule_break(log: CellLog) -> tuple[int, str] | None:
-    """The first row in log order that breaks a creation rule, as (row, reason), or None if none does.
+def _first_break(log: CellLog) -> tuple[int, str] | None:
+    """The first row in log order whose values break a rule, as (row, reason), or None if none does.
 
-    The rules: an exposure shows a post an earlier row creates, no post is
-    created twice, a seed row has no source, and a repost or quote row's
-    source is a post an earlier row creates.
+    The rules: likes and reshares are in [0, 2**62), so that their sum fits
+    in an int64; an exposure shows a post an earlier row creates; no post is
+    created twice; a seed row has no source; and a repost or quote row's
+    source is a post an earlier row creates. A row's counters are checked
+    before its creation rule.
     """
-    c = log.creations
-    order = np.argsort(c.post, kind="stable")
-    posts = c.post[order]
-    twice = np.zeros(len(c), dtype=bool)
-    twice[order[1:]] = posts[1:] == posts[:-1]  # a stable sort puts a post's first creation first
-    first = order[np.minimum(np.searchsorted(posts, c.source), len(c) - 1)]  # a row creating the source
-    earlier = (c.source >= 0) & (c.post[first] == c.source) & (first < np.arange(len(c)))
-    bad_creation = twice | np.where(c.kind == _SEED, c.source >= 0, ~earlier)
-    bad_exposure = log.creation_of() < 0
+    e, c = log.exposures, log.creations
+    outside = {key: (v < 0) | (v >= 2**62) for key, v in (("likes", e.likes), ("reshares", e.reshares))}
+    bad_exposure = (_created_before(log, e.post, np.flatnonzero(log.is_exposure)) < 0) | outside["likes"] | outside["reshares"]
+    c_rows = np.flatnonzero(~log.is_exposure)
+    twice = _created_before(log, c.post, c_rows) >= 0
+    unsourced = (c.source < 0) | (_created_before(log, c.source, c_rows) < 0)
+    bad_creation = twice | np.where(c.kind == _SEED, c.source >= 0, unsourced)
     if not (bad_creation.any() or bad_exposure.any()):
         return None
     bad = np.empty(len(log), dtype=bool)
@@ -284,7 +293,10 @@ def _first_rule_break(log: CellLog) -> tuple[int, str] | None:
     row = int(bad.argmax())
     n_exposures = int(np.count_nonzero(log.is_exposure[:row]))
     if log.is_exposure[row]:
-        return row, f"exposure of post {log.exposures.post[n_exposures]} before any row creates it"
+        for key, out in outside.items():
+            if out[n_exposures]:
+                return row, f"negative {key} count" if getattr(e, key)[n_exposures] < 0 else f"{key} count too large"
+        return row, f"exposure of post {e.post[n_exposures]} before any row creates it"
     k = row - n_exposures
     kind, post, source = int(c.kind[k]), int(c.post[k]), int(c.source[k])
     if twice[k]:
@@ -294,6 +306,18 @@ def _first_rule_break(log: CellLog) -> tuple[int, str] | None:
     if source < 0:
         return row, f"{_KIND_TEXT[kind]} post {post} has no source"
     return row, f"{_KIND_TEXT[kind]} of post {source} before any row creates it"
+
+
+def _created_before(log: CellLog, posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per post of ``posts``, asked about at the log row of ``rows`` beside it: the index into
+    ``log.creations`` of the post's first creation row if that row comes earlier, else -1."""
+    created = log.creations.post
+    if created.size == 0:
+        return np.full(posts.size, -1, dtype=np.int64)
+    order = np.argsort(created, kind="stable")  # a post's first creation first
+    first = order[np.minimum(np.searchsorted(created[order], posts), created.size - 1)]
+    earlier = np.flatnonzero(~log.is_exposure)[first] < rows
+    return np.where((created[first] == posts) & earlier, first, -1)
 
 
 def save_columns(log: CellLog, path: str | Path) -> None:
@@ -336,14 +360,15 @@ def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
 def _is_parse(log: CellLog, read: Callable[[int], bytes], sha256: str | None) -> bool:
     """Whether ``log`` is the parse of the log whose bytes ``read(n)`` gives in turn, and they have SHA-256 ``sha256`` (if given).
 
-    Columns with the dtypes, rank and lengths the parse gives, and that pass
-    the checks it runs on columns, are write_log's bytes parsed back. So when
-    the file holds those bytes and no more, its parse is these columns. The
-    range checks are part of the proof: a source of -7 would print as null,
-    which parses back as -1, and write_log raises on a code outside its enum
-    (a decoded -1 stands for a byte no enum text has). These checks come
-    first; then the bytes are read in the lengths of ``_log_chunks``'
-    chunks, each compared with its chunk and hashed for the digest.
+    Columns with the dtypes, rank and lengths the parse gives, whose values
+    the parse could give and that pass ``_first_break``, are write_log's
+    bytes parsed back. So when the file holds those bytes and no more, its
+    parse is these columns. The code and source ranges are part of the
+    proof: a source of -7 would print as null, which parses back as -1, and
+    write_log raises on a code outside its enum (a decoded -1 stands for a
+    byte no enum text has). These checks come first; then the bytes are
+    read in the lengths of ``_log_chunks``' chunks, each compared with its
+    chunk and hashed for the digest.
     """
     flags = log.is_exposure
     if not _shaped_like(flags, _PARSED.is_exposure, np.size(flags)):
@@ -355,10 +380,9 @@ def _is_parse(log: CellLog, read: Callable[[int], bytes], sha256: str | None) ->
             return False
     e, c = log.exposures, log.creations
     bounds = [(e.load, len(LOADS)), (e.norm, len(NORMS)), (e.action, len(ACTIONS)), (c.kind, len(POST_KINDS))]
-    bounds += [(e.likes, 2**62), (e.reshares, 2**62)]
     if not all(0 <= column.min(initial=0) and column.max(initial=0) < end for column, end in bounds) or c.source.min(initial=-1) < -1:
         return False
-    if _first_rule_break(log) is not None:
+    if _first_break(log) is not None:
         return False
     digest = hashlib.sha256()
     for chunk in _log_chunks(log):
@@ -496,17 +520,25 @@ def _concat(logs: list[CellLog]) -> CellLog:
 
 
 def _log_from_objs(objs: list) -> CellLog:
-    """Columns of parsed log rows; FormatError on a row that is not a valid record."""
+    """Columns of parsed log rows; an object with an "action" key is an exposure row, any other a creation row.
+
+    Raises FormatError on what the columns cannot show: a row that is not an
+    object, a missing key, an unknown enum text, a value that is not an
+    integer within int64, or a negative source (coded, a literal -1 would be
+    null). The rules the columns do show are ``_first_break``'s.
+    """
     if not set(map(type, objs)) <= {dict}:
         raise FormatError("not a JSON object")
     is_exposure = ["action" in o for o in objs]
     exposures = [o for o, e in zip(objs, is_exposure) if e]
     creations = [o for o, e in zip(objs, is_exposure) if not e]
-    return CellLog(
-        ExposureColumns.from_lists({k: _values(exposures, k) for k in EXPOSURE_KEYS}),
-        CreationColumns.from_lists({k: _values(creations, k) for k in CREATION_KEYS}),
-        np.array(is_exposure, dtype=bool),
-    )
+    columns = []
+    for rows, keys in ((exposures, EXPOSURE_KEYS), (creations, CREATION_KEYS)):
+        values = {k: _values(rows, k) for k in keys}  # every key is found before any value is read
+        columns.append({k: _column(values[k], k) for k in keys})
+    if any(o["source"] is not None and o["source"] < 0 for o in creations):
+        raise FormatError("negative source")
+    return CellLog(ExposureColumns(**columns[0]), CreationColumns(**columns[1]), np.array(is_exposure, dtype=bool))
 
 
 def _values(objs: list[dict], key: str) -> list:
@@ -514,6 +546,29 @@ def _values(objs: list[dict], key: str) -> list:
         return [o[key] for o in objs]
     except KeyError:
         raise FormatError(f"missing key {key!r}") from None
+
+
+def _column(values: list, key: str) -> np.ndarray:
+    """The column of one key's parsed values: an enum key's int8 codes, else int64 (a null source as -1).
+
+    FormatError on an unknown enum text, or on any other value that is not an
+    int within int64 (a bool, float or str is not).
+    """
+    table = _CODE_OF.get(key)
+    if table is not None:
+        try:
+            return np.array([table[v] for v in values], dtype=np.int8)
+        except (KeyError, TypeError):
+            bad = next(v for v in values if not isinstance(v, str) or v not in table)
+            raise FormatError(f"unknown {key} {bad!r}") from None
+    if key == "source":
+        values = [-1 if v is None else v for v in values]
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    raise FormatError(f"{key} must be an integer")
 
 
 _PARSED = _log_from_objs([])  # the parse of no rows: its columns have the dtypes every parse gives
@@ -692,7 +747,7 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     e = log.exposures
     if len(e) == 0:
         return LoadAudit(n_activations=0, mean=None, min=None, max=None, flagged=True)
-    created = log.creation_of()
+    created = _created_before(log, e.post, np.flatnonzero(log.is_exposure))
     if (created < 0).any():
         raise ValueError(f"post {e.post[created < 0][0]} is shown before any row creates it")
     author = log.creations.author[created]

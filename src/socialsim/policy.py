@@ -235,12 +235,6 @@ class ParametricLogitPolicy:
         z = el + er + eq
         return el / z, er / z, eq / z
 
-    def engage_probabilities(self, totals: np.ndarray) -> np.ndarray:
-        """engage_probability(log1p(total)) for each element of an int64 array of likes + reshares."""
-        totals = totals.tolist()
-        p = self._probabilities(totals)
-        return np.array([p[v] for v in totals])
-
     def _probabilities(self, totals: list[int]) -> dict[int, float]:
         """The engage probability by likes + reshares, filled for every total in ``totals``."""
         p = self._p_by_total

@@ -172,19 +172,7 @@ def build_design_matrix(
 # A stage's model(X, y) returns the three functions _newton takes, none of which keeps state between
 # calls: loglik(theta) gives (ll, p), the log-likelihood and the fitted probabilities at theta, from one
 # linear predictor; score(p) and information(p) give the gradient and the observed information at the
-# point p belongs to. theta is the stage's coefficient blocks (one per equation) laid end to end. The
-# public functions are the same models at one theta, exposed for finite-difference checks.
-
-
-def binary_loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    """Bernoulli log-likelihood with a numerically stable log(1 + e^eta)."""
-    return _binary(X, y)[0](beta)[0]
-
-
-def binary_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Gradient of the Bernoulli log-likelihood: X'(y - p)."""
-    loglik, score, _ = _binary(X, y)
-    return score(loglik(beta)[1])
+# point p belongs to. theta is the stage's coefficient blocks (one per equation) laid end to end.
 
 
 def _binary(X: np.ndarray, y: np.ndarray):
@@ -198,12 +186,14 @@ def _binary(X: np.ndarray, y: np.ndarray):
     weighted = np.empty_like(X)  # w[:, None] * X
 
     def loglik(beta: np.ndarray) -> tuple[float, np.ndarray]:
+        """The Bernoulli log-likelihood, with a numerically stable log(1 + e^eta)."""
         eta = X @ beta
         terms = y * eta
         terms -= np.logaddexp(0.0, eta)
         return float(np.sum(terms)), expit(eta)
 
     def score(p: np.ndarray) -> np.ndarray:
+        """X'(y - p)."""
         return X.T @ (y - p)
 
     def information(p: np.ndarray) -> np.ndarray:
@@ -216,26 +206,15 @@ def _binary(X: np.ndarray, y: np.ndarray):
     return loglik, score, information
 
 
-def multinomial_loglik(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
-    """Log-likelihood with a fixed zero linear predictor for the reference class.
-
-    coef has shape (n_eq, k); class c >= 1 has eta_c = X @ coef[c-1].
-    """
-    return _multinomial(X, y)[0](coef)[0]
-
-
 def multinomial_probs(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return _softmax(_logits(X, coef))
 
 
-def multinomial_score(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Gradient, flattened over equations: [X'(1[y=c] - p_c)] for c = 1..n_eq."""
-    loglik, score, _ = _multinomial(X, y)
-    return score(loglik(coef)[1])
-
-
 def _multinomial(X: np.ndarray, y: np.ndarray):
-    """The baseline-category logit of design X, class 0 the reference (see multinomial_loglik)."""
+    """The baseline-category logit of design X, class 0 the reference, whose linear predictor is fixed at zero.
+
+    theta is the coefficients of shape (n_eq, k), flattened; class c >= 1 has eta_c = X @ theta[c-1].
+    """
     from scipy.special import logsumexp
 
     n, k = X.shape
@@ -246,6 +225,7 @@ def _multinomial(X: np.ndarray, y: np.ndarray):
         return ll, _softmax(full)
 
     def score(p: np.ndarray) -> np.ndarray:
+        """Flattened over equations: [X'(1[y=c] - p_c)] for c = 1..n_eq."""
         return np.concatenate([X.T @ ((y == c).astype(np.float64) - p[:, c]) for c in range(1, p.shape[1])])
 
     def information(p: np.ndarray) -> np.ndarray:

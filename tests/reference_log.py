@@ -8,15 +8,15 @@ over the records. A post's counters are a PopularityCounters record.
 CellLog, ``concat_logs`` joins CellLogs as analyze once did before its fits,
 and ``world_counters`` reads a world's counter arrays into records; nothing
 else here reads a CellLog or any numpy column, but for
-``reference_read_log_error``, which checks each row's values as the reader
-does, one row at a time, and the creation rules with a set of posts.
+``reference_read_log_error``, which builds each row's columns as the reader
+does, one row at a time, and checks the counters and the creation rules
+itself, the latter with a set of posts.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -90,22 +90,8 @@ class PostCreation:
 
 
 def log_from_records(records: Iterable[ExposureRecord | PostCreation]) -> CellLog:
-    """The CellLog of an interleaved ExposureRecord/PostCreation list."""
-    records = list(records)
-    is_exposure = [isinstance(r, ExposureRecord) for r in records]
-
-    def fields(rows: list, keys: tuple[str, ...]) -> dict[str, list]:
-        return {k: [_plain(getattr(r, k)) for r in rows] for k in keys}
-
-    return CellLog(
-        ExposureColumns.from_lists(fields([r for r, e in zip(records, is_exposure) if e], EXPOSURE_KEYS)),
-        CreationColumns.from_lists(fields([r for r, e in zip(records, is_exposure) if not e], CREATION_KEYS)),
-        np.array(is_exposure, dtype=bool),
-    )
-
-
-def _plain(value):
-    return value.value if isinstance(value, Enum) else value
+    """The CellLog of an interleaved ExposureRecord/PostCreation list, built from their JSON objects as the reader builds a parse."""
+    return _log_from_objs([record_to_obj(r) for r in records])
 
 
 def records_of(log: CellLog) -> list[ExposureRecord | PostCreation]:
@@ -131,8 +117,8 @@ def records_of(log: CellLog) -> list[ExposureRecord | PostCreation]:
 def concat_logs(logs: Iterable[CellLog]) -> CellLog:
     """The rows of several logs, one log after the other.
 
-    Post ids are per cell, so run ``creation_of`` and the load audit on
-    each cell's own log, not on a concatenation.
+    Post ids are per cell, so check the creation rules and run the load
+    audit on each cell's own log, not on a concatenation.
     """
     logs = list(logs)
     if not logs:
@@ -236,7 +222,8 @@ def reference_read_log_error(path: str | Path) -> str | None:
     """The message of read_log's FormatError for the log at ``path``, read one line at a time; None if it reads.
 
     Names the first bad line: one that is not JSON, not one valid record, or
-    one that breaks a creation rule given the lines before it.
+    one with a counter outside [0, 2**62) or that breaks a creation rule
+    given the lines before it, the counters checked first.
     """
     created: set[int] = set()
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
@@ -245,6 +232,12 @@ def reference_read_log_error(path: str | Path) -> str | None:
         try:
             row = _log_from_objs([json.loads(line)])
             if row.is_exposure[0]:
+                for key in ("likes", "reshares"):
+                    count = int(getattr(row.exposures, key)[0])
+                    if count < 0:
+                        raise FormatError(f"negative {key} count")
+                    if count >= 2**62:
+                        raise FormatError(f"{key} count too large")
                 post = int(row.exposures.post[0])
                 if post not in created:
                     raise FormatError(f"exposure of post {post} before any row creates it")

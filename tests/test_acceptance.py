@@ -41,16 +41,13 @@ from socialsim.stats import (
     DESIGN_COLUMNS,
     REFERENCE_THRESHOLD_FIT,
     DesignInputs,
-    binary_loglik,
-    binary_score,
     build_design_matrix,
     fit_binary_logistic,
     fit_multinomial_logistic,
     fit_statistics,
-    multinomial_loglik,
-    multinomial_score,
     table_consistency_check,
 )
+from socialsim.stats import _binary, _multinomial
 
 from conftest import make_feed
 from reference_log import ExposureRecord, concat_logs, log_from_records, records_of, recount_counters, world_counters
@@ -206,26 +203,17 @@ def test_c06_gradients_match_finite_differences():
     yb = (rng.random(250) < 0.3).astype(float)
     ym = rng.integers(0, 3, size=250)
     h = 1e-6
+    loglik, score, _ = _binary(X, yb)
+    loglik_m, score_m, _ = _multinomial(X, ym)
     for _ in range(10):
         beta = rng.normal(scale=0.7, size=5)
-        g = binary_score(X, yb, beta)
-        fd = np.array(
-            [(binary_loglik(X, yb, beta + h * e) - binary_loglik(X, yb, beta - h * e)) / (2 * h) for e in np.eye(5)]
-        )
+        g = score(loglik(beta)[1])
+        fd = np.array([(loglik(beta + h * e)[0] - loglik(beta - h * e)[0]) / (2 * h) for e in np.eye(5)])
         assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(g))) < 1e-5
 
-        theta = rng.normal(scale=0.5, size=10)
-        gm = multinomial_score(X, ym, theta.reshape(2, 5))
-        fdm = np.array(
-            [
-                (
-                    multinomial_loglik(X, ym, (theta + h * e).reshape(2, 5))
-                    - multinomial_loglik(X, ym, (theta - h * e).reshape(2, 5))
-                )
-                / (2 * h)
-                for e in np.eye(10)
-            ]
-        )
+        theta = rng.normal(scale=0.5, size=10)  # the two equations' coefficients, laid end to end
+        gm = score_m(loglik_m(theta)[1])
+        fdm = np.array([(loglik_m(theta + h * e)[0] - loglik_m(theta - h * e)[0]) / (2 * h) for e in np.eye(10)])
         assert np.max(np.abs(gm - fdm) / np.maximum(1.0, np.abs(gm))) < 1e-5
     _ok(6, "analytic gradients match central differences at 10 random points")
 

@@ -6,6 +6,7 @@ import weakref
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 import socialsim.cli as cli
@@ -453,12 +454,12 @@ class TestAnalyze:
         # Exposures in all 12 cells; engagements (action 1, like) in all but the last two.
         cells = [(load, norm) for load in range(4) for norm in range(3)]
         n = len(cells)
-        exposures = ExposureColumns.from_lists({
-            "run": [0] * n, "t": [0] * n, "agent": [0] * n, "post": [0] * n, "likes": [0] * n, "reshares": [0] * n,
-            "load": [list(LoadLevel)[load].value for load, _ in cells],
-            "norm": [list(NormRegime)[norm].value for _, norm in cells],
-            "action": ["like"] * (n - 2) + ["read"] * 2,
-        })
+        exposures = ExposureColumns(
+            **{k: np.zeros(n, dtype=np.int64) for k in ("run", "t", "agent", "post", "likes", "reshares")},
+            load=np.array([load for load, _ in cells], dtype=np.int8),
+            norm=np.array([norm for _, norm in cells], dtype=np.int8),
+            action=np.array([1] * (n - 2) + [0] * 2, dtype=np.int8),
+        )
         rows = DesignInputs.of(exposures)
         assert cli._empty_cells(rows, "threshold") == []
         assert cli._empty_cells(rows, "allocation") == ["high/like_dominant", "high/repost_dominant"]
@@ -997,6 +998,24 @@ class TestUnreadableInputFile:
         assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: event log file {named}: {path}"]
+        assert not out.exists()
+
+    def test_event_log_with_an_integer_past_the_digit_limit_exits_2(self, run_dir, tmp_path, capsys):
+        # Regression: json.loads raises a plain ValueError for an integer of more than 4,300 digits, and analyze
+        # ended in its traceback.
+        path = run_dir / "logs" / "high_like_dominant_r0.jsonl"
+        path.write_text('{"kind":"seed","post":0,"author":' + "7" * 5000 + ',"source":null,"t":0}\n')
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        (cell,) = [cell for cell in manifest["cells"] if cell["file"] == path.name]
+        cell["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}, line 1: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -174,7 +174,8 @@ class TestParametricDecideMatchesLoop:
             feed = make_feed([s.post for s in slots], [s.likes for s in slots], [s.reshares for s in slots])
             context = DecisionContext(feed=feed, profile=tiny_profiles()[0], history=(), regime=norm)
             # The table holds exactly the scalar per-slot probabilities.
-            assert policy.engage_probabilities(feed.likes + feed.reshares).tolist() == [
+            table = policy._probabilities((feed.likes + feed.reshares).tolist())
+            assert [table[s.likes + s.reshares] for s in slots] == [
                 policy.engage_probability(popularity_composite(s.likes, s.reshares)) for s in slots
             ]
             decision = policy.decide(context, rng)
@@ -190,8 +191,10 @@ def test_totals_past_the_table_are_computed_per_post():
     policy = build_policy(mock_policy_spec(), LoadLevel.LOW, NormRegime.NO_NORM)
     totals = np.array([0, 7, 2**22, 2**40, 3], dtype=np.int64)
     expected = [policy.engage_probability(popularity_composite(int(v), 0)) for v in totals]
-    assert policy.engage_probabilities(totals).tolist() == expected
-    assert policy.engage_probabilities(totals[[1, 4, 0]]).tolist() == [expected[1], expected[4], expected[0]]
+    table = policy._probabilities(totals.tolist())
+    assert [table[v] for v in totals.tolist()] == expected
+    table = policy._probabilities(totals[[1, 4, 0]].tolist())
+    assert [table[v] for v in totals[[1, 4, 0]].tolist()] == [expected[1], expected[4], expected[0]]
 
 
 def test_mock_run_reads_no_post_text(monkeypatch, small_population, small_corpus, tmp_path):

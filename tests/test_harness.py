@@ -226,6 +226,17 @@ class TestReadLogErrorsInChunksOfTwo(TestReadLogErrors):
     """Every case above again, with read_log parsing two lines per chunk: the same message and line."""
 
 
+@pytest.mark.parametrize("rows", [1, 4096])
+def test_integer_past_the_digit_limit_is_named_by_line(tmp_path, monkeypatch, rows):
+    # Regression: json.loads raises a plain ValueError for an integer of more than 4,300 digits, and read_log let it out.
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+    path = tmp_path / "cell.jsonl"
+    path.write_text(_SEED_ROW.replace('"author":1', f'"author":{"7" * 5000}') + "\n")
+    with pytest.raises(FormatError) as exc:
+        read_log(path)
+    assert str(exc.value).startswith(f"{path}, line 1: ") and "\n" not in str(exc.value)
+
+
 @pytest.mark.usefixtures("two_rows_a_chunk")
 class TestReadLogAcrossChunks:
     """The creation rules hold over the whole log, not within a chunk: here each chunk is two lines."""
@@ -239,7 +250,8 @@ class TestReadLogAcrossChunks:
         seed_1 = _SEED_ROW.replace('"post":0', '"post":1')
         log = self._read(tmp_path, [_SEED_ROW, seed_1, _READ_ROW, _exposure_row(post=1), _READ_ROW])
         assert log.is_exposure.tolist() == [False, False, True, True, True]
-        assert log.exposures.post.tolist() == [0, 1, 0] and log.creation_of().tolist() == [0, 1, 0]
+        assert log.exposures.post.tolist() == [0, 1, 0]
+        assert harness._created_before(log, log.exposures.post, np.flatnonzero(log.is_exposure)).tolist() == [0, 1, 0]
 
     def test_post_created_again_in_a_later_chunk(self, tmp_path):
         # Each chunk alone keeps every rule; only the whole log creates post 0 twice.
@@ -527,19 +539,31 @@ class TestSavedColumns:
             pytest.param([_SEED_ROW, _SEED_ROW], None, "line 2: post 0 created twice", id="created_twice"),
             pytest.param(['{"kind":"seed","post":5,"author":1,"source":0,"t":0}'], None, "line 1: seed post 5 has source 0", id="seed_with_source"),
             pytest.param([_SEED_ROW, _READ_ROW], lambda log: log.exposures.likes.fill(2**62), "line 2: likes count too large", id="likes_2_62"),
+            pytest.param([_SEED_ROW, _READ_ROW], lambda log: log.exposures.reshares.fill(2**62), "line 2: reshares count too large", id="reshares_2_62"),
+            pytest.param([_SEED_ROW, _READ_ROW], lambda log: log.exposures.likes.fill(-1), "line 2: negative likes count", id="likes_minus_1"),
+            pytest.param([_SEED_ROW, _exposure_row(likes=-1, post=7)], None, "line 2: negative likes count", id="likes_before_the_rule"),
         ],
     )
-    def test_bad_log_beside_its_own_columns(self, tmp_path, lines, edit, error):
+    def test_bad_log_beside_its_own_columns(self, tmp_path, monkeypatch, lines, edit, error):
         # write_log formats any columns, so a log that breaks a rule can have its own columns beside it;
-        # read_log still names its first bad line.
-        log = harness._log_from_objs([json.loads(line) for line in lines])  # the creation rules are not checked here
+        # read_log still names its first bad line, and so it does from the bytes alone: decoded, and parsed.
+        log = harness._log_from_objs([json.loads(line) for line in lines])  # neither the counters nor the creation rules are checked here
         if edit:
             edit(log)
         path = tmp_path / "cell.jsonl"
         write_log(log, path)
         harness.save_columns(log, path.with_suffix(".npz"))
-        with pytest.raises(FormatError, match=f"{path}, {error}"):
-            read_log(path)
+        messages = []
+        for read in ("saved", "decoded", "parsed"):
+            if read == "decoded":
+                path.with_suffix(".npz").unlink()
+                assert harness._decoded_log(path.read_bytes()) is not None
+            if read == "parsed":
+                monkeypatch.setattr(harness, "_decoded_log", lambda data: None)
+            with pytest.raises(FormatError) as exc:
+                read_log(path)
+            messages.append(str(exc.value))
+        assert messages == [f"{path}, {error}"] * 3
 
 
 class TestPlan:

@@ -268,6 +268,15 @@ class TestRowTypes:
             load(path)
 
 
+def test_integer_past_the_digit_limit_is_named_by_line(tmp_path):
+    # json.loads raises a plain ValueError for an integer of more digits than int() converts; its text is the reason.
+    path = tmp_path / "population.jsonl"
+    path.write_text('{"id": ' + "7" * 5000 + "}\n")
+    with pytest.raises(FormatError) as exc:
+        load_population(path)
+    assert str(exc.value).startswith(f"{path}, line 1: Exceeds the limit (4300 digits) for integer string conversion")
+
+
 class TestLineEnds:
     """core.read_rows ends a line at "\n" only; a CRLF line end is one, since "\r" is JSON whitespace."""
 

@@ -19,17 +19,13 @@ from socialsim.stats import (
     DesignInputs,
     FittedModel,
     Scenario,
-    binary_loglik,
-    binary_score,
     build_design_matrix,
     design_matrix,
     fit_binary_logistic,
     fit_multinomial_logistic,
     fit_statistics,
     load_model,
-    multinomial_loglik,
     multinomial_probs,
-    multinomial_score,
     predicted_probabilities,
     read_scenario_csv,
     save_model,
@@ -202,10 +198,11 @@ class TestBinaryLogistic:
         beta_true = np.array([-0.5, 0.8, -0.3, 0.0, 0.4])
         y = (rng.random(500) < expit(X @ beta_true)).astype(float)
         mine = fit_binary_logistic(X, y)
+        loglik, score, _ = _binary(X, y)
         res = minimize(
-            lambda b: -binary_loglik(X, y, b),
+            lambda b: -loglik(b)[0],
             np.zeros(5),
-            jac=lambda b: -binary_score(X, y, b),
+            jac=lambda b: -score(loglik(b)[1]),
             method="CG",
             options={"gtol": 1e-10, "maxiter": 5000},
         )
@@ -280,10 +277,11 @@ class TestMultinomialLogistic:
         u = rng.random(500)
         y = (u > p[:, 0]).astype(int) + (u > p[:, 0] + p[:, 1]).astype(int)
         mine = fit_multinomial_logistic(X, y)
+        loglik, score, _ = _multinomial(X, y)
         res = minimize(
-            lambda t: -multinomial_loglik(X, y, t.reshape(2, 3)),
+            lambda t: -loglik(t)[0],
             np.zeros(6),
-            jac=lambda t: -multinomial_score(X, y, t.reshape(2, 3)),
+            jac=lambda t: -score(loglik(t)[1]),
             method="CG",
             options={"gtol": 1e-10, "maxiter": 5000},
         )
@@ -305,15 +303,11 @@ class TestGradients:
         X = np.column_stack([np.ones(300), rng.normal(size=(300, 4))])
         y = (rng.random(300) < 0.35).astype(float)
         h = 1e-6
+        loglik, score, _ = _binary(X, y)
         for _ in range(10):
             beta = rng.normal(scale=0.8, size=5)
-            g = binary_score(X, y, beta)
-            fd = np.array(
-                [
-                    (binary_loglik(X, y, beta + h * e) - binary_loglik(X, y, beta - h * e)) / (2 * h)
-                    for e in np.eye(5)
-                ]
-            )
+            g = score(loglik(beta)[1])
+            fd = np.array([(loglik(beta + h * e)[0] - loglik(beta - h * e)[0]) / (2 * h) for e in np.eye(5)])
             assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(g))) < 1e-5
 
     def test_multinomial_gradient_matches_finite_differences(self):
@@ -321,19 +315,11 @@ class TestGradients:
         X = np.column_stack([np.ones(300), rng.normal(size=(300, 3))])
         y = rng.integers(0, 3, size=300)
         h = 1e-6
+        loglik, score, _ = _multinomial(X, y)
         for _ in range(10):
-            theta = rng.normal(scale=0.6, size=8)
-            g = multinomial_score(X, y, theta.reshape(2, 4))
-            fd = np.array(
-                [
-                    (
-                        multinomial_loglik(X, y, (theta + h * e).reshape(2, 4))
-                        - multinomial_loglik(X, y, (theta - h * e).reshape(2, 4))
-                    )
-                    / (2 * h)
-                    for e in np.eye(8)
-                ]
-            )
+            theta = rng.normal(scale=0.6, size=8)  # the two equations' coefficients, laid end to end
+            g = score(loglik(theta)[1])
+            fd = np.array([(loglik(theta + h * e)[0] - loglik(theta - h * e)[0]) / (2 * h) for e in np.eye(8)])
             assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(g))) < 1e-5
 
 
