@@ -59,19 +59,23 @@ rows = DesignInputs(*map(np.concatenate, zip(*cells)))
 
 print(f"simulated {rows.total.size} exposure rows across 12 cells")
 
-X, terms, y = build_design_matrix(rows, "threshold")
-threshold_fit = fit_binary_logistic(X, y, terms=terms)
+# Each stage's rows collapse to their distinct (likes + reshares, load, norm)
+# patterns: one design row per pattern, and a count per pattern and outcome
+# class that the fit takes as frequency weights.
+X, terms, counts = build_design_matrix(rows, "threshold")
+threshold_fit = fit_binary_logistic(X, counts, terms=terms)
 m = threshold_fit.metrics
-print(f"\nthreshold model: n={threshold_fit.n_obs}, converged={threshold_fit.converged}, "
+print(f"\nthreshold model: n={threshold_fit.n_obs} rows in {len(X)} patterns, converged={threshold_fit.converged}, "
       f"chi2({m.df})={m.chi2:.1f}, McFadden={m.mcfadden:.3f}, AIC={m.aic:.0f}")
 print(f"{'term':<24} {'true':>7} {'est':>7} {'SE':>6} {'OR':>7}")
 for j, term in enumerate(terms[:7]):
     print(f"{term:<24} {threshold_true[term]:>7.2f} {threshold_fit.coef[0, j]:>7.2f} "
           f"{threshold_fit.se[0, j]:>6.3f} {np.exp(threshold_fit.coef[0, j]):>7.3f}")
 
-Xa, terms_a, ya = build_design_matrix(rows, "allocation")
-allocation_fit = fit_multinomial_logistic(Xa, ya, terms=terms_a)
-print(f"\nallocation model: n={allocation_fit.n_obs} engaged rows, converged={allocation_fit.converged}")
+Xa, terms_a, counts_a = build_design_matrix(rows, "allocation")
+allocation_fit = fit_multinomial_logistic(Xa, counts_a, terms=terms_a)
+print(f"\nallocation model: n={allocation_fit.n_obs} engaged rows in {len(Xa)} patterns, "
+      f"converged={allocation_fit.converged}")
 for e, eq in enumerate(allocation_fit.equations):
     print(f"  {eq}:")
     for j, term in enumerate(terms_a[:2]):

@@ -242,8 +242,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for stage in stages:
         fit = fit_binary_logistic if stage == "threshold" else fit_multinomial_logistic
         try:
-            X, names, y = build_design_matrix(rows, stage)
-            model = fit(X, y, terms=names)
+            X, names, counts = build_design_matrix(rows, stage)
+            model = fit(X, counts, terms=names)
         except ValueError as e:
             print(f"error: {stage} stage cannot be fitted: {e}", file=sys.stderr)
             return 1

@@ -24,7 +24,9 @@ text-to-code table is derived from them. The JSON build of columns
 enum texts and a literal negative source. The counter range and the
 creation rules are checked on columns by ``_first_break``, whatever the
 columns came from, and a post's creation row is found by one lookup
-(``_created_before``), which those rules and the load audit share.
+(``_created_before``), which those rules and the load audit share; the
+rules sort the creation posts once for their three lookups
+(``_creation_lookup``).
 
 ``read_log`` parses no JSON for columns it has proven equal to the parse,
 by checking them as the parse checks columns and re-formatting them to the
@@ -281,10 +283,11 @@ def _first_break(log: CellLog) -> tuple[int, str] | None:
     """
     e, c = log.exposures, log.creations
     outside = {key: (v < 0) | (v >= 2**62) for key, v in (("likes", e.likes), ("reshares", e.reshares))}
-    bad_exposure = (_created_before(log, e.post, np.flatnonzero(log.is_exposure)) < 0) | outside["likes"] | outside["reshares"]
     c_rows = np.flatnonzero(~log.is_exposure)
-    twice = _created_before(log, c.post, c_rows) >= 0
-    unsourced = (c.source < 0) | (_created_before(log, c.source, c_rows) < 0)
+    created_before = _creation_lookup(c.post, c_rows)
+    bad_exposure = (created_before(e.post, np.flatnonzero(log.is_exposure)) < 0) | outside["likes"] | outside["reshares"]
+    twice = created_before(c.post, c_rows) >= 0
+    unsourced = (c.source < 0) | (created_before(c.source, c_rows) < 0)
     bad_creation = twice | np.where(c.kind == _SEED, c.source >= 0, unsourced)
     if not (bad_creation.any() or bad_exposure.any()):
         return None
@@ -311,13 +314,23 @@ def _first_break(log: CellLog) -> tuple[int, str] | None:
 def _created_before(log: CellLog, posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per post of ``posts``, asked about at the log row of ``rows`` beside it: the index into
     ``log.creations`` of the post's first creation row if that row comes earlier, else -1."""
-    created = log.creations.post
-    if created.size == 0:
-        return np.full(posts.size, -1, dtype=np.int64)
+    return _creation_lookup(log.creations.post, np.flatnonzero(~log.is_exposure))(posts, rows)
+
+
+def _creation_lookup(created: np.ndarray, created_rows: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``_created_before`` for the log whose creation rows create the posts ``created`` at its rows
+    ``created_rows``, as a function of (posts, rows) that can be called many times: the posts are sorted
+    once, here."""
     order = np.argsort(created, kind="stable")  # a post's first creation first
-    first = order[np.minimum(np.searchsorted(created[order], posts), created.size - 1)]
-    earlier = np.flatnonzero(~log.is_exposure)[first] < rows
-    return np.where((created[first] == posts) & earlier, first, -1)
+    in_order = created[order]
+
+    def before(posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if created.size == 0:
+            return np.full(posts.size, -1, dtype=np.int64)
+        first = order[np.minimum(np.searchsorted(in_order, posts), created.size - 1)]
+        return np.where((created[first] == posts) & (created_rows[first] < rows), first, -1)
+
+    return before
 
 
 def save_columns(log: CellLog, path: str | Path) -> None:

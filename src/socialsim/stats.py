@@ -8,6 +8,16 @@ non-reference equations. Both use the same 24-column design: intercept,
 the popularity composite, dummy-coded load and norm conditions, and all
 two- and three-way products.
 
+A design row depends only on a row's (likes + reshares, load, norm), its
+pattern, so each stage is fitted on its distinct patterns: one design row
+per pattern and a count of the stage's rows per pattern and outcome class,
+taken as frequency weights. That is the likelihood of the rows themselves
+(the frequency-weight identity for GLMs): the estimates, log-likelihoods,
+standard errors and n_obs, the row count, are those of the per-row fit, up
+to rounding. The paper plan's 552k threshold rows are a few hundred
+patterns. A per-row fit is the special case of one-hot counts, which the
+fits build from one outcome code per row.
+
 Standard errors come from the inverse observed information at the MLE,
 odds ratios are exp(B), p-values are two-tailed Wald tests, and model fit
 is summarized by the likelihood-ratio chi-square against the intercept-only
@@ -52,6 +62,8 @@ _NORM_SHORT = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT
 
 ALLOCATION_ACTIONS = (ActionKind.LIKE, ActionKind.REPOST, ActionKind.QUOTE)
 ALLOCATION_EQUATIONS = ("repost_vs_like", "quote_vs_like")
+# Each stage's outcome classes: the columns of its count matrix.
+_CLASSES = {"threshold": ("read", "engage"), "allocation": tuple(a.value for a in ALLOCATION_ACTIONS)}
 
 # Per action code (ACTIONS order): engaged or not, and the allocation outcome (-1 for a read).
 _ENGAGED = np.array([a.is_engagement for a in ACTIONS])
@@ -143,10 +155,17 @@ class DesignInputs(NamedTuple):
 def build_design_matrix(
     rows: DesignInputs, stage: Literal["threshold", "allocation"]
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Assemble (X, column names, y) from exposure rows.
+    """Assemble (X, column names, counts) from exposure rows, one design row per pattern.
 
-    Threshold stage: every row, y = 1 for any engagement.
-    Allocation stage: engaged rows only, y in {0: like, 1: repost, 2: quote}.
+    A pattern is a distinct (likes + reshares, load, norm) among the stage's
+    rows; the design depends on nothing else. X holds one row per pattern,
+    sorted by likes + reshares, then load, then norm, and ``counts`` is the
+    (patterns, classes) float64 count of the stage's rows of each pattern per
+    outcome class:
+    Threshold stage: every row, classes (read, engage).
+    Allocation stage: engaged rows only, classes (like, repost, quote).
+    Fitted with the counts as frequency weights, the patterns give the
+    likelihood of the rows.
     """
     load, norm, action, total = rows
     if stage == "allocation":
@@ -154,54 +173,59 @@ def build_design_matrix(
         load, norm, total, y = load[engaged], norm[engaged], total[engaged], _ALLOCATION_Y[action[engaged]]
     else:
         y = _ENGAGED[action].astype(np.int64)
-    n = y.size
-    if not n:
+    if not y.size:
         raise ValueError(f"no usable records for stage {stage!r}")
+    n_classes = len(_CLASSES[stage])
 
+    # The pattern code counts from the index of the distinct total, so it cannot overflow as the total could.
+    distinct, inverse = np.unique(total, return_inverse=True)
+    key = (inverse * len(LOADS) + load) * len(NORMS) + norm
+    counts = np.bincount(key * n_classes + y, minlength=distinct.size * len(LOADS) * len(NORMS) * n_classes)
+    counts = counts.reshape(-1, n_classes)
+    present = np.flatnonzero(counts.any(axis=1))
+    cell, norm_codes = np.divmod(present, len(NORMS))
+    total_index, load_codes = np.divmod(cell, len(LOADS))
     # popularity_composite per distinct likes + reshares; math.log1p, not
     # np.log1p, whose results can differ in the last bit
-    distinct, inverse = np.unique(total, return_inverse=True)
-    c = np.asarray([math.log1p(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
-    return design_matrix(c, load, norm), list(DESIGN_COLUMNS), y
+    c = np.asarray([math.log1p(v) for v in distinct.tolist()], dtype=np.float64)[total_index]
+    return design_matrix(c, load_codes, norm_codes), list(DESIGN_COLUMNS), counts[present].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
 # Models: each stage's log-likelihood, score and information
 # ---------------------------------------------------------------------------
 
-# A stage's model(X, y) returns the three functions _newton takes, none of which keeps state between
+# A stage's model(X, counts) returns the three functions _newton takes, none of which keeps state between
 # calls: loglik(theta) gives (ll, p), the log-likelihood and the fitted probabilities at theta, from one
 # linear predictor; score(p) and information(p) give the gradient and the observed information at the
 # point p belongs to. theta is the stage's coefficient blocks (one per equation) laid end to end.
+# counts[i, c] is the number of observations of class c with design row X[i], so each row's terms are
+# weighted by its counts (frequency weights); with one-hot counts, one row per observation, every weight
+# is exactly 1.0 and the functions give the per-observation model's values bit for bit.
 
 
-def _binary(X: np.ndarray, y: np.ndarray):
-    """The Bernoulli model of design X: p = expit(eta), eta = X @ beta.
-
-    The weighted copy of X the information needs is written into one buffer,
-    allocated once per model.
-    """
+def _binary(X: np.ndarray, counts: np.ndarray):
+    """The Bernoulli model of design X: p = expit(eta), eta = X @ beta; counts holds (reads, engagements) per row."""
     from scipy.special import expit
 
-    weighted = np.empty_like(X)  # w[:, None] * X
+    s = counts[:, 1]  # successes per row
+    n = counts.sum(axis=1)  # trials per row
 
     def loglik(beta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The Bernoulli log-likelihood, with a numerically stable log(1 + e^eta)."""
+        """sum(s eta - n log(1 + e^eta)), with a numerically stable log(1 + e^eta)."""
         eta = X @ beta
-        terms = y * eta
-        terms -= np.logaddexp(0.0, eta)
+        terms = s * eta
+        terms -= n * np.logaddexp(0.0, eta)
         return float(np.sum(terms)), expit(eta)
 
     def score(p: np.ndarray) -> np.ndarray:
-        """X'(y - p)."""
-        return X.T @ (y - p)
+        """X'(s - n p)."""
+        return X.T @ (s - n * p)
 
     def information(p: np.ndarray) -> np.ndarray:
-        """X' diag(p (1 - p)) X."""
-        w = 1.0 - p
-        w *= p
-        np.multiply(w[:, None], X, out=weighted)
-        return X.T @ weighted
+        """X' diag(n p (1 - p)) X."""
+        w = n * p * (1.0 - p)
+        return X.T @ (w[:, None] * X)
 
     return loglik, score, information
 
@@ -210,30 +234,47 @@ def multinomial_probs(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return _softmax(_logits(X, coef))
 
 
-def _multinomial(X: np.ndarray, y: np.ndarray):
+def _multinomial(X: np.ndarray, counts: np.ndarray):
     """The baseline-category logit of design X, class 0 the reference, whose linear predictor is fixed at zero.
 
     theta is the coefficients of shape (n_eq, k), flattened; class c >= 1 has eta_c = X @ theta[c-1].
+    counts[i, c] observations of row i fall in class c; n_i is their sum.
+
+    The log-likelihood is summed one of two ways, which round differently. With one observation a row
+    (a per-row fit) each row's term is summed, as the per-row model always has, so per-row fits keep
+    their bits. A fit on patterns sums counts * eta and n * lse apart. Newton may halve its last step,
+    or not, on a one-ulp difference between two log-likelihoods, and so stop up to that step apart. Of
+    the benchmark's twenty recorded allocation fits (perfbench/recorded.json), a per-pattern sum of row
+    terms stops 1.7e-8 (paper seed 7) and 9.0e-8 (paper seed 10) relative from two of them; the two
+    sums apart keep all twenty within 1e-8.
     """
     from scipy.special import logsumexp
 
-    n, k = X.shape
+    k = X.shape[1]
+    n = counts.sum(axis=1)
+    one_each = bool(np.all(n == 1.0))
 
     def loglik(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """sum_i sum_c counts_ic eta_ic - sum_i n_i log sum_c e^eta_ic."""
         full = _logits(X, theta.reshape(-1, k))
-        ll = float(np.sum(full[np.arange(n), y] - logsumexp(full, axis=1)))
+        lse = logsumexp(full, axis=1)
+        if one_each:
+            ll = float(np.sum((counts * full).sum(axis=1) - lse))
+        else:
+            ll = float(np.sum(counts * full) - np.sum(n * lse))
         return ll, _softmax(full)
 
     def score(p: np.ndarray) -> np.ndarray:
-        """Flattened over equations: [X'(1[y=c] - p_c)] for c = 1..n_eq."""
-        return np.concatenate([X.T @ ((y == c).astype(np.float64) - p[:, c]) for c in range(1, p.shape[1])])
+        """Flattened over equations: [X'(counts_c - n p_c)] for c = 1..n_eq."""
+        return np.concatenate([X.T @ (counts[:, c] - n * p[:, c]) for c in range(1, p.shape[1])])
 
     def information(p: np.ndarray) -> np.ndarray:
+        """Block (c, d): X' diag(n p_c (1[c = d] - p_d)) X."""
         n_eq = p.shape[1] - 1
         out = np.zeros((n_eq * k, n_eq * k))
         for c in range(1, n_eq + 1):
             for d in range(1, n_eq + 1):
-                w = p[:, c] * ((1.0 if c == d else 0.0) - p[:, d])
+                w = n * p[:, c] * ((1.0 if c == d else 0.0) - p[:, d])
                 out[(c - 1) * k : c * k, (d - 1) * k : d * k] = X.T @ (w[:, None] * X)
         return out
 
@@ -468,13 +509,15 @@ def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray,
 
 
 def _fit(
-    stage: Literal["threshold", "allocation"], X: np.ndarray, y: np.ndarray, terms: Sequence[str] | None, model,
+    stage: Literal["threshold", "allocation"], X: np.ndarray, counts: np.ndarray, terms: Sequence[str] | None, model,
+    n_obs: int | None = None,
 ) -> FittedModel:
     """Fit one stage and its intercept-only null model by _newton.
 
-    `model(X, y)` returns the stage's loglik, score and information on
+    `model(X, counts)` returns the stage's loglik, score and information on
     design X (see _binary and _multinomial). The null model is the same on a
-    column of ones.
+    column of ones. ``n_obs`` is the number of observations the counts hold,
+    by default one per row of X.
     Quasi-separation (any |B| > SEPARATION_BOUND) is reported through
     `converged=False` plus a diagnostic; estimates are still returned.
     """
@@ -487,7 +530,7 @@ def _fit(
 
         The model's work arrays go when this returns, before the next fit.
         """
-        loglik, score, information = model(X, y)
+        loglik, score, information = model(X, counts)
         theta, ll, p, it, converged, diags = _newton(loglik, score, information, np.zeros(n_eq * X.shape[1]))
         return theta, ll, it, converged, diags, information(p)
 
@@ -509,7 +552,7 @@ def _fit(
         ll_full=ll_full,
         ll_null=ll_null,
         k_null=n_eq,
-        n_obs=n,
+        n_obs=n if n_obs is None else n_obs,
         n_iter=it,
         converged=converged,
         diagnostics=diags,
@@ -525,36 +568,59 @@ def _composite_max(X: np.ndarray) -> float:
     return float(X[:, 1].max()) if X.shape[1] > 1 else 0.0
 
 
-def _checked_design(X: np.ndarray) -> np.ndarray:
-    """X as float64; ValueError unless it is 2-D with at least as many rows as columns."""
+def _checked(X: np.ndarray, y: np.ndarray, stage: Literal["threshold", "allocation"]) -> tuple[np.ndarray, np.ndarray, int]:
+    """X as float64, y as its (rows, classes) float64 count matrix, and the number of observations.
+
+    A 1-D y holds one outcome code per row of X and becomes one-hot counts;
+    a 2-D y is the counts. ValueError unless X is 2-D, the counts are whole
+    numbers >= 0, one row per row of X, and they count at least as many
+    observations as X has columns.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
+    if X.ndim != 2:
         raise ValueError(f"need at least as many rows as columns, got {X.shape}")
-    return X
+    shape = (X.shape[0], len(_CLASSES[stage]))
+    counts = np.eye(shape[1])[y] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
+    if counts.shape != shape or not np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))):
+        raise ValueError(f"outcome counts must be whole numbers >= 0 of shape {shape}, got shape {counts.shape}")
+    n_obs = int(counts.sum())
+    if n_obs < X.shape[1]:
+        raise ValueError(f"need at least as many rows as columns, got {(n_obs, X.shape[1])}")
+    return X, counts, n_obs
 
 
 def fit_binary_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
-    """Maximum-likelihood binary logistic fit via IRLS (see _fit)."""
-    X = _checked_design(X)
+    """Maximum-likelihood binary logistic fit via IRLS (see _fit).
+
+    y is one outcome per row of X, coded 0/1, or an (n, 2) matrix of
+    (read, engage) counts per row, as build_design_matrix gives.
+    """
     y = np.asarray(y, dtype=np.float64)
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("binary outcome must be coded 0/1")
-    return _fit("threshold", X, y, terms, _binary)
+    if y.ndim == 1:
+        if not np.all((y == 0) | (y == 1)):
+            raise ValueError("binary outcome must be coded 0/1")
+        y = y.astype(np.int64)
+    X, counts, n_obs = _checked(X, y, "threshold")
+    return _fit("threshold", X, counts, terms, _binary, n_obs)
 
 
 def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
     """Maximum-likelihood multinomial logistic fit via joint Newton-Raphson (see _fit).
 
+    y is one outcome code per row of X, or an (n, 3) matrix of
+    (like, repost, quote) counts per row, as build_design_matrix gives.
     Like (code 0) is the reference outcome; repost and quote each get their
     own coefficient block. An outcome class absent from the data makes its
     equation inestimable: the model is returned as NaN with a diagnostic.
     """
-    X = _checked_design(X)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     n_classes = len(ALLOCATION_ACTIONS)
-    if np.any((y < 0) | (y >= n_classes)):
-        raise ValueError(f"outcome codes must lie in [0, {n_classes})")
-    missing = np.flatnonzero(np.bincount(y, minlength=n_classes) == 0).tolist()
+    if y.ndim == 1:
+        y = y.astype(np.int64)
+        if np.any((y < 0) | (y >= n_classes)):
+            raise ValueError(f"outcome codes must lie in [0, {n_classes})")
+    X, counts, n_obs = _checked(X, y, "allocation")
+    missing = np.flatnonzero(counts.sum(axis=0) == 0).tolist()
     if missing:
         nan = np.full((len(ALLOCATION_EQUATIONS), X.shape[1]), np.nan)
         return FittedModel(
@@ -567,13 +633,13 @@ def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[st
             ll_full=math.nan,
             ll_null=math.nan,
             k_null=len(ALLOCATION_EQUATIONS),
-            n_obs=X.shape[0],
+            n_obs=n_obs,
             n_iter=0,
             converged=False,
             diagnostics=[f"outcome class {c} has no observations; equation inestimable" for c in missing],
             composite_max=_composite_max(X),
         )
-    return _fit("allocation", X, y, terms, _multinomial)
+    return _fit("allocation", X, counts, terms, _multinomial, n_obs)
 
 
 def _safe_inverse(info: np.ndarray, diags: list[str]) -> np.ndarray:

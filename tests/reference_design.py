@@ -2,7 +2,9 @@
 
 Each of the 24 columns is written into the row-major design on its own,
 as the product of its term's factors over all n rows at once, left to
-right (composite, load dummy, norm dummy).
+right (composite, load dummy, norm dummy). ``reference_patterns`` maps each
+row to its pattern, the design row stats.build_design_matrix gives it, and
+``expand`` turns a pattern design and its counts back into rows.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from socialsim.core import LOADS, NORMS
-from socialsim.stats import _LOAD_DUMMIES, _NORM_DUMMIES, _TERMS, N_COLUMNS
+from socialsim.core import ACTIONS, LOADS, NORMS
+from socialsim.stats import _LOAD_DUMMIES, _NORM_DUMMIES, _TERMS, ALLOCATION_ACTIONS, N_COLUMNS, DesignInputs
 
 
 def reference_design_matrix(
@@ -30,3 +32,30 @@ def reference_design_matrix(
         factors += [norms[term.norm]] if term.norm is not None else []
         X[:, j] = reduce(operator.mul, factors) if factors else 1.0
     return X
+
+
+def reference_patterns(rows: DesignInputs, stage: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kept, inverse, y) for the rows of ``stage``: kept marks them (every row for threshold, engaged rows
+    for allocation); per kept row, inverse numbers its (likes + reshares, load, norm) pattern among the
+    distinct ones sorted in that order, by np.unique over the stacked key columns, and y is its outcome
+    code (1 for engaged for threshold, an ALLOCATION_ACTIONS index for allocation).
+    """
+    engaged = np.array([a.is_engagement for a in ACTIONS])[rows.action]
+    if stage == "allocation":
+        kept = engaged
+        y = np.array([ALLOCATION_ACTIONS.index(a) if a.is_engagement else -1 for a in ACTIONS])[rows.action[kept]]
+    else:
+        kept = np.ones(rows.action.size, dtype=bool)
+        y = engaged.astype(np.int64)
+    keys = np.column_stack([rows.total[kept], rows.load[kept].astype(np.int64), rows.norm[kept].astype(np.int64)])
+    inverse = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    return kept, inverse, y
+
+
+def expand(X: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-row design and outcome codes (X, counts) stand for: row i of X once per observation it
+    counts, its class-0 observations first."""
+    reps = counts.astype(np.int64).reshape(-1)
+    pattern = np.repeat(np.repeat(np.arange(len(X)), counts.shape[1]), reps)
+    codes = np.repeat(np.tile(np.arange(counts.shape[1]), len(X)), reps)
+    return X[pattern], codes

@@ -64,3 +64,8 @@ def reference_multinomial(X: np.ndarray, y: np.ndarray):
         return np.block([[X.T @ ((p[:, c] * ((c == d) - p[:, d]))[:, None] * X) for d in classes] for c in classes])
 
     return loglik, score, information
+
+
+def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """The (rows, n_classes) count matrix of one outcome code per row: a 1.0 in each row's class column."""
+    return np.eye(n_classes)[np.asarray(y, dtype=np.int64)]

@@ -50,6 +50,7 @@ from socialsim.stats import (
 from socialsim.stats import _binary, _multinomial
 
 from conftest import make_feed
+from reference_fit import one_hot
 from reference_log import ExposureRecord, concat_logs, log_from_records, records_of, recount_counters, world_counters
 
 POPULATION_SEED = 2026
@@ -163,10 +164,10 @@ def test_c04_coefficient_recovery(recovery_experiment):
     assert ex["rows"].total.size >= 200_000
 
     t0 = time.perf_counter()
-    X, names, y = build_design_matrix(ex["rows"], "threshold")
-    mt = fit_binary_logistic(X, y, terms=names)
-    Xa, names_a, ya = build_design_matrix(ex["rows"], "allocation")
-    ma = fit_multinomial_logistic(Xa, ya, terms=names_a)
+    X, names, counts = build_design_matrix(ex["rows"], "threshold")
+    mt = fit_binary_logistic(X, counts, terms=names)
+    Xa, names_a, counts_a = build_design_matrix(ex["rows"], "allocation")
+    ma = fit_multinomial_logistic(Xa, counts_a, terms=names_a)
     fit_seconds = time.perf_counter() - t0
 
     for j, name in enumerate(names):
@@ -180,7 +181,7 @@ def test_c04_coefficient_recovery(recovery_experiment):
     total = ex["sim_seconds"] + fit_seconds
     assert total < 180.0, f"recovery took {total:.0f}s"
     _ok(4, "both stages recover known coefficients",
-        f"{ex['rows'].total.size} rows, {len(ya)} engaged, {total:.0f}s total")
+        f"{ex['rows'].total.size} rows, {ma.n_obs} engaged, {total:.0f}s total")
 
 
 def test_c05_closed_form_intercepts():
@@ -203,8 +204,8 @@ def test_c06_gradients_match_finite_differences():
     yb = (rng.random(250) < 0.3).astype(float)
     ym = rng.integers(0, 3, size=250)
     h = 1e-6
-    loglik, score, _ = _binary(X, yb)
-    loglik_m, score_m, _ = _multinomial(X, ym)
+    loglik, score, _ = _binary(X, one_hot(yb, 2))
+    loglik_m, score_m, _ = _multinomial(X, one_hot(ym, 3))
     for _ in range(10):
         beta = rng.normal(scale=0.7, size=5)
         g = score(loglik(beta)[1])

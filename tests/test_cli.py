@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 import weakref
 from pathlib import Path
@@ -16,6 +17,7 @@ from socialsim.core import ExposureColumns, LoadLevel, NormRegime, write_table
 from socialsim.harness import load_experiment
 from socialsim.population import generate_population, load_population, save_population
 from socialsim.stats import (
+    N_COLUMNS,
     DesignInputs,
     build_design_matrix,
     fit_binary_logistic,
@@ -25,6 +27,7 @@ from socialsim.stats import (
     write_coefficient_csv,
 )
 
+from reference_design import reference_patterns
 from reference_log import concat_logs
 from reference_prediction import reference_predicted_probabilities
 
@@ -433,6 +436,35 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: threshold stage cannot be fitted: no rows in cell(s) {_ALL_BUT_LOW_NO_NORM}"]
 
+    def test_fewer_patterns_than_design_columns_fit_as_their_rows_do(self, run_dir, tmp_path, capsys):
+        # With every exposure's likes and reshares 0, each stage's rows form at most 12 patterns, fewer
+        # than the 24 design columns, while the rows still outnumber the columns. analyze fits them and
+        # reports what the fit of the same rows, one design row each, reports: the composite's columns
+        # are all zero, so both take the ridge in every iteration.
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for cell in manifest["cells"]:
+            path = run_dir / "logs" / cell["file"]
+            path.write_bytes(re.sub(rb'"likes":\d+,"reshares":\d+', b'"likes":0,"reshares":0', path.read_bytes()))
+            path.with_suffix(".npz").unlink()
+            cell["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "analysis"
+        capsys.readouterr()
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 0
+        rows = DesignInputs(*map(np.concatenate, zip(*(DesignInputs.of(log.exposures) for _, log in load_experiment(run_dir)[1]))))
+        assert not rows.total.any()
+        for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
+            X, names, _ = build_design_matrix(rows, stage)
+            _, inverse, y = reference_patterns(rows, stage)
+            per_row = fit(X[inverse], y, terms=names)
+            model = load_model(out / f"{stage}_model.json")
+            assert len(X) < N_COLUMNS <= model.n_obs
+            assert (model.n_obs, model.n_iter, model.converged, model.diagnostics) == (
+                per_row.n_obs, per_row.n_iter, per_row.converged, per_row.diagnostics
+            )
+            assert model.diagnostics[0] == "iteration 1: singular information matrix, ridge 1e-06 added"
+
     def test_one_cell_run_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # Regression: the fit of a one-cell run "converged" with standard errors of 1000,
         # and analyze and report both exited 0.
@@ -521,8 +553,8 @@ class TestAnalyze:
         write_table(out / "load_audit.csv", cli._AUDIT_COLUMNS, [cli._audit_row(c, per_cell[c], graph) for c in sorted(per_cell)])
         models = []
         for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
-            X, names, y = build_design_matrix(DesignInputs.of(log.exposures), stage)
-            models.append(fit(X, y, terms=names))
+            X, names, counts = build_design_matrix(DesignInputs.of(log.exposures), stage)
+            models.append(fit(X, counts, terms=names))
             write_coefficient_csv(models[-1], out / f"{stage}_coefficients.csv")
             save_model(models[-1], out / f"{stage}_model.json")
         write_table(out / "fit_metrics.csv", cli._METRICS_COLUMNS, [cli._metrics_row(m) for m in models])

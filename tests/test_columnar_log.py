@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_design import reference_patterns
 from reference_log import (
     ExposureRecord,
     PostCreation,
@@ -165,10 +166,14 @@ def _assert_same_design(log: CellLog, exposures: list[ExposureRecord]) -> None:
             with pytest.raises(ValueError):
                 build_design_matrix(DesignInputs.of(log.exposures), stage)
             continue
-        X, names, y = build_design_matrix(DesignInputs.of(log.exposures), stage)
-        assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+        # Each row's pattern row is its reference design row, and the counts tally the reference outcomes.
+        X, names, counts = build_design_matrix(DesignInputs.of(log.exposures), stage)
+        _, inverse, _ = reference_patterns(DesignInputs.of(log.exposures), stage)
+        assert X[inverse].shape == X_ref.shape and X[inverse].tobytes() == X_ref.tobytes()
         assert names == names_ref
-        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+        hand = np.zeros_like(counts)
+        np.add.at(hand, (inverse, y_ref), 1.0)
+        assert len(X) == inverse.max() + 1 and np.array_equal(counts, hand)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from socialsim.core import LOADS, NORMS, ActionKind, FormatError, LoadLevel, NormRegime
+from socialsim.core import ACTIONS, LOADS, NORMS, ActionKind, FormatError, LoadLevel, NormRegime
 from socialsim.stats import _BLOCK_ROWS, _binary, _fit, _multinomial
 from socialsim.stats import (
     ALLOCATION_EQUATIONS,
@@ -36,8 +36,8 @@ from socialsim.stats import (
 )
 
 from reference_log import ExposureRecord, log_from_records
-from reference_design import reference_design_matrix
-from reference_fit import reference_binary, reference_multinomial
+from reference_design import expand, reference_design_matrix, reference_patterns
+from reference_fit import one_hot, reference_binary, reference_multinomial
 from reference_prediction import reference_predicted_probabilities
 
 
@@ -53,6 +53,21 @@ def _rows(records):
 def _design(composites, load, norm):
     """Design rows for composites in one load x norm cell."""
     return design_matrix(np.atleast_1d(composites), LOADS.index(load), NORMS.index(norm))
+
+
+@st.composite
+def design_inputs(draw, max_rows: int = 300) -> DesignInputs:
+    """Random design inputs: load, norm and action codes, and likes + reshares drawn below 1, 5 or 500
+    (few patterns, each of many rows) or below 2**63 - 1 (about one pattern per row)."""
+    n = draw(st.integers(0, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([1, 5, 500, 2**63 - 1]))
+    return DesignInputs(
+        rng.integers(0, len(LOADS), n).astype(np.int8),
+        rng.integers(0, len(NORMS), n).astype(np.int8),
+        rng.integers(0, len(ACTIONS), n).astype(np.int8),
+        rng.integers(0, high, n, dtype=np.int64),
+    )
 
 
 class TestDesignMatrix:
@@ -101,7 +116,7 @@ class TestDesignMatrix:
 
     def test_threshold_outcome_coding(self):
         records = [_record(), _record(action=ActionKind.LIKE), _record(action=ActionKind.QUOTE)]
-        _, _, y = build_design_matrix(_rows(records), "threshold")
+        _, y = expand(*build_design_matrix(_rows(records), "threshold")[::2])
         assert y.tolist() == [0, 1, 1]
 
     def test_allocation_filters_reads(self):
@@ -110,7 +125,7 @@ class TestDesignMatrix:
             _record(action=ActionKind.REPOST),
             _record(action=ActionKind.QUOTE),
         ]
-        X, _, y = build_design_matrix(_rows(records), "allocation")
+        X, y = expand(*build_design_matrix(_rows(records), "allocation")[::2])
         assert X.shape[0] == 3
         assert y.tolist() == [0, 1, 2]
 
@@ -147,6 +162,33 @@ class TestDesignMatrix:
     def test_main_effect_only_roster_has_7_columns(self):
         mains = [n for n in DESIGN_COLUMNS if ":" not in n]
         assert len(mains) == 7  # dropping interactions: 24 -> 7
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=design_inputs(), stage=st.sampled_from(["threshold", "allocation"]))
+    def test_pattern_rows_expand_to_the_reference_design_and_counts(self, rows, stage):
+        # X[inverse] is the per-row design bit for bit, and counts is a hand count per pattern and class.
+        # Totals up to 2**63 - 2 check that the pattern code does not overflow.
+        kept, inverse, y = reference_patterns(rows, stage)
+        if not y.size:
+            with pytest.raises(ValueError, match="no usable records"):
+                build_design_matrix(rows, stage)
+            return
+        X, names, counts = build_design_matrix(rows, stage)
+        composite = [math.log1p(v) for v in rows.total[kept].tolist()]
+        want = reference_design_matrix(composite, rows.load[kept], rows.norm[kept])
+        assert names == DESIGN_COLUMNS and X.flags.c_contiguous
+        assert X.shape == (inverse.max() + 1, N_COLUMNS)
+        assert np.array_equal(X[inverse].view(np.int64), want.view(np.int64))
+        hand = np.zeros((X.shape[0], 2 if stage == "threshold" else 3))
+        np.add.at(hand, (inverse, y), 1.0)
+        assert counts.dtype == np.float64 and counts.shape == hand.shape and np.array_equal(counts, hand)
+
+    def test_rows_of_one_pattern_give_one_design_row(self):
+        records = [_record(likes=2, reshares=1, action=action) for action in ActionKind for _ in range(3)]
+        X, _, counts = build_design_matrix(_rows(records), "threshold")
+        assert X.shape == (1, N_COLUMNS) and counts.tolist() == [[3.0, 9.0]]
+        X, _, counts = build_design_matrix(_rows(records), "allocation")
+        assert X.shape == (1, N_COLUMNS) and counts.tolist() == [[3.0, 3.0, 3.0]]
 
 
 def _simulate_binary(n, beta, seed=0):
@@ -198,7 +240,7 @@ class TestBinaryLogistic:
         beta_true = np.array([-0.5, 0.8, -0.3, 0.0, 0.4])
         y = (rng.random(500) < expit(X @ beta_true)).astype(float)
         mine = fit_binary_logistic(X, y)
-        loglik, score, _ = _binary(X, y)
+        loglik, score, _ = _binary(X, one_hot(y, 2))
         res = minimize(
             lambda b: -loglik(b)[0],
             np.zeros(5),
@@ -277,7 +319,7 @@ class TestMultinomialLogistic:
         u = rng.random(500)
         y = (u > p[:, 0]).astype(int) + (u > p[:, 0] + p[:, 1]).astype(int)
         mine = fit_multinomial_logistic(X, y)
-        loglik, score, _ = _multinomial(X, y)
+        loglik, score, _ = _multinomial(X, one_hot(y, 3))
         res = minimize(
             lambda t: -loglik(t)[0],
             np.zeros(6),
@@ -303,7 +345,7 @@ class TestGradients:
         X = np.column_stack([np.ones(300), rng.normal(size=(300, 4))])
         y = (rng.random(300) < 0.35).astype(float)
         h = 1e-6
-        loglik, score, _ = _binary(X, y)
+        loglik, score, _ = _binary(X, one_hot(y, 2))
         for _ in range(10):
             beta = rng.normal(scale=0.8, size=5)
             g = score(loglik(beta)[1])
@@ -315,7 +357,7 @@ class TestGradients:
         X = np.column_stack([np.ones(300), rng.normal(size=(300, 3))])
         y = rng.integers(0, 3, size=300)
         h = 1e-6
-        loglik, score, _ = _multinomial(X, y)
+        loglik, score, _ = _multinomial(X, one_hot(y, 3))
         for _ in range(10):
             theta = rng.normal(scale=0.6, size=8)  # the two equations' coefficients, laid end to end
             g = score(loglik(theta)[1])
@@ -383,8 +425,8 @@ class TestFitsEqualReferenceModels:
 
     @pytest.mark.parametrize("stage, seed", [("threshold", 0), ("allocation", 72)])
     def test_newton_holds_one_point_probabilities_at_a_time(self, stage, seed):
-        # Each loglik call must find every earlier point's p released: a second n-vector alive
-        # beside the design's weighted copy raises the binary fit's peak memory.
+        # Each loglik call must find every earlier point's p released: a second vector of p alive
+        # raises the fit's peak memory.
         rng = np.random.default_rng(seed)  # a design on which the full fit halves steps
         X = np.column_stack([np.ones(20), np.round(rng.normal(size=20) * 4) / 4])
         y = rng.integers(0, 2 if stage == "threshold" else 3, size=20)
@@ -402,8 +444,61 @@ class TestFitsEqualReferenceModels:
 
             return one_point, score, information
 
-        model = _fit(stage, X, y.astype(np.float64) if stage == "threshold" else y, None, tracked)
+        model = _fit(stage, X, one_hot(y, 2 if stage == "threshold" else 3), None, tracked)
         assert len(points) == 2 and len(points[0]) > model.n_iter + 1
+
+
+class TestPatternFitEqualsPerRowFit:
+    """A fit on build_design_matrix's patterns and counts is the fit on its rows, one design row each."""
+
+    @staticmethod
+    def _log(seed: int, n: int, high: int) -> DesignInputs:
+        """n rows spread over all 12 cells with every outcome class in each; likes + reshares below ``high``."""
+        rng = np.random.default_rng(seed)
+        return DesignInputs(
+            rng.integers(0, len(LOADS), n).astype(np.int8),
+            rng.integers(0, len(NORMS), n).astype(np.int8),
+            rng.choice(len(ACTIONS), n, p=[0.6, 0.2, 0.1, 0.1]).astype(np.int8),
+            rng.integers(0, high, n, dtype=np.int64),
+        )
+
+    # Newton stops once an iteration gains less than 1e-8 in log-likelihood, so where it stops depends on
+    # rounding: a last step that gains less than the sums' rounding error may be halved in one fit and taken
+    # whole in the other. Coefficients are therefore compared in units of their SE; the log-likelihoods,
+    # which such a step leaves unchanged to rounding, relative to themselves. Over 800 such fits the
+    # largest gaps were 3.1e-7 SE, 6.7e-8 relative in an SE and 4.4e-16 in a log-likelihood.
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3000, 6000), high=st.sampled_from([4, 40, 400]))
+    def test_fits_agree(self, seed, n, high):
+        rows = self._log(seed, n, high)
+        for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
+            X, names, counts = build_design_matrix(rows, stage)
+            kept, inverse, y = reference_patterns(rows, stage)
+            per_row = fit(X[inverse], y, terms=names)
+            grouped = fit(X, counts, terms=names)
+            assert (grouped.n_obs, grouped.n_iter, grouped.converged, grouped.diagnostics) == (
+                per_row.n_obs, per_row.n_iter, per_row.converged, per_row.diagnostics
+            ) == (int(kept.sum()), grouped.n_iter, True, [])
+            assert np.all(np.abs(grouped.coef - per_row.coef) <= 1e-5 * per_row.se), stage
+            assert np.allclose(grouped.se, per_row.se, rtol=1e-5, atol=0.0), stage
+            for name in ("ll_full", "ll_null"):
+                assert getattr(grouped, name) == pytest.approx(getattr(per_row, name), rel=1e-12, abs=0.0), (stage, name)
+            assert grouped.composite_max == per_row.composite_max
+
+    def test_counts_are_validated(self):
+        X = np.ones((3, 1))
+        for bad in (np.ones((3, 3)), np.full((3, 2), -1.0), np.full((3, 2), 0.5), np.full((3, 2), np.nan), np.full((3, 2), np.inf)):
+            with pytest.raises(ValueError, match="outcome counts must be whole numbers >= 0 of shape"):
+                fit_binary_logistic(X, bad)
+
+    def test_rows_not_patterns_must_cover_the_columns(self):
+        # Two patterns of 50 observations each can be fitted with two columns; a lone observation cannot.
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        model = fit_binary_logistic(X, np.array([[30.0, 20.0], [20.0, 30.0]]))
+        assert model.n_obs == 100 and model.converged
+        assert model.coef[0, 1] == pytest.approx(2 * math.log(1.5), abs=1e-9)
+        with pytest.raises(ValueError, match=re.escape("need at least as many rows as columns, got (1, 2)")):
+            fit_binary_logistic(X, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestFitStatistics:
