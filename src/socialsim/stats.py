@@ -34,9 +34,6 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-# No module-level scipy import: the functions that fit or test import scipy.special, so a process
-# that only simulates or reports never loads it (about 0.3 s and 20 MB).
-
 from .core import (
     ACTIONS,
     LOADS,
@@ -192,6 +189,139 @@ def build_design_matrix(
 
 
 # ---------------------------------------------------------------------------
+# Special functions: scipy.special's expit, logsumexp and ndtr, bit for bit
+# ---------------------------------------------------------------------------
+
+# The fits take their link functions from here, not from scipy, so the runtime needs numpy alone and a
+# fit does not depend on the installed scipy. Each function gives scipy's own bits, not just its values
+# (tests/test_stats.py proves it): a recorded fit can move past 1e-8 on a one-ulp change, because Newton
+# may halve its last step, or not, on a one-ulp difference between two log-likelihoods. So each exp of a
+# single value is math.exp, the C library's exp that scipy calls; np.exp rounds differently on some inputs.
+
+
+def _exp_or_inf(x: float) -> float:
+    """C's exp: math.exp, but inf where the result overflows, where math.exp raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """scipy.special.expit of a float64 array: 1 / (1 + exp(-x)), with the C library's exp."""
+    values = np.negative(x).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, values), dtype=np.float64, count=len(values))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, values), dtype=np.float64, count=len(values))
+    return (1.0 / (1.0 + e)).reshape(x.shape)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis=1) of a 2-D float64 array, op for op as scipy 1.17 computes it.
+
+    The row maximum's ties are taken out of the shifted sum and counted (m), so the sum s of the
+    others' exp(a - max) is small and log1p(s / m) + log(m) + max keeps its precision. Where that is
+    not finite (a row holding inf, nan or only -inf), the result is log(sum(exp(a))) instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        ties = a == a_max
+        m = np.sum(ties, axis=1, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            with np.errstate(over="ignore"):
+                out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
+# Cephes' ndtr, erf and erfc (Moshier), as scipy.special.ndtr computes them: coefficients of the
+# rational approximations to erf on |x| < 1 (T/U) and to erfc on 1 <= x < 8 (P/Q) and x >= 8 (R/S).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """coef[0] x^N + ... + coef[N], by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: _polevl with a leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes' erf: the T/U rational fit for |x| <= 1, else 1 - erfc(x)."""
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(a: float) -> float:
+    """Cephes' erfc: 1 - erf(a) for |a| < 1, else exp(-a^2) times the P/Q or R/S fit; 0 or 2 past underflow."""
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if x < 8.0:
+            y = z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
+        else:
+            y = z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
+        if a < 0.0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0.0 else 0.0  # underflow
+
+
+def _ndtr1(a: float) -> float:
+    """The standard normal CDF at a Python float a."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
+
+
+def _ndtr(a: np.typing.ArrayLike) -> np.ndarray:
+    """scipy.special.ndtr, the standard normal CDF, of each value of a."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.array([_ndtr1(v) for v in a.ravel().tolist()], dtype=np.float64).reshape(a.shape)
+
+
+# ---------------------------------------------------------------------------
 # Models: each stage's log-likelihood, score and information
 # ---------------------------------------------------------------------------
 
@@ -206,8 +336,6 @@ def build_design_matrix(
 
 def _binary(X: np.ndarray, counts: np.ndarray):
     """The Bernoulli model of design X: p = expit(eta), eta = X @ beta; counts holds (reads, engagements) per row."""
-    from scipy.special import expit
-
     s = counts[:, 1]  # successes per row
     n = counts.sum(axis=1)  # trials per row
 
@@ -216,7 +344,7 @@ def _binary(X: np.ndarray, counts: np.ndarray):
         eta = X @ beta
         terms = s * eta
         terms -= n * np.logaddexp(0.0, eta)
-        return float(np.sum(terms)), expit(eta)
+        return float(np.sum(terms)), _expit(eta)
 
     def score(p: np.ndarray) -> np.ndarray:
         """X'(s - n p)."""
@@ -248,8 +376,6 @@ def _multinomial(X: np.ndarray, counts: np.ndarray):
     terms stops 1.7e-8 (paper seed 7) and 9.0e-8 (paper seed 10) relative from two of them; the two
     sums apart keep all twenty within 1e-8.
     """
-    from scipy.special import logsumexp
-
     k = X.shape[1]
     n = counts.sum(axis=1)
     one_each = bool(np.all(n == 1.0))
@@ -257,7 +383,7 @@ def _multinomial(X: np.ndarray, counts: np.ndarray):
     def loglik(theta: np.ndarray) -> tuple[float, np.ndarray]:
         """sum_i sum_c counts_ic eta_ic - sum_i n_i log sum_c e^eta_ic."""
         full = _logits(X, theta.reshape(-1, k))
-        lse = logsumexp(full, axis=1)
+        lse = _logsumexp(full)
         if one_each:
             ll = float(np.sum((counts * full).sum(axis=1) - lse))
         else:
@@ -356,11 +482,9 @@ class FittedModel:
         return np.exp(self.coef)
 
     def p_values(self) -> np.ndarray:
-        from scipy.special import ndtr
-
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.abs(self.coef / self.se)
-        return 2.0 * ndtr(-z)
+        return 2.0 * _ndtr(-z)
 
     def coefficient_rows(self) -> list[dict]:
         """Flat per-coefficient rows: term, B, SE, OR, p, converged."""
@@ -849,8 +973,6 @@ def table_consistency_check(
     as 0.016 could never match its own source. Rows reported as p < .001
     must also reproduce that band from B/SE.
     """
-    from scipy.special import ndtr
-
     rows = []
 
     def check(table: str, eq: str | None, term: str, b: float, se: float, or_: float, p: str) -> None:
@@ -858,7 +980,7 @@ def table_consistency_check(
         or_ok = abs(exp_b - or_) <= max(rel_tol * or_, abs_tol)
         wald_ok = True
         if p == "<.001":
-            wald_ok = 2.0 * ndtr(-abs(b / se)) < 0.001
+            wald_ok = 2.0 * _ndtr1(-abs(b / se)) < 0.001
         rows.append(
             {
                 "table": table,

@@ -1096,12 +1096,24 @@ except SystemExit as e:
     if e.code:
         raise
 """
-_RUN_CLI = _CLI_MAIN + """print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))\n"""
+_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+_RUN_CLI = _CLI_MAIN + _SCIPY_MODULES + "\n"
 _HTTP_MODULES = "print(sorted(m for m in ('requests', 'urllib.request') if m in sys.modules))"
 
 
+# Makes every import of scipy or a scipy submodule raise, as if scipy were not installed.
+_BLOCK_SCIPY = """
+import sys
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
 class TestProcessImports:
-    """Only analyze fits, so only an analyze process loads scipy: each command runs in a fresh interpreter."""
+    """No command loads scipy, which the runtime does not need: each command runs in a fresh interpreter."""
 
     def _scipy_modules(self, code: str, *argv: str) -> str:
         import os
@@ -1118,8 +1130,7 @@ class TestProcessImports:
 
     @pytest.mark.parametrize("module", ["socialsim", "socialsim.cli"])
     def test_import_leaves_scipy_unloaded(self, module):
-        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-        assert self._scipy_modules(code) == "[]"
+        assert self._scipy_modules(f"import sys, {module}; " + _SCIPY_MODULES) == "[]"
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
         # numpy.random loads when a command first seeds a generator, not with the CLI.
@@ -1157,7 +1168,29 @@ class TestProcessImports:
         assert self._scipy_modules(code) == "['urllib.request']"
         assert len(chat_server.seen) == 1
 
-    def test_analyze_loads_scipy(self, run_dir, tmp_path):
-        # The check sees scipy where it is loaded: analyze fits, so it imports scipy.special.
+    def test_analyze_leaves_scipy_unloaded(self, run_dir, tmp_path):
         loaded = self._scipy_modules(_RUN_CLI, "analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis"))
-        assert "'scipy.special'" in loaded
+        assert loaded == "[]"
+        assert (tmp_path / "analysis" / "threshold_model.json").exists()
+
+    def test_check_sees_scipy_special(self):
+        # The positive control: the check sees scipy where a process loads it.
+        assert "'scipy.special'" in self._scipy_modules("import sys, scipy.special; " + _SCIPY_MODULES)
+
+    def test_pipeline_without_scipy_writes_the_same_files(self, plan_file, tmp_path):
+        # simulate -> analyze -> report with every scipy import made to fail, against the same run without the block.
+        trees = {}
+        for leg, prefix in (("open", ""), ("blocked", _BLOCK_SCIPY)):
+            out = tmp_path / leg
+            for argv in (
+                ["simulate", "--config", str(plan_file), "--out", str(out / "runs")],
+                ["analyze", "--logs", str(out / "runs"), "--out", str(out / "analysis")],
+                ["report", "--analysis", str(out / "analysis"), "--out", str(out / "report")],
+            ):
+                assert self._scipy_modules(prefix + _RUN_CLI, *argv) == "[]", (leg, argv[0])
+            trees[leg] = {
+                str(f.relative_to(out)): f.read_bytes()
+                for d in ("analysis", "report") for f in sorted((out / d).rglob("*")) if f.is_file()
+            }
+        assert "report/report.md" in trees["open"] and "analysis/allocation_model.json" in trees["open"]
+        assert trees["blocked"] == trees["open"]

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy
+import scipy.special
 from scipy.optimize import minimize
 from scipy.special import expit
 
 from socialsim.core import ACTIONS, LOADS, NORMS, ActionKind, FormatError, LoadLevel, NormRegime
-from socialsim.stats import _BLOCK_ROWS, _binary, _fit, _multinomial
+from socialsim.stats import _BLOCK_ROWS, _binary, _expit, _fit, _logsumexp, _multinomial, _ndtr
 from socialsim.stats import (
     ALLOCATION_EQUATIONS,
     DESIGN_COLUMNS,
@@ -337,6 +339,111 @@ def test_fits_reject_a_design_with_fewer_rows_than_columns(fit, shape):
     y = np.array([0, 1, 2, 1]) if fit is fit_multinomial_logistic else np.array([0, 1, 1, 0])
     with pytest.raises(ValueError, match=re.escape(f"need at least as many rows as columns, got {shape}")):
         fit(X, y)
+
+
+# Values every special function is checked at: signed zeros, infinities, nan, the largest and the
+# subnormal doubles, and the band where exp overflows (709.78) or its result leaves the subnormals (745.13).
+_EDGES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+     5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310,
+     709.782712893384, np.nextafter(709.782712893384, np.inf), 745.1332191019411, 745.1332191019412, 745.2]
+)
+
+
+def _overflow_band(rng):
+    """Values on both sides of 0 whose exp overflows or underflows to a subnormal or to 0."""
+    band = np.concatenate([np.linspace(709.78, 745.2, 2001), rng.uniform(709.78, 745.2, 5000)])
+    return np.concatenate([band, -band])
+
+
+def _subnormals(rng):
+    tiny = np.ldexp(rng.uniform(0.5, 1.0, 1000), rng.integers(-1074, -1021, 1000))
+    return np.concatenate([tiny, -tiny])
+
+
+# The copy of logsumexp is of scipy's algorithm since 1.15 (the row maximum's ties taken out of the sum,
+# then log1p). Older scipy (1.10-1.14: a plain max-shifted sum) rounds differently and is not compared.
+_LOGSUMEXP_PROVEN = tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 15)
+
+
+class TestSpecialFunctionsEqualScipy:
+    """stats' expit, logsumexp and ndtr give scipy.special's bits: compared by np.array_equal, never a tolerance."""
+
+    def test_expit(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate(
+            [rng.normal(0.0, 1.0, 50_000), rng.normal(0.0, 30.0, 50_000), rng.normal(0.0, 400.0, 20_000),
+             _overflow_band(rng), _subnormals(rng), _EDGES]
+        )
+        assert np.array_equal(_expit(x), expit(x), equal_nan=True)
+        assert _expit(x).dtype == np.float64
+
+    def test_expit_keeps_the_shape(self):
+        x = np.random.default_rng(12).normal(0.0, 5.0, (40, 3))
+        assert np.array_equal(_expit(x), expit(x))
+
+    def test_expit_is_zero_where_exp_overflows(self):
+        # math.exp raises there; C's exp, and so scipy, gives inf, and expit 0.0.
+        x = np.array([-710.0, -1e308, -np.inf, 2.0])
+        assert np.array_equal(_expit(x), expit(x)) and _expit(x)[:3].tolist() == [0.0, 0.0, 0.0]
+
+    def test_ndtr(self):
+        rng = np.random.default_rng(13)
+        sqrt2 = math.sqrt(2.0)
+        # The branch points: |x| / sqrt(2) = 1 (erf or erfc) and 8 (erfc's two fits), each with its neighbours.
+        branches = np.array([b * s for b in (sqrt2, 8.0 * sqrt2) for s in (1.0, -1.0)])
+        near = np.concatenate([branches, np.nextafter(branches, np.inf), np.nextafter(branches, -np.inf)])
+        x = np.concatenate(
+            [rng.normal(0.0, 3.0, 30_000), rng.uniform(-45.0, 45.0, 20_000), np.linspace(-50.0, 50.0, 20_001),
+             near, rng.uniform(-1.0, 1.0, 2000) * 1e-3 + np.repeat(branches, 500),
+             -rng.uniform(38.0, 40.0, 2000), _overflow_band(rng)[::20], _subnormals(rng)[::10], _EDGES]
+        )
+        assert np.array_equal(_ndtr(x), scipy.special.ndtr(x), equal_nan=True)
+
+    def test_ndtr_underflows_to_zero(self):
+        # Below x = -sqrt(2 log(DBL_MAX)), about -37.68, exp(-x^2 / 2) underflows and erfc takes its underflow exit.
+        x = np.array([-37.5, -37.68, -37.7, -38.5, -39.0, -1e308, -np.inf])
+        got = _ndtr(x)
+        assert np.array_equal(got, scipy.special.ndtr(x))
+        assert got[0] > 0.0 and got[2:].tolist() == [0.0] * 5
+
+    def test_ndtr_of_a_scalar_and_of_a_matrix(self):
+        assert _ndtr(-1.96) == scipy.special.ndtr(-1.96) and _ndtr(-1.96).shape == ()
+        x = np.random.default_rng(14).normal(0.0, 4.0, (2, 24))
+        assert np.array_equal(_ndtr(x), scipy.special.ndtr(x))
+
+    @pytest.mark.skipif(not _LOGSUMEXP_PROVEN, reason=f"scipy {scipy.__version__}'s logsumexp predates 1.15's algorithm")
+    def test_logsumexp(self):
+        rng = np.random.default_rng(15)
+        # Rows as _logits builds them: the reference class's 0 first, then two linear predictors.
+        rows = np.column_stack([np.zeros(30_000), rng.normal(0.0, 4.0, (30_000, 2)) * rng.choice([1.0, 30.0, 400.0], (30_000, 1))])
+        wide = rng.normal(0.0, 3.0, (2000, 5))
+        wide[:, 1] = wide[:, 0]  # ties with the row maximum where column 0 is the largest
+        assert np.array_equal(_logsumexp(rows), scipy.special.logsumexp(rows, axis=1))
+        assert np.array_equal(_logsumexp(wide), scipy.special.logsumexp(wide, axis=1))
+
+    @pytest.mark.skipif(not _LOGSUMEXP_PROVEN, reason=f"scipy {scipy.__version__}'s logsumexp predates 1.15's algorithm")
+    def test_logsumexp_ties_and_non_finite_rows(self):
+        inf, nan = np.inf, np.nan
+        ties = [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 2.5, 2.5], [0.0, -3.0, -3.0], [1e-300, 1e-300, 0.0]]
+        # What a halved Newton step can give: a predictor that overflowed to +-inf, inf - inf = nan, or
+        # predictors so large that the sum of their exps overflows.
+        non_finite = [
+            [0.0, inf, 1.0], [0.0, inf, inf], [0.0, inf, -inf], [0.0, -inf, -inf], [0.0, nan, 1.0], [0.0, inf, nan],
+            [-inf, -inf, -inf], [nan, nan, nan], [0.0, 1e308, 1e308], [0.0, 1e308, -1e308], [0.0, 800.0, 900.0],
+            [0.0, 710.0, 710.0], [0.0, -800.0, -900.0], [0.0, -1e308, -1e308], [5e-324, 0.0, -5e-324],
+        ]
+        a = np.array(ties + non_finite)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_logsumexp(a), scipy.special.logsumexp(a, axis=1), equal_nan=True)
+
+    @pytest.mark.skipif(not _LOGSUMEXP_PROVEN, reason=f"scipy {scipy.__version__}'s logsumexp predates 1.15's algorithm")
+    def test_logsumexp_across_the_overflow_band(self):
+        rng = np.random.default_rng(16)
+        band = _overflow_band(rng)
+        a = np.column_stack([np.zeros(band.size), band, rng.permutation(band)])
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_logsumexp(a), scipy.special.logsumexp(a, axis=1), equal_nan=True)
 
 
 class TestGradients:
