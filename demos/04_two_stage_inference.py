@@ -11,8 +11,8 @@ acceptance suite does the same at full scale with tighter bookkeeping.
 import numpy as np
 
 from socialsim import (
-    DesignInputs,
     ParametricLogitSpec,
+    PatternCounts,
     RunConfig,
     build_design_matrix,
     build_policy,
@@ -46,23 +46,24 @@ spec = ParametricLogitSpec(
 profiles, graph = generate_population(200, seed=9)
 corpus = generate_seed_corpus(seed=9)
 
-# Each cell's log is reduced to the four columns the design needs: load,
-# norm, action and likes + reshares. The fits read the cells' rows in order.
+# Each cell's log is folded into its pattern table: one row per distinct
+# (likes + reshares, load, norm), counting the exposures of each action.
+# The 12 tables merge by the same fold into one.
 cells = []
 for load in LOADS:
     for norm in NORMS:
         cfg = RunConfig(seed=cell_seed(71, load, norm, 0), load=load, norm=norm,
                         n_agents=200, timesteps=240, activation_p=0.02)
         policy = build_policy(spec, load, norm)
-        cells.append(DesignInputs.of(run(cfg, policy, profiles, graph, corpus).exposures))
-rows = DesignInputs(*map(np.concatenate, zip(*cells)))
+        cells.append(PatternCounts.of(run(cfg, policy, profiles, graph, corpus).exposures))
+table = PatternCounts.fold(cells)
 
-print(f"simulated {rows.total.size} exposure rows across 12 cells")
+print(f"simulated {table.counts.sum()} exposure rows across 12 cells, folded into {len(table.total)} patterns")
 
-# Each stage's rows collapse to their distinct (likes + reshares, load, norm)
-# patterns: one design row per pattern, and a count per pattern and outcome
+# Each stage reads its patterns from the table: one design row per pattern
+# with at least one of the stage's rows, and a count per pattern and outcome
 # class that the fit takes as frequency weights.
-X, terms, counts = build_design_matrix(rows, "threshold")
+X, terms, counts = build_design_matrix(table, "threshold")
 threshold_fit = fit_binary_logistic(X, counts, terms=terms)
 m = threshold_fit.metrics
 print(f"\nthreshold model: n={threshold_fit.n_obs} rows in {len(X)} patterns, converged={threshold_fit.converged}, "
@@ -72,7 +73,7 @@ for j, term in enumerate(terms[:7]):
     print(f"{term:<24} {threshold_true[term]:>7.2f} {threshold_fit.coef[0, j]:>7.2f} "
           f"{threshold_fit.se[0, j]:>6.3f} {np.exp(threshold_fit.coef[0, j]):>7.3f}")
 
-Xa, terms_a, counts_a = build_design_matrix(rows, "allocation")
+Xa, terms_a, counts_a = build_design_matrix(table, "allocation")
 allocation_fit = fit_multinomial_logistic(Xa, counts_a, terms=terms_a)
 print(f"\nallocation model: n={allocation_fit.n_obs} engaged rows in {len(Xa)} patterns, "
       f"converged={allocation_fit.converged}")

@@ -52,8 +52,8 @@ from .population import (
 )
 from .stats import (
     DESIGN_COLUMNS,
-    DesignInputs,
     FittedModel,
+    PatternCounts,
     Scenario,
     build_design_matrix,
     design_matrix,

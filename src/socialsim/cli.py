@@ -20,7 +20,6 @@ from .core import (
     ACTIONS,
     LOADS,
     NORMS,
-    ActionKind,
     CellLog,
     ConfigurationError,
     FormatError,
@@ -51,8 +50,8 @@ from .population import (
 )
 from .stats import (
     COEFFICIENT_COLUMNS,
-    DesignInputs,
     FittedModel,
+    PatternCounts,
     Scenario,
     build_design_matrix,
     fit_binary_logistic,
@@ -218,23 +217,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise FormatError(f"{population_path}: population digest differs from the manifest's population_sha256 {recorded}")
 
     # One pass over the cells: each log is reduced to its two table rows and its
-    # design inputs, then dropped before the next one is read.
-    shares_rows, audit_rows, parts = [], [], []
+    # pattern counts, then dropped before the next one is read.
+    shares_rows, audit_rows, tables = [], [], []
     for cell, log in cells:
         shares_rows.append(_shares_row(cell, log))
         audit_rows.append(_audit_row(cell, log, graph))
-        parts.append(DesignInputs.of(log.exposures))
+        tables.append(PatternCounts.of(log.exposures))
         del log  # else the loop variable holds this log while the next is read
-    if not any(part.total.size for part in parts):
+    table = PatternCounts.fold(tables)
+    if not table.total.size:
         print("error: logs contain no exposure records", file=sys.stderr)
         return 1
-    rows = DesignInputs(*map(np.concatenate, zip(*parts)))
-    del parts
 
     # Every stage is checked and fitted before anything is written: a failed analysis leaves no output.
     stages = [stage for stage in ("threshold", "allocation") if args.stage in (stage, "both")]
     for stage in stages:
-        empty = _empty_cells(rows, stage)
+        empty = _empty_cells(table, stage)
         if empty:
             print(f"error: {stage} stage cannot be fitted: no rows in cell(s) {', '.join(empty)}", file=sys.stderr)
             return 1
@@ -242,7 +240,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for stage in stages:
         fit = fit_binary_logistic if stage == "threshold" else fit_multinomial_logistic
         try:
-            X, names, counts = build_design_matrix(rows, stage)
+            X, names, counts = build_design_matrix(table, stage)
             model = fit(X, counts, terms=names)
         except ValueError as e:
             print(f"error: {stage} stage cannot be fitted: {e}", file=sys.stderr)
@@ -266,14 +264,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _empty_cells(rows: DesignInputs, stage: str) -> list[str]:
+def _empty_cells(table: PatternCounts, stage: str) -> list[str]:
     """The load/norm cells where ``stage`` has no row (exposures for threshold, engagements for allocation).
 
     The design's load x norm interactions cannot be fitted without a row in each of the 12 cells.
     """
-    used = rows.action != ACTIONS.index(ActionKind.READ) if stage == "allocation" else slice(None)
+    used = table.classes(stage).any(axis=1)
     present = np.zeros((len(LOADS), len(NORMS)), dtype=bool)
-    present[rows.load[used], rows.norm[used]] = True
+    present[table.load[used], table.norm[used]] = True
     return [f"{LOADS[i].value}/{NORMS[j].value}" for i, j in np.argwhere(~present).tolist()]
 
 

@@ -9,8 +9,9 @@ the popularity composite, dummy-coded load and norm conditions, and all
 two- and three-way products.
 
 A design row depends only on a row's (likes + reshares, load, norm), its
-pattern, so each stage is fitted on its distinct patterns: one design row
-per pattern and a count of the stage's rows per pattern and outcome class,
+pattern, so logs are read as PatternCounts tables of exposures per pattern
+and action. Each stage is fitted on its patterns: one design row per
+pattern and a count of the stage's rows per pattern and outcome class,
 taken as frequency weights. That is the likelihood of the rows themselves
 (the frequency-weight identity for GLMs): the estimates, log-likelihoods,
 standard errors and n_obs, the row count, are those of the per-row fit, up
@@ -30,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,12 +60,13 @@ _NORM_SHORT = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT
 
 ALLOCATION_ACTIONS = (ActionKind.LIKE, ActionKind.REPOST, ActionKind.QUOTE)
 ALLOCATION_EQUATIONS = ("repost_vs_like", "quote_vs_like")
-# Each stage's outcome classes: the columns of its count matrix.
-_CLASSES = {"threshold": ("read", "engage"), "allocation": tuple(a.value for a in ALLOCATION_ACTIONS)}
-
-# Per action code (ACTIONS order): engaged or not, and the allocation outcome (-1 for a read).
-_ENGAGED = np.array([a.is_engagement for a in ACTIONS])
-_ALLOCATION_Y = np.array([ALLOCATION_ACTIONS.index(a) if a.is_engagement else -1 for a in ACTIONS], dtype=np.int64)
+# Each stage's outcome classes, the columns of its count matrix, as a (len(ACTIONS), classes) 0/1 matrix whose
+# row a marks the class ACTIONS[a] counts in: threshold (read, engage), allocation (like, repost, quote), where a
+# read counts in none.
+_CLASS_OF = {
+    "threshold": np.array([[not a.is_engagement, a.is_engagement] for a in ACTIONS], dtype=np.int64),
+    "allocation": np.array([[a is b for b in ALLOCATION_ACTIONS] for a in ACTIONS], dtype=np.int64),
+}
 
 
 class _Term(NamedTuple):
@@ -98,11 +100,6 @@ DESIGN_COLUMNS = [term.name for term in _TERMS]
 N_COLUMNS = len(DESIGN_COLUMNS)  # 24: intercept + 23 predictors
 
 
-# Rows per block of the design build: its (N_COLUMNS, block) float64 buffer is 3 MB, small enough to stay in a
-# last-level cache while the block's columns are filled and copied out.
-_BLOCK_ROWS = 1 << 14
-
-
 def design_matrix(
     composite: np.typing.ArrayLike, load_codes: np.typing.ArrayLike, norm_codes: np.typing.ArrayLike
 ) -> np.ndarray:
@@ -110,82 +107,83 @@ def design_matrix(
 
     A code may also be one integer for every row. Each column multiplies its
     term's factors left to right (composite, load dummy, norm dummy); a term
-    without factors is the intercept column of ones. The columns of each
-    block of ``_BLOCK_ROWS`` rows are filled as contiguous rows of one buffer,
-    then copied into ``X`` transposed.
+    without factors is the intercept column of ones. The columns are filled
+    as the contiguous rows of one (N_COLUMNS, n) buffer, which is returned
+    transposed and C-ordered.
     """
     c = np.atleast_1d(np.asarray(composite, dtype=np.float64))
     load_codes, norm_codes = np.broadcast_to(load_codes, c.shape), np.broadcast_to(norm_codes, c.shape)
-    X = np.empty((c.size, N_COLUMNS), dtype=np.float64)
-    buffer = np.empty((N_COLUMNS, min(c.size, _BLOCK_ROWS)), dtype=np.float64)
-    for lo in range(0, c.size, _BLOCK_ROWS):
-        rows = slice(lo, min(lo + _BLOCK_ROWS, c.size))
-        block = buffer[:, : rows.stop - lo]
-        loads = {lv: (load_codes[rows] == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
-        norms = {nr: (norm_codes[rows] == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
-        for column, term in zip(block, _TERMS):
-            factors = [c[rows]] if term.popularity else []
-            factors += [loads[term.load]] if term.load is not None else []
-            factors += [norms[term.norm]] if term.norm is not None else []
-            column[:] = factors[0] if factors else 1.0
-            for factor in factors[1:]:
-                np.multiply(column, factor, out=column)
-        X[rows] = block.T
-    return X
+    loads = {lv: (load_codes == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
+    norms = {nr: (norm_codes == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
+    columns = np.empty((N_COLUMNS, c.size), dtype=np.float64)
+    for column, term in zip(columns, _TERMS):
+        factors = [c] if term.popularity else []
+        factors += [loads[term.load]] if term.load is not None else []
+        factors += [norms[term.norm]] if term.norm is not None else []
+        column[:] = factors[0] if factors else 1.0
+        for factor in factors[1:]:
+            np.multiply(column, factor, out=column)
+    return np.ascontiguousarray(columns.T)
 
 
-class DesignInputs(NamedTuple):
-    """The exposure columns a design is built from, one entry per exposure row:
-    load, norm and action as int8 codes into LOADS, NORMS and ACTIONS, and
-    likes + reshares as int64 (about 11 bytes a row)."""
+class PatternCounts(NamedTuple):
+    """Exposure counts per pattern, a distinct (likes + reshares, load, norm), sorted in that order: each
+    pattern's likes + reshares (int64), its int8 LOADS and NORMS codes, and its int64 count of exposures
+    per action, a (patterns, len(ACTIONS)) matrix. Both stages' designs and counts are read from it."""
 
+    total: np.ndarray
     load: np.ndarray
     norm: np.ndarray
-    action: np.ndarray
-    total: np.ndarray
+    counts: np.ndarray
 
     @classmethod
-    def of(cls, exposures: ExposureColumns) -> "DesignInputs":
-        return cls(exposures.load, exposures.norm, exposures.action, exposures.likes + exposures.reshares)
+    def of(cls, exposures: ExposureColumns) -> "PatternCounts":
+        """The table of one log's exposure rows: each row is a one-hot count of its action, folded."""
+        one_hot = np.eye(len(ACTIONS), dtype=np.int64)[exposures.action]
+        return cls.fold([cls(exposures.likes + exposures.reshares, exposures.load, exposures.norm, one_hot)])
+
+    @classmethod
+    def fold(cls, tables: Iterable["PatternCounts"]) -> "PatternCounts":
+        """One table of the rows of ``tables``, whose keys may repeat: each pattern once, its counts summed.
+
+        The arrays are sized by the keys present. The pattern code counts from the index of the distinct
+        total, so it cannot overflow as the total could."""
+        total, load, norm, counts = map(np.concatenate, zip(*tables, _NO_PATTERNS))
+        distinct, inverse = np.unique(total, return_inverse=True)
+        keys, pattern = np.unique((inverse * len(LOADS) + load) * len(NORMS) + norm, return_inverse=True)
+        folded = np.zeros((keys.size, len(ACTIONS)), dtype=np.int64)
+        for column, part in zip(folded.T, counts.T):
+            np.add.at(column, pattern, part)
+        index, norm_codes = np.divmod(keys, len(NORMS))
+        index, load_codes = np.divmod(index, len(LOADS))
+        return cls(distinct[index], load_codes.astype(np.int8), norm_codes.astype(np.int8), folded)
+
+    def classes(self, stage: Literal["threshold", "allocation"]) -> np.ndarray:
+        """The int64 (patterns, classes) count of ``stage``'s outcome classes."""
+        return self.counts @ _CLASS_OF[stage]
+
+
+# The table with no pattern, which every fold starts from: folding no tables gives it, with the table's dtypes.
+_NO_PATTERNS = PatternCounts(np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int8), np.empty((0, len(ACTIONS)), np.int64))
 
 
 def build_design_matrix(
-    rows: DesignInputs, stage: Literal["threshold", "allocation"]
+    table: PatternCounts, stage: Literal["threshold", "allocation"]
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Assemble (X, column names, counts) from exposure rows, one design row per pattern.
+    """Assemble (X, column names, counts) from a pattern table, one design row per pattern of the stage.
 
-    A pattern is a distinct (likes + reshares, load, norm) among the stage's
-    rows; the design depends on nothing else. X holds one row per pattern,
-    sorted by likes + reshares, then load, then norm, and ``counts`` is the
-    (patterns, classes) float64 count of the stage's rows of each pattern per
-    outcome class:
-    Threshold stage: every row, classes (read, engage).
-    Allocation stage: engaged rows only, classes (like, repost, quote).
-    Fitted with the counts as frequency weights, the patterns give the
-    likelihood of the rows.
+    The stage's patterns are those of ``table`` with at least one of its rows (every exposure for the
+    threshold stage, engaged ones for the allocation stage), in the table's order, and ``counts`` is
+    their (patterns, classes) float64 count per outcome class. Fitted with the counts as frequency
+    weights, the patterns give the likelihood of the rows.
     """
-    load, norm, action, total = rows
-    if stage == "allocation":
-        engaged = _ENGAGED[action]
-        load, norm, total, y = load[engaged], norm[engaged], total[engaged], _ALLOCATION_Y[action[engaged]]
-    else:
-        y = _ENGAGED[action].astype(np.int64)
-    if not y.size:
+    counts = table.classes(stage)
+    present = counts.any(axis=1)
+    if not present.any():
         raise ValueError(f"no usable records for stage {stage!r}")
-    n_classes = len(_CLASSES[stage])
-
-    # The pattern code counts from the index of the distinct total, so it cannot overflow as the total could.
-    distinct, inverse = np.unique(total, return_inverse=True)
-    key = (inverse * len(LOADS) + load) * len(NORMS) + norm
-    counts = np.bincount(key * n_classes + y, minlength=distinct.size * len(LOADS) * len(NORMS) * n_classes)
-    counts = counts.reshape(-1, n_classes)
-    present = np.flatnonzero(counts.any(axis=1))
-    cell, norm_codes = np.divmod(present, len(NORMS))
-    total_index, load_codes = np.divmod(cell, len(LOADS))
-    # popularity_composite per distinct likes + reshares; math.log1p, not
-    # np.log1p, whose results can differ in the last bit
-    c = np.asarray([math.log1p(v) for v in distinct.tolist()], dtype=np.float64)[total_index]
-    return design_matrix(c, load_codes, norm_codes), list(DESIGN_COLUMNS), counts[present].astype(np.float64)
+    # popularity_composite per pattern; math.log1p, not np.log1p, whose results can differ in the last bit
+    c = np.asarray([math.log1p(v) for v in table.total[present].tolist()], dtype=np.float64)
+    return design_matrix(c, table.load[present], table.norm[present]), list(DESIGN_COLUMNS), counts[present].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +601,6 @@ def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray,
     for it in range(1, _MAX_ITER + 1):
         g = score(p)
         info = information(p)
-        # Each p is dropped before loglik computes the next point's: a second one alive would raise the fit's peak memory.
-        del p
         try:
             step = np.linalg.solve(info, g)
             if not np.all(np.isfinite(step)):
@@ -618,7 +614,6 @@ def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray,
         while (not math.isfinite(new_ll) or new_ll < ll) and halvings < 30:
             step *= 0.5
             new_theta = theta + step
-            del p
             new_ll, p = loglik(new_theta)
             halvings += 1
         theta = new_theta
@@ -634,14 +629,13 @@ def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray,
 
 def _fit(
     stage: Literal["threshold", "allocation"], X: np.ndarray, counts: np.ndarray, terms: Sequence[str] | None, model,
-    n_obs: int | None = None,
+    n_obs: int,
 ) -> FittedModel:
     """Fit one stage and its intercept-only null model by _newton.
 
     `model(X, counts)` returns the stage's loglik, score and information on
     design X (see _binary and _multinomial). The null model is the same on a
-    column of ones. ``n_obs`` is the number of observations the counts hold,
-    by default one per row of X.
+    column of ones. ``n_obs`` is the number of observations the counts hold.
     Quasi-separation (any |B| > SEPARATION_BOUND) is reported through
     `converged=False` plus a diagnostic; estimates are still returned.
     """
@@ -650,10 +644,7 @@ def _fit(
     n, k = X.shape
 
     def newton(X: np.ndarray):
-        """_newton's result on design X, then the information at its estimate.
-
-        The model's work arrays go when this returns, before the next fit.
-        """
+        """_newton's result on design X, then the information at its estimate."""
         loglik, score, information = model(X, counts)
         theta, ll, p, it, converged, diags = _newton(loglik, score, information, np.zeros(n_eq * X.shape[1]))
         return theta, ll, it, converged, diags, information(p)
@@ -676,7 +667,7 @@ def _fit(
         ll_full=ll_full,
         ll_null=ll_null,
         k_null=n_eq,
-        n_obs=n if n_obs is None else n_obs,
+        n_obs=n_obs,
         n_iter=it,
         converged=converged,
         diagnostics=diags,
@@ -703,7 +694,7 @@ def _checked(X: np.ndarray, y: np.ndarray, stage: Literal["threshold", "allocati
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"need at least as many rows as columns, got {X.shape}")
-    shape = (X.shape[0], len(_CLASSES[stage]))
+    shape = (X.shape[0], _CLASS_OF[stage].shape[1])
     counts = np.eye(shape[1])[y] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
     if counts.shape != shape or not np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))):
         raise ValueError(f"outcome counts must be whole numbers >= 0 of shape {shape}, got shape {counts.shape}")

@@ -3,8 +3,8 @@
 Each of the 24 columns is written into the row-major design on its own,
 as the product of its term's factors over all n rows at once, left to
 right (composite, load dummy, norm dummy). ``reference_patterns`` maps each
-row to its pattern, the design row stats.build_design_matrix gives it, and
-``expand`` turns a pattern design and its counts back into rows.
+exposure row to its pattern, the design row stats.build_design_matrix gives
+it, and ``expand`` turns a pattern design and its counts back into rows.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from socialsim.core import ACTIONS, LOADS, NORMS
-from socialsim.stats import _LOAD_DUMMIES, _NORM_DUMMIES, _TERMS, ALLOCATION_ACTIONS, N_COLUMNS, DesignInputs
+from socialsim.core import ACTIONS, LOADS, NORMS, ExposureColumns
+from socialsim.stats import _LOAD_DUMMIES, _NORM_DUMMIES, _TERMS, ALLOCATION_ACTIONS, N_COLUMNS
 
 
 def reference_design_matrix(
@@ -34,11 +34,20 @@ def reference_design_matrix(
     return X
 
 
-def reference_patterns(rows: DesignInputs, stage: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kept, inverse, y) for the rows of ``stage``: kept marks them (every row for threshold, engaged rows
-    for allocation); per kept row, inverse numbers its (likes + reshares, load, norm) pattern among the
-    distinct ones sorted in that order, by np.unique over the stacked key columns, and y is its outcome
-    code (1 for engaged for threshold, an ALLOCATION_ACTIONS index for allocation).
+def exposure_rows(load: np.ndarray, norm: np.ndarray, action: np.ndarray, total: np.ndarray) -> ExposureColumns:
+    """Exposure rows with the given codes and likes + reshares (all of it likes); every other column 0."""
+    zeros = np.zeros(len(total), dtype=np.int64)
+    return ExposureColumns(
+        run=zeros, t=zeros, agent=zeros, post=zeros, likes=np.asarray(total, dtype=np.int64), reshares=zeros,
+        load=np.asarray(load, dtype=np.int8), norm=np.asarray(norm, dtype=np.int8), action=np.asarray(action, dtype=np.int8),
+    )
+
+
+def reference_patterns(rows: ExposureColumns, stage: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kept, inverse, y) for the exposure rows of ``stage``: kept marks them (every row for threshold,
+    engaged rows for allocation); per kept row, inverse numbers its (likes + reshares, load, norm) pattern
+    among the distinct ones sorted in that order, by np.unique over the stacked key columns, and y is its
+    outcome code (1 for engaged for threshold, an ALLOCATION_ACTIONS index for allocation).
     """
     engaged = np.array([a.is_engagement for a in ACTIONS])[rows.action]
     if stage == "allocation":
@@ -47,7 +56,8 @@ def reference_patterns(rows: DesignInputs, stage: str) -> tuple[np.ndarray, np.n
     else:
         kept = np.ones(rows.action.size, dtype=bool)
         y = engaged.astype(np.int64)
-    keys = np.column_stack([rows.total[kept], rows.load[kept].astype(np.int64), rows.norm[kept].astype(np.int64)])
+    total = rows.likes + rows.reshares
+    keys = np.column_stack([total[kept], rows.load[kept].astype(np.int64), rows.norm[kept].astype(np.int64)])
     inverse = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
     return kept, inverse, y
 

@@ -40,7 +40,7 @@ from socialsim.population import AgentProfile, FollowGraph, generate_population,
 from socialsim.stats import (
     DESIGN_COLUMNS,
     REFERENCE_THRESHOLD_FIT,
-    DesignInputs,
+    PatternCounts,
     build_design_matrix,
     fit_binary_logistic,
     fit_multinomial_logistic,
@@ -51,7 +51,7 @@ from socialsim.stats import _binary, _multinomial
 
 from conftest import make_feed
 from reference_fit import one_hot
-from reference_log import ExposureRecord, concat_logs, log_from_records, records_of, recount_counters, world_counters
+from reference_log import ExposureRecord, log_from_records, records_of, recount_counters, world_counters
 
 POPULATION_SEED = 2026
 RECOVERY_BASE_SEED = 202
@@ -106,7 +106,7 @@ def recovery_experiment():
     elapsed = time.perf_counter() - t0
     return {
         "per_cell": per_cell,
-        "rows": DesignInputs.of(concat_logs(per_cell.values()).exposures),
+        "table": PatternCounts.fold(PatternCounts.of(log.exposures) for log in per_cell.values()),
         "follows": follows,
         "threshold_true": threshold_true,
         "allocation_true": allocation_true,
@@ -152,7 +152,7 @@ def test_c03_threshold_design_has_23_predictors():
         for load in LoadLevel
         for norm in NormRegime
     ]
-    X, names, _ = build_design_matrix(DesignInputs.of(log_from_records(records).exposures), "threshold")
+    X, names, _ = build_design_matrix(PatternCounts.of(log_from_records(records).exposures), "threshold")
     assert X.shape[1] == 24
     assert names[0] == "intercept"
     assert len(names) - 1 == 23
@@ -161,12 +161,12 @@ def test_c03_threshold_design_has_23_predictors():
 
 def test_c04_coefficient_recovery(recovery_experiment):
     ex = recovery_experiment
-    assert ex["rows"].total.size >= 200_000
+    assert ex["table"].counts.sum() >= 200_000
 
     t0 = time.perf_counter()
-    X, names, counts = build_design_matrix(ex["rows"], "threshold")
+    X, names, counts = build_design_matrix(ex["table"], "threshold")
     mt = fit_binary_logistic(X, counts, terms=names)
-    Xa, names_a, counts_a = build_design_matrix(ex["rows"], "allocation")
+    Xa, names_a, counts_a = build_design_matrix(ex["table"], "allocation")
     ma = fit_multinomial_logistic(Xa, counts_a, terms=names_a)
     fit_seconds = time.perf_counter() - t0
 
@@ -181,7 +181,7 @@ def test_c04_coefficient_recovery(recovery_experiment):
     total = ex["sim_seconds"] + fit_seconds
     assert total < 180.0, f"recovery took {total:.0f}s"
     _ok(4, "both stages recover known coefficients",
-        f"{ex['rows'].total.size} rows, {ma.n_obs} engaged, {total:.0f}s total")
+        f"{ex['table'].counts.sum()} rows, {ma.n_obs} engaged, {total:.0f}s total")
 
 
 def test_c05_closed_form_intercepts():

@@ -18,7 +18,7 @@ from socialsim.harness import load_experiment
 from socialsim.population import generate_population, load_population, save_population
 from socialsim.stats import (
     N_COLUMNS,
-    DesignInputs,
+    PatternCounts,
     build_design_matrix,
     fit_binary_logistic,
     fit_multinomial_logistic,
@@ -452,10 +452,12 @@ class TestAnalyze:
         out = tmp_path / "analysis"
         capsys.readouterr()
         assert main(["analyze", "--logs", str(run_dir), "--out", str(out)]) == 0
-        rows = DesignInputs(*map(np.concatenate, zip(*(DesignInputs.of(log.exposures) for _, log in load_experiment(run_dir)[1]))))
-        assert not rows.total.any()
+        logs = [log for _, log in load_experiment(run_dir)[1]]
+        rows = concat_logs(logs).exposures
+        table = PatternCounts.fold(PatternCounts.of(log.exposures) for log in logs)
+        assert not table.total.any()
         for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
-            X, names, _ = build_design_matrix(rows, stage)
+            X, names, _ = build_design_matrix(table, stage)
             _, inverse, y = reference_patterns(rows, stage)
             per_row = fit(X[inverse], y, terms=names)
             model = load_model(out / f"{stage}_model.json")
@@ -492,9 +494,9 @@ class TestAnalyze:
             norm=np.array([norm for _, norm in cells], dtype=np.int8),
             action=np.array([1] * (n - 2) + [0] * 2, dtype=np.int8),
         )
-        rows = DesignInputs.of(exposures)
-        assert cli._empty_cells(rows, "threshold") == []
-        assert cli._empty_cells(rows, "allocation") == ["high/like_dominant", "high/repost_dominant"]
+        table = PatternCounts.of(exposures)
+        assert cli._empty_cells(table, "threshold") == []
+        assert cli._empty_cells(table, "allocation") == ["high/like_dominant", "high/repost_dominant"]
 
     def test_a_failed_fit_writes_nothing(self, run_dir, tmp_path, capsys, monkeypatch):
         # Regression: the shares, the audit and the threshold outputs were written before the allocation fit failed.
@@ -553,7 +555,7 @@ class TestAnalyze:
         write_table(out / "load_audit.csv", cli._AUDIT_COLUMNS, [cli._audit_row(c, per_cell[c], graph) for c in sorted(per_cell)])
         models = []
         for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
-            X, names, counts = build_design_matrix(DesignInputs.of(log.exposures), stage)
+            X, names, counts = build_design_matrix(PatternCounts.of(log.exposures), stage)
             models.append(fit(X, counts, terms=names))
             write_coefficient_csv(models[-1], out / f"{stage}_coefficients.csv")
             save_model(models[-1], out / f"{stage}_model.json")
@@ -573,9 +575,9 @@ class TestAnalyze:
             logs.append(weakref.ref(log))
             return log
 
-        def design(rows, stage):
+        def design(table, stage):
             alive_at.append(sum(ref() is not None for ref in logs))
-            return build_design_matrix(rows, stage)
+            return build_design_matrix(table, stage)
 
         monkeypatch.setattr(harness, "read_log", counted)
         monkeypatch.setattr(cli, "build_design_matrix", design)

@@ -46,7 +46,7 @@ from socialsim.engine import run
 from socialsim.harness import _log_chunks, descriptive_shares, read_log, realized_load_audit, write_log
 from socialsim.policy import build_policy, mock_policy_spec
 from socialsim.population import FollowGraph
-from socialsim.stats import DesignInputs, build_design_matrix
+from socialsim.stats import PatternCounts, build_design_matrix
 
 # Heavy-tailed counters: mostly small, sometimes huge.
 COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.sampled_from([10**k for k in range(10)] + [2**62 - 1]))
@@ -164,11 +164,11 @@ def _assert_same_design(log: CellLog, exposures: list[ExposureRecord]) -> None:
             X_ref, names_ref, y_ref = reference_build_design_matrix(exposures, stage)
         except ValueError:
             with pytest.raises(ValueError):
-                build_design_matrix(DesignInputs.of(log.exposures), stage)
+                build_design_matrix(PatternCounts.of(log.exposures), stage)
             continue
         # Each row's pattern row is its reference design row, and the counts tally the reference outcomes.
-        X, names, counts = build_design_matrix(DesignInputs.of(log.exposures), stage)
-        _, inverse, _ = reference_patterns(DesignInputs.of(log.exposures), stage)
+        X, names, counts = build_design_matrix(PatternCounts.of(log.exposures), stage)
+        _, inverse, _ = reference_patterns(log.exposures, stage)
         assert X[inverse].shape == X_ref.shape and X[inverse].tobytes() == X_ref.tobytes()
         assert names == names_ref
         hand = np.zeros_like(counts)
@@ -316,11 +316,11 @@ def test_concatenated_design_matches_reference(cells):
     assert len(joined) == sum(len(records) for records, _ in cells)
     assert records_of(joined) == [r for records, _ in cells for r in records]
     _assert_same_design(joined, exposures)
-    # analyze joins each cell's design inputs, not the logs: the same columns, dtypes included.
-    if logs:
-        folded = DesignInputs(*map(np.concatenate, zip(*(DesignInputs.of(log.exposures) for log in logs))))
-        for a, b in zip(folded, DesignInputs.of(joined.exposures)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # analyze folds each cell's log into its table and merges the tables, not the logs: the same table as
+    # the fold of the joined log, dtypes included.
+    folded = PatternCounts.fold(PatternCounts.of(log.exposures) for log in logs)
+    for a, b in zip(folded, PatternCounts.of(joined.exposures)):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def _engine_log(profiles, graph, corpus) -> CellLog:
@@ -365,7 +365,7 @@ def test_empty_log(tmp_path):
     assert realized_load_audit(log, FollowGraph({})).flagged
     assert descriptive_shares(log).n_records == 0
     with pytest.raises(ValueError):
-        build_design_matrix(DesignInputs.of(log.exposures), "threshold")
+        build_design_matrix(PatternCounts.of(log.exposures), "threshold")
 
 
 def _line(**obj) -> str:

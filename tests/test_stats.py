@@ -1,7 +1,7 @@
 import json
 import math
 import re
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +12,14 @@ import scipy.special
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from socialsim.core import ACTIONS, LOADS, NORMS, ActionKind, FormatError, LoadLevel, NormRegime
-from socialsim.stats import _BLOCK_ROWS, _binary, _expit, _fit, _logsumexp, _multinomial, _ndtr
+from socialsim.core import ACTIONS, EXPOSURE_KEYS, LOADS, NORMS, ActionKind, ExposureColumns, FormatError, LoadLevel, NormRegime
+from socialsim.stats import _binary, _expit, _fit, _logsumexp, _multinomial, _ndtr
 from socialsim.stats import (
     ALLOCATION_EQUATIONS,
     DESIGN_COLUMNS,
     N_COLUMNS,
-    DesignInputs,
     FittedModel,
+    PatternCounts,
     Scenario,
     build_design_matrix,
     design_matrix,
@@ -38,7 +38,7 @@ from socialsim.stats import (
 )
 
 from reference_log import ExposureRecord, log_from_records
-from reference_design import expand, reference_design_matrix, reference_patterns
+from reference_design import expand, exposure_rows, reference_design_matrix, reference_patterns
 from reference_fit import one_hot, reference_binary, reference_multinomial
 from reference_prediction import reference_predicted_probabilities
 
@@ -47,9 +47,9 @@ def _record(action=ActionKind.READ, likes=0, reshares=0, load=LoadLevel.LOWEST, 
     return ExposureRecord(run=1, load=load, norm=norm, t=t, agent=agent, post=post, likes=likes, reshares=reshares, action=action)
 
 
-def _rows(records):
-    """The design inputs of a list of ExposureRecords."""
-    return DesignInputs.of(log_from_records(records).exposures)
+def _table(records):
+    """The pattern table of a list of ExposureRecords."""
+    return PatternCounts.of(log_from_records(records).exposures)
 
 
 def _design(composites, load, norm):
@@ -58,36 +58,39 @@ def _design(composites, load, norm):
 
 
 @st.composite
-def design_inputs(draw, max_rows: int = 300) -> DesignInputs:
-    """Random design inputs: load, norm and action codes, and likes + reshares drawn below 1, 5 or 500
+def random_exposures(draw, max_rows: int = 300) -> ExposureColumns:
+    """Random exposure rows: load, norm and action codes, and likes + reshares drawn below 1, 5 or 500
     (few patterns, each of many rows) or below 2**63 - 1 (about one pattern per row)."""
     n = draw(st.integers(0, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     high = draw(st.sampled_from([1, 5, 500, 2**63 - 1]))
-    return DesignInputs(
-        rng.integers(0, len(LOADS), n).astype(np.int8),
-        rng.integers(0, len(NORMS), n).astype(np.int8),
-        rng.integers(0, len(ACTIONS), n).astype(np.int8),
+    return exposure_rows(
+        rng.integers(0, len(LOADS), n), rng.integers(0, len(NORMS), n), rng.integers(0, len(ACTIONS), n),
         rng.integers(0, high, n, dtype=np.int64),
     )
 
 
+def _part(rows: ExposureColumns, lo: int, hi: int) -> ExposureColumns:
+    """Exposure rows lo to hi."""
+    return ExposureColumns(**{k: getattr(rows, k)[lo:hi] for k in EXPOSURE_KEYS})
+
+
 class TestDesignMatrix:
     def test_24_columns_23_predictors(self):
-        X, names, y = build_design_matrix(_rows([_record(), _record(action=ActionKind.LIKE)]), "threshold")
+        X, names, y = build_design_matrix(_table([_record(), _record(action=ActionKind.LIKE)]), "threshold")
         assert X.shape[1] == N_COLUMNS == 24
         assert names[0] == "intercept"
         assert len(names) - 1 == 23
 
     def test_reference_cell_row_is_intercept_only(self):
-        X, _, _ = build_design_matrix(_rows([_record(likes=0, reshares=0)]), "threshold")
+        X, _, _ = build_design_matrix(_table([_record(likes=0, reshares=0)]), "threshold")
         expected = np.zeros(24)
         expected[0] = 1.0
         assert np.array_equal(X[0], expected)
 
     def test_three_way_product_column(self):
         r = _record(likes=3, reshares=2, load=LoadLevel.HIGH, norm=NormRegime.REPOST_DOMINANT)
-        X, names, _ = build_design_matrix(_rows([r]), "threshold")
+        X, names, _ = build_design_matrix(_table([r]), "threshold")
         c = math.log1p(5)
         j = names.index("popularity:high_load:repost_norm")
         assert X[0, j] == pytest.approx(c)
@@ -106,7 +109,7 @@ class TestDesignMatrix:
         # Reordering or mislabelling a design term fails here, in every load x norm cell:
         # the order is the reported table's, and each column holds what its name spells.
         records = [_record(likes=likes, reshares=1, load=load, norm=norm) for likes in (0, 7)]
-        X, names, _ = build_design_matrix(_rows(records), "threshold")
+        X, names, _ = build_design_matrix(_table(records), "threshold")
         assert names == DESIGN_COLUMNS == [term for term, *_ in REFERENCE_THRESHOLD_TABLE]
         norm_name = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT: "repost_norm"}.get(norm)
         for i, r in enumerate(records):
@@ -118,7 +121,7 @@ class TestDesignMatrix:
 
     def test_threshold_outcome_coding(self):
         records = [_record(), _record(action=ActionKind.LIKE), _record(action=ActionKind.QUOTE)]
-        _, y = expand(*build_design_matrix(_rows(records), "threshold")[::2])
+        _, y = expand(*build_design_matrix(_table(records), "threshold")[::2])
         assert y.tolist() == [0, 1, 1]
 
     def test_allocation_filters_reads(self):
@@ -127,7 +130,7 @@ class TestDesignMatrix:
             _record(action=ActionKind.REPOST),
             _record(action=ActionKind.QUOTE),
         ]
-        X, y = expand(*build_design_matrix(_rows(records), "allocation")[::2])
+        X, y = expand(*build_design_matrix(_table(records), "allocation")[::2])
         assert X.shape[0] == 3
         assert y.tolist() == [0, 1, 2]
 
@@ -142,15 +145,15 @@ class TestDesignMatrix:
             )
             for _ in range(100)
         ]
-        X1, n1, _ = build_design_matrix(_rows(records), "threshold")
+        X1, n1, _ = build_design_matrix(_table(records), "threshold")
         shuffled = list(records)
         rng.shuffle(shuffled)
-        X2, n2, _ = build_design_matrix(_rows(shuffled), "threshold")
+        X2, n2, _ = build_design_matrix(_table(shuffled), "threshold")
         assert n1 == n2 and X1.shape == X2.shape
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385, 3 * 16384 + 5])
     def test_blocked_build_is_bit_equal_to_the_column_loop(self, n):
-        # Block edges fall at every multiple of _BLOCK_ROWS; each case checks array codes and every scalar code pair.
+        # Each case checks array codes and every scalar code pair.
         rng = np.random.default_rng(n)
         composite = np.log1p(rng.integers(0, 10**6, n).astype(np.float64)) * rng.choice([1.0, 1e-300, 1e300], n)
         cases = [(rng.integers(0, len(LOADS), n), rng.integers(0, len(NORMS), n))]
@@ -166,17 +169,20 @@ class TestDesignMatrix:
         assert len(mains) == 7  # dropping interactions: 24 -> 7
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=design_inputs(), stage=st.sampled_from(["threshold", "allocation"]))
-    def test_pattern_rows_expand_to_the_reference_design_and_counts(self, rows, stage):
-        # X[inverse] is the per-row design bit for bit, and counts is a hand count per pattern and class.
-        # Totals up to 2**63 - 2 check that the pattern code does not overflow.
+    @given(rows=random_exposures(), stage=st.sampled_from(["threshold", "allocation"]), data=st.data())
+    def test_pattern_rows_expand_to_the_reference_design_and_counts(self, rows, stage, data):
+        # The rows are cut into parts at random, each part folded into its table apart, and the tables
+        # merged. X[inverse] is the per-row design bit for bit, and counts is a hand count per pattern and
+        # class. Totals up to 2**63 - 2 check that the pattern code does not overflow.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+        table = PatternCounts.fold(PatternCounts.of(_part(rows, lo, hi)) for lo, hi in zip([0, *cuts], [*cuts, len(rows)]))
         kept, inverse, y = reference_patterns(rows, stage)
         if not y.size:
             with pytest.raises(ValueError, match="no usable records"):
-                build_design_matrix(rows, stage)
+                build_design_matrix(table, stage)
             return
-        X, names, counts = build_design_matrix(rows, stage)
-        composite = [math.log1p(v) for v in rows.total[kept].tolist()]
+        X, names, counts = build_design_matrix(table, stage)
+        composite = [math.log1p(v) for v in rows.likes[kept].tolist()]
         want = reference_design_matrix(composite, rows.load[kept], rows.norm[kept])
         assert names == DESIGN_COLUMNS and X.flags.c_contiguous
         assert X.shape == (inverse.max() + 1, N_COLUMNS)
@@ -185,12 +191,57 @@ class TestDesignMatrix:
         np.add.at(hand, (inverse, y), 1.0)
         assert counts.dtype == np.float64 and counts.shape == hand.shape and np.array_equal(counts, hand)
 
+    def test_fold_and_build_memory_is_bounded_by_the_rows(self):
+        # Regression: the build counted each stage's rows into an array of distinct totals x 12 cells x
+        # classes before it kept the patterns present, 36 int64 a row when every row has its own likes +
+        # reshares. Measured peaks with every row engaged and its own total: 501 bytes a row here, most of
+        # it the (100k, 24) design twice (its column buffer and the C-ordered copy), against 627 bytes a
+        # row for that build.
+        n = 100_000
+        rng = np.random.default_rng(5)
+        rows = exposure_rows(rng.integers(0, len(LOADS), n), rng.integers(0, len(NORMS), n), rng.integers(1, len(ACTIONS), n),
+                             rng.permutation(n) * 7)
+        tracemalloc.start()
+        try:
+            table = PatternCounts.of(rows)
+            designs = [len(build_design_matrix(table, stage)[0]) for stage in ("threshold", "allocation")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert designs == [n, n]
+        assert peak <= 560 * n, peak / n
+
     def test_rows_of_one_pattern_give_one_design_row(self):
         records = [_record(likes=2, reshares=1, action=action) for action in ActionKind for _ in range(3)]
-        X, _, counts = build_design_matrix(_rows(records), "threshold")
+        X, _, counts = build_design_matrix(_table(records), "threshold")
         assert X.shape == (1, N_COLUMNS) and counts.tolist() == [[3.0, 9.0]]
-        X, _, counts = build_design_matrix(_rows(records), "allocation")
+        X, _, counts = build_design_matrix(_table(records), "allocation")
         assert X.shape == (1, N_COLUMNS) and counts.tolist() == [[3.0, 3.0, 3.0]]
+
+
+class TestPatternCounts:
+    def test_fold_of_no_tables_is_the_empty_table(self):
+        # A run with no exposure rows still folds to a table of the table's dtypes, with no pattern.
+        for table in (PatternCounts.fold([]), PatternCounts.of(exposure_rows([], [], [], []))):
+            assert [a.dtype for a in table] == [np.int64, np.int8, np.int8, np.int64]
+            assert [a.shape for a in table] == [(0,), (0,), (0,), (0, len(ACTIONS))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=random_exposures(), data=st.data())
+    def test_fold_is_free_of_table_order_and_sums_repeated_keys(self, rows, data):
+        # Each key once, sorted by (total, load, norm); the same table whatever the order of the parts, and
+        # a table folded with itself keeps its keys and doubles its counts.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+        parts = [PatternCounts.of(_part(rows, lo, hi)) for lo, hi in zip([0, *cuts], [*cuts, len(rows)])]
+        table = PatternCounts.fold(parts)
+        keys = list(zip(table.total.tolist(), table.load.tolist(), table.norm.tolist()))
+        assert keys == sorted(set(keys))
+        assert int(table.counts.sum()) == len(rows) and (table.counts.sum(axis=1) > 0).all()
+        for got in (PatternCounts.fold(data.draw(st.permutations(parts))), PatternCounts.fold([table])):
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, table))
+        doubled = PatternCounts.fold([table, table])
+        assert all(np.array_equal(a, b) for a, b in zip(doubled[:3], table[:3]))
+        assert np.array_equal(doubled.counts, 2 * table.counts)
 
 
 def _simulate_binary(n, beta, seed=0):
@@ -520,7 +571,7 @@ class TestFitsEqualReferenceModels:
 
                 return counting, score, information
 
-            want = _fit(stage, X, y, None, counted)
+            want = _fit(stage, X, y, None, counted, len(X))
             for name in ("coef", "se", "cov"):
                 assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), (kind, name)
             assert (got.ll_full, got.ll_null, got.n_iter, got.converged, got.diagnostics) == (
@@ -530,42 +581,16 @@ class TestFitsEqualReferenceModels:
             halved += calls[0] > want.n_iter + 1  # a call beyond the first point's and one per iteration halved a step
         assert ridged and halved, (ridged, halved)  # the ridge retry and step halving each ran
 
-    @pytest.mark.parametrize("stage, seed", [("threshold", 0), ("allocation", 72)])
-    def test_newton_holds_one_point_probabilities_at_a_time(self, stage, seed):
-        # Each loglik call must find every earlier point's p released: a second vector of p alive
-        # raises the fit's peak memory.
-        rng = np.random.default_rng(seed)  # a design on which the full fit halves steps
-        X = np.column_stack([np.ones(20), np.round(rng.normal(size=20) * 4) / 4])
-        y = rng.integers(0, 2 if stage == "threshold" else 3, size=20)
-        points = []  # per model _fit builds, a weak reference to each p its loglik returned
-
-        def tracked(X, y):
-            loglik, score, information = (_binary if stage == "threshold" else _multinomial)(X, y)
-            points.append([])
-
-            def one_point(theta):
-                assert all(point() is None for model_points in points for point in model_points)
-                ll, p = loglik(theta)
-                points[-1].append(weakref.ref(p))
-                return ll, p
-
-            return one_point, score, information
-
-        model = _fit(stage, X, one_hot(y, 2 if stage == "threshold" else 3), None, tracked)
-        assert len(points) == 2 and len(points[0]) > model.n_iter + 1
-
 
 class TestPatternFitEqualsPerRowFit:
     """A fit on build_design_matrix's patterns and counts is the fit on its rows, one design row each."""
 
     @staticmethod
-    def _log(seed: int, n: int, high: int) -> DesignInputs:
+    def _log(seed: int, n: int, high: int) -> ExposureColumns:
         """n rows spread over all 12 cells with every outcome class in each; likes + reshares below ``high``."""
         rng = np.random.default_rng(seed)
-        return DesignInputs(
-            rng.integers(0, len(LOADS), n).astype(np.int8),
-            rng.integers(0, len(NORMS), n).astype(np.int8),
-            rng.choice(len(ACTIONS), n, p=[0.6, 0.2, 0.1, 0.1]).astype(np.int8),
+        return exposure_rows(
+            rng.integers(0, len(LOADS), n), rng.integers(0, len(NORMS), n), rng.choice(len(ACTIONS), n, p=[0.6, 0.2, 0.1, 0.1]),
             rng.integers(0, high, n, dtype=np.int64),
         )
 
@@ -579,7 +604,7 @@ class TestPatternFitEqualsPerRowFit:
     def test_fits_agree(self, seed, n, high):
         rows = self._log(seed, n, high)
         for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
-            X, names, counts = build_design_matrix(rows, stage)
+            X, names, counts = build_design_matrix(PatternCounts.of(rows), stage)
             kept, inverse, y = reference_patterns(rows, stage)
             per_row = fit(X[inverse], y, terms=names)
             grouped = fit(X, counts, terms=names)
