@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -282,17 +282,13 @@ _METRICS_COLUMNS = ("stage", "n", "k", "ll_full", "ll_null", "chi2", "df", "mcfa
 
 
 def _metrics_row(model: FittedModel) -> dict:
-    m = model.metrics
     return {
         "stage": model.stage,
         "n": model.n_obs,
         "k": model.k,
         "ll_full": model.ll_full,
         "ll_null": model.ll_null,
-        "chi2": m.chi2,
-        "df": m.df,
-        "mcfadden": m.mcfadden,
-        "aic": m.aic,
+        **asdict(model.metrics),
         "converged": model.converged,
     }
 

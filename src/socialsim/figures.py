@@ -49,6 +49,16 @@ def _svg_head(width: int, height: int, left: int, title: str) -> list[str]:
     ]
 
 
+def _y_grid(left: int, x_end: int, top: int, plot_h: int) -> list[str]:
+    """A gridline from x = left to x_end, labelled at its left, at each share 0, 0.25, ..., 1 of a plot plot_h high."""
+    parts = []
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        y = top + plot_h * (1 - frac)
+        parts.append(f'<line x1="{left}" y1="{_fmt(y)}" x2="{x_end}" y2="{_fmt(y)}" stroke="#eeeeee"/>')
+        parts.append(f'<text x="{left - 8}" y="{_fmt(y + 4)}" text-anchor="end">{frac:.2f}</text>')
+    return parts
+
+
 def stacked_share_svg(cells: Sequence[tuple[str, Mapping[str, float]]], *, title: str = "Action shares by condition") -> str:
     """Stacked bar chart: one bar per cell, segments read/like/repost/quote."""
     width, height = 900, 420
@@ -58,11 +68,7 @@ def stacked_share_svg(cells: Sequence[tuple[str, Mapping[str, float]]], *, title
     bar_w = plot_w / n * 0.7
     gap = plot_w / n
 
-    parts = _svg_head(width, height, left, title)
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = top + plot_h * (1 - frac)
-        parts.append(f'<line x1="{left}" y1="{_fmt(y)}" x2="{width - right}" y2="{_fmt(y)}" stroke="#eeeeee"/>')
-        parts.append(f'<text x="{left - 8}" y="{_fmt(y + 4)}" text-anchor="end">{frac:.2f}</text>')
+    parts = _svg_head(width, height, left, title) + _y_grid(left, width - right, top, plot_h)
     for i, (label, shares) in enumerate(cells):
         x = left + i * gap + (gap - bar_w) / 2
         y = top + plot_h
@@ -115,11 +121,7 @@ def probability_curves_svg(
     def sy(p: float) -> float:
         return top + (1.0 - min(max(p, 0.0), 1.0)) * plot_h
 
-    parts = _svg_head(width, height, left, title)
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = top + plot_h * (1 - frac)
-        parts.append(f'<line x1="{left}" y1="{_fmt(y)}" x2="{width - right}" y2="{_fmt(y)}" stroke="#eeeeee"/>')
-        parts.append(f'<text x="{left - 8}" y="{_fmt(y + 4)}" text-anchor="end">{frac:.2f}</text>')
+    parts = _svg_head(width, height, left, title) + _y_grid(left, width - right, top, plot_h)
     parts.append(
         f'<text x="{_fmt(left + plot_w / 2)}" y="{height - 12}" text-anchor="middle">popularity composite</text>'
     )

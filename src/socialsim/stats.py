@@ -16,8 +16,8 @@ taken as frequency weights. That is the likelihood of the rows themselves
 (the frequency-weight identity for GLMs): the estimates, log-likelihoods,
 standard errors and n_obs, the row count, are those of the per-row fit, up
 to rounding. The paper plan's 552k threshold rows are a few hundred
-patterns. A per-row fit is the special case of one-hot counts, which the
-fits build from one outcome code per row.
+patterns. The fits take counts alone: a per-row fit is the special case of
+one-hot counts, one design row per observation.
 
 Standard errors come from the inverse observed information at the MLE,
 odds ratios are exp(B), p-values are two-tailed Wald tests, and model fit
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence
 
@@ -60,6 +60,8 @@ _NORM_SHORT = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT
 
 ALLOCATION_ACTIONS = (ActionKind.LIKE, ActionKind.REPOST, ActionKind.QUOTE)
 ALLOCATION_EQUATIONS = ("repost_vs_like", "quote_vs_like")
+# Each stage's equations, one coefficient block each; the stage's null model has one intercept per equation.
+_EQUATIONS = {"threshold": ("engage",), "allocation": ALLOCATION_EQUATIONS}
 # Each stage's outcome classes, the columns of its count matrix, as a (len(ACTIONS), classes) 0/1 matrix whose
 # row a marks the class ACTIONS[a] counts in: threshold (read, engage), allocation (like, repost, quote), where a
 # read counts in none.
@@ -448,13 +450,11 @@ class FittedModel:
 
     stage: Literal["threshold", "allocation"]
     terms: list[str]
-    equations: list[str]                # ["engage"] or ["repost_vs_like", "quote_vs_like"]
     coef: np.ndarray                    # (n_eq, k)
     se: np.ndarray                      # (n_eq, k)
     cov: np.ndarray                     # (n_eq * k, n_eq * k)
     ll_full: float
     ll_null: float
-    k_null: int
     n_obs: int
     n_iter: int
     converged: bool
@@ -462,11 +462,21 @@ class FittedModel:
     composite_max: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.stage not in _EQUATIONS:
+            raise ValueError(f"stage must be one of {list(_EQUATIONS)}, got {self.stage!r}")
         n_eq, k = len(self.equations), len(self.terms)
-        if self.stage not in _EQUATIONS or self.equations != list(_EQUATIONS[self.stage]):
-            raise ValueError(f"stage and equations must be one of {_EQUATIONS}, got {self.stage!r} and {self.equations}")
         if not self.coef.shape == self.se.shape == (n_eq, k) or self.cov.shape != (n_eq * k, n_eq * k):
             raise ValueError(f"coef, se and cov of shapes {self.coef.shape}, {self.se.shape} and {self.cov.shape} do not fit {k} terms")
+
+    @property
+    def equations(self) -> list[str]:
+        """["engage"] or ["repost_vs_like", "quote_vs_like"], as the stage fixes them."""
+        return list(_EQUATIONS[self.stage])
+
+    @property
+    def k_null(self) -> int:
+        """The null model's parameter count: one intercept per equation."""
+        return len(_EQUATIONS[self.stage])
 
     @property
     def k(self) -> int:
@@ -505,7 +515,6 @@ class FittedModel:
         return rows
 
     def to_json_obj(self) -> dict:
-        m = self.metrics
         return {
             "stage": self.stage,
             "terms": self.terms,
@@ -522,27 +531,30 @@ class FittedModel:
             "converged": self.converged,
             "diagnostics": self.diagnostics,
             "composite_max": self.composite_max,
-            "metrics": {"chi2": m.chi2, "df": m.df, "mcfadden": m.mcfadden, "aic": m.aic},
+            "metrics": asdict(self.metrics),
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FittedModel":
-        return cls(
+        """The model to_json_obj wrote; ValueError unless its equations and k_null are those its stage fixes."""
+        model = cls(
             stage=obj["stage"],
             terms=list(obj["terms"]),
-            equations=list(obj["equations"]),
             coef=np.asarray(obj["coef"], dtype=np.float64),
             se=np.asarray(obj["se"], dtype=np.float64),
             cov=np.asarray(obj["cov"], dtype=np.float64),
             ll_full=float(obj["ll_full"]),
             ll_null=float(obj["ll_null"]),
-            k_null=int(obj["k_null"]),
             n_obs=int(obj["n_obs"]),
             n_iter=int(obj["n_iter"]),
             converged=bool(obj["converged"]),
             diagnostics=list(obj["diagnostics"]),
             composite_max=float(obj["composite_max"]),
         )
+        stored = (list(obj["equations"]), int(obj["k_null"]))
+        if stored != (model.equations, model.k_null):
+            raise ValueError(f"stage and equations must be one of {_EQUATIONS}, k_null their count; got {model.stage!r} and {stored}")
+        return model
 
 
 def save_model(model: FittedModel, path: str | Path) -> None:
@@ -578,8 +590,6 @@ def write_coefficient_csv(model: FittedModel, path: str | Path) -> None:
 _MAX_ITER = 100
 _TOL = 1e-8
 _RIDGE = 1e-6
-
-_EQUATIONS = {"threshold": ("engage",), "allocation": ALLOCATION_EQUATIONS}
 
 
 def _newton(loglik, score, information, theta0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, int, bool, list[str]]:
@@ -639,8 +649,7 @@ def _fit(
     Quasi-separation (any |B| > SEPARATION_BOUND) is reported through
     `converged=False` plus a diagnostic; estimates are still returned.
     """
-    equations = list(_EQUATIONS[stage])
-    n_eq = len(equations)
+    n_eq = len(_EQUATIONS[stage])
     n, k = X.shape
 
     def newton(X: np.ndarray):
@@ -660,13 +669,11 @@ def _fit(
     return FittedModel(
         stage=stage,
         terms=_term_names(terms, k),
-        equations=equations,
         coef=theta.reshape(n_eq, k),
         se=se.reshape(n_eq, k),
         cov=cov,
         ll_full=ll_full,
         ll_null=ll_null,
-        k_null=n_eq,
         n_obs=n_obs,
         n_iter=it,
         converged=converged,
@@ -683,19 +690,18 @@ def _composite_max(X: np.ndarray) -> float:
     return float(X[:, 1].max()) if X.shape[1] > 1 else 0.0
 
 
-def _checked(X: np.ndarray, y: np.ndarray, stage: Literal["threshold", "allocation"]) -> tuple[np.ndarray, np.ndarray, int]:
-    """X as float64, y as its (rows, classes) float64 count matrix, and the number of observations.
+def _checked(X: np.ndarray, counts: np.ndarray, stage: Literal["threshold", "allocation"]) -> tuple[np.ndarray, np.ndarray, int]:
+    """X and the (rows, classes) counts as float64, and the number of observations.
 
-    A 1-D y holds one outcome code per row of X and becomes one-hot counts;
-    a 2-D y is the counts. ValueError unless X is 2-D, the counts are whole
-    numbers >= 0, one row per row of X, and they count at least as many
-    observations as X has columns.
+    ValueError unless X is 2-D, the counts are whole numbers >= 0, one row
+    per row of X and one column per outcome class of ``stage``, and they
+    count at least as many observations as X has columns.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"need at least as many rows as columns, got {X.shape}")
     shape = (X.shape[0], _CLASS_OF[stage].shape[1])
-    counts = np.eye(shape[1])[y] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     if counts.shape != shape or not np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))):
         raise ValueError(f"outcome counts must be whole numbers >= 0 of shape {shape}, got shape {counts.shape}")
     n_obs = int(counts.sum())
@@ -704,50 +710,37 @@ def _checked(X: np.ndarray, y: np.ndarray, stage: Literal["threshold", "allocati
     return X, counts, n_obs
 
 
-def fit_binary_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
+def fit_binary_logistic(X: np.ndarray, counts: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
     """Maximum-likelihood binary logistic fit via IRLS (see _fit).
 
-    y is one outcome per row of X, coded 0/1, or an (n, 2) matrix of
-    (read, engage) counts per row, as build_design_matrix gives.
+    counts is the (n, 2) matrix of (read, engage) counts per row of X, as
+    build_design_matrix gives.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        if not np.all((y == 0) | (y == 1)):
-            raise ValueError("binary outcome must be coded 0/1")
-        y = y.astype(np.int64)
-    X, counts, n_obs = _checked(X, y, "threshold")
+    X, counts, n_obs = _checked(X, counts, "threshold")
     return _fit("threshold", X, counts, terms, _binary, n_obs)
 
 
-def fit_multinomial_logistic(X: np.ndarray, y: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
+def fit_multinomial_logistic(X: np.ndarray, counts: np.ndarray, *, terms: Sequence[str] | None = None) -> FittedModel:
     """Maximum-likelihood multinomial logistic fit via joint Newton-Raphson (see _fit).
 
-    y is one outcome code per row of X, or an (n, 3) matrix of
-    (like, repost, quote) counts per row, as build_design_matrix gives.
-    Like (code 0) is the reference outcome; repost and quote each get their
-    own coefficient block. An outcome class absent from the data makes its
-    equation inestimable: the model is returned as NaN with a diagnostic.
+    counts is the (n, 3) matrix of (like, repost, quote) counts per row of
+    X, as build_design_matrix gives. Like (column 0) is the reference
+    outcome; repost and quote each get their own coefficient block. An
+    outcome class absent from the data makes its equation inestimable: the
+    model is returned as NaN with a diagnostic.
     """
-    y = np.asarray(y)
-    n_classes = len(ALLOCATION_ACTIONS)
-    if y.ndim == 1:
-        y = y.astype(np.int64)
-        if np.any((y < 0) | (y >= n_classes)):
-            raise ValueError(f"outcome codes must lie in [0, {n_classes})")
-    X, counts, n_obs = _checked(X, y, "allocation")
+    X, counts, n_obs = _checked(X, counts, "allocation")
     missing = np.flatnonzero(counts.sum(axis=0) == 0).tolist()
     if missing:
         nan = np.full((len(ALLOCATION_EQUATIONS), X.shape[1]), np.nan)
         return FittedModel(
             stage="allocation",
             terms=_term_names(terms, X.shape[1]),
-            equations=list(ALLOCATION_EQUATIONS),
             coef=nan,
             se=nan.copy(),
             cov=np.full((nan.size, nan.size), np.nan),
             ll_full=math.nan,
             ll_null=math.nan,
-            k_null=len(ALLOCATION_EQUATIONS),
             n_obs=n_obs,
             n_iter=0,
             converged=False,

@@ -187,12 +187,12 @@ def test_c04_coefficient_recovery(recovery_experiment):
 def test_c05_closed_form_intercepts():
     X = np.ones((400, 1))
     y = np.array([1.0] * 100 + [0.0] * 300)
-    m = fit_binary_logistic(X, y, terms=["intercept"])
+    m = fit_binary_logistic(X, one_hot(y, 2), terms=["intercept"])
     assert m.coef[0, 0] == pytest.approx(-1.098612, abs=1e-6)
 
     Xm = np.ones((100, 1))
     ym = np.array([0] * 60 + [1] * 30 + [2] * 10)
-    mm = fit_multinomial_logistic(Xm, ym, terms=["intercept"])
+    mm = fit_multinomial_logistic(Xm, one_hot(ym, 3), terms=["intercept"])
     assert mm.coef[0, 0] == pytest.approx(-0.693147, abs=1e-6)
     assert mm.coef[1, 0] == pytest.approx(-1.791759, abs=1e-6)
     _ok(5, "intercept-only fits match closed forms to 1e-6")

@@ -28,6 +28,7 @@ from socialsim.stats import (
 )
 
 from reference_design import reference_patterns
+from reference_fit import one_hot
 from reference_log import concat_logs
 from reference_prediction import reference_predicted_probabilities
 
@@ -457,9 +458,9 @@ class TestAnalyze:
         table = PatternCounts.fold(PatternCounts.of(log.exposures) for log in logs)
         assert not table.total.any()
         for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
-            X, names, _ = build_design_matrix(table, stage)
+            X, names, counts = build_design_matrix(table, stage)
             _, inverse, y = reference_patterns(rows, stage)
-            per_row = fit(X[inverse], y, terms=names)
+            per_row = fit(X[inverse], one_hot(y, counts.shape[1]), terms=names)
             model = load_model(out / f"{stage}_model.json")
             assert len(X) < N_COLUMNS <= model.n_obs
             assert (model.n_obs, model.n_iter, model.converged, model.diagnostics) == (

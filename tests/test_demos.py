@@ -24,3 +24,15 @@ def test_demo_exits_0(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_use_block_fits_a_clean_model(capsys):
+    # README "Library use" opens with one code block that simulates, folds and fits: it must run as
+    # printed, and its threshold fit must converge on an identified design, with no ridge added.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md Library use", "exec"), namespace)
+    model = namespace["model"]
+    assert model.converged and model.diagnostics == []
+    assert capsys.readouterr().out.startswith("True []\n")

@@ -259,7 +259,7 @@ class TestBinaryLogistic:
     def test_intercept_only_closed_form(self):
         X = np.ones((400, 1))
         y = np.array([1.0] * 100 + [0.0] * 300)
-        m = fit_binary_logistic(X, y, terms=["intercept"])
+        m = fit_binary_logistic(X, one_hot(y, 2), terms=["intercept"])
         assert m.coef[0, 0] == pytest.approx(math.log(1 / 3), abs=1e-6)
         assert m.converged
 
@@ -267,7 +267,7 @@ class TestBinaryLogistic:
         rng = np.random.default_rng(12)
         X = np.column_stack([np.ones(2000), rng.normal(size=(2000, 3))])
         y = np.array([0.0, 1.0] * 1000)  # balanced, independent of X
-        m = fit_binary_logistic(X, y)
+        m = fit_binary_logistic(X, one_hot(y, 2))
         for j in range(1, 4):
             assert abs(m.coef[0, j]) <= 3 * m.se[0, j]
 
@@ -275,16 +275,16 @@ class TestBinaryLogistic:
         beta = np.zeros(24)
         beta[[0, 1, 2, 4, 6, 9]] = [-1.5, 0.6, -0.4, -0.8, 0.3, 0.2]
         X, y = _simulate_binary(200_000, beta, seed=5)
-        m = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS))
+        m = fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS))
         for j in range(24):
             assert abs(m.coef[0, j] - beta[j]) <= max(0.1, 3 * m.se[0, j]), DESIGN_COLUMNS[j]
 
     def test_permutation_invariance(self):
         X, y = _simulate_binary(3000, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=8)
-        m1 = fit_binary_logistic(X, y)
+        m1 = fit_binary_logistic(X, one_hot(y, 2))
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(y))
-        m2 = fit_binary_logistic(X[perm], y[perm])
+        m2 = fit_binary_logistic(X[perm], one_hot(y[perm], 2))
         assert np.allclose(m1.coef, m2.coef, atol=1e-9)
 
     def test_agrees_with_generic_gradient_maximizer(self):
@@ -292,7 +292,7 @@ class TestBinaryLogistic:
         X = np.column_stack([np.ones(500), rng.normal(size=(500, 4))])
         beta_true = np.array([-0.5, 0.8, -0.3, 0.0, 0.4])
         y = (rng.random(500) < expit(X @ beta_true)).astype(float)
-        mine = fit_binary_logistic(X, y)
+        mine = fit_binary_logistic(X, one_hot(y, 2))
         loglik, score, _ = _binary(X, one_hot(y, 2))
         res = minimize(
             lambda b: -loglik(b)[0],
@@ -307,21 +307,21 @@ class TestBinaryLogistic:
         x = np.linspace(-2, 2, 60)
         X = np.column_stack([np.ones(60), x])
         y = (x > 0).astype(float)  # perfectly separated
-        m = fit_binary_logistic(X, y)
+        m = fit_binary_logistic(X, one_hot(y, 2))
         assert not m.converged
         assert any("separation" in d for d in m.diagnostics)
         assert np.all(np.isfinite(m.coef))
 
     def test_rejects_non_binary_outcome(self):
         with pytest.raises(ValueError):
-            fit_binary_logistic(np.ones((5, 1)), np.array([0, 1, 2, 0, 1]))
+            fit_binary_logistic(np.ones((5, 1)), one_hot(np.array([0, 1, 2, 0, 1]), 3))
 
 
 class TestMultinomialLogistic:
     def test_intercept_only_closed_form(self):
         X = np.ones((100, 1))
         y = np.array([0] * 60 + [1] * 30 + [2] * 10)
-        m = fit_multinomial_logistic(X, y, terms=["intercept"])
+        m = fit_multinomial_logistic(X, one_hot(y, 3), terms=["intercept"])
         assert m.coef[0, 0] == pytest.approx(math.log(30 / 60), abs=1e-6)
         assert m.coef[1, 0] == pytest.approx(math.log(10 / 60), abs=1e-6)
         assert m.equations == ["repost_vs_like", "quote_vs_like"]
@@ -342,7 +342,7 @@ class TestMultinomialLogistic:
         p = multinomial_probs(X, B)
         u = rng.random(n)
         y = (u > p[:, 0]).astype(int) + (u > p[:, 0] + p[:, 1]).astype(int)
-        m = fit_multinomial_logistic(X, y, terms=["intercept", "popularity"])
+        m = fit_multinomial_logistic(X, one_hot(y, 3), terms=["intercept", "popularity"])
         for e in range(2):
             for j in range(2):
                 assert abs(m.coef[e, j] - B[e, j]) <= max(0.1, 3 * m.se[e, j])
@@ -351,7 +351,7 @@ class TestMultinomialLogistic:
         x = np.linspace(-2, 2, 90)
         X = np.column_stack([np.ones(90), x])
         y = np.repeat([0, 1, 2], 30)  # perfectly ordered by x
-        m = fit_multinomial_logistic(X, y)
+        m = fit_multinomial_logistic(X, one_hot(y, 3))
         assert not m.converged
         assert any(d.startswith("possible separation") and d.endswith("at column 1") for d in m.diagnostics)
         assert np.all(np.isfinite(m.coef))
@@ -359,7 +359,7 @@ class TestMultinomialLogistic:
     def test_empty_category_flagged_inestimable(self):
         X = np.ones((50, 1))
         y = np.array([0] * 30 + [1] * 20)  # no quotes
-        m = fit_multinomial_logistic(X, y)
+        m = fit_multinomial_logistic(X, one_hot(y, 3))
         assert not m.converged
         assert any("inestimable" in d for d in m.diagnostics)
         assert np.isnan(m.coef).all()
@@ -371,7 +371,7 @@ class TestMultinomialLogistic:
         p = multinomial_probs(X, B_true)
         u = rng.random(500)
         y = (u > p[:, 0]).astype(int) + (u > p[:, 0] + p[:, 1]).astype(int)
-        mine = fit_multinomial_logistic(X, y)
+        mine = fit_multinomial_logistic(X, one_hot(y, 3))
         loglik, score, _ = _multinomial(X, one_hot(y, 3))
         res = minimize(
             lambda t: -loglik(t)[0],
@@ -387,9 +387,19 @@ class TestMultinomialLogistic:
 @pytest.mark.parametrize("fit", [fit_binary_logistic, fit_multinomial_logistic], ids=["binary", "multinomial"])
 def test_fits_reject_a_design_with_fewer_rows_than_columns(fit, shape):
     X = np.random.default_rng(3).normal(size=shape)
-    y = np.array([0, 1, 2, 1]) if fit is fit_multinomial_logistic else np.array([0, 1, 1, 0])
+    counts = one_hot([0, 1, 2, 1], 3) if fit is fit_multinomial_logistic else one_hot([0, 1, 1, 0], 2)
     with pytest.raises(ValueError, match=re.escape(f"need at least as many rows as columns, got {shape}")):
-        fit(X, y)
+        fit(X, counts)
+
+
+@pytest.mark.parametrize("fit", [fit_binary_logistic, fit_multinomial_logistic], ids=["binary", "multinomial"])
+def test_fits_refuse_one_outcome_code_per_row(fit):
+    # The fits take a (rows, classes) count matrix alone; a per-row fit passes one-hot counts.
+    classes = 3 if fit is fit_multinomial_logistic else 2
+    X = np.random.default_rng(4).normal(size=(6, 2))
+    shape = f"of shape (6, {classes}), got shape (6,)"
+    with pytest.raises(ValueError, match=re.escape(f"outcome counts must be whole numbers >= 0 {shape}")):
+        fit(X, np.array([0, 1, 1, 0, 1, 0]))
 
 
 # Values every special function is checked at: signed zeros, infinities, nan, the largest and the
@@ -552,12 +562,12 @@ class TestFitsEqualReferenceModels:
         for rng, kind, X, eta in self._designs(seed=22 if stage == "threshold" else 23, count=150):
             if stage == "threshold":
                 y = (rng.random(len(X)) < expit(eta[:, 0])).astype(np.float64)
-                got = fit_binary_logistic(X, y)
+                got = fit_binary_logistic(X, one_hot(y, 2))
             else:
                 # a draw from the softmax of (0, eta) by the Gumbel-max rule; every class present
                 y = np.argmax(np.column_stack([np.zeros(len(X)), eta]) - np.log(-np.log(rng.random((len(X), 3)))), axis=1)
                 y[:3] = [0, 1, 2]
-                got = fit_multinomial_logistic(X, y)
+                got = fit_multinomial_logistic(X, one_hot(y, 3))
 
             calls = []  # loglik calls of each model _fit builds: the full fit's first, then the null fit's
 
@@ -606,7 +616,7 @@ class TestPatternFitEqualsPerRowFit:
         for stage, fit in (("threshold", fit_binary_logistic), ("allocation", fit_multinomial_logistic)):
             X, names, counts = build_design_matrix(PatternCounts.of(rows), stage)
             kept, inverse, y = reference_patterns(rows, stage)
-            per_row = fit(X[inverse], y, terms=names)
+            per_row = fit(X[inverse], one_hot(y, counts.shape[1]), terms=names)
             grouped = fit(X, counts, terms=names)
             assert (grouped.n_obs, grouped.n_iter, grouped.converged, grouped.diagnostics) == (
                 per_row.n_obs, per_row.n_iter, per_row.converged, per_row.diagnostics
@@ -656,14 +666,14 @@ class TestFitStatistics:
 
     def test_mcfadden_in_unit_interval_when_nested(self):
         X, y = _simulate_binary(2000, np.concatenate([[-1.0, 0.7], np.zeros(22)]), seed=2)
-        m = fit_binary_logistic(X, y)
+        m = fit_binary_logistic(X, one_hot(y, 2))
         assert 0.0 <= m.metrics.mcfadden < 1.0
 
 
 class TestOddsRatiosAndPValues:
     def test_or_is_exact_exp(self):
         X, y = _simulate_binary(2000, np.concatenate([[-1.0, 0.7], np.zeros(22)]), seed=3)
-        m = fit_binary_logistic(X, y)
+        m = fit_binary_logistic(X, one_hot(y, 2))
         assert np.array_equal(m.odds_ratios(), np.exp(m.coef))
 
     def test_zero_coefficient_gives_unit_or(self):
@@ -680,13 +690,11 @@ class TestOddsRatiosAndPValues:
         m = FittedModel(
             stage="threshold",
             terms=["intercept"],
-            equations=["engage"],
             coef=np.array([[1.96]]),
             se=np.array([[1.0]]),
             cov=np.eye(1),
             ll_full=-1.0,
             ll_null=-2.0,
-            k_null=1,
             n_obs=10,
             n_iter=1,
             converged=True,
@@ -700,9 +708,9 @@ class TestOddsRatiosAndPValues:
         coef = np.concatenate([rng.standard_cauchy(5000), [0.0, 1.0, -1.0, np.inf, np.nan, 0.0]])
         se = np.concatenate([rng.uniform(0.01, 3.0, 5000), [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]])
         m = FittedModel(
-            stage="threshold", terms=[f"x{j}" for j in range(coef.size)], equations=["engage"],
+            stage="threshold", terms=[f"x{j}" for j in range(coef.size)],
             coef=coef.reshape(1, -1), se=se.reshape(1, -1), cov=np.eye(coef.size),
-            ll_full=-1.0, ll_null=-2.0, k_null=1, n_obs=10, n_iter=1, converged=True,
+            ll_full=-1.0, ll_null=-2.0, n_obs=10, n_iter=1, converged=True,
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             want = 2.0 * norm.sf(np.abs(coef / se))
@@ -746,13 +754,11 @@ class TestPrediction:
         return FittedModel(
             stage="threshold",
             terms=[t for t, *_ in REFERENCE_THRESHOLD_TABLE],
-            equations=["engage"],
             coef=coef,
             se=se,
             cov=np.diag(se.ravel() ** 2),
             ll_full=REFERENCE_THRESHOLD_FIT["ll_full"],
             ll_null=REFERENCE_THRESHOLD_FIT["ll_null"],
-            k_null=1,
             n_obs=100,
             n_iter=1,
             converged=True,
@@ -778,7 +784,7 @@ class TestPrediction:
         widths = {}
         for n in (1000, 100_000):
             X, y = _simulate_binary(n, beta, seed=13)
-            m = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS))
+            m = fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS))
             rows = predicted_probabilities(m, [Scenario(1.0, LoadLevel.LOWEST, NormRegime.NO_NORM)])
             widths[n] = rows[0]["hi"] - rows[0]["lo"]
         assert widths[100_000] < widths[1000]
@@ -787,14 +793,14 @@ class TestPrediction:
         rng = np.random.default_rng(17)
         X = _design(rng.exponential(1, 400), LoadLevel.LOW, NormRegime.NO_NORM)
         y = rng.integers(0, 3, size=400)
-        m = fit_multinomial_logistic(X, y, terms=list(DESIGN_COLUMNS))
+        m = fit_multinomial_logistic(X, one_hot(y, 3), terms=list(DESIGN_COLUMNS))
         rows = predicted_probabilities(m, [Scenario(0.7, LoadLevel.LOW, NormRegime.NO_NORM)])
         assert sum(r["p"] for r in rows) == pytest.approx(1.0, abs=1e-10)
 
     def test_inestimable_equation_flagged(self):
         X = _design(np.linspace(0, 2, 100), LoadLevel.LOW, NormRegime.NO_NORM)
         y = np.array([0, 1] * 50)  # no quotes
-        m = fit_multinomial_logistic(X, y, terms=list(DESIGN_COLUMNS))
+        m = fit_multinomial_logistic(X, one_hot(y, 3), terms=list(DESIGN_COLUMNS))
         rows = predicted_probabilities(m, [Scenario(1.0, LoadLevel.LOW, NormRegime.NO_NORM)])
         assert all(r["flagged"] for r in rows)
 
@@ -804,9 +810,9 @@ class TestPrediction:
         x = np.linspace(0, 2, 90)
         X = _design(x, LoadLevel.LOW, NormRegime.NO_NORM)[:, :2]
         if stage == "threshold":
-            m = fit_binary_logistic(X, (x > 1).astype(float))
+            m = fit_binary_logistic(X, one_hot(x > 1, 2))
         else:
-            m = fit_multinomial_logistic(X, np.repeat([0, 1, 2], 30))
+            m = fit_multinomial_logistic(X, one_hot(np.repeat([0, 1, 2], 30), 3))
         assert not m.converged and np.all(np.isfinite(m.coef))
         rows = predicted_probabilities(m, [Scenario(c, LoadLevel.LOW, NormRegime.NO_NORM) for c in (0.5, 1.5)])
         assert rows and all(r["flagged"] for r in rows)
@@ -843,10 +849,10 @@ class TestPredictionMatchesPerScenarioOracle:
         X = design_matrix(rng.exponential(1.0, n), rng.integers(0, 4, n), rng.integers(0, 3, n))[:, :k]
         terms = DESIGN_COLUMNS[:k]
         if stage == "threshold":
-            model = fit_binary_logistic(X, (rng.random(n) < expit(X @ rng.normal(0, 0.3, k))).astype(float), terms=terms)
+            model = fit_binary_logistic(X, one_hot(rng.random(n) < expit(X @ rng.normal(0, 0.3, k)), 2), terms=terms)
         else:
             classes = [c for c in range(3) if c != absent_class]
-            model = fit_multinomial_logistic(X, rng.choice(classes, n), terms=terms)
+            model = fit_multinomial_logistic(X, one_hot(rng.choice(classes, n), 3), terms=terms)
             assert np.all(np.isnan(model.coef)) == (absent_class is not None)
         # A separated fit's covariance is rounding noise (condition numbers near 1e11), in either path.
         assume(model.converged or absent_class is not None)
@@ -860,8 +866,8 @@ class TestPredictionMatchesPerScenarioOracle:
         X, y = _simulate_binary(4000, np.concatenate([[-1.0, 0.6], np.zeros(22)]), seed=5)
         rng = np.random.default_rng(6)
         models = [
-            fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS)),
-            fit_multinomial_logistic(X, rng.integers(0, 3, X.shape[0]), terms=list(DESIGN_COLUMNS)),
+            fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS)),
+            fit_multinomial_logistic(X, one_hot(rng.integers(0, 3, X.shape[0]), 3), terms=list(DESIGN_COLUMNS)),
         ]
         grid = [Scenario(float(c), load, norm) for load in LOADS for norm in NORMS for c in np.linspace(0.0, 3.0, 41)]
         for model in models:
@@ -869,23 +875,25 @@ class TestPredictionMatchesPerScenarioOracle:
 
     def test_no_scenarios_no_rows(self):
         X, y = _simulate_binary(500, np.concatenate([[-1.0, 0.6], np.zeros(22)]), seed=8)
-        assert predicted_probabilities(fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS)), []) == []
+        assert predicted_probabilities(fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS)), []) == []
 
 
 class TestModelIO:
     def test_json_round_trip(self, tmp_path):
         X, y = _simulate_binary(2000, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=21)
-        m = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS))
+        m = fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS))
         path = tmp_path / "model.json"
         save_model(m, path)
         loaded = load_model(path)
         assert np.allclose(loaded.coef, m.coef)
         assert np.allclose(loaded.cov, m.cov)
         assert loaded.metrics.aic == pytest.approx(m.metrics.aic)
+        save_model(loaded, tmp_path / "again.json")  # the stage's equations and k_null write back the bytes read
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_coefficient_csv_layout(self, tmp_path):
         X, y = _simulate_binary(2000, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=22)
-        m = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS))
+        m = fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS))
         path = tmp_path / "coef.csv"
         write_coefficient_csv(m, path)
         lines = path.read_text().strip().splitlines()
@@ -894,7 +902,7 @@ class TestModelIO:
 
     def test_shapes_must_fit_stage_and_terms(self):
         X, y = _simulate_binary(500, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=23)
-        m = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS))
+        m = fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS))
         with pytest.raises(ValueError, match="do not fit 23 terms"):
             FittedModel.from_json_obj({**m.to_json_obj(), "terms": DESIGN_COLUMNS[:23]})
         with pytest.raises(ValueError, match="stage and equations"):
@@ -902,13 +910,23 @@ class TestModelIO:
 
     def test_load_model_names_the_file(self, tmp_path):
         X, y = _simulate_binary(500, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=24)
-        obj = fit_binary_logistic(X, y, terms=list(DESIGN_COLUMNS)).to_json_obj()
+        obj = fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS)).to_json_obj()
         path = tmp_path / "model.json"
         path.write_text(json.dumps({k: v for k, v in obj.items() if k != "composite_max"}))
         with pytest.raises(FormatError, match=re.escape(f"{path}: missing key 'composite_max'")):
             load_model(path)
         with pytest.raises(FormatError, match=re.escape(f"model file not found: {tmp_path / 'void.json'}")):
             load_model(tmp_path / "void.json")
+
+    @pytest.mark.parametrize("k_null", [5, 2, 0])
+    def test_load_model_refuses_a_k_null_its_stage_does_not_fix(self, tmp_path, k_null):
+        # The stage fixes k_null (one intercept per equation), and so the fit statistics' df.
+        X, y = _simulate_binary(500, np.concatenate([[-1.0, 0.5], np.zeros(22)]), seed=25)
+        obj = fit_binary_logistic(X, one_hot(y, 2), terms=list(DESIGN_COLUMNS)).to_json_obj()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**obj, "k_null": k_null}))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: stage and equations")):
+            load_model(path)
 
     def test_scenario_csv_any_column_order(self, tmp_path):
         path = tmp_path / "grid.csv"
