@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import figures
 from .core import (
     ACTIONS,
     LOADS,
@@ -32,36 +32,62 @@ from .core import (
     read_text,
     write_table,
 )
-from .harness import (
-    ExperimentPlan,
-    descriptive_shares,
-    load_experiment,
-    realized_load_audit,
-    run_experiment,
-)
-from .population import (
-    generate_population,
-    generate_seed_corpus,
-    load_corpus,
-    load_population,
-    population_digest,
-    save_corpus,
-    save_population,
-)
-from .stats import (
-    COEFFICIENT_COLUMNS,
-    FittedModel,
-    PatternCounts,
-    Scenario,
-    build_design_matrix,
-    fit_binary_logistic,
-    fit_multinomial_logistic,
-    load_model,
-    predicted_probabilities,
-    read_scenario_csv,
-    save_model,
-    write_coefficient_csv,
-)
+
+# The stage modules and the names this module calls from each. A command binds
+# them here (`_bind`) when it runs, so a process loads only the stage modules
+# of its own command; the module's attribute lookup binds them too, so a test
+# or a tracer can replace a name before the command runs.
+_STAGE_NAMES = {
+    "figures": (),
+    "harness": ("ExperimentPlan", "descriptive_shares", "load_experiment", "realized_load_audit", "run_experiment"),
+    "population": (
+        "generate_population",
+        "generate_seed_corpus",
+        "load_corpus",
+        "load_population",
+        "population_digest",
+        "save_corpus",
+        "save_population",
+    ),
+    "stats": (
+        "COEFFICIENT_COLUMNS",
+        "FittedModel",
+        "PatternCounts",
+        "Scenario",
+        "build_design_matrix",
+        "fit_binary_logistic",
+        "fit_multinomial_logistic",
+        "load_model",
+        "predicted_probabilities",
+        "read_scenario_csv",
+        "save_model",
+        "write_coefficient_csv",
+    ),
+}
+_STAGE_OF = {name: module for module, names in _STAGE_NAMES.items() for name in (module, *names)}
+
+
+def _bind(*modules: str) -> None:
+    """Bind each stage module and its names in this module's namespace.
+
+    A name already bound stays as it is: the first binding, or whatever a
+    test or a tracer set in its place, is what the commands call.
+    """
+    namespace = globals()
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        namespace.setdefault(module, loaded)
+        for name in _STAGE_NAMES[module]:
+            namespace.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    module = _STAGE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 API_KEY_ENV = "SOCIALSIM_LLM_API_KEY"
 
@@ -91,6 +117,7 @@ def _parse_cell(text: str) -> tuple[LoadLevel, NormRegime]:
 
 
 def cmd_gen_population(args: argparse.Namespace) -> int:
+    _bind("population")
     check_seed(args.seed, "--seed")
     profiles, graph = generate_population(args.n, args.seed)
     save_population(profiles, graph, args.out)
@@ -99,6 +126,7 @@ def cmd_gen_population(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
+    _bind("population")
     check_seed(args.seed, "--seed")
     corpus = generate_seed_corpus(args.seed, size=args.size)
     save_corpus(corpus, args.out)
@@ -123,6 +151,7 @@ class SimulateInputs:
 
 def read_config(cfg: object) -> tuple[ExperimentPlan, SimulateInputs]:
     """The plan and the inputs of a simulate config object, each read by core.from_obj."""
+    _bind("harness")
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config must be a JSON object, got {cfg!r}")
     input_keys = {f.name for f in fields(SimulateInputs)}
@@ -142,6 +171,7 @@ def _check_out(out: str, is_file: bool) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _bind("harness", "population")
     config_path = Path(args.config)
     try:
         cfg = json.loads(read_text(config_path, "config"))
@@ -205,6 +235,7 @@ def _resolve(config_path: Path, value: str) -> Path:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _bind("harness", "population", "stats")
     logs_dir = Path(args.logs)
     if not (logs_dir / "manifest.json").exists():
         print(f"error: no manifest.json under {logs_dir}", file=sys.stderr)
@@ -327,17 +358,20 @@ _CURVE_FIGURES += [
     for a in ("like", "repost", "quote")
 ]
 
-# The analysis tables report.md embeds, in its order: file, section title, what a row is, the columns it must have.
-_TABLES = [
-    ("fit_metrics.csv", "Model fit", "stage", _METRICS_COLUMNS),
-    ("threshold_coefficients.csv", "Threshold model coefficients", "term", COEFFICIENT_COLUMNS),
-    ("allocation_coefficients.csv", "Allocation model coefficients", "term", COEFFICIENT_COLUMNS),
-    ("load_audit.csv", "Realized algorithmic load", "cell", _AUDIT_COLUMNS),
-    ("descriptive_shares.csv", "Action shares by condition", "cell", ("cell", *(a.value for a in ACTIONS))),
-]
+
+def _report_tables() -> list[tuple[str, str, str, tuple[str, ...]]]:
+    """The analysis tables report.md embeds, in its order: file, section title, what a row is, the columns it must have."""
+    return [
+        ("fit_metrics.csv", "Model fit", "stage", _METRICS_COLUMNS),
+        ("threshold_coefficients.csv", "Threshold model coefficients", "term", COEFFICIENT_COLUMNS),
+        ("allocation_coefficients.csv", "Allocation model coefficients", "term", COEFFICIENT_COLUMNS),
+        ("load_audit.csv", "Realized algorithmic load", "cell", _AUDIT_COLUMNS),
+        ("descriptive_shares.csv", "Action shares by condition", "cell", ("cell", *(a.value for a in ACTIONS))),
+    ]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _bind("figures", "stats")
     analysis = Path(args.analysis)
     for name in ("descriptive_shares.csv", "threshold_model.json", "fit_metrics.csv"):
         if not (analysis / name).exists():
@@ -347,8 +381,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     # Every input is read once and every file rendered before --out is created: a bad input file writes nothing.
     models = [load_model(path) for path in (analysis / "threshold_model.json", analysis / "allocation_model.json") if path.exists()]
     grid = read_scenario_csv(args.grid) if args.grid else None
-    tables = {name: read_table(analysis / name, what, columns) for name, _, what, columns in _TABLES if (analysis / name).exists()}
-    cells = _cell_shares(analysis / "descriptive_shares.csv", tables["descriptive_shares.csv"])
+    tables = {
+        name: (title, read_table(analysis / name, what, columns))
+        for name, title, what, columns in _report_tables()
+        if (analysis / name).exists()
+    }
+    cells = _cell_shares(analysis / "descriptive_shares.csv", tables["descriptive_shares.csv"][1])
     files = {"shares_by_condition.svg": figures.stacked_share_svg(cells)}
 
     rows = {model.stage: predicted_probabilities(model, grid or _default_grid(model)) for model in models}
@@ -381,21 +419,20 @@ def _default_grid(model: FittedModel) -> list[Scenario]:
 
 
 def _markdown_report(
-    tables: dict[str, list[tuple[int, dict[str, str]]]], svg_names: list[str], unconverged: list[str], reasons: list[str]
+    tables: dict[str, tuple[str, list[tuple[int, dict[str, str]]]]], svg_names: list[str], unconverged: list[str], reasons: list[str]
 ) -> str:
-    """``reasons``: one bullet per diagnostics line of each fit with converged=False, listed under the figures it drew."""
+    """``tables``: each table's section title and rows, in report order. ``reasons``: one bullet per
+    diagnostics line of each fit with converged=False, listed under the figures it drew."""
     lines = ["# Simulation analysis report", "", "## Figures", ""]
     lines += [f"![{Path(name).stem}]({name})" for name in svg_names] + [""]
     if unconverged:
         lines += [f"Drawn from a fit that did not converge, so their bands mean nothing: {', '.join(unconverged)}", ""]
     if reasons:
         lines += ["The solver's diagnostics for each such fit:", "", *reasons, ""]
-    for name, title, _, _ in _TABLES:
-        if name not in tables:
-            continue
-        header = list(tables[name][0][1])
+    for title, rows in tables.values():
+        header = list(rows[0][1])
         lines += [f"## {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        lines += ["| " + " | ".join(row.values()) + " |" for _, row in tables[name]]
+        lines += ["| " + " | ".join(row.values()) + " |" for _, row in rows]
         lines.append("")
     return "\n".join(lines)
 

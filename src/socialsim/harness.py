@@ -76,7 +76,6 @@ from .core import (
     to_obj,
     utf8_text,
 )
-from .engine import LogBuilder, run
 from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj
 from .population import AgentProfile, FollowGraph, corpus_digest, save_corpus, save_population
 from .population import load_corpus, load_population  # noqa: F401 - perfbench traces harness.load_population
@@ -646,6 +645,8 @@ def cell_name(load: LoadLevel, norm: NormRegime, replication: int) -> str:
 def _run_cell(plan: ExperimentPlan, profiles: Sequence[AgentProfile], graph: FollowGraph, corpus: Sequence[str],
               api_key: str | None, cell: tuple[LoadLevel, NormRegime, int], log_path: Path) -> dict:
     """Run one cell and write its log; returns its manifest entry, "failed" on any error. Top level for pickling."""
+    from .engine import LogBuilder, run  # the simulator loads only in a process that runs cells
+
     load, norm, rep = cell
     config = plan.cell_config(load, norm, rep)
     entry = {"load": load.value, "norm": norm.value, "replication": rep, "seed": config.seed, "file": log_path.name}
@@ -772,7 +773,12 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     ids = np.unique(np.concatenate([e.agent, author, pairs]), return_inverse=True)[1]
     n, width = len(e), ids.max() + 1
     viewer, owner, follows = ids[:n], ids[n : 2 * n], ids[2 * n :].reshape(-1, 2)
-    followed = np.isin(viewer * width + owner, follows[:, 0] * width + follows[:, 1])
+    # A slot is followed when its (viewer, author) code is among the sorted edge
+    # codes: a searchsorted, since np.isin's sort path loads numpy.ma.
+    pair, edges = viewer * width + owner, np.sort(follows[:, 0] * width + follows[:, 1])
+    at = np.searchsorted(edges, pair)
+    followed = at < edges.size
+    followed[followed] = edges[at[followed]] == pair[followed]
     activation = np.unique(np.unique(e.t, return_inverse=True)[1] * width + viewer, return_inverse=True)[1]
     counts = np.bincount(activation[~followed], minlength=activation.max() + 1)
     return LoadAudit(

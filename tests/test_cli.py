@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import re
 import shutil
@@ -1104,6 +1105,22 @@ _RUN_CLI = _CLI_MAIN + _SCIPY_MODULES + "\n"
 _HTTP_MODULES = "print(sorted(m for m in ('requests', 'urllib.request') if m in sys.modules))"
 
 
+# The names socialsim/__init__.py exported from each module when it imported them all.
+_PACKAGE_EXPORTS = {
+    "core": ["ActionKind", "CellLog", "Feed", "LoadLevel", "NormRegime", "PostKind", "RunConfig", "from_obj", "popularity_composite", "to_obj"],
+    "engine": ["LogBuilder", "WorldState", "initialize", "run", "select_feed", "step"],
+    "harness": ["ExperimentPlan", "cell_seed", "descriptive_shares", "load_experiment", "log_digest", "read_log",
+                "realized_load_audit", "run_experiment", "write_log"],
+    "policy": ["Decision", "DecisionContext", "LlmSpec", "ParametricLogitPolicy", "ParametricLogitSpec", "ScriptedPolicy",
+               "ScriptedSpec", "build_policy", "build_prompt", "decide", "mock_policy_spec", "parse_response"],
+    "population": ["AgentProfile", "FollowGraph", "generate_population", "generate_seed_corpus", "load_corpus",
+                   "load_population", "save_corpus", "save_population", "top_influencers"],
+    "stats": ["DESIGN_COLUMNS", "FittedModel", "PatternCounts", "Scenario", "build_design_matrix", "design_matrix",
+              "fit_binary_logistic", "fit_multinomial_logistic", "fit_statistics", "predicted_probabilities",
+              "table_consistency_check"],
+}
+
+
 # Makes every import of scipy or a scipy submodule raise, as if scipy were not installed.
 _BLOCK_SCIPY = """
 import sys
@@ -1116,9 +1133,10 @@ sys.meta_path.insert(0, _NoScipy())
 
 
 class TestProcessImports:
-    """No command loads scipy, which the runtime does not need: each command runs in a fresh interpreter."""
+    """What each command loads, scipy above all, which the runtime does not need: each command runs in a
+    fresh interpreter, and a check prints what it found on its last line."""
 
-    def _scipy_modules(self, code: str, *argv: str) -> str:
+    def _last_line(self, code: str, *argv: str) -> str:
         import os
         import subprocess
         import sys
@@ -1133,12 +1151,12 @@ class TestProcessImports:
 
     @pytest.mark.parametrize("module", ["socialsim", "socialsim.cli"])
     def test_import_leaves_scipy_unloaded(self, module):
-        assert self._scipy_modules(f"import sys, {module}; " + _SCIPY_MODULES) == "[]"
+        assert self._last_line(f"import sys, {module}; " + _SCIPY_MODULES) == "[]"
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
         # numpy.random loads when a command first seeds a generator, not with the CLI.
         code = "import sys, socialsim.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-        assert self._scipy_modules(code) == "[]"
+        assert self._last_line(code) == "[]"
 
     def test_commands_other_than_analyze_leave_scipy_unloaded(self, plan_file, analysis_dir, tmp_path):
         commands = [
@@ -1148,12 +1166,12 @@ class TestProcessImports:
             ["report", "--analysis", str(analysis_dir), "--out", str(tmp_path / "report")],
         ]
         for argv in commands:
-            assert self._scipy_modules(_RUN_CLI, *argv) == "[]", argv[0]
+            assert self._last_line(_RUN_CLI, *argv) == "[]", argv[0]
         assert (tmp_path / "report" / "report.md").exists()
 
     def test_cli_import_leaves_urllib_request_unloaded(self):
         # urllib.request loads ssl and http.client, which only a run that calls an endpoint needs.
-        assert self._scipy_modules("import sys, socialsim.cli; " + _HTTP_MODULES) == "[]"
+        assert self._last_line("import sys, socialsim.cli; " + _HTTP_MODULES) == "[]"
 
     def test_llm_fixture_cell_loads_no_http_client(self, tmp_path):
         fixture = tmp_path / "fx.jsonl"
@@ -1162,23 +1180,70 @@ class TestProcessImports:
                 "policy": {"kind": "llm", "transport": "fixtures", "fixture_path": str(fixture)}}
         (tmp_path / "plan.json").write_text(json.dumps(plan))
         argv = ["simulate", "--config", str(tmp_path / "plan.json"), "--out", str(tmp_path / "sim"), "--cell", "load=low,norm=none"]
-        assert self._scipy_modules(_CLI_MAIN + _HTTP_MODULES, *argv) == "[]"
+        assert self._last_line(_CLI_MAIN + _HTTP_MODULES, *argv) == "[]"
         assert (tmp_path / "sim" / "logs" / "low_no_norm_r0.jsonl").exists()
 
     def test_http_transport_loads_urllib_request_not_requests(self, chat_server):
         # The check sees urllib.request where it is loaded: one round trip to a loopback endpoint.
         code = f"import sys; from socialsim.policy import HttpTransport; HttpTransport({chat_server.endpoint!r}).complete({{}}); " + _HTTP_MODULES
-        assert self._scipy_modules(code) == "['urllib.request']"
+        assert self._last_line(code) == "['urllib.request']"
         assert len(chat_server.seen) == 1
 
     def test_analyze_leaves_scipy_unloaded(self, run_dir, tmp_path):
-        loaded = self._scipy_modules(_RUN_CLI, "analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis"))
+        loaded = self._last_line(_RUN_CLI, "analyze", "--logs", str(run_dir), "--out", str(tmp_path / "analysis"))
         assert loaded == "[]"
         assert (tmp_path / "analysis" / "threshold_model.json").exists()
 
+    # The socialsim modules each command loads besides the package itself; the CLI runs as __main__.
+    @pytest.mark.parametrize(
+        "command, modules",
+        [
+            ("gen-population", ["core", "population"]),
+            ("gen-corpus", ["core", "population"]),
+            ("simulate", ["core", "engine", "harness", "policy", "population", "stats"]),
+            ("analyze", ["core", "harness", "policy", "population", "stats"]),
+            ("report", ["core", "figures", "stats"]),
+        ],
+    )
+    def test_command_loads_only_its_stage_modules(self, command, modules, request, tmp_path):
+        out = str(tmp_path / "out")
+        argv = {
+            "gen-population": lambda: ["--n", "40", "--seed", "1", "--out", out],
+            "gen-corpus": lambda: ["--seed", "1", "--out", out],
+            "simulate": lambda: ["--config", str(request.getfixturevalue("plan_file")), "--out", out, "--cell", "load=low,norm=none"],
+            "analyze": lambda: ["--logs", str(request.getfixturevalue("run_dir")), "--out", out],
+            "report": lambda: ["--analysis", str(request.getfixturevalue("analysis_dir")), "--out", out],
+        }[command]()
+        code = _CLI_MAIN + "print(sorted(m.partition('.')[2] for m in sys.modules if m.startswith('socialsim.')))"
+        assert self._last_line(code, command, *argv) == str(modules)
+        assert Path(out).exists()
+
+    def test_package_import_loads_no_submodule(self):
+        assert self._last_line("import sys, socialsim; print(sorted(m for m in sys.modules if m.startswith('socialsim.')))") == "[]"
+
+    def test_package_names_are_the_modules_objects(self):
+        import socialsim
+
+        for module, names in _PACKAGE_EXPORTS.items():
+            loaded = importlib.import_module(f"socialsim.{module}")
+            assert getattr(socialsim, module) is loaded
+            for name in names:
+                assert getattr(socialsim, name) is getattr(loaded, name), f"{module}.{name}"
+                assert name in dir(socialsim)
+        with pytest.raises(AttributeError, match="no attribute 'cell_name'"):
+            socialsim.cell_name
+
+    def test_analyze_leaves_numpy_ma_unloaded(self, tmp_path):
+        # 200 agents make the follow codes' range wide against the rows, where np.isin sorts and so loads numpy.ma.
+        (tmp_path / "plan.json").write_text(json.dumps({"base_seed": 5, "n_agents": 200, "timesteps": 10, "activation_p": 0.05}))
+        assert main(["simulate", "--config", str(tmp_path / "plan.json"), "--out", str(tmp_path / "runs")]) == 0
+        argv = ["analyze", "--logs", str(tmp_path / "runs"), "--out", str(tmp_path / "analysis")]
+        assert self._last_line(_CLI_MAIN + "print('numpy.ma' in sys.modules)", *argv) == "False"
+        assert (tmp_path / "analysis" / "load_audit.csv").exists()
+
     def test_check_sees_scipy_special(self):
         # The positive control: the check sees scipy where a process loads it.
-        assert "'scipy.special'" in self._scipy_modules("import sys, scipy.special; " + _SCIPY_MODULES)
+        assert "'scipy.special'" in self._last_line("import sys, scipy.special; " + _SCIPY_MODULES)
 
     def test_pipeline_without_scipy_writes_the_same_files(self, plan_file, tmp_path):
         # simulate -> analyze -> report with every scipy import made to fail, against the same run without the block.
@@ -1190,7 +1255,7 @@ class TestProcessImports:
                 ["analyze", "--logs", str(out / "runs"), "--out", str(out / "analysis")],
                 ["report", "--analysis", str(out / "analysis"), "--out", str(out / "report")],
             ):
-                assert self._scipy_modules(prefix + _RUN_CLI, *argv) == "[]", (leg, argv[0])
+                assert self._last_line(prefix + _RUN_CLI, *argv) == "[]", (leg, argv[0])
             trees[leg] = {
                 str(f.relative_to(out)): f.read_bytes()
                 for d in ("analysis", "report") for f in sorted((out / d).rglob("*")) if f.is_file()

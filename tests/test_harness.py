@@ -702,16 +702,16 @@ class TestRunExperiment:
 
     def test_partial_failure_recorded(self, small_inputs, tmp_path, monkeypatch):
         profiles, graph, corpus = small_inputs
-        import socialsim.harness as harness_mod
+        import socialsim.engine as engine  # harness imports engine's run when it runs a cell
 
-        real_run = harness_mod.run
+        real_run = engine.run
 
         def flaky_run(config, *args):
             if config.load is LoadLevel.MEDIUM:
                 raise RuntimeError("synthetic cell failure")
             return real_run(config, *args)
 
-        monkeypatch.setattr(harness_mod, "run", flaky_run)
+        monkeypatch.setattr(engine, "run", flaky_run)
         manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path)
         by_status = {}
         for c in manifest["cells"]:

@@ -1,12 +1,21 @@
-"""The benchmark's trace points name functions the package still has.
+"""The benchmark's trace points name functions the package still has, and the
+commands call them by those names.
 
 perfbench/tracing.py wraps functions by module attribute; a renamed or
-deleted one would otherwise show up only as a failed traced benchmark run.
+deleted one would otherwise show up only as a failed traced benchmark run,
+and one that a command no longer looks up by that name only as a layer that
+records no calls.
 """
 
-import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import socialsim
+from socialsim.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -19,8 +28,33 @@ def _tracing_module():
 
 
 def test_every_trace_point_resolves_to_a_callable():
-    points = _tracing_module().TRACE_POINTS
+    # In a fresh interpreter, as perfbench/inproc.py installs them: right after `import socialsim.cli`.
+    points = [(module, attr) for module, attr, *_ in _tracing_module().TRACE_POINTS]
     assert points
-    for module_name, attr, *_ in points:
-        target = getattr(importlib.import_module(module_name), attr, None)
-        assert callable(target), f"{module_name}.{attr}"
+    code = (
+        "import importlib, socialsim.cli\n"
+        f"print([f'{{m}}.{{a}}' for m, a in {points!r} if not callable(getattr(importlib.import_module(m), a, None))])"
+    )
+    src = str(Path(socialsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_traced_analyze_and_report_record_every_cli_trace_point(tmp_path):
+    tracing = _tracing_module()
+    plan = {"base_seed": 5, "n_agents": 40, "timesteps": 40, "activation_p": 0.05}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert main(["simulate", "--config", str(tmp_path / "plan.json"), "--out", str(tmp_path / "runs")]) == 0
+    tracer = tracing.Tracer("test")
+    saved = tracing.install(tracer)
+    try:
+        assert main(["analyze", "--logs", str(tmp_path / "runs"), "--out", str(tmp_path / "analysis")]) == 0
+        assert main(["report", "--analysis", str(tmp_path / "analysis"), "--out", str(tmp_path / "report")]) == 0
+    finally:
+        tracing.uninstall(saved)
+    cli_points = {name for module, _, name, _ in tracing.TRACE_POINTS if module == "socialsim.cli"}
+    assert cli_points
+    assert cli_points - set(tracer.names) == set()
+    assert {"harness.read_log", "figures.svg"} <= set(tracer.names)
