@@ -51,6 +51,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+import socialsim
+
 from .core import (
     ACTIONS,
     CREATION_KEYS,
@@ -76,7 +78,6 @@ from .core import (
     to_obj,
     utf8_text,
 )
-from .policy import PolicySpec, build_policy, mock_policy_spec, policy_spec_from_obj
 from .population import AgentProfile, FollowGraph, corpus_digest, save_corpus, save_population
 from .population import load_corpus, load_population  # noqa: F401 - perfbench traces harness.load_population
 
@@ -612,7 +613,12 @@ class ExperimentPlan(RunParameters):
     and written by core.to_obj."""
 
     base_seed: int
-    policy: PolicySpec = field(default_factory=mock_policy_spec, metadata={"read": policy_spec_from_obj})
+    # socialsim.policy loads on first access, so a process loads it where a plan is made or read (its annotation is
+    # resolved then) and where a cell runs, not with harness: analyze needs none of it.
+    policy: socialsim.policy.PolicySpec = field(
+        default_factory=lambda: socialsim.policy.mock_policy_spec(),
+        metadata={"read": lambda obj: socialsim.policy.policy_spec_from_obj(obj)},
+    )
     replications: int = 1
 
     def __post_init__(self) -> None:
@@ -646,6 +652,7 @@ def _run_cell(plan: ExperimentPlan, profiles: Sequence[AgentProfile], graph: Fol
               api_key: str | None, cell: tuple[LoadLevel, NormRegime, int], log_path: Path) -> dict:
     """Run one cell and write its log; returns its manifest entry, "failed" on any error. Top level for pickling."""
     from .engine import LogBuilder, run  # the simulator loads only in a process that runs cells
+    from .policy import build_policy
 
     load, norm, rep = cell
     config = plan.cell_config(load, norm, rep)

@@ -140,29 +140,36 @@ class PatternCounts(NamedTuple):
 
     @classmethod
     def of(cls, exposures: ExposureColumns) -> "PatternCounts":
-        """The table of one log's exposure rows: each row is a one-hot count of its action, folded."""
-        one_hot = np.eye(len(ACTIONS), dtype=np.int64)[exposures.action]
-        return cls.fold([cls(exposures.likes + exposures.reshares, exposures.load, exposures.norm, one_hot)])
+        """The table of one log's exposure rows: each row counts once, in its pattern's column of its action."""
+        pattern, total, load, norm = _patterns(exposures.likes + exposures.reshares, exposures.load, exposures.norm)
+        counts = np.bincount(pattern * len(ACTIONS) + exposures.action, minlength=total.size * len(ACTIONS))
+        return cls(total, load, norm, counts.reshape(total.size, len(ACTIONS)))
 
     @classmethod
     def fold(cls, tables: Iterable["PatternCounts"]) -> "PatternCounts":
-        """One table of the rows of ``tables``, whose keys may repeat: each pattern once, its counts summed.
-
-        The arrays are sized by the keys present. The pattern code counts from the index of the distinct
-        total, so it cannot overflow as the total could."""
+        """One table of the rows of ``tables``, whose keys may repeat: each pattern once, its counts summed."""
         total, load, norm, counts = map(np.concatenate, zip(*tables, _NO_PATTERNS))
-        distinct, inverse = np.unique(total, return_inverse=True)
-        keys, pattern = np.unique((inverse * len(LOADS) + load) * len(NORMS) + norm, return_inverse=True)
-        folded = np.zeros((keys.size, len(ACTIONS)), dtype=np.int64)
+        pattern, *keys = _patterns(total, load, norm)
+        folded = np.zeros((keys[0].size, len(ACTIONS)), dtype=np.int64)
         for column, part in zip(folded.T, counts.T):
             np.add.at(column, pattern, part)
-        index, norm_codes = np.divmod(keys, len(NORMS))
-        index, load_codes = np.divmod(index, len(LOADS))
-        return cls(distinct[index], load_codes.astype(np.int8), norm_codes.astype(np.int8), folded)
+        return cls(*keys, folded)
 
     def classes(self, stage: Literal["threshold", "allocation"]) -> np.ndarray:
         """The int64 (patterns, classes) count of ``stage``'s outcome classes."""
         return self.counts @ _CLASS_OF[stage]
+
+
+def _patterns(total: np.ndarray, load: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's pattern, as an index into the distinct (total, load, norm) keys sorted in that order, and
+    the keys' totals (int64) and LOADS and NORMS codes (int8).
+
+    The pattern code counts from the index of the distinct total, so it cannot overflow as the total could."""
+    distinct, inverse = np.unique(total, return_inverse=True)
+    keys, pattern = np.unique((inverse * len(LOADS) + load) * len(NORMS) + norm, return_inverse=True)
+    index, norm_codes = np.divmod(keys, len(NORMS))
+    index, load_codes = np.divmod(index, len(LOADS))
+    return pattern, distinct[index], load_codes.astype(np.int8), norm_codes.astype(np.int8)
 
 
 # The table with no pattern, which every fold starts from: folding no tables gives it, with the table's dtypes.

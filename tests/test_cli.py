@@ -1201,7 +1201,7 @@ class TestProcessImports:
             ("gen-population", ["core", "population"]),
             ("gen-corpus", ["core", "population"]),
             ("simulate", ["core", "engine", "harness", "policy", "population", "stats"]),
-            ("analyze", ["core", "harness", "policy", "population", "stats"]),
+            ("analyze", ["core", "harness", "population", "stats"]),
             ("report", ["core", "figures", "stats"]),
         ],
     )

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socialsim import engine
-from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, LoadLevel, NormRegime, PostKind, RunConfig
-from socialsim.engine import LogBuilder, WorldState, _generator, _seed_words, content_tokens, initialize, run, schedule, step
+from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, Feed, LoadLevel, NormRegime, PostKind, RunConfig
+from socialsim.engine import (
+    LogBuilder, WorldState, _generator, _seed_words, content_tokens, initialize, run, schedule, select_feed, step,
+)
 from socialsim.harness import ExperimentPlan, log_digest, read_log, run_experiment
 from socialsim.policy import ScriptedPolicy
 from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
@@ -121,14 +124,60 @@ def test_world_memory_does_not_grow_with_agents_times_posts():
     assert sizes and max(sizes) < 1000 * 5000, sorted(sizes)[-3:]
 
 
-class TestFollowMatrix:
-    """WorldState.follows, written from the edge list at once, equals the matrix filled one agent at a time."""
+def test_world_memory_does_not_grow_with_agents_squared():
+    # Regression: the world kept an agents x agents bool follow matrix (9 million entries here), and a set
+    # and a deque for every agent before any engagement.
+    profiles, graph = generate_population(3000, seed=3)
+    world = initialize(profiles, graph, generate_seed_corpus(seed=3, size=10), _config(n_agents=3000))
+    sizes = [a.size for a in _arrays(vars(world))]
+    assert sizes and sum(sizes) < 3000 * 3000 // 20, sorted(sizes)[-3:]
+    assert sum(f.size for f in world.followees) == sum(len(graph.follows_of(p.id)) for p in profiles)
+    assert not world.engaged and not world.history
+    world.now = 1
+    assert len(select_feed(profiles[0].id, world, LoadLevel.HIGH, _config(n_agents=3000))) == 10
+    assert not world.engaged and not world.history  # reading an agent's state creates none
+
+
+def test_log_builder_finish_holds_each_row_once():
+    # Regression: finish kept every activation's blocks until it returned, beside the columns it joined from them.
+    config = _config()
+    world = initialize(tiny_profiles(), tiny_graph(), _corpus(40), config)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        log = LogBuilder(config)
+        for i in range(3000):
+            posts = np.arange(i % 10, i % 10 + 30)
+            log.activation(world, i % 5, Feed(posts, world._likes[posts], world._reposts[posts], 3, world.posts))
+        blocks = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        cell = log.finish(world)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(cell.exposures.post) == 90_000 and cell.exposures.post[:31].tolist() == list(range(30)) + [1]
+    joined = sum(column.nbytes for column in vars(cell.exposures).values())
+    assert peak < blocks + joined, (peak, blocks, joined)
+
+
+class TestFolloweeRows:
+    """WorldState.followees, each row's followee rows sorted, equals the follow matrix filled one agent at a time."""
 
     @staticmethod
     def _world(ids, follows):
         profiles = [AgentProfile(i, f"u{i}", frozenset({"kw"}), False, False) for i in ids]
         graph = FollowGraph(follows)
         return WorldState(profiles, graph, _config(n_agents=len(ids))), graph
+
+    @staticmethod
+    def _matrix(world):
+        """The agents x agents bool matrix of the followee rows."""
+        n = len(world.rows)
+        matrix = np.zeros((n, n), dtype=bool)
+        for r, followees in enumerate(world.followees):
+            assert followees.dtype == np.intp and np.all(followees[1:] > followees[:-1]), followees
+            matrix[r, followees] = True
+        return matrix
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -138,14 +187,14 @@ class TestFollowMatrix:
         everyone = sorted(set(ids) | set(data.draw(st.lists(st.integers(41, 50), max_size=4), label="outside")))
         follows = data.draw(st.dictionaries(st.sampled_from(everyone), st.frozensets(st.sampled_from(everyone)), max_size=len(everyone)), label="follows")
         world, graph = self._world(ids, {a: fs - {a} for a, fs in follows.items()})
-        assert world.follows.shape == (len(ids), len(ids)) and world.follows.dtype == bool
-        assert np.array_equal(world.follows, reference_follows(world, graph))
+        assert len(world.followees) == len(ids)
+        assert np.array_equal(self._matrix(world), reference_follows(world, graph))
 
     @pytest.mark.parametrize("follows", [{}, {0: set(), 1: set(), 2: set()}, {0: {7}, 9: {1}}], ids=["no_agents", "no_followees", "no_edge_inside"])
     def test_graph_without_edges_in_the_run(self, follows):
         world, graph = self._world([2, 0, 1], follows)
-        assert not world.follows.any() and world.follows.shape == (3, 3)
-        assert np.array_equal(world.follows, reference_follows(world, graph))
+        assert len(world.followees) == 3 and not any(f.size for f in world.followees)
+        assert np.array_equal(self._matrix(world), reference_follows(world, graph))
 
 
 class TestPostWordColumns:
