@@ -186,6 +186,18 @@ class CellLog:
     def __len__(self) -> int:
         return self.is_exposure.size
 
+    @staticmethod
+    def concat(logs: Sequence[CellLog]) -> CellLog:
+        """One log of the rows of ``logs`` (at least one), in order."""
+        def join(parts: list) -> dict[str, np.ndarray]:
+            return {f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(parts[0])}
+
+        return CellLog(
+            ExposureColumns(**join([log.exposures for log in logs])),
+            CreationColumns(**join([log.creations for log in logs])),
+            np.concatenate([log.is_exposure for log in logs]),
+        )
+
 
 class Feed:
     """One activation's feed as columns, best first within each pool.

@@ -9,11 +9,13 @@ immediately.
 
 The log is columnar from end to end: a feed is a few arrays (``Feed``), each
 activation appends them to a ``LogBuilder`` as one block of exposure rows,
-and ``run`` returns the finished ``CellLog``. No object is built per feed
-slot: policies read the same columns (a scripted policy indexes ``posts``,
-an LLM prompt zips the columns with the posts' text). A run's creation rows
-are the world's post columns, placed between the blocks when the log is
-finished; nothing else records a post.
+and the builder hands the rows on a piece at a time, to a sink that writes
+them (``harness.LogWriter``) or, by default, to be joined into the
+``CellLog`` that ``run`` returns. No object is built per feed slot: policies
+read the same columns (a scripted policy indexes ``posts``, an LLM prompt
+zips the columns with the posts' text). A run's creation rows are the
+world's post columns, placed between the blocks as each piece is handed
+off; nothing else records a post.
 
 A post is one entry in each of WorldState's post columns: its text, kind,
 source, creation time and author row. ``select_feed`` ranks those columns
@@ -44,10 +46,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict, deque
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import harness
 from .core import (
     ACTIONS,
     LOADS,
@@ -182,14 +185,20 @@ _KIND_CODES = {k: i for i, k in enumerate(POST_KINDS)}
 
 
 class LogBuilder:
-    """The write side of one run's CellLog, plus the run's deterministic counts.
+    """The write side of one run's CellLog, handed off a piece of rows at a time, plus the run's deterministic counts.
 
     Each activation appends its feed's columns as one block of exposure rows
     (all read until ``engagement`` marks one) and notes how many posts the
-    world held then. ``finish`` joins the blocks into a CellLog whose creation
-    rows are the world's post columns in id order, the order posts are
-    made: each block follows the posts that existed when it was logged. The
-    counts are:
+    world held then. A block's action is set before the next activation, and
+    a post made after a block comes after it in the log, so the rows held are
+    final whenever an activation begins. Then, if its block would take them
+    past the log format's ``_CHUNK_ROWS``, the builder hands them to ``sink``
+    as one piece: a CellLog of its blocks, each after the posts that existed
+    when it was logged, and the creation rows of every post made since the
+    last piece, read from the world's post columns in id order. ``finish``
+    hands off the rest, so the pieces in turn are the run's log, and a run
+    holds at most one piece of its rows. Without a sink the builder keeps the
+    pieces, and ``finish`` returns them joined. The counts are:
 
     * ``activations``: agents activated, whether or not their feed was empty;
     * ``empty_feeds``: activations whose feed had no post (they log no row);
@@ -197,30 +206,35 @@ class LogBuilder:
       followed-pool shortfall filled from the algorithmic pool.
     """
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, sink: Callable[[CellLog], object] | None = None):
         self._config = config
         self._algorithmic_count = config.load.algorithmic_count
-        self._posts: list[np.ndarray] = []  # per activation block
+        self._pieces: list[CellLog] | None = [] if sink is None else None
+        self._sink = self._pieces.append if sink is None else sink
+        self._posts: list[np.ndarray] = []  # per activation block since the last piece
         self._likes: list[np.ndarray] = []
         self._reshares: list[np.ndarray] = []
         self._block_t: list[int] = []
         self._block_agent: list[int] = []
         self._block_created: list[int] = []  # posts in the world when the block was logged
-        self._engaged_rows: list[int] = []
+        self._engaged_rows: list[int] = []  # exposure rows of the blocks held
         self._engaged_codes: list[int] = []
-        self._n_exposures = 0
+        self._n_exposures = 0  # exposure rows logged
+        self._held = 0  # exposure rows in the blocks held
+        self._created = 0  # posts whose creation rows were handed off
         self.activations = 0
         self.empty_feeds = 0
         self.backfilled_slots = 0
 
     def activation(self, world: WorldState, agent: int, feed: Feed) -> int:
         """Count one activation and log its feed as read rows; returns the block's first exposure row."""
-        start = self._n_exposures
         self.activations += 1
         n = len(feed)
         if not n:
             self.empty_feeds += 1
-            return start
+            return self._n_exposures
+        if self._held + len(world.posts) - self._created + n > harness._CHUNK_ROWS:
+            self._hand_off(world)
         self.backfilled_slots += max(0, n - feed.n_followed - self._algorithmic_count)
         self._posts.append(feed.posts)
         self._likes.append(feed.likes)
@@ -228,12 +242,17 @@ class LogBuilder:
         self._block_t.append(world.now)
         self._block_agent.append(agent)
         self._block_created.append(len(world.posts))
+        start = self._n_exposures
+        self._held += n
         self._n_exposures += n
         return start
 
     def engagement(self, row: int, action: ActionKind) -> None:
-        """Set the action of exposure row ``row`` (read until now)."""
-        self._engaged_rows.append(row)
+        """Set the action of exposure row ``row`` (read until now), a row of a block not yet handed off."""
+        first = self._n_exposures - self._held
+        if not first <= row < self._n_exposures:
+            raise ValueError(f"exposure row {row} is not in a block the builder holds (rows {first} to {self._n_exposures - 1})")
+        self._engaged_rows.append(row - first)
         self._engaged_codes.append(_ACTION_CODES[action])
 
     def counts(self) -> dict[str, int]:
@@ -243,15 +262,18 @@ class LogBuilder:
             "backfilled_slots": self.backfilled_slots,
         }
 
-    def finish(self, world: WorldState) -> CellLog:
-        """The run's CellLog. Each column's blocks are dropped once joined, so a builder finishes once."""
-        cfg, n = self._config, self._n_exposures
+    def finish(self, world: WorldState) -> CellLog | None:
+        """Hand off the rows still held; without a sink, return the run's CellLog, the pieces joined."""
+        self._hand_off(world)
+        return None if self._pieces is None else CellLog.concat(self._pieces)
+
+    def _hand_off(self, world: WorldState) -> None:
+        """Give the sink the blocks held and the creation rows of the posts made since the last piece."""
+        cfg, n, made = self._config, self._held, len(world.posts)
         sizes = np.array([block.size for block in self._posts], dtype=np.int64)
 
         def joined(blocks: list[np.ndarray]) -> np.ndarray:
-            column = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
-            blocks.clear()  # a row is held once: in its block or in the joined column
-            return column
+            return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
         action = np.zeros(n, dtype=np.int8)
         action[self._engaged_rows] = self._engaged_codes
@@ -266,13 +288,17 @@ class LogBuilder:
             reshares=joined(self._reshares),
             action=action,
         )
-        creations = world.creations()
-        # An exposure row's position: the exposure rows before it plus the creation rows before its block.
-        is_exposure = np.zeros(n + len(creations), dtype=bool)
-        positions = np.repeat(np.array(self._block_created, dtype=np.int64), sizes)
+        # An exposure row's place in the piece: the exposure rows before it plus the piece's creation rows before its block.
+        is_exposure = np.zeros(n + made - self._created, dtype=bool)
+        positions = np.repeat(np.array(self._block_created, dtype=np.int64) - self._created, sizes)
         positions += np.arange(n)
         is_exposure[positions] = True
-        return CellLog(exposures, creations, is_exposure)
+        piece = CellLog(exposures, world.creations(self._created, made), is_exposure)
+        for held in (self._posts, self._likes, self._reshares, self._block_t, self._block_agent, self._block_created,
+                     self._engaged_rows, self._engaged_codes):
+            held.clear()
+        self._held, self._created = 0, made
+        self._sink(piece)
 
 
 def content_tokens(text: str) -> frozenset[str]:
@@ -334,6 +360,7 @@ class WorldState:
         self.agent_ids = np.array(sorted(self.profiles), dtype=np.int64)  # activation order
         self.rows: dict[int, int] = {agent: r for r, agent in enumerate(self.profiles)}
         rows = self.rows
+        self._row_agents = np.fromiter(rows, dtype=np.int64, count=len(rows))  # agent id by row: profile order
         self.followees = [np.array(sorted(rows[f] for f in graph.follows_of(agent) if f in rows), dtype=np.intp) for agent in rows]
         self._followed = np.zeros(len(rows), dtype=bool)  # select_feed's scratch row, all False between calls
         vocab: dict[str, int] = {}
@@ -371,19 +398,18 @@ class WorldState:
     def quotes(self) -> np.ndarray:
         return self._quotes[: len(self.posts)]
 
-    def creations(self) -> CreationColumns:
-        """Every post's creation row, by id; authors as agent ids.
+    def creations(self, lo: int = 0, hi: int | None = None) -> CreationColumns:
+        """The creation rows of posts ``lo`` up to ``hi`` (every post by default), by id; authors as agent ids.
 
-        The columns are views: a post's entries never change once written.
+        The columns other than post and author are views: a post's entries never change once written.
         """
-        n = len(self.posts)
-        agents = np.fromiter(self.rows, dtype=np.int64, count=len(self.rows))  # by row: profile order
+        hi = len(self.posts) if hi is None else hi
         return CreationColumns(
-            kind=self._kinds[:n],
-            post=np.arange(n, dtype=np.int64),
-            author=agents[self._author_rows[:n]],
-            source=self._sources[:n],
-            t=self._created_at[:n],
+            kind=self._kinds[lo:hi],
+            post=np.arange(lo, hi, dtype=np.int64),
+            author=self._row_agents[self._author_rows[lo:hi]],
+            source=self._sources[lo:hi],
+            t=self._created_at[lo:hi],
         )
 
     def new_post(self, author: int, content: str, kind: PostKind, source: int | None, t: int) -> int:
@@ -605,10 +631,12 @@ def run(
     graph: FollowGraph,
     corpus: Sequence[str],
     log: LogBuilder | None = None,
-) -> CellLog:
+) -> CellLog | None:
     """Initialize and execute all timesteps; returns the complete event log.
 
-    Pass a LogBuilder to read the run's counts from it afterwards.
+    Pass a LogBuilder to read the run's counts from it afterwards. A builder
+    with a sink hands the log to it a piece at a time, and then ``run``
+    returns None.
     """
     if len(profiles) != config.n_agents:
         raise ConfigurationError(

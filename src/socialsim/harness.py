@@ -8,7 +8,11 @@ reader of the artifact directory, and the manifest carries SHA-256 digests
 of everything written. This module owns that log format: ``write_log``
 formats the columns of a ``CellLog`` a chunk of rows at a time, ``read_log``
 parses a file into those columns a chunk of lines at a time, and the audits
-below compute from them.
+below compute from them. A cell's log is written as the cell runs: its
+``LogBuilder`` hands each piece of rows to a ``LogWriter``, which formats,
+hashes and writes it and spools its columns, so no cell's rows are held
+whole; ``write_log`` and ``save_columns`` of a whole ``CellLog`` are that
+writer given one piece.
 
 An activation logs its feed as one block of exposure rows that share run,
 load, norm, t and agent, so the writer formats that head once per block
@@ -32,7 +36,7 @@ rules sort the creation posts once for their three lookups
 by checking them as the parse checks columns and re-formatting them to the
 log file's bytes (``_is_parse``). They come from one of two places.
 ``run_experiment`` saves each cell's columns beside its log, as
-``logs/<cell>.npz`` (``save_columns``): a cache, not a record. Without
+``logs/<cell>.npz`` (``LogWriter``): a cache, not a record. Without
 one, ``_decoded_log`` decodes the file's bytes with numpy as write_log's
 line format. Whatever fails the proof is parsed as JSON, as it would be
 without either, errors included.
@@ -43,6 +47,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import shutil
+import tempfile
 import zipfile
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -190,14 +196,161 @@ def _log_chunks(log: CellLog, rows: int = _CHUNK_ROWS) -> Iterator[bytes]:
         yield "".join(np.array(texts, dtype=object)[index.ravel()].tolist()).encode("utf-8")
 
 
-def write_log(log: CellLog, path: str | Path) -> str:
-    """Write a JSONL log and return its SHA-256 digest, hashing each chunk as it is written."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in _log_chunks(log):
-            digest.update(chunk)
-            fh.write(chunk)
-    return digest.hexdigest()
+class LogWriter:
+    """A JSONL log and its saved columns, each optional, written a piece of rows at a time.
+
+    ``add`` formats each piece with ``_log_chunks``, hashes the bytes and
+    writes them, and appends the piece's columns to a spool: while every row
+    so far holds one value, as a cell's run, load and norm do, a column is
+    that value and a count, else an anonymous temporary file beside the
+    output. ``close`` writes the .npz from the spool, an uncompressed zip of
+    one .npy member per column as ``np.savez`` writes it, so no column is
+    ever held whole. Each file is written under its name plus ".part" and
+    moved into place by ``close``; a writer left unclosed (by an error in its
+    ``with`` block, say) removes them, and its spool is gone either way.
+    """
+
+    def __init__(self, path: str | Path | None = None, *, columns: str | Path | None = None):
+        self.path = None if path is None else Path(path)
+        self._columns = None if columns is None else Path(columns)
+        self._spools: dict[str, _Spool] = {}
+        self._digest = hashlib.sha256()
+        self._fh = None if path is None else open(_part(self.path), "wb")
+        self._closed = False
+        self._rows = 0
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __enter__(self) -> LogWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if not self._closed:
+            self._release()
+            for path in (self.path, self._columns):
+                if path is not None:
+                    _part(path).unlink(missing_ok=True)
+
+    def add(self, piece: CellLog) -> None:
+        """Write the next rows of the log: ``piece``'s, in order."""
+        if len(piece) and self._fh is not None:  # a log of no rows is one newline, written by close
+            self._write_text(piece)
+        if self._columns is not None:
+            for name, values in _named_columns(piece):
+                spool = self._spools.get(name)
+                if spool is None:
+                    spool = self._spools[name] = _Spool(values.dtype, self._columns.parent)
+                spool.append(values)
+        self._rows += len(piece)
+
+    def close(self) -> str:
+        """Finish the files, move them into place and return the log's SHA-256 digest."""
+        try:
+            if not self._rows:  # a log of no rows: one newline, and columns of no values
+                self.add(_PARSED)
+                if self._fh is not None:
+                    self._write_text(_PARSED)
+            if self._fh is not None:
+                self._fh.close()
+            if self._columns is not None:
+                with zipfile.ZipFile(_part(self._columns), "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+                    for name, spool in self._spools.items():
+                        with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                            spool.copy_to(member)
+        finally:
+            self._release()
+        for path in (self._columns, self.path):
+            if path is not None:
+                _part(path).replace(path)
+        self._closed = True
+        return self._digest.hexdigest()
+
+    def _write_text(self, piece: CellLog) -> None:
+        for chunk in _log_chunks(piece):
+            self._digest.update(chunk)
+            self._fh.write(chunk)
+
+    def _release(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+        for spool in self._spools.values():
+            spool.close()
+
+
+def _part(path: Path) -> Path:
+    """The name a LogWriter writes ``path`` under until it closes."""
+    return path.with_name(path.name + ".part")
+
+
+def _named_columns(log: CellLog) -> Iterator[tuple[str, np.ndarray]]:
+    """Each column of ``log`` by its name in the .npz: is_exposure, and "<exposures|creations>.<key>"."""
+    yield "is_exposure", log.is_exposure
+    for part, keys in (("exposures", EXPOSURE_KEYS), ("creations", CREATION_KEYS)):
+        for key in keys:
+            yield f"{part}.{key}", getattr(getattr(log, part), key)
+
+
+class _Spool:
+    """One column's values, appended a piece at a time: a value and a count while every value is
+    that one, then the values in an anonymous temporary file in ``directory``."""
+
+    def __init__(self, dtype: np.dtype, directory: Path):
+        self.dtype, self.directory = dtype, directory
+        self.size = 0
+        self.value = None
+        self.file = None
+
+    def append(self, values: np.ndarray) -> None:
+        values = np.ascontiguousarray(values, dtype=self.dtype)
+        if self.file is None:
+            if values.size and not self.size:
+                self.value = values[0]
+            if not values.size or (values == self.value).all():
+                self.size += values.size
+                return
+            self.file = tempfile.TemporaryFile(dir=self.directory)
+            self._write_value(self.file)
+        self.file.write(values)
+        self.size += values.size
+
+    def copy_to(self, out) -> None:
+        """Write the column to ``out`` as a .npy file."""
+        header = {"descr": np.lib.format.dtype_to_descr(self.dtype), "fortran_order": False, "shape": (self.size,)}
+        np.lib.format.write_array_header_1_0(out, header)
+        if self.file is None:
+            self._write_value(out)
+        else:
+            self.file.seek(0)
+            shutil.copyfileobj(self.file, out)
+
+    def _write_value(self, out) -> None:
+        """Write ``value`` ``size`` times, at most ``_CHUNK_ROWS`` at a time."""
+        if not self.size:
+            return
+        block = np.full(min(self.size, _CHUNK_ROWS), self.value, dtype=self.dtype)
+        for lo in range(0, self.size, _CHUNK_ROWS):
+            out.write(block[: self.size - lo])
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
+def write_log(log: CellLog | LogWriter, path: str | Path) -> str:
+    """Write a JSONL log and return its SHA-256 digest, hashing each chunk as it is written.
+
+    ``log`` is a CellLog, written as one piece, or a LogWriter that has been
+    writing ``path`` a piece at a time; either way the LogWriter's ``close``
+    moves the file to ``path``.
+    """
+    if isinstance(log, LogWriter):
+        if log.path != Path(path):
+            raise ValueError(f"the writer writes {log.path}, not {path}")
+        return log.close()
+    with LogWriter(path) as writer:
+        writer.add(log)
+        return writer.close()
 
 
 def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
@@ -251,7 +404,7 @@ def _parsed_log(path: Path, data: bytes) -> CellLog:
             logs.append(log)
             if bad is not None:
                 break
-    log = _concat(logs)
+    log = CellLog.concat(logs)
     bad = _first_break(log) or bad  # log holds only the rows before a bad row, so a break in it comes first
     if bad is not None:
         row, reason = bad
@@ -335,12 +488,9 @@ def _creation_lookup(created: np.ndarray, created_rows: np.ndarray) -> Callable[
 
 def save_columns(log: CellLog, path: str | Path) -> None:
     """Save a log's columns to an uncompressed .npz file: is_exposure, and each column as "<exposures|creations>.<key>"."""
-    np.savez(
-        path,
-        is_exposure=log.is_exposure,
-        **{f"exposures.{k}": getattr(log.exposures, k) for k in EXPOSURE_KEYS},
-        **{f"creations.{k}": getattr(log.creations, k) for k in CREATION_KEYS},
-    )
+    with LogWriter(columns=path) as writer:
+        writer.add(log)
+        writer.close()
 
 
 def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
@@ -453,7 +603,7 @@ def _decoded_log(data: bytes) -> CellLog | None:
             return None
         blocks.append(block)
         lo = hi
-    return _concat(blocks) if blocks else None
+    return CellLog.concat(blocks) if blocks else None
 
 
 def _decoded_block(b: np.ndarray) -> CellLog | None:
@@ -518,18 +668,6 @@ def _decoded_block(b: np.ndarray) -> CellLog | None:
         t=values[c + 3 - null],
     )
     return CellLog(exposures, creations, is_exposure)
-
-
-def _concat(logs: list[CellLog]) -> CellLog:
-    """One log of the rows of ``logs``, in order."""
-    def join(parts: list) -> dict[str, np.ndarray]:
-        return {f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(parts[0])}
-
-    return CellLog(
-        ExposureColumns(**join([log.exposures for log in logs])),
-        CreationColumns(**join([log.creations for log in logs])),
-        np.concatenate([log.is_exposure for log in logs]),
-    )
 
 
 def _log_from_objs(objs: list) -> CellLog:
@@ -650,7 +788,8 @@ def cell_name(load: LoadLevel, norm: NormRegime, replication: int) -> str:
 
 def _run_cell(plan: ExperimentPlan, profiles: Sequence[AgentProfile], graph: FollowGraph, corpus: Sequence[str],
               api_key: str | None, cell: tuple[LoadLevel, NormRegime, int], log_path: Path) -> dict:
-    """Run one cell and write its log; returns its manifest entry, "failed" on any error. Top level for pickling."""
+    """Run one cell, writing its log and saved columns as it runs; returns its manifest entry, "failed" on any
+    error, which leaves none of the cell's files. Top level for pickling."""
     from .engine import LogBuilder, run  # the simulator loads only in a process that runs cells
     from .policy import build_policy
 
@@ -659,11 +798,11 @@ def _run_cell(plan: ExperimentPlan, profiles: Sequence[AgentProfile], graph: Fol
     entry = {"load": load.value, "norm": norm.value, "replication": rep, "seed": config.seed, "file": log_path.name}
     try:
         policy = build_policy(plan.policy, load, norm, api_key=api_key)
-        builder = LogBuilder(config)
-        log = run(config, policy, profiles, graph, corpus, builder)
-        digest = write_log(log, log_path)
-        save_columns(log, log_path.with_suffix(".npz"))
-        return {**entry, "sha256": digest, "rows": len(log), "status": "ok", **builder.counts()}
+        with LogWriter(log_path, columns=log_path.with_suffix(".npz")) as writer:
+            builder = LogBuilder(config, writer.add)
+            run(config, policy, profiles, graph, corpus, builder)
+            digest = write_log(writer, log_path)
+        return {**entry, "sha256": digest, "rows": len(writer), "status": "ok", **builder.counts()}
     except Exception as e:  # noqa: BLE001 - partial failures are recorded, not fatal
         return {**entry, "status": "failed", "error": f"{type(e).__name__}: {e}"}
 

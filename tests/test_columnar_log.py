@@ -224,6 +224,40 @@ def test_saved_columns_read_back_as_the_parse(records):
     _assert_same_columns(saved, parsed)
 
 
+def _rows(log: CellLog, lo: int, hi: int) -> CellLog:
+    """Rows lo..hi of a log, as a log."""
+    e_lo, e_hi = (int(np.count_nonzero(log.is_exposure[:i])) for i in (lo, hi))
+    return CellLog(
+        ExposureColumns(**{k: getattr(log.exposures, k)[e_lo:e_hi] for k in EXPOSURE_KEYS}),
+        CreationColumns(**{k: getattr(log.creations, k)[lo - e_lo : hi - e_hi] for k in CREATION_KEYS}),
+        log.is_exposure[lo:hi],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.one_of(blocked_logs(), cell_logs().map(lambda cell: cell[0])), data=st.data())
+def test_a_log_written_in_pieces_is_the_log_written_whole(records, data):
+    # simulate hands a cell's LogWriter its log in pieces. Any cut, empty pieces included, writes the bytes
+    # write_log writes for the whole log and the columns save_columns saves, and leaves no other file.
+    log = log_from_records(records)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(log)), max_size=6), label="cuts"))
+    bounds = [0, *cuts, len(log)]
+    with tempfile.TemporaryDirectory() as tmp:
+        whole, pieces = Path(tmp) / "whole.jsonl", Path(tmp) / "pieces.jsonl"
+        digest = write_log(log, whole)
+        harness.save_columns(log, whole.with_suffix(".npz"))
+        with harness.LogWriter(pieces, columns=pieces.with_suffix(".npz")) as writer:
+            for lo, hi in zip(bounds, bounds[1:]):
+                writer.add(_rows(log, lo, hi))
+            assert write_log(writer, pieces) == digest and len(writer) == len(log)
+        assert pieces.read_bytes() == whole.read_bytes()
+        assert sorted(path.name for path in Path(tmp).iterdir()) == ["pieces.jsonl", "pieces.npz", "whole.jsonl", "whole.npz"]
+        with np.load(pieces.with_suffix(".npz")) as a, np.load(whole.with_suffix(".npz")) as b:
+            assert a.files == b.files
+            for name in a.files:
+                assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
+
+
 # Any int64: values spread over the whole range, and values close together near either end of it.
 INT64 = st.one_of(
     st.integers(-(2**63), 2**63 - 1),

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socialsim import engine
-from socialsim.core import POST_KINDS, ActionKind, ConfigurationError, Feed, LoadLevel, NormRegime, PostKind, RunConfig
+from socialsim import engine, harness
+from socialsim.core import ACTIONS, POST_KINDS, ActionKind, CellLog, ConfigurationError, Feed, LoadLevel, NormRegime, PostKind, RunConfig
 from socialsim.engine import (
     LogBuilder, WorldState, _generator, _seed_words, content_tokens, initialize, run, schedule, select_feed, step,
 )
 from socialsim.harness import ExperimentPlan, log_digest, read_log, run_experiment
-from socialsim.policy import ScriptedPolicy
+from socialsim.policy import ScriptedPolicy, ScriptedSpec
 from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
 
 from conftest import tiny_graph, tiny_profiles
@@ -138,26 +138,63 @@ def test_world_memory_does_not_grow_with_agents_squared():
     assert not world.engaged and not world.history  # reading an agent's state creates none
 
 
-def test_log_builder_finish_holds_each_row_once():
-    # Regression: finish kept every activation's blocks until it returned, beside the columns it joined from them.
-    config = _config()
-    world = initialize(tiny_profiles(), tiny_graph(), _corpus(40), config)
+def test_streamed_run_holds_one_piece_of_its_log(small_population, tmp_path):
+    # Regression: a cell's LogBuilder held every activation's block until the run ended, and finish joined them
+    # into whole columns before write_log and save_columns ran, so simulate's heap grew with the log's rows. A
+    # read-only policy leaves the world as it starts, so what a run holds beyond it is the log's.
+    profiles, graph = small_population
+    corpus = generate_seed_corpus(seed=11, size=40)
+    plan = ExperimentPlan(base_seed=3, n_agents=40, timesteps=250, activation_p=0.9, policy=ScriptedSpec(intents=["read"]))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        log = LogBuilder(config)
-        for i in range(3000):
-            posts = np.arange(i % 10, i % 10 + 30)
-            log.activation(world, i % 5, Feed(posts, world._likes[posts], world._reposts[posts], 3, world.posts))
-        blocks = tracemalloc.get_traced_memory()[0] - start
-        tracemalloc.reset_peak()
-        cell = log.finish(world)
+        (cell,) = run_experiment(plan, profiles, graph, corpus, tmp_path, cells=[(LoadLevel.HIGH, NormRegime.NO_NORM)])["cells"]
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert len(cell.exposures.post) == 90_000 and cell.exposures.post[:31].tolist() == list(range(30)) + [1]
-    joined = sum(column.nbytes for column in vars(cell.exposures).values())
-    assert peak < blocks + joined, (peak, blocks, joined)
+    assert cell["status"] == "ok" and cell["rows"] > 250_000
+    # The run's columns take 51 bytes a row (14.6 MB here); the heap held stays under one fixed bound, about a
+    # megabyte past what a run of a fifth of the rows holds.
+    assert peak < 4 * 2**20, peak
+
+
+def test_engagement_of_a_row_handed_off_is_refused(monkeypatch):
+    # A row of an earlier piece is already written; marking it would wrap to another row of the held blocks.
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 8)
+    config = _config()
+    world = initialize(tiny_profiles(), tiny_graph(), _corpus(), config)
+    posts = np.arange(3)
+    feed = Feed(posts, world._likes[posts], world._reposts[posts], 0, world.posts)
+    pieces = []
+    log = LogBuilder(config, pieces.append)
+    assert log.activation(world, 2, feed) == 0 and not pieces  # 4 creation rows and 3 exposures: 7 rows held
+    assert log.activation(world, 3, feed) == 3 and len(pieces) == 1  # 3 more would make 10
+    with pytest.raises(ValueError, match="exposure row 1 is not in a block the builder holds"):
+        log.engagement(1, ActionKind.LIKE)
+    log.engagement(4, ActionKind.LIKE)
+    assert log.finish(world) is None
+    assert [piece.exposures.action.tolist() for piece in pieces] == [[0, 0, 0], [0, ACTIONS.index(ActionKind.LIKE), 0]]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, harness._CHUNK_ROWS])
+def test_pieces_in_turn_are_the_run_log(small_population, monkeypatch, rows):
+    profiles, graph = small_population
+    corpus = generate_seed_corpus(seed=2, size=20)
+    cfg = _config(n_agents=40, timesteps=60, activation_p=0.2, seed=17, load=LoadLevel.HIGH)
+    policy = lambda: ScriptedPolicy([("like", 0), "read", ("quote", 1, "hm"), ("repost", 0), "read"])
+    whole = run(cfg, policy(), profiles, graph, corpus)
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+    pieces = []
+    assert run(cfg, policy(), profiles, graph, corpus, LogBuilder(cfg, pieces.append)) is None
+    # A feed is at most 33 slots, and a piece ends before the block that would take it past _CHUNK_ROWS; only the
+    # last can hold one post more, made by its last block's repost or quote.
+    assert all(len(piece) <= max(rows, 33) + 1 for piece in pieces)
+    joined = CellLog.concat(pieces)
+    for part in ("exposures", "creations"):
+        for name, column in vars(getattr(whole, part)).items():
+            assert np.array_equal(getattr(getattr(joined, part), name), column), (part, name)
+    assert np.array_equal(joined.is_exposure, whole.is_exposure)
+    assert log_digest(joined) == log_digest(whole)
 
 
 class TestFolloweeRows:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import socialsim.harness as harness
+import socialsim.policy as policy_module
 from socialsim.cli import read_config
 from socialsim.core import ACTIONS, LOADS, NORMS, POST_KINDS, ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
 from socialsim.harness import (
@@ -399,6 +400,14 @@ def _assert_same_log(a, b) -> None:
     assert list(x) == list(y)
     for name in x:
         assert x[name].dtype == y[name].dtype and np.array_equal(x[name], y[name]), name
+
+
+def _assert_same_npz(a: Path, b: Path) -> None:
+    """The two .npz files hold the same arrays, by name and in order, with the same dtypes."""
+    with np.load(a) as x, np.load(b) as y:
+        assert x.files == y.files
+        for name in x.files:
+            assert x[name].dtype == y[name].dtype and np.array_equal(x[name], y[name]), name
 
 
 def _resaved(changes):
@@ -799,6 +808,74 @@ class TestRunExperiment:
         manifest = run_experiment(plan, profiles, graph, corpus, tmp_path / "run", cells=[(LoadLevel.LOW, NormRegime.NO_NORM)])
         (cell,) = manifest["cells"]
         assert cell["status"] == "failed" and "line 1" in cell["error"]
+
+    def test_failed_cell_leaves_none_of_its_files(self, small_inputs, tmp_path, monkeypatch):
+        # A cell writes its log and columns as it runs, under temporary names. One whose policy raises after
+        # two pieces were written leaves no file, and every other cell's entry and files are as a run without
+        # the failure writes them.
+        profiles, graph, corpus = small_inputs
+        plan = _tiny_plan(timesteps=60, activation_p=0.2)
+        run_experiment(plan, profiles, graph, corpus, tmp_path / "whole")
+        monkeypatch.setattr(harness, "_CHUNK_ROWS", 64)  # pieces of at most 64 rows, so the cell writes many
+        failing = f"{cell_name(LoadLevel.MEDIUM, NormRegime.LIKE_DOMINANT, 0)}.jsonl"
+        written = []
+        real_add = harness.LogWriter.add
+
+        def add(writer, piece):
+            real_add(writer, piece)
+            written.append(writer.path.name)
+
+        class FailingPolicy:
+            def __init__(self, policy):
+                self.policy = policy
+
+            def decide(self, context, rng):
+                if written.count(failing) >= 2:
+                    parts = list((tmp_path / "run" / "logs").glob("*.part"))
+                    assert [path.name for path in parts] == [f"{failing}.part"] and parts[0].stat().st_size, parts
+                    raise RuntimeError("synthetic failure after two pieces")
+                return self.policy.decide(context, rng)
+
+        real_build = policy_module.build_policy
+
+        def build(spec, load, norm, **kw):
+            policy = real_build(spec, load, norm, **kw)
+            return FailingPolicy(policy) if (load, norm) == (LoadLevel.MEDIUM, NormRegime.LIKE_DOMINANT) else policy
+
+        monkeypatch.setattr(harness.LogWriter, "add", add)
+        monkeypatch.setattr(policy_module, "build_policy", build)
+        manifest = run_experiment(plan, profiles, graph, corpus, tmp_path / "run")
+        whole = json.loads((tmp_path / "whole" / "manifest.json").read_text())
+        for cell, expected in zip(manifest["cells"], whole["cells"]):
+            if cell["file"] == failing:
+                assert cell["status"] == "failed" and cell["error"] == "RuntimeError: synthetic failure after two pieces"
+            else:
+                assert cell == expected
+        kept = sorted(path.name for path in (tmp_path / "run" / "logs").iterdir())
+        failed_files = {failing, failing.replace(".jsonl", ".npz")}
+        assert kept == sorted(path.name for path in (tmp_path / "whole" / "logs").iterdir() if path.name not in failed_files)
+        for name in kept:
+            if name.endswith(".jsonl"):
+                assert (tmp_path / "run" / "logs" / name).read_bytes() == (tmp_path / "whole" / "logs" / name).read_bytes()
+            else:
+                _assert_same_npz(tmp_path / "run" / "logs" / name, tmp_path / "whole" / "logs" / name)
+
+    @pytest.mark.parametrize("rows", [1, 50])
+    def test_cells_written_in_pieces_of_any_size_are_the_same(self, small_inputs, tmp_path, monkeypatch, rows):
+        profiles, graph, corpus = small_inputs
+        plan = _tiny_plan(timesteps=40, activation_p=0.1)
+        run_experiment(plan, profiles, graph, corpus, tmp_path / "whole")
+        monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+        run_experiment(plan, profiles, graph, corpus, tmp_path / "pieces")
+        assert (tmp_path / "pieces" / "manifest.json").read_bytes() == (tmp_path / "whole" / "manifest.json").read_bytes()
+        names = sorted(path.name for path in (tmp_path / "whole" / "logs").iterdir())
+        assert len(names) == 24 and names == sorted(path.name for path in (tmp_path / "pieces" / "logs").iterdir())
+        for name in names:
+            a, b = tmp_path / "pieces" / "logs" / name, tmp_path / "whole" / "logs" / name
+            if name.endswith(".jsonl"):
+                assert a.read_bytes() == b.read_bytes()
+            else:
+                _assert_same_npz(a, b)
 
     def test_parallel_equals_serial(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs

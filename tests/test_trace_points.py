@@ -58,3 +58,23 @@ def test_traced_analyze_and_report_record_every_cli_trace_point(tmp_path):
     assert cli_points
     assert cli_points - set(tracer.names) == set()
     assert {"harness.read_log", "figures.svg"} <= set(tracer.names)
+
+
+def test_traced_simulate_records_the_engine_points_and_one_write_log_per_cell(tmp_path):
+    # Each cell streams its log to disk as it runs, and write_log, called once per cell as (writer, path),
+    # closes it: perfbench reads the cell's rows from the writer and its bytes from the file at that path.
+    tracing = _tracing_module()
+    plan = {"base_seed": 5, "n_agents": 40, "timesteps": 40, "activation_p": 0.05}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    tracer = tracing.Tracer("test")
+    saved = tracing.install(tracer)
+    try:
+        assert main(["simulate", "--config", str(tmp_path / "plan.json"), "--out", str(tmp_path / "runs")]) == 0
+    finally:
+        tracing.uninstall(saved)
+    cells = json.loads((tmp_path / "runs" / "manifest.json").read_text())["cells"]
+    assert len(cells) == 12 and all(c["status"] == "ok" for c in cells)
+    assert tracer.names.count("harness.write_log") == tracer.counts["harness.write_log.calls"] == 12
+    assert tracer.counts["harness.write_log.rows"] == sum(c["rows"] for c in cells)
+    assert tracer.counts["harness.write_log.bytes"] == sum((tmp_path / "runs" / "logs" / c["file"]).stat().st_size for c in cells)
+    assert {"engine.step", "recommender.select_feed", "policy.decide"} <= set(tracer.names)
