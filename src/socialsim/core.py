@@ -199,6 +199,36 @@ class CellLog:
         )
 
 
+def dense_span(values: np.ndarray) -> tuple[int, int] | None:
+    """(min, max) of 1-D integer ``values`` that span fewer than four per value, else None.
+
+    Such values can be placed by a table of their span, which is then sized
+    by the count, never by the values; all others need a sort.
+    """
+    if values.ndim != 1 or values.dtype.kind not in "iu" or not values.size:
+        return None
+    low, high = int(values.min()), int(values.max())
+    return (low, high) if high - low < 4 * values.size else None
+
+
+def ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``: the distinct values in order, and each value's index into them.
+
+    Values with a ``dense_span`` are ranked by a table of which values are
+    present and its running count, in two passes over the values and one
+    over their span; all others by ``np.unique``'s sort.
+    """
+    span = dense_span(values)
+    if span is None:
+        return np.unique(values, return_inverse=True)
+    low = values.dtype.type(span[0])
+    # Each difference is in [0, max - min], so int64 arithmetic gives it exactly even where a value wraps.
+    offsets = values.astype(np.int64) - low.astype(np.int64)
+    present = np.zeros(span[1] - span[0] + 1, dtype=bool)
+    present[offsets] = True
+    return present.nonzero()[0].astype(values.dtype) + low, (np.cumsum(present) - 1)[offsets]
+
+
 class Feed:
     """One activation's feed as columns, best first within each pool.
 

@@ -29,8 +29,16 @@ enum texts and a literal negative source. The counter range and the
 creation rules are checked on columns by ``_first_break``, whatever the
 columns came from, and a post's creation row is found by one lookup
 (``_created_before``), which those rules and the load audit share; the
-rules sort the creation posts once for their three lookups
+rules place the creation posts once for their three lookups
 (``_creation_lookup``).
+
+Integer keys are placed by a table when they are dense and by a sort only
+when they are not; ``core.dense_span`` states the rule (1-D integers
+spanning fewer than four per value). ``core.ranked`` gives ``np.unique``'s
+values and inverse by it, for the writer's distinct texts (``_texts``), the
+load audit's ids, times and activations, and ``stats``' pattern table;
+``_creation_lookup`` maps dense post ids to their first creation through a
+table of their span.
 
 ``read_log`` parses no JSON for columns it has proven equal to the parse,
 by checking them as the parse checks columns and re-formatting them to the
@@ -47,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
 import zipfile
@@ -78,7 +87,9 @@ from .core import (
     RunConfig,
     RunParameters,
     check_seed,
+    dense_span,
     json_value,
+    ranked,
     read_bytes,
     read_text,
     to_obj,
@@ -107,19 +118,8 @@ _CHUNK_ROWS = 1 << 12
 
 
 def _texts(values: np.ndarray, suffix: str) -> tuple[list[str], np.ndarray]:
-    """Each distinct value's digits then ``suffix``, and each value's index into those texts.
-
-    Values spanning less than four per value are ranked by a table of that
-    span, others by a sort, so the work is sized by the count, never by the values.
-    """
-    low, high = (int(values.min()), int(values.max())) if values.size else (0, -1)
-    if high - low < 4 * values.size:
-        offsets = values - low  # no overflow: each value is in [low, high]
-        present = np.zeros(high - low + 1, dtype=bool)
-        present[offsets] = True
-        distinct, at = present.nonzero()[0] + low, (np.cumsum(present) - 1)[offsets]
-    else:
-        distinct, at = np.unique(values, return_inverse=True)
+    """Each distinct value's digits then ``suffix``, and each value's index into those texts (``ranked``)."""
+    distinct, at = ranked(values)
     return [f"{v}{suffix}" for v in distinct.tolist()], at
 
 
@@ -472,16 +472,33 @@ def _created_before(log: CellLog, posts: np.ndarray, rows: np.ndarray) -> np.nda
 
 def _creation_lookup(created: np.ndarray, created_rows: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """``_created_before`` for the log whose creation rows create the posts ``created`` at its rows
-    ``created_rows``, as a function of (posts, rows) that can be called many times: the posts are sorted
-    once, here."""
-    order = np.argsort(created, kind="stable")  # a post's first creation first
-    in_order = created[order]
+    ``created_rows``, as a function of (posts, rows) that can be called many times: the posts are placed
+    once, here, by a table from each post id to its first creation if they have a ``dense_span``, else
+    by a sort."""
+    n = created.size
+    row_of = np.append(created_rows, np.iinfo(np.int64).max)  # creation n, "none", comes after every row
+    span = dense_span(created)
+    if span is not None:
+        low, high = span
+        table = np.full(high - low + 1, n, dtype=np.intp)
+        np.minimum.at(table, created - low, np.arange(n))  # the least index wins, wherever a post repeats
+
+        def first_creation(posts: np.ndarray) -> np.ndarray:
+            inside = (posts >= low) & (posts <= high)  # the ids the table covers
+            return np.where(inside, table[np.where(inside, posts - low, 0)], n)
+    else:
+        order = np.argsort(created, kind="stable")  # a post's first creation first
+        in_order = created[order]
+
+        def first_creation(posts: np.ndarray) -> np.ndarray:
+            if n == 0:
+                return np.full(posts.size, n, dtype=np.intp)
+            first = order[np.minimum(np.searchsorted(in_order, posts), n - 1)]
+            return np.where(created[first] == posts, first, n)
 
     def before(posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if created.size == 0:
-            return np.full(posts.size, -1, dtype=np.int64)
-        first = order[np.minimum(np.searchsorted(in_order, posts), created.size - 1)]
-        return np.where((created[first] == posts) & (created_rows[first] < rows), first, -1)
+        first = first_creation(posts)
+        return np.where(row_of[first] < rows, first, -1)
 
     return before
 
@@ -628,7 +645,8 @@ def _decoded_block(b: np.ndarray) -> CellLog | None:
     lengths = after - first
     if lengths.size and lengths.max() > 19:
         return None
-    counts = np.bincount(np.searchsorted(ends, first), minlength=ends.size)
+    line_first = np.searchsorted(first, starts)  # each line's first integer
+    counts = np.diff(line_first, append=first.size)
     n_creation = counts[~is_exposure]
     if not (np.all(counts[is_exposure] == 6) and np.all((n_creation == 3) | (n_creation == 4))):
         return None
@@ -645,7 +663,6 @@ def _decoded_block(b: np.ndarray) -> CellLog | None:
     negative = b.take(first - 1, mode="clip") == ord("-")
     np.negative(values, out=values, where=negative)
     token = first - negative  # each integer's first byte, its "-" if any
-    line_first = np.cumsum(counts) - counts  # each line's first integer
     e, c = line_first[is_exposure], line_first[~is_exposure]
     run, t, agent, post, likes, reshares = (values[e + i] for i in range(6))
     null = n_creation == 3
@@ -820,8 +837,10 @@ def run_experiment(
 ) -> dict:
     """Execute the plan's cells and persist logs plus a manifest.
 
-    Returns the manifest dict (also written to manifest.json). Failed cells
-    are recorded in the manifest with their error; completed cells are kept.
+    Returns the manifest dict (also written to manifest.json, under a
+    temporary name first and then moved into place, so that no reader sees
+    part of one). Failed cells are recorded in the manifest with their error;
+    completed cells are kept.
     """
     out = Path(out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
@@ -850,7 +869,13 @@ def run_experiment(
         "corpus_sha256": corpus_digest(corpus),
         "cells": results,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+    path = out / "manifest.json"
+    try:  # written whole under a temporary name, then moved into place: never a partial manifest.json
+        _part(path).write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+        os.replace(_part(path), path)
+    except BaseException:
+        _part(path).unlink(missing_ok=True)
+        raise
     return manifest
 
 
@@ -903,6 +928,11 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     A feed slot is algorithmic exactly when the post's author is not one of
     the viewer's followees; authorship comes from the log's creation rows,
     so the audit needs no engine state. An activation is one (t, agent) pair.
+
+    Every key is ranked with ``core.ranked``, by a table where the keys are
+    dense and by a sort where they are not, with the same counts either way:
+    the agent ids of viewers, authors and follow edges together, the times,
+    and the (time, viewer) activation codes.
     """
     e = log.exposures
     if len(e) == 0:
@@ -916,7 +946,7 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     # one int64 without overflow: (viewer, author) for the follow test, and
     # (t, agent) for the activation.
     pairs = np.array(graph.edges(), dtype=np.int64).ravel()
-    ids = np.unique(np.concatenate([e.agent, author, pairs]), return_inverse=True)[1]
+    ids = ranked(np.concatenate([e.agent, author, pairs]))[1]
     n, width = len(e), ids.max() + 1
     viewer, owner, follows = ids[:n], ids[n : 2 * n], ids[2 * n :].reshape(-1, 2)
     # A slot is followed when its (viewer, author) code is among the sorted edge
@@ -925,7 +955,7 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     at = np.searchsorted(edges, pair)
     followed = at < edges.size
     followed[followed] = edges[at[followed]] == pair[followed]
-    activation = np.unique(np.unique(e.t, return_inverse=True)[1] * width + viewer, return_inverse=True)[1]
+    activation = ranked(ranked(e.t)[1] * width + viewer)[1]
     counts = np.bincount(activation[~followed], minlength=activation.max() + 1)
     return LoadAudit(
         n_activations=counts.size,

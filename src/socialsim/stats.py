@@ -44,6 +44,7 @@ from .core import (
     FormatError,
     LoadLevel,
     NormRegime,
+    ranked,
     read_table,
     read_text,
     write_table,
@@ -165,8 +166,8 @@ def _patterns(total: np.ndarray, load: np.ndarray, norm: np.ndarray) -> tuple[np
     the keys' totals (int64) and LOADS and NORMS codes (int8).
 
     The pattern code counts from the index of the distinct total, so it cannot overflow as the total could."""
-    distinct, inverse = np.unique(total, return_inverse=True)
-    keys, pattern = np.unique((inverse * len(LOADS) + load) * len(NORMS) + norm, return_inverse=True)
+    distinct, inverse = ranked(total)
+    keys, pattern = ranked((inverse * len(LOADS) + load) * len(NORMS) + norm)
     index, norm_codes = np.divmod(keys, len(NORMS))
     index, load_codes = np.divmod(index, len(LOADS))
     return pattern, distinct[index], load_codes.astype(np.int8), norm_codes.astype(np.int8)

@@ -5,6 +5,7 @@ import re
 import types
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,10 @@ from socialsim.core import (
     NormRegime,
     PostKind,
     RunConfig,
+    dense_span,
     from_obj,
     popularity_composite,
+    ranked,
     read_table,
     read_text,
     to_obj,
@@ -214,6 +217,55 @@ class TestTables:
         path = tmp_path / "t.csv"
         path.write_text("a,x,b\n1,2,3\n")
         assert read_table(path, "row", ("a", "b")) == [(2, {"a": "1", "x": "2", "b": "3"})]
+
+
+class TestRanked:
+    """core.ranked is np.unique(values, return_inverse=True), whichever way core.dense_span has it rank."""
+
+    @staticmethod
+    def _assert_is_unique(values: np.ndarray) -> None:
+        want, got = np.unique(values, return_inverse=True), ranked(values)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_np_unique(self, data):
+        dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+        info = np.iinfo(dtype)
+        n = data.draw(st.integers(1, 40))
+        # Spans just under and just over four per value, and any other that the dtype holds.
+        span = data.draw(st.sampled_from([4 * n - 2, 4 * n - 1, 4 * n, 4 * n + 1]) | st.integers(0, info.max - info.min))
+        span = 0 if n == 1 else min(span, info.max - info.min)
+        low = data.draw(st.integers(info.min, info.max - span))
+        ends = [0] if n == 1 else [0, span]  # the span is reached
+        offsets = data.draw(st.lists(st.integers(0, span), min_size=n - len(ends), max_size=n - len(ends))) + ends
+        values = np.array([low + o for o in data.draw(st.permutations(offsets))], dtype=dtype)
+        assert (dense_span(values) is not None) == (span < 4 * n)
+        self._assert_is_unique(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([], id="empty"),
+            pytest.param([7], id="one_value"),
+            pytest.param([-3, -1, -3, -2], id="negative"),
+            pytest.param([2**63 - 1, -(2**63)], id="int64_extremes"),
+            pytest.param([2**63 - 1, 2**63 - 3, 2**63 - 1], id="dense_at_the_int64_top"),
+            pytest.param([-(2**63) + 2, -(2**63), -(2**63)], id="dense_at_the_int64_bottom"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_edge_cases(self, values, dtype):
+        info = np.iinfo(dtype)
+        if any(not info.min <= v <= info.max for v in values):
+            values = [info.max if v > 0 else info.min for v in values]  # the same case at the dtype's own extremes
+        self._assert_is_unique(np.array(values, dtype=dtype))
+
+    def test_other_keys_are_ranked_by_np_unique(self):
+        assert dense_span(np.array([1.0, 2.0])) is None and dense_span(np.ones((2, 2), dtype=np.int64)) is None
+        self._assert_is_unique(np.array([0.5, -1.0, 0.5]))
+        self._assert_is_unique(np.array([[3, 1], [1, 2]], dtype=np.int64))
 
 
 class TestReadText:

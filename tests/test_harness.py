@@ -2,19 +2,23 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 from collections import Counter
 from dataclasses import fields, replace
 from typing import get_type_hints
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socialsim.harness as harness
 import socialsim.policy as policy_module
 from socialsim.cli import read_config
-from socialsim.core import ACTIONS, LOADS, NORMS, POST_KINDS, ActionKind, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, from_obj, to_obj
+from socialsim.core import ACTIONS, LOADS, NORMS, POST_KINDS, ActionKind, CellLog, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, RunConfig, dense_span, from_obj, to_obj
 from socialsim.harness import (
     CellShares,
     ExperimentPlan,
@@ -31,6 +35,7 @@ from socialsim.harness import (
 from socialsim.engine import LogBuilder, run
 from socialsim.policy import LlmSpec, PolicySpec, ScriptedSpec, build_policy, mock_policy_spec
 from socialsim.population import FollowGraph, generate_population, generate_seed_corpus
+from socialsim.stats import PatternCounts
 
 from reference_log import ExposureRecord, PostCreation, log_from_records, records_of
 
@@ -877,6 +882,31 @@ class TestRunExperiment:
             else:
                 _assert_same_npz(a, b)
 
+    def test_manifest_bytes_and_no_temporary_file(self, small_inputs, tmp_path):
+        profiles, graph, corpus = small_inputs
+        manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path, cells=[(LoadLevel.LOW, NormRegime.NO_NORM)])
+        assert (tmp_path / "manifest.json").read_bytes() == json.dumps(manifest, indent=1, sort_keys=True).encode()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "logs", "manifest.json", "population.jsonl"]
+
+    def test_failed_manifest_replace_leaves_no_manifest(self, small_inputs, tmp_path, monkeypatch):
+        # The manifest is written whole under a temporary name and then moved into place; when the move fails,
+        # neither name is left, so a reader finds no manifest rather than part of one.
+        profiles, graph, corpus = small_inputs
+        real_replace = os.replace
+        moved = []
+
+        def replace(src, dst):
+            if Path(dst).name == "manifest.json":
+                moved.append(json.loads(Path(src).read_text()))
+                raise OSError("synthetic failure to replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="synthetic failure to replace"):
+            run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path, cells=[(LoadLevel.LOW, NormRegime.NO_NORM)])
+        assert [cell["status"] for cell in moved[0]["cells"]] == ["ok"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "logs", "population.jsonl"]
+
     def test_parallel_equals_serial(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
         run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path / "serial", workers=1)
@@ -948,3 +978,76 @@ class TestAudits:
         # the tiny 12-post corpus starves followed pools, so backfill may push
         # counts past the 4-post quota; the feed total is still capped
         assert from_files.max <= LoadLevel.LOWEST.total
+
+
+def _first_creation_before(created: list[int], created_rows: list[int], post: int, row: int) -> int:
+    """The oracle of _creation_lookup: the index of ``post``'s first creation if its row is before ``row``, else -1."""
+    for k, p in enumerate(created):
+        if p == post:
+            return k if created_rows[k] < row else -1
+    return -1
+
+
+class TestCreationLookup:
+    """_creation_lookup places dense post ids by a table and others by a sort; both give the oracle's answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_table_equals_the_sort(self, data):
+        # Small ids, the same spread past any table, or shifted to the top of int64, asked beside its extremes.
+        to_id = data.draw(st.sampled_from([lambda p: p, lambda p: p * 2**33, lambda p: p + 2**63 - 16]))
+        created = data.draw(st.lists(st.integers(-3, 12), max_size=12))  # repeats: a post created twice or more
+        created_rows = sorted(data.draw(st.sets(st.integers(0, 60), min_size=len(created), max_size=len(created))))
+        extremes = st.sampled_from([-(2**63), -(2**63) + 5, 2**63 - 1])
+        asked = data.draw(st.lists(st.integers(-6, 15).map(to_id) | extremes, max_size=20))
+        rows = data.draw(st.lists(st.integers(0, 61), min_size=len(asked), max_size=len(asked)))
+        created = [to_id(p) for p in created]
+        args = (np.array(created, dtype=np.int64), np.array(created_rows, dtype=np.intp))
+        posts, at = np.array(asked, dtype=np.int64), np.array(rows, dtype=np.intp)
+        got = harness._creation_lookup(*args)(posts, at)
+        with mock.patch.object(harness, "dense_span", return_value=None):
+            by_sort = harness._creation_lookup(*args)(posts, at)
+        want = [_first_creation_before(created, created_rows, p, r) for p, r in zip(asked, rows)]
+        assert got.dtype == by_sort.dtype == np.int64 and got.tolist() == by_sort.tolist() == want
+        assert (dense_span(args[0]) is not None) == (bool(created) and max(created) - min(created) < 4 * len(created))
+
+    def test_the_first_of_many_creations_wins(self):
+        # Post 5 is created at creation indices 1, 2 and 4: a table filled by one fancy-index assignment
+        # could keep any of them, as numpy does not say which of repeated indices it writes last.
+        created, created_rows = np.array([0, 5, 5, 1, 5, 2], dtype=np.int64), np.arange(6) * 2
+        before = harness._creation_lookup(created, created_rows)
+        assert dense_span(created) is not None
+        assert before(np.array([5, 5, 5, 5]), np.array([2, 3, 9, 100])).tolist() == [-1, 1, 1, 1]
+
+
+def _spread(ids):
+    """Agent, post and time ids mapped apart, past any table of their span: id * 2**33 + 7."""
+    return ids * 2**33 + 7
+
+
+def test_sparse_ids_give_the_audit_and_pattern_table_of_dense_ones(small_inputs, tmp_path):
+    profiles, graph, corpus = small_inputs
+    cfg = RunConfig(seed=3, load=LoadLevel.MEDIUM, norm=NormRegime.REPOST_DOMINANT, n_agents=40, timesteps=40, activation_p=0.2)
+    log = run(cfg, build_policy(mock_policy_spec(), cfg.load, cfg.norm), profiles, graph, corpus)
+    e, c = log.exposures, log.creations
+    # Every id is spread, and the counters scaled, so each key the audit, the reader and the fold rank is sparse.
+    sparse = CellLog(
+        replace(e, t=_spread(e.t), agent=_spread(e.agent), post=_spread(e.post), likes=e.likes * 2**33, reshares=e.reshares * 2**33),
+        replace(c, post=_spread(c.post), author=_spread(c.author), source=np.where(c.source < 0, -1, _spread(c.source)), t=_spread(c.t)),
+        log.is_exposure,
+    )
+    edges = {}
+    for follower, followee in graph.edges():
+        edges.setdefault(_spread(follower), set()).add(_spread(followee))
+    sparse_graph = FollowGraph(edges)
+    for dense_key, sparse_key in ((e.agent, sparse.exposures.agent), (c.post, sparse.creations.post), (e.likes + e.reshares, sparse.exposures.likes + sparse.exposures.reshares)):
+        assert dense_span(dense_key) is not None and dense_span(sparse_key) is None
+
+    audit = realized_load_audit(log, graph)
+    assert audit.n_activations > 0 and realized_load_audit(sparse, sparse_graph) == audit
+    dense_table, sparse_table = PatternCounts.of(e), PatternCounts.of(sparse.exposures)
+    assert sparse_table.total.tolist() == (dense_table.total * 2**33).tolist()
+    for a, b in zip(dense_table[1:], sparse_table[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    write_log(sparse, tmp_path / "sparse.jsonl")
+    _assert_same_log(read_log(tmp_path / "sparse.jsonl"), sparse)
