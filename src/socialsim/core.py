@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import sys
 import types
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -229,6 +230,21 @@ def ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return present.nonzero()[0].astype(values.dtype) + low, (np.cumsum(present) - 1)[offsets]
 
 
+def first_index(keys: np.ndarray, *queries: np.ndarray) -> list[np.ndarray]:
+    """Per value of each of ``queries``: the index of its first occurrence in ``keys``, or ``keys.size`` if it has none.
+
+    The keys and queries are ranked together by one ``ranked``, and each
+    rank's least key index is kept by ``np.minimum.at``, so the first of
+    repeated keys wins.
+    """
+    parts = [keys, *queries]
+    rank = ranked(np.concatenate(parts))[1]
+    first = np.full(int(rank.max(initial=-1)) + 1, keys.size, dtype=np.intp)
+    np.minimum.at(first, rank[: keys.size], np.arange(keys.size))
+    ends = np.cumsum([part.size for part in parts]).tolist()
+    return [first[rank[lo:hi]] for lo, hi in zip(ends, ends[1:])]
+
+
 class Feed:
     """One activation's feed as columns, best first within each pool.
 
@@ -294,8 +310,8 @@ class RunParameters:
                 raise ConfigurationError(f"{key} must be in [0, 1], got {getattr(self, key)}")
         if abs(self.w_recency + self.w_relevance - 1.0) > 1e-9:
             raise ConfigurationError("recency and relevance weights must sum to 1")
-        if self.history_window < 1:
-            raise ConfigurationError(f"history_window must be at least 1, got {self.history_window}")
+        if not 1 <= self.history_window <= sys.maxsize:  # the bound of a deque's maxlen
+            raise ConfigurationError(f"history_window must be in 1..{sys.maxsize}, got {self.history_window}")
 
 
 @dataclass(kw_only=True)

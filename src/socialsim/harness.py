@@ -27,27 +27,23 @@ text-to-code table is derived from them. The JSON build of columns
 (``_log_from_objs``) checks only what columns cannot show: types, keys,
 enum texts and a literal negative source. The counter range and the
 creation rules are checked on columns by ``_first_break``, whatever the
-columns came from, and a post's creation row is found by one lookup
-(``_created_before``), which those rules and the load audit share; the
-rules place the creation posts once for their three lookups
-(``_creation_lookup``).
+columns came from. Those rules and the load audit find a post's first
+creation row one way: ``core.first_index`` over the creation posts.
 
 Integer keys are placed by a table when they are dense and by a sort only
-when they are not; ``core.dense_span`` states the rule (1-D integers
-spanning fewer than four per value). ``core.ranked`` gives ``np.unique``'s
-values and inverse by it, for the writer's distinct texts (``_texts``), the
-load audit's ids, times and activations, and ``stats``' pattern table;
-``_creation_lookup`` maps dense post ids to their first creation through a
-table of their span.
+when they are not. ``core.ranked`` alone makes that choice: it gives
+``np.unique``'s values and inverse, for the writer's distinct texts
+(``_texts``), the load audit's ids, times and activations, ``stats``'
+pattern table, and ``core.first_index``'s lookups.
 
 ``read_log`` parses no JSON for columns it has proven equal to the parse,
 by checking them as the parse checks columns and re-formatting them to the
 log file's bytes (``_is_parse``). They come from one of two places.
 ``run_experiment`` saves each cell's columns beside its log, as
-``logs/<cell>.npz`` (``LogWriter``): a cache, not a record. Without
-one, ``_decoded_log`` decodes the file's bytes with numpy as write_log's
-line format. Whatever fails the proof is parsed as JSON, as it would be
-without either, errors included.
+``logs/<cell>.npz``, written by the cell's ``LogWriter`` as it writes the
+log: a cache, not a record. Without one, ``_decoded_log`` decodes the
+file's bytes with numpy as write_log's line format. Whatever fails the
+proof is parsed as JSON, as it would be without either, errors included.
 """
 
 from __future__ import annotations
@@ -87,7 +83,7 @@ from .core import (
     RunConfig,
     RunParameters,
     check_seed,
-    dense_span,
+    first_index,
     json_value,
     ranked,
     read_bytes,
@@ -200,14 +196,14 @@ class LogWriter:
     """A JSONL log and its saved columns, each optional, written a piece of rows at a time.
 
     ``add`` formats each piece with ``_log_chunks``, hashes the bytes and
-    writes them, and appends the piece's columns to a spool: while every row
-    so far holds one value, as a cell's run, load and norm do, a column is
-    that value and a count, else an anonymous temporary file beside the
-    output. ``close`` writes the .npz from the spool, an uncompressed zip of
-    one .npy member per column as ``np.savez`` writes it, so no column is
-    ever held whole. Each file is written under its name plus ".part" and
-    moved into place by ``close``; a writer left unclosed (by an error in its
-    ``with`` block, say) removes them, and its spool is gone either way.
+    writes them, and appends each of the piece's columns to its spool, an
+    anonymous temporary file beside the output. ``close`` writes the .npz
+    from the spools, an uncompressed zip of one .npy member per column as
+    ``np.savez`` writes it, so no column is ever held whole. Each file is
+    written under its name plus ".part" and moved into place by ``close``; a
+    writer left unclosed (by an error in its ``with`` block or in ``close``,
+    say) removes those and every file ``close`` had moved, and its spools are
+    gone either way.
     """
 
     def __init__(self, path: str | Path | None = None, *, columns: str | Path | None = None):
@@ -217,6 +213,7 @@ class LogWriter:
         self._digest = hashlib.sha256()
         self._fh = None if path is None else open(_part(self.path), "wb")
         self._closed = False
+        self._moved: list[Path] = []
         self._rows = 0
 
     def __len__(self) -> int:
@@ -231,6 +228,8 @@ class LogWriter:
             for path in (self.path, self._columns):
                 if path is not None:
                     _part(path).unlink(missing_ok=True)
+            for path in self._moved:
+                path.unlink(missing_ok=True)
 
     def add(self, piece: CellLog) -> None:
         """Write the next rows of the log: ``piece``'s, in order."""
@@ -263,6 +262,7 @@ class LogWriter:
         for path in (self._columns, self.path):
             if path is not None:
                 _part(path).replace(path)
+                self._moved.append(path)
         self._closed = True
         return self._digest.hexdigest()
 
@@ -292,25 +292,15 @@ def _named_columns(log: CellLog) -> Iterator[tuple[str, np.ndarray]]:
 
 
 class _Spool:
-    """One column's values, appended a piece at a time: a value and a count while every value is
-    that one, then the values in an anonymous temporary file in ``directory``."""
+    """One column's values, appended a piece at a time to an anonymous temporary file in ``directory``."""
 
     def __init__(self, dtype: np.dtype, directory: Path):
-        self.dtype, self.directory = dtype, directory
+        self.dtype = dtype
         self.size = 0
-        self.value = None
-        self.file = None
+        self.file = tempfile.TemporaryFile(dir=directory)
 
     def append(self, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values, dtype=self.dtype)
-        if self.file is None:
-            if values.size and not self.size:
-                self.value = values[0]
-            if not values.size or (values == self.value).all():
-                self.size += values.size
-                return
-            self.file = tempfile.TemporaryFile(dir=self.directory)
-            self._write_value(self.file)
         self.file.write(values)
         self.size += values.size
 
@@ -318,23 +308,11 @@ class _Spool:
         """Write the column to ``out`` as a .npy file."""
         header = {"descr": np.lib.format.dtype_to_descr(self.dtype), "fortran_order": False, "shape": (self.size,)}
         np.lib.format.write_array_header_1_0(out, header)
-        if self.file is None:
-            self._write_value(out)
-        else:
-            self.file.seek(0)
-            shutil.copyfileobj(self.file, out)
-
-    def _write_value(self, out) -> None:
-        """Write ``value`` ``size`` times, at most ``_CHUNK_ROWS`` at a time."""
-        if not self.size:
-            return
-        block = np.full(min(self.size, _CHUNK_ROWS), self.value, dtype=self.dtype)
-        for lo in range(0, self.size, _CHUNK_ROWS):
-            out.write(block[: self.size - lo])
+        self.file.seek(0)
+        shutil.copyfileobj(self.file, out)
 
     def close(self) -> None:
-        if self.file is not None:
-            self.file.close()
+        self.file.close()
 
 
 def write_log(log: CellLog | LogWriter, path: str | Path) -> str:
@@ -369,11 +347,11 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
     source no earlier row creates.
 
     Columns proven to be the parse are returned without parsing JSON. They
-    come from the .npz file ``save_columns`` saved beside the log (the same
-    path with an .npz suffix; see ``_saved_log``), else from decoding the
-    bytes as write_log's line format (``_decoded_log``). Either must pass
-    ``_is_parse``; any other file is parsed as JSON (``_parsed_log``),
-    errors included.
+    come from the .npz file saved beside the log (the same path with an .npz
+    suffix, written by the cell's ``LogWriter`` or by ``save_columns``; see
+    ``_saved_log``), else from decoding the bytes as write_log's line format
+    (``_decoded_log``). Either must pass ``_is_parse``; any other file is
+    parsed as JSON (``_parsed_log``), errors included.
     """
     path = Path(path)
     log = _saved_log(path, sha256)
@@ -436,11 +414,13 @@ def _first_break(log: CellLog) -> tuple[int, str] | None:
     """
     e, c = log.exposures, log.creations
     outside = {key: (v < 0) | (v >= 2**62) for key, v in (("likes", e.likes), ("reshares", e.reshares))}
-    c_rows = np.flatnonzero(~log.is_exposure)
-    created_before = _creation_lookup(c.post, c_rows)
-    bad_exposure = (created_before(e.post, np.flatnonzero(log.is_exposure)) < 0) | outside["likes"] | outside["reshares"]
-    twice = created_before(c.post, c_rows) >= 0
-    unsourced = (c.source < 0) | (created_before(c.source, c_rows) < 0)
+    # Each lookup's row of the first creation of its post; a rule holds where that row comes before the asking row.
+    created_at = _creation_rows(log)
+    shown, created, sourced = (created_at[first] for first in first_index(c.post, e.post, c.post, c.source))
+    c_rows = created_at[:-1]
+    bad_exposure = (shown >= np.flatnonzero(log.is_exposure)) | outside["likes"] | outside["reshares"]
+    twice = created < c_rows
+    unsourced = (c.source < 0) | (sourced >= c_rows)
     bad_creation = twice | np.where(c.kind == _SEED, c.source >= 0, unsourced)
     if not (bad_creation.any() or bad_exposure.any()):
         return None
@@ -464,43 +444,9 @@ def _first_break(log: CellLog) -> tuple[int, str] | None:
     return row, f"{_KIND_TEXT[kind]} of post {source} before any row creates it"
 
 
-def _created_before(log: CellLog, posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per post of ``posts``, asked about at the log row of ``rows`` beside it: the index into
-    ``log.creations`` of the post's first creation row if that row comes earlier, else -1."""
-    return _creation_lookup(log.creations.post, np.flatnonzero(~log.is_exposure))(posts, rows)
-
-
-def _creation_lookup(created: np.ndarray, created_rows: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``_created_before`` for the log whose creation rows create the posts ``created`` at its rows
-    ``created_rows``, as a function of (posts, rows) that can be called many times: the posts are placed
-    once, here, by a table from each post id to its first creation if they have a ``dense_span``, else
-    by a sort."""
-    n = created.size
-    row_of = np.append(created_rows, np.iinfo(np.int64).max)  # creation n, "none", comes after every row
-    span = dense_span(created)
-    if span is not None:
-        low, high = span
-        table = np.full(high - low + 1, n, dtype=np.intp)
-        np.minimum.at(table, created - low, np.arange(n))  # the least index wins, wherever a post repeats
-
-        def first_creation(posts: np.ndarray) -> np.ndarray:
-            inside = (posts >= low) & (posts <= high)  # the ids the table covers
-            return np.where(inside, table[np.where(inside, posts - low, 0)], n)
-    else:
-        order = np.argsort(created, kind="stable")  # a post's first creation first
-        in_order = created[order]
-
-        def first_creation(posts: np.ndarray) -> np.ndarray:
-            if n == 0:
-                return np.full(posts.size, n, dtype=np.intp)
-            first = order[np.minimum(np.searchsorted(in_order, posts), n - 1)]
-            return np.where(created[first] == posts, first, n)
-
-    def before(posts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        first = first_creation(posts)
-        return np.where(row_of[first] < rows, first, -1)
-
-    return before
+def _creation_rows(log: CellLog) -> np.ndarray:
+    """Each creation's row in ``log``, then ``len(log)``, which no row reaches, for ``first_index``'s "none"."""
+    return np.append(np.flatnonzero(~log.is_exposure), len(log))
 
 
 def save_columns(log: CellLog, path: str | Path) -> None:
@@ -533,7 +479,7 @@ def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
             )
         with open(path, "rb") as fh:
             return log if _is_parse(log, fh.read, sha256) else None
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+    except Exception:  # noqa: BLE001 - a cache that fails to load in any way is not read
         return None
 
 
@@ -931,15 +877,17 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
 
     Every key is ranked with ``core.ranked``, by a table where the keys are
     dense and by a sort where they are not, with the same counts either way:
-    the agent ids of viewers, authors and follow edges together, the times,
-    and the (time, viewer) activation codes.
+    the shown and created posts and the (viewer, author) and edge codes,
+    through ``core.first_index``; the agent ids of viewers, authors and
+    follow edges together; the times; and the (time, viewer) activation codes.
     """
     e = log.exposures
     if len(e) == 0:
         return LoadAudit(n_activations=0, mean=None, min=None, max=None, flagged=True)
-    created = _created_before(log, e.post, np.flatnonzero(log.is_exposure))
-    if (created < 0).any():
-        raise ValueError(f"post {e.post[created < 0][0]} is shown before any row creates it")
+    created = first_index(log.creations.post, e.post)[0]
+    uncreated = _creation_rows(log)[created] >= np.flatnonzero(log.is_exposure)
+    if uncreated.any():
+        raise ValueError(f"post {e.post[uncreated][0]} is shown before any row creates it")
     author = log.creations.author[created]
 
     # Agent ids and times as dense indices, so that a pair of them codes into
@@ -949,12 +897,10 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     ids = ranked(np.concatenate([e.agent, author, pairs]))[1]
     n, width = len(e), ids.max() + 1
     viewer, owner, follows = ids[:n], ids[n : 2 * n], ids[2 * n :].reshape(-1, 2)
-    # A slot is followed when its (viewer, author) code is among the sorted edge
-    # codes: a searchsorted, since np.isin's sort path loads numpy.ma.
-    pair, edges = viewer * width + owner, np.sort(follows[:, 0] * width + follows[:, 1])
-    at = np.searchsorted(edges, pair)
-    followed = at < edges.size
-    followed[followed] = edges[at[followed]] == pair[followed]
+    # A slot is followed when its (viewer, author) code is among the edge codes
+    # (not np.isin, whose sort path loads numpy.ma).
+    edges = follows[:, 0] * width + follows[:, 1]
+    followed = first_index(edges, viewer * width + owner)[0] < edges.size
     activation = ranked(ranked(e.t)[1] * width + viewer)[1]
     counts = np.bincount(activation[~followed], minlength=activation.max() + 1)
     return LoadAudit(

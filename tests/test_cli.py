@@ -4,7 +4,10 @@ import importlib
 import json
 import re
 import shutil
+import struct
+import sys
 import weakref
+import zipfile
 from pathlib import Path
 from xml.dom import minidom
 
@@ -237,6 +240,16 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_history_window_past_a_deque_bound_exits_2_before_any_cell(self, plan_file, tmp_path, capsys):
+        # Regression: 1e20 passed the plan's checks, and every cell with an engagement then failed with
+        # OverflowError building its history deque.
+        bad = tmp_path / "huge_window.json"
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), "history_window": 1e20}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [f"error: history_window must be in 1..{sys.maxsize}, got {10**20}"]
 
     @pytest.mark.parametrize("replications", [0, -2])
     def test_non_positive_replications_exit_2_before_any_cell(self, plan_file, tmp_path, replications):
@@ -608,6 +621,49 @@ class TestAnalyze:
             assert sorted(path.name for path in (tmp_path / leg).iterdir()) == names
             for name in names:
                 assert (tmp_path / "saved" / name).read_bytes() == (tmp_path / leg / name).read_bytes(), (leg, name)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [
+            pytest.param(10, 99, id="method_99"),  # zipfile raises NotImplementedError
+            pytest.param(8, 1, id="encrypted"),  # RuntimeError: a password is required
+            pytest.param(10, 14, id="lzma_over_stored_bytes"),  # LZMAError
+        ],
+    )
+    def test_npz_whose_members_fail_to_open_is_not_read(self, run_dir, tmp_path, offset, value):
+        # Regression: a .npz whose zip entries name a compression method or flag that zipfile fails on with
+        # an error other than BadZipFile made analyze exit 1 with a traceback. It is a cache, so read_log
+        # gives the log's columns and analyze writes the files of a run without it.
+        # The largest cell: its exposures.run member is long enough that LZMA reads its bytes as options, not to their end.
+        cell = max(json.loads((run_dir / "manifest.json").read_text())["cells"], key=lambda cell: cell["rows"])
+        path = run_dir / "logs" / cell["file"]
+        _set_zip_entry_field(path.with_suffix(".npz"), offset, value)
+        corrupt = harness.read_log(path, cell["sha256"])
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "corrupt")]) == 0
+        path.with_suffix(".npz").unlink()
+        plain = harness.read_log(path, cell["sha256"])
+        for part in ("exposures", "creations"):
+            for name, column in vars(getattr(plain, part)).items():
+                got = getattr(getattr(corrupt, part), name)
+                assert got.dtype == column.dtype and np.array_equal(got, column), (part, name)
+        assert np.array_equal(corrupt.is_exposure, plain.is_exposure)
+        assert main(["analyze", "--logs", str(run_dir), "--out", str(tmp_path / "plain")]) == 0
+        names = sorted(f.name for f in (tmp_path / "plain").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "corrupt").iterdir())
+        for name in names:
+            assert (tmp_path / "corrupt" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+
+def _set_zip_entry_field(path: Path, offset: int, value: int) -> None:
+    """Set the two-byte field at ``offset`` of each central-directory entry of the zip at ``path`` to ``value``:
+    8 is the flags, 10 the compression method."""
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        at = zf.start_dir
+    while data[at : at + 4] == b"PK\x01\x02":
+        data[at + offset : at + offset + 2] = struct.pack("<H", value)
+        at += 46 + sum(struct.unpack("<HHH", data[at + 28 : at + 34]))  # the entry's fixed part, name, extra and comment
+    path.write_bytes(data)
 
 
 def _corrupt_first_exposure(run_dir: Path, edit, *, update_manifest: bool = True) -> tuple[str, int]:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import types
 import typing
 
@@ -155,7 +156,8 @@ class TestRunConfig:
 
     def test_history_window_must_be_positive(self):
         assert self._cfg(history_window=1).history_window == 1
-        for window in (0, -3):
+        assert self._cfg(history_window=sys.maxsize).history_window == sys.maxsize
+        for window in (0, -3, sys.maxsize + 1):  # a deque takes no maxlen past sys.maxsize
             with pytest.raises(ConfigurationError):
                 self._cfg(history_window=window)
 

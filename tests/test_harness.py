@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import socialsim.core as core
 import socialsim.harness as harness
 import socialsim.policy as policy_module
 from socialsim.cli import read_config
-from socialsim.core import ACTIONS, LOADS, NORMS, POST_KINDS, ActionKind, CellLog, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, RunConfig, dense_span, from_obj, to_obj
+from socialsim.core import ACTIONS, LOADS, NORMS, POST_KINDS, ActionKind, CellLog, ConfigurationError, FormatError, LoadLevel, NormRegime, PostKind, RunConfig, dense_span, first_index, from_obj, to_obj
 from socialsim.harness import (
     CellShares,
     ExperimentPlan,
@@ -257,7 +258,7 @@ class TestReadLogAcrossChunks:
         log = self._read(tmp_path, [_SEED_ROW, seed_1, _READ_ROW, _exposure_row(post=1), _READ_ROW])
         assert log.is_exposure.tolist() == [False, False, True, True, True]
         assert log.exposures.post.tolist() == [0, 1, 0]
-        assert harness._created_before(log, log.exposures.post, np.flatnonzero(log.is_exposure)).tolist() == [0, 1, 0]
+        assert first_index(log.creations.post, log.exposures.post)[0].tolist() == [0, 1, 0]
 
     def test_post_created_again_in_a_later_chunk(self, tmp_path):
         # Each chunk alone keeps every rule; only the whole log creates post 0 twice.
@@ -907,6 +908,23 @@ class TestRunExperiment:
         assert [cell["status"] for cell in moved[0]["cells"]] == ["ok"]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "logs", "population.jsonl"]
 
+    def test_failed_log_replace_leaves_none_of_the_cell_files(self, small_inputs, tmp_path, monkeypatch):
+        # Regression: close moved the .npz into place before the log, so a failed move of the log left the
+        # failed cell's .npz behind.
+        profiles, graph, corpus = small_inputs
+        real_replace = Path.replace
+
+        def replace(self, target):
+            if Path(target).suffix == ".jsonl":
+                raise OSError("synthetic failure to replace")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+        manifest = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path, cells=[(LoadLevel.LOW, NormRegime.NO_NORM)])
+        (cell,) = manifest["cells"]
+        assert cell["status"] == "failed" and cell["error"] == "OSError: synthetic failure to replace"
+        assert list((tmp_path / "logs").iterdir()) == []
+
     def test_parallel_equals_serial(self, small_inputs, tmp_path):
         profiles, graph, corpus = small_inputs
         run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path / "serial", workers=1)
@@ -935,6 +953,12 @@ class TestAudits:
         audit = realized_load_audit(self._hand_records(), FollowGraph({5: frozenset({1})}))
         assert audit.n_activations == 1
         assert audit.mean == audit.min == audit.max == 2  # posts 1 and 2 are non-followee
+
+    def test_post_shown_before_its_creation_row_is_refused(self):
+        # The same rows with the three exposures first: each post's only creation row now comes after it is shown.
+        log = self._hand_records()
+        with pytest.raises(ValueError, match="^post 0 is shown before any row creates it$"):
+            realized_load_audit(CellLog(log.exposures, log.creations, log.is_exposure[::-1].copy()), FollowGraph({5: frozenset({1})}))
 
     def test_empty_cell_flagged(self):
         audit = realized_load_audit(log_from_records([]), FollowGraph({}))
@@ -980,44 +1004,43 @@ class TestAudits:
         assert from_files.max <= LoadLevel.LOWEST.total
 
 
-def _first_creation_before(created: list[int], created_rows: list[int], post: int, row: int) -> int:
-    """The oracle of _creation_lookup: the index of ``post``'s first creation if its row is before ``row``, else -1."""
-    for k, p in enumerate(created):
-        if p == post:
-            return k if created_rows[k] < row else -1
-    return -1
+def _first_occurrence(keys: list[int], value: int) -> int:
+    """The oracle of first_index: the index of ``value``'s first occurrence in ``keys``, or len(keys) if it has none."""
+    return next((k for k, key in enumerate(keys) if key == value), len(keys))
 
 
-class TestCreationLookup:
-    """_creation_lookup places dense post ids by a table and others by a sort; both give the oracle's answer."""
+class TestFirstIndex:
+    """core.first_index gives the oracle's answer whether core.ranked places its keys by a table or by a sort."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_the_table_equals_the_sort(self, data):
+    def test_the_table_and_the_sort_equal_the_oracle(self, data):
         # Small ids, the same spread past any table, or shifted to the top of int64, asked beside its extremes.
         to_id = data.draw(st.sampled_from([lambda p: p, lambda p: p * 2**33, lambda p: p + 2**63 - 16]))
-        created = data.draw(st.lists(st.integers(-3, 12), max_size=12))  # repeats: a post created twice or more
-        created_rows = sorted(data.draw(st.sets(st.integers(0, 60), min_size=len(created), max_size=len(created))))
+        keys = [to_id(p) for p in data.draw(st.lists(st.integers(-3, 12), max_size=12))]  # repeats: a post created twice or more
         extremes = st.sampled_from([-(2**63), -(2**63) + 5, 2**63 - 1])
-        asked = data.draw(st.lists(st.integers(-6, 15).map(to_id) | extremes, max_size=20))
-        rows = data.draw(st.lists(st.integers(0, 61), min_size=len(asked), max_size=len(asked)))
-        created = [to_id(p) for p in created]
-        args = (np.array(created, dtype=np.int64), np.array(created_rows, dtype=np.intp))
-        posts, at = np.array(asked, dtype=np.int64), np.array(rows, dtype=np.intp)
-        got = harness._creation_lookup(*args)(posts, at)
-        with mock.patch.object(harness, "dense_span", return_value=None):
-            by_sort = harness._creation_lookup(*args)(posts, at)
-        want = [_first_creation_before(created, created_rows, p, r) for p, r in zip(asked, rows)]
-        assert got.dtype == by_sort.dtype == np.int64 and got.tolist() == by_sort.tolist() == want
-        assert (dense_span(args[0]) is not None) == (bool(created) and max(created) - min(created) < 4 * len(created))
+        queries = data.draw(st.lists(st.lists(st.integers(-6, 15).map(to_id) | extremes, max_size=20), max_size=3))
+        args = [np.array(values, dtype=np.int64) for values in [keys, *queries]]
+        got = first_index(*args)
+        with mock.patch.object(core, "dense_span", return_value=None):
+            by_sort = first_index(*args)
+        want = [[_first_occurrence(keys, value) for value in values] for values in queries]
+        assert [a.tolist() for a in got] == [b.tolist() for b in by_sort] == want
+        assert all(a.dtype == b.dtype == np.intp for a, b in zip(got, by_sort))
+        together = np.concatenate(args)
+        assert (dense_span(together) is not None) == bool(together.size and int(together.max()) - int(together.min()) < 4 * together.size)
 
-    def test_the_first_of_many_creations_wins(self):
+    def test_the_first_of_many_occurrences_wins(self):
         # Post 5 is created at creation indices 1, 2 and 4: a table filled by one fancy-index assignment
         # could keep any of them, as numpy does not say which of repeated indices it writes last.
-        created, created_rows = np.array([0, 5, 5, 1, 5, 2], dtype=np.int64), np.arange(6) * 2
-        before = harness._creation_lookup(created, created_rows)
-        assert dense_span(created) is not None
-        assert before(np.array([5, 5, 5, 5]), np.array([2, 3, 9, 100])).tolist() == [-1, 1, 1, 1]
+        keys = np.array([0, 5, 5, 1, 5, 2], dtype=np.int64)
+        assert dense_span(keys) is not None
+        assert [a.tolist() for a in first_index(keys, np.array([5, 2, 3]), keys)] == [[1, 5, 6], [0, 1, 1, 3, 1, 5]]
+
+    def test_no_keys_or_no_queries(self):
+        none = np.array([], dtype=np.int64)
+        assert [a.tolist() for a in first_index(none, np.array([3, -(2**63)]), none)] == [[0, 0], []]
+        assert [a.tolist() for a in first_index(np.array([4, 4]), none)] == [[]] and first_index(none) == []
 
 
 def _spread(ids):
