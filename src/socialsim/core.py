@@ -248,9 +248,9 @@ def first_index(keys: np.ndarray, *queries: np.ndarray) -> list[np.ndarray]:
 class Feed:
     """One activation's feed as columns, best first within each pool.
 
-    ``posts``, ``likes`` and ``reshares`` are int64 arrays with one element
-    per slot: the post id and its likes and reposts + quotes when the feed
-    was built. The first ``n_followed`` slots are followed, the rest
+    ``posts``, ``likes`` and ``reshares`` (reposts plus quotes) are int64
+    arrays, one element per slot: the post id and its counters when the
+    feed was built. The first ``n_followed`` slots are followed, the rest
     algorithmic. ``contents`` reads each slot's text from the post store.
     """
 

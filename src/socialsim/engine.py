@@ -313,10 +313,10 @@ class WorldState:
 
     * ``posts``: the text of each post, a list of str;
     * kind (an int8 code into POST_KINDS), source (int64, -1 for none),
-      creation time and author row (``author_rows``, int64); ``creations``
-      reads them as a log's creation rows;
-    * ``likes``, ``reposts`` and ``quotes``: one int64 per post, the only copy
-      of the engagement counters;
+      creation time and author row (int64); ``creations`` reads them as a
+      log's creation rows;
+    * ``likes`` and ``reshares`` (reposts and quotes together): one int64 per
+      post each, the only copy of the two popularity cues a feed shows;
     * ``followees``: by agent row, the sorted rows (intp) of the agents that row
       follows within the run;
     * ``engaged`` and ``history``: each agent's engaged post ids and recent
@@ -370,20 +370,15 @@ class WorldState:
 
         cap = self._INITIAL_CAPACITY
         self._created_at = np.zeros(cap, dtype=np.int64)
-        self._author_rows = np.zeros(cap, dtype=np.int64)
+        self._authors = np.zeros(cap, dtype=np.int64)  # each post's author, as an agent row
         self._kinds = np.zeros(cap, dtype=np.int8)
         self._sources = np.zeros(cap, dtype=np.int64)
         self._likes = np.zeros(cap, dtype=np.int64)
-        self._reposts = np.zeros(cap, dtype=np.int64)
-        self._quotes = np.zeros(cap, dtype=np.int64)
+        self._reshares = np.zeros(cap, dtype=np.int64)
         # Word incidence (keywords x posts) and token counts. Whole numbers up to
         # 2**24 are exact in float32, and so are their sums and differences here.
         self._words = np.zeros((len(vocab), cap), dtype=np.float32)
         self._n_tokens = np.zeros(cap, dtype=np.float32)
-
-    @property
-    def author_rows(self) -> np.ndarray:
-        return self._author_rows[: len(self.posts)]
 
     # Views of the first len(posts) entries: writing to one writes the counter.
     @property
@@ -391,12 +386,8 @@ class WorldState:
         return self._likes[: len(self.posts)]
 
     @property
-    def reposts(self) -> np.ndarray:
-        return self._reposts[: len(self.posts)]
-
-    @property
-    def quotes(self) -> np.ndarray:
-        return self._quotes[: len(self.posts)]
+    def reshares(self) -> np.ndarray:
+        return self._reshares[: len(self.posts)]
 
     def creations(self, lo: int = 0, hi: int | None = None) -> CreationColumns:
         """The creation rows of posts ``lo`` up to ``hi`` (every post by default), by id; authors as agent ids.
@@ -407,7 +398,7 @@ class WorldState:
         return CreationColumns(
             kind=self._kinds[lo:hi],
             post=np.arange(lo, hi, dtype=np.int64),
-            author=self._row_agents[self._author_rows[lo:hi]],
+            author=self._row_agents[self._authors[lo:hi]],
             source=self._sources[lo:hi],
             t=self._created_at[lo:hi],
         )
@@ -426,7 +417,7 @@ class WorldState:
         if pid == self._created_at.size:
             self._grow()
         self._created_at[pid] = t
-        self._author_rows[pid] = self.rows[author]
+        self._authors[pid] = self.rows[author]
         self._kinds[pid] = _KIND_CODES[kind]
         self._sources[pid] = -1 if source is None else source
         text = None if source is None else self.posts[source]
@@ -449,8 +440,7 @@ class WorldState:
 
     def _grow(self) -> None:
         cap = 2 * self._created_at.size
-        for name in ("_created_at", "_author_rows", "_kinds", "_sources", "_likes", "_reposts", "_quotes",
-                     "_words", "_n_tokens"):
+        for name in ("_created_at", "_authors", "_kinds", "_sources", "_likes", "_reshares", "_words", "_n_tokens"):
             old = getattr(self, name)
             new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
             new[..., : old.shape[-1]] = old
@@ -499,7 +489,7 @@ def select_feed(agent: int, world: WorldState, load: LoadLevel, config: RunConfi
     """
     row = world.rows[agent]
     score = world.scores(row)
-    authors = world._author_rows[: score.size]  # the backing arrays, here and below: no property call per read
+    authors = world._authors[: score.size]  # the backing arrays, here and below: no property call per read
     eligible = authors != row
     engaged = world.engaged.get(agent)
     if engaged:
@@ -516,7 +506,7 @@ def select_feed(agent: int, world: WorldState, load: LoadLevel, config: RunConfi
     algo_ids = _top(score, eligible, load.algorithmic_count + shortfall)
 
     ids = np.concatenate((followed_ids, algo_ids))
-    return Feed(ids, world._likes[ids], world._reposts[ids] + world._quotes[ids], followed_ids.size, world.posts)
+    return Feed(ids, world._likes[ids], world._reshares[ids], followed_ids.size, world.posts)
 
 
 _SORT_WHOLE_MAX = 256  # largest pool _top sorts without the partition cut
@@ -615,10 +605,10 @@ def _apply_engagement(world: WorldState, agent: int, decision, t: int) -> None:
     if decision.action is ActionKind.LIKE:
         world._likes[target] += 1
     elif decision.action is ActionKind.REPOST:
-        world._reposts[target] += 1
+        world._reshares[target] += 1
         world.new_post(agent, world.posts[target], PostKind.REPOST, target, t)
     elif decision.action is ActionKind.QUOTE:
-        world._quotes[target] += 1
+        world._reshares[target] += 1
         world.new_post(agent, f"{decision.commentary} // {world.posts[target]}", PostKind.QUOTE, target, t)
     world.engaged[agent].add(decision.target)
     world.history[agent].append((decision.action, decision.target, t))

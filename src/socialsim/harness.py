@@ -48,6 +48,7 @@ proof is parsed as JSON, as it would be without either, errors included.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -783,9 +784,9 @@ def run_experiment(
 ) -> dict:
     """Execute the plan's cells and persist logs plus a manifest.
 
-    Returns the manifest dict (also written to manifest.json, under a
-    temporary name first and then moved into place, so that no reader sees
-    part of one). Failed cells are recorded in the manifest with their error;
+    Returns the manifest dict, also written to manifest.json as each cell
+    finishes: a run stopped part way lists the cells it finished, in plan
+    order. Failed cells are recorded in the manifest with their error;
     completed cells are kept.
     """
     out = Path(out_dir)
@@ -799,30 +800,38 @@ def run_experiment(
         wanted = [(l, n, r) for l, n, r in wanted if (l.value, n.value) in selected]
     log_paths = [out / "logs" / f"{cell_name(*cell)}.jsonl" for cell in wanted]
 
-    # Every cell runs on the caller's objects; a worker process gets them pickled.
-    run_cell = partial(_run_cell, plan, profiles, graph, corpus, api_key)
-    if workers > 1 and len(wanted) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that uses it
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, wanted, log_paths))
-    else:
-        results = list(map(run_cell, wanted, log_paths))
-
     manifest = {
         "plan": to_obj(plan),
         "population_sha256": population_sha256,
         "corpus_sha256": corpus_digest(corpus),
-        "cells": results,
+        "cells": [],
     }
     path = out / "manifest.json"
-    try:  # written whole under a temporary name, then moved into place: never a partial manifest.json
+    if not wanted:
+        _write_manifest(manifest, path)
+    # Every cell runs on the caller's objects; a worker process gets them pickled. Both maps yield in plan order.
+    run_cell = partial(_run_cell, plan, profiles, graph, corpus, api_key)
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and len(wanted) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that uses it
+
+            results = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(run_cell, wanted, log_paths)
+        else:
+            results = map(run_cell, wanted, log_paths)
+        for entry in results:
+            manifest["cells"].append(entry)
+            _write_manifest(manifest, path)
+    return manifest
+
+
+def _write_manifest(manifest: dict, path: Path) -> None:
+    """Write ``manifest`` whole under a temporary name, then move it into place: never a partial manifest.json."""
+    try:
         _part(path).write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
         os.replace(_part(path), path)
     except BaseException:
         _part(path).unlink(missing_ok=True)
         raise
-    return manifest
 
 
 def load_experiment(out_dir: str | Path) -> tuple[dict, Iterator[tuple[str, CellLog]]]:

@@ -103,11 +103,11 @@ def _reference_apply(world, agent: int, decision: Decision, t: int, records: lis
     if decision.action is ActionKind.LIKE:
         world.likes[source] += 1
     elif decision.action is ActionKind.REPOST:
-        world.reposts[source] += 1
+        world.reshares[source] += 1
         post = world.new_post(agent, world.posts[source], PostKind.REPOST, source, t)
         records.append(PostCreation(post=post, kind=PostKind.REPOST, author=agent, source=source, t=t))
     elif decision.action is ActionKind.QUOTE:
-        world.quotes[source] += 1
+        world.reshares[source] += 1
         content = f"{decision.commentary} // {world.posts[source]}"
         post = world.new_post(agent, content, PostKind.QUOTE, source, t)
         records.append(PostCreation(post=post, kind=PostKind.QUOTE, author=agent, source=source, t=t))

@@ -119,7 +119,7 @@ def reference_select_feed(
                 FeedSlot(
                     post=pid,
                     likes=int(world.likes[pid]),
-                    reshares=int(world.reposts[pid]) + int(world.quotes[pid]),
+                    reshares=int(world.reshares[pid]),
                     followed=followed,
                     content=posts[pid].content,
                 )

@@ -156,10 +156,9 @@ def recount_counters(records: Iterable[ExposureRecord | PostCreation]) -> dict[i
     return counters
 
 
-def world_counters(world) -> dict[int, PopularityCounters]:
-    """Every post's counters, by post id, as the world's per-post arrays hold them."""
-    columns = (world.likes.tolist(), world.reposts.tolist(), world.quotes.tolist())
-    return {post: PopularityCounters(*counts) for post, counts in enumerate(zip(*columns))}
+def world_counters(world) -> dict[int, tuple[int, int]]:
+    """Every post's (likes, reshares), by post id, as the world's per-post arrays hold them."""
+    return dict(enumerate(zip(world.likes.tolist(), world.reshares.tolist())))
 
 
 def record_to_obj(record: ExposureRecord | PostCreation) -> dict:

@@ -234,7 +234,7 @@ def test_c07_engine_conservation_oracle():
     counters = world_counters(world)
     assert len(recounted) == len(world.posts)
     for post in range(len(world.posts)):
-        assert recounted[post] == counters[post], f"post {post} counters diverge from log recount"
+        assert (recounted[post].likes, recounted[post].reshares) == counters[post], f"post {post} counters diverge from log recount"
     engaged = int(np.count_nonzero(log.exposures.action))  # code 0 is read
     _ok(7, "558x480 mock run: counters equal brute-force log recounts",
         f"{len(world.posts)} posts, {engaged} engagements")

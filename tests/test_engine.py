@@ -57,15 +57,15 @@ class TestInitialize:
 
     def test_all_counters_zero(self):
         world = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
-        assert len(world.likes) == len(world.reposts) == len(world.quotes) == len(world.posts) == 4
-        assert not (world.likes.any() or world.reposts.any() or world.quotes.any())
+        assert len(world.likes) == len(world.reshares) == len(world.posts) == 4
+        assert not (world.likes.any() or world.reshares.any())
         assert all(p.created_at == 0 for p in world_posts(world))
 
     def test_deterministic_state_digest(self):
         w1 = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
         w2 = initialize(tiny_profiles(), tiny_graph(), _corpus(), _config())
         assert world_posts(w1) == world_posts(w2)
-        for counter in ("likes", "reposts", "quotes"):
+        for counter in ("likes", "reshares"):
             assert np.array_equal(getattr(w1, counter), getattr(w2, counter))
 
     def test_requires_influencers(self):
@@ -164,7 +164,7 @@ def test_engagement_of_a_row_handed_off_is_refused(monkeypatch):
     config = _config()
     world = initialize(tiny_profiles(), tiny_graph(), _corpus(), config)
     posts = np.arange(3)
-    feed = Feed(posts, world._likes[posts], world._reposts[posts], 0, world.posts)
+    feed = Feed(posts, world._likes[posts], world._reshares[posts], 0, world.posts)
     pieces = []
     log = LogBuilder(config, pieces.append)
     assert log.activation(world, 2, feed) == 0 and not pieces  # 4 creation rows and 3 exposures: 7 rows held
@@ -304,7 +304,7 @@ class TestStepEffects:
         world, _ = self._world_and_log([("like", 0), "read", "read", "read", "read"])
         likes = [(pid, n) for pid, n in enumerate(world.likes.tolist()) if n]
         assert len(likes) == 1 and likes[0][1] == 1
-        assert world.reposts.sum() + world.quotes.sum() == 0
+        assert world.reshares.sum() == 0
 
     def test_quote_creates_post_with_source(self):
         world, log = self._world_and_log(["read", ("quote", 0, "my two cents"), "read", "read", "read"])
@@ -314,7 +314,7 @@ class TestStepEffects:
         q = quotes[0]
         assert q.source is not None
         source = posts[q.source]
-        assert world.quotes[source.id] == 1
+        assert world.reshares[source.id] == 1
         assert "my two cents" in q.content and source.content in q.content
         assert q.created_at == 0
         creation = [c for c in _creations(log) if c.kind is PostKind.QUOTE]
@@ -327,7 +327,7 @@ class TestStepEffects:
         assert len(reposts) == 1
         r = reposts[0]
         assert r.content == posts[r.source].content
-        assert world.reposts[r.source] == 1
+        assert world.reshares[r.source] == 1
 
     def test_new_posts_visible_later_in_same_timestep(self):
         # every agent activates; agent 0 reposts, higher-id agents can then see it
@@ -373,7 +373,7 @@ class TestRunProperties:
         world, log, _ = medium_run
         recounted = recount_counters(log)
         assert len(recounted) == len(world.posts)
-        assert recounted == world_counters(world)
+        assert {post: (c.likes, c.reshares) for post, c in recounted.items()} == world_counters(world)
 
     def test_snapshot_causality(self, medium_run):
         # replaying the log in order reproduces each exposure's snapshot

@@ -908,6 +908,32 @@ class TestRunExperiment:
         assert [cell["status"] for cell in moved[0]["cells"]] == ["ok"]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "logs", "population.jsonl"]
 
+    def test_interrupted_run_lists_the_cells_it_finished(self, small_inputs, tmp_path, monkeypatch):
+        # The manifest is rewritten as each cell finishes, so a run stopped in its third cell lists the first two,
+        # as an uninterrupted run lists them, each with the digest of its log on disk.
+        profiles, graph, corpus = small_inputs
+        whole = run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path / "whole")
+        real_run_cell = harness._run_cell
+        started = []
+
+        def run_cell(*args):
+            started.append(args)
+            if len(started) == 3:
+                raise KeyboardInterrupt
+            return real_run_cell(*args)
+
+        monkeypatch.setattr(harness, "_run_cell", run_cell)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path / "stopped")
+        cells = json.loads((tmp_path / "stopped" / "manifest.json").read_text())["cells"]
+        assert [cell["status"] for cell in cells] == ["ok", "ok"]
+        assert cells == whole["cells"][:2]
+        for cell in cells:
+            assert hashlib.sha256((tmp_path / "stopped" / "logs" / cell["file"]).read_bytes()).hexdigest() == cell["sha256"]
+        assert sorted(path.name for path in (tmp_path / "stopped").iterdir()) == [
+            "corpus.jsonl", "logs", "manifest.json", "population.jsonl"
+        ]
+
     def test_failed_log_replace_leaves_none_of_the_cell_files(self, small_inputs, tmp_path, monkeypatch):
         # Regression: close moved the .npz into place before the log, so a failed move of the log left the
         # failed cell's .npz behind.

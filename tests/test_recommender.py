@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialsim.core import Feed, LoadLevel, NormRegime, PostKind, RunConfig
-from socialsim.engine import WorldState, select_feed
+from socialsim.core import ActionKind, Feed, LoadLevel, NormRegime, PostKind, RunConfig
+from socialsim.engine import WorldState, _apply_engagement, select_feed
+from socialsim.policy import Decision
 from socialsim.population import AgentProfile, FollowGraph
 
 from conftest import make_feed, tiny_graph, tiny_profiles
@@ -210,7 +211,7 @@ class TestSelectFeed:
         cfg = _config()
         world, _ = self._seeded_world(6, cfg)
         world.likes[1] = 4
-        world.quotes[1] = 2
+        world.reshares[1] = 2
         feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
         i = feed.position(1)
         assert (feed.likes[i], feed.reshares[i]) == (4, 2)
@@ -218,13 +219,15 @@ class TestSelectFeed:
         assert feed.likes[i] == 4
 
     def test_reshares_are_reposts_plus_quotes(self):
+        # A repost and a quote each add one to their source's reshares, as a like adds one to its likes.
         cfg = _config()
         world, _ = self._seeded_world(6, cfg)
-        world.likes[1], world.reposts[1], world.quotes[1] = 5, 2, 1
-        world.likes[3], world.reposts[3], world.quotes[3] = 10, 0, 4
+        engagements = [(0, ActionKind.LIKE, 1), (2, ActionKind.REPOST, 1), (3, ActionKind.QUOTE, 1), (0, ActionKind.QUOTE, 3)]
+        for agent, action, target in engagements:
+            _apply_engagement(world, agent, Decision(action, target, "so true" if action is ActionKind.QUOTE else None), 0)
         feed = select_feed(4, world, LoadLevel.LOWEST, cfg)
         shown = {p: (l, r) for p, l, r in zip(feed.posts.tolist(), feed.likes.tolist(), feed.reshares.tolist())}
-        assert [shown[p] for p in (1, 3, 5)] == [(5, 3), (10, 4), (0, 0)]
+        assert [shown[p] for p in (1, 3, 5)] == [(1, 2), (0, 1), (0, 0)]
 
     def test_feed_never_exceeds_condition_total(self):
         for load in LoadLevel:
@@ -285,7 +288,7 @@ def _random_worlds(draw):
             content = text if kind is PostKind.REPOST else f"{draw(st.sampled_from(_WORDS))} // {text}"
             post = world.new_post(author, content, kind, source, t)
         world.likes[post] = draw(st.integers(0, 3))
-        world.quotes[post] = draw(st.integers(0, 2))
+        world.reshares[post] = draw(st.integers(0, 2))
     for a in ids:
         world.engaged[a].update(draw(st.sets(st.integers(0, len(world.posts) + 2), max_size=6)))
     world.now = draw(st.integers(max((p.created_at for p in world_posts(world)), default=0), 300))
@@ -311,14 +314,14 @@ class TestPopularityNeverRanks:
         world, _, cfg = case
         feeds = {(agent, load): select_feed(agent, world, load, cfg) for agent in world.profiles for load in LoadLevel}
         rng = np.random.default_rng(seed)
-        for name in ("_likes", "_reposts", "_quotes"):
+        for name in ("_likes", "_reshares"):
             counters = getattr(world, name)
             counters[:] = rng.integers(0, high, counters.size)
         for (agent, load), before in feeds.items():
             feed = select_feed(agent, world, load, cfg)
             assert feed.posts.tolist() == before.posts.tolist() and feed.n_followed == before.n_followed
             assert feed.likes.tolist() == world._likes[feed.posts].tolist()
-            assert feed.reshares.tolist() == (world._reposts[feed.posts] + world._quotes[feed.posts]).tolist()
+            assert feed.reshares.tolist() == world._reshares[feed.posts].tolist()
 
 
 @st.composite
