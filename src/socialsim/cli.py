@@ -170,7 +170,20 @@ def _check_out(out: str, is_file: bool) -> None:
         raise ConfigurationError(f"--out {out}: {existing} is not a directory")
 
 
+# The paths simulate writes under --out, each a directory (True) or a file (False).
+_SIMULATE_OUT = {"logs": True, "population.jsonl": False, "corpus.jsonl": False, "manifest.json": False, "manifest.json.part": False}
+
+
+def _check_run_dir(out: str) -> None:
+    """ConfigurationError if a path simulate writes under --out is in its way: a directory where it writes a file, or anything else where it makes a directory."""
+    for name, is_dir in _SIMULATE_OUT.items():
+        path = Path(out) / name
+        if (path.exists() or path.is_symlink()) and path.is_dir() != is_dir:
+            raise ConfigurationError(f"--out {out}: {path} is {'not a directory' if is_dir else 'a directory'}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_run_dir(args.out)  # before any input is read or any cell runs
     _bind("harness", "population")
     config_path = Path(args.config)
     try:
@@ -211,16 +224,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    manifest = run_experiment(
-        plan,
-        profiles,
-        graph,
-        corpus,
-        args.out,
-        workers=args.workers,
-        cells=cells,
-        api_key=os.environ.get(API_KEY_ENV),
-    )
+    try:
+        manifest = run_experiment(
+            plan,
+            profiles,
+            graph,
+            corpus,
+            args.out,
+            workers=args.workers,
+            cells=cells,
+            api_key=os.environ.get(API_KEY_ENV),
+        )
+    except OSError as e:  # a file of the run that cannot be written stops it, with no traceback
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     failed = [c for c in manifest["cells"] if c.get("status") != "ok"]
     for c in manifest["cells"]:
         status = c.get("status")

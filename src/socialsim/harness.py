@@ -112,6 +112,9 @@ _CODE_OF = {  # an enum key's text -> code
 _ACTION_END = [f',"action":"{a}"}}\n' for a in _ACTION_TEXT]  # the close of an exposure line and its newline, by action code
 _SEED = POST_KINDS.index(PostKind.SEED)
 _CHUNK_ROWS = 1 << 12
+# The most lines _log_chunks joins into one text: about 70 KB, under glibc's 128 KiB mmap threshold, so the texts
+# reuse heap memory; 1,024 lines (about 140 KB) faulted about twice as often in a paper simulate (README).
+_JOIN_ROWS = 1 << 9
 
 
 def _texts(values: np.ndarray, suffix: str) -> tuple[list[str], np.ndarray]:
@@ -166,18 +169,22 @@ def _creation_lines(c: CreationColumns, lo: int, hi: int) -> list[str]:
     ]
 
 
-def _log_chunks(log: CellLog, rows: int = _CHUNK_ROWS) -> Iterator[bytes]:
-    """The JSONL bytes of a log, ``rows`` rows at a time.
+def _log_chunks(log: CellLog, rows: int | None = None) -> Iterator[bytes]:
+    """The JSONL bytes of a log, ``_JOIN_ROWS`` rows at a time.
 
     One compact JSON object per row, keys in EXPOSURE_KEYS or CREATION_KEYS
     order, each line ending in a newline; a log with no rows is one newline.
-    A chunk is one join of texts gathered by index from one table: five per
-    exposure line (``_exposure_texts``), and a creation line then four
-    empty texts.
+    Each chunk of ``rows`` rows (``_CHUNK_ROWS`` by default) makes one table
+    of texts and one index into it: five texts per exposure line
+    (``_exposure_texts``), and a creation line then four empty texts. The
+    chunk's bytes are then joined and yielded ``_JOIN_ROWS`` lines at a
+    time, so no text outgrows the allocator's heap and each is reused for
+    the next rather than mapped afresh.
     """
     if not len(log):
         yield b"\n"
         return
+    rows = _CHUNK_ROWS if rows is None else rows
     e_at = c_at = 0
     for lo in range(0, len(log), rows):
         is_exposure = log.is_exposure[lo : lo + rows]
@@ -190,14 +197,17 @@ def _log_chunks(log: CellLog, rows: int = _CHUNK_ROWS) -> Iterator[bytes]:
         texts += _creation_lines(log.creations, c_at, c_at + n_c)
         texts.append("")
         e_at, c_at = e_at + n_e, c_at + n_c
-        yield "".join(np.array(texts, dtype=object)[index.ravel()].tolist()).encode("utf-8")
+        table = np.array(texts, dtype=object)
+        for at in range(0, is_exposure.size, _JOIN_ROWS):
+            yield "".join(table[index[at : at + _JOIN_ROWS].ravel()].tolist()).encode("utf-8")
 
 
 class LogWriter:
     """A JSONL log and its saved columns, each optional, written a piece of rows at a time.
 
-    ``add`` formats each piece with ``_log_chunks``, hashes the bytes and
-    writes them, and appends each of the piece's columns to its spool, an
+    ``add`` formats each piece with ``_log_chunks``, hashes and writes its
+    texts one at a time (each at most ``_JOIN_ROWS`` lines, so a long piece
+    is never one text), and appends each of the piece's columns to its spool, an
     anonymous temporary file beside the output. ``close`` writes the .npz
     from the spools, an uncompressed zip of one .npy member per column as
     ``np.savez`` writes it, so no column is ever held whole. Each file is
@@ -494,8 +504,9 @@ def _is_parse(log: CellLog, read: Callable[[int], bytes], sha256: str | None) ->
     proof: a source of -7 would print as null, which parses back as -1, and
     write_log raises on a code outside its enum (a decoded -1 stands for a
     byte no enum text has). These checks come first; then the bytes are
-    read in the lengths of ``_log_chunks``' chunks, each compared with its
-    chunk and hashed for the digest.
+    read in the lengths of the texts ``_log_chunks`` yields, at most
+    ``_JOIN_ROWS`` lines each, each compared with its text and hashed for
+    the digest.
     """
     flags = log.is_exposure
     if not _shaped_like(flags, _PARSED.is_exposure, np.size(flags)):
@@ -787,7 +798,10 @@ def run_experiment(
     Returns the manifest dict, also written to manifest.json as each cell
     finishes: a run stopped part way lists the cells it finished, in plan
     order. Failed cells are recorded in the manifest with their error;
-    completed cells are kept.
+    completed cells are kept. An error out of the run itself, a manifest
+    that cannot be written say, stops it: with ``workers`` above 1 the cells
+    not yet handed to a worker process are cancelled, and those handed on
+    finish.
     """
     out = Path(out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
@@ -815,7 +829,9 @@ def run_experiment(
         if workers > 1 and len(wanted) > 1:
             from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that uses it
 
-            results = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(run_cell, wanted, log_paths)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            stack.callback(pool.shutdown, cancel_futures=True)  # an error below leaves the queued cells unrun
+            results = pool.map(run_cell, wanted, log_paths)
         else:
             results = map(run_cell, wanted, log_paths)
         for entry in results:
@@ -825,9 +841,16 @@ def run_experiment(
 
 
 def _write_manifest(manifest: dict, path: Path) -> None:
-    """Write ``manifest`` whole under a temporary name, then move it into place: never a partial manifest.json."""
+    """Write ``manifest`` whole under a temporary name, then move it into place: never a partial manifest.json.
+
+    On an error the temporary file is removed only once this call has opened
+    it, so whatever stood at that name before is left as it was.
+    """
+    text = json.dumps(manifest, indent=1, sort_keys=True)
+    fh = open(_part(path), "w", encoding="utf-8")
     try:
-        _part(path).write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+        with fh:
+            fh.write(text)
         os.replace(_part(path), path)
     except BaseException:
         _part(path).unlink(missing_ok=True)

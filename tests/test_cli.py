@@ -794,6 +794,54 @@ class TestOutThatIsNotADirectory:
         self._exits_2(["report", "--analysis", str(analysis_dir), "--out", out], capsys, tmp_path)
 
 
+class TestSimulateOutInTheWay:
+    """A path simulate writes under --out that is taken by the wrong kind of file exits 2 with one error line
+    naming it, before the config is read or any cell runs; a manifest that cannot be written later exits 1 with
+    one error line.
+
+    Regression: each ended in a traceback (IsADirectoryError, FileExistsError), the first hiding its own error
+    behind the failed removal of the temporary manifest, and under --workers 2 every queued cell ran on.
+    """
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "name, make, says",
+        [
+            pytest.param("manifest.json.part", Path.mkdir, "is a directory", id="part_is_a_directory"),
+            pytest.param("manifest.json", Path.mkdir, "is a directory", id="manifest_is_a_directory"),
+            pytest.param("logs", Path.touch, "is not a directory", id="logs_is_a_file"),
+        ],
+    )
+    def test_taken_path_exits_2_and_runs_no_cell(self, plan_file, tmp_path, capsys, monkeypatch, workers, name, make, says):
+        out = tmp_path / "run"
+        out.mkdir()
+        make(out / name)
+        monkeypatch.setattr(cli, "read_text", None)  # reading the config would fail
+        monkeypatch.setattr(cli, "run_experiment", None)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: --out {out}: {out / name} {says}"]
+        assert [path.name for path in out.iterdir()] == [name]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_manifest_write_exits_1(self, plan_file, tmp_path, capsys, monkeypatch, workers):
+        real_replace = harness.os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "manifest.json":
+                raise OSError("synthetic failure to replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(harness.os, "replace", replace)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(plan_file), "--out", str(out), "--workers", workers]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: synthetic failure to replace"]
+        assert sorted(path.name for path in out.iterdir()) == ["corpus.jsonl", "logs", "population.jsonl"]
+        assert 1 <= len(list((out / "logs").glob("*.jsonl"))) < 12
+
+
 class TestReport:
     def test_outputs(self, analysis_dir, tmp_path):
         out = tmp_path / "report"

@@ -341,6 +341,40 @@ def test_chunk_size_does_not_change_the_bytes():
         assert b"".join(_log_chunks(log, rows)) == written
 
 
+SIZES = st.sampled_from([1, 7, 64, 4096])
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.one_of(blocked_logs(), cell_logs().map(lambda cell: cell[0])), chunk_rows=SIZES, join_rows=SIZES)
+def test_texts_of_at_most_one_join_each_are_the_log(records, chunk_rows, join_rows):
+    # Whatever the chunk and the join sizes, the texts _log_chunks yields join to write_log's bytes, and none
+    # holds more lines than one join.
+    log = log_from_records(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_log(log, Path(tmp) / "cell.jsonl")
+        written = (Path(tmp) / "cell.jsonl").read_bytes()
+    with mock.patch.object(harness, "_CHUNK_ROWS", chunk_rows), mock.patch.object(harness, "_JOIN_ROWS", join_rows):
+        texts = list(_log_chunks(log))
+    assert b"".join(texts) == written
+    assert all(1 <= text.count(b"\n") <= join_rows for text in texts)
+
+
+def test_no_text_of_a_paper_log_outgrows_the_heap():
+    # glibc maps an allocation of 128 KiB or more (its default mmap threshold) afresh each time and unmaps it
+    # when freed, so a text that large faults its pages in again for every chunk. Regression: each 4,096-row
+    # chunk of a paper log was one text of about 550 KB, its str and its bytes each mapped anew.
+    from socialsim.harness import ExperimentPlan
+    from socialsim.population import generate_population, generate_seed_corpus
+
+    profiles, graph = generate_population(558, seed=1)
+    plan = ExperimentPlan(base_seed=1)
+    cfg = plan.cell_config(LoadLevel.HIGH, NormRegime.REPOST_DOMINANT, 0)
+    log = run(cfg, build_policy(plan.policy, cfg.load, cfg.norm), profiles, graph, generate_seed_corpus(1))
+    assert len(log) > 10 * harness._CHUNK_ROWS
+    sizes = [len(text) for text in _log_chunks(log)]
+    assert max(sizes) <= 128 * 1024 and sum(sizes) > 10 * 128 * 1024
+
+
 @settings(max_examples=50, deadline=None)
 @given(cells=st.lists(cell_logs(), min_size=0, max_size=3))
 def test_concatenated_design_matches_reference(cells):

@@ -908,6 +908,35 @@ class TestRunExperiment:
         assert [cell["status"] for cell in moved[0]["cells"]] == ["ok"]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "logs", "population.jsonl"]
 
+    def test_failed_manifest_write_stops_the_workers(self, small_inputs, tmp_path, monkeypatch):
+        # The first manifest write fails, so the run stops there: every cell not yet handed to the executor's
+        # call queue is cancelled, and the few already handed on finish (5 to 7 logs in all in 8 runs of this
+        # plan: 2 running and 3 queued, and any a free worker took before the cancel). Regression: all 12 ran.
+        profiles, graph, corpus = small_inputs
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "manifest.json":
+                raise OSError("synthetic failure to replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="synthetic failure to replace"):
+            run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path, workers=2)
+        assert 1 <= len(list((tmp_path / "logs").glob("*.jsonl"))) < 12
+        assert not list((tmp_path / "logs").glob("*.part"))
+
+    def test_manifest_part_of_another_kind_is_left_alone(self, small_inputs, tmp_path):
+        # A manifest.json.part that the writer could not open is not its own, so it is not removed, and the error
+        # raised is the open's.
+        (tmp_path / "manifest.json.part").mkdir()
+        (tmp_path / "manifest.json.part" / "kept").write_text("kept\n")
+        profiles, graph, corpus = small_inputs
+        with pytest.raises(IsADirectoryError) as raised:
+            run_experiment(_tiny_plan(), profiles, graph, corpus, tmp_path, cells=[(LoadLevel.LOW, NormRegime.NO_NORM)])
+        assert raised.value.__context__ is None  # Regression: the removal's own IsADirectoryError hid it
+        assert (tmp_path / "manifest.json.part" / "kept").read_text() == "kept\n"
+
     def test_interrupted_run_lists_the_cells_it_finished(self, small_inputs, tmp_path, monkeypatch):
         # The manifest is rewritten as each cell finishes, so a run stopped in its third cell lists the first two,
         # as an uninterrupted run lists them, each with the digest of its log on disk.
