@@ -11,8 +11,8 @@ parses a file into those columns a chunk of lines at a time, and the audits
 below compute from them. A cell's log is written as the cell runs: its
 ``LogBuilder`` hands each piece of rows to a ``LogWriter``, which formats,
 hashes and writes it and spools its columns, so no cell's rows are held
-whole; ``write_log`` and ``save_columns`` of a whole ``CellLog`` are that
-writer given one piece.
+whole; ``write_log`` of a whole ``CellLog`` is that writer given one
+piece.
 
 An activation logs its feed as one block of exposure rows that share run,
 load, norm, t and agent, so the writer formats that head once per block
@@ -169,25 +169,24 @@ def _creation_lines(c: CreationColumns, lo: int, hi: int) -> list[str]:
     ]
 
 
-def _log_chunks(log: CellLog, rows: int | None = None) -> Iterator[bytes]:
+def _log_chunks(log: CellLog) -> Iterator[bytes]:
     """The JSONL bytes of a log, ``_JOIN_ROWS`` rows at a time.
 
     One compact JSON object per row, keys in EXPOSURE_KEYS or CREATION_KEYS
     order, each line ending in a newline; a log with no rows is one newline.
-    Each chunk of ``rows`` rows (``_CHUNK_ROWS`` by default) makes one table
-    of texts and one index into it: five texts per exposure line
-    (``_exposure_texts``), and a creation line then four empty texts. The
-    chunk's bytes are then joined and yielded ``_JOIN_ROWS`` lines at a
-    time, so no text outgrows the allocator's heap and each is reused for
-    the next rather than mapped afresh.
+    Each chunk of ``_CHUNK_ROWS`` rows makes one table of texts and one
+    index into it: five texts per exposure line (``_exposure_texts``), and a
+    creation line then four empty texts. The chunk's bytes are then joined
+    and yielded ``_JOIN_ROWS`` lines at a time, so no text outgrows the
+    allocator's heap and each is reused for the next rather than mapped
+    afresh.
     """
     if not len(log):
         yield b"\n"
         return
-    rows = _CHUNK_ROWS if rows is None else rows
     e_at = c_at = 0
-    for lo in range(0, len(log), rows):
-        is_exposure = log.is_exposure[lo : lo + rows]
+    for lo in range(0, len(log), _CHUNK_ROWS):
+        is_exposure = log.is_exposure[lo : lo + _CHUNK_ROWS]
         n_e = int(np.count_nonzero(is_exposure))
         n_c = is_exposure.size - n_e
         texts, at = _exposure_texts(log.exposures, e_at, e_at + n_e)
@@ -203,7 +202,7 @@ def _log_chunks(log: CellLog, rows: int | None = None) -> Iterator[bytes]:
 
 
 class LogWriter:
-    """A JSONL log and its saved columns, each optional, written a piece of rows at a time.
+    """A JSONL log, and its saved columns if ``columns`` is given, written a piece of rows at a time.
 
     ``add`` formats each piece with ``_log_chunks``, hashes and writes its
     texts one at a time (each at most ``_JOIN_ROWS`` lines, so a long piece
@@ -217,12 +216,12 @@ class LogWriter:
     gone either way.
     """
 
-    def __init__(self, path: str | Path | None = None, *, columns: str | Path | None = None):
-        self.path = None if path is None else Path(path)
+    def __init__(self, path: str | Path, *, columns: str | Path | None = None):
+        self.path = Path(path)
         self._columns = None if columns is None else Path(columns)
         self._spools: dict[str, _Spool] = {}
         self._digest = hashlib.sha256()
-        self._fh = None if path is None else open(_part(self.path), "wb")
+        self._fh = open(_part(self.path), "wb")
         self._closed = False
         self._moved: list[Path] = []
         self._rows = 0
@@ -244,7 +243,7 @@ class LogWriter:
 
     def add(self, piece: CellLog) -> None:
         """Write the next rows of the log: ``piece``'s, in order."""
-        if len(piece) and self._fh is not None:  # a log of no rows is one newline, written by close
+        if len(piece):  # a log of no rows is one newline, written by close
             self._write_text(piece)
         if self._columns is not None:
             for name, values in _named_columns(piece):
@@ -259,10 +258,8 @@ class LogWriter:
         try:
             if not self._rows:  # a log of no rows: one newline, and columns of no values
                 self.add(_PARSED)
-                if self._fh is not None:
-                    self._write_text(_PARSED)
-            if self._fh is not None:
-                self._fh.close()
+                self._write_text(_PARSED)
+            self._fh.close()
             if self._columns is not None:
                 with zipfile.ZipFile(_part(self._columns), "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
                     for name, spool in self._spools.items():
@@ -283,8 +280,7 @@ class LogWriter:
             self._fh.write(chunk)
 
     def _release(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+        self._fh.close()
         for spool in self._spools.values():
             spool.close()
 
@@ -359,7 +355,7 @@ def read_log(path: str | Path, sha256: str | None = None) -> CellLog:
 
     Columns proven to be the parse are returned without parsing JSON. They
     come from the .npz file saved beside the log (the same path with an .npz
-    suffix, written by the cell's ``LogWriter`` or by ``save_columns``; see
+    suffix, written with the log by a ``LogWriter`` given ``columns``; see
     ``_saved_log``), else from decoding the bytes as write_log's line format
     (``_decoded_log``). Either must pass ``_is_parse``; any other file is
     parsed as JSON (``_parsed_log``), errors included.
@@ -460,20 +456,14 @@ def _creation_rows(log: CellLog) -> np.ndarray:
     return np.append(np.flatnonzero(~log.is_exposure), len(log))
 
 
-def save_columns(log: CellLog, path: str | Path) -> None:
-    """Save a log's columns to an uncompressed .npz file: is_exposure, and each column as "<exposures|creations>.<key>"."""
-    with LogWriter(columns=path) as writer:
-        writer.add(log)
-        writer.close()
-
-
 def _saved_log(path: Path, sha256: str | None) -> CellLog | None:
     """The columns saved beside the log at ``path`` if they are proven to be its parse, else None.
 
-    The .npz file must load without unpickling, and its columns and the log
-    file must pass ``_is_parse``, which reads the log in chunks, so never
-    whole. Any failure returns None, and read_log then goes on as it would
-    without the .npz, errors included.
+    The .npz file is the one a ``LogWriter`` given ``columns`` writes with the
+    log, as ``simulate`` does for each cell. It must load without unpickling,
+    and its columns and the log file must pass ``_is_parse``, which reads the
+    log in chunks, so never whole. Any failure returns None, and read_log
+    then goes on as it would without the .npz, errors included.
     """
     saved = path.with_suffix(".npz")
     if not saved.is_file():

@@ -196,7 +196,8 @@ def test_columnar_path_matches_reference(cell, data):
 def test_writer_chunks_join_to_the_reference(cell, rows):
     records, _ = cell
     expected = "".join(line + "\n" for line in reference_log_to_lines(records)) or "\n"
-    assert b"".join(_log_chunks(log_from_records(records), rows)).decode("utf-8") == expected
+    with mock.patch.object(harness, "_CHUNK_ROWS", rows):
+        assert b"".join(_log_chunks(log_from_records(records))).decode("utf-8") == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,7 +205,8 @@ def test_writer_chunks_join_to_the_reference(cell, rows):
 def test_writer_formats_shared_heads_like_the_reference(records, rows):
     # Blocks cross chunk boundaries, and one head may follow another that differs in a single field.
     expected = "".join(line + "\n" for line in reference_log_to_lines(records))
-    assert b"".join(_log_chunks(log_from_records(records), rows)).decode("utf-8") == expected
+    with mock.patch.object(harness, "_CHUNK_ROWS", rows):
+        assert b"".join(_log_chunks(log_from_records(records))).decode("utf-8") == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,14 +216,20 @@ def test_saved_columns_read_back_as_the_parse(records):
     log = log_from_records(records)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cell.jsonl"
-        digest = write_log(log, path)
-        harness.save_columns(log, path.with_suffix(".npz"))
+        digest = _write_with_columns(log, path)
         saved = harness._saved_log(path, digest)
         path.with_suffix(".npz").unlink()
         with mock.patch.object(harness, "_decoded_log", _no_decoder):
             parsed = read_log(path, digest)
     assert saved is not None
     _assert_same_columns(saved, parsed)
+
+
+def _write_with_columns(log: CellLog, path: Path) -> str:
+    """Write ``log`` to ``path`` and its columns beside it, as one piece through one LogWriter; its digest."""
+    with harness.LogWriter(path, columns=path.with_suffix(".npz")) as writer:
+        writer.add(log)
+        return write_log(writer, path)
 
 
 def _rows(log: CellLog, lo: int, hi: int) -> CellLog:
@@ -237,15 +245,14 @@ def _rows(log: CellLog, lo: int, hi: int) -> CellLog:
 @settings(max_examples=150, deadline=None)
 @given(records=st.one_of(blocked_logs(), cell_logs().map(lambda cell: cell[0])), data=st.data())
 def test_a_log_written_in_pieces_is_the_log_written_whole(records, data):
-    # simulate hands a cell's LogWriter its log in pieces. Any cut, empty pieces included, writes the bytes
-    # write_log writes for the whole log and the columns save_columns saves, and leaves no other file.
+    # simulate hands a cell's LogWriter its log in pieces. Any cut, empty pieces included, writes the bytes and
+    # columns of the whole log written as one piece, and leaves no other file.
     log = log_from_records(records)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(log)), max_size=6), label="cuts"))
     bounds = [0, *cuts, len(log)]
     with tempfile.TemporaryDirectory() as tmp:
         whole, pieces = Path(tmp) / "whole.jsonl", Path(tmp) / "pieces.jsonl"
-        digest = write_log(log, whole)
-        harness.save_columns(log, whole.with_suffix(".npz"))
+        digest = _write_with_columns(log, whole)
         with harness.LogWriter(pieces, columns=pieces.with_suffix(".npz")) as writer:
             for lo, hi in zip(bounds, bounds[1:]):
                 writer.add(_rows(log, lo, hi))
@@ -292,7 +299,8 @@ def test_writer_formats_any_int64_columns_as_json_does(data, rows):
 
     e_rows, c_rows = iter(range(n_e)), iter(range(n_c))
     expected = "".join(line(exposures, EXPOSURE_KEYS, next(e_rows)) if e else line(creations, CREATION_KEYS, next(c_rows)) for e in is_exposure)
-    assert b"".join(_log_chunks(log, rows)).decode("utf-8") == expected
+    with mock.patch.object(harness, "_CHUNK_ROWS", rows):
+        assert b"".join(_log_chunks(log)).decode("utf-8") == expected
     assert b"".join(_log_chunks(log)) == expected.encode("utf-8")
 
 
@@ -338,7 +346,8 @@ def test_chunk_size_does_not_change_the_bytes():
     written = b"".join(_log_chunks(log))
     assert written.count(b"\n") == 5000
     for rows in (1, 4096, 1 << 16):
-        assert b"".join(_log_chunks(log, rows)) == written
+        with mock.patch.object(harness, "_CHUNK_ROWS", rows):
+            assert b"".join(_log_chunks(log)) == written
 
 
 SIZES = st.sampled_from([1, 7, 64, 4096])

@@ -140,7 +140,7 @@ def test_world_memory_does_not_grow_with_agents_squared():
 
 def test_streamed_run_holds_one_piece_of_its_log(small_population, tmp_path):
     # Regression: a cell's LogBuilder held every activation's block until the run ended, and finish joined them
-    # into whole columns before write_log and save_columns ran, so simulate's heap grew with the log's rows. A
+    # into whole columns before the log and its columns were written, so simulate's heap grew with its rows. A
     # read-only policy leaves the world as it starts, so what a run holds beyond it is the log's.
     profiles, graph = small_population
     corpus = generate_seed_corpus(seed=11, size=40)

@@ -396,7 +396,7 @@ class _Unpickled:
 
 
 def _columns(log) -> dict[str, np.ndarray]:
-    """Each column of a log by its name in the .npz file that save_columns writes."""
+    """Each column of a log by its name in the .npz file that a LogWriter given ``columns`` writes."""
     columns = {f"exposures.{f.name}": getattr(log.exposures, f.name) for f in fields(log.exposures)}
     return {"is_exposure": log.is_exposure, **columns, **{f"creations.{f.name}": getattr(log.creations, f.name) for f in fields(log.creations)}}
 
@@ -566,8 +566,9 @@ class TestSavedColumns:
         if edit:
             edit(log)
         path = tmp_path / "cell.jsonl"
-        write_log(log, path)
-        harness.save_columns(log, path.with_suffix(".npz"))
+        with harness.LogWriter(path, columns=path.with_suffix(".npz")) as writer:
+            writer.add(log)
+            write_log(writer, path)
         messages = []
         for read in ("saved", "decoded", "parsed"):
             if read == "decoded":
