@@ -298,8 +298,9 @@ class RunParameters:
     def __post_init__(self) -> None:
         if not 0.0 < self.activation_p < 1.0:
             raise ConfigurationError(f"activation_p must be in (0, 1), got {self.activation_p}")
-        if self.timesteps <= 0:
-            raise ConfigurationError(f"timesteps must be positive, got {self.timesteps}")
+        # The engine's schedule holds four uint64 seed words per timestep, and numpy makes no array of 2**63 bytes.
+        if not 1 <= self.timesteps < 2**58:
+            raise ConfigurationError(f"timesteps must be in 1..{2**58 - 1}, got {self.timesteps}")
         if self.n_agents <= 0:
             raise ConfigurationError(f"n_agents must be positive, got {self.n_agents}")
         # exp(-recency_decay * age) overflows for a negative decay over a long run.

@@ -251,6 +251,17 @@ class TestSimulate:
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [f"error: history_window must be in 1..{sys.maxsize}, got {10**20}"]
 
+    @pytest.mark.parametrize("timesteps, read", [(1e20, 10**20), (2**63, 2**63)], ids=["1e20", "2_63"])
+    def test_timesteps_past_the_schedule_exit_2_before_any_cell(self, plan_file, tmp_path, capsys, timesteps, read):
+        # Regression: both passed the plan's checks, and the cell then failed (numpy refused 1e20 timesteps'
+        # arrays, and np.arange wrapped 2**63 to an empty one), so simulate exited 1.
+        bad = tmp_path / "long_run.json"
+        bad.write_text(json.dumps({**json.loads(plan_file.read_text()), "timesteps": timesteps}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(bad), "--out", str(out), "--cell", "load=low,norm=none"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [f"error: timesteps must be in 1..{2**58 - 1}, got {read}"]
+
     @pytest.mark.parametrize("replications", [0, -2])
     def test_non_positive_replications_exit_2_before_any_cell(self, plan_file, tmp_path, replications):
         bad = tmp_path / "no_reps.json"

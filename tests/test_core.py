@@ -165,6 +165,17 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             self._cfg(timesteps=0)
 
+    def test_timesteps_below_2_58(self):
+        # Regression: 1e20 and 2**63 passed the plan's checks, and every cell then failed building its schedule
+        # (numpy refused the first's arrays; np.arange wrapped the second to an empty one). The schedule's seed
+        # words, 32 bytes a timestep, make no array from 2**58 timesteps on, whatever the memory.
+        assert self._cfg(timesteps=2**58 - 1).timesteps == 2**58 - 1
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty((2**58, 4), dtype=np.uint64)
+        for timesteps in (2**58, 10**20, 2**63):
+            with pytest.raises(ConfigurationError, match=rf"^timesteps must be in 1\.\.{2**58 - 1}, got {timesteps}$"):
+                self._cfg(timesteps=timesteps)
+
     def test_seed_below_2_63(self):
         # Regression: a seed of 2**63 was accepted, and the run then failed with OverflowError
         # writing the int64 run column.
