@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,17 @@ def test_readme_library_use_block_fits_a_clean_model(capsys):
     model = namespace["model"]
     assert model.converged and model.diagnostics == []
     assert capsys.readouterr().out.startswith("True []\n")
+
+
+COST_SECTIONS = ("What a feed costs", "What simulate costs", "What a process loads", "What analyze costs")
+
+
+def test_readme_cost_sections_cite_benchmark_records_that_exist():
+    # The cost sections state today's figures and cite the BENCH_<n>.json records that hold their history:
+    # each section cites at least one, and every record the README names is at the repository root.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sections = {part.split("\n", 1)[0]: part for part in text.split("\n## ")[1:]}
+    for title in COST_SECTIONS:
+        assert re.search(r"\bBENCH_\d+\.json\b", sections[title]), f"README '{title}' cites no BENCH_<n>.json"
+    cited = set(re.findall(r"\bBENCH_\d+\.json\b", text))
+    assert sorted(name for name in cited if not (ROOT / name).is_file()) == []
