@@ -13,11 +13,13 @@ _EXPORTS = {
     "core": (
         "ActionKind",
         "CellLog",
+        "DESIGN_COLUMNS",
         "Feed",
         "LoadLevel",
         "NormRegime",
         "PostKind",
         "RunConfig",
+        "design_matrix",
         "from_obj",
         "popularity_composite",
         "to_obj",
@@ -60,12 +62,10 @@ _EXPORTS = {
         "top_influencers",
     ),
     "stats": (
-        "DESIGN_COLUMNS",
         "FittedModel",
         "PatternCounts",
         "Scenario",
         "build_design_matrix",
-        "design_matrix",
         "fit_binary_logistic",
         "fit_multinomial_logistic",
         "fit_statistics",

@@ -1,6 +1,7 @@
-"""Shared domain types: actions, experimental conditions, post kinds, a feed's
-and the event log's columns, run parameters, and the readers and writers of
-config objects, JSON Lines rows and CSV tables.
+"""Shared domain types: actions, experimental conditions, post kinds, the
+24-column design that the analysis fits and a parametric policy draws from, a
+feed's and the event log's columns, run parameters, and the readers and
+writers of config objects, JSON Lines rows and CSV tables.
 
 The event log's column types live here, its format and value rules in
 ``harness``, which alone writes, reads and checks a log."""
@@ -18,7 +19,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -117,6 +118,73 @@ def popularity_composite(likes: int, reshares: int) -> float:
     if likes < 0 or reshares < 0:
         raise ValueError("engagement counts must be non-negative")
     return math.log1p(likes + reshares)
+
+
+# ---------------------------------------------------------------------------
+# Design matrix: the analysis fits it, and a parametric policy draws from it
+# ---------------------------------------------------------------------------
+
+# Reference levels, which take no dummy: LOWEST load, NO_NORM regime.
+_LOAD_DUMMIES = (LoadLevel.LOW, LoadLevel.MEDIUM, LoadLevel.HIGH)
+_NORM_DUMMIES = (NormRegime.LIKE_DOMINANT, NormRegime.REPOST_DOMINANT)
+_NORM_SHORT = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT: "repost_norm"}
+
+
+class _Term(NamedTuple):
+    """One design column: the product of the composite (if `popularity`), a
+    load dummy and a norm dummy, each factor present only if set."""
+
+    popularity: bool
+    load: LoadLevel | None
+    norm: NormRegime | None
+
+    @property
+    def name(self) -> str:
+        parts = ["popularity"] if self.popularity else []
+        parts += [f"{self.load.value}_load"] if self.load is not None else []
+        parts += [_NORM_SHORT[self.norm]] if self.norm is not None else []
+        return ":".join(parts) or "intercept"
+
+
+# The 24 design terms in column order: intercept, main effects, two-way and
+# three-way products.
+_TERMS = (
+    [_Term(False, None, None), _Term(True, None, None)]
+    + [_Term(False, lv, None) for lv in _LOAD_DUMMIES]
+    + [_Term(False, None, nr) for nr in _NORM_DUMMIES]
+    + [_Term(True, lv, None) for lv in _LOAD_DUMMIES]
+    + [_Term(True, None, nr) for nr in _NORM_DUMMIES]
+    + [_Term(False, lv, nr) for nr in _NORM_DUMMIES for lv in _LOAD_DUMMIES]
+    + [_Term(True, lv, nr) for nr in _NORM_DUMMIES for lv in _LOAD_DUMMIES]
+)
+DESIGN_COLUMNS = [term.name for term in _TERMS]
+N_COLUMNS = len(DESIGN_COLUMNS)  # 24: intercept + 23 predictors
+
+
+def design_matrix(
+    composite: np.typing.ArrayLike, load_codes: np.typing.ArrayLike, norm_codes: np.typing.ArrayLike
+) -> np.ndarray:
+    """The (n, N_COLUMNS) C-ordered design for n composites and their LOADS and NORMS codes.
+
+    A code may also be one integer for every row. Each column multiplies its
+    term's factors left to right (composite, load dummy, norm dummy); a term
+    without factors is the intercept column of ones. The columns are filled
+    as the contiguous rows of one (N_COLUMNS, n) buffer, which is returned
+    transposed and C-ordered.
+    """
+    c = np.atleast_1d(np.asarray(composite, dtype=np.float64))
+    load_codes, norm_codes = np.broadcast_to(load_codes, c.shape), np.broadcast_to(norm_codes, c.shape)
+    loads = {lv: (load_codes == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
+    norms = {nr: (norm_codes == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
+    columns = np.empty((N_COLUMNS, c.size), dtype=np.float64)
+    for column, term in zip(columns, _TERMS):
+        factors = [c] if term.popularity else []
+        factors += [loads[term.load]] if term.load is not None else []
+        factors += [norms[term.norm]] if term.norm is not None else []
+        column[:] = factors[0] if factors else 1.0
+        for factor in factors[1:]:
+            np.multiply(column, factor, out=column)
+    return np.ascontiguousarray(columns.T)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +366,8 @@ class RunParameters:
     def __post_init__(self) -> None:
         if not 0.0 < self.activation_p < 1.0:
             raise ConfigurationError(f"activation_p must be in (0, 1), got {self.activation_p}")
-        # The engine's schedule holds four uint64 seed words per timestep, and numpy makes no array of 2**63 bytes.
+        # Far past any run that can finish, and below 2**63, so every t fits the schedule's int64 stream keys and
+        # the log's t column.
         if not 1 <= self.timesteps < 2**58:
             raise ConfigurationError(f"timesteps must be in 1..{2**58 - 1}, got {self.timesteps}")
         if self.n_agents <= 0:

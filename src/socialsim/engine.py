@@ -32,13 +32,13 @@ Randomness comes from counter-keyed substreams of the run seed: one stream
 per timestep for activations, keyed (seed, 1, t), and one per activated
 (timestep, agent) for decisions, keyed (seed, 2, t, agent). Each is the
 generator ``np.random.default_rng(key)`` would give. Neither key reads the
-world, so ``schedule`` seeds all of a run's streams before its first step,
-in two vectorized passes of SeedSequence's hash: one for the timesteps'
-activation streams, then one for the decision streams of the agents those
-draws activate. A decision keeps only its four seed words until its feed
-turns out non-empty; then PCG64 is seeded from them. Replays of the same
-(config, population, corpus, policy fixtures) produce byte-identical logs
-regardless of refactoring order.
+world, so ``schedule`` seeds the streams of a block of timesteps
+(``_SCHEDULE_BLOCK``) before the block's first step, in two vectorized passes
+of SeedSequence's hash: one for the timesteps' activation streams, then one
+for the decision streams of the agents those draws activate. A decision keeps
+only its four seed words until its feed turns out non-empty; then PCG64 is
+seeded from them. Replays of the same (config, population, corpus, policy
+fixtures) produce byte-identical logs regardless of refactoring order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict, deque
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from .population import AgentProfile, FollowGraph
 
 _STREAM_ACTIVATION = 1
 _STREAM_DECISION = 2
+_SCHEDULE_BLOCK = 4096  # timesteps whose streams ``schedule`` seeds together
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -556,21 +557,27 @@ def initialize(
     return world
 
 
-def schedule(config: RunConfig, agent_ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per timestep: the activated agents, ascending, and the seed words of their decision streams, row for row.
+def schedule(config: RunConfig, agent_ids: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per timestep, in order: the activated agents, ascending, and the seed words of their decision streams, row for row.
 
     Step t activates the agents whose draw from the stream keyed (seed, 1, t),
     one uniform per agent of ``agent_ids`` in order, is below activation_p.
-    An activated agent's decision stream is keyed (seed, 2, t, agent).
+    An activated agent's decision stream is keyed (seed, 2, t, agent). The
+    steps are computed ``_SCHEDULE_BLOCK`` timesteps at a time, each block
+    in two ``_seed_words`` passes, so the schedule holds one block whatever
+    the run's length.
     """
-    ts = np.arange(config.timesteps, dtype=np.int64)
-    active = [
-        agent_ids[_generator(words).random(len(agent_ids)) < config.activation_p]
-        for words in _seed_words((config.seed, _STREAM_ACTIVATION), ts)
-    ]
-    counts = [agents.size for agents in active]
-    seeds = _seed_words((config.seed, _STREAM_DECISION), np.repeat(ts, counts), np.concatenate(active))
-    return list(zip(active, np.split(seeds, np.cumsum(counts)[:-1])))
+    for start in range(0, config.timesteps, _SCHEDULE_BLOCK):
+        ts = np.arange(start, min(start + _SCHEDULE_BLOCK, config.timesteps), dtype=np.int64)
+        active = [
+            agent_ids[_generator(words).random(len(agent_ids)) < config.activation_p]
+            for words in _seed_words((config.seed, _STREAM_ACTIVATION), ts)
+        ]
+        counts = [agents.size for agents in active]
+        seeds = _seed_words((config.seed, _STREAM_DECISION), np.repeat(ts, counts), np.concatenate(active))
+        ends = np.cumsum(counts).tolist()
+        for agents, lo, hi in zip(active, [0, *ends], ends):
+            yield agents, seeds[lo:hi]
 
 
 def step(

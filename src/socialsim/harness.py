@@ -900,8 +900,10 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     Every key is ranked with ``core.ranked``, by a table where the keys are
     dense and by a sort where they are not, with the same counts either way:
     the shown and created posts and the (viewer, author) and edge codes,
-    through ``core.first_index``; the agent ids of viewers, authors and
-    follow edges together; the times; and the (time, viewer) activation codes.
+    through ``core.first_index``; and the agent ids of viewers, authors and
+    follow edges together. Rows in (t, agent) order, as the engine writes
+    them, number their activations in one pass; only other rows rank the
+    times and the (time, viewer) activation codes (``_activations``).
     """
     e = log.exposures
     if len(e) == 0:
@@ -923,7 +925,7 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
     # (not np.isin, whose sort path loads numpy.ma).
     edges = follows[:, 0] * width + follows[:, 1]
     followed = first_index(edges, viewer * width + owner)[0] < edges.size
-    activation = ranked(ranked(e.t)[1] * width + viewer)[1]
+    activation = _activations(e.t, viewer, width)
     counts = np.bincount(activation[~followed], minlength=activation.max() + 1)
     return LoadAudit(
         n_activations=counts.size,
@@ -931,6 +933,20 @@ def realized_load_audit(log: CellLog, graph: FollowGraph) -> LoadAudit:
         min=int(counts.min()),
         max=int(counts.max()),
     )
+
+
+def _activations(t: np.ndarray, viewer: np.ndarray, width: int) -> np.ndarray:
+    """Each exposure row's activation: the index of its (t, viewer) pair among the distinct pairs in order.
+
+    ``viewer`` is each row's agent as its rank among ``width`` ids. Rows
+    already in (t, agent) order, as the engine writes every log, are numbered
+    by runs of equal pairs, which one pass over neighbouring rows shows; any
+    other rows rank their (t, viewer) codes.
+    """
+    same, step = t[1:] == t[:-1], np.diff(viewer)
+    if ((t[1:] > t[:-1]) | (same & (step >= 0))).all():
+        return np.cumsum(np.concatenate(([False], ~same | (step != 0))))
+    return ranked(ranked(t)[1] * width + viewer)[1]
 
 
 @dataclass

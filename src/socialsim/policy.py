@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import re
 import time
@@ -30,20 +29,19 @@ import numpy as np
 
 from .core import (
     LOADS,
+    N_COLUMNS,
     NORMS,
     ActionKind,
     ConfigurationError,
     Feed,
     LoadLevel,
     NormRegime,
+    design_matrix,
     from_obj,
     popularity_composite,
     read_rows,
 )
 from .population import AgentProfile
-from .stats import N_COLUMNS, design_matrix
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(slots=True, frozen=True)
@@ -97,13 +95,24 @@ def decide(policy: Policy, context: DecisionContext, rng: np.random.Generator) -
     try:
         decision = policy.decide(context, rng)
     except TransportError as e:
-        log.warning("policy transport failed, degrading to read-only: %s", e)
-        return Decision.read_all()
+        return _degrade("policy transport failed, degrading to read-only: %s", e)
     if decision.action.is_engagement:
         if context.feed.position(decision.target) is None:
-            log.warning("policy targeted post %s outside the feed, degrading to read-only", decision.target)
-            return Decision.read_all()
+            return _degrade("policy targeted post %s outside the feed, degrading to read-only", decision.target)
     return decision
+
+
+def _degrade(message: str, *args: Any) -> Decision:
+    """Log a degradation as a warning of the ``socialsim.policy`` logger, and return read-only.
+
+    ``logging`` is imported here, at the first degradation: a run whose
+    decisions never degrade, as a mock or parametric one's cannot, does not
+    load it.
+    """
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+    return Decision.read_all()
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +344,11 @@ def parse_response(raw: str, feed: Feed) -> Decision:
     """
     obj = _extract_json(raw)
     if obj is None:
-        log.warning("unparseable policy response, degrading to read-only: %.120r", raw)
-        return Decision.read_all()
+        return _degrade("unparseable policy response, degrading to read-only: %.120r", raw)
     action_name = str(obj.get("action", "")).strip().lower()
     action = _ACTION_NAMES.get(action_name)
     if action is None:
-        log.warning("unknown action %r in policy response, degrading to read-only", action_name)
-        return Decision.read_all()
+        return _degrade("unknown action %r in policy response, degrading to read-only", action_name)
     if action is ActionKind.READ:
         return Decision.read_all()
     target = obj.get("post_id")
@@ -351,16 +358,13 @@ def parse_response(raw: str, feed: Feed) -> Decision:
         except ValueError:  # "²" is a digit that int() refuses; the str degrades below
             pass
     if not isinstance(target, int) or isinstance(target, bool):
-        log.warning("missing or non-integer post_id in policy response, degrading to read-only")
-        return Decision.read_all()
+        return _degrade("missing or non-integer post_id in policy response, degrading to read-only")
     if feed.position(target) is None:
-        log.warning("post_id %s not in feed, degrading to read-only", target)
-        return Decision.read_all()
+        return _degrade("post_id %s not in feed, degrading to read-only", target)
     commentary = obj.get("comment")
     if action is ActionKind.QUOTE:
         if not isinstance(commentary, str) or not commentary.strip():
-            log.warning("quote without commentary, degrading to read-only")
-            return Decision.read_all()
+            return _degrade("quote without commentary, degrading to read-only")
         return Decision(action=action, target=target, commentary=commentary)
     return Decision(action=action, target=target)
 

@@ -239,13 +239,22 @@ class CorpusRow:
 _ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
-def _line(row: PopulationRow | CorpusRow) -> str:
-    return _ENCODE(to_obj(row))
-
-
 def population_to_lines(profiles: Sequence[AgentProfile], graph: FollowGraph) -> list[str]:
+    """The population file's lines, by ascending id: each a PopulationRow's JSON object, keys in field order.
+
+    Each line is encoded from a dict of the row's fields; no PopulationRow
+    is built, and load_population applies the row checks when it reads the file.
+    """
     return [
-        _line(PopulationRow(p.id, p.name, sorted(p.keywords), p.verified, sorted(graph.follows_of(p.id))))
+        _ENCODE(
+            {
+                "id": p.id,
+                "name": p.name,
+                "keywords": sorted(p.keywords),
+                "verified": p.verified,
+                "follows": sorted(graph.follows_of(p.id)),
+            }
+        )
         for p in sorted(profiles, key=lambda p: p.id)
     ]
 
@@ -297,7 +306,7 @@ def load_population(path: str | Path) -> tuple[list[AgentProfile], FollowGraph]:
 
 
 def save_corpus(bodies: Sequence[str], path: str | Path) -> None:
-    Path(path).write_text("\n".join(_line(CorpusRow(b)) for b in bodies) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(_ENCODE(to_obj(CorpusRow(b))) for b in bodies) + "\n", encoding="utf-8")
 
 
 def corpus_digest(bodies: Sequence[str]) -> str:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     ACTIONS,
+    DESIGN_COLUMNS,
     LOADS,
     NORMS,
     ActionKind,
@@ -44,6 +45,7 @@ from .core import (
     FormatError,
     LoadLevel,
     NormRegime,
+    design_matrix,
     ranked,
     read_table,
     read_text,
@@ -51,15 +53,10 @@ from .core import (
 )
 
 # ---------------------------------------------------------------------------
-# Design matrix
+# Pattern tables and stage designs (the 24 design columns are core.design_matrix's)
 # ---------------------------------------------------------------------------
 
-# Reference levels: LOWEST load, NO_NORM regime, LIKE as allocation baseline.
-_LOAD_DUMMIES = (LoadLevel.LOW, LoadLevel.MEDIUM, LoadLevel.HIGH)
-_NORM_DUMMIES = (NormRegime.LIKE_DOMINANT, NormRegime.REPOST_DOMINANT)
-_NORM_SHORT = {NormRegime.LIKE_DOMINANT: "like_norm", NormRegime.REPOST_DOMINANT: "repost_norm"}
-
-ALLOCATION_ACTIONS = (ActionKind.LIKE, ActionKind.REPOST, ActionKind.QUOTE)
+ALLOCATION_ACTIONS = (ActionKind.LIKE, ActionKind.REPOST, ActionKind.QUOTE)  # LIKE is the allocation baseline
 ALLOCATION_EQUATIONS = ("repost_vs_like", "quote_vs_like")
 # Each stage's equations, one coefficient block each; the stage's null model has one intercept per equation.
 _EQUATIONS = {"threshold": ("engage",), "allocation": ALLOCATION_EQUATIONS}
@@ -70,63 +67,6 @@ _CLASS_OF = {
     "threshold": np.array([[not a.is_engagement, a.is_engagement] for a in ACTIONS], dtype=np.int64),
     "allocation": np.array([[a is b for b in ALLOCATION_ACTIONS] for a in ACTIONS], dtype=np.int64),
 }
-
-
-class _Term(NamedTuple):
-    """One design column: the product of the composite (if `popularity`), a
-    load dummy and a norm dummy, each factor present only if set."""
-
-    popularity: bool
-    load: LoadLevel | None
-    norm: NormRegime | None
-
-    @property
-    def name(self) -> str:
-        parts = ["popularity"] if self.popularity else []
-        parts += [f"{self.load.value}_load"] if self.load is not None else []
-        parts += [_NORM_SHORT[self.norm]] if self.norm is not None else []
-        return ":".join(parts) or "intercept"
-
-
-# The 24 design terms in column order: intercept, main effects, two-way and
-# three-way products.
-_TERMS = (
-    [_Term(False, None, None), _Term(True, None, None)]
-    + [_Term(False, lv, None) for lv in _LOAD_DUMMIES]
-    + [_Term(False, None, nr) for nr in _NORM_DUMMIES]
-    + [_Term(True, lv, None) for lv in _LOAD_DUMMIES]
-    + [_Term(True, None, nr) for nr in _NORM_DUMMIES]
-    + [_Term(False, lv, nr) for nr in _NORM_DUMMIES for lv in _LOAD_DUMMIES]
-    + [_Term(True, lv, nr) for nr in _NORM_DUMMIES for lv in _LOAD_DUMMIES]
-)
-DESIGN_COLUMNS = [term.name for term in _TERMS]
-N_COLUMNS = len(DESIGN_COLUMNS)  # 24: intercept + 23 predictors
-
-
-def design_matrix(
-    composite: np.typing.ArrayLike, load_codes: np.typing.ArrayLike, norm_codes: np.typing.ArrayLike
-) -> np.ndarray:
-    """The (n, N_COLUMNS) C-ordered design for n composites and their LOADS and NORMS codes.
-
-    A code may also be one integer for every row. Each column multiplies its
-    term's factors left to right (composite, load dummy, norm dummy); a term
-    without factors is the intercept column of ones. The columns are filled
-    as the contiguous rows of one (N_COLUMNS, n) buffer, which is returned
-    transposed and C-ordered.
-    """
-    c = np.atleast_1d(np.asarray(composite, dtype=np.float64))
-    load_codes, norm_codes = np.broadcast_to(load_codes, c.shape), np.broadcast_to(norm_codes, c.shape)
-    loads = {lv: (load_codes == LOADS.index(lv)).astype(np.float64) for lv in _LOAD_DUMMIES}
-    norms = {nr: (norm_codes == NORMS.index(nr)).astype(np.float64) for nr in _NORM_DUMMIES}
-    columns = np.empty((N_COLUMNS, c.size), dtype=np.float64)
-    for column, term in zip(columns, _TERMS):
-        factors = [c] if term.popularity else []
-        factors += [loads[term.load]] if term.load is not None else []
-        factors += [norms[term.norm]] if term.norm is not None else []
-        column[:] = factors[0] if factors else 1.0
-        for factor in factors[1:]:
-            np.multiply(column, factor, out=column)
-    return np.ascontiguousarray(columns.T)
 
 
 class PatternCounts(NamedTuple):

@@ -1,4 +1,4 @@
-"""Reference design builder: the column-at-a-time loop that stats.design_matrix must match bit for bit.
+"""Reference design builder: the column-at-a-time loop that core.design_matrix must match bit for bit.
 
 Each of the 24 columns is written into the row-major design on its own,
 as the product of its term's factors over all n rows at once, left to
@@ -14,8 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from socialsim.core import ACTIONS, LOADS, NORMS, ExposureColumns
-from socialsim.stats import _LOAD_DUMMIES, _NORM_DUMMIES, _TERMS, ALLOCATION_ACTIONS, N_COLUMNS
+from socialsim.core import _LOAD_DUMMIES, _NORM_DUMMIES, _TERMS, ACTIONS, LOADS, N_COLUMNS, NORMS, ExposureColumns
+from socialsim.stats import ALLOCATION_ACTIONS
 
 
 def reference_design_matrix(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from socialsim.core import ActionKind, PostKind, RunConfig, popularity_composite
-from socialsim.engine import _STREAM_ACTIVATION, _STREAM_DECISION, initialize
+from socialsim.engine import _STREAM_ACTIVATION, _STREAM_DECISION, _generator, _seed_words, initialize
 from socialsim.policy import Decision, DecisionContext, ParametricLogitPolicy, decide
 from socialsim.population import FollowGraph
 
@@ -28,6 +28,18 @@ from reference_log import ExposureRecord, PostCreation
 def substream(seed: int, stream: int, *keys: int) -> np.random.Generator:
     """Independent generator keyed by (seed, stream, keys...): one SeedSequence per stream."""
     return np.random.default_rng(np.random.SeedSequence((seed, stream, *keys)))
+
+
+def reference_schedule(config: RunConfig, agent_ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """engine.schedule as one whole-run list: every timestep's activations and seed words built before the first step."""
+    ts = np.arange(config.timesteps, dtype=np.int64)
+    active = [
+        agent_ids[_generator(words).random(len(agent_ids)) < config.activation_p]
+        for words in _seed_words((config.seed, _STREAM_ACTIVATION), ts)
+    ]
+    counts = [agents.size for agents in active]
+    seeds = _seed_words((config.seed, _STREAM_DECISION), np.repeat(ts, counts), np.concatenate(active))
+    return list(zip(active, np.split(seeds, np.cumsum(counts)[:-1])))
 
 
 def reference_parametric_decide(

@@ -23,11 +23,15 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from socialsim.core import (
+    _LOAD_DUMMIES,
+    _NORM_DUMMIES,
     ACTIONS,
     CREATION_KEYS,
+    DESIGN_COLUMNS,
     EXPOSURE_KEYS,
     JSON_SPACE,
     LOADS,
+    N_COLUMNS,
     NORMS,
     POST_KINDS,
     ActionKind,
@@ -42,7 +46,7 @@ from socialsim.core import (
 )
 from socialsim.harness import CellShares, LoadAudit, _log_from_objs
 from socialsim.population import FollowGraph
-from socialsim.stats import ALLOCATION_ACTIONS, DESIGN_COLUMNS, N_COLUMNS, _LOAD_DUMMIES, _NORM_DUMMIES
+from socialsim.stats import ALLOCATION_ACTIONS
 
 
 @dataclass(slots=True, frozen=True)

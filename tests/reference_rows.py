@@ -3,17 +3,21 @@
 ``reference_from_obj`` reads each field's fields, origin and arguments for
 every value it reads (``_typed``), element by element for a list;
 ``reference_to_obj`` recurses into every field and every list element.
-Nothing here is cached per class.
+Nothing here is cached per class. ``reference_population_lines`` encodes a
+population file's lines from one PopulationRow per agent, through
+``core.to_obj``, as population_to_lines must match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import types
 from dataclasses import MISSING, fields, is_dataclass
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
-from socialsim.core import ConfigurationError, _describe
+from socialsim.core import ConfigurationError, _describe, to_obj
+from socialsim.population import AgentProfile, FollowGraph, PopulationRow
 
 
 def reference_from_obj(cls: type, obj: Any, what: str) -> Any:
@@ -67,3 +71,15 @@ def reference_to_obj(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [reference_to_obj(v) for v in value]
     return value
+
+
+def reference_population_lines(profiles: list[AgentProfile], graph: FollowGraph) -> list[str]:
+    """A population file's lines: a PopulationRow per agent by ascending id, its to_obj as compact JSON."""
+    return [
+        json.dumps(
+            to_obj(PopulationRow(p.id, p.name, sorted(p.keywords), p.verified, sorted(graph.follows_of(p.id)))),
+            separators=(",", ":"),
+            ensure_ascii=False,
+        )
+        for p in sorted(profiles, key=lambda p: p.id)
+    ]

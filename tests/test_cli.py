@@ -17,11 +17,10 @@ import pytest
 import socialsim.cli as cli
 import socialsim.harness as harness
 from socialsim.cli import main
-from socialsim.core import ExposureColumns, LoadLevel, NormRegime, write_table
+from socialsim.core import N_COLUMNS, ExposureColumns, LoadLevel, NormRegime, write_table
 from socialsim.harness import load_experiment
 from socialsim.population import generate_population, load_population, save_population
 from socialsim.stats import (
-    N_COLUMNS,
     PatternCounts,
     build_design_matrix,
     fit_binary_logistic,
@@ -1298,6 +1297,19 @@ class TestProcessImports:
         assert self._last_line(_CLI_MAIN + _HTTP_MODULES, *argv) == "[]"
         assert (tmp_path / "sim" / "logs" / "low_no_norm_r0.jsonl").exists()
 
+    @pytest.mark.parametrize("policy, loaded", [("mock", "False"), ("llm", "True")])
+    def test_simulate_loads_logging_only_where_a_decision_degrades(self, policy, loaded, tmp_path):
+        # policy imports logging at its first degradation. A mock run's decisions never degrade; an LLM cell
+        # whose fixture file misses every request degrades each one, the check's positive control.
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text("")
+        spec = {"kind": "mock"} if policy == "mock" else {"kind": "llm", "transport": "fixtures", "fixture_path": str(fixture)}
+        plan = {"base_seed": 5, "n_agents": 40, "timesteps": 40, "activation_p": 0.05, "policy": spec}
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        argv = ["simulate", "--config", str(tmp_path / "plan.json"), "--out", str(tmp_path / "sim"), "--cell", "load=low,norm=none"]
+        assert self._last_line(_CLI_MAIN + "print('logging' in sys.modules)", *argv) == loaded
+        assert (tmp_path / "sim" / "logs" / "low_no_norm_r0.jsonl").exists()
+
     def test_http_transport_loads_urllib_request_not_requests(self, chat_server):
         # The check sees urllib.request where it is loaded: one round trip to a loopback endpoint.
         code = f"import sys; from socialsim.policy import HttpTransport; HttpTransport({chat_server.endpoint!r}).complete({{}}); " + _HTTP_MODULES
@@ -1315,7 +1327,7 @@ class TestProcessImports:
         [
             ("gen-population", ["core", "population"]),
             ("gen-corpus", ["core", "population"]),
-            ("simulate", ["core", "engine", "harness", "policy", "population", "stats"]),
+            ("simulate", ["core", "engine", "harness", "policy", "population"]),
             ("analyze", ["core", "harness", "population", "stats"]),
             ("report", ["core", "figures", "stats"]),
         ],

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from reference_engine import reference_parametric_decide, reference_run
 from reference_feed import FeedSlot
 from reference_log import records_of, reference_log_to_lines
-from socialsim.core import Feed, LoadLevel, NormRegime, RunConfig, popularity_composite
+from socialsim.core import N_COLUMNS, Feed, LoadLevel, NormRegime, RunConfig, popularity_composite
 from socialsim.engine import LogBuilder, run
 from socialsim.harness import ExperimentPlan, run_experiment, write_log
 from socialsim.policy import (
@@ -25,7 +25,6 @@ from socialsim.policy import (
     mock_policy_spec,
 )
 from socialsim.population import AgentProfile, FollowGraph
-from socialsim.stats import N_COLUMNS
 
 from conftest import make_feed, tiny_graph, tiny_profiles
 

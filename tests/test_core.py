@@ -167,8 +167,9 @@ class TestRunConfig:
 
     def test_timesteps_below_2_58(self):
         # Regression: 1e20 and 2**63 passed the plan's checks, and every cell then failed building its schedule
-        # (numpy refused the first's arrays; np.arange wrapped the second to an empty one). The schedule's seed
-        # words, 32 bytes a timestep, make no array from 2**58 timesteps on, whatever the memory.
+        # (numpy refused the first's arrays; np.arange wrapped the second to an empty one). 2**58 is where a whole-run
+        # schedule's seed words, 32 bytes a timestep, make no array (checked below). The schedule holds one block of
+        # timesteps, and the bound stays: far past any run that can finish, and below int64's 2**63.
         assert self._cfg(timesteps=2**58 - 1).timesteps == 2**58 - 1
         with pytest.raises(ValueError, match="array is too big"):
             np.empty((2**58, 4), dtype=np.uint64)

@@ -18,7 +18,7 @@ from socialsim.policy import ScriptedPolicy, ScriptedSpec
 from socialsim.population import AgentProfile, FollowGraph, generate_population, generate_seed_corpus
 
 from conftest import tiny_graph, tiny_profiles
-from reference_engine import reference_follows, substream
+from reference_engine import reference_follows, reference_schedule, substream
 from reference_feed import world_posts
 from reference_log import ExposureRecord, PostCreation, records_of, recount_counters, world_counters
 
@@ -491,13 +491,40 @@ class TestSubstream:
     def test_schedule_draws_each_step_from_its_activation_stream(self):
         cfg = _config(seed=2**32 + 7, n_agents=5, timesteps=6, activation_p=0.4)
         agent_ids = np.array([0, 3, 2**32 - 1, 2**32, 2**40], dtype=np.int64)
-        steps = schedule(cfg, agent_ids)
+        steps = list(schedule(cfg, agent_ids))
         assert len(steps) == cfg.timesteps
         for t, (agents, seeds) in enumerate(steps):
             expected = agent_ids[substream(cfg.seed, 1, t).random(5) < cfg.activation_p]
             assert agents.tolist() == expected.tolist() and seeds.shape == (agents.size, 4)
             for agent, words in zip(agents.tolist(), seeds):
                 assert np.array_equal(_generator(words).random(3), substream(cfg.seed, 2, t, agent).random(3))
+
+    def test_schedule_in_blocks_is_the_whole_run_schedule(self, monkeypatch):
+        # 10 timesteps in blocks of 4: two whole blocks and a short one, with the key 2**32 taking two words.
+        monkeypatch.setattr(engine, "_SCHEDULE_BLOCK", 4)
+        cfg = _config(seed=2**32 + 7, n_agents=5, timesteps=10, activation_p=0.4)
+        agent_ids = np.array([0, 3, 2**32 - 1, 2**32, 2**40], dtype=np.int64)
+        steps, want = list(schedule(cfg, agent_ids)), reference_schedule(cfg, agent_ids)
+        assert len(steps) == len(want) == cfg.timesteps
+        assert sum(agents.size for agents, _ in want) > 0
+        for (agents, seeds), (want_agents, want_seeds) in zip(steps, want):
+            assert agents.tolist() == want_agents.tolist()
+            assert seeds.dtype == want_seeds.dtype and np.array_equal(seeds, want_seeds)
+
+    def test_schedule_holds_one_block_whatever_the_timesteps(self):
+        # Regression: schedule built every timestep's activations and seed words before the first step, about
+        # 420 bytes a timestep at 40 agents (458 MB at 10**6 timesteps); 10**8 would have needed about 42 GB.
+        cfg = _config(n_agents=40, timesteps=10**8, activation_p=0.01)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            steps = schedule(cfg, np.arange(40, dtype=np.int64))
+            first = [next(steps) for _ in range(10)]
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 10
+        assert peak < 4 * 2**20, peak
 
 
 class TestGoldenLogDigests:

@@ -1016,6 +1016,28 @@ class TestAudits:
         with pytest.raises(ValueError, match="^post 0 is shown before any row creates it$"):
             realized_load_audit(CellLog(log.exposures, log.creations, log.is_exposure[::-1].copy()), FollowGraph({5: frozenset({1})}))
 
+    # Times and agent ids across int64, few distinct values so that pairs repeat.
+    _T = st.one_of(st.integers(0, 3), st.sampled_from([-(2**63), -1, 2**62, 2**63 - 1]))
+    _AGENT = st.one_of(st.integers(0, 3), st.sampled_from([2**32, 2**63 - 1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_T, _AGENT), min_size=1, max_size=40), order=st.sampled_from(["sorted", "as drawn"]))
+    def test_activations_are_np_unique_ranks_of_t_agent_pairs(self, pairs, order):
+        # Rows in (t, agent) order are numbered by runs in one pass; rows out of order are ranked. Either way
+        # each row's activation is np.unique's index of its (t, agent) pair.
+        if order == "sorted":
+            pairs = sorted(pairs)
+        t, agent = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        distinct, viewer = np.unique(agent, return_inverse=True)
+        want = np.unique(np.stack([t, agent], axis=1), axis=0, return_inverse=True)[1].ravel()
+        assert harness._activations(t, viewer, distinct.size).tolist() == want.tolist()
+
+    def test_activations_of_ordered_rows_sort_nothing(self):
+        # An engine log's rows are in (t, agent) order: their activations come from runs, with no np.unique call.
+        t, viewer = np.array([0, 0, 0, 2, 2, 5]), np.array([1, 1, 3, 0, 3, 3])
+        with mock.patch.object(core.np, "unique", side_effect=AssertionError("np.unique called")):
+            assert harness._activations(t, viewer, 4).tolist() == [0, 0, 1, 2, 3, 4]
+
     def test_empty_cell_flagged(self):
         audit = realized_load_audit(log_from_records([]), FollowGraph({}))
         assert audit.flagged and audit.n_activations == 0

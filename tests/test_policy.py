@@ -12,6 +12,7 @@ from scipy.stats import chi2_contingency
 import socialsim as ss
 from socialsim.core import (
     LOADS,
+    N_COLUMNS,
     NORMS,
     ActionKind,
     ConfigurationError,
@@ -45,7 +46,6 @@ from socialsim.policy import (
     request_hash,
 )
 from socialsim.population import generate_population, generate_seed_corpus
-from socialsim.stats import N_COLUMNS
 
 from conftest import chat_reply, make_feed, tiny_profiles
 from test_acceptance import RecordingTransport, _DeterministicResponder
@@ -196,6 +196,25 @@ class TestDecideWrapper:
                 return Decision(action=ActionKind.LIKE, target=999)
 
         assert decide(Rogue(), _context(), _rng()).action is ActionKind.READ
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [
+            ("transport", "policy transport failed, degrading to read-only: boom"),
+            ("target", "policy targeted post 999 outside the feed, degrading to read-only"),
+        ],
+    )
+    def test_degradation_logs_one_warning(self, caplog, failure, message):
+        # policy imports logging at its first degradation; each of decide's own degradations still logs.
+        class Rogue:
+            def decide(self, context, rng):
+                if failure == "transport":
+                    raise TransportError("boom")
+                return Decision(action=ActionKind.LIKE, target=999)
+
+        with caplog.at_level("WARNING", logger="socialsim.policy"):
+            assert decide(Rogue(), _context(), _rng()) == Decision.read_all()
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [("socialsim.policy", "WARNING", message)]
 
     def test_transport_failure_degrades_to_read(self, monkeypatch):
         class FailingTransport:

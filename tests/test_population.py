@@ -5,10 +5,13 @@ import re
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from socialsim.core import ConfigurationError, FormatError
 from socialsim.policy import read_fixtures
 from socialsim.population import (
+    AgentProfile,
     FollowGraph,
     generate_population,
     generate_seed_corpus,
@@ -21,6 +24,28 @@ from socialsim.population import (
     token_count,
     top_influencers,
 )
+
+from reference_rows import reference_population_lines
+
+# Any text, and text of the characters JSON escapes or ensure_ascii=False keeps: quotes, backslashes,
+# control characters, and non-ASCII letters and symbols.
+_TEXT = st.one_of(st.text(max_size=8), st.text(alphabet='"\\/\x00\x1f\x7f\u2028éß€😀 a', max_size=8))
+
+
+@st.composite
+def _populations(draw):
+    """Profiles in any order with distinct ids up to 2**63 - 1, and a graph in which an agent may follow none."""
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True))
+    profiles = [
+        AgentProfile(i, draw(_TEXT), frozenset(draw(st.lists(_TEXT, min_size=1, max_size=4))), draw(st.booleans()), draw(st.booleans()))
+        for i in ids
+    ]
+    follows = {}
+    for i in ids:
+        others = [j for j in ids if j != i]
+        if others and draw(st.booleans()):
+            follows[i] = draw(st.sets(st.sampled_from(others)))
+    return profiles, FollowGraph(follows)
 
 
 class TestGeneratePopulation:
@@ -100,6 +125,16 @@ class TestPopulationIO:
         assert loaded_profiles == sorted(profiles, key=lambda p: p.id)
         assert loaded_graph == graph
         assert population_digest(profiles, graph) == population_digest(loaded_profiles, loaded_graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_populations())
+    @example((
+        [AgentProfile(2**63 - 1, 'q"\\\x00\x1fé😀', frozenset({"zeta", "alpha", "\u2028", "mid"}), True, False),
+         AgentProfile(0, "", frozenset({"é"}), False, True)],
+        FollowGraph({0: [2**63 - 1]}),
+    ))
+    def test_lines_are_the_population_row_encoding(self, population):
+        assert population_to_lines(*population) == reference_population_lines(*population)
 
     def test_save_returns_population_digest(self, tmp_path):
         profiles, graph = generate_population(60, seed=4)

@@ -12,17 +12,27 @@ import scipy.special
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from socialsim.core import ACTIONS, EXPOSURE_KEYS, LOADS, NORMS, ActionKind, ExposureColumns, FormatError, LoadLevel, NormRegime
+from socialsim.core import (
+    ACTIONS,
+    DESIGN_COLUMNS,
+    EXPOSURE_KEYS,
+    LOADS,
+    N_COLUMNS,
+    NORMS,
+    ActionKind,
+    ExposureColumns,
+    FormatError,
+    LoadLevel,
+    NormRegime,
+    design_matrix,
+)
 from socialsim.stats import _binary, _expit, _fit, _logsumexp, _multinomial, _ndtr
 from socialsim.stats import (
     ALLOCATION_EQUATIONS,
-    DESIGN_COLUMNS,
-    N_COLUMNS,
     FittedModel,
     PatternCounts,
     Scenario,
     build_design_matrix,
-    design_matrix,
     fit_binary_logistic,
     fit_multinomial_logistic,
     fit_statistics,
