@@ -1,4 +1,4 @@
-"""Reference design builder: the column-at-a-time loop that core.design_matrix must match bit for bit.
+"""Reference design matrix: the column-at-a-time loop that core.design_matrix must match bit for bit.
 
 Each of the 24 columns is written into the row-major design on its own,
 as the product of its term's factors over all n rows at once, left to
